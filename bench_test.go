@@ -69,10 +69,12 @@ func BenchmarkFig59BlockEncode(b *testing.B) {
 // AVQ block.
 func BenchmarkFig59BlockDecode(b *testing.B) {
 	schema, _, streams := fig59Relation(b, 20000, core.CodecAVQ)
+	a := core.NewArena()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecodeBlock(schema, streams[i%len(streams)]); err != nil {
+		a.Reset()
+		if _, err := core.DecodeBlockArena(schema, streams[i%len(streams)], a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,10 +84,12 @@ func BenchmarkFig59BlockDecode(b *testing.B) {
 // of one uncoded block.
 func BenchmarkFig59Extract(b *testing.B) {
 	schema, _, streams := fig59Relation(b, 20000, core.CodecRaw)
+	a := core.NewArena()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecodeBlock(schema, streams[i%len(streams)]); err != nil {
+		a.Reset()
+		if _, err := core.DecodeBlockArena(schema, streams[i%len(streams)], a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,9 +226,11 @@ func BenchmarkAblationCodecs(b *testing.B) {
 				}
 			})
 			b.Run("decode", func(b *testing.B) {
+				a := core.NewArena()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.DecodeBlock(schema, streams[i%len(streams)]); err != nil {
+					a.Reset()
+					if _, err := core.DecodeBlockArena(schema, streams[i%len(streams)], a); err != nil {
 						b.Fatal(err)
 					}
 				}

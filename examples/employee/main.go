@@ -98,7 +98,7 @@ func main() {
 	}
 	payload := stream[4 : len(stream)-4] // strip framing and checksum
 	fmt.Printf("Figure 3.3 coded block payload: % d\n", payload)
-	decoded, err := core.DecodeBlock(paperSchema, stream)
+	decoded, err := core.DecodeBlockArena(paperSchema, stream, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -304,3 +304,20 @@ func TestLoader(t *testing.T) {
 		t.Errorf("fixture path %q should be synthetic under testdata", fix.Path)
 	}
 }
+
+// TestLoadAllSkipsNestedModules: a directory with its own go.mod is another
+// module (the repo's bench/), which `./...` must not reach — the go tool
+// does not either.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := l.LoadAll(filepath.Join("testdata", "src", "nestedmod"))
+	if err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+	if len(pkgs) != 1 || !strings.HasSuffix(pkgs[0].Path, "nestedmod") {
+		t.Fatalf("LoadAll loaded %d packages (%v), want only the outer one", len(pkgs), pkgs)
+	}
+}

@@ -193,8 +193,8 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 // LoadAll loads every package under root (which must lie inside the
-// module), skipping testdata, hidden, and Go-ignored directories, and
-// returns the packages sorted by import path.
+// module), skipping testdata, hidden, and Go-ignored directories and
+// nested modules, and returns the packages sorted by import path.
 func (l *Loader) LoadAll(root string) ([]*Package, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -209,6 +209,13 @@ func (l *Loader) LoadAll(root string) ([]*Package, error) {
 			name := d.Name()
 			if p != abs && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
+			}
+			// A nested go.mod starts another module (bench/), which `./...`
+			// does not reach in the go tool either.
+			if p != abs {
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

@@ -104,6 +104,16 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
+// Skip advances the reader n bits without assembling them, so a caller
+// that knows a field's width can step over it in O(1).
+func (r *Reader) Skip(n uint) error {
+	if r.pos+n > uint(len(r.buf))*8 {
+		return ErrOverrun
+	}
+	r.pos += n
+	return nil
+}
+
 // Offset returns the current bit position.
 func (r *Reader) Offset() int { return int(r.pos) }
 

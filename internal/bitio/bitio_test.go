@@ -82,6 +82,27 @@ func TestBitLenAndOffset(t *testing.T) {
 	}
 }
 
+func TestSkip(t *testing.T) {
+	w := NewWriter(nil)
+	w.WriteBits(0b101, 3)
+	w.WriteBits(0x1FFFF, 17)
+	w.WriteBits(0b0110, 4)
+	r := NewReader(w.Bytes())
+	r.ReadBits(3)
+	if err := r.Skip(17); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.ReadBits(4); err != nil || v != 0b0110 {
+		t.Fatalf("after Skip: ReadBits = %b, %v", v, err)
+	}
+	if err := r.Skip(1); !errors.Is(err, ErrOverrun) {
+		t.Fatalf("Skip past end: err = %v", err)
+	}
+	if r.Offset() != 24 {
+		t.Fatalf("failed Skip moved the reader to %d", r.Offset())
+	}
+}
+
 func TestPartialByteZeroPadded(t *testing.T) {
 	w := NewWriter(nil)
 	w.WriteBits(0b1, 1)

@@ -61,7 +61,7 @@ func (s *Store) Check() error {
 		}
 
 		// Every stored difference must decode back to a tuple in range.
-		tuples, err := core.DecodeBlock(s.schema, stream)
+		tuples, err := core.DecodeBlockArena(s.schema, stream, nil)
 		if err != nil {
 			return fmt.Errorf("blockstore: check block %d: %w", i, err)
 		}
@@ -71,7 +71,7 @@ func (s *Store) Check() error {
 		if info.RepIndex < 0 || info.RepIndex >= len(tuples) {
 			return fmt.Errorf("blockstore: block %d representative index %d out of range [0,%d)", i, info.RepIndex, len(tuples))
 		}
-		anchor, err := core.DecodeTupleAt(s.schema, stream, info.RepIndex)
+		anchor, err := core.DecodeTupleAtArena(s.schema, stream, info.RepIndex, nil)
 		if err != nil {
 			return fmt.Errorf("blockstore: check block %d anchor: %w", i, err)
 		}

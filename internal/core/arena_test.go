@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 func TestArenaTuplesDisjoint(t *testing.T) {
@@ -102,76 +100,44 @@ func TestArenaPoolStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeBlockArenaMatchesAllocating is the arena/allocating
-// differential: for every codec, both full-block decode paths must produce
-// element-equal tuples, as must span decodes, partial probes, and
-// tuple-at decodes.
+// TestDecodeBlockArenaMatchesAllocating is the arena-kernels-versus-
+// allocating-reference differential: for every codec, every decode shape
+// (full, span, tuple-at, search, φ slab, φ span) must accept exactly the
+// streams the naive reference decoder of reference_test.go accepts and
+// agree with it tuple-for-tuple — on the encoder's own output and on
+// mutated, re-checksummed copies of it that reach the payload parsers.
 func TestDecodeBlockArenaMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 40; iter++ {
 		s := randomSchema(rng)
-		block := randomSortedBlock(s, rng, 1+rng.Intn(100))
+		if iter%2 == 0 {
+			s = flatRandomSchema(rng) // the φ shapes need a flat schema
+		}
+		block := randomSortedBlock(s, rng, 1+rng.Intn(60))
 		for _, c := range allCodecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
 			}
-			ref, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatalf("%v: decode: %v", c, err)
+			if got, err := refDecode(s, enc); err != nil || !sameTuples(s, got, block) {
+				t.Fatalf("%v: reference decoder does not round-trip the encoder: %v", c, err)
 			}
-			a := GetArena()
-			got, err := DecodeBlockArena(s, enc, a)
-			if err != nil {
-				t.Fatalf("%v: arena decode: %v", c, err)
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("%v: arena decoded %d tuples, want %d", c, len(got), len(ref))
-			}
-			for i := range ref {
-				if s.Compare(got[i], ref[i]) != 0 {
-					t.Fatalf("%v: tuple %d: arena %v, allocating %v", c, i, got[i], ref[i])
+			checkShapesAgainstReference(t, s, enc)
+			payload := enc[:len(enc)-crcSize]
+			for trial := 0; trial < 12; trial++ {
+				mut := append([]byte(nil), payload...)
+				switch trial % 4 {
+				case 0: // flip one bit past the magic and codec bytes
+					mut[2+rng.Intn(len(mut)-2)] ^= 1 << uint(rng.Intn(8))
+				case 1: // overwrite one byte
+					mut[2+rng.Intn(len(mut)-2)] = byte(rng.Intn(256))
+				case 2: // drop the tail
+					mut = mut[:3+rng.Intn(len(mut)-2)]
+				default: // grow the tail
+					mut = append(mut, byte(rng.Intn(256)))
 				}
+				checkShapesAgainstReference(t, s, rechecksum(mut))
 			}
-			// Span decode against the same reference.
-			from := rng.Intn(len(block))
-			to := from + 1 + rng.Intn(len(block)-from)
-			a.Reset()
-			span, err := DecodeTupleSpanArena(s, enc, from, to, a)
-			if err != nil {
-				t.Fatalf("%v: arena span [%d,%d): %v", c, from, to, err)
-			}
-			for i := range span {
-				if s.Compare(span[i], ref[from+i]) != 0 {
-					t.Fatalf("%v: span tuple %d mismatch", c, from+i)
-				}
-			}
-			// Point decode.
-			idx := rng.Intn(len(block))
-			a.Reset()
-			tu, err := DecodeTupleAtArena(s, enc, idx, a)
-			if err != nil {
-				t.Fatalf("%v: arena at %d: %v", c, idx, err)
-			}
-			if s.Compare(tu, ref[idx]) != 0 {
-				t.Fatalf("%v: tuple at %d mismatch", c, idx)
-			}
-			// Search probes through the arena agree with the allocating path.
-			pivot := ref[len(ref)/2].Clone()
-			pred := func(x relation.Tuple) bool { return s.Compare(x, pivot) >= 0 }
-			wantPos, err := SearchBlock(s, enc, pred)
-			if err != nil {
-				t.Fatalf("%v: search: %v", c, err)
-			}
-			a.Reset()
-			gotPos, err := SearchBlockArena(s, enc, pred, a)
-			if err != nil {
-				t.Fatalf("%v: arena search: %v", c, err)
-			}
-			if gotPos != wantPos {
-				t.Fatalf("%v: arena search = %d, allocating = %d", c, gotPos, wantPos)
-			}
-			PutArena(a)
 		}
 	}
 }
@@ -210,7 +176,7 @@ func TestDecodeTupleSpanArenaZeroAllocs(t *testing.T) {
 	s := employeeSchema(t)
 	rng := rand.New(rand.NewSource(12))
 	block := randomSortedBlock(s, rng, 64)
-	for _, c := range []Codec{CodecAVQ, CodecRepOnly, CodecDeltaChain} {
+	for _, c := range allCodecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -246,26 +212,6 @@ func BenchmarkDecodeBlockArena(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a.Reset()
 				if _, err := DecodeBlockArena(s, enc, a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDecodeBlockAllocating(b *testing.B) {
-	s := employeeSchema(b)
-	rng := rand.New(rand.NewSource(13))
-	block := randomSortedBlock(s, rng, 256)
-	for _, c := range allCodecs() {
-		enc, err := EncodeBlock(c, s, block, nil)
-		if err != nil {
-			b.Fatalf("%v: encode: %v", c, err)
-		}
-		b.Run(c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeBlock(s, enc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -39,74 +39,3 @@ func encodeAVQ(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]byte,
 	}
 	return dst, nil
 }
-
-// decodeAVQ reconstructs the block outward from the representative: tuples
-// before it are recovered back-to-front by repeated subtraction, tuples
-// after it front-to-back by repeated addition. Every tuple is carved from
-// the arena. Differences for the before group are decoded straight into
-// their output slots and then consumed in place (ordinal.Sub tolerates
-// dst aliasing an operand), so the group needs no side buffer.
-func decodeAVQ(s *relation.Schema, count int, body []byte, a *Arena) ([]relation.Tuple, error) {
-	if count == 0 {
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in empty block", ErrCorrupt, len(body))
-		}
-		return nil, nil
-	}
-	mid, pos, err := readUvarint(body, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
-	}
-	if mid >= uint64(count) {
-		return nil, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid, count)
-	}
-	m := s.RowSize()
-	if pos+m > len(body) {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(count, n)
-	rep := out[int(mid)]
-	if err := s.DecodeTupleInto(rep, body[pos:pos+m]); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, rep); err != nil {
-		return nil, err
-	}
-	pos += m
-	scratch := a.Scratch(m)
-
-	// Differences for tuples before the representative are stored in block
-	// order t0..t[mid-1] but must be applied in reverse; park each in its
-	// own output slot, then overwrite backward: t[i] = t[i+1] - d[i].
-	for i := 0; i < int(mid); i++ {
-		if pos, err = readDiff(s, body, pos, out[i], scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, out[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := int(mid) - 1; i >= 0; i-- {
-		if _, err := ordinal.Sub(s, out[i], out[i+1], out[i]); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-
-	d := a.Tuple(n)
-	for i := int(mid) + 1; i < count; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, out[i], out[i-1], d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after block payload", ErrCorrupt, len(body)-pos)
-	}
-	return out, nil
-}

@@ -106,7 +106,7 @@ const (
 //
 // Each diff is: leading-zero count byte r | (RowSize - r) tail bytes.
 
-// Error values reported by DecodeBlock.
+// Error values reported by the decode entry points.
 var (
 	ErrBadMagic  = errors.New("core: block does not begin with AVQ magic byte")
 	ErrBadCodec  = errors.New("core: unknown codec in block header")
@@ -150,38 +150,18 @@ func EncodeBlock(c Codec, s *relation.Schema, tuples []relation.Tuple, dst []byt
 	return binary.BigEndian.AppendUint32(dst, sum), nil
 }
 
-// DecodeBlock decodes a block stream produced by EncodeBlock. It verifies
-// the checksum, then reconstructs and returns the tuples in phi order.
-func DecodeBlock(s *relation.Schema, buf []byte) ([]relation.Tuple, error) {
-	return DecodeBlockArena(s, buf, nil)
-}
-
-// DecodeBlockArena is DecodeBlock carving every tuple out of the arena
-// instead of the heap. The returned tuples alias the arena's slab and are
-// valid until its next Reset; callers retaining them longer must Clone().
-// A nil arena decodes into a fresh one (one slab for the whole block).
+// DecodeBlockArena decodes a block stream produced by EncodeBlock. It
+// verifies the checksum, then reconstructs the tuples in phi order, carving
+// every one out of the arena instead of the heap. The returned tuples alias
+// the arena's slab and are valid until its next Reset; callers retaining
+// them longer must Clone(). A nil arena decodes into a fresh one (one slab
+// for the whole block), whose tuples the caller owns outright.
 func DecodeBlockArena(s *relation.Schema, buf []byte, a *Arena) ([]relation.Tuple, error) {
-	body, count, c, err := checkHeader(buf)
+	l, a, err := openBlock(s, buf, a)
 	if err != nil {
 		return nil, err
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	switch c {
-	case CodecRaw:
-		return decodeRaw(s, count, body, a)
-	case CodecAVQ:
-		return decodeAVQ(s, count, body, a)
-	case CodecRepOnly:
-		return decodeRepOnly(s, count, body, a)
-	case CodecDeltaChain:
-		return decodeDeltaChain(s, count, body, a)
-	case CodecPacked:
-		return decodePacked(s, count, body, a)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
+	return l.span(0, l.count, a)
 }
 
 // BlockInfo summarizes an encoded block without decoding its tuples.
@@ -206,17 +186,9 @@ func Inspect(buf []byte) (BlockInfo, error) {
 		return BlockInfo{}, err
 	}
 	info := BlockInfo{Codec: c, TupleCount: count, StreamSize: len(buf)}
-	switch c {
-	case CodecAVQ, CodecRepOnly, CodecPacked:
-		if count > 0 {
-			mid, _, err := readUvarint(body, 0)
-			if err != nil {
-				return BlockInfo{}, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
-			}
-			if mid >= uint64(count) {
-				return BlockInfo{}, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid, count)
-			}
-			info.RepIndex = int(mid)
+	if count > 0 && (c == CodecAVQ || c == CodecRepOnly || c == CodecPacked) {
+		if info.RepIndex, _, err = readAnchorIndex(body, count); err != nil {
+			return BlockInfo{}, err
 		}
 	}
 	return info, nil

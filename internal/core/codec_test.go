@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,7 +93,7 @@ func TestAVQPaperInsertion(t *testing.T) {
 	if !bytes.Equal(payload, want) {
 		t.Fatalf("payload = % d\nwant      = % d", payload, want)
 	}
-	got, err := DecodeBlock(s, enc)
+	got, err := DecodeBlockArena(s, enc, nil)
 	if err != nil {
 		t.Fatalf("DecodeBlock: %v", err)
 	}
@@ -117,7 +119,7 @@ func TestRoundTripAllCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
 		}
-		got, err := DecodeBlock(s, enc)
+		got, err := DecodeBlockArena(s, enc, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", c, err)
 		}
@@ -141,7 +143,7 @@ func TestRoundTripEdgeSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v u=%d: encode: %v", c, u, err)
 			}
-			got, err := DecodeBlock(s, enc)
+			got, err := DecodeBlockArena(s, enc, nil)
 			if err != nil {
 				t.Fatalf("%v u=%d: decode: %v", c, u, err)
 			}
@@ -161,7 +163,7 @@ func TestRoundTripDuplicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
 		}
-		got, err := DecodeBlock(s, enc)
+		got, err := DecodeBlockArena(s, enc, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", c, err)
 		}
@@ -231,7 +233,7 @@ func TestRoundTripRandomSchemas(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d %v: encode: %v", iter, c, err)
 			}
-			got, err := DecodeBlock(s, enc)
+			got, err := DecodeBlockArena(s, enc, nil)
 			if err != nil {
 				t.Fatalf("iter %d %v: decode: %v", iter, c, err)
 			}
@@ -355,8 +357,45 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 			if bytes.Equal(bad, enc) {
 				continue
 			}
-			if _, err := DecodeBlock(s, bad); err == nil {
+			if _, err := DecodeBlockArena(s, bad, nil); err == nil {
 				t.Fatalf("%v: single-bit corruption decoded without error", c)
+			}
+		}
+	}
+}
+
+// TestTrailingPayloadRejectedByEveryShape is the regression test for the
+// end-of-payload rule: a stream with one byte appended to its payload and
+// the checksum recomputed is refused by every decode shape that consumes
+// the block's last difference, for every codec — not only by the full
+// decode.
+func TestTrailingPayloadRejectedByEveryShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	s := flatRandomSchema(rng)
+	block := randomSortedBlock(s, rng, 50)
+	count := len(block)
+	for _, c := range allCodecs() {
+		enc, err := EncodeBlock(c, s, block, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := rechecksum(append(enc[:len(enc)-crcSize:len(enc)-crcSize], 0))
+		shapes := []struct {
+			name string
+			run  func([]byte) error
+		}{
+			{"full", func(b []byte) error { _, err := DecodeBlockArena(s, b, nil); return err }},
+			{"span", func(b []byte) error { _, err := DecodeTupleSpanArena(s, b, count/2, count, nil); return err }},
+			{"at", func(b []byte) error { _, err := DecodeTupleAtArena(s, b, count-1, nil); return err }},
+			{"φ-slab", func(b []byte) error { _, err := DecodeBlockPhis(s, b, nil); return err }},
+			{"φ-span", func(b []byte) error { _, _, err := PhiSpan(s, b, 0, math.MaxUint64, nil); return err }},
+		}
+		for _, sh := range shapes {
+			if err := sh.run(enc); err != nil {
+				t.Errorf("%v %s: intact stream refused: %v", c, sh.name, err)
+			}
+			if err := sh.run(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%v %s: trailing payload byte: err = %v, want ErrCorrupt", c, sh.name, err)
 			}
 		}
 	}
@@ -369,7 +408,7 @@ func TestDecodeDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeBlock(s, enc[:cut]); err == nil {
+		if _, err := DecodeBlockArena(s, enc[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", cut)
 		}
 	}
@@ -383,7 +422,7 @@ func TestDecodeRejectsBadMagicAndCodec(t *testing.T) {
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] = 0x00
-	if _, err := DecodeBlock(s, bad); err == nil {
+	if _, err := DecodeBlockArena(s, bad, nil); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

@@ -75,7 +75,7 @@ func TestFigure22Golden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d: encode: %v", b+1, err)
 		}
-		got, err := DecodeBlock(s, enc)
+		got, err := DecodeBlockArena(s, enc, nil)
 		if err != nil {
 			t.Fatalf("block %d: decode: %v", b+1, err)
 		}
@@ -118,8 +118,7 @@ func TestFigure22StreamDiffs(t *testing.T) {
 		if got := ordinal.Phi(s, rep).Uint64(); got != wantCoded[repRow] {
 			t.Fatalf("block %d: representative phi=%d, paper %d", b+1, got, wantCoded[repRow])
 		}
-		pos += m
-		scratch := make([]byte, m)
+		r := newDiffReader(s, false, body, pos+m, u-1)
 		d := make(relation.Tuple, s.NumAttrs())
 		// Stream order: diffs for rows before the representative, then after.
 		var rows []int
@@ -129,15 +128,15 @@ func TestFigure22StreamDiffs(t *testing.T) {
 			}
 		}
 		for _, row := range rows {
-			if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
+			if err := r.next(d); err != nil {
 				t.Fatalf("block %d row %d: %v", b+1, row+1, err)
 			}
 			if got := ordinal.Phi(s, d).Uint64(); got != wantCoded[row] {
 				t.Fatalf("stream row %d: diff phi=%d, paper prints %d", row+1, got, wantCoded[row])
 			}
 		}
-		if pos != len(body) {
-			t.Fatalf("block %d: %d trailing bytes", b+1, len(body)-pos)
+		if err := r.end(); err != nil {
+			t.Fatalf("block %d: %v", b+1, err)
 		}
 	}
 }

@@ -8,10 +8,13 @@ import (
 	"repro/internal/relation"
 )
 
-// FuzzDecodeBlock drives DecodeBlock and DecodeTupleAt with arbitrary
-// bytes. Properties: no panics; anything that decodes successfully
-// re-encodes to a stream that decodes to the same tuples (decode is a
-// retraction of encode).
+// FuzzDecodeBlock drives every decode shape with arbitrary bytes, both as
+// given and with the trailing four bytes replaced by a valid checksum (so
+// the fuzzer reaches the payload parsers instead of dying at the CRC).
+// Properties: no panics; every shape accepts/rejects and decodes exactly
+// as the naive reference decoder does (checkShapesAgainstReference); and
+// anything that decodes to a sorted block re-encodes to a stream that
+// decodes to the same tuples (decode is a retraction of encode).
 func FuzzDecodeBlock(f *testing.F) {
 	s := relation.MustSchema(
 		relation.Domain{Name: "a", Size: 8},
@@ -31,51 +34,18 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{0xA7, 0x01, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tuples, err := DecodeBlock(s, data)
+		checkShapesAgainstReference(t, s, data)
+		if len(data) >= crcSize {
+			data = rechecksum(data[:len(data)-crcSize])
+			checkShapesAgainstReference(t, s, data)
+		}
+		tuples, err := DecodeBlockArena(s, data, nil)
 		if err != nil {
 			return
 		}
 		for _, tu := range tuples {
 			if err := s.ValidateTuple(tu); err != nil {
 				t.Fatalf("decode produced invalid tuple %v: %v", tu, err)
-			}
-		}
-		// Partial decode must agree wherever the full decode succeeded.
-		for idx := range tuples {
-			got, err := DecodeTupleAt(s, data, idx)
-			if err != nil {
-				t.Fatalf("full decode succeeded but partial at %d failed: %v", idx, err)
-			}
-			if s.Compare(got, tuples[idx]) != 0 {
-				t.Fatalf("partial decode at %d disagrees", idx)
-			}
-		}
-		// The arena kernels must be element-equal to the allocating paths
-		// on every stream the allocating path accepts.
-		a := GetArena()
-		defer PutArena(a)
-		av, err := DecodeBlockArena(s, data, a)
-		if err != nil {
-			t.Fatalf("allocating decode succeeded but arena decode failed: %v", err)
-		}
-		if len(av) != len(tuples) {
-			t.Fatalf("arena decode count %d != %d", len(av), len(tuples))
-		}
-		for i := range av {
-			if s.Compare(av[i], tuples[i]) != 0 {
-				t.Fatalf("arena decode tuple %d disagrees", i)
-			}
-		}
-		if len(tuples) > 0 {
-			a.Reset()
-			span, err := DecodeTupleSpanArena(s, data, 0, len(tuples), a)
-			if err != nil {
-				t.Fatalf("arena span decode failed: %v", err)
-			}
-			for i := range span {
-				if s.Compare(span[i], tuples[i]) != 0 {
-					t.Fatalf("arena span tuple %d disagrees", i)
-				}
 			}
 		}
 		// Re-encode and compare (the tuples are sorted by construction of
@@ -93,17 +63,12 @@ func FuzzDecodeBlock(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		back, err := DecodeBlock(s, enc)
+		back, err := DecodeBlockArena(s, enc, nil)
 		if err != nil {
 			t.Fatalf("re-encoded stream does not decode: %v", err)
 		}
-		if len(back) != len(tuples) {
-			t.Fatalf("round trip changed tuple count %d -> %d", len(tuples), len(back))
-		}
-		for i := range back {
-			if s.Compare(back[i], tuples[i]) != 0 {
-				t.Fatalf("round trip changed tuple %d", i)
-			}
+		if !sameTuples(s, back, tuples) {
+			t.Fatalf("round trip changed the block: %v -> %v", tuples, back)
 		}
 	})
 }
@@ -131,7 +96,7 @@ func FuzzEncodeArbitraryTuples(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
 			}
-			got, err := DecodeBlock(s, enc)
+			got, err := DecodeBlockArena(s, enc, nil)
 			if err != nil {
 				t.Fatalf("%v: decode: %v", c, err)
 			}

@@ -113,92 +113,3 @@ func encodePacked(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]by
 	}
 	return append(dst, w.Bytes()...), nil
 }
-
-// decodePacked reconstructs a packed-AVQ block. Like decodeAVQ, the
-// before-group differences are decoded into their output slots and
-// consumed in place, and every tuple is carved from the arena.
-func decodePacked(s *relation.Schema, count int, body []byte, a *Arena) ([]relation.Tuple, error) {
-	if count == 0 {
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in empty block", ErrCorrupt, len(body))
-		}
-		return nil, nil
-	}
-	mid64, pos, err := readUvarint(body, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
-	}
-	if mid64 >= uint64(count) {
-		return nil, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid64, count)
-	}
-	mid := int(mid64)
-	m := s.RowSize()
-	if pos+m > len(body) {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(count, n)
-	rep := out[mid]
-	if err := s.DecodeTupleInto(rep, body[pos:pos+m]); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, rep); err != nil {
-		return nil, err
-	}
-	pos += m
-
-	widths, _ := packedBitWidthsCached(s)
-	lzWidth := bitio.BitsFor(uint64(n) + 1)
-	var r bitio.Reader
-	r.Reset(body[pos:])
-	readDiff := func(d relation.Tuple) error {
-		lz64, err := r.ReadBits(lzWidth)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		lz := int(lz64)
-		if lz > n {
-			return fmt.Errorf("%w: leading-zero digit count %d exceeds arity %d", ErrCorrupt, lz, n)
-		}
-		// Arena tuples are not zeroed; clear the leading-zero digits
-		// explicitly.
-		for i := 0; i < lz; i++ {
-			d[i] = 0
-		}
-		for i := lz; i < n; i++ {
-			v, err := r.ReadBits(widths[i])
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrTruncated, err)
-			}
-			if v >= s.Domain(i).Size {
-				return fmt.Errorf("%w: digit %d value %d outside radix %d", ErrCorrupt, i, v, s.Domain(i).Size)
-			}
-			d[i] = v
-		}
-		return nil
-	}
-
-	for i := 0; i < mid; i++ {
-		if err := readDiff(out[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := mid - 1; i >= 0; i-- {
-		if _, err := ordinal.Sub(s, out[i], out[i+1], out[i]); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	d := a.Tuple(n)
-	for i := mid + 1; i < count; i++ {
-		if err := readDiff(d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, out[i], out[i-1], d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	if r.Remaining() >= 8 {
-		return nil, fmt.Errorf("%w: %d trailing bits after block payload", ErrCorrupt, r.Remaining())
-	}
-	return out, nil
-}

@@ -70,7 +70,7 @@ func TestPackedDetectsCorruption(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		bad := append([]byte(nil), enc...)
 		bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
-		if _, err := DecodeBlock(s, bad); err == nil {
+		if _, err := DecodeBlockArena(s, bad, nil); err == nil {
 			// The checksum catches every flip; only an unchanged stream
 			// decodes.
 			same := true

@@ -3,506 +3,83 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
-// DecodeTupleAt reconstructs only the tuple at position idx (in phi order)
-// of an encoded block, without materializing the rest.
+// DecodeTupleAtArena reconstructs only the tuple at position idx (in phi
+// order) of an encoded block, without materializing the rest, carving its
+// result (and scratch) out of the arena. The returned tuple aliases the
+// arena's slab and is valid until its next Reset. A nil arena decodes into
+// a fresh one.
 //
 // This operation is why the paper chooses the block's *median* tuple as
 // its representative (Section 3.4): decoding position idx requires
 // following the difference chain from the anchor to idx, which is at most
-// u/2 steps from the median but up to u-1 steps from a first-tuple anchor.
-// The decode-reach ablation benchmarks quantify exactly that gap.
-//
-// Costs by codec:
-//
-//	CodecRaw        O(1)   direct offset
-//	CodecAVQ        O(|idx - mid|) chain steps from the median
-//	CodecPacked     O(|idx - mid|) chain steps (bit-level walk)
-//	CodecRepOnly    O(idx) to skip earlier diffs, one subtraction/addition
-//	CodecDeltaChain O(idx) chain steps from the first tuple
-func DecodeTupleAt(s *relation.Schema, buf []byte, idx int) (relation.Tuple, error) {
-	return DecodeTupleAtArena(s, buf, idx, nil)
-}
-
-// DecodeTupleAtArena is DecodeTupleAt carving its result (and scratch) out
-// of the arena. The returned tuple aliases the arena's slab and is valid
-// until its next Reset. A nil arena decodes into a fresh one.
+// u/2 steps from the median but up to u-1 steps from a first-tuple anchor
+// (CodecDeltaChain). Differences on the far side of the anchor are skipped
+// by their framing alone; a direct layout (CodecRepOnly) skips to the one
+// difference it needs and a raw block is a direct offset. The decode-reach
+// ablation (BenchmarkPointAccess) quantifies exactly that gap.
 func DecodeTupleAtArena(s *relation.Schema, buf []byte, idx int, a *Arena) (relation.Tuple, error) {
-	body, count, c, err := checkHeader(buf)
+	l, a, err := openBlock(s, buf, a)
 	if err != nil {
 		return nil, err
 	}
-	if idx < 0 || idx >= count {
-		return nil, fmt.Errorf("core: tuple index %d out of range [0,%d)", idx, count)
+	if idx < 0 || idx >= l.count {
+		return nil, fmt.Errorf("core: tuple index %d out of range [0,%d)", idx, l.count)
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	switch c {
-	case CodecRaw:
-		m := s.RowSize()
-		if len(body) != count*m {
-			return nil, fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-		}
-		t := a.Tuple(s.NumAttrs())
-		if err := s.DecodeTupleInto(t, body[idx*m:]); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, t); err != nil {
-			return nil, err
-		}
-		return t, nil
-	case CodecAVQ:
-		return decodeAVQAt(s, count, body, idx, a)
-	case CodecRepOnly:
-		return decodeRepOnlyAt(s, count, body, idx, a)
-	case CodecDeltaChain:
-		return decodeDeltaChainAt(s, count, body, idx, a)
-	case CodecPacked:
-		// The packed stream has no per-diff byte framing to skip over
-		// cheaply; reuse the full decode and index. Still O(block).
-		tuples, err := decodePacked(s, count, body, a)
-		if err != nil {
-			return nil, err
-		}
-		return tuples[idx], nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
-}
-
-// readAVQPrefix parses the representative index and tuple shared by the
-// AVQ and rep-only payloads, returning the byte position after them. The
-// representative is carved from the arena.
-func readAVQPrefix(s *relation.Schema, count int, body []byte, a *Arena) (mid int, rep relation.Tuple, pos int, err error) {
-	mid64, pos, err := readUvarint(body, 0)
-	if err != nil {
-		return 0, nil, 0, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
-	}
-	if mid64 >= uint64(count) {
-		return 0, nil, 0, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid64, count)
-	}
-	m := s.RowSize()
-	if pos+m > len(body) {
-		return 0, nil, 0, ErrTruncated
-	}
-	rep = a.Tuple(s.NumAttrs())
-	if err := s.DecodeTupleInto(rep, body[pos:pos+m]); err != nil {
-		return 0, nil, 0, err
-	}
-	if err := validateDigits(s, rep); err != nil {
-		return 0, nil, 0, err
-	}
-	return int(mid64), rep, pos + m, nil
-}
-
-// skipDiffs advances pos past n serialized differences.
-func skipDiffs(s *relation.Schema, body []byte, pos, n int) (int, error) {
-	m := s.RowSize()
-	for i := 0; i < n; i++ {
-		if pos >= len(body) {
-			return 0, ErrTruncated
-		}
-		lz := int(body[pos])
-		if lz > m {
-			return 0, fmt.Errorf("%w: leading-zero count %d exceeds tuple size %d", ErrCorrupt, lz, m)
-		}
-		pos += 1 + m - lz
-		if pos > len(body) {
-			return 0, ErrTruncated
-		}
-	}
-	return pos, nil
-}
-
-// decodeAVQAt walks the chain from the representative to idx.
-func decodeAVQAt(s *relation.Schema, count int, body []byte, idx int, a *Arena) (relation.Tuple, error) {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
+	out, err := l.span(idx, idx+1, a)
 	if err != nil {
 		return nil, err
 	}
-	if idx == mid {
-		return rep, nil
-	}
-	n := s.NumAttrs()
-	scratch := a.Scratch(s.RowSize())
-	d := a.Tuple(n)
-	if idx < mid {
-		// Differences for positions idx..mid-1 are stored at positions
-		// idx..mid-1 of the first group; accumulate them backward from the
-		// representative: t[idx] = rep - sum(d[idx..mid-1]).
-		if pos, err = skipDiffs(s, body, pos, idx); err != nil {
-			return nil, err
-		}
-		out := a.Tuple(n)
-		copy(out, rep)
-		// Sum the needed diffs, then subtract once each (exact arithmetic
-		// requires sequential subtraction; sums can overflow the space).
-		for i := idx; i < mid; i++ {
-			if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-				return nil, err
-			}
-			if err := validateDigits(s, d); err != nil {
-				return nil, err
-			}
-			if _, err := ordinal.Sub(s, out, out, d); err != nil {
-				return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, idx, err)
-			}
-		}
-		return out, nil
-	}
-	// idx > mid: skip the first group and the chain up to idx.
-	if pos, err = skipDiffs(s, body, pos, mid); err != nil {
-		return nil, err
-	}
-	out := a.Tuple(n)
-	copy(out, rep)
-	for i := mid + 1; i <= idx; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, out, out, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, idx, err)
-		}
-	}
-	return out, nil
+	return out[0], nil
 }
 
-// decodeRepOnlyAt skips to the idx-th difference and applies it once.
-func decodeRepOnlyAt(s *relation.Schema, count int, body []byte, idx int, a *Arena) (relation.Tuple, error) {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return nil, err
-	}
-	if idx == mid {
-		return rep, nil
-	}
-	// Differences are stored in block order with the representative's slot
-	// omitted.
-	skip := idx
-	if idx > mid {
-		skip = idx - 1
-	}
-	if pos, err = skipDiffs(s, body, pos, skip); err != nil {
-		return nil, err
-	}
-	n := s.NumAttrs()
-	scratch := a.Scratch(s.RowSize())
-	d := a.Tuple(n)
-	if _, err = readDiff(s, body, pos, d, scratch); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, d); err != nil {
-		return nil, err
-	}
-	out := a.Tuple(n)
-	if idx < mid {
-		_, err = ordinal.Sub(s, out, rep, d)
-	} else {
-		_, err = ordinal.Add(s, out, rep, d)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, idx, err)
-	}
-	return out, nil
-}
-
-// DecodeTupleSpan reconstructs the tuples at positions [from, to) of an
-// encoded block, in phi order, without materializing the rest of the
-// block. It is the executor's narrow-range primitive: when a φ-fence says
-// only a slice of a block can match, the chain is walked once from the
-// anchor to the span instead of decoding all u tuples.
+// DecodeTupleSpanArena reconstructs the tuples at positions [from, to) of
+// an encoded block, in phi order, without materializing the rest of the
+// block, carving every tuple (and all chain scratch) out of the arena. The
+// returned tuples alias the arena's slab and are valid until its next
+// Reset. A nil arena decodes into a fresh one.
 //
-// Costs by codec (u tuples, span s = to-from):
-//
-//	CodecRaw        O(s)          direct offsets
-//	CodecAVQ        O(mid-from)   before the median; O(to-mid) after it
-//	CodecRepOnly    O(from + s)   skip earlier diffs, one apply each
-//	CodecDeltaChain O(to)         chain steps from the first tuple
-//	CodecPacked     O(u)          full decode (no per-diff byte framing)
-func DecodeTupleSpan(s *relation.Schema, buf []byte, from, to int) ([]relation.Tuple, error) {
-	return DecodeTupleSpanArena(s, buf, from, to, nil)
-}
-
-// DecodeTupleSpanArena is DecodeTupleSpan carving every tuple (and all
-// chain scratch) out of the arena. The returned tuples alias the arena's
-// slab and are valid until its next Reset. A nil arena decodes into a
-// fresh one.
+// It is the executor's narrow-range primitive: when a φ-fence says only a
+// slice of a block can match, the chain is walked once from the anchor to
+// the span instead of decoding all u tuples — O(mid-from) digit parses
+// before the median plus O(to-mid) after it.
 func DecodeTupleSpanArena(s *relation.Schema, buf []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	body, count, c, err := checkHeader(buf)
+	l, a, err := openBlock(s, buf, a)
 	if err != nil {
 		return nil, err
 	}
-	if from < 0 || to > count || from > to {
-		return nil, fmt.Errorf("core: tuple span [%d,%d) out of range [0,%d)", from, to, count)
+	if from < 0 || to > l.count || from > to {
+		return nil, fmt.Errorf("core: tuple span [%d,%d) out of range [0,%d)", from, to, l.count)
 	}
-	if from == to {
-		return nil, nil
-	}
-	if a == nil {
-		a = NewArena()
-	}
-	switch c {
-	case CodecRaw:
-		m := s.RowSize()
-		if len(body) != count*m {
-			return nil, fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-		}
-		out := a.Tuples(to-from, s.NumAttrs())
-		for i := from; i < to; i++ {
-			if err := s.DecodeTupleInto(out[i-from], body[i*m:]); err != nil {
-				return nil, err
-			}
-			if err := validateDigits(s, out[i-from]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case CodecAVQ:
-		return decodeAVQSpan(s, count, body, from, to, a)
-	case CodecRepOnly:
-		return decodeRepOnlySpan(s, count, body, from, to, a)
-	case CodecDeltaChain:
-		return decodeDeltaChainSpan(s, body, from, to, a)
-	case CodecPacked:
-		tuples, err := decodePacked(s, count, body, a)
-		if err != nil {
-			return nil, err
-		}
-		return tuples[from:to], nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
+	return l.span(from, to, a)
 }
 
-// decodeAVQSpan reconstructs positions [from, to) by walking the two
-// chain groups outward from the median representative.
-func decodeAVQSpan(s *relation.Schema, count int, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return nil, err
-	}
-	scratch := a.Scratch(s.RowSize())
-
-	if from < mid {
-		// The first group stores d[i] = t[i+1] - t[i] at position i.
-		// Skip the diffs before `from`, buffer d[from..mid-1], then apply
-		// in reverse from the representative: t[i] = t[i+1] - d[i].
-		if pos, err = skipDiffs(s, body, pos, from); err != nil {
-			return nil, err
-		}
-		diffs := a.Tuples(mid-from, n)
-		for i := from; i < mid; i++ {
-			if pos, err = readDiff(s, body, pos, diffs[i-from], scratch); err != nil {
-				return nil, err
-			}
-			if err := validateDigits(s, diffs[i-from]); err != nil {
-				return nil, err
-			}
-		}
-		acc := a.Tuple(n)
-		copy(acc, rep)
-		for i := mid - 1; i >= from; i-- {
-			if _, err := ordinal.Sub(s, acc, acc, diffs[i-from]); err != nil {
-				return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-			}
-			if i < to {
-				copy(out[i-from], acc)
-			}
-		}
-		// pos now sits at the start of the after group.
-	} else if pos, err = skipDiffs(s, body, pos, mid); err != nil {
-		return nil, err
-	}
-
-	if from <= mid && mid < to {
-		copy(out[mid-from], rep)
-	}
-	if to <= mid+1 {
-		return out, nil
-	}
-
-	// After group: t[i] = t[i-1] + d[i]. Each value depends on its
-	// predecessor, so the chain is replayed from the representative even
-	// when from > mid+1; only positions >= from are emitted.
-	acc := a.Tuple(n)
-	copy(acc, rep)
-	d := a.Tuple(n)
-	for i := mid + 1; i < to; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, acc, acc, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-		if i >= from {
-			copy(out[i-from], acc)
-		}
-	}
-	return out, nil
-}
-
-// decodeRepOnlySpan skips to the span's first difference and applies each
-// once against the representative.
-func decodeRepOnlySpan(s *relation.Schema, count int, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return nil, err
-	}
-	scratch := a.Scratch(s.RowSize())
-	// Differences are stored in block order with the representative's slot
-	// omitted.
-	skip := from
-	if from > mid {
-		skip = from - 1
-	}
-	if pos, err = skipDiffs(s, body, pos, skip); err != nil {
-		return nil, err
-	}
-	d := a.Tuple(n)
-	for i := from; i < to; i++ {
-		if i == mid {
-			copy(out[i-from], rep)
-			continue
-		}
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if i < mid {
-			_, err = ordinal.Sub(s, out[i-from], rep, d)
-		} else {
-			_, err = ordinal.Add(s, out[i-from], rep, d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	return out, nil
-}
-
-// decodeDeltaChainSpan walks the chain from the first tuple through to-1,
-// emitting positions >= from.
-func decodeDeltaChainSpan(s *relation.Schema, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	m := s.RowSize()
-	if len(body) < m {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	acc := a.Tuple(n)
-	if err := s.DecodeTupleInto(acc, body); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, acc); err != nil {
-		return nil, err
-	}
-	if from == 0 {
-		copy(out[0], acc)
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	var err error
-	for i := 1; i < to; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, acc, acc, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-		if i >= from {
-			copy(out[i-from], acc)
-		}
-	}
-	return out, nil
-}
-
-// SearchBlock binary-searches an encoded block for the first position at
-// which pred becomes true. pred must be monotone over the block's phi
+// SearchBlockArena binary-searches an encoded block for the first position
+// at which pred becomes true. pred must be monotone over the block's phi
 // order (false...false true...true); the result is count when pred is
-// false everywhere. Probes use DecodeTupleAt, so the search touches
-// O(log u) positions instead of decoding the block.
-func SearchBlock(s *relation.Schema, buf []byte, pred func(relation.Tuple) bool) (int, error) {
-	return SearchBlockArena(s, buf, pred, nil)
-}
-
-// SearchBlockArena is SearchBlock with every probe decoded into the arena.
-// Tuples passed to pred alias the arena's slab and are invalid after the
-// call; pred must not retain them.
+// false everywhere. The stream is verified and parsed once; each of the
+// O(log u) probes is a one-tuple walk over that parsed layout, decoded into
+// the arena. Tuples passed to pred alias the arena's slab and are invalid
+// after the call; pred must not retain them.
 func SearchBlockArena(s *relation.Schema, buf []byte, pred func(relation.Tuple) bool, a *Arena) (int, error) {
-	_, count, _, err := checkHeader(buf)
+	l, a, err := openBlock(s, buf, a)
 	if err != nil {
 		return 0, err
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	lo, hi := 0, count
+	lo, hi := 0, l.count
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		t, err := DecodeTupleAtArena(s, buf, mid, a)
+		t, err := l.span(mid, mid+1, a)
 		if err != nil {
 			return 0, err
 		}
-		if pred(t) {
+		if pred(t[0]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo, nil
-}
-
-// decodeDeltaChainAt walks the chain from the first tuple to idx.
-func decodeDeltaChainAt(s *relation.Schema, count int, body []byte, idx int, a *Arena) (relation.Tuple, error) {
-	m := s.RowSize()
-	if len(body) < m {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuple(n)
-	if err := s.DecodeTupleInto(out, body); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, out); err != nil {
-		return nil, err
-	}
-	if idx == 0 {
-		return out, nil
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	var err error
-	for i := 1; i <= idx; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, out, out, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, idx, err)
-		}
-	}
-	return out, nil
 }

@@ -1,14 +1,16 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/relation"
 )
 
-// TestDecodeTupleAtMatchesFullDecode: partial decode must agree with full
-// decode at every position, codec, and schema.
+// TestDecodeTupleAtMatchesFullDecode: a one-tuple walk must return the
+// encoder's input at every position, codec, and schema — the same answer
+// the full decode is held to by the round-trip tests.
 func TestDecodeTupleAtMatchesFullDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for iter := 0; iter < 60; iter++ {
@@ -19,17 +21,15 @@ func TestDecodeTupleAtMatchesFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for idx := range full {
-				got, err := DecodeTupleAt(s, enc, idx)
+			a := NewArena()
+			for idx := range block {
+				a.Reset()
+				got, err := DecodeTupleAtArena(s, enc, idx, a)
 				if err != nil {
 					t.Fatalf("iter %d %v idx %d: %v", iter, c, idx, err)
 				}
-				if s.Compare(got, full[idx]) != 0 {
-					t.Fatalf("iter %d %v idx %d: got %v want %v", iter, c, idx, got, full[idx])
+				if s.Compare(got, block[idx]) != 0 {
+					t.Fatalf("iter %d %v idx %d: got %v want %v", iter, c, idx, got, block[idx])
 				}
 			}
 		}
@@ -42,10 +42,10 @@ func TestDecodeTupleAtBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTupleAt(s, enc, -1); err == nil {
+	if _, err := DecodeTupleAtArena(s, enc, -1, nil); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := DecodeTupleAt(s, enc, 5); err == nil {
+	if _, err := DecodeTupleAtArena(s, enc, 5, nil); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
@@ -65,15 +65,16 @@ func TestDecodeTupleAtCorruption(t *testing.T) {
 		if bad[pos] == enc[pos] {
 			continue
 		}
-		if _, err := DecodeTupleAt(s, bad, rng.Intn(40)); err == nil {
+		if _, err := DecodeTupleAtArena(s, bad, rng.Intn(40), nil); err == nil {
 			t.Fatal("corrupted block partially decoded without error")
 		}
 	}
 }
 
-// TestDecodeTupleSpanMatchesFullDecode: span decode must agree with full
-// decode on every sub-range, codec, and schema, including spans that
-// straddle the representative and empty spans.
+// TestDecodeTupleSpanMatchesFullDecode: span decode must return the
+// encoder's input on every sub-range, codec, and schema, including spans
+// that straddle the representative, spans wholly on either side of it, and
+// empty spans.
 func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for iter := 0; iter < 40; iter++ {
@@ -84,12 +85,8 @@ func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := len(full)
-			spans := [][2]int{{0, u}, {0, 0}, {u, u}, {0, u / 2}, {u / 2, u}}
+			u := len(block)
+			spans := [][2]int{{0, u}, {0, 0}, {u, u}, {0, u / 2}, {u / 2, u}, {0, u / 4}, {u - u/4, u}}
 			for trial := 0; trial < 6; trial++ {
 				from := rng.Intn(u + 1)
 				to := from + rng.Intn(u+1-from)
@@ -97,7 +94,7 @@ func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
 			}
 			for _, sp := range spans {
 				from, to := sp[0], sp[1]
-				got, err := DecodeTupleSpan(s, enc, from, to)
+				got, err := DecodeTupleSpanArena(s, enc, from, to, nil)
 				if err != nil {
 					t.Fatalf("iter %d %v span [%d,%d): %v", iter, c, from, to, err)
 				}
@@ -105,9 +102,9 @@ func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
 					t.Fatalf("iter %d %v span [%d,%d): %d tuples", iter, c, from, to, len(got))
 				}
 				for i, tu := range got {
-					if s.Compare(tu, full[from+i]) != 0 {
+					if s.Compare(tu, block[from+i]) != 0 {
 						t.Fatalf("iter %d %v span [%d,%d) pos %d: got %v want %v",
-							iter, c, from, to, from+i, tu, full[from+i])
+							iter, c, from, to, from+i, tu, block[from+i])
 					}
 				}
 			}
@@ -122,14 +119,14 @@ func TestDecodeTupleSpanBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sp := range [][2]int{{-1, 2}, {0, 6}, {3, 2}} {
-		if _, err := DecodeTupleSpan(s, enc, sp[0], sp[1]); err == nil {
+		if _, err := DecodeTupleSpanArena(s, enc, sp[0], sp[1], nil); err == nil {
 			t.Fatalf("span [%d,%d) accepted", sp[0], sp[1])
 		}
 	}
 }
 
 // TestSearchBlockFindsBoundaries: binary search over encoded blocks must
-// agree with a linear scan of the full decode for every codec.
+// agree with a linear scan of the encoder's input for every codec.
 func TestSearchBlockFindsBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	for iter := 0; iter < 30; iter++ {
@@ -140,10 +137,7 @@ func TestSearchBlockFindsBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			full := block
 			// Search for the first tuple with leading attribute >= v, for a
 			// few pivot values including ones outside the block's range.
 			for trial := 0; trial < 5; trial++ {
@@ -154,7 +148,7 @@ func TestSearchBlockFindsBoundaries(t *testing.T) {
 				if trial == 4 {
 					v = s.Domain(0).Size - 1
 				}
-				got, err := SearchBlock(s, enc, func(tu relation.Tuple) bool { return tu[0] >= v })
+				got, err := SearchBlockArena(s, enc, func(tu relation.Tuple) bool { return tu[0] >= v }, nil)
 				if err != nil {
 					t.Fatalf("iter %d %v: %v", iter, c, err)
 				}
@@ -169,6 +163,43 @@ func TestSearchBlockFindsBoundaries(t *testing.T) {
 					t.Fatalf("iter %d %v v=%d: got %d want %d", iter, c, v, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSearchBlockVerifiesChecksumOnce pins the once-per-call header check:
+// the stream is verified when the search opens it, and the probes walk the
+// already-verified payload. The predicate damages the CRC trailer — bytes
+// no probe reads — after the first probe; a search that re-verified per
+// probe would fail with ErrChecksum, and the damaged stream must of course
+// be refused by the next call.
+func TestSearchBlockVerifiesChecksumOnce(t *testing.T) {
+	s := employeeSchema(t)
+	rng := rand.New(rand.NewSource(58))
+	block := randomSortedBlock(s, rng, 64)
+	pivot := block[50]
+	for _, c := range allCodecs() {
+		enc, err := EncodeBlock(c, s, block, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := 0
+		pred := func(tu relation.Tuple) bool {
+			if probes++; probes == 1 {
+				enc[len(enc)-1] ^= 0xFF
+			}
+			return s.Compare(tu, pivot) >= 0
+		}
+		got, err := SearchBlockArena(s, enc, pred, nil)
+		want := 50
+		for want > 0 && s.Compare(block[want-1], pivot) == 0 {
+			want--
+		}
+		if err != nil || got != want || probes < 2 {
+			t.Fatalf("%v: search = %d, %v after %d probes; want %d", c, got, err, probes, want)
+		}
+		if _, err := SearchBlockArena(s, enc, pred, nil); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("%v: damaged stream searched again: err = %v", c, err)
 		}
 	}
 }
@@ -198,7 +229,7 @@ func TestInspectReportsRepIndex(t *testing.T) {
 			if info.RepIndex != want {
 				t.Fatalf("u=%d %v: RepIndex %d want %d", u, c, info.RepIndex, want)
 			}
-			anchor, err := DecodeTupleAt(s, enc, info.RepIndex)
+			anchor, err := DecodeTupleAtArena(s, enc, info.RepIndex, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,11 +259,11 @@ func TestMedianAnchorHalvesChainWork(t *testing.T) {
 	// Both agree with the source at the far end; the benchmark
 	// BenchmarkPointAccess quantifies the cost gap.
 	last := len(block) - 1
-	a, err := DecodeTupleAt(s, avq, last)
+	a, err := DecodeTupleAtArena(s, avq, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeTupleAt(s, chain, last)
+	b, err := DecodeTupleAtArena(s, chain, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +274,8 @@ func TestMedianAnchorHalvesChainWork(t *testing.T) {
 
 // BenchmarkPointAccess measures the decode-reach ablation: accessing the
 // last tuple of a block costs ~u/2 chain steps with the median anchor but
-// ~u with a first-tuple anchor; rep-only pays one subtraction after a
-// skip; raw pays an offset.
+// ~u with a first-tuple anchor; rep-only and the far side of a chained
+// anchor pay only a framing skip; raw pays an offset.
 func BenchmarkPointAccess(b *testing.B) {
 	s := employeeSchema(b)
 	rng := rand.New(rand.NewSource(54))
@@ -257,8 +288,10 @@ func BenchmarkPointAccess(b *testing.B) {
 		}
 		b.Run(c.String(), func(b *testing.B) {
 			b.ReportAllocs()
+			a := NewArena()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeTupleAt(s, enc, last); err != nil {
+				a.Reset()
+				if _, err := DecodeTupleAtArena(s, enc, last, a); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitio"
-	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
@@ -61,9 +59,8 @@ func (d DigitExtractor) Digit(phi uint64) uint64 {
 // DecodeBlockPhis decodes a coded block into its φ sequence: one uint64
 // flat ordinal per tuple, in block (clustered) order, carved from the
 // caller's arena. It requires a flat schema (Schema.FlatSpace ok) and a
-// checksummed block, and supports all five codecs — including packed,
-// whose per-tuple entry points are useless for partial decoding but walk
-// fine as a whole-block slab.
+// checksummed block, and serves all five codecs through the one φ-space
+// walk (layout.walkPhis).
 //
 // The returned slab aliases the arena and is valid until its next Reset;
 // callers may overwrite entries in place (the batch executor compacts
@@ -74,273 +71,18 @@ func DecodeBlockPhis(s *relation.Schema, buf []byte, a *Arena) ([]uint64, error)
 	if !ok {
 		return nil, fmt.Errorf("core: DecodeBlockPhis needs a schema space within 64 bits")
 	}
-	body, count, c, err := checkHeader(buf)
+	l, a, err := openBlock(s, buf, a)
 	if err != nil {
 		return nil, err
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	out := a.Phis(count)
-	if count == 0 {
+	out := a.Phis(l.count)
+	if l.count == 0 {
 		return out, nil
 	}
-	switch c {
-	case CodecRaw:
-		err = phiSlabRaw(s, count, body, out, a)
-	case CodecAVQ:
-		err = phiSlabChained(s, count, body, space, out, a)
-	case CodecPacked:
-		err = phiSlabPacked(s, count, body, space, out, a)
-	case CodecRepOnly:
-		err = phiSlabRepOnly(s, count, body, space, out, a)
-	case CodecDeltaChain:
-		err = phiSlabDeltaChain(s, count, body, space, out, a)
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
-	if err != nil {
+	if err := l.walkPhis(space, out, nil, a); err != nil {
 		return nil, err
 	}
-	// Blocks are φ-clustered by construction; every downstream kernel
-	// (span clipping, merge joins) binary-searches the slab, so a
-	// non-monotone sequence is corruption, not data.
-	for i := 1; i < count; i++ {
-		if out[i] < out[i-1] {
-			return nil, fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
-		}
-	}
 	return out, nil
-}
-
-// phiSlabRaw converts each fixed-width row independently.
-func phiSlabRaw(s *relation.Schema, count int, body []byte, out []uint64, a *Arena) error {
-	m := s.RowSize()
-	if len(body) != count*m {
-		return fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-	}
-	t := a.Tuple(s.NumAttrs())
-	for i := 0; i < count; i++ {
-		if err := s.DecodeTupleInto(t, body[i*m:]); err != nil {
-			return err
-		}
-		if err := validateDigits(s, t); err != nil {
-			return err
-		}
-		out[i] = ordinal.PhiU64(s, t)
-	}
-	return nil
-}
-
-// phiSlabChained handles the median-anchored AVQ chain. The before
-// group's φ deltas are staged in out[0..mid) — the slab doubles as the
-// delta buffer — then rewritten in place to absolute φ values once the
-// sum anchors φ(t[0]) = φ(rep) − Σd.
-func phiSlabChained(s *relation.Schema, count int, body []byte, space uint64, out []uint64, a *Arena) error {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return err
-	}
-	repPhi := ordinal.PhiU64(s, rep)
-	d := a.Tuple(s.NumAttrs())
-	scratch := a.Scratch(s.RowSize())
-
-	var total uint64
-	for i := 0; i < mid; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return err
-		}
-		dphi := ordinal.PhiU64(s, d)
-		if total+dphi < total || total+dphi > repPhi {
-			return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		total += dphi
-		out[i] = dphi
-	}
-	cur := repPhi - total
-	for i := 0; i < mid; i++ {
-		dphi := out[i]
-		out[i] = cur
-		cur += dphi
-	}
-	out[mid] = repPhi
-	cur = repPhi
-	for i := mid + 1; i < count; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return err
-		}
-		dphi := ordinal.PhiU64(s, d)
-		if cur+dphi < cur || cur+dphi >= space {
-			return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		cur += dphi
-		out[i] = cur
-	}
-	if pos != len(body) {
-		return fmt.Errorf("%w: %d trailing bytes after difference chain", ErrCorrupt, len(body)-pos)
-	}
-	return nil
-}
-
-// phiSlabPacked is phiSlabChained for the bit-packed codec, reading
-// differences with a stack bit reader (the closure-based
-// packedDiffPhiReader would heap-allocate per block).
-func phiSlabPacked(s *relation.Schema, count int, body []byte, space uint64, out []uint64, a *Arena) error {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return err
-	}
-	repPhi := ordinal.PhiU64(s, rep)
-	n := s.NumAttrs()
-	d := a.Tuple(n)
-	widths, _ := packedBitWidthsCached(s)
-	lzWidth := bitio.BitsFor(uint64(n) + 1)
-	var r bitio.Reader
-	r.Reset(body[pos:])
-	nextPhi := func() (uint64, error) {
-		lz64, err := r.ReadBits(lzWidth)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		lz := int(lz64)
-		if lz > n {
-			return 0, fmt.Errorf("%w: leading-zero digit count %d exceeds arity %d", ErrCorrupt, lz, n)
-		}
-		for i := 0; i < lz; i++ {
-			d[i] = 0
-		}
-		for i := lz; i < n; i++ {
-			v, err := r.ReadBits(widths[i])
-			if err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-			}
-			if v >= s.Domain(i).Size {
-				return 0, fmt.Errorf("%w: digit %d value %d outside radix %d", ErrCorrupt, i, v, s.Domain(i).Size)
-			}
-			d[i] = v
-		}
-		return ordinal.PhiU64(s, d), nil
-	}
-
-	var total uint64
-	for i := 0; i < mid; i++ {
-		dphi, err := nextPhi()
-		if err != nil {
-			return err
-		}
-		if total+dphi < total || total+dphi > repPhi {
-			return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		total += dphi
-		out[i] = dphi
-	}
-	cur := repPhi - total
-	for i := 0; i < mid; i++ {
-		dphi := out[i]
-		out[i] = cur
-		cur += dphi
-	}
-	out[mid] = repPhi
-	cur = repPhi
-	for i := mid + 1; i < count; i++ {
-		dphi, err := nextPhi()
-		if err != nil {
-			return err
-		}
-		if cur+dphi < cur || cur+dphi >= space {
-			return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		cur += dphi
-		out[i] = cur
-	}
-	if r.Remaining() >= 8 {
-		return fmt.Errorf("%w: %d trailing bits after block payload", ErrCorrupt, r.Remaining())
-	}
-	return nil
-}
-
-// phiSlabRepOnly converts each direct difference from the representative.
-func phiSlabRepOnly(s *relation.Schema, count int, body []byte, space uint64, out []uint64, a *Arena) error {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return err
-	}
-	repPhi := ordinal.PhiU64(s, rep)
-	scratch := a.Scratch(s.RowSize())
-	d := a.Tuple(s.NumAttrs())
-	for i := 0; i < count; i++ {
-		if i == mid {
-			out[i] = repPhi
-			continue
-		}
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return err
-		}
-		dphi := ordinal.PhiU64(s, d)
-		if i < mid {
-			if dphi > repPhi {
-				return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-			}
-			out[i] = repPhi - dphi
-		} else {
-			if repPhi+dphi < repPhi || repPhi+dphi >= space {
-				return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-			}
-			out[i] = repPhi + dphi
-		}
-	}
-	if pos != len(body) {
-		return fmt.Errorf("%w: %d trailing bytes after difference chain", ErrCorrupt, len(body)-pos)
-	}
-	return nil
-}
-
-// phiSlabDeltaChain walks the first-anchored chain forward.
-func phiSlabDeltaChain(s *relation.Schema, count int, body []byte, space uint64, out []uint64, a *Arena) error {
-	m := s.RowSize()
-	if len(body) < m {
-		return ErrTruncated
-	}
-	first := a.Tuple(s.NumAttrs())
-	if err := s.DecodeTupleInto(first, body); err != nil {
-		return err
-	}
-	if err := validateDigits(s, first); err != nil {
-		return err
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(s.NumAttrs())
-	cur := ordinal.PhiU64(s, first)
-	out[0] = cur
-	for i := 1; i < count; i++ {
-		var err error
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return err
-		}
-		dphi := ordinal.PhiU64(s, d)
-		if cur+dphi < cur || cur+dphi >= space {
-			return fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		cur += dphi
-		out[i] = cur
-	}
-	if pos != len(body) {
-		return fmt.Errorf("%w: %d trailing bytes after difference chain", ErrCorrupt, len(body)-pos)
-	}
-	return nil
 }
 
 // PhiSpanSorted clips a nondecreasing φ slab to the positions whose value

@@ -23,7 +23,7 @@ func TestDecodeBlockPhisMatchesTupleDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
 			}
-			ref, err := DecodeBlock(s, enc)
+			ref, err := DecodeBlockArena(s, enc, nil)
 			if err != nil {
 				t.Fatalf("%v: decode: %v", c, err)
 			}

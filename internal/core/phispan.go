@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
-	"repro/internal/bitio"
 	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
@@ -12,7 +12,7 @@ import (
 // whose tuples have phi in [loPhi, hiPhi], walking the difference chain in
 // flat-ordinal space: each stored difference d contributes phi(d) as a
 // single uint64, so locating the span costs one linear pass of uint64
-// adds (with early exit past hiPhi) instead of SearchBlock's O(log u)
+// adds (with early exit past hiPhi) instead of SearchBlockArena's O(log u)
 // probes that each replay up to half the chain. It requires a flat schema
 // (Schema.FlatSpace ok) and a checksummed block; the header is verified
 // once, not once per probe.
@@ -25,28 +25,19 @@ func PhiSpan(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) (fro
 	if !ok {
 		return 0, 0, fmt.Errorf("core: PhiSpan needs a schema space within 64 bits")
 	}
-	body, count, c, err := checkHeader(buf)
-	if err != nil {
+	l, a, err := openBlock(s, buf, a)
+	if err != nil || l.count == 0 {
 		return 0, 0, err
 	}
-	if count == 0 {
-		return 0, 0, nil
+	if l.rows != nil {
+		return l.rawPhiSpan(loPhi, hiPhi, a)
 	}
-	if a == nil {
-		a = NewArena()
+	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
+	if err := l.walkPhis(space, a.Phis(l.count), &b, a); err != nil {
+		return 0, 0, err
 	}
-	switch c {
-	case CodecRaw:
-		return phiSpanRaw(s, count, body, loPhi, hiPhi, a)
-	case CodecAVQ, CodecPacked:
-		return phiSpanChained(s, c, count, body, space, loPhi, hiPhi, a)
-	case CodecRepOnly:
-		return phiSpanRepOnly(s, count, body, space, loPhi, hiPhi, a)
-	case CodecDeltaChain:
-		return phiSpanDeltaChain(s, count, body, space, loPhi, hiPhi, a)
-	default:
-		return 0, 0, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
+	from, to = b.finish(l.count)
+	return from, to, nil
 }
 
 // phiBounds tracks the running lower/upper bound scan over a nondecreasing
@@ -83,244 +74,25 @@ func (b *phiBounds) finish(count int) (from, to int) {
 	return b.from, b.to
 }
 
-// phiSpanRaw binary-searches the fixed-width payload directly: position
-// i's phi is computable from its bytes in O(n) with no chain to walk.
-func phiSpanRaw(s *relation.Schema, count int, body []byte, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	m := s.RowSize()
-	if len(body) != count*m {
-		return 0, 0, fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-	}
-	t := a.Tuple(s.NumAttrs())
-	phiAt := func(i int) (uint64, error) {
-		if err := s.DecodeTupleInto(t, body[i*m:]); err != nil {
-			return 0, err
-		}
-		if err := validateDigits(s, t); err != nil {
-			return 0, err
-		}
-		return ordinal.PhiU64(s, t), nil
-	}
-	search := func(above func(uint64) bool) (int, error) {
-		lo, hi := 0, count
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			phi, err := phiAt(mid)
-			if err != nil {
-				return 0, err
+// rawPhiSpan binary-searches a raw block's fixed-width rows directly:
+// position i's phi is computable from its bytes in O(n) with no chain to
+// walk.
+func (l *layout) rawPhiSpan(loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
+	t := a.Tuple(l.s.NumAttrs())
+	firstAbove := func(bound uint64) int {
+		return sort.Search(l.count, func(i int) bool {
+			if e := l.rawRow(i, t); e != nil {
+				err = e
 			}
-			if above(phi) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo, nil
+			return err != nil || ordinal.PhiU64(l.s, t) > bound
+		})
 	}
-	if from, err = search(func(phi uint64) bool { return phi >= loPhi }); err != nil {
-		return 0, 0, err
+	if loPhi > 0 {
+		from = firstAbove(loPhi - 1)
 	}
-	if to, err = search(func(phi uint64) bool { return phi > hiPhi }); err != nil {
-		return 0, 0, err
-	}
-	return from, to, nil
-}
-
-// phiSpanChained handles the median-anchored chain codecs (AVQ and
-// packed). The before group's differences are buffered as phi values so
-// phi(t[0]) = phi(rep) - sum can anchor the forward walk.
-func phiSpanChained(s *relation.Schema, c Codec, count int, body []byte, space, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
+	to = firstAbove(hiPhi)
 	if err != nil {
 		return 0, 0, err
 	}
-	repPhi := ordinal.PhiU64(s, rep)
-
-	n := s.NumAttrs()
-	d := a.Tuple(n)
-	var next func() (uint64, error)
-	if c == CodecPacked {
-		next, err = packedDiffPhiReader(s, body[pos:], d)
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		scratch := a.Scratch(s.RowSize())
-		next = func() (uint64, error) {
-			var err error
-			if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-				return 0, err
-			}
-			if err := validateDigits(s, d); err != nil {
-				return 0, err
-			}
-			return ordinal.PhiU64(s, d), nil
-		}
-	}
-
-	// Before group: d[i] = phi(t[i+1]) - phi(t[i]), so
-	// phi(t[0]) = phi(rep) - sum d[i]. Buffer the phi deltas (a Tuple carve
-	// is just a []uint64) to replay them forward from t[0].
-	dphis := a.Tuple(mid)
-	var total uint64
-	for i := 0; i < mid; i++ {
-		dphi, err := next()
-		if err != nil {
-			return 0, 0, err
-		}
-		if total+dphi < total || total+dphi > repPhi {
-			return 0, 0, fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		total += dphi
-		dphis[i] = dphi
-	}
-
-	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
-	cur := repPhi - total
-	for i := 0; i < mid; i++ {
-		if b.visit(i, cur) {
-			from, to = b.finish(count)
-			return from, to, nil
-		}
-		cur += dphis[i]
-	}
-	if b.visit(mid, repPhi) {
-		from, to = b.finish(count)
-		return from, to, nil
-	}
-	cur = repPhi
-	for i := mid + 1; i < count; i++ {
-		dphi, err := next()
-		if err != nil {
-			return 0, 0, err
-		}
-		if cur+dphi < cur || cur+dphi >= space {
-			return 0, 0, fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		cur += dphi
-		if b.visit(i, cur) {
-			break
-		}
-	}
-	from, to = b.finish(count)
-	return from, to, nil
-}
-
-// packedDiffPhiReader returns a reader yielding the phi value of each
-// successive bit-packed difference, decoding digits into d.
-func packedDiffPhiReader(s *relation.Schema, stream []byte, d relation.Tuple) (func() (uint64, error), error) {
-	n := s.NumAttrs()
-	widths, _ := packedBitWidthsCached(s)
-	lzWidth := bitio.BitsFor(uint64(n) + 1)
-	r := bitio.NewReader(stream)
-	return func() (uint64, error) {
-		lz64, err := r.ReadBits(lzWidth)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		lz := int(lz64)
-		if lz > n {
-			return 0, fmt.Errorf("%w: leading-zero digit count %d exceeds arity %d", ErrCorrupt, lz, n)
-		}
-		for i := 0; i < lz; i++ {
-			d[i] = 0
-		}
-		for i := lz; i < n; i++ {
-			v, err := r.ReadBits(widths[i])
-			if err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-			}
-			if v >= s.Domain(i).Size {
-				return 0, fmt.Errorf("%w: digit %d value %d outside radix %d", ErrCorrupt, i, v, s.Domain(i).Size)
-			}
-			d[i] = v
-		}
-		return ordinal.PhiU64(s, d), nil
-	}, nil
-}
-
-// phiSpanRepOnly walks the direct-difference payload: phi(t[i]) is
-// phi(rep) -/+ phi(d[i]) with no chain state.
-func phiSpanRepOnly(s *relation.Schema, count int, body []byte, space, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return 0, 0, err
-	}
-	repPhi := ordinal.PhiU64(s, rep)
-	n := s.NumAttrs()
-	scratch := a.Scratch(s.RowSize())
-	d := a.Tuple(n)
-	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
-	for i := 0; i < count; i++ {
-		var phi uint64
-		if i == mid {
-			phi = repPhi
-		} else {
-			if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-				return 0, 0, err
-			}
-			if err := validateDigits(s, d); err != nil {
-				return 0, 0, err
-			}
-			dphi := ordinal.PhiU64(s, d)
-			if i < mid {
-				if dphi > repPhi {
-					return 0, 0, fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-				}
-				phi = repPhi - dphi
-			} else {
-				if repPhi+dphi < repPhi || repPhi+dphi >= space {
-					return 0, 0, fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-				}
-				phi = repPhi + dphi
-			}
-		}
-		if b.visit(i, phi) {
-			break
-		}
-	}
-	from, to = b.finish(count)
-	return from, to, nil
-}
-
-// phiSpanDeltaChain walks the first-anchored chain forward.
-func phiSpanDeltaChain(s *relation.Schema, count int, body []byte, space, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	m := s.RowSize()
-	if len(body) < m {
-		return 0, 0, ErrTruncated
-	}
-	n := s.NumAttrs()
-	first := a.Tuple(n)
-	if err := s.DecodeTupleInto(first, body); err != nil {
-		return 0, 0, err
-	}
-	if err := validateDigits(s, first); err != nil {
-		return 0, 0, err
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	cur := ordinal.PhiU64(s, first)
-	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
-	if b.visit(0, cur) {
-		from, to = b.finish(count)
-		return from, to, nil
-	}
-	for i := 1; i < count; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return 0, 0, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return 0, 0, err
-		}
-		dphi := ordinal.PhiU64(s, d)
-		if cur+dphi < cur || cur+dphi >= space {
-			return 0, 0, fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
-		}
-		cur += dphi
-		if b.visit(i, cur) {
-			break
-		}
-	}
-	from, to = b.finish(count)
 	return from, to, nil
 }

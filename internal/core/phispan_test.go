@@ -40,7 +40,7 @@ func TestPhiSpanMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
 			}
-			ref, err := DecodeBlock(s, enc)
+			ref, err := DecodeBlockArena(s, enc, nil)
 			if err != nil {
 				t.Fatalf("%v: decode: %v", c, err)
 			}
@@ -128,6 +128,33 @@ func TestPhiSpanCorruptStreams(t *testing.T) {
 			if err == nil && (from < 0 || to < from) {
 				t.Fatalf("%v: corrupt stream produced invalid span [%d, %d)", c, from, to)
 			}
+		}
+	}
+}
+
+// TestPhiSpanZeroAllocs holds the φ-space span walk to the steady-state
+// guarantee of the other shapes, for every codec (raw binary-searches its
+// rows; the rest ride walkPhis with the bounds visitor).
+func TestPhiSpanZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	s := flatRandomSchema(rng)
+	block := randomSortedBlock(s, rng, 200)
+	lo := ordinal.PhiU64(s, block[40])
+	hi := ordinal.PhiU64(s, block[150])
+	for _, c := range allCodecs() {
+		enc, err := EncodeBlock(c, s, block, nil)
+		if err != nil {
+			t.Fatalf("%v: encode: %v", c, err)
+		}
+		a := NewArena()
+		allocs := testing.AllocsPerRun(100, func() {
+			a.Reset()
+			if _, _, err := PhiSpan(s, enc, lo, hi, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: PhiSpan allocates %.1f objects/op steady-state, want 0", c, allocs)
 		}
 	}
 }

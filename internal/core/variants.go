@@ -31,23 +31,6 @@ func encodeRaw(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]byte,
 	return dst, nil
 }
 
-func decodeRaw(s *relation.Schema, count int, body []byte, a *Arena) ([]relation.Tuple, error) {
-	m := s.RowSize()
-	if len(body) != count*m {
-		return nil, fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-	}
-	out := a.Tuples(count, s.NumAttrs())
-	for i := 0; i < count; i++ {
-		if err := s.DecodeTupleInto(out[i], body[i*m:]); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, out[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // encodeRepOnly is AVQ without the chained-subtraction optimization of
 // Example 3.3: each tuple stores its direct distance from the median
 // representative, as in Table (b) of Figure 3.3. Differences grow linearly
@@ -82,61 +65,6 @@ func encodeRepOnly(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]b
 	return dst, nil
 }
 
-func decodeRepOnly(s *relation.Schema, count int, body []byte, a *Arena) ([]relation.Tuple, error) {
-	if count == 0 {
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in empty block", ErrCorrupt, len(body))
-		}
-		return nil, nil
-	}
-	mid, pos, err := readUvarint(body, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
-	}
-	if mid >= uint64(count) {
-		return nil, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid, count)
-	}
-	m := s.RowSize()
-	if pos+m > len(body) {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(count, n)
-	rep := out[int(mid)]
-	if err := s.DecodeTupleInto(rep, body[pos:pos+m]); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, rep); err != nil {
-		return nil, err
-	}
-	pos += m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	for i := 0; i < count; i++ {
-		if i == int(mid) {
-			continue
-		}
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if i < int(mid) {
-			_, err = ordinal.Sub(s, out[i], rep, d)
-		} else {
-			_, err = ordinal.Add(s, out[i], rep, d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after block payload", ErrCorrupt, len(body)-pos)
-	}
-	return out, nil
-}
-
 // encodeDeltaChain anchors the chain at the first tuple of the block rather
 // than the median: the ablation isolating the paper's median-representative
 // choice. The stored differences are identical adjacent deltas, so the
@@ -157,44 +85,4 @@ func encodeDeltaChain(s *relation.Schema, tuples []relation.Tuple, dst []byte) (
 		dst = appendDiff(s, dst, diff, scratch)
 	}
 	return dst, nil
-}
-
-func decodeDeltaChain(s *relation.Schema, count int, body []byte, a *Arena) ([]relation.Tuple, error) {
-	if count == 0 {
-		if len(body) != 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes in empty block", ErrCorrupt, len(body))
-		}
-		return nil, nil
-	}
-	m := s.RowSize()
-	if len(body) < m {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(count, n)
-	if err := s.DecodeTupleInto(out[0], body); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, out[0]); err != nil {
-		return nil, err
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	var err error
-	for i := 1; i < count; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, out[i], out[i-1], d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	if pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after block payload", ErrCorrupt, len(body)-pos)
-	}
-	return out, nil
 }

@@ -191,8 +191,9 @@ func runContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit fu
 func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) bool) error {
 	sn, st := p.sn, &p.st
 	bound, rest := boundOf(plan.Preds)
-	// Packed blocks have no per-tuple chain entry points worth walking; a
-	// span decode degenerates to a full decode, so skip the partial path.
+	// Packed blocks keep to the full-decode path: a bit-level skip still
+	// reads every stepped-over difference's count field, so a span decode
+	// saves them little.
 	partialOK := !plan.NoPartial && sn.Codec() != core.CodecPacked
 	n := sn.NumBlocks()
 	for i := 0; i < n; i++ {

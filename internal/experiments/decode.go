@@ -17,9 +17,9 @@ import (
 )
 
 // DecodeConfig parameterizes the decode-kernel experiment: the
-// zero-allocation arena paths versus the allocating reference, the
-// flat-ordinal span walk versus binary-search probing, and the same
-// macro workload RunObs times so the benchgate can compare across PRs.
+// zero-allocation full-block decode of every codec, the flat-ordinal span
+// walk, and the same macro workload RunObs times so the benchgate can
+// compare across PRs.
 type DecodeConfig struct {
 	// Tuples is the macro relation size; default 100_000.
 	Tuples int
@@ -60,23 +60,16 @@ func (c *DecodeConfig) fillDefaults() {
 	}
 }
 
-// DecodeCodecResult is one codec's arena-versus-allocating comparison on
-// a full-block decode.
+// DecodeCodecResult is one codec's steady-state full-block decode.
 type DecodeCodecResult struct {
 	Codec            string  `json:"codec"`
 	ArenaNsPerOp     float64 `json:"arena_ns_per_op"`
-	AllocNsPerOp     float64 `json:"alloc_ns_per_op"`
 	ArenaAllocsPerOp float64 `json:"arena_allocs_per_op"`
-	AllocAllocsPerOp float64 `json:"alloc_allocs_per_op"`
-	SpeedupPct       float64 `json:"speedup_pct"`
 }
 
-// DecodeResult reports the decode-kernel measurements. Gates:
-//   - every codec's steady-state arena decode allocates zero objects per
-//     block (ZeroAllocPass);
-//   - the flat-ordinal PhiSpan walk beats the SearchBlock probe pair by
-//     at least MinFlatSpeedupPct on the clustering-range workload
-//     (FlatPass).
+// DecodeResult reports the decode-kernel measurements. One gate: every
+// codec's steady-state arena decode, and the PhiSpan walk, allocate zero
+// objects per block (ZeroAllocPass).
 //
 // LoadMillis and CountMillis repeat RunObs's uninstrumented workload so
 // scripts/benchgate.sh can hold this PR against the committed
@@ -91,23 +84,14 @@ type DecodeResult struct {
 	Codecs []DecodeCodecResult `json:"codecs"`
 
 	PhiSpanNsPerOp     float64 `json:"phispan_ns_per_op"`
-	SearchNsPerOp      float64 `json:"search_ns_per_op"`
 	PhiSpanAllocsPerOp float64 `json:"phispan_allocs_per_op"`
-	FlatSpeedupPct     float64 `json:"flat_speedup_pct"`
-	MinFlatSpeedupPct  float64 `json:"min_flat_speedup_pct"`
 
 	LoadMillis  float64 `json:"load_ms"`
 	CountMillis float64 `json:"count_ms"`
 
 	ZeroAllocPass bool `json:"zero_alloc_pass"`
-	FlatPass      bool `json:"flat_pass"`
 	Pass          bool `json:"pass"`
 }
-
-// decodeMinFlatSpeedupPct is the acceptance floor for the flat-ordinal
-// path: PhiSpan must be at least this much faster than the SearchBlock
-// probe pair it replaces.
-const decodeMinFlatSpeedupPct = 25.0
 
 // bestNsPerOp times f over cfg.Iters iterations, cfg.Rounds times, and
 // returns the fastest round's per-iteration nanoseconds.
@@ -178,19 +162,17 @@ func decodeMicroBlock(cfg DecodeConfig) (*relation.Schema, []relation.Tuple) {
 }
 
 // RunDecode measures the zero-allocation decode kernels: per-codec
-// arena-versus-allocating full-block decode, the flat-ordinal PhiSpan
-// walk against SearchBlock probing, and the BulkLoad/CountRange macro
-// workload shared with RunObs.
+// full-block decode, the flat-ordinal PhiSpan walk, and the
+// BulkLoad/CountRange macro workload shared with RunObs.
 func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	cfg.fillDefaults()
 	res := &DecodeResult{
-		Tuples:            cfg.Tuples,
-		PageSize:          cfg.PageSize,
-		BlockTuples:       cfg.BlockTuples,
-		Rounds:            cfg.Rounds,
-		CountIters:        cfg.CountIters,
-		MinFlatSpeedupPct: decodeMinFlatSpeedupPct,
-		ZeroAllocPass:     true,
+		Tuples:        cfg.Tuples,
+		PageSize:      cfg.PageSize,
+		BlockTuples:   cfg.BlockTuples,
+		Rounds:        cfg.Rounds,
+		CountIters:    cfg.CountIters,
+		ZeroAllocPass: true,
 	}
 
 	s, block := decodeMicroBlock(cfg)
@@ -211,20 +193,10 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 				panic(err)
 			}
 		}
-		allocOp := func() {
-			if _, err := core.DecodeBlock(s, enc); err != nil {
-				panic(err)
-			}
-		}
 		cr := DecodeCodecResult{
 			Codec:            c.String(),
 			ArenaNsPerOp:     bestNsPerOp(cfg.Rounds, cfg.Iters, arenaOp),
-			AllocNsPerOp:     bestNsPerOp(cfg.Rounds, cfg.Iters, allocOp),
 			ArenaAllocsPerOp: allocsPerOp(100, arenaOp),
-			AllocAllocsPerOp: allocsPerOp(100, allocOp),
-		}
-		if cr.AllocNsPerOp > 0 {
-			cr.SpeedupPct = (cr.AllocNsPerOp - cr.ArenaNsPerOp) / cr.AllocNsPerOp * 100
 		}
 		if cr.ArenaAllocsPerOp != 0 {
 			res.ZeroAllocPass = false
@@ -232,8 +204,8 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 		res.Codecs = append(res.Codecs, cr)
 	}
 
-	// Flat-ordinal span walk versus the binary-search probe pair it
-	// replaces, on the clustering-range shape exec's partial path uses.
+	// Flat-ordinal span walk on the clustering-range shape exec's partial
+	// path uses.
 	w, ok := s.FlatWeights()
 	if !ok {
 		return nil, fmt.Errorf("micro schema unexpectedly non-flat")
@@ -250,22 +222,11 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 			panic(err)
 		}
 	}
-	searchOp := func() {
-		a.Reset()
-		if _, err := core.SearchBlockArena(s, enc, func(tu relation.Tuple) bool { return tu[0] >= lo }, a); err != nil {
-			panic(err)
-		}
-		if _, err := core.SearchBlockArena(s, enc, func(tu relation.Tuple) bool { return tu[0] > hi }, a); err != nil {
-			panic(err)
-		}
-	}
 	res.PhiSpanNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, spanOp)
-	res.SearchNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, searchOp)
 	res.PhiSpanAllocsPerOp = allocsPerOp(100, spanOp)
-	if res.SearchNsPerOp > 0 {
-		res.FlatSpeedupPct = (res.SearchNsPerOp - res.PhiSpanNsPerOp) / res.SearchNsPerOp * 100
+	if res.PhiSpanAllocsPerOp != 0 {
+		res.ZeroAllocPass = false
 	}
-	res.FlatPass = res.FlatSpeedupPct >= res.MinFlatSpeedupPct
 
 	// Macro workload: RunObs's uninstrumented BulkLoad + CountRange, so
 	// the benchgate can hold this result against BENCH_obs.json.
@@ -308,32 +269,26 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	res.LoadMillis = float64(load.Microseconds()) / 1e3
 	res.CountMillis = float64(count.Microseconds()) / 1e3
 
-	res.Pass = res.ZeroAllocPass && res.FlatPass
+	res.Pass = res.ZeroAllocPass
 	return res, nil
 }
 
 // WriteText renders the result as an aligned report.
 func (r *DecodeResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "Decode kernels: %d-tuple blocks, best of %d rounds\n", r.BlockTuples, r.Rounds)
-	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s %9s\n",
-		"codec", "arena ns/op", "alloc ns/op", "arena a/op", "alloc a/op", "speedup")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "codec", "ns/op", "allocs/op")
 	for _, c := range r.Codecs {
-		fmt.Fprintf(w, "%-12s %12.0f %12.0f %10.1f %10.1f %8.1f%%\n",
-			c.Codec, c.ArenaNsPerOp, c.AllocNsPerOp, c.ArenaAllocsPerOp, c.AllocAllocsPerOp, c.SpeedupPct)
+		fmt.Fprintf(w, "%-12s %12.0f %12.1f\n", c.Codec, c.ArenaNsPerOp, c.ArenaAllocsPerOp)
 	}
-	fmt.Fprintf(w, "flat-ordinal span: PhiSpan %.0f ns/op (%.1f allocs/op) vs SearchBlock %.0f ns/op: %.1f%% faster\n",
-		r.PhiSpanNsPerOp, r.PhiSpanAllocsPerOp, r.SearchNsPerOp, r.FlatSpeedupPct)
+	fmt.Fprintf(w, "flat-ordinal span: PhiSpan %.0f ns/op (%.1f allocs/op)\n",
+		r.PhiSpanNsPerOp, r.PhiSpanAllocsPerOp)
 	fmt.Fprintf(w, "macro (%d tuples, %d-byte pages): bulk load %.2f ms, count-range x%d %.2f ms\n",
 		r.Tuples, r.PageSize, r.LoadMillis, r.CountIters, r.CountMillis)
-	verdict := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
+	verdict := "PASS"
+	if !r.ZeroAllocPass {
+		verdict = "FAIL"
 	}
-	fmt.Fprintf(w, "gate: steady-state arena decode allocates 0 objects/op: %s\n", verdict(r.ZeroAllocPass))
-	fmt.Fprintf(w, "gate: flat-ordinal path >= %.0f%% faster than probing: %s\n",
-		r.MinFlatSpeedupPct, verdict(r.FlatPass))
+	fmt.Fprintf(w, "gate: steady-state arena decode and PhiSpan allocate 0 objects/op: %s\n", verdict)
 	return nil
 }
 

@@ -112,10 +112,12 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 			return nil, err
 		}
 	}
+	arena := core.NewArena()
 	start = time.Now()
 	for rep := 0; rep < cfg.Repetitions; rep++ {
 		for _, stream := range streams {
-			if _, err := core.DecodeBlock(schema, stream); err != nil {
+			arena.Reset()
+			if _, err := core.DecodeBlockArena(schema, stream, arena); err != nil {
 				return nil, err
 			}
 		}
@@ -137,7 +139,8 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 	start = time.Now()
 	for rep := 0; rep < cfg.Repetitions; rep++ {
 		for _, stream := range rawStreams {
-			if _, err := core.DecodeBlock(schema, stream); err != nil {
+			arena.Reset()
+			if _, err := core.DecodeBlockArena(schema, stream, arena); err != nil {
 				return nil, err
 			}
 		}

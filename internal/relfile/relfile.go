@@ -392,7 +392,7 @@ func ReadCompressed(r io.Reader) (*relation.Schema, []relation.Tuple, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("relfile: block %d: %w", b, err)
 		}
-		blk, err := core.DecodeBlock(info.Schema, stream)
+		blk, err := core.DecodeBlockArena(info.Schema, stream, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("relfile: block %d: %w", b, err)
 		}
@@ -459,7 +459,7 @@ func InspectCompressed(r io.Reader) (CompressedInfo, error) {
 				idx  int
 				want relation.Tuple
 			}{{0, fence.First}, {fence.Count - 1, fence.Last}} {
-				tu, err := core.DecodeTupleAt(info.Schema, stream, probe.idx)
+				tu, err := core.DecodeTupleAtArena(info.Schema, stream, probe.idx, nil)
 				if err != nil {
 					return info, fmt.Errorf("relfile: block %d: %w", b, err)
 				}
