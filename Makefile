@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint lint-baseline build fmt bench-pruning bench-obs bench-decode bench-wal bench-shard bench-serve bench-join benchgate crash
+.PHONY: check test race lint lint-baseline build fmt bench-pruning bench-obs bench-decode bench-wal bench-join benchgate crash
 
 check:
 	sh scripts/check.sh
@@ -39,12 +39,6 @@ bench-obs:
 
 bench-wal:
 	$(GO) run ./cmd/avqbench -exp wal
-
-bench-shard:
-	$(GO) run ./cmd/avqbench -exp shard
-
-bench-serve:
-	$(GO) run ./cmd/avqbench -exp serve
 
 bench-join:
 	$(GO) run ./cmd/avqbench -exp join

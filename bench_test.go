@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -146,14 +147,14 @@ func fig58Tables(b *testing.B, tuples int) (raw, avq *table.Table, spec gen.Spec
 		b.Fatal(err)
 	}
 	mk := func(codec core.Codec) *table.Table {
-		tb, err := table.Create(schema, table.Options{
-			Codec:          codec,
-			SecondaryAttrs: table.AllAttrs(schema),
-		})
+		tb, err := table.Create(schema,
+			table.WithCodec(codec),
+			table.WithSecondaryAttrs(table.AllAttrs(schema)...),
+		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(data); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -196,7 +197,7 @@ func BenchmarkFig58BlocksAccessed(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					_, stats, err := eng.tbl.SelectRange(c.attr, lo, hi)
+					_, stats, err := eng.tbl.SelectRangeContext(context.Background(), c.attr, lo, hi)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -246,21 +247,21 @@ func BenchmarkTableMutations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+	tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tb.BulkLoad(data); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), data); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("insert+delete", func(b *testing.B) {
 		tu := data[len(data)/2].Clone()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := tb.Insert(tu); err != nil {
+			if err := tb.InsertContext(context.Background(), tu); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := tb.Delete(tu); err != nil {
+			if _, err := tb.DeleteContext(context.Background(), tu); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -285,11 +286,11 @@ func BenchmarkBulkLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(data); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,11 +308,11 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	load := func() *table.Table {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(base); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), base); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -323,7 +324,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 			tb := load()
 			b.StartTimer()
 			for _, tu := range batch {
-				if err := tb.Insert(tu); err != nil {
+				if err := tb.InsertContext(context.Background(), tu); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -335,7 +336,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 			b.StopTimer()
 			tb := load()
 			b.StartTimer()
-			if err := tb.InsertBatch(batch); err != nil {
+			if err := tb.InsertBatchContext(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -354,11 +355,11 @@ func BenchmarkJoins(b *testing.B) {
 		b.Fatal(err)
 	}
 	mk := func(rows []relation.Tuple) *table.Table {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(rows); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), rows); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -367,7 +368,7 @@ func BenchmarkJoins(b *testing.B) {
 	b.Run("merge-clustered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := table.MergeJoin(lt, rt); err != nil {
+			if _, _, err := table.MergeJoinContext(context.Background(), lt, rt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -375,7 +376,7 @@ func BenchmarkJoins(b *testing.B) {
 	b.Run("hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := table.HashJoin(lt, rt, 1, 1); err != nil {
+			if _, _, err := table.HashJoinContext(context.Background(), lt, rt, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, pipeline, pruning, obs, decode, join, wal, shard, serve, or all")
+		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, pipeline, pruning, obs, decode, join, wal, or all")
 		tuples   = flag.Int("tuples", 0, "override relation size (0 = per-experiment default)")
 		reps     = flag.Int("reps", 0, "timing repetitions (0 = paper's 100)")
 		pageSize = flag.Int("pagesize", 0, "block size in bytes (0 = paper's 8192)")
@@ -164,17 +164,6 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 				return err
 			}
 			return writeBenchJSON("BENCH_join.json", r)
-		case "shard":
-			r, err := experiments.RunShard(ctx, experiments.ShardConfig{
-				Tuples: tuples, PageSize: pageSize, Rounds: reps, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_shard.json", r)
 		case "wal":
 			r, err := experiments.RunWAL(ctx, experiments.WALConfig{
 				Tuples: tuples, PageSize: pageSize, Writers: parallel, Seed: seed,
@@ -186,18 +175,6 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 				return err
 			}
 			return writeBenchJSON("BENCH_wal.json", r)
-		case "serve":
-			r, err := experiments.RunServe(ctx, experiments.ServeConfig{
-				Tuples: tuples, PageSize: pageSize, Concurrency: parallel,
-				Rounds: reps, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_serve.json", r)
 		case "cpusweep":
 			r, err := experiments.RunCPUSweep(ctx, experiments.CPUSweepConfig{
 				Fig58:    experiments.Fig58Config{Tuples: tuples, Seed: seed},
@@ -214,7 +191,7 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 	if exp != "all" {
 		return runOne(exp)
 	}
-	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "pipeline", "pruning", "obs", "decode", "join", "wal", "shard", "serve"} {
+	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "pipeline", "pruning", "obs", "decode", "join", "wal"} {
 		if i > 0 {
 			sep()
 		}
@@ -226,7 +203,7 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 }
 
 // writeBenchJSON records an experiment result as a JSON file in the
-// working directory (BENCH_pruning.json, BENCH_shard.json, ...) for CI
+// working directory (BENCH_pruning.json, BENCH_wal.json, ...) for CI
 // trend tracking and the scripts/benchgate.sh gates. The write goes
 // through the storage layer's temp+rename path so an interrupted bench
 // run can never leave a torn baseline in the tree.

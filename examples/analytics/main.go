@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A sales-fact relation. Attribute value distributions are deliberately
 	// skewed so the histogram planner has something to learn.
 	schema := relation.MustSchema(
@@ -24,10 +26,10 @@ func main() {
 		relation.Domain{Name: "units", Size: 1000},
 		relation.Domain{Name: "saleid", Size: 1 << 20},
 	)
-	tbl, err := table.Create(schema, table.Options{
-		Codec:          core.CodecAVQ,
-		SecondaryAttrs: []int{1, 2},
-	})
+	tbl, err := table.Create(schema,
+		table.WithCodec(core.CodecAVQ),
+		table.WithSecondaryAttrs(1, 2),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 			uint64(rng.Intn(1000)), uint64(i),
 		}
 	}
-	if err := tbl.BulkLoad(rows); err != nil {
+	if err := tbl.BulkLoadContext(ctx, rows); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d rows into %d AVQ blocks\n\n", tbl.Len(), tbl.NumBlocks())
@@ -58,7 +60,7 @@ func main() {
 	}
 	fmt.Print(plan)
 
-	matched, stats, err := tbl.Select(preds)
+	matched, stats, err := tbl.SelectContext(ctx, preds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 		len(matched), stats.Strategy, stats.BlocksRead, stats.CacheHits, stats.BlocksPruned, stats.PartialDecodes)
 
 	// Streaming aggregates: revenue-style rollup without materializing.
-	agg, aggStats, err := tbl.AggregateRange(2, 0, 2, 3) // units over channels 0-2
+	agg, aggStats, err := tbl.AggregateRangeContext(ctx, 2, 0, 2, 3) // units over channels 0-2
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func main() {
 	// A clustered range shows the executor's φ-fence pruning at its best:
 	// only the blocks whose fences intersect [2,4] are ever touched, and
 	// the two boundary blocks are span-decoded rather than fully decoded.
-	sel, selStats, err := tbl.SelectRange(0, 2, 4)
+	sel, selStats, err := tbl.SelectRangeContext(ctx, 0, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,18 +94,18 @@ func main() {
 			uint64(rng.Intn(1000)), uint64(60000 + i),
 		}
 	}
-	if err := tbl.InsertBatch(batch); err != nil {
+	if err := tbl.InsertBatchContext(ctx, batch); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batch-inserted %d rows (one decode/re-encode per touched block); now %d rows in %d blocks\n",
 		len(batch), tbl.Len(), tbl.NumBlocks())
 
 	// Retention: drop an entire channel, then compact the layout.
-	removed, err := tbl.DeleteWhere([]table.Predicate{{Attr: 2, Lo: 7, Hi: 7}})
+	removed, err := tbl.DeleteWhereContext(ctx, []table.Predicate{{Attr: 2, Lo: 7, Hi: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, after, err := tbl.Compact()
+	before, after, err := tbl.CompactContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

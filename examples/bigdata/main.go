@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	schema := relation.MustSchema(
 		relation.Domain{Name: "region", Size: 64},
 		relation.Domain{Name: "store", Size: 4096},
@@ -60,11 +62,11 @@ func main() {
 	// Bridge the sorter's push iterator to the table's pull stream. The
 	// parallel codec pipeline packs blocks on GOMAXPROCS workers with a
 	// byte-identical on-disk layout to the serial path.
-	tbl, err := table.Create(schema, table.Options{
-		Codec:       core.CodecAVQ,
-		Concurrency: runtime.GOMAXPROCS(0),
-		CacheBlocks: 128,
-	})
+	tbl, err := table.Create(schema,
+		table.WithCodec(core.CodecAVQ),
+		table.WithConcurrency(runtime.GOMAXPROCS(0)),
+		table.WithBlockCache(128),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 		close(ch)
 	}()
 	start = time.Now()
-	if err := tbl.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	if err := tbl.BulkLoadStreamContext(ctx, func() (relation.Tuple, bool, error) {
 		tu, ok := <-ch
 		if !ok {
 			return nil, false, nil
@@ -99,7 +101,7 @@ func main() {
 		st.StreamBytes, st.RawDataBytes, st.StreamSavingsPercent())
 
 	// The loaded table behaves like any other.
-	count, qs, err := tbl.CountRange(0, 10, 12)
+	count, qs, err := tbl.CountRangeContext(ctx, 0, 10, 12)
 	if err != nil {
 		log.Fatal(err)
 	}

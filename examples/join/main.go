@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Orders clustered by region; one row per order.
 	orders := relation.MustSchema(
 		relation.Domain{Name: "region", Size: 32},
@@ -45,11 +47,11 @@ func main() {
 	}
 
 	load := func(s *relation.Schema, rows []relation.Tuple) *table.Table {
-		tb, err := table.Create(s, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(s, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tb.BulkLoad(rows); err != nil {
+		if err := tb.BulkLoadContext(ctx, rows); err != nil {
 			log.Fatal(err)
 		}
 		return tb
@@ -60,7 +62,7 @@ func main() {
 		ot.Len(), ot.NumBlocks(), wt.Len(), wt.NumBlocks())
 
 	// Merge join on the shared clustering attribute: one pass per side.
-	rows, stats, err := table.MergeJoin(ot, wt)
+	rows, stats, err := table.MergeJoinContext(ctx, ot, wt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 		len(rows), stats.LeftBlocks, stats.RightBlocks)
 
 	// Hash join on an arbitrary attribute pair.
-	rows, stats, err = table.HashJoin(ot, wt, 1, 1) // product = warehouse? contrived but exercises the path
+	rows, stats, err = table.HashJoinContext(ctx, ot, wt, 1, 1) // product = warehouse? contrived but exercises the path
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,20 +79,20 @@ func main() {
 
 	// The join result of compressed tables equals the uncompressed join.
 	otRaw := func() *table.Table {
-		tb, err := table.Create(orders, table.Options{Codec: core.CodecRaw})
+		tb, err := table.Create(orders, table.WithCodec(core.CodecRaw))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tb.BulkLoad(orderRows); err != nil {
+		if err := tb.BulkLoadContext(ctx, orderRows); err != nil {
 			log.Fatal(err)
 		}
 		return tb
 	}()
-	rawRows, _, err := table.MergeJoin(otRaw, wt)
+	rawRows, _, err := table.MergeJoinContext(ctx, otRaw, wt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mjRows, _, err := table.MergeJoin(ot, wt)
+	mjRows, _, err := table.MergeJoinContext(ctx, ot, wt)
 	if err != nil {
 		log.Fatal(err)
 	}

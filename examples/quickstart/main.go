@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A relation scheme is an ordered list of finite attribute domains
 	// (Section 2.2 of the paper). Values are ordinals within each domain.
 	schema, err := relation.NewSchema(
@@ -29,10 +31,10 @@ func main() {
 	// An AVQ table clusters tuples by their ordinal position phi, packs
 	// them into 8 KiB blocks, and stores each block as a representative
 	// tuple plus chained differences.
-	tbl, err := table.Create(schema, table.Options{
-		Codec:          core.CodecAVQ,
-		SecondaryAttrs: []int{3}, // secondary index on product
-	})
+	tbl, err := table.Create(schema,
+		table.WithCodec(core.CodecAVQ),
+		table.WithSecondaryAttrs(3), // secondary index on product
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 			uint64(rng.Intn(512)), uint64(rng.Intn(1000)),
 		}
 	}
-	if err := tbl.BulkLoad(tuples); err != nil {
+	if err := tbl.BulkLoadContext(ctx, tuples); err != nil {
 		log.Fatal(err)
 	}
 
@@ -59,7 +61,7 @@ func main() {
 
 	// Range selection on the clustering attribute uses the primary index
 	// and touches a contiguous band of blocks.
-	rows, qs, err := tbl.SelectRange(0, 3, 4)
+	rows, qs, err := tbl.SelectRangeContext(ctx, 0, 3, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 
 	// Selection on an indexed attribute uses the secondary index's block
 	// buckets (Figure 4.5 of the paper).
-	rows, qs, err = tbl.SelectPoint(3, 42)
+	rows, qs, err = tbl.SelectPointContext(ctx, 3, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 	// Inserts and deletes decode, modify, and re-code only the affected
 	// block (Section 4.2).
 	sale := relation.Tuple{5, 77, 200, 42, 999}
-	if err := tbl.Insert(sale); err != nil {
+	if err := tbl.InsertContext(ctx, sale); err != nil {
 		log.Fatal(err)
 	}
 	found, err := tbl.Contains(sale)
@@ -86,7 +88,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("inserted %v; contains=%v\n", sale, found)
-	if _, err := tbl.Delete(sale); err != nil {
+	if _, err := tbl.DeleteContext(ctx, sale); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("deleted it again; table holds %d tuples\n", tbl.Len())
@@ -97,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tbl.Disk().Reset()
-	if _, _, err := tbl.SelectRange(0, 0, 15); err != nil {
+	if _, _, err := tbl.SelectRangeContext(ctx, 0, 0, 15); err != nil {
 		log.Fatal(err)
 	}
 	ds := tbl.Disk().Stats()

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	spec := gen.Spec38Byte(20000, true, 42)
 	schema, tuples, err := spec.Build()
 	if err != nil {
@@ -22,14 +24,14 @@ func main() {
 		len(tuples), schema.NumAttrs(), schema.RowSize())
 
 	build := func(codec core.Codec) *table.Table {
-		tbl, err := table.Create(schema, table.Options{
-			Codec:          codec,
-			SecondaryAttrs: table.AllAttrs(schema),
-		})
+		tbl, err := table.Create(schema,
+			table.WithCodec(codec),
+			table.WithSecondaryAttrs(table.AllAttrs(schema)...),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tbl.BulkLoad(tuples); err != nil {
+		if err := tbl.BulkLoadContext(ctx, tuples); err != nil {
 			log.Fatal(err)
 		}
 		return tbl
@@ -62,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		raw.Disk().Reset()
-		_, rawStats, err := raw.SelectRange(q.attr, lo, hi)
+		_, rawStats, err := raw.SelectRangeContext(ctx, q.attr, lo, hi)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func main() {
 			log.Fatal(err)
 		}
 		avq.Disk().Reset()
-		_, avqStats, err := avq.SelectRange(q.attr, lo, hi)
+		_, avqStats, err := avq.SelectRangeContext(ctx, q.attr, lo, hi)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,7 +73,8 @@ func TestAnalyzersGolden(t *testing.T) {
 			rule: "ctxflow",
 			want: []string{
 				`ctxflow.go:20:23: context.Background() inside a function that already has a ctx parameter; thread "ctx" instead`,
-				`ctxflow.go:26:23: context.TODO() severs cancellation from every caller; accept a ctx parameter or mark this wrapper Deprecated`,
+				`ctxflow.go:26:23: context.TODO() severs cancellation from every caller; accept a ctx parameter`,
+				`ctxflow.go:32:23: context.Background() severs cancellation from every caller; accept a ctx parameter`,
 				`ctxflow.go:38:9: call to Scan drops the in-scope ctx; use ScanContext instead`,
 				`ctxflow.go:49:2: loop reads blocks but never consults "ctx"; check ctx.Err() between iterations or use a Context-aware read`,
 			},

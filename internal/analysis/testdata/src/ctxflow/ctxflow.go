@@ -20,15 +20,15 @@ func freshInCtxFunc(ctx context.Context, s *store) error {
 	return s.ScanContext(context.Background(), nil)
 }
 
-// freshInPlainFunc severs cancellation without the Deprecated marker that
-// sanctions a compatibility wrapper.
+// freshInPlainFunc severs cancellation: only package main may mint a root
+// context.
 func freshInPlainFunc(s *store) error {
 	return s.ScanContext(context.TODO(), nil)
 }
 
-// Deprecated: use ScanContext directly; this wrapper is the sanctioned
-// place for a root context.
-func goodDeprecated(s *store) error {
+// Deprecated: use ScanContext directly. The label sanctions nothing: a
+// compatibility wrapper severs cancellation like any other function.
+func labelledDeprecated(s *store) error {
 	return s.ScanContext(context.Background(), nil)
 }
 

@@ -206,7 +206,7 @@ func TestTableOverBackendPager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	wantLen, wantBlocks := tb.Len(), tb.NumBlocks()
@@ -229,7 +229,7 @@ func TestTableOverBackendPager(t *testing.T) {
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := got.SelectRange(0, 2, 5)
+	rows, _, err := got.SelectRangeContext(context.Background(), 0, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestTableOverBackendPager(t *testing.T) {
 	// Mutate, checkpoint, reattach again: deferred frees must release
 	// only after the durable catalog, and the state must round-trip.
 	extra := relation.Tuple{3, 3, 3, 3}
-	if err := got.Insert(extra); err != nil {
+	if err := got.InsertContext(context.Background(), extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Checkpoint(); err != nil {

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +17,7 @@ func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
 			s.Configure(Config{CacheBlocks: 8})
 		}
 		tuples := randomTuples(t, 600, 42)
-		refs, err := s.BulkLoad(tuples)
+		refs, err := s.BulkLoadContext(context.Background(), tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestCacheHitSlabIsolation(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	s.Configure(Config{CacheBlocks: 8})
 	tuples := randomTuples(t, 200, 43)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestCacheHitSlabIsolation(t *testing.T) {
 func TestEncodeBufferReuse(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 400, 44)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}

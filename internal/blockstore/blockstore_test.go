@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestBulkLoadRoundTrip(t *testing.T) {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
 			tuples := randomTuples(t, 1000, 1)
-			refs, err := s.BulkLoad(tuples)
+			refs, err := s.BulkLoadContext(context.Background(), tuples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestBulkLoadRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []relation.Tuple
-			if err := s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+			if err := s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 				got = append(got, ts...)
 				return true
 			}); err != nil {
@@ -106,7 +107,7 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 10, 2)
 	tuples[0], tuples[9] = tuples[9], tuples[0]
-	if _, err := s.BulkLoad(tuples); err == nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err == nil {
 		t.Fatal("unsorted bulk load accepted")
 	}
 }
@@ -114,10 +115,10 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 func TestBulkLoadRejectsNonEmpty(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 50, 3)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.BulkLoad(tuples); err == nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err == nil {
 		t.Fatal("second bulk load accepted")
 	}
 }
@@ -126,10 +127,10 @@ func TestAVQUsesFewerBlocksThanRaw(t *testing.T) {
 	tuples := randomTuples(t, 5000, 4)
 	raw := newStore(t, core.CodecRaw, 512)
 	avq := newStore(t, core.CodecAVQ, 512)
-	if _, err := raw.BulkLoad(tuples); err != nil {
+	if _, err := raw.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := avq.BulkLoad(tuples); err != nil {
+	if _, err := avq.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if avq.NumBlocks() >= raw.NumBlocks() {
@@ -145,7 +146,7 @@ func TestInsertIntoBlock(t *testing.T) {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
 			tuples := randomTuples(t, 200, 5)
-			refs, err := s.BulkLoad(tuples)
+			refs, err := s.BulkLoadContext(context.Background(), tuples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestInsertIntoBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			count := 0
-			s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+			s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 				count += len(ts)
 				return true
 			})
@@ -178,7 +179,7 @@ func TestInsertIntoBlock(t *testing.T) {
 func TestInsertForcesSplit(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 256) // small page to force splits quickly
 	tuples := randomTuples(t, 100, 6)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +215,14 @@ func TestInsertForcesSplit(t *testing.T) {
 func TestDeleteFromBlock(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 300, 8)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Delete a tuple that exists.
 	victim := tuples[137]
 	var home storage.PageID
-	s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		for _, tu := range ts {
 			if s.Schema().Compare(tu, victim) == 0 {
 				home = id
@@ -253,7 +254,7 @@ func TestDeleteFromBlock(t *testing.T) {
 func TestDeleteEmptiesBlock(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 100, 9)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestDeleteEmptiesBlock(t *testing.T) {
 func TestNextBlock(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 500, 10)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestNextBlock(t *testing.T) {
 func TestComputeStats(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 1000, 11)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.ComputeStats()
@@ -350,7 +351,7 @@ func TestRandomizedMutations(t *testing.T) {
 			s := newStore(t, codec, 384)
 			sch := s.Schema()
 			tuples := randomTuples(t, 400, 12)
-			refs, err := s.BulkLoad(tuples)
+			refs, err := s.BulkLoadContext(context.Background(), tuples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +365,7 @@ func TestRandomizedMutations(t *testing.T) {
 			findHome := func(tu relation.Tuple) (storage.PageID, bool) {
 				var home storage.PageID
 				found := false
-				s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+				s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 					for _, x := range ts {
 						if sch.Compare(x, tu) == 0 {
 							home, found = id, true
@@ -430,7 +431,7 @@ func TestRandomizedMutations(t *testing.T) {
 			// Final cross-check.
 			got := map[string]int{}
 			total := 0
-			s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+			s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 				for _, tu := range ts {
 					got[string(sch.EncodeTuple(nil, tu))]++
 					total++
@@ -467,7 +468,7 @@ func TestRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples := randomTuples(t, 400, 20)
-	if _, err := src.BulkLoad(tuples); err != nil {
+	if _, err := src.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	layout := src.Blocks()
@@ -484,7 +485,7 @@ func TestRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	dst.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	dst.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
 		return true
 	})
@@ -507,7 +508,7 @@ func TestRestore(t *testing.T) {
 func TestRewriteBlockValidation(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 100, 21)
-	refs, err := s.BulkLoad(tuples)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +544,7 @@ func TestRewriteBlockValidation(t *testing.T) {
 
 func TestResetStore(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
-	if _, err := s.BulkLoad(randomTuples(t, 300, 22)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 300, 22)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Reset(); err != nil {
@@ -553,7 +554,7 @@ func TestResetStore(t *testing.T) {
 		t.Fatalf("blocks = %d after reset", s.NumBlocks())
 	}
 	// The store is reusable after Reset.
-	if _, err := s.BulkLoad(randomTuples(t, 100, 23)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 100, 23)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Check(); err != nil {
@@ -566,7 +567,7 @@ func TestBulkLoadStreamErrors(t *testing.T) {
 	boom := func() (relation.Tuple, bool, error) {
 		return nil, false, core.ErrCorrupt
 	}
-	if _, err := s.BulkLoadStream(boom); err == nil {
+	if _, err := s.BulkLoadStreamContext(context.Background(), boom); err == nil {
 		t.Fatal("stream error swallowed")
 	}
 }
@@ -577,7 +578,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
-			if _, err := s.BulkLoad(randomTuples(t, 500, 7)); err != nil {
+			if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 500, 7)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Check(); err != nil {
@@ -608,7 +609,7 @@ func TestCheckDetectsCorruption(t *testing.T) {
 // impossible value and verifies the header validation catches it.
 func TestCheckDetectsHeaderLie(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
-	if _, err := s.BulkLoad(randomTuples(t, 200, 9)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 200, 9)); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]

@@ -18,7 +18,7 @@ import (
 // decode path hands out fresh tuples per call, and the cached path must be
 // observationally identical). A hit therefore costs one slab carve plus a
 // memmove per row — no per-tuple allocation. It has its own lock because
-// concurrent readers (table.Sync queries, the parallel scan pipeline)
+// concurrent readers (table queries, the parallel scan pipeline)
 // share it while the store itself is only locked for mutation.
 //
 // Invalidation is by page id and happens whenever the store frees a block

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -88,14 +89,14 @@ func TestBulkLoadParallelByteIdentical(t *testing.T) {
 	tuples := pipelineTuples(t, 5000, 42)
 	for _, codec := range []core.Codec{core.CodecAVQ, core.CodecDeltaChain, core.CodecPacked, core.CodecRaw, core.CodecRepOnly} {
 		ref, refPager, refPool := pipelineStore(t, codec, pageSize, 64, Config{})
-		refRefs, err := ref.BulkLoad(tuples)
+		refRefs, err := ref.BulkLoadContext(context.Background(), tuples)
 		if err != nil {
 			t.Fatalf("%v serial: %v", codec, err)
 		}
 		want := pageImages(t, ref, refPager, refPool)
 		for conc := 1; conc <= 8; conc++ {
 			s, pager, pool := pipelineStore(t, codec, pageSize, 64, Config{Concurrency: conc})
-			refs, err := s.BulkLoad(tuples)
+			refs, err := s.BulkLoadContext(context.Background(), tuples)
 			if err != nil {
 				t.Fatalf("%v conc=%d: %v", codec, conc, err)
 			}
@@ -138,13 +139,13 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 		}
 	}
 	ref, refPager, refPool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{})
-	if _, err := ref.BulkLoadStream(streamOf()); err != nil {
+	if _, err := ref.BulkLoadStreamContext(context.Background(), streamOf()); err != nil {
 		t.Fatal(err)
 	}
 	want := pageImages(t, ref, refPager, refPool)
 	for conc := 2; conc <= 8; conc *= 2 {
 		s, pager, pool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{Concurrency: conc})
-		if _, err := s.BulkLoadStream(streamOf()); err != nil {
+		if _, err := s.BulkLoadStreamContext(context.Background(), streamOf()); err != nil {
 			t.Fatalf("conc=%d: %v", conc, err)
 		}
 		got := pageImages(t, s, pager, pool)
@@ -164,7 +165,7 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 8})
 	tuples := pipelineTuples(t, 3000, 11)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	want := s.Blocks()
@@ -173,7 +174,7 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 	}
 	var got []storage.PageID
 	count := 0
-	if err := s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		got = append(got, id)
 		count += len(ts)
 		return true
@@ -193,7 +194,7 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 	}
 	// Early stop after 3 blocks.
 	visited := 0
-	if err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(context.Background(), func(storage.PageID, []relation.Tuple) bool {
 		visited++
 		return visited < 3
 	}); err != nil {
@@ -209,11 +210,11 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 func TestScanBlocksParallelSmallPool(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 3, Config{Concurrency: 16})
 	tuples := pipelineTuples(t, 2000, 3)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(context.Background(), func(_ storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
 		return true
 	}); err != nil {
@@ -228,7 +229,7 @@ func TestScanBlocksParallelSmallPool(t *testing.T) {
 func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 	tuples := pipelineTuples(t, 3000, 5)
 	serial, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
-	if _, err := serial.BulkLoad(tuples); err != nil {
+	if _, err := serial.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	want, err := serial.ComputeStats()
@@ -236,7 +237,7 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 6})
-	if _, err := par.BulkLoad(tuples); err != nil {
+	if _, err := par.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	got, err := par.ComputeStats()
@@ -253,7 +254,7 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 func TestDecodedBlockCache(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
 	tuples := pipelineTuples(t, 2000, 9)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
@@ -312,7 +313,7 @@ func TestDecodedBlockCache(t *testing.T) {
 func TestCacheRecycledPageID(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
 	tuples := pipelineTuples(t, 600, 21)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -331,7 +332,7 @@ func TestCacheRecycledPageID(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	if err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(context.Background(), func(_ storage.PageID, ts []relation.Tuple) bool {
 		total += len(ts)
 		return true
 	}); err != nil {
@@ -349,7 +350,7 @@ func TestCacheRecycledPageID(t *testing.T) {
 func TestConcurrentScanVsRewriteRace(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 32})
 	tuples := pipelineTuples(t, 2000, 13)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.RWMutex
@@ -363,7 +364,7 @@ func TestConcurrentScanVsRewriteRace(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				mu.RLock()
 				n := 0
-				err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+				err := s.ScanBlocksContext(context.Background(), func(_ storage.PageID, ts []relation.Tuple) bool {
 					n += len(ts)
 					return rng.Intn(10) != 0 // sometimes stop early
 				})
@@ -448,7 +449,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples := pipelineTuples(t, 800, 17)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
@@ -581,7 +582,7 @@ func TestEmptyStoreStats(t *testing.T) {
 			t.Fatalf("conc=%d: empty StreamSavingsPercent = %v, want 0", conc, p)
 		}
 		visited := 0
-		if err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool {
+		if err := s.ScanBlocksContext(context.Background(), func(storage.PageID, []relation.Tuple) bool {
 			visited++
 			return true
 		}); err != nil {
@@ -598,7 +599,7 @@ func TestEmptyStoreStats(t *testing.T) {
 func TestParallelErrorReporting(t *testing.T) {
 	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
 	tuples := pipelineTuples(t, 2000, 31)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Flush(); err != nil {
@@ -617,7 +618,7 @@ func TestParallelErrorReporting(t *testing.T) {
 	if err := pager.Write(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool { return true })
+	err := s.ScanBlocksContext(context.Background(), func(storage.PageID, []relation.Tuple) bool { return true })
 	if err == nil {
 		t.Fatal("scan of corrupted store succeeded")
 	}
@@ -655,7 +656,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 					b.Fatal(err)
 				}
 				s.Configure(Config{Concurrency: conc})
-				if _, err := s.BulkLoad(tuples); err != nil {
+				if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 					b.Fatal(err)
 				}
 			}

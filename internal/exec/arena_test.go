@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -35,7 +36,7 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 				// Fold values instead of retaining tuples: the transient
 				// contract.
 				var gotSums []uint64
-				st, err := Run(sn, tp, func(tu relation.Tuple) bool {
+				st, err := RunContext(context.Background(), sn, tp, func(tu relation.Tuple) bool {
 					var sum uint64
 					for _, v := range tu {
 						sum = sum*31 + v
@@ -72,13 +73,13 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 func TestTransientStats(t *testing.T) {
 	tuples := randomTuples(t, 1500, 34)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 
-	st, err := Run(sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
+	st, err := RunContext(context.Background(), sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestTransientStats(t *testing.T) {
 	if _, ok := sn.Schema().FlatWeights(); !ok {
 		t.Fatal("test schema unexpectedly non-flat")
 	}
-	st, err = Run(sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(relation.Tuple) bool { return true })
+	st, err = RunContext(context.Background(), sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(relation.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +117,14 @@ func TestTransientStats(t *testing.T) {
 func TestTransientPassAllocs(t *testing.T) {
 	tuples := randomTuples(t, 3000, 35)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}, Transient: true}
 	run := func() {
-		if _, err := Run(sn, plan, func(relation.Tuple) bool { return true }); err != nil {
+		if _, err := RunContext(context.Background(), sn, plan, func(relation.Tuple) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -90,7 +90,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 // the pass after one slab.
 func TestRunBatchPrunesAndStops(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 3000, 7)); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 3000, 7)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -136,7 +136,7 @@ func TestRunBatchNonFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.BulkLoad([]relation.Tuple{{1, 2}, {3, 4}}); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), []relation.Tuple{{1, 2}, {3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -173,7 +173,7 @@ func TestBatchIteratorMatchesIterator(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
 			want := phisOf(t, s, tuples)
@@ -202,7 +202,7 @@ func TestBatchIteratorSeekPhi(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 3000, 13)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	all := phisOf(t, s, tuples)
@@ -272,10 +272,10 @@ func TestChainPhiStreams(t *testing.T) {
 		}
 	}
 	storeA, storeB := newStore(t, core.CodecAVQ, 512), newStore(t, core.CodecAVQ, 512)
-	if _, err := storeA.BulkLoad(low); err != nil {
+	if _, err := storeA.BulkLoadContext(context.Background(), low); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storeB.BulkLoad(high); err != nil {
+	if _, err := storeB.BulkLoadContext(context.Background(), high); err != nil {
 		t.Fatal(err)
 	}
 	itA, err := NewBatchIterator(context.Background(), storeA.Snapshot())
@@ -347,10 +347,10 @@ func TestMergeJoinPhis(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			ls, rs := newStore(t, codec, 512), newStore(t, codec, 512)
-			if _, err := ls.BulkLoad(left); err != nil {
+			if _, err := ls.BulkLoadContext(context.Background(), left); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rs.BulkLoad(right); err != nil {
+			if _, err := rs.BulkLoadContext(context.Background(), right); err != nil {
 				t.Fatal(err)
 			}
 			li, err := NewBatchIterator(context.Background(), ls.Snapshot())
@@ -403,7 +403,7 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 	s := testSchema(t)
 	w, _ := s.FlatWeights()
 	full := newStore(t, core.CodecAVQ, 512)
-	if _, err := full.BulkLoad(randomTuples(t, 500, 3)); err != nil {
+	if _, err := full.BulkLoadContext(context.Background(), randomTuples(t, 500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	empty := newStore(t, core.CodecAVQ, 512)
@@ -458,13 +458,13 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	store.Configure(blockstore.Config{CacheBlocks: 512})
-	if _, err := store.BulkLoad(randomTuples(t, 6000, 91)); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 6000, 91)); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the decoded-block cache via the tuple path (batch misses do not
 	// populate it) and size the pooled arena with one full batch drain.
 	sn := store.Snapshot()
-	if _, err := Run(sn, Plan{Transient: true}, func(relation.Tuple) bool { return true }); err != nil {
+	if _, err := RunContext(context.Background(), sn, Plan{Transient: true}, func(relation.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	sn.Release()
@@ -509,7 +509,7 @@ func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 // pass: O(1) bookkeeping per pass, nothing per block or per row.
 func TestRunBatchAllocsBounded(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 3000, 35)); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 3000, 35)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()

@@ -106,19 +106,11 @@ func boundOf(preds []Pred) (bound *Pred, rest []Pred) {
 	return bound, rest
 }
 
-// Run streams the snapshot's tuples matching the plan to emit, in φ
-// order. emit returning false stops the pass early. The returned Stats
-// are valid on error too, reflecting the work done up to it.
-//
-// Deprecated: use RunContext.
-func Run(sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
-	return RunContext(context.Background(), sn, plan, emit)
-}
-
-// RunContext is Run under a context. Cancellation is checked at every
-// block boundary — before the next decode — so an aborted pass returns
-// promptly with no frames pinned; the partial Stats describe the work
-// done up to the abort. On return (any path) the pass's Stats are folded
+// RunContext streams the snapshot's tuples matching the plan to emit, in
+// φ order. emit returning false stops the pass early. Cancellation is
+// checked at every block boundary — before the next decode — so an aborted
+// pass returns promptly with no frames pinned. The returned Stats are
+// valid on error too, reflecting the work done up to it. On return (any path) the pass's Stats are folded
 // into the snapshot's ExecMetrics when the store carries a registry.
 func RunContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
 	st, err := runContext(ctx, sn, plan, emit)

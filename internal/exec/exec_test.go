@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func naiveSelect(tuples []relation.Tuple, preds []Pred) []relation.Tuple {
 func collect(t *testing.T, sn *blockstore.Snapshot, plan Plan) ([]relation.Tuple, Stats) {
 	t.Helper()
 	var out []relation.Tuple
-	st, err := Run(sn, plan, func(tu relation.Tuple) bool {
+	st, err := RunContext(context.Background(), sn, plan, func(tu relation.Tuple) bool {
 		out = append(out, tu)
 		return true
 	})
@@ -101,7 +102,7 @@ func TestRunMatchesNaive(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -137,7 +138,7 @@ func TestRunMatchesNaive(t *testing.T) {
 func TestRunPrunesAndPartialDecodes(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 4000, 22)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -165,7 +166,7 @@ func TestRunPrunesAndPartialDecodes(t *testing.T) {
 func TestRunCandidates(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 2000, 23)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -183,13 +184,13 @@ func TestRunCandidates(t *testing.T) {
 // TestRunEarlyStop: emit returning false must end the pass immediately.
 func TestRunEarlyStop(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 2000, 24)); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 2000, 24)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 	seen := 0
-	st, err := Run(sn, Plan{}, func(relation.Tuple) bool {
+	st, err := RunContext(context.Background(), sn, Plan{}, func(relation.Tuple) bool {
 		seen++
 		return seen < 5
 	})
@@ -212,11 +213,11 @@ func TestIteratorSeekAndNext(t *testing.T) {
 	tuples := randomTuples(t, 1500, 25)
 	for _, codec := range allCodecs() {
 		store := newStore(t, codec, 512)
-		if _, err := store.BulkLoad(tuples); err != nil {
+		if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
 		sn := store.Snapshot()
-		it := NewIterator(sn)
+		it := NewIteratorContext(context.Background(), sn)
 		for i := 0; ; i++ {
 			tu, ok, err := it.Next()
 			if err != nil {
@@ -269,7 +270,7 @@ func TestRunSeesSnapshot(t *testing.T) {
 	s := testSchema(t)
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 800, 26)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()

@@ -25,13 +25,6 @@ type Iterator struct {
 	Stats Stats
 }
 
-// NewIterator returns an iterator positioned before the first tuple.
-//
-// Deprecated: use NewIteratorContext.
-func NewIterator(sn *blockstore.Snapshot) *Iterator {
-	return NewIteratorContext(context.Background(), sn)
-}
-
 // NewIteratorContext returns an iterator positioned before the first
 // tuple. The context is checked at every block boundary (each fill), so
 // cancelling it makes the next Next or Seek fail before another decode.

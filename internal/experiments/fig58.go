@@ -55,11 +55,11 @@ type Fig58Result struct {
 // codec, with secondary indexes on every attribute so each query has its
 // Figure 4.5 access path.
 func loadFig58Table(ctx context.Context, cfg Fig58Config, codec core.Codec, schema *relation.Schema, tuples []relation.Tuple) (*table.Table, error) {
-	tb, err := table.Create(schema, table.Options{
-		Codec:          codec,
-		PageSize:       cfg.PageSize,
-		SecondaryAttrs: table.AllAttrs(schema),
-	})
+	tb, err := table.Create(schema,
+		table.WithCodec(codec),
+		table.WithPageSize(cfg.PageSize),
+		table.WithSecondaryAttrs(table.AllAttrs(schema)...),
+	)
 	if err != nil {
 		return nil, err
 	}

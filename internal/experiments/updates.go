@@ -77,7 +77,7 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 	}
 	res := &UpdatesResult{Tuples: cfg.Tuples, Operations: cfg.Operations}
 	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecPacked} {
-		tb, err := table.Create(schema, table.Options{Codec: codec, PageSize: cfg.PageSize})
+		tb, err := table.Create(schema, table.WithCodec(codec), table.WithPageSize(cfg.PageSize))
 		if err != nil {
 			return nil, err
 		}

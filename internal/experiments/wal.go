@@ -76,7 +76,7 @@ const walMinSpeedup = 5.0
 // runWALOnce drives concurrent goroutines inserting disjoint shards of
 // the relation through a WAL-mode table on a simulated disk, reporting
 // wall time and the disk's fsync count.
-func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tuple, syncEveryAppend bool) (time.Duration, int64, error) {
+func runWALOnce(ctx context.Context, cfg WALConfig, schema *relation.Schema, shards [][]relation.Tuple, syncEveryAppend bool) (time.Duration, int64, error) {
 	fs := simdisk.NewFaultFS()
 	fs.SyncDelay = cfg.SyncDelay
 	tb, err := table.Create(schema,
@@ -90,9 +90,6 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 	if err != nil {
 		return 0, 0, err
 	}
-	s := table.NewSync(tb)
-	//avqlint:ignore ctxflow benchmark driver: the measured workload has no caller context
-	ctx := context.Background()
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(shards))
@@ -102,7 +99,7 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 		go func(w int) {
 			defer wg.Done()
 			for _, tu := range shards[w] {
-				if err := s.InsertContext(ctx, tu); err != nil {
+				if err := tb.InsertContext(ctx, tu); err != nil {
 					errs[w] = err
 					return
 				}
@@ -116,7 +113,7 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 			return 0, 0, err
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := tb.Close(); err != nil {
 		return 0, 0, err
 	}
 	return elapsed, fs.Syncs, nil
@@ -137,11 +134,11 @@ func RunWAL(ctx context.Context, cfg WALConfig) (*WALResult, error) {
 		shards[i%cfg.Writers] = append(shards[i%cfg.Writers], tu)
 	}
 
-	naiveTime, naiveSyncs, err := runWALOnce(cfg, schema, shards, true)
+	naiveTime, naiveSyncs, err := runWALOnce(ctx, cfg, schema, shards, true)
 	if err != nil {
 		return nil, fmt.Errorf("naive run: %w", err)
 	}
-	groupTime, groupSyncs, err := runWALOnce(cfg, schema, shards, false)
+	groupTime, groupSyncs, err := runWALOnce(ctx, cfg, schema, shards, false)
 	if err != nil {
 		return nil, fmt.Errorf("group run: %w", err)
 	}

@@ -19,7 +19,7 @@ import (
 // accounting legitimately differs between layouts; everything else may
 // not.
 func TestDifferentialEngines(t *testing.T) {
-	single := loadedSync(t, 0)
+	single := loadedTable(t, 0)
 	db, err := shard.Create(testSchema(t), shard.Config{
 		Shards:  4,
 		Options: []table.Option{table.WithPageSize(512), table.WithBlockCache(16)},
@@ -123,7 +123,7 @@ func TestDifferentialEngines(t *testing.T) {
 // calls through the seam.
 func TestEngineSeamCompileTime(t *testing.T) {
 	var engines []Engine
-	engines = append(engines, loadedSync(t, 10))
+	engines = append(engines, loadedTable(t, 10))
 	db, err := shard.Create(testSchema(t), shard.Config{Shards: 2,
 		Options: []table.Option{table.WithPageSize(512)}})
 	if err != nil {

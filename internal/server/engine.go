@@ -7,8 +7,7 @@
 // library — the gorelly layering (query → table → btree → buffer → disk)
 // with the server as one more caller on top, never something the storage
 // layers know about. One server binary fronts a single-file table
-// (table.Table, or table.Sync for concurrent mutation) or a φ-range
-// sharded directory (shard.DB) transparently.
+// (table.Table) or a φ-range sharded directory (shard.DB) transparently.
 package server
 
 import (
@@ -24,10 +23,12 @@ import (
 // the engine's QueryStats, plus the introspection hooks the drain path
 // and status endpoint need.
 //
-// table.Table satisfies it for exclusive single-threaded use, table.Sync
-// for a concurrently-served single-file table, and shard.DB for a
-// φ-range sharded directory; the differential server test holds all of
-// them to byte-identical HTTP behaviour.
+// table.Table satisfies it for a single-file table and shard.DB for a
+// φ-range sharded directory. Both are safe for the server's concurrent
+// handlers: readers plan under the table's shared lock and stream a pinned
+// snapshot without it, writers commit their WAL record after releasing the
+// exclusive one. The differential server test holds the two to
+// byte-identical HTTP behaviour.
 type Engine interface {
 	// Schema returns the relation schema (immutable once created).
 	Schema() *relation.Schema
@@ -68,9 +69,8 @@ type Engine interface {
 	Close() error
 }
 
-// The three engine implementations, held to the seam at compile time.
+// The two engine implementations, held to the seam at compile time.
 var (
 	_ Engine = (*table.Table)(nil)
-	_ Engine = (*table.Sync)(nil)
 	_ Engine = (*shard.DB)(nil)
 )

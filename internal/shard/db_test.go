@@ -180,7 +180,7 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			apply("bulkload",
 				func() error { return db.BulkLoad(ctx, seed) },
-				func() error { return oracle.BulkLoad(seed) })
+				func() error { return oracle.BulkLoadContext(ctx, seed) })
 			compareAll(t, kind.String()+"/loaded", db, oracle)
 
 			var extra []relation.Tuple
@@ -279,6 +279,25 @@ func TestShardPruning(t *testing.T) {
 	if st.Scatter.BlocksPruned == 0 {
 		t.Fatal("whole-shard pruning credited no blocks")
 	}
+	// Catalog pruning subsumes fence pruning: the same range on the same
+	// rows in one shard prunes no larger a share of its blocks.
+	single, err := shard.Create(oracleSchema(), shard.Config{Options: shardOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	if err := single.BulkLoad(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	_, fst, err := single.SelectRange(ctx, 0, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := float64(st.BlocksPruned) / float64(db.NumBlocks())
+	fenced := float64(fst.BlocksPruned) / float64(single.NumBlocks())
+	if fenced == 0 || sharded < fenced {
+		t.Fatalf("sharded pruned %.3f of its blocks, single-table fences %.3f", sharded, fenced)
+	}
 
 	// A predicate on a non-clustering attribute cannot prune shards.
 	_, st, err = db.SelectRange(ctx, 1, 0, 3)
@@ -287,6 +306,43 @@ func TestShardPruning(t *testing.T) {
 	}
 	if st.Scatter.ShardsPruned != 0 || st.Scatter.ShardsScanned != 8 {
 		t.Fatalf("non-clustered scatter stats = %+v", st.Scatter)
+	}
+}
+
+// TestShardStatsFoldBatchCounts pins the scatter fold: a sharded aggregate
+// on a flat schema runs the batch path in every live shard, and the folded
+// stats must carry the slabs those shards decoded.
+func TestShardStatsFoldBatchCounts(t *testing.T) {
+	ctx := context.Background()
+	db, err := shard.Create(oracleSchema(), shard.Config{Shards: 4, Options: shardOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(11))
+	seed := make([]relation.Tuple, 4000)
+	for i := range seed {
+		seed[i] = randTuple(rng)
+	}
+	if err := db.BulkLoad(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := db.AggregateRange(ctx, 0, 0, 63, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBlocks, wantRows := 0, 0
+	for i := 0; i < db.NumShards(); i++ {
+		_, qs, err := db.Shard(i).AggregateRangeContext(ctx, 0, 0, 63, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBlocks += qs.BatchBlocks
+		wantRows += qs.SlabRows
+	}
+	if st.BatchBlocks == 0 || st.BatchBlocks != wantBlocks || st.SlabRows != wantRows {
+		t.Fatalf("folded batch stats = %d blocks / %d rows, shards sum to %d / %d",
+			st.BatchBlocks, st.SlabRows, wantBlocks, wantRows)
 	}
 }
 

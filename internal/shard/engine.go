@@ -8,12 +8,11 @@ import (
 )
 
 // This file is the DB's half of the server's Engine seam: the same
-// Context-suffixed method set table.Table and table.Sync expose, so one
-// server binary fronts a single-file table or a sharded directory
-// transparently. The variants return the summed table.QueryStats (the
-// scatter-level accounting stays available on the Stats-returning
-// methods), which keeps the signatures identical across all three
-// implementations.
+// Context-suffixed method set table.Table exposes, so one server binary
+// fronts a single-file table or a sharded directory transparently. The
+// variants return the summed table.QueryStats (the scatter-level
+// accounting stays available on the Stats-returning methods), which keeps
+// the signatures identical across both implementations.
 
 // InsertContext routes and inserts one tuple, honouring ctx.
 func (db *DB) InsertContext(ctx context.Context, tu relation.Tuple) error {

@@ -75,6 +75,8 @@ func fold(per []table.QueryStats, sc exec.ScatterStats, live []int) Stats {
 		st.BlocksPruned += qs.BlocksPruned
 		st.PartialDecodes += qs.PartialDecodes
 		st.Matches += qs.Matches
+		st.BatchBlocks += qs.BatchBlocks
+		st.SlabRows += qs.SlabRows
 	}
 	return st
 }

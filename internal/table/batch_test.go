@@ -31,12 +31,12 @@ func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batc
 	t.Helper()
 	s := testSchema(t)
 	mk := func(opts ...Option) *Table {
-		all := append([]Option{Options{Codec: codec, PageSize: 512}}, opts...)
+		all := append([]Option{WithCodec(codec), WithPageSize(512)}, opts...)
 		tb, err := Create(s, all...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.BulkLoad(tuples); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
 		return tb
@@ -285,14 +285,14 @@ func TestHashJoinEachStreamsAndStops(t *testing.T) {
 	}
 }
 
-// TestSyncBatchRouting checks Sync funnels through the same batch
-// dispatch as Table: identical results, batch counters live.
+// TestSyncBatchRouting checks the lock-then-plan shells route flat schemas
+// to the batch kernels: results identical to the tuple path, batch counters
+// live.
 func TestSyncBatchRouting(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 1200, 23)
 	batch, oracle := newBatchPair(t, core.CodecAVQ, tuples)
-	sy := NewSync(batch)
-	n, st, err := sy.CountRangeContext(ctx, 0, 1, 6)
+	n, st, err := batch.CountRangeContext(ctx, 0, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestSyncBatchRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != on {
-		t.Fatalf("Sync count %d, tuple %d", n, on)
+		t.Fatalf("batch count %d, tuple %d", n, on)
 	}
 	if st.BatchBlocks == 0 {
-		t.Fatal("Sync count did not take the batch path")
+		t.Fatal("count did not take the batch path")
 	}
-	bg, _, err := sy.GroupByContext(ctx, 0, 0, 7, 0, 4)
+	bg, _, err := batch.GroupByContext(ctx, 0, 0, 7, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSyncBatchRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(bg, og) {
-		t.Fatalf("Sync GroupBy %+v, tuple %+v", bg, og)
+		t.Fatalf("batch GroupBy %+v, tuple %+v", bg, og)
 	}
 }
 
@@ -326,11 +326,11 @@ func TestSyncBatchRouting(t *testing.T) {
 func TestBatchCountAllocsBounded(t *testing.T) {
 	tuples := randomTuples(t, 2000, 29)
 	s := testSchema(t)
-	tb, err := Create(s, Options{Codec: core.CodecPacked, PageSize: 512, CacheBlocks: 256})
+	tb, err := Create(s, WithCodec(core.CodecPacked), WithPageSize(512), WithBlockCache(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/relation"
@@ -23,17 +24,21 @@ type Cursor struct {
 	it *exec.Iterator
 }
 
-// NewCursor returns a cursor positioned before the first tuple.
-//
-// Deprecated: use NewCursorContext.
-func (t *Table) NewCursor() *Cursor {
-	return t.NewCursorContext(context.Background())
+// NewCursorContext returns a cursor positioned before the first tuple.
+// Once ctx is cancelled, the next block boundary makes Next return the
+// context's error.
+func (t *Table) NewCursorContext(ctx context.Context) *Cursor {
+	return &Cursor{t: t, it: exec.NewIteratorContext(ctx, t.snapshot())}
 }
 
-// NewCursorContext is NewCursor honouring ctx: once ctx is cancelled, the
-// next block boundary makes Next return the context's error.
-func (t *Table) NewCursorContext(ctx context.Context) *Cursor {
-	return &Cursor{t: t, it: exec.NewIteratorContext(ctx, t.store.Snapshot())}
+// snapshot pins the current block layout under the shared lock, so the
+// view never falls between a writer's publications (Compact tears the
+// layout down before it reloads). It takes and releases mu itself: joins
+// pin each side in turn, and a self-join never holds two read locks.
+func (t *Table) snapshot() *blockstore.Snapshot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.Snapshot()
 }
 
 // Seek positions the cursor so the following Next returns the first tuple
@@ -66,7 +71,7 @@ func (c *Cursor) Close() { c.it.Release() }
 // The shard layer chains per-shard streams through it for cross-shard
 // merge joins.
 func (t *Table) BatchIterator(ctx context.Context) (*exec.BatchIterator, error) {
-	return exec.NewBatchIterator(ctx, t.store.Snapshot())
+	return exec.NewBatchIterator(ctx, t.snapshot())
 }
 
 // GroupResult is one group of GroupBy: the grouping value and the
@@ -76,47 +81,30 @@ type GroupResult struct {
 	Agg   AggregateResult
 }
 
-// GroupBy computes per-group COUNT/SUM/MIN/MAX of aggAttr, grouped by the
-// values of groupAttr, over the rows matching lo <= A_filterAttr <= hi.
-// Groups are returned in ascending group-value order.
-//
-// Deprecated: use GroupByContext.
-func (t *Table) GroupBy(filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	return t.GroupByContext(context.Background(), filterAttr, lo, hi, groupAttr, aggAttr)
-}
-
-// GroupByContext is GroupBy honouring ctx.
+// GroupByContext computes per-group COUNT/SUM/MIN/MAX of aggAttr, grouped
+// by the values of groupAttr, over the rows matching lo <= A_filterAttr <=
+// hi. Groups are returned in ascending group-value order.
 func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	r, err := t.planGroupBy(filterAttr, lo, hi, groupAttr, aggAttr)
+	if groupAttr < 0 || groupAttr >= t.schema.NumAttrs() {
+		return nil, QueryStats{}, errInto("group attribute out of range")
+	}
+	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
+		return nil, QueryStats{}, errInto("aggregate attribute out of range")
+	}
+	t.mu.RLock()
+	r, err := t.planRange(filterAttr, lo, hi)
+	t.mu.RUnlock()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	return groupByDispatchCtx(ctx, r, groupAttr, aggAttr)
-}
-
-// groupByDispatchCtx runs a planned GroupBy on whichever path the plan
-// selected; Table and Sync both funnel through it.
-func groupByDispatchCtx(ctx context.Context, r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	if r.batch && !r.empty {
-		return groupByBatchCtx(ctx, r, r.snap.Schema(), groupAttr, aggAttr)
-	}
-	return groupByRunCtx(ctx, r, groupAttr, aggAttr)
-}
-
-// planGroupBy validates the grouping attributes and plans the filter pass.
-func (t *Table) planGroupBy(filterAttr int, lo, hi uint64, groupAttr, aggAttr int) (queryRun, error) {
-	if groupAttr < 0 || groupAttr >= t.schema.NumAttrs() {
-		return queryRun{}, errInto("group attribute out of range")
-	}
-	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
-		return queryRun{}, errInto("aggregate attribute out of range")
-	}
-	r, err := t.planRange(filterAttr, lo, hi)
 	r.op = "groupby"
 	// Group buckets copy the key and aggregate values out of each tuple, so
 	// the executor may recycle one arena across blocks.
 	r.plan.Transient = true
-	return r, err
+	if r.batch && !r.empty {
+		return groupByBatchCtx(ctx, r, t.schema, groupAttr, aggAttr)
+	}
+	return groupByRunCtx(ctx, r, groupAttr, aggAttr)
 }
 
 // groupByBatchCtx is GroupBy on raw ordinals: both the group key and the
@@ -195,14 +183,8 @@ func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupA
 	return out, stats, nil
 }
 
-// groupByRun executes a planned GroupBy pass: stream, bucket, sort.
-//
-// Deprecated: use groupByRunCtx so cancellation reaches the executor.
-func groupByRun(r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	return groupByRunCtx(context.Background(), r, groupAttr, aggAttr)
-}
-
-// groupByRunCtx is groupByRun honouring ctx.
+// groupByRunCtx executes a planned GroupBy pass tuple by tuple: stream,
+// bucket, sort.
 func groupByRunCtx(ctx context.Context, r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
 	groups := make(map[uint64]*AggregateResult)
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {

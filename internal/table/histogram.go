@@ -104,18 +104,11 @@ func (t *Table) histRemove(tu relation.Tuple) {
 	}
 }
 
-// Histogram computes an exact equi-width value histogram of one
+// HistogramContext computes an exact equi-width value histogram of one
 // attribute by streaming the table through the executor — the measured
 // counterpart of the planner's incrementally maintained estimate. It
 // returns one count per bucket; the last bucket absorbs the domain
 // remainder when the domain does not divide evenly.
-//
-// Deprecated: use HistogramContext.
-func (t *Table) Histogram(attr, buckets int) ([]int, QueryStats, error) {
-	return t.HistogramContext(context.Background(), attr, buckets)
-}
-
-// HistogramContext is Histogram honouring ctx.
 func (t *Table) HistogramContext(ctx context.Context, attr, buckets int) ([]int, QueryStats, error) {
 	if attr < 0 || attr >= t.schema.NumAttrs() {
 		return nil, QueryStats{}, fmt.Errorf("table: attribute %d out of range", attr)
@@ -129,7 +122,9 @@ func (t *Table) HistogramContext(ctx context.Context, attr, buckets int) ([]int,
 	}
 	width := (domain + uint64(buckets) - 1) / uint64(buckets)
 	counts := make([]int, buckets)
+	t.mu.RLock()
 	r := t.planScan()
+	t.mu.RUnlock()
 	r.op = "histogram"
 	if r.batch {
 		// Bucket straight off the φ digits.
@@ -166,6 +161,8 @@ func (t *Table) EstimateSelectivity(p Predicate) (float64, error) {
 	if p.Attr < 0 || p.Attr >= t.schema.NumAttrs() {
 		return 0, fmt.Errorf("table: attribute %d out of range", p.Attr)
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.hist[p.Attr].estimate(p.Lo, p.Hi), nil
 }
 
@@ -173,22 +170,22 @@ func (t *Table) EstimateSelectivity(p Predicate) (float64, error) {
 // conjunction: the driving predicate, its access path, the estimated
 // selectivity, and the estimated blocks read.
 func (t *Table) Explain(preds []Predicate) (string, error) {
-	var b strings.Builder
-	if len(preds) == 0 {
-		fmt.Fprintf(&b, "full scan: %d blocks\n", t.NumBlocks())
-		return b.String(), nil
-	}
 	for _, p := range preds {
 		if p.Attr < 0 || p.Attr >= t.schema.NumAttrs() {
 			return "", fmt.Errorf("table: attribute %d out of range", p.Attr)
 		}
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	nBlocks := t.store.NumBlocks()
+	var b strings.Builder
+	if len(preds) == 0 {
+		fmt.Fprintf(&b, "full scan: %d blocks\n", nBlocks)
+		return b.String(), nil
+	}
 	driver := t.pickDriver(preds)
 	p := preds[driver]
-	sel, err := t.EstimateSelectivity(p)
-	if err != nil {
-		return "", err
-	}
+	sel := t.hist[p.Attr].estimate(p.Lo, p.Hi)
 	strategy, estBlocks := t.planFor(p, sel)
 	fmt.Fprintf(&b, "select: %s", p)
 	for i, q := range preds {
@@ -198,7 +195,7 @@ func (t *Table) Explain(preds []Predicate) (string, error) {
 	}
 	fmt.Fprintln(&b)
 	fmt.Fprintf(&b, "driver: %s via %s path (est. selectivity %.1f%%, est. blocks %d of %d)\n",
-		p, strategy, 100*sel, estBlocks, t.NumBlocks())
+		p, strategy, 100*sel, estBlocks, nBlocks)
 	residuals := 0
 	for i, q := range preds {
 		if i == driver {
@@ -217,8 +214,9 @@ func (t *Table) Explain(preds []Predicate) (string, error) {
 }
 
 // planFor predicts the strategy and block count for one driving predicate.
+// The caller holds mu.
 func (t *Table) planFor(p Predicate, sel float64) (Strategy, int) {
-	nBlocks := t.NumBlocks()
+	nBlocks := t.store.NumBlocks()
 	estRows := sel * float64(t.size)
 	switch {
 	case p.Attr == 0:

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,18 +17,18 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 
 	seq := newTable(t, core.CodecAVQ, AllAttrs(s))
 	bat := newTable(t, core.CodecAVQ, AllAttrs(s))
-	if err := seq.BulkLoad(base); err != nil {
+	if err := seq.BulkLoadContext(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
-	if err := bat.BulkLoad(base); err != nil {
+	if err := bat.BulkLoadContext(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
 	for _, tu := range batch {
-		if err := seq.Insert(tu); err != nil {
+		if err := seq.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.InsertBatch(batch); err != nil {
+	if err := bat.InsertBatchContext(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if seq.Len() != bat.Len() {
@@ -38,8 +39,8 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 	}
 	// Same logical contents in the same phi order.
 	var a, b []relation.Tuple
-	seq.Scan(func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
-	bat.Scan(func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
+	seq.ScanContext(context.Background(), func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
+	bat.ScanContext(context.Background(), func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
 	if len(a) != len(b) {
 		t.Fatalf("scan lengths %d vs %d", len(a), len(b))
 	}
@@ -55,11 +56,11 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 		span := s.Domain(attr).Size
 		lo := uint64(rng.Int63n(int64(span)))
 		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		x, _, err := seq.SelectRange(attr, lo, hi)
+		x, _, err := seq.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, _, err := bat.SelectRange(attr, lo, hi)
+		y, _, err := bat.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 func TestInsertBatchEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1})
 	batch := randomTuples(t, 300, 74)
-	if err := tb.InsertBatch(batch); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 300 {
@@ -85,18 +86,18 @@ func TestInsertBatchEmptyTable(t *testing.T) {
 
 func TestInsertBatchEdgeCases(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.InsertBatch(nil); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.InsertBatch([]relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
+	if err := tb.InsertBatchContext(context.Background(), []relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
 		t.Fatal("invalid tuple accepted")
 	}
 	// A batch that lands entirely before the first block.
-	if err := tb.BulkLoad([]relation.Tuple{{7, 15, 63, 63, 4095}}); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), []relation.Tuple{{7, 15, 63, 63, 4095}}); err != nil {
 		t.Fatal(err)
 	}
 	early := []relation.Tuple{{0, 0, 0, 0, 1}, {0, 0, 0, 0, 2}}
-	if err := tb.InsertBatch(early); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), early); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 3 {
@@ -109,12 +110,12 @@ func TestInsertBatchEdgeCases(t *testing.T) {
 
 func TestInsertBatchForcesSplits(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{4})
-	if err := tb.BulkLoad(randomTuples(t, 200, 75)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 200, 75)); err != nil {
 		t.Fatal(err)
 	}
 	before := tb.NumBlocks()
 	// A large batch into a small-paged table must split blocks.
-	if err := tb.InsertBatch(randomTuples(t, 2000, 76)); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), randomTuples(t, 2000, 76)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.NumBlocks() <= before {
@@ -132,7 +133,7 @@ func TestDeleteWhere(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1000, 77)
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Predicate{{Attr: 1, Lo: 0, Hi: 7}}
@@ -142,7 +143,7 @@ func TestDeleteWhere(t *testing.T) {
 			want++
 		}
 	}
-	removed, err := tb.DeleteWhere(preds)
+	removed, err := tb.DeleteWhereContext(context.Background(), preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDeleteWhere(t *testing.T) {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	// Nothing left in the range.
-	n, _, err := tb.CountRange(1, 0, 7)
+	n, _, err := tb.CountRangeContext(context.Background(), 1, 0, 7)
 	if err != nil || n != 0 {
 		t.Fatalf("range still has %d rows, %v", n, err)
 	}
@@ -166,11 +167,11 @@ func TestDeleteWhere(t *testing.T) {
 func TestCompactReclaimsSpace(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1, 4})
 	tuples := randomTuples(t, 3000, 78)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	// Delete two thirds, leaving blocks underfull.
-	removed, err := tb.DeleteWhere([]Predicate{{Attr: 4, Lo: 0, Hi: 2730}})
+	removed, err := tb.DeleteWhereContext(context.Background(), []Predicate{{Attr: 4, Lo: 0, Hi: 2730}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 		t.Fatal("nothing deleted")
 	}
 	lenBefore := tb.Len()
-	before, after, err := tb.Compact()
+	before, after, err := tb.CompactContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries still work through rebuilt indexes.
-	rows, stats, err := tb.SelectRange(1, 0, 15)
+	rows, stats, err := tb.SelectRangeContext(context.Background(), 1, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 
 func TestCompactEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	before, after, err := tb.Compact()
+	before, after, err := tb.CompactContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,26 +218,29 @@ func TestCompactEmptyTable(t *testing.T) {
 
 func TestCompactPersistentTable(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{
-		Codec: core.CodecAVQ, PageSize: 512, Path: path, SecondaryAttrs: []int{1},
-	})
+	tb, err := Create(testSchema(t),
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath(path),
+		WithSecondaryAttrs(1),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 1000, 79)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 1000, 79)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.DeleteWhere([]Predicate{{Attr: 1, Lo: 0, Hi: 11}}); err != nil {
+	if _, err := tb.DeleteWhereContext(context.Background(), []Predicate{{Attr: 1, Lo: 0, Hi: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.Compact(); err != nil {
+	if _, _, err := tb.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	wantLen := tb.Len()
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +263,12 @@ func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
 	s.SortTuples(sorted)
 
 	plain := newTable(t, core.CodecAVQ, []int{1})
-	if err := plain.BulkLoad(tuples); err != nil {
+	if err := plain.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	streamed := newTable(t, core.CodecAVQ, []int{1})
 	i := 0
-	if err := streamed.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	if err := streamed.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
 		if i >= len(sorted) {
 			return nil, false, nil
 		}
@@ -285,8 +289,8 @@ func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b []relation.Tuple
-	plain.Scan(func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
-	streamed.Scan(func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
+	plain.ScanContext(context.Background(), func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
+	streamed.ScanContext(context.Background(), func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
 	for i := range a {
 		if s.Compare(a[i], b[i]) != 0 {
 			t.Fatalf("tuple %d differs", i)
@@ -298,7 +302,7 @@ func TestBulkLoadStreamRejectsUnsorted(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
 	seq := []relation.Tuple{{5, 0, 0, 0, 0}, {1, 0, 0, 0, 0}}
 	i := 0
-	err := tb.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
 		if i >= len(seq) {
 			return nil, false, nil
 		}
@@ -337,7 +341,7 @@ func TestBulkLoadStreamFromExternalSort(t *testing.T) {
 		close(ch)
 	}()
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	if err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
 		it, ok := <-ch
 		if !ok {
 			return nil, false, nil

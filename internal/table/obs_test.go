@@ -12,7 +12,7 @@ import (
 )
 
 // TestFunctionalOptions checks the With* options land in the resolved
-// configuration exactly like the legacy struct fields they mirror.
+// configuration, a later option overriding an earlier one.
 func TestFunctionalOptions(t *testing.T) {
 	reg := obs.NewRegistry()
 	tb, err := Create(testSchema(t),
@@ -22,6 +22,7 @@ func TestFunctionalOptions(t *testing.T) {
 		WithIndexOrder(8),
 		WithSecondaryAttrs(1, 2),
 		WithSecondaryKind(IndexBTree),
+		WithConcurrency(3),
 		WithConcurrency(2),
 		WithBlockCache(16),
 		WithObs(reg),
@@ -43,26 +44,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionsStruct checks the old struct-style call still compiles
-// and configures identically, and that a struct composes with With*
-// options (struct first, overrides after).
-func TestLegacyOptionsStruct(t *testing.T) {
-	tb, err := Create(testSchema(t), Options{Codec: core.CodecAVQ, PageSize: 512, Concurrency: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.opts.PageSize != 512 || tb.opts.Concurrency != 3 {
-		t.Fatalf("struct options not applied: %+v", tb.opts)
-	}
-	tb2, err := Create(testSchema(t), Options{PageSize: 512, Concurrency: 3}, WithConcurrency(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb2.opts.Concurrency != 1 || tb2.opts.PageSize != 512 {
-		t.Fatalf("option override after struct not applied: %+v", tb2.opts)
-	}
-}
-
 // TestObsWiring drives a load and queries through an instrumented table
 // and checks every layer reported: pool, store, executor, index probes,
 // and op spans.
@@ -73,17 +54,17 @@ func TestObsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 3000, 41)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 3000, 41)); err != nil {
 		t.Fatal(err)
 	}
 	// Run the first query cold so pool misses are exercised too.
 	if err := tb.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.SelectRange(0, 2, 5); err != nil {
+	if _, _, err := tb.SelectRangeContext(context.Background(), 0, 2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.SelectRange(1, 3, 3); err != nil {
+	if _, _, err := tb.SelectRangeContext(context.Background(), 1, 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.Contains(relation.Tuple{1, 2, 3, 4, 5}); err != nil {
@@ -136,10 +117,10 @@ func TestObsHashProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 500, 42)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 500, 42)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.SelectPoint(1, 3); err != nil {
+	if _, _, err := tb.SelectPointContext(context.Background(), 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot(); !hasCounter(got, "index.hash_probes") {
@@ -161,7 +142,7 @@ func hasCounter(s obs.Snapshot, name string) bool {
 // decode, releases the snapshot, and leaks no pins.
 func TestScanContextCancelMidFlight(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 5000, 43)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 5000, 43)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.NumBlocks() < 4 {
@@ -189,7 +170,7 @@ func TestScanContextCancelMidFlight(t *testing.T) {
 		t.Fatalf("store check after cancelled scan: %v", err)
 	}
 	// The table remains fully usable.
-	if _, _, err := tb.SelectRange(0, 0, 7); err != nil {
+	if _, _, err := tb.SelectRangeContext(context.Background(), 0, 0, 7); err != nil {
 		t.Fatalf("select after cancelled scan: %v", err)
 	}
 }
@@ -231,7 +212,7 @@ func TestBulkLoadStreamContextCancel(t *testing.T) {
 // next block boundary and leaves no pinned frames once released.
 func TestCursorContextCancel(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 5000, 45)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 5000, 45)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -267,11 +248,11 @@ func TestCursorContextCancel(t *testing.T) {
 // relation.ErrDomainRange sentinel through the table layer.
 func TestInsertDomainRangeSentinel(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	err := tb.Insert(relation.Tuple{99, 0, 0, 0, 0}) // dept domain is 8
+	err := tb.InsertContext(context.Background(), relation.Tuple{99, 0, 0, 0, 0}) // dept domain is 8
 	if !errors.Is(err, relation.ErrDomainRange) {
 		t.Fatalf("insert error = %v, want relation.ErrDomainRange", err)
 	}
-	if err := tb.BulkLoad([]relation.Tuple{{0, 0, 0, 0, 0}, {0, 99, 0, 0, 0}}); !errors.Is(err, relation.ErrDomainRange) {
+	if err := tb.BulkLoadContext(context.Background(), []relation.Tuple{{0, 0, 0, 0, 0}, {0, 99, 0, 0, 0}}); !errors.Is(err, relation.ErrDomainRange) {
 		t.Fatalf("bulk load error = %v, want relation.ErrDomainRange", err)
 	}
 	// Zero options: Create with no configuration at all still works.
@@ -280,11 +261,10 @@ func TestInsertDomainRangeSentinel(t *testing.T) {
 	}
 }
 
-// TestSyncContextVariants smoke-tests the Sync wrapper's ctx methods,
+// TestSyncContextVariants smoke-tests the lock-taking ctx methods,
 // including cancellation propagating out of a read.
 func TestSyncContextVariants(t *testing.T) {
-	tb := newTable(t, core.CodecAVQ, nil)
-	s := NewSync(tb)
+	s := newTable(t, core.CodecAVQ, nil)
 	ctx := context.Background()
 	if err := s.InsertBatchContext(ctx, randomTuples(t, 2000, 46)); err != nil {
 		t.Fatal(err)
@@ -298,9 +278,9 @@ func TestSyncContextVariants(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.ScanContext(cancelled, func(relation.Tuple) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sync scan error = %v, want context.Canceled", err)
+		t.Fatalf("scan error = %v, want context.Canceled", err)
 	}
 	if err := s.InsertContext(cancelled, relation.Tuple{0, 0, 0, 0, 0}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sync insert error = %v, want context.Canceled", err)
+		t.Fatalf("insert error = %v, want context.Canceled", err)
 	}
 }

@@ -10,12 +10,9 @@ import (
 )
 
 // Option configures a table at Create/Open time. Options compose left to
-// right: later options override earlier ones. The legacy Options struct
-// itself implements Option (it replaces the whole configuration), so both
-// styles work:
+// right: later options override earlier ones.
 //
 //	table.Create(schema, table.WithConcurrency(8), table.WithBlockCache(256))
-//	table.Create(schema, table.Options{Concurrency: 8, CacheBlocks: 256})
 type Option interface {
 	apply(*Options)
 }
@@ -24,11 +21,6 @@ type Option interface {
 type optionFunc func(*Options)
 
 func (f optionFunc) apply(o *Options) { f(o) }
-
-// apply makes the legacy Options struct usable wherever an Option is
-// expected. It replaces the accumulated configuration wholesale, so mixing
-// a struct with With* options only makes sense with the struct first.
-func (o Options) apply(dst *Options) { *dst = o }
 
 // resolveOptions folds a Create/Open option list into one Options value.
 func resolveOptions(opts []Option) Options {

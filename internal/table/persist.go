@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -190,11 +191,19 @@ func (t *Table) initCatalogHeads() error {
 	return nil
 }
 
-// Checkpoint makes the current state durable: it writes the catalog into
-// the inactive slot, flushes every dirty page, syncs the file, and only
-// then releases pages freed since the previous checkpoint for reuse. A
-// plain flush for in-memory tables.
+// Checkpoint makes the current state durable under the exclusive lock: it
+// writes the catalog into the inactive slot, flushes every dirty page,
+// syncs the file, and only then releases pages freed since the previous
+// checkpoint for reuse. A plain flush for in-memory tables.
 func (t *Table) Checkpoint() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.checkpoint()
+}
+
+// checkpoint is Checkpoint's body; the caller holds mu exclusively (or owns
+// a table not yet shared, as Create and Open do).
+func (t *Table) checkpoint() error {
 	if t.closed {
 		return ErrClosed
 	}
@@ -292,22 +301,26 @@ func (t *Table) Checkpoint() error {
 }
 
 // Close checkpoints (persistent tables), releases the buffer pool, and
-// closes the pager. Further operations return errors.
+// closes the pager, all under the exclusive lock. Further operations
+// return errors.
 func (t *Table) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
 	if t.persistent() {
-		if err := t.Checkpoint(); err != nil {
+		if err := t.checkpoint(); err != nil {
 			return err
 		}
 	}
 	t.closed = true
+	// t.wal stays set: a writer that logged before Close may still be in
+	// walCommit, which reads it without the lock (a closed log answers an
+	// already-durable LSN with nil and anything else with wal.ErrClosed).
 	if t.wal != nil {
-		werr := t.wal.Close()
-		t.wal = nil
-		if werr != nil {
-			return werr
+		if err := t.wal.Close(); err != nil {
+			return err
 		}
 	}
 	if err := t.pool.Close(); err != nil {
@@ -461,7 +474,8 @@ func Open(path string, options ...Option) (*Table, error) {
 	// second decode pass.
 	count := 0
 	fences := make([]blockstore.Fence, 0, len(best.blocks))
-	if err := t.store.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	//avqlint:ignore ctxflow opening is uninterruptible setup
+	if err := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		t.primary.Insert(t.schema.EncodeTuple(nil, ts[0]), id)
 		if len(t.secondary) > 0 {
 			t.registerTuples(id, ts)

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,14 +20,16 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1200, 40)
 
-	tb, err := Create(s, Options{
-		Codec: core.CodecAVQ, PageSize: 512, Path: path,
-		SecondaryAttrs: []int{1, 4},
-	})
+	tb, err := Create(s,
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath(path),
+		WithSecondaryAttrs(1, 4),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	wantBlocks := tb.NumBlocks()
@@ -34,7 +37,7 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries work after reopen, including through rebuilt secondaries.
-	rows, stats, err := got.SelectRange(1, 3, 9)
+	rows, stats, err := got.SelectRangeContext(context.Background(), 1, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +79,19 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 func TestPersistentMutationsSurviveReopen(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s, Options{Codec: core.CodecAVQ, PageSize: 512, Path: path})
+	tb, err := Create(s, WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 300, 41)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 41)); err != nil {
 		t.Fatal(err)
 	}
 	added := relation.Tuple{7, 15, 63, 63, 4095}
-	if err := tb.Insert(added); err != nil {
+	if err := tb.InsertContext(context.Background(), added); err != nil {
 		t.Fatal(err)
 	}
 	victim := relation.Tuple{0, 0, 0, 0, 0}
-	deleted, err := tb.Delete(victim)
+	deleted, err := tb.DeleteContext(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestPersistentMutationsSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +125,11 @@ func TestPersistentMutationsSurviveReopen(t *testing.T) {
 
 func TestCheckpointWithoutClose(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{Codec: core.CodecAVQ, PageSize: 512, Path: path})
+	tb, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 200, 42)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 200, 42)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Checkpoint(); err != nil {
@@ -134,7 +137,7 @@ func TestCheckpointWithoutClose(t *testing.T) {
 	}
 	// Simulate a crash: no Close. The last checkpoint must be readable.
 	// (The pool may hold clean pages only, since Checkpoint flushed.)
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +154,11 @@ func TestCheckpointWithoutClose(t *testing.T) {
 func TestLargeCatalogChain(t *testing.T) {
 	// A small page size plus many blocks forces a multi-page catalog.
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{Codec: core.CodecRaw, PageSize: 256, Path: path})
+	tb, err := Create(testSchema(t), WithCodec(core.CodecRaw), WithPageSize(256), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 3000, 43)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 3000, 43)); err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.catalogChains[tb.generation&1]) < 2 {
@@ -164,7 +167,7 @@ func TestLargeCatalogChain(t *testing.T) {
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, Options{PageSize: 256})
+	got, err := Open(path, WithPageSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +182,20 @@ func TestLargeCatalogChain(t *testing.T) {
 
 func TestCreateRefusesExistingTable(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{PageSize: 512, Path: path})
+	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(testSchema(t), Options{PageSize: 512, Path: path}); err == nil {
+	if _, err := Create(testSchema(t), WithPageSize(512), WithPath(path)); err == nil {
 		t.Fatal("Create over an existing table succeeded")
 	}
 }
 
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open("", Options{}); err == nil {
+	if _, err := Open(""); err == nil {
 		t.Fatal("Open with empty path succeeded")
 	}
 	// Empty file: no catalog.
@@ -202,18 +205,18 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := Open(path, Options{PageSize: 512}); err == nil {
+	if _, err := Open(path, WithPageSize(512)); err == nil {
 		t.Fatal("Open of empty file succeeded")
 	}
 }
 
 func TestCatalogCorruptionResilience(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{PageSize: 512, Path: path})
+	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 100, 44)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 100, 44)); err != nil {
 		t.Fatal(err)
 	}
 	// Two checkpoints so both catalog slots hold valid generations.
@@ -234,7 +237,7 @@ func TestCatalogCorruptionResilience(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatalf("open with one corrupt catalog slot: %v", err)
 	}
@@ -252,14 +255,14 @@ func TestCatalogCorruptionResilience(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, Options{PageSize: 512}); err == nil {
+	if _, err := Open(path, WithPageSize(512)); err == nil {
 		t.Fatal("both catalogs corrupt but Open succeeded")
 	}
 }
 
 func TestClosedTableRejectsOps(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{PageSize: 512, Path: path})
+	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestClosedTableRejectsOps(t *testing.T) {
 
 func TestInMemoryCheckpointIsFlush(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 50, 45)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 50, 45)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Checkpoint(); err != nil {
@@ -289,26 +292,28 @@ func TestInMemoryCheckpointIsFlush(t *testing.T) {
 
 func TestPersistentHashIndexRestored(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{
-		PageSize: 512, Path: path,
-		SecondaryAttrs: []int{4}, SecondaryKind: IndexHash,
-	})
+	tb, err := Create(testSchema(t),
+		WithPageSize(512),
+		WithPath(path),
+		WithSecondaryAttrs(4),
+		WithSecondaryKind(IndexHash),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tuples := randomTuples(t, 400, 46)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	rows, stats, err := got.SelectPoint(4, tuples[3][4])
+	rows, stats, err := got.SelectPointContext(context.Background(), 4, tuples[3][4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +329,17 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 func TestCrashRecoversLastCheckpoint(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s, Options{
-		Codec: core.CodecAVQ, PageSize: 512, Path: path,
-		PoolFrames: 4, // tiny pool: mutations force evictions to disk
-	})
+	tb, err := Create(s,
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath(path),
+		WithPoolFrames(4), // tiny pool: mutations force evictions to disk
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := randomTuples(t, 800, 47)
-	if err := tb.BulkLoad(base); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Checkpoint(); err != nil {
@@ -340,7 +347,7 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 	}
 	// Record the checkpointed logical state.
 	var want []relation.Tuple
-	if err := tb.Scan(func(tu relation.Tuple) bool {
+	if err := tb.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		want = append(want, tu.Clone())
 		return true
 	}); err != nil {
@@ -351,12 +358,12 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 	// guarantees many of these reach the file before the "crash".
 	extra := randomTuples(t, 600, 48)
 	for _, tu := range extra {
-		if err := tb.Insert(tu); err != nil {
+		if err := tb.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tu := range base[:200] {
-		if _, err := tb.Delete(tu); err != nil {
+		if _, err := tb.DeleteContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +378,7 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(crashPath, Options{PageSize: 512})
+	got, err := Open(crashPath, WithPageSize(512))
 	if err != nil {
 		t.Fatalf("open after crash: %v", err)
 	}
@@ -380,7 +387,7 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 		t.Fatalf("recovered %d tuples, checkpoint had %d", got.Len(), len(want))
 	}
 	i := 0
-	if err := got.Scan(func(tu relation.Tuple) bool {
+	if err := got.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		if s.Compare(tu, want[i]) != 0 {
 			t.Fatalf("recovered tuple %d = %v, checkpoint had %v", i, tu, want[i])
 		}
@@ -401,29 +408,32 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 func TestCrashAfterManyCheckpoints(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s, Options{
-		Codec: core.CodecAVQ, PageSize: 512, Path: path, PoolFrames: 4,
-	})
+	tb, err := Create(s,
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath(path),
+		WithPoolFrames(4),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 300, 49)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 49)); err != nil {
 		t.Fatal(err)
 	}
 	var want []relation.Tuple
 	for round := 0; round < 5; round++ {
 		batch := randomTuples(t, 100, int64(50+round))
-		if err := tb.InsertBatch(batch); err != nil {
+		if err := tb.InsertBatchContext(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tb.DeleteWhere([]Predicate{{Attr: 1, Lo: uint64(round), Hi: uint64(round)}}); err != nil {
+		if _, err := tb.DeleteWhereContext(context.Background(), []Predicate{{Attr: 1, Lo: uint64(round), Hi: uint64(round)}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tb.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		want = want[:0]
-		if err := tb.Scan(func(tu relation.Tuple) bool {
+		if err := tb.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 			want = append(want, tu.Clone())
 			return true
 		}); err != nil {
@@ -431,7 +441,7 @@ func TestCrashAfterManyCheckpoints(t *testing.T) {
 		}
 	}
 	// Post-checkpoint churn, then crash.
-	if err := tb.InsertBatch(randomTuples(t, 400, 60)); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), randomTuples(t, 400, 60)); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -442,7 +452,7 @@ func TestCrashAfterManyCheckpoints(t *testing.T) {
 	if err := os.WriteFile(crashPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(crashPath, Options{PageSize: 512})
+	got, err := Open(crashPath, WithPageSize(512))
 	if err != nil {
 		t.Fatalf("open after crash: %v", err)
 	}
@@ -451,7 +461,7 @@ func TestCrashAfterManyCheckpoints(t *testing.T) {
 		t.Fatalf("recovered %d tuples, last checkpoint had %d", got.Len(), len(want))
 	}
 	i := 0
-	if err := got.Scan(func(tu relation.Tuple) bool {
+	if err := got.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		if s.Compare(tu, want[i]) != 0 {
 			t.Fatalf("recovered tuple %d differs from last checkpoint", i)
 		}

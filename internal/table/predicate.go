@@ -44,37 +44,27 @@ func (p Predicate) selectivity(s *relation.Schema) float64 {
 	return float64(hi-p.Lo+1) / float64(size)
 }
 
-// Select executes a conjunction of range predicates. The most selective
-// predicate with an access path (the clustering attribute or a secondary
-// index) drives block retrieval; the whole conjunction is pushed into the
-// executor, which filters while it streams. With no usable predicate the
-// table is scanned.
-//
-// Deprecated: use SelectContext.
-func (t *Table) Select(preds []Predicate) ([]relation.Tuple, QueryStats, error) {
-	return t.SelectContext(context.Background(), preds)
-}
-
-// SelectContext is Select honouring ctx: cancellation is observed at block
+// SelectContext executes a conjunction of range predicates. The most
+// selective predicate with an access path (the clustering attribute or a
+// secondary index) drives block retrieval; the whole conjunction is pushed
+// into the executor, which filters while it streams. With no usable
+// predicate the table is scanned. Cancellation is observed at block
 // boundaries, before the next decode.
 func (t *Table) SelectContext(ctx context.Context, preds []Predicate) ([]relation.Tuple, QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planSelect(preds)
+	t.mu.RUnlock()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	var out []relation.Tuple
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		out = append(out, tu)
-		return true
-	})
-	return out, stats, err
+	return r.collect(ctx)
 }
 
 // planSelect plans a conjunctive selection: the most selective predicate
 // with an access path chooses the strategy (and, for a secondary index,
 // the candidate blocks); every conjunct goes into the executor plan, so a
 // predicate on the clustering attribute prunes blocks by φ-fence even
-// when a secondary predicate drives.
+// when a secondary predicate drives. The caller holds mu.
 func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 	if len(preds) == 0 {
 		return t.planScan(), nil
@@ -176,29 +166,25 @@ type AggregateResult struct {
 	Max   uint64
 }
 
-// AggregateRange computes COUNT, SUM, MIN, and MAX of attribute aggAttr
-// over the rows matching lo <= A_attr <= hi. Min and Max are meaningful
-// only when Count > 0.
-//
-// Deprecated: use AggregateRangeContext.
-func (t *Table) AggregateRange(attr int, lo, hi uint64, aggAttr int) (AggregateResult, QueryStats, error) {
-	return t.AggregateRangeContext(context.Background(), attr, lo, hi, aggAttr)
-}
-
-// AggregateRangeContext is AggregateRange honouring ctx.
+// AggregateRangeContext computes COUNT, SUM, MIN, and MAX of attribute
+// aggAttr over the rows matching lo <= A_attr <= hi. Min and Max are
+// meaningful only when Count > 0.
 func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint64, aggAttr int) (AggregateResult, QueryStats, error) {
-	r, err := t.planAggregate(attr, lo, hi, aggAttr)
+	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
+		return AggregateResult{}, QueryStats{}, fmt.Errorf("table: aggregate attribute %d out of range", aggAttr)
+	}
+	t.mu.RLock()
+	r, err := t.planRange(attr, lo, hi)
+	t.mu.RUnlock()
 	if err != nil {
 		return AggregateResult{}, QueryStats{}, err
 	}
-	return aggregateDispatchCtx(ctx, r, aggAttr)
-}
-
-// aggregateDispatchCtx runs a planned aggregate on whichever path the
-// plan selected; Table and Sync both funnel through it.
-func aggregateDispatchCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
+	r.op = "aggregate"
+	// The aggregate fold reads attribute values and retains nothing, so the
+	// executor may recycle one arena across blocks.
+	r.plan.Transient = true
 	if r.batch && !r.empty {
-		return aggregateBatchCtx(ctx, r, r.snap.Schema(), aggAttr)
+		return aggregateBatchCtx(ctx, r, t.schema, aggAttr)
 	}
 	return aggregateRunCtx(ctx, r, aggAttr)
 }
@@ -230,27 +216,8 @@ func aggregateBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, aggA
 	return res, stats, err
 }
 
-// planAggregate validates the aggregate attribute and plans the filter pass.
-func (t *Table) planAggregate(attr int, lo, hi uint64, aggAttr int) (queryRun, error) {
-	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
-		return queryRun{}, fmt.Errorf("table: aggregate attribute %d out of range", aggAttr)
-	}
-	r, err := t.planRange(attr, lo, hi)
-	r.op = "aggregate"
-	// The aggregate fold reads attribute values and retains nothing, so the
-	// executor may recycle one arena across blocks.
-	r.plan.Transient = true
-	return r, err
-}
-
-// aggregateRun executes a planned aggregate pass without materializing rows.
-//
-// Deprecated: use aggregateRunCtx so cancellation reaches the executor.
-func aggregateRun(r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	return aggregateRunCtx(context.Background(), r, aggAttr)
-}
-
-// aggregateRunCtx is aggregateRun honouring ctx.
+// aggregateRunCtx executes a planned aggregate pass tuple by tuple without
+// materializing rows.
 func aggregateRunCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
 	res := AggregateResult{Min: math.MaxUint64}
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {

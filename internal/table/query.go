@@ -68,10 +68,9 @@ type QueryStats struct {
 }
 
 // queryRun is a planned read pass. Planning — predicate validation,
-// access-path choice, index consultation — happens against the live
-// table (under the table lock when wrapped in Sync); run executes against
-// the pinned snapshot and needs no lock, so readers stream while writers
-// mutate.
+// access-path choice, index consultation — happens against the live table
+// under its shared lock; runCtx executes against the pinned snapshot and
+// needs no lock, so readers stream while writers mutate.
 type queryRun struct {
 	stats QueryStats
 	plan  exec.Plan
@@ -83,21 +82,15 @@ type queryRun struct {
 	batch bool
 
 	// op names the span recorded around the pass ("" records none); reg is
-	// the table's registry, captured at plan time so run needs no table.
+	// the table's registry, captured at plan time so runCtx needs no table.
 	op  string
 	reg *obs.Registry
 }
 
-// run executes the planned pass through the executor, releases the
-// snapshot, and folds the executor's accounting into QueryStats.
-//
-// Deprecated: use runCtx so cancellation reaches the executor.
-func (r queryRun) run(emit func(relation.Tuple) bool) (QueryStats, error) {
-	return r.runCtx(context.Background(), emit)
-}
-
-// runCtx is run honouring ctx: the executor observes cancellation at block
-// boundaries, before the next decode.
+// runCtx executes the planned pass through the executor, releases the
+// snapshot, and folds the executor's accounting into QueryStats. The
+// executor observes cancellation at block boundaries, before the next
+// decode.
 func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (QueryStats, error) {
 	if r.empty {
 		return r.stats, nil
@@ -112,6 +105,16 @@ func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (Q
 	st := foldExecStats(r.stats, es)
 	sp.Detailf("%s: %d blocks read, %d pruned, %d matches", st.Strategy, st.BlocksRead, st.BlocksPruned, st.Matches)
 	return st, err
+}
+
+// collect runs the planned pass and materializes its matches.
+func (r queryRun) collect(ctx context.Context) ([]relation.Tuple, QueryStats, error) {
+	var out []relation.Tuple
+	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
+		out = append(out, tu)
+		return true
+	})
+	return out, stats, err
 }
 
 // runBatchCtx executes the planned pass through the columnar batch
@@ -147,43 +150,29 @@ func foldExecStats(st QueryStats, es exec.Stats) QueryStats {
 	return st
 }
 
-// SelectRange executes the paper's evaluation query sigma_{lo <= A_attr <=
-// hi}(R) (Section 5.3) and returns the matching tuples in phi order
-// together with access statistics.
-//
-// Deprecated: use SelectRangeContext.
-func (t *Table) SelectRange(attr int, lo, hi uint64) ([]relation.Tuple, QueryStats, error) {
-	return t.SelectRangeContext(context.Background(), attr, lo, hi)
-}
-
-// SelectRangeContext is SelectRange honouring ctx.
+// SelectRangeContext executes the paper's evaluation query sigma_{lo <=
+// A_attr <= hi}(R) (Section 5.3) and returns the matching tuples in phi
+// order together with access statistics.
 func (t *Table) SelectRangeContext(ctx context.Context, attr int, lo, hi uint64) ([]relation.Tuple, QueryStats, error) {
-	var out []relation.Tuple
-	stats, err := t.selectRangeFunc(ctx, attr, lo, hi, func(tu relation.Tuple) bool {
-		out = append(out, tu)
-		return true
-	})
-	return out, stats, err
-}
-
-// SelectRangeFunc streams the matching tuples of sigma_{lo<=A_attr<=hi}(R)
-// to emit in phi order without materializing them; emit returning false
-// stops the query early. Aggregates are built on it.
-//
-// Deprecated: use SelectRangeFuncContext.
-func (t *Table) SelectRangeFunc(attr int, lo, hi uint64, emit func(relation.Tuple) bool) (QueryStats, error) {
-	return t.selectRangeFunc(context.Background(), attr, lo, hi, emit)
-}
-
-// SelectRangeFuncContext is SelectRangeFunc honouring ctx: cancellation is
-// observed at block boundaries, before the next decode.
-func (t *Table) SelectRangeFuncContext(ctx context.Context, attr int, lo, hi uint64, emit func(relation.Tuple) bool) (QueryStats, error) {
-	return t.selectRangeFunc(ctx, attr, lo, hi, emit)
-}
-
-// selectRangeFunc plans the range pass and runs it through the executor.
-func (t *Table) selectRangeFunc(ctx context.Context, attr int, lo, hi uint64, emit func(relation.Tuple) bool) (QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planRange(attr, lo, hi)
+	t.mu.RUnlock()
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return r.collect(ctx)
+}
+
+// SelectRangeFuncContext streams the matching tuples of
+// sigma_{lo<=A_attr<=hi}(R) to emit in phi order without materializing
+// them; emit returning false stops the query early. Planned under the
+// shared lock, executed lock-free against the pinned snapshot, with
+// cancellation observed at block boundaries. The scatter-gather executor
+// feeds per-shard merge channels through it.
+func (t *Table) SelectRangeFuncContext(ctx context.Context, attr int, lo, hi uint64, emit func(relation.Tuple) bool) (QueryStats, error) {
+	t.mu.RLock()
+	r, err := t.planRange(attr, lo, hi)
+	t.mu.RUnlock()
 	if err != nil {
 		return QueryStats{}, err
 	}
@@ -221,7 +210,8 @@ func (t *Table) planRange(attr int, lo, hi uint64) (queryRun, error) {
 	return r, nil
 }
 
-// planScan plans an unconditional pass over every block.
+// planScan plans an unconditional pass over every block. The caller holds
+// mu.
 func (t *Table) planScan() queryRun {
 	return queryRun{
 		stats: QueryStats{Strategy: StrategyFullScan},
@@ -276,40 +266,23 @@ func (t *Table) candidateBlocks(idx secIndex, attr int, lo, hi uint64) (map[stor
 	return pageSet, true
 }
 
-// SelectPoint executes sigma_{A_attr = v}(R).
-//
-// Deprecated: use SelectPointContext.
-func (t *Table) SelectPoint(attr int, v uint64) ([]relation.Tuple, QueryStats, error) {
-	return t.SelectRangeContext(context.Background(), attr, v, v)
-}
-
-// SelectPointContext is SelectPoint honouring ctx.
+// SelectPointContext executes sigma_{A_attr = v}(R).
 func (t *Table) SelectPointContext(ctx context.Context, attr int, v uint64) ([]relation.Tuple, QueryStats, error) {
 	return t.SelectRangeContext(ctx, attr, v, v)
 }
 
-// CountRange returns only the number of qualifying tuples, with the same
-// access path and cost as SelectRange but no materialization.
-//
-// Deprecated: use CountRangeContext.
-func (t *Table) CountRange(attr int, lo, hi uint64) (int, QueryStats, error) {
-	return t.CountRangeContext(context.Background(), attr, lo, hi)
-}
-
-// CountRangeContext is CountRange honouring ctx.
+// CountRangeContext returns only the number of qualifying tuples, with the
+// same access path and cost as SelectRangeContext but no materialization.
 func (t *Table) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) (int, QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planRange(attr, lo, hi)
+	t.mu.RUnlock()
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
-	return countRunCtx(ctx, r)
-}
-
-// countRunCtx executes a planned count on whichever path the plan
-// selected. The batch pass counts qualifying ordinals as it compacts each
-// slab, so its kernel has nothing left to do.
-func countRunCtx(ctx context.Context, r queryRun) (int, QueryStats, error) {
 	if r.batch && !r.empty {
+		// The batch pass counts qualifying ordinals as it compacts each
+		// slab, so its kernel has nothing left to do.
 		stats, err := r.runBatchCtx(ctx, func([]uint64) bool { return true })
 		return stats.Matches, stats, err
 	}
@@ -324,6 +297,8 @@ func countRunCtx(ctx context.Context, r queryRun) (int, QueryStats, error) {
 // value to, without reading them; nil when no index exists on attr. Tools
 // use it to show bucket contents (Figure 4.5).
 func (t *Table) BlocksForValue(attr int, v uint64) []storage.PageID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	idx, ok := t.secondary[attr]
 	if !ok {
 		return nil

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,12 +12,12 @@ import (
 // newHashTable builds a table whose secondary indexes are hash-backed.
 func newHashTable(t testing.TB, secondaries []int) *Table {
 	t.Helper()
-	tb, err := Create(testSchema(t), Options{
-		Codec:          core.CodecAVQ,
-		PageSize:       512,
-		SecondaryAttrs: secondaries,
-		SecondaryKind:  IndexHash,
-	})
+	tb, err := Create(testSchema(t),
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithSecondaryAttrs(secondaries...),
+		WithSecondaryKind(IndexHash),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +29,10 @@ func TestHashSecondaryAgreesWithBTree(t *testing.T) {
 	tuples := randomTuples(t, 1500, 21)
 	bt := newTable(t, core.CodecAVQ, AllAttrs(s))
 	hs := newHashTable(t, AllAttrs(s))
-	if err := bt.BulkLoad(tuples); err != nil {
+	if err := bt.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.BulkLoad(tuples); err != nil {
+	if err := hs.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.CheckInvariants(); err != nil {
@@ -43,11 +44,11 @@ func TestHashSecondaryAgreesWithBTree(t *testing.T) {
 		span := s.Domain(attr).Size
 		lo := uint64(rng.Int63n(int64(span)))
 		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		a, aStats, err := bt.SelectRange(attr, lo, hi)
+		a, aStats, err := bt.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, bStats, err := hs.SelectRange(attr, lo, hi)
+		b, bStats, err := hs.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +67,11 @@ func TestHashSecondaryAgreesWithBTree(t *testing.T) {
 func TestHashSecondaryPointQuery(t *testing.T) {
 	tuples := randomTuples(t, 800, 23)
 	hs := newHashTable(t, []int{4})
-	if err := hs.BulkLoad(tuples); err != nil {
+	if err := hs.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	v := tuples[17][4]
-	rows, stats, err := hs.SelectPoint(4, v)
+	rows, stats, err := hs.SelectPointContext(context.Background(), 4, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +95,12 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 		relation.Domain{Name: "a", Size: 8},
 		relation.Domain{Name: "b", Size: 1 << 20},
 	)
-	tb, err := Create(s, Options{
-		Codec: core.CodecAVQ, PageSize: 512,
-		SecondaryAttrs: []int{1}, SecondaryKind: IndexHash,
-	})
+	tb, err := Create(s,
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithSecondaryAttrs(1),
+		WithSecondaryKind(IndexHash),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +109,10 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = relation.Tuple{uint64(rng.Intn(8)), uint64(rng.Intn(1 << 20))}
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := tb.SelectRange(1, 0, 1<<19)
+	_, stats, err := tb.SelectRangeContext(context.Background(), 1, 0, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 		t.Fatalf("wide hash range used %v path", stats.Strategy)
 	}
 	// A narrow range enumerates through the hash index.
-	_, stats, err = tb.SelectRange(1, 100, 150)
+	_, stats, err = tb.SelectRangeContext(context.Background(), 1, 100, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestSelectConjunction(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 25)
 	tb := newTable(t, core.CodecAVQ, []int{1, 4})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Predicate{
@@ -138,7 +141,7 @@ func TestSelectConjunction(t *testing.T) {
 		{Attr: 2, Lo: 10, Hi: 50},
 		{Attr: 4, Lo: 100, Hi: 700},
 	}
-	got, stats, err := tb.Select(preds)
+	got, stats, err := tb.SelectContext(context.Background(), preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +180,17 @@ func TestSelectConjunction(t *testing.T) {
 
 func TestSelectEmptyPredicates(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 100, 26)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 100, 26)); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := tb.Select(nil)
+	rows, _, err := tb.SelectContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 100 {
 		t.Fatalf("empty conjunction returned %d rows", len(rows))
 	}
-	if _, _, err := tb.Select([]Predicate{{Attr: 99}}); err == nil {
+	if _, _, err := tb.SelectContext(context.Background(), []Predicate{{Attr: 99}}); err == nil {
 		t.Fatal("bad predicate accepted")
 	}
 }
@@ -195,10 +198,10 @@ func TestSelectEmptyPredicates(t *testing.T) {
 func TestAggregateRange(t *testing.T) {
 	tuples := randomTuples(t, 1000, 27)
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := tb.AggregateRange(1, 3, 8, 2)
+	res, _, err := tb.AggregateRangeContext(context.Background(), 1, 3, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +224,7 @@ func TestAggregateRange(t *testing.T) {
 			res, wantCount, wantSum, wantMin, wantMax)
 	}
 	// Empty result range.
-	res, _, err = tb.AggregateRange(1, 15, 15, 2)
+	res, _, err = tb.AggregateRangeContext(context.Background(), 1, 15, 15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +239,7 @@ func TestAggregateRange(t *testing.T) {
 			t.Fatalf("empty aggregate = %+v", res)
 		}
 	}
-	if _, _, err := tb.AggregateRange(1, 0, 1, 99); err == nil {
+	if _, _, err := tb.AggregateRangeContext(context.Background(), 1, 0, 1, 99); err == nil {
 		t.Fatal("bad aggregate attribute accepted")
 	}
 }
@@ -244,10 +247,10 @@ func TestAggregateRange(t *testing.T) {
 func TestCountRangeStreams(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1})
 	tuples := randomTuples(t, 500, 28)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	n, stats, err := tb.CountRange(1, 0, 7)
+	n, stats, err := tb.CountRangeContext(context.Background(), 1, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +281,11 @@ func TestProject(t *testing.T) {
 
 func TestSelectRangeFuncEarlyStop(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 1000, 29)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 1000, 29)); err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
-	_, err := tb.SelectRangeFunc(0, 0, 7, func(tu relation.Tuple) bool {
+	_, err := tb.SelectRangeFuncContext(context.Background(), 0, 0, 7, func(tu relation.Tuple) bool {
 		seen++
 		return seen < 10
 	})
@@ -313,13 +316,13 @@ func TestHashJoin(t *testing.T) {
 	rt := randomTuples(t, 300, 31)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecRaw, nil) // mixed codecs join fine
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(context.Background(), lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(context.Background(), rt); err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := HashJoin(left, right, 1, 1)
+	rows, stats, err := HashJoinContext(context.Background(), left, right, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +338,7 @@ func TestHashJoin(t *testing.T) {
 	if stats.LeftBlocks != left.NumBlocks() || stats.RightBlocks != right.NumBlocks() {
 		t.Fatalf("join stats = %+v, blocks %d/%d", stats, left.NumBlocks(), right.NumBlocks())
 	}
-	if _, _, err := HashJoin(left, right, 99, 1); err == nil {
+	if _, _, err := HashJoinContext(context.Background(), left, right, 99, 1); err == nil {
 		t.Fatal("bad join attribute accepted")
 	}
 	_ = s
@@ -346,13 +349,13 @@ func TestMergeJoin(t *testing.T) {
 	rt := randomTuples(t, 400, 33)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(context.Background(), lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(context.Background(), rt); err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := MergeJoin(left, right)
+	rows, stats, err := MergeJoinContext(context.Background(), left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,17 +380,17 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 	rt := randomTuples(t, 350, 35)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(context.Background(), lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(context.Background(), rt); err != nil {
 		t.Fatal(err)
 	}
-	mj, _, err := MergeJoin(left, right)
+	mj, _, err := MergeJoinContext(context.Background(), left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, _, err := HashJoin(left, right, 0, 0)
+	hj, _, err := HashJoinContext(context.Background(), left, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +402,14 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 func TestJoinEmptySides(t *testing.T) {
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := right.BulkLoad(randomTuples(t, 50, 36)); err != nil {
+	if err := right.BulkLoadContext(context.Background(), randomTuples(t, 50, 36)); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := HashJoin(left, right, 0, 0)
+	rows, _, err := HashJoinContext(context.Background(), left, right, 0, 0)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("join with empty left = %d rows, %v", len(rows), err)
 	}
-	rows, _, err = MergeJoin(left, right)
+	rows, _, err = MergeJoinContext(context.Background(), left, right)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("merge join with empty left = %d rows, %v", len(rows), err)
 	}
@@ -424,17 +427,17 @@ func TestIndexKindString(t *testing.T) {
 func TestHashTableMutations(t *testing.T) {
 	tb := newHashTable(t, []int{1, 4})
 	tuples := randomTuples(t, 300, 37)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	extra := randomTuples(t, 80, 38)
 	for _, tu := range extra {
-		if err := tb.Insert(tu); err != nil {
+		if err := tb.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tu := range extra {
-		ok, err := tb.Delete(tu)
+		ok, err := tb.DeleteContext(context.Background(), tu)
 		if err != nil || !ok {
 			t.Fatalf("delete: %v, %v", ok, err)
 		}

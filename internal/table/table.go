@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -55,7 +56,8 @@ func (k IndexKind) String() string {
 	}
 }
 
-// Options configures a table.
+// Options is the configuration an Option list resolves to (see Resolve);
+// callers set it through the With* options.
 type Options struct {
 	// Codec selects the block representation. Default CodecAVQ.
 	Codec core.Codec
@@ -203,9 +205,33 @@ func (x hashSec) all(fn func(key []byte, b *bucket) bool) {
 func (x hashSec) nodeCount() int { return x.h.NumBuckets() }
 func (x hashSec) check() error   { return x.h.CheckInvariants() }
 
-// Table is a relational table over a coded block store. It is not safe for
-// concurrent use.
+// Table is a relational table over a coded block store, safe for concurrent
+// use under one locking rule:
+//
+//   - Readers hold mu shared only while they plan — validate the predicate,
+//     consult the histograms and secondary indexes, pin a blockstore
+//     snapshot — and then execute lock-free against that snapshot. A long
+//     scan streams its pre-mutation view while writers re-code blocks beside
+//     it: the paper's localized access (Sections 3.4, 4.2) made concurrent.
+//   - Mutators hold mu exclusively while they log and apply, and wait for
+//     the WAL group commit after releasing it, so concurrent writers share
+//     one fsync instead of queueing it behind the mutation lock.
+//   - Bulk loads, Compact, Checkpoint, Check and Close hold mu exclusively
+//     throughout.
+//
+// Exported methods are lock-then-call shells; unexported methods assume the
+// lock their comment names and never call an exported one, so nothing
+// re-enters mu (a second RLock behind a waiting writer would deadlock).
+// Caller-supplied callbacks (emit, fn) run on the lock-free side and may
+// call back into the table; bulk-load sources run under the lock and may
+// not.
 type Table struct {
+	// mu guards the indexes, histograms, size, catalog state, closed, and
+	// every change of the store's layout. schema, opts and the substrate
+	// pointers are immutable after construction; pool, store counters and
+	// disk synchronise themselves.
+	mu sync.RWMutex
+
 	schema    *relation.Schema
 	opts      Options
 	disk      *simdisk.Disk
@@ -227,9 +253,8 @@ type Table struct {
 }
 
 // Create builds an empty table for the schema, configured by functional
-// options (or a legacy Options struct, which implements Option). With a
-// path set, the table is file-backed and the page file must be new or
-// empty.
+// options. With a path set, the table is file-backed and the page file
+// must be new or empty.
 func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 	t, err := newTableShell(schema, resolveOptions(opts))
 	if err != nil {
@@ -244,7 +269,7 @@ func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 		if err := t.initCatalogHeads(); err != nil {
 			return nil, err
 		}
-		if err := t.Checkpoint(); err != nil {
+		if err := t.checkpoint(); err != nil {
 			return nil, err
 		}
 	}
@@ -378,16 +403,28 @@ func (t *Table) Schema() *relation.Schema { return t.schema }
 func (t *Table) Codec() core.Codec { return t.opts.Codec }
 
 // Len returns the number of tuples.
-func (t *Table) Len() int { return t.size }
+func (t *Table) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.size
+}
 
 // NumBlocks returns the number of data blocks.
-func (t *Table) NumBlocks() int { return t.store.NumBlocks() }
+func (t *Table) NumBlocks() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.NumBlocks()
+}
 
 // PhiBounds reports the attribute-0 span actually occupied by the
 // table's blocks (from the block fences). ok is false when the table is
 // empty or a fence is unknown. The shard checker uses this to prove every
 // shard's data sits inside its catalog φ-range.
-func (t *Table) PhiBounds() (lo, hi uint64, ok bool) { return t.store.FenceBounds() }
+func (t *Table) PhiBounds() (lo, hi uint64, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.FenceBounds()
+}
 
 // Disk returns the simulated disk, for experiment accounting.
 func (t *Table) Disk() *simdisk.Disk { return t.disk }
@@ -396,8 +433,9 @@ func (t *Table) Disk() *simdisk.Disk { return t.disk }
 // paper's I/O model assumes.
 func (t *Table) DropCache() error { return t.pool.DropAll() }
 
-// PinnedFrames returns the buffer pool's currently pinned frame count.
-// Crash and leak tests assert it returns to zero after recovery.
+// PinnedFrames returns the buffer pool's currently pinned frame count — 0
+// when no operation is mid-flight. Crash and leak tests assert it after
+// recovery, the server's graceful drain after shutdown.
 func (t *Table) PinnedFrames() int { return t.pool.PinnedFrames() }
 
 // LiveSnapshots returns the number of unreleased store snapshots.
@@ -405,11 +443,17 @@ func (t *Table) LiveSnapshots() int { return t.store.LiveSnapshots() }
 
 // Generation returns the durable catalog generation (zero for in-memory
 // tables before the first checkpoint).
-func (t *Table) Generation() uint64 { return t.generation }
+func (t *Table) Generation() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.generation
+}
 
 // IndexNodeCount returns the total node count across the primary and all
 // secondary indexes; experiments convert it to index blocks.
 func (t *Table) IndexNodeCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := t.primary.NodeCount()
 	for _, idx := range t.secondary {
 		n += idx.nodeCount()
@@ -418,27 +462,31 @@ func (t *Table) IndexNodeCount() int {
 }
 
 // PrimaryHeight returns the primary index height.
-func (t *Table) PrimaryHeight() int { return t.primary.Height() }
+func (t *Table) PrimaryHeight() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.primary.Height()
+}
 
 // StoreStats returns the block store's physical layout statistics.
-func (t *Table) StoreStats() (blockstore.Stats, error) { return t.store.ComputeStats() }
+func (t *Table) StoreStats() (blockstore.Stats, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.ComputeStats()
+}
 
 // BlockCacheStats returns the decoded-block cache counters (zero when the
 // cache is disabled).
 func (t *Table) BlockCacheStats() blockstore.CacheStats { return t.store.CacheStats() }
 
-// BulkLoad replaces the table's contents with tuples (any order; the table
+// BulkLoadContext fills the empty table with tuples (any order; the table
 // re-orders them per Section 3.2). The input slice is not retained.
-//
-// Deprecated: use BulkLoadContext.
-func (t *Table) BulkLoad(tuples []relation.Tuple) error {
-	return t.BulkLoadContext(context.Background(), tuples)
-}
-
-// BulkLoadContext is BulkLoad honouring ctx: cancellation is observed at
-// block boundaries during encoding and indexing, leaving the table
-// partially loaded (discard it on error, as with any failed bulk load).
+// Cancellation is observed at block boundaries during encoding and
+// indexing, leaving the table partially loaded (discard it on error, as
+// with any failed bulk load).
 func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.size != 0 || t.store.NumBlocks() != 0 {
 		return errors.New("table: bulk load into non-empty table")
 	}
@@ -530,28 +578,24 @@ func (t *Table) homeBlock(tu relation.Tuple) (storage.PageID, bool) {
 	return 0, false
 }
 
-// Insert adds tu to the table. Duplicates are permitted (relations here are
-// bags once inserts are allowed, matching the paper's block operations).
-//
-// Deprecated: use InsertContext.
-func (t *Table) Insert(tu relation.Tuple) error {
-	return t.InsertContext(context.Background(), tu)
-}
-
-// InsertContext is Insert honouring ctx. A single-block rewrite is not
-// interruptible mid-flight; cancellation is observed before work starts.
-// In WAL mode the insert is group-committed before returning.
+// InsertContext adds tu to the table. Duplicates are permitted (relations
+// here are bags once inserts are allowed, matching the paper's block
+// operations). A single-block rewrite is not interruptible mid-flight;
+// cancellation is observed before work starts. In WAL mode the log append
+// and the apply happen under the lock and the group commit after it (see
+// Table), so the insert is durable when the call returns.
 func (t *Table) InsertContext(ctx context.Context, tu relation.Tuple) error {
+	t.mu.Lock()
 	lsn, err := t.insertLogged(ctx, tu)
+	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return t.walCommit(lsn)
 }
 
-// insertLogged validates, logs, and applies one insert, returning the LSN
-// to commit. It does not wait for log durability: the Sync wrapper calls
-// it under its exclusive lock and commits after releasing it.
+// insertLogged validates, logs, and applies one insert under the exclusive
+// lock, returning the LSN the caller commits after releasing it.
 func (t *Table) insertLogged(ctx context.Context, tu relation.Tuple) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -604,27 +648,24 @@ func (t *Table) insertApply(ctx context.Context, tu relation.Tuple) error {
 	return nil
 }
 
-// Delete removes one occurrence of tu, reporting whether it was present.
-//
-// Deprecated: use DeleteContext.
-func (t *Table) Delete(tu relation.Tuple) (bool, error) {
-	return t.DeleteContext(context.Background(), tu)
-}
-
-// DeleteContext is Delete honouring ctx. A single-block rewrite is not
-// interruptible mid-flight; cancellation is observed before work starts.
-// In WAL mode the delete is group-committed before returning.
+// DeleteContext removes one occurrence of tu, reporting whether it was
+// present. A single-block rewrite is not interruptible mid-flight;
+// cancellation is observed before work starts. In WAL mode the delete is
+// group-committed, outside the lock, before returning.
 func (t *Table) DeleteContext(ctx context.Context, tu relation.Tuple) (bool, error) {
+	t.mu.Lock()
 	lsn, found, err := t.deleteLogged(ctx, tu)
+	t.mu.Unlock()
 	if err != nil || !found {
 		return found, err
 	}
 	return true, t.walCommit(lsn)
 }
 
-// deleteLogged validates, logs, and applies one delete, returning the LSN
-// to commit. A not-found delete is still logged (replay treats a missing
-// tuple as a no-op), keeping the log-before-mutate ordering unconditional.
+// deleteLogged validates, logs, and applies one delete under the exclusive
+// lock, returning the LSN to commit. A not-found delete is still logged
+// (replay treats a missing tuple as a no-op), keeping the log-before-mutate
+// ordering unconditional.
 func (t *Table) deleteLogged(ctx context.Context, tu relation.Tuple) (uint64, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
@@ -672,25 +713,27 @@ func (t *Table) deleteApply(ctx context.Context, tu relation.Tuple) (bool, error
 	return true, nil
 }
 
-// Update replaces one occurrence of old with new. It reports whether old
-// was present (and therefore replaced).
-//
-// Deprecated: use UpdateContext.
-func (t *Table) Update(old, new relation.Tuple) (bool, error) {
-	return t.UpdateContext(context.Background(), old, new)
-}
-
-// UpdateContext is Update honouring ctx: cancellation is observed before
-// the delete and again before the re-insert.
+// UpdateContext replaces one occurrence of old with new, reporting whether
+// old was present (and therefore replaced). Cancellation is observed
+// before the delete and again before the re-insert. Both halves are logged
+// under one lock hold and committed once on the later LSN (LSNs are
+// monotone, so committing the insert also makes the delete durable).
 func (t *Table) UpdateContext(ctx context.Context, old, new relation.Tuple) (bool, error) {
 	if err := t.schema.ValidateTuple(new); err != nil {
 		return false, err
 	}
-	found, err := t.DeleteContext(ctx, old)
+	t.mu.Lock()
+	_, found, err := t.deleteLogged(ctx, old)
 	if err != nil || !found {
+		t.mu.Unlock()
 		return false, err
 	}
-	return true, t.InsertContext(ctx, new)
+	lsn, err := t.insertLogged(ctx, new)
+	t.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	return true, t.walCommit(lsn)
 }
 
 // applyMutation fixes the primary and secondary indexes after a block
@@ -716,7 +759,7 @@ func (t *Table) applyMutation(page storage.PageID, old []relation.Tuple, res blo
 
 // findTupleBlock locates the block containing tu, walking back across
 // blocks whose boundary tuples equal tu so duplicates spanning blocks are
-// found.
+// found. The caller holds mu (shared suffices).
 func (t *Table) findTupleBlock(tu relation.Tuple) (storage.PageID, bool, error) {
 	if t.size == 0 {
 		return 0, false, nil
@@ -755,41 +798,44 @@ func (t *Table) findTupleBlock(tu relation.Tuple) (storage.PageID, bool, error) 
 	return 0, false, nil
 }
 
-// Contains reports whether tu is in the table, using the primary index.
+// Contains reports whether tu is in the table. It probes the primary index
+// and the live blocks, so unlike the streaming queries it holds the shared
+// lock throughout.
 func (t *Table) Contains(tu relation.Tuple) (bool, error) {
 	if err := t.schema.ValidateTuple(tu); err != nil {
 		return false, err
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	_, found, err := t.findTupleBlock(tu)
 	return found, err
 }
 
-// Scan visits every tuple in phi order through the executor, reading a
-// pinned snapshot. fn returning false stops the scan.
-//
-// Deprecated: use ScanContext.
-func (t *Table) Scan(fn func(relation.Tuple) bool) error {
-	return t.ScanContext(context.Background(), fn)
-}
-
-// ScanContext is Scan honouring ctx: cancellation is observed at block
+// ScanContext visits every tuple in phi order through the executor,
+// reading a snapshot pinned under the shared lock; fn runs without it and
+// returning false stops the scan. Cancellation is observed at block
 // boundaries, before the next block is decoded.
 func (t *Table) ScanContext(ctx context.Context, fn func(relation.Tuple) bool) error {
+	t.mu.RLock()
 	r := t.planScan()
+	t.mu.RUnlock()
 	r.op = "scan"
 	_, err := r.runCtx(ctx, fn)
 	return err
 }
 
 // Check verifies the whole table. It is the name the server's Engine
-// seam uses: table.Table, table.Sync, and shard.DB all answer Check()
-// with their deepest self-validation pass.
+// seam uses: table.Table and shard.DB both answer Check() with their
+// deepest self-validation pass.
 func (t *Table) Check() error { return t.CheckInvariants() }
 
 // CheckInvariants verifies the whole table: store layout, index trees, the
 // agreement of the primary index with block firsts, secondary bucket
-// counts against actual block contents, and the tuple count.
+// counts against actual block contents, and the tuple count. It walks
+// every block against the live indexes, so it holds the lock exclusively.
 func (t *Table) CheckInvariants() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// Deep store check: page headers, stream checksums, and per-tuple φ
 	// range membership, not just the layout maps.
 	if err := t.store.Check(); err != nil {
@@ -814,7 +860,8 @@ func (t *Table) CheckInvariants() error {
 	}
 	wantCounts := map[attrVal]int{}
 	var checkErr error
-	scanErr := t.store.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	//avqlint:ignore ctxflow the Engine seam's Check() carries no ctx; validation runs to its verdict
+	scanErr := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
 		key := t.schema.EncodeTuple(nil, ts[0])
 		page, ok := t.primary.Get(key)

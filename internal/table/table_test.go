@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,11 +36,11 @@ func randomTuples(t testing.TB, n int, seed int64) []relation.Tuple {
 func newTable(t testing.TB, codec core.Codec, secondaries []int) *Table {
 	t.Helper()
 	s := testSchema(t)
-	tb, err := Create(s, Options{
-		Codec:          codec,
-		PageSize:       512,
-		SecondaryAttrs: secondaries,
-	})
+	tb, err := Create(s,
+		WithCodec(codec),
+		WithPageSize(512),
+		WithSecondaryAttrs(secondaries...),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +49,10 @@ func newTable(t testing.TB, codec core.Codec, secondaries []int) *Table {
 
 func TestCreateRejectsBadSecondary(t *testing.T) {
 	s := testSchema(t)
-	if _, err := Create(s, Options{SecondaryAttrs: []int{9}}); err == nil {
+	if _, err := Create(s, WithSecondaryAttrs(9)); err == nil {
 		t.Fatal("out-of-range secondary attr accepted")
 	}
-	if _, err := Create(s, Options{SecondaryAttrs: []int{-1}}); err == nil {
+	if _, err := Create(s, WithSecondaryAttrs(-1)); err == nil {
 		t.Fatal("negative secondary attr accepted")
 	}
 }
@@ -59,7 +60,7 @@ func TestCreateRejectsBadSecondary(t *testing.T) {
 func TestBulkLoadAndScan(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, AllAttrs(testSchema(t)))
 	tuples := randomTuples(t, 1500, 1)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 1500 {
@@ -71,7 +72,7 @@ func TestBulkLoadAndScan(t *testing.T) {
 	var count int
 	prev := relation.Tuple(nil)
 	sch := tb.Schema()
-	if err := tb.Scan(func(tu relation.Tuple) bool {
+	if err := tb.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		if prev != nil && sch.Compare(prev, tu) > 0 {
 			t.Fatal("scan not in phi order")
 		}
@@ -89,17 +90,17 @@ func TestBulkLoadAndScan(t *testing.T) {
 func TestBulkLoadRejectsSecondLoad(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 20, 2)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err == nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err == nil {
 		t.Fatal("second bulk load accepted")
 	}
 }
 
 func TestBulkLoadValidates(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad([]relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
+	if err := tb.BulkLoadContext(context.Background(), []relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
 		t.Fatal("out-of-domain tuple accepted")
 	}
 }
@@ -107,7 +108,7 @@ func TestBulkLoadValidates(t *testing.T) {
 func TestContains(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 500, 3)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	for _, tu := range tuples[:50] {
@@ -140,7 +141,7 @@ func TestContains(t *testing.T) {
 func TestInsertIntoEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, AllAttrs(testSchema(t)))
 	tu := relation.Tuple{3, 8, 36, 39, 35}
-	if err := tb.Insert(tu); err != nil {
+	if err := tb.InsertContext(context.Background(), tu); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 1 || tb.NumBlocks() != 1 {
@@ -158,12 +159,12 @@ func TestInsertIntoEmptyTable(t *testing.T) {
 func TestInsertDeleteRoundTrip(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, AllAttrs(testSchema(t)))
 	tuples := randomTuples(t, 300, 4)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	extra := randomTuples(t, 100, 5)
 	for _, tu := range extra {
-		if err := tb.Insert(tu); err != nil {
+		if err := tb.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +175,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tu := range extra {
-		ok, err := tb.Delete(tu)
+		ok, err := tb.DeleteContext(context.Background(), tu)
 		if err != nil || !ok {
 			t.Fatalf("Delete(%v) = %v, %v", tu, ok, err)
 		}
@@ -189,17 +190,17 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 
 func TestDeleteAbsent(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if ok, err := tb.Delete(relation.Tuple{1, 1, 1, 1, 1}); err != nil || ok {
+	if ok, err := tb.DeleteContext(context.Background(), relation.Tuple{1, 1, 1, 1, 1}); err != nil || ok {
 		t.Fatalf("Delete on empty table = %v, %v", ok, err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 50, 6)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 50, 6)); err != nil {
 		t.Fatal(err)
 	}
 	before := tb.Len()
 	// Delete until the specific tuple is definitely gone, then once more.
 	victim := relation.Tuple{0, 0, 0, 0, 0}
 	for {
-		ok, err := tb.Delete(victim)
+		ok, err := tb.DeleteContext(context.Background(), victim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,11 +220,11 @@ func TestDeleteDuplicates(t *testing.T) {
 	for i := range batch {
 		batch[i] = dup.Clone()
 	}
-	if err := tb.BulkLoad(batch); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		ok, err := tb.Delete(dup)
+		ok, err := tb.DeleteContext(context.Background(), dup)
 		if err != nil || !ok {
 			t.Fatalf("duplicate delete %d: %v, %v", i, ok, err)
 		}
@@ -231,7 +232,7 @@ func TestDeleteDuplicates(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if ok, _ := tb.Delete(dup); ok {
+	if ok, _ := tb.DeleteContext(context.Background(), dup); ok {
 		t.Fatal("11th delete succeeded")
 	}
 	if err := tb.CheckInvariants(); err != nil {
@@ -241,17 +242,17 @@ func TestDeleteDuplicates(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, AllAttrs(testSchema(t)))
-	if err := tb.BulkLoad(randomTuples(t, 200, 7)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 200, 7)); err != nil {
 		t.Fatal(err)
 	}
 	var old relation.Tuple
-	tb.Scan(func(tu relation.Tuple) bool {
+	tb.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		old = tu.Clone()
 		return false
 	})
 	updated := old.Clone()
 	updated[4] = (updated[4] + 1) % 4096
-	ok, err := tb.Update(old, updated)
+	ok, err := tb.UpdateContext(context.Background(), old, updated)
 	if err != nil || !ok {
 		t.Fatalf("Update = %v, %v", ok, err)
 	}
@@ -265,7 +266,7 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("Len = %d after update", tb.Len())
 	}
 	// Updating an absent tuple is a no-op.
-	ok, err = tb.Update(relation.Tuple{7, 15, 63, 63, 4095}, old)
+	ok, err = tb.UpdateContext(context.Background(), relation.Tuple{7, 15, 63, 63, 4095}, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestSelectRangeAllStrategies(t *testing.T) {
 	// Index attrs 1..3 only, so attr 4 exercises the full scan path and
 	// attr 0 the clustered path.
 	tb := newTable(t, core.CodecAVQ, []int{1, 2, 3})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -310,7 +311,7 @@ func TestSelectRangeAllStrategies(t *testing.T) {
 		{4, 1000, 2000, StrategyFullScan},
 	}
 	for _, c := range cases {
-		got, stats, err := tb.SelectRange(c.attr, c.lo, c.hi)
+		got, stats, err := tb.SelectRangeContext(context.Background(), c.attr, c.lo, c.hi)
 		if err != nil {
 			t.Fatalf("SelectRange(%d,%d,%d): %v", c.attr, c.lo, c.hi, err)
 		}
@@ -340,24 +341,24 @@ func TestSelectRangeAllStrategies(t *testing.T) {
 
 func TestSelectRangeEdges(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if _, _, err := tb.SelectRange(99, 0, 1); err == nil {
+	if _, _, err := tb.SelectRangeContext(context.Background(), 99, 0, 1); err == nil {
 		t.Fatal("bad attribute accepted")
 	}
 	// Empty table.
-	out, stats, err := tb.SelectRange(0, 0, 7)
+	out, stats, err := tb.SelectRangeContext(context.Background(), 0, 0, 7)
 	if err != nil || len(out) != 0 || stats.BlocksRead != 0 {
 		t.Fatalf("empty table select: %d tuples, %+v, %v", len(out), stats, err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 100, 9)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 100, 9)); err != nil {
 		t.Fatal(err)
 	}
 	// Inverted range.
-	out, _, err = tb.SelectRange(1, 10, 2)
+	out, _, err = tb.SelectRangeContext(context.Background(), 1, 10, 2)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("inverted range returned %d tuples, %v", len(out), err)
 	}
 	// Range clipped to the domain.
-	out, _, err = tb.SelectRange(0, 0, 10000)
+	out, _, err = tb.SelectRangeContext(context.Background(), 0, 0, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestSelectRangeEdges(t *testing.T) {
 		t.Fatalf("clipped range matched %d of 100", len(out))
 	}
 	// lo beyond the domain matches nothing.
-	out, _, err = tb.SelectRange(0, 5000, 10000)
+	out, _, err = tb.SelectRangeContext(context.Background(), 0, 5000, 10000)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out-of-domain lo matched %d", len(out))
 	}
@@ -376,10 +377,10 @@ func TestSelectRangeEdges(t *testing.T) {
 // clustering prefix touches a small contiguous band of blocks.
 func TestClusteredReadsFewerBlocks(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 4000, 10)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 4000, 10)); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := tb.SelectRange(0, 3, 3) // one of 8 uniform values
+	_, stats, err := tb.SelectRangeContext(context.Background(), 0, 3, 3) // one of 8 uniform values
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +399,10 @@ func TestCodecsAgree(t *testing.T) {
 	secondaries := AllAttrs(s)
 	avq := newTable(t, core.CodecAVQ, secondaries)
 	raw := newTable(t, core.CodecRaw, secondaries)
-	if err := avq.BulkLoad(tuples); err != nil {
+	if err := avq.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.BulkLoad(tuples); err != nil {
+	if err := raw.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if avq.NumBlocks() >= raw.NumBlocks() {
@@ -413,11 +414,11 @@ func TestCodecsAgree(t *testing.T) {
 		span := s.Domain(attr).Size
 		lo := uint64(rng.Int63n(int64(span)))
 		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		a, _, err := avq.SelectRange(attr, lo, hi)
+		a, _, err := avq.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, err := raw.SelectRange(attr, lo, hi)
+		r, _, err := raw.SelectRangeContext(context.Background(), attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,13 +451,13 @@ func TestRandomizedOperationsAgainstModel(t *testing.T) {
 		switch rng.Intn(5) {
 		case 0, 1, 2: // insert
 			tu := randTuple()
-			if err := tb.Insert(tu); err != nil {
+			if err := tb.InsertContext(context.Background(), tu); err != nil {
 				t.Fatalf("op %d insert: %v", op, err)
 			}
 			live[key(tu)]++
 		case 3: // delete
 			tu := randTuple()
-			ok, err := tb.Delete(tu)
+			ok, err := tb.DeleteContext(context.Background(), tu)
 			if err != nil {
 				t.Fatalf("op %d delete: %v", op, err)
 			}
@@ -500,7 +501,7 @@ func TestRandomizedOperationsAgainstModel(t *testing.T) {
 func TestBlocksForValue(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{4})
 	tuples := randomTuples(t, 400, 14)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	v := tuples[0][4]
@@ -510,7 +511,7 @@ func TestBlocksForValue(t *testing.T) {
 	}
 	// The bucket's blocks really contain the value.
 	for _, page := range pages {
-		out, _, err := tb.SelectPoint(4, v)
+		out, _, err := tb.SelectPointContext(context.Background(), 4, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,14 +527,14 @@ func TestBlocksForValue(t *testing.T) {
 
 func TestDropCacheAndDiskAccounting(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(randomTuples(t, 2000, 15)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 2000, 15)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.DropCache(); err != nil {
 		t.Fatal(err)
 	}
 	tb.Disk().Reset()
-	_, stats, err := tb.SelectRange(1, 0, 7)
+	_, stats, err := tb.SelectRangeContext(context.Background(), 1, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +549,7 @@ func TestDropCacheAndDiskAccounting(t *testing.T) {
 
 func TestStoreStatsAndIndexCounts(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, AllAttrs(testSchema(t)))
-	if err := tb.BulkLoad(randomTuples(t, 1000, 16)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 1000, 16)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := tb.StoreStats()

@@ -108,9 +108,10 @@ func (t *Table) logRecord(kind byte, tuples ...relation.Tuple) (uint64, error) {
 }
 
 // walCommit group-commits through lsn. The zero LSN (no WAL, or nothing
-// logged) is a no-op. Callers holding the Sync wrapper's exclusive lock
-// must NOT call this under it — committing outside the lock is what lets
-// concurrent writers share one fsync.
+// logged) is a no-op. It must be called after releasing mu — committing
+// outside the lock is what lets concurrent writers share one fsync — and
+// may read t.wal there because the pointer is only written before the
+// table is shared (Create, Open).
 func (t *Table) walCommit(lsn uint64) error {
 	if t.wal == nil || lsn == 0 {
 		return nil
@@ -208,7 +209,7 @@ func (t *Table) attachWALReplay() error {
 	sp.Detailf("%d records, %d applied", len(records), applied)
 	// Fold the replayed state into a durable catalog; Checkpoint also
 	// rotates the log, truncating the segments just replayed.
-	if err := t.Checkpoint(); err != nil {
+	if err := t.checkpoint(); err != nil {
 		return fail(err)
 	}
 	return nil
@@ -223,24 +224,20 @@ func (t *Table) replayRecord(kind byte, tuples []relation.Tuple) error {
 		if len(tuples) != 1 {
 			return fmt.Errorf("table: insert record with %d tuples", len(tuples))
 		}
-		//avqlint:ignore ctxflow replay is uninterruptible recovery work
 		return t.insertApply(ctx, tuples[0])
 	case recDelete:
 		if len(tuples) != 1 {
 			return fmt.Errorf("table: delete record with %d tuples", len(tuples))
 		}
-		//avqlint:ignore ctxflow replay is uninterruptible recovery work
 		_, err := t.deleteApply(ctx, tuples[0])
 		return err
 	case recInsertBatch:
-		//avqlint:ignore ctxflow replay is uninterruptible recovery work
 		return t.insertBatchApply(ctx, tuples, nil)
 	case recDeleteBatch:
 		for _, tu := range tuples {
 			// A tuple can be legitimately absent if the original run
 			// logged a batch it then only partially applied and re-logged;
 			// deletes are idempotent at replay.
-			//avqlint:ignore ctxflow replay is uninterruptible recovery work
 			if _, err := t.deleteApply(ctx, tu); err != nil {
 				return err
 			}

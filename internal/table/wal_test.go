@@ -13,13 +13,13 @@ import (
 	"repro/internal/simdisk"
 )
 
-func walTestOpts(fs *simdisk.FaultFS) Options {
-	return Options{
-		Codec:      core.CodecAVQ,
-		PageSize:   512,
-		Path:       "db.avq",
-		FS:         fs,
-		Durability: DurabilityWAL,
+func walTestOpts(fs *simdisk.FaultFS) []Option {
+	return []Option{
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath("db.avq"),
+		WithVFS(fs),
+		WithDurability(DurabilityWAL),
 	}
 }
 
@@ -28,7 +28,7 @@ func walTestOpts(fs *simdisk.FaultFS) Options {
 // silently lost on a crash. Now reopen must replay all of them.
 func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs))
+	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 	// unsynced write. Without the log this loses all 200 inserts.
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs))
+	re, err := Open("db.avq", walTestOpts(fs)...)
 	if err != nil {
 		t.Fatalf("reopen after kill: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 // mode — forgetting a flag must not silently discard the log.
 func TestOpenAutoDetectsWAL(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs))
+	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 	}
 	fs.Recover(nil)
 
-	opts := walTestOpts(fs)
-	opts.Durability = DurabilityCheckpoint // caller "forgot" WAL mode
-	re, err := Open("db.avq", opts)
+	// The caller "forgot" WAL mode.
+	opts := append(walTestOpts(fs), WithDurability(DurabilityCheckpoint))
+	re, err := Open("db.avq", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Recover(nil)
-	re2, err := Open("db.avq", opts)
+	re2, err := Open("db.avq", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 // Checkpoint, reopen must not need (or replay) the old records.
 func TestWALCheckpointTruncatesLog(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs))
+	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWALCheckpointTruncatesLog(t *testing.T) {
 	}
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs))
+	re, err := Open("db.avq", walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestWALCheckpointTruncatesLog(t *testing.T) {
 func TestTruncatedFileErrCorruptBlock(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.avq")
-	tbl, err := Create(testSchema(t), Options{Codec: core.CodecAVQ, PageSize: 512, Path: path})
+	tbl, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tu := range randomTuples(t, 64, 9) {
-		if err := tbl.Insert(tu); err != nil {
+		if err := tbl.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestTruncatedFileErrCorruptBlock(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-129); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(path, Options{PageSize: 512})
+	_, err = Open(path, WithPageSize(512))
 	if err == nil {
 		t.Fatal("open of a torn page file succeeded")
 	}
@@ -189,7 +189,7 @@ func TestTruncatedFileErrCorruptBlock(t *testing.T) {
 // publish — trailing garbage can only be an unacknowledged write.
 func TestWALTornPageFileRepaired(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs))
+	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestWALTornPageFileRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open("db.avq", walTestOpts(fs))
+	re, err := Open("db.avq", walTestOpts(fs)...)
 	if err != nil {
 		t.Fatalf("WAL-mode open did not repair the torn tail: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestWALTornPageFileRepaired(t *testing.T) {
 // kill: deletes, updates, and predicate deletes must all replay.
 func TestWALUpdateDeleteDurable(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs))
+	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestWALUpdateDeleteDurable(t *testing.T) {
 	want := tbl.Len()
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs))
+	re, err := Open("db.avq", walTestOpts(fs)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,68 +121,6 @@ fi
 
 echo "benchgate: PASS (group commit ${wal_speedup}x >= ${wal_min}x naive fsync-per-append)"
 
-# -- φ-range sharding gate ---------------------------------------------------
-# The shard experiment carries its own absolute gates: 4-shard scatter scan
-# >= 2x the single-shard scan (waived below 4 CPUs), catalog pruning >= the
-# single-table fence-prune rate at ~1% selectivity, and the count-range
-# arena path holding O(1) allocations per query. All are ratios or counts
-# on one host, so no cross-host baseline comparison is needed.
-if [ -f BENCH_shard.json ]; then
-    cp BENCH_shard.json "$tmpdir/shard-baseline.json"
-fi
-
-echo "== benchgate: running avqbench -exp shard"
-go run ./cmd/avqbench -exp shard
-
-shard_pass=$(jget BENCH_shard.json pass)
-shard_scale=$(jget BENCH_shard.json scale_pass)
-shard_prune=$(jget BENCH_shard.json prune_pass)
-shard_alloc=$(jget BENCH_shard.json alloc_pass)
-
-if [ -f "$tmpdir/shard-baseline.json" ]; then
-    cp "$tmpdir/shard-baseline.json" BENCH_shard.json
-fi
-
-if [ "$shard_pass" != "true" ]; then
-    echo "benchgate: shard gates failed (scale_pass=$shard_scale prune_pass=$shard_prune alloc_pass=$shard_alloc)" >&2
-    exit 1
-fi
-
-echo "benchgate: PASS (shard scale_pass=$shard_scale prune_pass=$shard_prune alloc_pass=$shard_alloc)"
-
-# -- query-server gate -------------------------------------------------------
-# The serve experiment carries its own absolute gates: end-to-end p99 under
-# the (generous) 250ms ceiling, admission control shedding load with 429s
-# under saturation without losing a request, the token-bucket handoff
-# costing <= 5% of a representative block-visiting query, and a drain that
-# leaves zero pinned frames and live snapshots. All are ratios or absolute
-# bounds on one host, so no cross-host baseline comparison is needed.
-if [ -f BENCH_serve.json ]; then
-    cp BENCH_serve.json "$tmpdir/serve-baseline.json"
-fi
-
-echo "== benchgate: running avqbench -exp serve"
-go run ./cmd/avqbench -exp serve
-
-serve_pass=$(jget BENCH_serve.json pass)
-serve_p99=$(jget BENCH_serve.json p99_ms)
-serve_lat=$(jget BENCH_serve.json latency_pass)
-serve_over=$(jget BENCH_serve.json overload_pass)
-serve_adm=$(jget BENCH_serve.json admission_overhead_pct)
-serve_ovh=$(jget BENCH_serve.json overhead_pass)
-serve_drain=$(jget BENCH_serve.json drain_pass)
-
-if [ -f "$tmpdir/serve-baseline.json" ]; then
-    cp "$tmpdir/serve-baseline.json" BENCH_serve.json
-fi
-
-if [ "$serve_pass" != "true" ]; then
-    echo "benchgate: serve gates failed (latency_pass=$serve_lat p99=${serve_p99}ms overload_pass=$serve_over overhead_pass=$serve_ovh overhead=${serve_adm}% drain_pass=$serve_drain)" >&2
-    exit 1
-fi
-
-echo "benchgate: PASS (serve p99 ${serve_p99}ms, admission overhead ${serve_adm}%, overload_pass=$serve_over drain_pass=$serve_drain)"
-
 # -- columnar batch execution gate -------------------------------------------
 # The join experiment carries its own absolute gates: the φ-space merge
 # join >= 3x the tuple-at-a-time join on the sparse-key workload, the

@@ -2,8 +2,9 @@
 # check.sh — the repo's one-command verification gate.
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
-# suite (internal/analysis), the full test suite, and the race-focused test
-# run over the concurrency-sensitive packages. Fails fast on the first
+# suite (internal/analysis) plus the no-Deprecated-wrappers guard, the full
+# test suite, and the race-focused test run over the concurrency-sensitive
+# packages. Fails fast on the first
 # broken stage so CI output points at one problem.
 set -eu
 
@@ -28,6 +29,8 @@ echo "== avqlint (baseline-gated)"
 # baseline entries, so accepted findings can only change via an explicit
 # `make lint-baseline` regeneration that shows up in review.
 go run ./cmd/avqlint -baseline scripts/avqlint-baseline.json ./...
+# Every entry point has one ctx-first name; keep Deprecated twins from growing back.
+if grep -rn 'Deprecated:' --include='*.go' cmd internal examples | grep -v '^internal/analysis/'; then echo "Deprecated: wrapper found; give the entry point one ctx-first name" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
