@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint lint-baseline build fmt bench-pruning bench-obs bench-decode bench-wal bench-join benchgate crash
+.PHONY: check test race lint lint-baseline build fmt loc bench-pruning bench-obs bench-decode bench-wal bench-join benchgate crash
 
 check:
 	sh scripts/check.sh
@@ -54,3 +54,7 @@ lint-baseline:
 
 fmt:
 	gofmt -w cmd internal examples *.go
+
+# ROADMAP ground rule (iii): net non-test lines in internal/ + cmd/.
+loc:
+	@sh scripts/loc.sh

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	avqdb create -db file -schema "region:16,store:128,units:1000" [-codec avq] [-index 1,2] [-hash]
+//	avqdb create -db file -schema "region:16,store:128,units:1000" [-codec avq] [-index 1,2]
 //	avqdb load   -db file -in data.rel
 //	avqdb insert -db file -tuple "3,77,999"
 //	avqdb delete -db file -tuple "3,77,999"
@@ -79,7 +79,6 @@ func main() {
 		schemaStr = fs.String("schema", "", "create: comma-separated name:size attribute list")
 		codecName = fs.String("codec", "avq", "create: block codec")
 		indexStr  = fs.String("index", "", "create: comma-separated secondary attribute positions")
-		useHash   = fs.Bool("hash", false, "create: back secondary indexes with hashing instead of B+ trees")
 		in        = fs.String("in", "", "load: plain .rel file")
 		tupleStr  = fs.String("tuple", "", "insert/delete: comma-separated attribute values")
 		attr      = fs.Int("attr", 0, "query/count: attribute position")
@@ -105,7 +104,7 @@ func main() {
 	err := run(ctx, cmd, args{
 		sub: sub,
 		db:  *db, schema: *schemaStr, codec: *codecName, index: *indexStr,
-		hash: *useHash, in: *in, tuple: *tupleStr,
+		in: *in, tuple: *tupleStr,
 		attr: *attr, lo: *lo, hi: *hi, limit: *limit, aggAttr: *aggAttr,
 		group: *groupAttr, with: *with,
 		live: *live, listen: *listen, slowMs: *slowMs,
@@ -120,7 +119,7 @@ type args struct {
 	sub                                 string
 	db, schema, codec, index, in, tuple string
 	with                                string
-	hash, live                          bool
+	live                                bool
 	attr, aggAttr, group                int
 	lo, hi                              uint64
 	limit, slowMs                       int
@@ -233,22 +232,17 @@ func create(a args) error {
 			secondaries = append(secondaries, i)
 		}
 	}
-	kind := table.IndexBTree
-	if a.hash {
-		kind = table.IndexHash
-	}
 	tb, err := table.Create(schema,
 		table.WithCodec(codec),
 		table.WithPath(a.db),
 		table.WithSecondaryAttrs(secondaries...),
-		table.WithSecondaryKind(kind),
 	)
 	if err != nil {
 		return err
 	}
 	defer tb.Close()
-	fmt.Printf("created %s: schema %s, codec %s, %d secondary indexes (%s)\n",
-		a.db, schema, codec, len(secondaries), kind)
+	fmt.Printf("created %s: schema %s, codec %s, %d secondary indexes\n",
+		a.db, schema, codec, len(secondaries))
 	return nil
 }
 
@@ -502,8 +496,8 @@ func stats(ctx context.Context, a args) error {
 	}
 	fmt.Printf("schema: %s\n", tb.Schema())
 	fmt.Printf("codec: %s\n", tb.Codec())
-	fmt.Printf("tuples: %d in %d blocks (%d index nodes, primary height %d)\n",
-		tb.Len(), tb.NumBlocks(), tb.IndexNodeCount(), tb.PrimaryHeight())
+	fmt.Printf("tuples: %d in %d blocks (%d directory entries, %d secondary index nodes)\n",
+		tb.Len(), tb.NumBlocks(), tb.NumBlocks(), tb.IndexNodeCount())
 	fmt.Printf("coded payload: %d bytes; raw rows would be %d bytes (%.1f%% reduction)\n",
 		st.StreamBytes, st.RawDataBytes, st.StreamSavingsPercent())
 	cs := tb.BlockCacheStats()

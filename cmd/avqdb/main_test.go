@@ -121,14 +121,13 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
-func TestHashIndexCreate(t *testing.T) {
+func TestSecondaryIndexCreatePacked(t *testing.T) {
 	dir := t.TempDir()
 	db := filepath.Join(dir, "h.avqdb")
 	a := dbArgs(db)
 	a.schema = "a:50,b:50"
 	a.codec = "packed"
 	a.index = "1"
-	a.hash = true
 	if err := run(context.Background(), "create", a); err != nil {
 		t.Fatal(err)
 	}

@@ -17,19 +17,20 @@ func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
 			s.Configure(Config{CacheBlocks: 8})
 		}
 		tuples := randomTuples(t, 600, 42)
-		refs, err := s.BulkLoadContext(context.Background(), tuples)
-		if err != nil {
+		if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
+		sn := s.Snapshot()
+		defer sn.Release()
 		a := core.NewArena()
 		for pass := 0; pass < 2; pass++ { // second pass exercises cache hits
-			for _, ref := range refs {
-				want, err := s.ReadBlock(ref.Page)
+			for b := 0; b < sn.NumBlocks(); b++ {
+				want, _, err := sn.ReadBlock(b)
 				if err != nil {
 					t.Fatal(err)
 				}
 				a.Reset()
-				got, err := s.ReadBlockArena(ref.Page, a)
+				got, _, err := sn.ReadBlockArena(b, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,7 +40,7 @@ func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
 				for i := range want {
 					if s.schema.Compare(got[i], want[i]) != 0 {
 						t.Fatalf("cached=%v pass %d block %d tuple %d: %v != %v",
-							cached, pass, ref.Page, i, got[i], want[i])
+							cached, pass, b, i, got[i], want[i])
 					}
 				}
 			}
@@ -59,7 +60,7 @@ func TestCacheHitSlabIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := refs[0].Page
-	first, err := s.ReadBlock(id) // miss: fills the cache
+	first, err := s.decodeBlockCached(id) // miss: fills the cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCacheHitSlabIsolation(t *testing.T) {
 	for i, tu := range first {
 		clean[i] = append([]uint64(nil), tu...)
 	}
-	hit, err := s.ReadBlock(id) // hit: slab copy
+	hit, err := s.decodeBlockCached(id) // hit: slab copy
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCacheHitSlabIsolation(t *testing.T) {
 			tu[j] = ^uint64(0)
 		}
 	}
-	again, err := s.ReadBlock(id)
+	again, err := s.decodeBlockCached(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,13 @@ func TestEncodeBufferReuse(t *testing.T) {
 	}
 	// Mutations re-encode blocks through the same buffer; after a warm-up
 	// mutation sizes it, further mutations must reuse the capacity.
-	if _, err := s.InsertIntoBlock(refs[0].Page, refs[0].First.Clone()); err != nil {
+	if _, err := s.Insert(refs[0].First); err != nil {
 		t.Fatal(err)
 	}
 	steady := cap(s.encBuf)
 	for i := 1; i < 32; i++ {
 		ref := refs[i%len(refs)]
-		if _, err := s.InsertIntoBlock(ref.Page, ref.First.Clone()); err != nil {
+		if _, err := s.Insert(ref.First); err != nil {
 			t.Fatal(err)
 		}
 	}

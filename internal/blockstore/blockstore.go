@@ -11,9 +11,11 @@
 // Each page holds one coded block: a 4-byte big-endian stream length
 // followed by the core block stream. Tuples within a block are in phi
 // order, and the ordered block list is the clustered order of the relation.
-// Insertion and deletion decode, modify, and re-encode only the affected
-// block (Figure 4.6); a block whose re-coded stream no longer fits its page
-// is split, and an emptied block's page is freed.
+// Insertion and deletion are tuple-addressed: the store finds the home
+// block by binary search over the manifest's fence array (the flattened
+// primary index of Figure 4.4), then decodes, modifies, and re-encodes only
+// that block (Figure 4.6); a block whose re-coded stream no longer fits its
+// page is split, and an emptied block's page is freed.
 //
 // The layout metadata lives in an immutable manifest (see snapshot.go):
 // mutations clone it, edit the clone, and publish it atomically, freeing
@@ -27,6 +29,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +47,6 @@ const lenPrefix = 4
 // Errors returned by the store.
 var (
 	ErrTupleTooLarge = errors.New("blockstore: a single tuple does not fit in a page")
-	ErrUnknownBlock  = errors.New("blockstore: page is not a block of this store")
 	// ErrCorruptBlock marks a block whose on-page bytes cannot be decoded:
 	// an impossible stream length, a checksum mismatch, or a malformed
 	// coded stream. It wraps the detailed cause; dispatch with errors.Is.
@@ -53,8 +56,8 @@ var (
 	ErrSnapshotStale = errors.New("blockstore: snapshot used after release")
 )
 
-// BlockRef describes one data block: its page and its first (smallest)
-// tuple, which is the block's primary-index key.
+// BlockRef describes one bulk-loaded data block: its page, its first
+// (smallest) tuple, and its tuple count.
 type BlockRef struct {
 	Page  storage.PageID
 	First relation.Tuple
@@ -64,15 +67,14 @@ type BlockRef struct {
 // Store is a clustered, coded block store. It is not safe for concurrent
 // mutation; the table layer serializes mutations. Readers are safe
 // concurrently with a mutation when they hold a Snapshot (or go through
-// ScanBlocks/ComputeStats, which take one internally); bare ReadBlock
-// calls remain safe only between mutations, as before.
+// ScanBlocks/ComputeStats, which take one internally).
 type Store struct {
 	schema *relation.Schema
 	codec  core.Codec
 	pool   *buffer.Pool
 
-	// man is the current published manifest: block list, position map, and
-	// φ-fences. Mutators clone-edit-publish; readers Load.
+	// man is the current published manifest: block list and φ-fences.
+	// Mutators clone-edit-publish; readers Load.
 	man atomic.Pointer[manifest]
 
 	// Snapshot accounting: while snapRefs > 0, pages freed by mutations
@@ -148,7 +150,7 @@ func New(schema *relation.Schema, codec core.Codec, pool *buffer.Pool) (*Store, 
 		codec:  codec,
 		pool:   pool,
 	}
-	s.man.Store(newManifest())
+	s.man.Store(&manifest{})
 	return s, nil
 }
 
@@ -164,18 +166,13 @@ func (s *Store) NumBlocks() int { return len(s.man.Load().blocks) }
 // FenceBounds reports the attribute-0 span the store's fences cover:
 // the clustering order is attribute-0-major, so the first block's First
 // and the last block's Last bracket every tuple. ok is false when the
-// store is empty or an edge fence is unknown (the caller must then treat
-// the span as the whole domain).
+// store is empty.
 func (s *Store) FenceBounds() (lo, hi uint64, ok bool) {
 	m := s.man.Load()
 	if len(m.fences) == 0 {
 		return 0, 0, false
 	}
-	first, last := m.fences[0], m.fences[len(m.fences)-1]
-	if !first.Known() || !last.Known() {
-		return 0, 0, false
-	}
-	return first.First[0], last.Last[0], true
+	return m.fences[0].First[0], m.fences[len(m.fences)-1].Last[0], true
 }
 
 // Blocks returns the pages of the store's blocks in clustered order.
@@ -192,20 +189,46 @@ func (s *Store) capacity() int { return s.pool.PageSize() - lenPrefix }
 // Restore adopts an existing block layout whose pages are already
 // populated in the pool's pager, without rewriting anything. Opening a
 // persistent table uses it to rebuild the store from the catalog's block
-// list. The store must be empty and the page ids distinct. The restored
-// blocks carry unknown fences until AdoptFences installs them (the table
-// layer does so from its index-rebuild scan), so scans read rather than
-// prune restored blocks in the interim.
-func (s *Store) Restore(blocks []storage.PageID) error {
+// list. It decodes every block once (on the worker pool when Concurrency >
+// 1), captures the fences itself, and offers each block's tuples to visit
+// in clustered order so the caller can rebuild its indexes from the same
+// decode. The layout is published only if the store is empty, the page ids
+// are distinct, and the decoded blocks are non-empty and in φ order — the
+// block list comes from a file, and a manifest the fence search cannot
+// trust is never published.
+func (s *Store) Restore(ctx context.Context, blocks []storage.PageID, visit func(id storage.PageID, tuples []relation.Tuple)) error {
 	if s.NumBlocks() != 0 {
 		return errors.New("blockstore: restore into non-empty store")
 	}
-	m := newManifest()
+	seen := make(map[storage.PageID]struct{}, len(blocks))
 	for _, id := range blocks {
-		if _, dup := m.pos[id]; dup {
+		if _, dup := seen[id]; dup {
 			return fmt.Errorf("blockstore: duplicate page %d in restored layout", id)
 		}
-		m.append(id, Fence{})
+		seen[id] = struct{}{}
+	}
+	m := &manifest{blocks: slices.Clone(blocks), fences: make([]Fence, 0, len(blocks))}
+	var orderErr error
+	err := s.scanManifest(ctx, m, func(id storage.PageID, tuples []relation.Tuple) bool {
+		i := len(m.fences)
+		if len(tuples) == 0 {
+			orderErr = fmt.Errorf("%w: restored block %d (page %d) is empty", ErrCorruptBlock, i, id)
+			return false
+		}
+		f := fenceFor(tuples)
+		if i > 0 && s.schema.Compare(m.fences[i-1].Last, f.First) > 0 {
+			orderErr = fmt.Errorf("%w: restored block %d (page %d) precedes its predecessor in φ order", ErrCorruptBlock, i, id)
+			return false
+		}
+		m.fences = append(m.fences, f)
+		visit(id, tuples)
+		return true
+	})
+	if err == nil {
+		err = orderErr
+	}
+	if err != nil {
+		return err
 	}
 	s.man.Store(m)
 	return nil
@@ -227,7 +250,7 @@ func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([
 	if s.NumBlocks() != 0 {
 		return nil, errors.New("blockstore: bulk load into non-empty store")
 	}
-	m := newManifest()
+	m := &manifest{}
 	// Publish even on error so pages written before the failure stay
 	// tracked by the store (Reset can then free them) instead of leaking.
 	defer func() {
@@ -274,7 +297,7 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 	if s.NumBlocks() != 0 {
 		return nil, errors.New("blockstore: bulk load into non-empty store")
 	}
-	m := newManifest()
+	m := &manifest{}
 	defer func() {
 		s.man.Store(m)
 		s.notifyCommit("bulkload", len(m.blocks))
@@ -411,34 +434,11 @@ func (s *Store) writeStream(stream []byte) (storage.PageID, error) {
 	return id, nil
 }
 
-// ReadBlock decodes the tuples of the block stored on page id, consulting
-// the decoded-block cache when one is configured.
-func (s *Store) ReadBlock(id storage.PageID) ([]relation.Tuple, error) {
-	return s.ReadBlockArena(id, nil)
-}
-
-// ReadBlockArena is ReadBlock with the decoded tuples carved from the
-// caller's arena (a fresh internal one when a is nil). The tuples alias
-// the arena's slab and are valid only until its next Reset.
-func (s *Store) ReadBlockArena(id storage.PageID, a *core.Arena) ([]relation.Tuple, error) {
-	if _, ok := s.man.Load().pos[id]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
-	}
-	tuples, _, err := s.decodeBlockCachedHitArena(id, a)
-	return tuples, err
-}
-
 // decodeBlockCached serves a block from the decoded-block cache or decodes
-// it from its page (filling the cache).
+// it from its page (filling the cache), into a fresh arena the caller owns.
 func (s *Store) decodeBlockCached(id storage.PageID) ([]relation.Tuple, error) {
 	tuples, _, err := s.decodeBlockCachedHitArena(id, nil)
 	return tuples, err
-}
-
-// decodeBlockCachedHit is decodeBlockCachedHitArena with a fresh arena,
-// for callers that keep the allocating contract.
-func (s *Store) decodeBlockCachedHit(id storage.PageID) ([]relation.Tuple, bool, error) {
-	return s.decodeBlockCachedHitArena(id, nil)
 }
 
 // decodeBlockCachedHitArena is decodeBlockCached, also reporting whether
@@ -483,137 +483,222 @@ func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]r
 	return tuples, false, nil
 }
 
-// MutationResult reports how an insert or delete changed the block layout,
-// so the table layer can maintain its indexes.
+// BlockRun is one block of a mutation: its page and the tuples it holds,
+// in φ order. The tuples are the mutator's own decode (or the run it just
+// encoded), handed over so the caller can maintain its indexes without
+// reading the block again; they must not be modified.
+type BlockRun struct {
+	Page   storage.PageID
+	Tuples []relation.Tuple
+}
+
+// MutationResult reports how an insert, delete or merge changed the block
+// layout, so the table layer can maintain its secondary indexes.
 type MutationResult struct {
-	// Blocks holds the refs of every block that now covers the affected
-	// key range, in clustered order: the modified block, plus any blocks
-	// created by a split. Empty when the block was removed entirely.
-	Blocks []BlockRef
-	// Removed is the page freed because the block became empty.
-	Removed storage.PageID
-	// HasRemoved reports whether Removed is meaningful.
-	HasRemoved bool
+	// Old is the block the mutation replaced, with its pre-image. Its
+	// Tuples are nil when nothing was replaced (a write into an empty
+	// store).
+	Old BlockRun
+	// New holds the blocks that now cover the affected range, in clustered
+	// order: the re-coded block, plus any created by a split. Empty when
+	// the block became empty and was removed.
+	New []BlockRun
 }
 
-// InsertIntoBlock inserts t into the block on page id, keeping phi order,
-// re-coding the block in place, and splitting it if the coded stream no
-// longer fits the page (Section 4.2). Duplicates are permitted.
-func (s *Store) InsertIntoBlock(id storage.PageID, t relation.Tuple) (MutationResult, error) {
-	tuples, err := s.ReadBlock(id)
+// Insert adds t to its home block — the last block whose first tuple is
+// <= t, found on the fence array; a fresh block when the store is empty —
+// keeping phi order, re-coding the block onto a fresh page, and splitting
+// it if the coded stream no longer fits (Section 4.2). Duplicates are
+// permitted.
+func (s *Store) Insert(t relation.Tuple) (MutationResult, error) {
+	res, _, err := s.MergeRun([]relation.Tuple{t})
+	return res, err
+}
+
+// MergeRun merges the longest prefix of a φ-sorted, non-empty batch that
+// shares one home block into that block, with one decode and one
+// re-encode, and reports how many tuples it consumed. Batch insertion
+// calls it until the batch is used up.
+func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err error) {
+	if len(batch) == 0 {
+		return MutationResult{}, 0, errors.New("blockstore: merge with no tuples")
+	}
+	m := s.man.Load()
+	at := m.home(s.schema, batch[0])
+	n = len(batch)
+	if at+1 < len(m.fences) {
+		// Tuples at or beyond the next block's first belong further on.
+		next := m.fences[at+1].First
+		n = sort.Search(len(batch), func(i int) bool { return s.schema.Compare(batch[i], next) >= 0 })
+	}
+	run := batch[:n]
+	if !s.schema.TuplesSorted(run) {
+		return MutationResult{}, 0, errors.New("blockstore: merge input not in phi order")
+	}
+	var old []relation.Tuple
+	if at < 0 {
+		at = 0
+	} else if old, err = s.decodeBlockCached(m.blocks[at]); err != nil {
+		return MutationResult{}, 0, err
+	}
+	// Each run tuple goes after the last stored tuple <= it, so duplicates
+	// stay adjacent and a single insert costs one binary search.
+	merged := make([]relation.Tuple, 0, len(old)+len(run))
+	rest := old
+	for _, tu := range run {
+		k := sort.Search(len(rest), func(i int) bool { return s.schema.Compare(rest[i], tu) > 0 })
+		merged = append(append(merged, rest[:k]...), tu)
+		rest = rest[k:]
+	}
+	merged = append(merged, rest...)
+	res, err = s.replace(m, at, old, merged)
 	if err != nil {
-		return MutationResult{}, err
+		return MutationResult{}, 0, err
 	}
-	// Binary search the insertion point.
-	lo, hi := 0, len(tuples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.schema.Compare(tuples[mid], t) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	tuples = append(tuples, nil)
-	copy(tuples[lo+1:], tuples[lo:])
-	tuples[lo] = t.Clone()
-	return s.rewritePublish(id, tuples)
+	return res, n, nil
 }
 
-// DeleteFromBlock removes one occurrence of t from the block on page id.
-// It returns the mutation result and whether the tuple was found.
-func (s *Store) DeleteFromBlock(id storage.PageID, t relation.Tuple) (MutationResult, bool, error) {
-	tuples, err := s.ReadBlock(id)
+// find locates t without trusting the caller for a block: blocks never
+// overlap, so if any block holds t the first block whose Last is >= t
+// does. It returns that block's position, its decoded tuples, and the
+// index of t's first occurrence in them (-1 when t is absent, in which
+// case no block may have been decoded).
+func (s *Store) find(m *manifest, t relation.Tuple) (at int, tuples []relation.Tuple, idx int, err error) {
+	at = m.seek(s.schema, t)
+	if at == len(m.fences) || s.schema.Compare(m.fences[at].First, t) > 0 {
+		return at, nil, -1, nil
+	}
+	if tuples, err = s.decodeBlockCached(m.blocks[at]); err != nil {
+		return at, nil, -1, err
+	}
+	idx = sort.Search(len(tuples), func(i int) bool { return s.schema.Compare(tuples[i], t) >= 0 })
+	if idx == len(tuples) || s.schema.Compare(tuples[idx], t) != 0 {
+		idx = -1
+	}
+	return at, tuples, idx, nil
+}
+
+// Contains reports whether t is stored, decoding at most one block. Like
+// the mutators it reads the live layout, so the caller must exclude
+// concurrent mutation.
+func (s *Store) Contains(t relation.Tuple) (bool, error) {
+	_, _, idx, err := s.find(s.man.Load(), t)
+	return idx >= 0, err
+}
+
+// Delete removes one occurrence of t, re-coding its block (or freeing the
+// block's page when it held nothing else). It returns the mutation result
+// and whether the tuple was found.
+func (s *Store) Delete(t relation.Tuple) (MutationResult, bool, error) {
+	m := s.man.Load()
+	at, old, idx, err := s.find(m, t)
+	if err != nil || idx < 0 {
+		return MutationResult{}, false, err
+	}
+	res, err := s.replace(m, at, old, slices.Delete(slices.Clone(old), idx, idx+1))
 	if err != nil {
 		return MutationResult{}, false, err
 	}
-	idx := -1
-	for i, tu := range tuples {
-		if s.schema.Compare(tu, t) == 0 {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		return MutationResult{}, false, nil
-	}
-	tuples = append(tuples[:idx], tuples[idx+1:]...)
-	if len(tuples) == 0 {
-		m := s.man.Load().clone()
-		at, ok := m.pos[id]
-		if !ok {
-			return MutationResult{}, false, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
-		}
-		m.blocks = append(m.blocks[:at], m.blocks[at+1:]...)
-		m.fences = append(m.fences[:at], m.fences[at+1:]...)
-		delete(m.pos, id)
-		m.reindexFrom(at)
-		s.man.Store(m)
-		s.notifyCommit("remove", 0)
-		if err := s.freeBlockPage(id); err != nil {
-			return MutationResult{}, false, err
-		}
-		return MutationResult{Removed: id, HasRemoved: true}, true, nil
-	}
-	res, err := s.rewritePublish(id, tuples)
-	return res, true, err
+	return res, true, nil
 }
 
-// RewriteBlock replaces the contents of the block on page id with the
-// given phi-sorted, non-empty tuple run, re-coding in place and splitting
-// when it no longer fits. Batch insertion uses it to merge many tuples
-// into a block with a single rewrite.
-func (s *Store) RewriteBlock(id storage.PageID, tuples []relation.Tuple) (MutationResult, error) {
-	if _, ok := s.man.Load().pos[id]; !ok {
-		return MutationResult{}, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
-	}
-	if len(tuples) == 0 {
-		return MutationResult{}, errors.New("blockstore: rewrite with no tuples")
-	}
-	if !s.schema.TuplesSorted(tuples) {
-		return MutationResult{}, errors.New("blockstore: rewrite input not in phi order")
-	}
-	return s.rewritePublish(id, tuples)
-}
-
-// rewritePublish re-codes tuples onto fresh pages (copy-on-write),
-// splitting into additional blocks when they no longer fit, then
-// publishes the edited manifest and frees the replaced page. The original
-// page is freed only after publication — and only once no snapshot pins
-// it — so a crash between catalog checkpoints can never clobber a block
-// the last durable catalog references, and concurrent snapshot readers
-// keep a consistent pre-rewrite view.
-func (s *Store) rewritePublish(id storage.PageID, tuples []relation.Tuple) (MutationResult, error) {
-	m := s.man.Load().clone()
-	size, err := core.EncodedSize(s.codec, s.schema, tuples)
+// replace re-codes tuples onto fresh pages (copy-on-write) in place of the
+// block at position at whose decoded pre-image is old — or, when old is
+// nil, as new blocks inserted at that position — splitting into as many
+// blocks as the page capacity demands, then publishes the edited manifest
+// and frees the replaced page. An empty tuples removes the block. The
+// original page is freed only after publication — and only once no
+// snapshot pins it — so a crash between catalog checkpoints can never
+// clobber a block the last durable catalog references, and concurrent
+// snapshot readers keep a consistent pre-rewrite view.
+func (s *Store) replace(cur *manifest, at int, old, tuples []relation.Tuple) (MutationResult, error) {
+	runs, err := s.packRuns(tuples)
 	if err != nil {
 		return MutationResult{}, err
 	}
-	if size <= s.capacity() {
-		newID, err := s.writeFresh(tuples)
+	res := MutationResult{New: make([]BlockRun, len(runs))}
+	ids := make([]storage.PageID, len(runs))
+	fences := make([]Fence, len(runs))
+	for i, run := range runs {
+		id, err := s.writeFresh(run)
 		if err != nil {
+			// Roll back the runs already written: they are not in any
+			// published manifest, and leaving them allocated would strand
+			// their pages forever. The original block is untouched, so the
+			// store stays exactly as it was.
+			for _, written := range ids[:i] {
+				s.freePageBestEffort(written)
+			}
 			return MutationResult{}, err
 		}
-		at, ok := m.pos[id]
-		if !ok {
-			s.freePageBestEffort(newID)
-			return MutationResult{}, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
-		}
-		f := fenceFor(tuples)
-		m.blocks[at] = newID
-		m.fences[at] = f
-		delete(m.pos, id)
-		m.pos[newID] = at
-		s.man.Store(m)
-		s.notifyCommit("rewrite", 1)
-		if err := s.freeBlockPage(id); err != nil {
-			return MutationResult{}, err
-		}
-		return MutationResult{Blocks: []BlockRef{{
-			Page: newID, First: f.First, Count: len(tuples),
-		}}}, nil
+		ids[i], fences[i] = id, fenceFor(run)
+		res.New[i] = BlockRun{Page: id, Tuples: run}
 	}
-	return s.splitBlock(m, id, tuples)
+	replaced := 0
+	if old != nil {
+		replaced = 1
+		res.Old = BlockRun{Page: cur.blocks[at], Tuples: old}
+	}
+	m := cur.clone()
+	m.splice(at, replaced, ids, fences)
+	s.man.Store(m)
+	kind := "rewrite"
+	switch {
+	case len(runs) == 0:
+		kind = "remove"
+	case len(runs) > 1:
+		kind = "split"
+	}
+	s.notifyCommit(kind, len(ids))
+	if replaced == 1 {
+		if err := s.freeBlockPage(res.Old.Page); err != nil {
+			return MutationResult{}, err
+		}
+	}
+	return res, nil
+}
+
+// packRuns cuts a φ-sorted run into the blocks it needs: itself when its
+// coded stream fits a page; otherwise an even split (half the tuples per
+// side, so both halves retain insertion slack) when both halves fit, and
+// greedy MaxFit runs when a half still overflows. No tuples, no blocks.
+func (s *Store) packRuns(tuples []relation.Tuple) ([][]relation.Tuple, error) {
+	if len(tuples) == 0 {
+		return nil, nil
+	}
+	fits := func(run []relation.Tuple) (bool, error) {
+		size, err := core.EncodedSize(s.codec, s.schema, run)
+		return size <= s.capacity(), err
+	}
+	if ok, err := fits(tuples); err != nil || ok {
+		return [][]relation.Tuple{tuples}, err
+	}
+	if half := len(tuples) / 2; half > 0 {
+		left, err := fits(tuples[:half])
+		if err != nil {
+			return nil, err
+		}
+		right, err := fits(tuples[half:])
+		if err != nil {
+			return nil, err
+		}
+		if left && right {
+			return [][]relation.Tuple{tuples[:half], tuples[half:]}, nil
+		}
+	}
+	var runs [][]relation.Tuple
+	for remaining := tuples; len(remaining) > 0; {
+		u, err := core.MaxFit(s.codec, s.schema, remaining, s.capacity())
+		if err != nil {
+			return nil, err
+		}
+		if u == 0 {
+			return nil, ErrTupleTooLarge
+		}
+		runs = append(runs, remaining[:u])
+		remaining = remaining[u:]
+	}
+	return runs, nil
 }
 
 // writeFresh codes tuples onto a newly allocated page and returns it. On
@@ -662,111 +747,17 @@ func (s *Store) freeBlockPage(id storage.PageID) error {
 	return s.pool.Free(id)
 }
 
-// splitBlock distributes tuples over as many fresh pages as needed,
-// spliced into the original block's clustered position (copy-on-write; the
-// original page is freed after the new manifest is published). An even
-// first split is preferred (half the tuples per side) so both halves
-// retain insertion slack; if a half still overflows, packing falls back to
-// greedy MaxFit runs.
-func (s *Store) splitBlock(m *manifest, id storage.PageID, tuples []relation.Tuple) (MutationResult, error) {
-	var runs [][]relation.Tuple
-	half := len(tuples) / 2
-	if half > 0 {
-		leftSize, err := core.EncodedSize(s.codec, s.schema, tuples[:half])
-		if err != nil {
-			return MutationResult{}, err
-		}
-		rightSize, err := core.EncodedSize(s.codec, s.schema, tuples[half:])
-		if err != nil {
-			return MutationResult{}, err
-		}
-		if leftSize <= s.capacity() && rightSize <= s.capacity() {
-			runs = [][]relation.Tuple{tuples[:half], tuples[half:]}
-		}
-	}
-	if runs == nil {
-		remaining := tuples
-		for len(remaining) > 0 {
-			u, err := core.MaxFit(s.codec, s.schema, remaining, s.capacity())
-			if err != nil {
-				return MutationResult{}, err
-			}
-			if u == 0 {
-				return MutationResult{}, ErrTupleTooLarge
-			}
-			runs = append(runs, remaining[:u])
-			remaining = remaining[u:]
-		}
-	}
-
-	var res MutationResult
-	at, ok := m.pos[id]
-	if !ok {
-		return MutationResult{}, fmt.Errorf("%w: %d", ErrUnknownBlock, id)
-	}
-	newIDs := make([]storage.PageID, len(runs))
-	newFences := make([]Fence, len(runs))
-	for i, run := range runs {
-		newID, err := s.writeFresh(run)
-		if err != nil {
-			// Roll back the halves already written: they are not in any
-			// published manifest, and leaving them allocated would strand
-			// their pages forever. The original block is untouched, so the
-			// store stays exactly as it was before the split.
-			for _, written := range newIDs[:i] {
-				s.freePageBestEffort(written)
-			}
-			return MutationResult{}, err
-		}
-		newIDs[i] = newID
-		newFences[i] = fenceFor(run)
-		res.Blocks = append(res.Blocks, BlockRef{Page: newID, First: newFences[i].First, Count: len(run)})
-	}
-	// Splice: replace the original slot with the first run, insert the rest
-	// after it.
-	m.blocks[at] = newIDs[0]
-	m.fences[at] = newFences[0]
-	delete(m.pos, id)
-	for i := 1; i < len(newIDs); i++ {
-		insertAt := at + i
-		m.blocks = append(m.blocks, 0)
-		copy(m.blocks[insertAt+1:], m.blocks[insertAt:])
-		m.blocks[insertAt] = newIDs[i]
-		m.fences = append(m.fences, Fence{})
-		copy(m.fences[insertAt+1:], m.fences[insertAt:])
-		m.fences[insertAt] = newFences[i]
-	}
-	m.reindexFrom(at)
-	s.man.Store(m)
-	s.notifyCommit("split", len(newIDs))
-	if err := s.freeBlockPage(id); err != nil {
-		return MutationResult{}, err
-	}
-	return res, nil
-}
-
 // Reset frees every block page and empties the store, leaving it ready for
 // a fresh BulkLoad. Compaction uses it to tear down the old layout.
 func (s *Store) Reset() error {
 	old := s.man.Load()
-	s.man.Store(newManifest())
+	s.man.Store(&manifest{})
 	s.notifyCommit("reset", 0)
 	err := s.freeAll(old.blocks)
 	if s.cache != nil {
 		s.cache.clear()
 	}
 	return err
-}
-
-// NextBlock returns the page following id in clustered order, or false at
-// the end. Range scans use it to walk contiguous blocks.
-func (s *Store) NextBlock(id storage.PageID) (storage.PageID, bool) {
-	m := s.man.Load()
-	at, ok := m.pos[id]
-	if !ok || at+1 >= len(m.blocks) {
-		return 0, false
-	}
-	return m.blocks[at+1], true
 }
 
 // ScanBlocksContext visits every block in clustered order, decoding each.
@@ -780,7 +771,12 @@ func (s *Store) NextBlock(id storage.PageID) (storage.PageID, bool) {
 func (s *Store) ScanBlocksContext(ctx context.Context, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	sn := s.Snapshot()
 	defer sn.Release()
-	m := sn.m
+	return s.scanManifest(ctx, sn.m, fn)
+}
+
+// scanManifest is ScanBlocksContext over a given manifest; Restore runs it
+// on the layout it is about to publish.
+func (s *Store) scanManifest(ctx context.Context, m *manifest, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	if s.parallel() && len(m.blocks) > 1 {
 		return s.scanBlocksParallel(ctx, m, fn)
 	}
@@ -873,24 +869,17 @@ func (s *Store) inspectBlock(id storage.PageID) (core.BlockInfo, error) {
 	return info, nil
 }
 
-// CheckInvariants verifies the clustered layout: the position map matches
-// the block list, every block decodes, blocks are non-empty and internally
-// sorted, block boundaries respect phi order, and every known φ-fence
-// agrees with the decoded block it summarizes. Tests and the avqtool
-// verify command use it.
+// CheckInvariants verifies the clustered layout: every block decodes,
+// blocks are non-empty and internally sorted, block boundaries respect phi
+// order, and every φ-fence agrees with the decoded block it summarizes.
+// Tests and the avqtool verify command use it.
 func (s *Store) CheckInvariants() error {
 	m := s.man.Load()
-	if len(m.pos) != len(m.blocks) {
-		return fmt.Errorf("blockstore: %d positions for %d blocks", len(m.pos), len(m.blocks))
-	}
 	if len(m.fences) != len(m.blocks) {
 		return fmt.Errorf("blockstore: %d fences for %d blocks", len(m.fences), len(m.blocks))
 	}
 	var prevLast relation.Tuple
 	for i, id := range m.blocks {
-		if m.pos[id] != i {
-			return fmt.Errorf("blockstore: page %d position %d != %d", id, m.pos[id], i)
-		}
 		tuples, err := s.decodeBlockCached(id)
 		if err != nil {
 			return fmt.Errorf("blockstore: block %d: %w", i, err)
@@ -905,16 +894,15 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("blockstore: block %d overlaps predecessor", i)
 		}
 		prevLast = tuples[len(tuples)-1]
-		if f := m.fences[i]; f.Known() {
-			if f.Count != len(tuples) {
-				return fmt.Errorf("blockstore: block %d fence count %d, %d decoded", i, f.Count, len(tuples))
-			}
-			if s.schema.Compare(f.First, tuples[0]) != 0 {
-				return fmt.Errorf("blockstore: block %d fence first tuple disagrees with block", i)
-			}
-			if s.schema.Compare(f.Last, tuples[len(tuples)-1]) != 0 {
-				return fmt.Errorf("blockstore: block %d fence last tuple disagrees with block", i)
-			}
+		f := m.fences[i]
+		if f.Count != len(tuples) {
+			return fmt.Errorf("blockstore: block %d fence count %d, %d decoded", i, f.Count, len(tuples))
+		}
+		if s.schema.Compare(f.First, tuples[0]) != 0 {
+			return fmt.Errorf("blockstore: block %d fence first tuple disagrees with block", i)
+		}
+		if s.schema.Compare(f.Last, tuples[len(tuples)-1]) != 0 {
+			return fmt.Errorf("blockstore: block %d fence last tuple disagrees with block", i)
 		}
 	}
 	return nil

@@ -2,7 +2,9 @@ package blockstore
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -91,7 +93,7 @@ func TestBulkLoadRoundTrip(t *testing.T) {
 			}
 			// Every ref's First must equal its block's first tuple.
 			for _, ref := range refs {
-				blk, err := s.ReadBlock(ref.Page)
+				blk, err := s.decodeBlockCached(ref.Page)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,12 +156,20 @@ func TestInsertIntoBlock(t *testing.T) {
 			ins := target.First.Clone()
 			// A tuple just above the block's first tuple lands inside it.
 			ins[len(ins)-1] = (ins[len(ins)-1] + 1) % 4096
-			res, err := s.InsertIntoBlock(target.Page, ins)
+			res, err := s.Insert(ins)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Blocks) == 0 {
-				t.Fatal("no block refs returned")
+			if res.Old.Page != target.Page || len(res.Old.Tuples) != target.Count {
+				t.Fatalf("insert replaced page %d (%d tuples), want home block %d (%d tuples)",
+					res.Old.Page, len(res.Old.Tuples), target.Page, target.Count)
+			}
+			after := 0
+			for _, run := range res.New {
+				after += len(run.Tuples)
+			}
+			if len(res.New) == 0 || after != target.Count+1 {
+				t.Fatalf("insert handed back %d blocks holding %d tuples, want %d", len(res.New), after, target.Count+1)
 			}
 			if err := s.Check(); err != nil {
 				t.Fatal(err)
@@ -187,19 +197,17 @@ func TestInsertForcesSplit(t *testing.T) {
 	// Hammer one block until it must split. Rewrites are copy-on-write, so
 	// each mutation reports the block's new page.
 	rng := rand.New(rand.NewSource(7))
-	target := refs[0].Page
 	split := false
 	for i := 0; i < 200 && !split; i++ {
 		tu := refs[0].First.Clone()
 		tu[4] = uint64(rng.Intn(4096))
-		res, err := s.InsertIntoBlock(target, tu)
+		res, err := s.Insert(tu)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Blocks) > 1 {
+		if len(res.New) > 1 {
 			split = true
 		}
-		target = res.Blocks[0].Page
 		if err := s.Check(); err != nil {
 			t.Fatalf("after insert %d: %v", i, err)
 		}
@@ -215,11 +223,10 @@ func TestInsertForcesSplit(t *testing.T) {
 func TestDeleteFromBlock(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 300, 8)
-	refs, err := s.BulkLoadContext(context.Background(), tuples)
-	if err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a tuple that exists.
+	// Delete a tuple that exists: the store finds its block itself.
 	victim := tuples[137]
 	var home storage.PageID
 	s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
@@ -231,18 +238,28 @@ func TestDeleteFromBlock(t *testing.T) {
 		}
 		return true
 	})
-	res, found, err := s.DeleteFromBlock(home, victim)
+	if ok, err := s.Contains(victim); err != nil || !ok {
+		t.Fatalf("Contains(victim) = %v, %v", ok, err)
+	}
+	res, found, err := s.Delete(victim)
 	if err != nil || !found {
 		t.Fatalf("delete: found=%v err=%v", found, err)
 	}
-	if res.HasRemoved {
-		t.Fatal("block should not be empty yet")
+	if res.Old.Page != home {
+		t.Fatalf("delete rewrote page %d, the tuple lived on %d", res.Old.Page, home)
+	}
+	if len(res.New) != 1 || len(res.New[0].Tuples) != len(res.Old.Tuples)-1 {
+		t.Fatalf("block should shrink by one, not vanish: %d blocks after", len(res.New))
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a tuple that does not exist in this block.
-	_, found, err = s.DeleteFromBlock(refs[0].Page, relation.Tuple{7, 15, 63, 63, 4095})
+	// Delete a tuple that does not exist.
+	phantom := relation.Tuple{7, 15, 63, 63, 4095}
+	if ok, err := s.Contains(phantom); err != nil || ok {
+		t.Fatalf("Contains(phantom) = %v, %v", ok, err)
+	}
+	_, found, err = s.Delete(phantom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,24 +276,27 @@ func TestDeleteEmptiesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := refs[0]
-	blk, err := s.ReadBlock(first.Page)
+	blk, err := s.decodeBlockCached(first.Page)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.NumBlocks()
 	cur := first.Page
 	for i, tu := range blk {
-		res, found, err := s.DeleteFromBlock(cur, tu)
+		res, found, err := s.Delete(tu)
 		if err != nil || !found {
 			t.Fatalf("delete %d: found=%v err=%v", i, found, err)
 		}
+		if res.Old.Page != cur {
+			t.Fatalf("delete %d rewrote page %d, want %d", i, res.Old.Page, cur)
+		}
 		if i == len(blk)-1 {
-			if !res.HasRemoved || res.Removed != cur {
+			if len(res.New) != 0 {
 				t.Fatalf("last delete did not remove block: %+v", res)
 			}
 		} else {
 			// Copy-on-write: follow the block to its new page.
-			cur = res.Blocks[0].Page
+			cur = res.New[0].Page
 		}
 	}
 	if s.NumBlocks() != before-1 {
@@ -285,36 +305,8 @@ func TestDeleteEmptiesBlock(t *testing.T) {
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadBlock(cur); err == nil {
-		t.Fatal("removed block still readable")
-	}
-}
-
-func TestNextBlock(t *testing.T) {
-	s := newStore(t, core.CodecAVQ, 512)
-	tuples := randomTuples(t, 500, 10)
-	refs, err := s.BulkLoadContext(context.Background(), tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) < 2 {
-		t.Skip("need at least 2 blocks")
-	}
-	id := refs[0].Page
-	count := 1
-	for {
-		next, ok := s.NextBlock(id)
-		if !ok {
-			break
-		}
-		id = next
-		count++
-	}
-	if count != len(refs) {
-		t.Fatalf("walked %d blocks, want %d", count, len(refs))
-	}
-	if _, ok := s.NextBlock(refs[len(refs)-1].Page); ok {
-		t.Fatal("NextBlock after last returned a block")
+	if slices.Contains(s.Blocks(), cur) {
+		t.Fatal("removed block still in the layout")
 	}
 }
 
@@ -351,30 +343,14 @@ func TestRandomizedMutations(t *testing.T) {
 			s := newStore(t, codec, 384)
 			sch := s.Schema()
 			tuples := randomTuples(t, 400, 12)
-			refs, err := s.BulkLoadContext(context.Background(), tuples)
-			if err != nil {
+			if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
-			_ = refs
 			rng := rand.New(rand.NewSource(13))
 			// Reference multiset of live tuples, keyed by string encoding.
 			live := map[string]int{}
 			for _, tu := range tuples {
 				live[string(sch.EncodeTuple(nil, tu))]++
-			}
-			findHome := func(tu relation.Tuple) (storage.PageID, bool) {
-				var home storage.PageID
-				found := false
-				s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
-					for _, x := range ts {
-						if sch.Compare(x, tu) == 0 {
-							home, found = id, true
-							return false
-						}
-					}
-					return true
-				})
-				return home, found
 			}
 			randTuple := func() relation.Tuple {
 				return relation.Tuple{
@@ -383,39 +359,22 @@ func TestRandomizedMutations(t *testing.T) {
 				}
 			}
 			for op := 0; op < 300; op++ {
+				tu := randTuple()
+				key := string(sch.EncodeTuple(nil, tu))
 				if rng.Intn(2) == 0 {
-					tu := randTuple()
-					// Route to the clustered block: last block whose first
-					// tuple is <= tu, else the first block.
-					blocks := s.Blocks()
-					target := blocks[0]
-					for _, id := range blocks {
-						blk, err := s.ReadBlock(id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sch.Compare(blk[0], tu) <= 0 {
-							target = id
-						} else {
-							break
-						}
-					}
-					if _, err := s.InsertIntoBlock(target, tu); err != nil {
+					if _, err := s.Insert(tu); err != nil {
 						t.Fatalf("op %d insert: %v", op, err)
 					}
-					live[string(sch.EncodeTuple(nil, tu))]++
+					live[key]++
 				} else {
-					tu := randTuple()
-					home, found := findHome(tu)
-					key := string(sch.EncodeTuple(nil, tu))
+					_, found, err := s.Delete(tu)
+					if err != nil {
+						t.Fatalf("op %d delete: %v", op, err)
+					}
 					if found != (live[key] > 0) {
 						t.Fatalf("op %d: store/reference disagree on %v", op, tu)
 					}
 					if found {
-						_, ok, err := s.DeleteFromBlock(home, tu)
-						if err != nil || !ok {
-							t.Fatalf("op %d delete: ok=%v err=%v", op, ok, err)
-						}
 						live[key]--
 						if live[key] == 0 {
 							delete(live, key)
@@ -472,39 +431,98 @@ func TestRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := src.Blocks()
+	ctx := context.Background()
+	ignore := func(storage.PageID, []relation.Tuple) {}
 
-	// A second store over the same pool adopts the layout.
-	dst, err := New(testSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Restore(layout); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Check(); err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	dst.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
-		count += len(ts)
-		return true
-	})
-	if count != 400 {
-		t.Fatalf("restored %d tuples", count)
-	}
-	// Errors: non-empty store, duplicate pages.
-	if err := dst.Restore(layout); err == nil {
-		t.Fatal("restore into non-empty store accepted")
+	// A second store over the same pool adopts the layout: serially and on
+	// the worker pool, each block is offered to the visitor exactly once, in
+	// clustered order, and its fence is captured from that same decode.
+	for _, conc := range []int{1, 4} {
+		dst, err := New(testSchema(t), core.CodecAVQ, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.Configure(Config{Concurrency: conc})
+		var visited []storage.PageID
+		count := 0
+		if err := dst.Restore(ctx, layout, func(id storage.PageID, ts []relation.Tuple) {
+			visited = append(visited, id)
+			count += len(ts)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(visited, layout) || count != len(tuples) {
+			t.Fatalf("conc=%d: visited %v (%d tuples), want %v (%d)", conc, visited, count, layout, len(tuples))
+		}
+		if err := dst.Check(); err != nil {
+			t.Fatal(err)
+		}
+		sn, want := dst.Snapshot(), src.Snapshot()
+		for i := 0; i < sn.NumBlocks(); i++ {
+			f, w := sn.Fence(i), want.Fence(i)
+			if f.Count != w.Count || dst.schema.Compare(f.First, w.First) != 0 || dst.schema.Compare(f.Last, w.Last) != 0 {
+				t.Fatalf("conc=%d: restored fence %d = %+v, encode-time fence %+v", conc, i, f, w)
+			}
+		}
+		sn.Release()
+		want.Release()
+		if err := dst.Restore(ctx, layout, ignore); err == nil {
+			t.Fatal("restore into non-empty store accepted")
+		}
 	}
 	dup, err := New(testSchema(t), core.CodecAVQ, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dup.Restore([]storage.PageID{layout[0], layout[0]}); err == nil {
+	if err := dup.Restore(ctx, []storage.PageID{layout[0], layout[1], layout[0]}, ignore); err == nil {
 		t.Fatal("duplicate layout accepted")
+	}
+	if dup.NumBlocks() != 0 {
+		t.Fatal("rejected restore published blocks")
 	}
 }
 
+// TestRestoreRejectsDisorder: the block list comes from a file; one whose
+// decoded fences are not in φ order must never be published, or the fence
+// search would silently miss tuples.
+func TestRestoreRejectsDisorder(t *testing.T) {
+	pager, _ := storage.NewMemPager(512)
+	pool, _ := buffer.New(pager, nil, 16)
+	src, err := New(testSchema(t), core.CodecAVQ, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.BulkLoadContext(context.Background(), randomTuples(t, 400, 24)); err != nil {
+		t.Fatal(err)
+	}
+	layout := src.Blocks()
+	if len(layout) < 3 {
+		t.Fatalf("need >= 3 blocks, have %d", len(layout))
+	}
+	slices.Reverse(layout[1:])
+	for _, conc := range []int{1, 4} {
+		dst, err := New(testSchema(t), core.CodecAVQ, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.Configure(Config{Concurrency: conc})
+		visits := 0
+		err = dst.Restore(context.Background(), layout, func(storage.PageID, []relation.Tuple) { visits++ })
+		if !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("conc=%d: out-of-order layout: err = %v, want ErrCorruptBlock", conc, err)
+		}
+		if dst.NumBlocks() != 0 {
+			t.Fatalf("conc=%d: rejected restore published %d blocks", conc, dst.NumBlocks())
+		}
+		if visits != 2 {
+			t.Fatalf("conc=%d: visitor saw %d blocks before the disorder, want 2", conc, visits)
+		}
+	}
+}
+
+// TestRewriteBlockValidation: MergeRun is the store's batch rewrite; it
+// refuses input it cannot place (none, or out of φ order) and otherwise
+// re-codes the home block copy-on-write.
 func TestRewriteBlockValidation(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 100, 21)
@@ -512,30 +530,38 @@ func TestRewriteBlockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := s.ReadBlock(refs[0].Page)
+	blk, err := s.decodeBlockCached(refs[0].Page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RewriteBlock(storage.PageID(9999), blk); err == nil {
-		t.Fatal("unknown page accepted")
-	}
-	if _, err := s.RewriteBlock(refs[0].Page, nil); err == nil {
-		t.Fatal("empty rewrite accepted")
+	if _, _, err := s.MergeRun(nil); err == nil {
+		t.Fatal("empty merge accepted")
 	}
 	bad := []relation.Tuple{blk[len(blk)-1], blk[0]}
-	if _, err := s.RewriteBlock(refs[0].Page, bad); err == nil {
-		t.Fatal("unsorted rewrite accepted")
+	if _, _, err := s.MergeRun(bad); err == nil {
+		t.Fatal("unsorted merge accepted")
 	}
-	// A valid rewrite moves the block to a fresh page (copy-on-write).
-	res, err := s.RewriteBlock(refs[0].Page, blk)
+	if got := s.Blocks(); got[0] != refs[0].Page {
+		t.Fatal("rejected merges changed the layout")
+	}
+	// A valid merge moves the block to a fresh page (copy-on-write) and
+	// consumes only the tuples that belong to it.
+	run := []relation.Tuple{blk[0], blk[1], refs[1].First, refs[len(refs)-1].First}
+	res, n, err := s.MergeRun(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Blocks[0].Page == refs[0].Page {
+	if n != 2 {
+		t.Fatalf("merge consumed %d tuples, want the 2 homed in block 0", n)
+	}
+	if res.Old.Page != refs[0].Page || len(res.Old.Tuples) != len(blk) {
+		t.Fatalf("merge pre-image = page %d, %d tuples; want page %d, %d", res.Old.Page, len(res.Old.Tuples), refs[0].Page, len(blk))
+	}
+	if res.New[0].Page == refs[0].Page {
 		t.Fatal("rewrite reused the original page; expected copy-on-write")
 	}
-	if _, err := s.ReadBlock(refs[0].Page); err == nil {
-		t.Fatal("original page still readable after COW rewrite")
+	if slices.Contains(s.Blocks(), refs[0].Page) {
+		t.Fatal("original page still in the layout after COW rewrite")
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)

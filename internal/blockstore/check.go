@@ -80,15 +80,7 @@ func (s *Store) Check() error {
 		}
 		var next relation.Tuple // first tuple of the following block, if any
 		if i+1 < len(m.blocks) {
-			if f := m.fences[i+1]; f.Known() {
-				next = f.First
-			} else {
-				nt, err := s.decodeBlockCached(m.blocks[i+1])
-				if err != nil {
-					return fmt.Errorf("blockstore: check block %d successor: %w", i, err)
-				}
-				next = nt[0]
-			}
+			next = m.fences[i+1].First
 		}
 		for j, tu := range tuples {
 			if err := s.schema.ValidateTuple(tu); err != nil {

@@ -34,7 +34,7 @@ func TestErrCorruptBlock(t *testing.T) {
 	if err := pager.Write(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.ReadBlock(victim)
+	_, err := s.decodeBlockCached(victim)
 	if err == nil {
 		t.Fatal("decode of corrupted block succeeded")
 	}
@@ -72,7 +72,7 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 	if err := pager.Write(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadBlock(victim); !errors.Is(err, ErrCorruptBlock) {
+	if _, err := s.decodeBlockCached(victim); !errors.Is(err, ErrCorruptBlock) {
 		t.Fatalf("header-corrupt decode error = %v, want ErrCorruptBlock", err)
 	}
 	sn := s.Snapshot()

@@ -258,7 +258,7 @@ func TestDecodedBlockCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
-	first, err := s.ReadBlock(id)
+	first, err := s.decodeBlockCached(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDecodedBlockCache(t *testing.T) {
 			tu[i] = 0
 		}
 	}
-	again, err := s.ReadBlock(id)
+	again, err := s.decodeBlockCached(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,18 +289,21 @@ func TestDecodedBlockCache(t *testing.T) {
 
 	// Mutating the block must invalidate, and the re-read must observe the
 	// new contents even though the old page id may be recycled.
-	res, err := s.InsertIntoBlock(id, tuples[0].Clone())
+	res, err := s.Insert(tuples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Invalidations == 0 {
 		t.Fatalf("mutation did not invalidate the cache, stats %+v", st)
 	}
-	fresh, err := s.ReadBlock(res.Blocks[0].Page)
+	if res.Old.Page != id {
+		t.Fatalf("insert of the smallest tuple rewrote page %d, want block 0's page %d", res.Old.Page, id)
+	}
+	fresh, err := s.decodeBlockCached(res.New[0].Page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh) != len(first)+1 {
+	if len(res.New) != 1 || len(fresh) != len(first)+1 {
 		t.Fatalf("re-read block has %d tuples, want %d", len(fresh), len(first)+1)
 	}
 	if err := s.Check(); err != nil {
@@ -318,13 +321,7 @@ func TestCacheRecycledPageID(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
-		blocks := s.Blocks()
-		id := blocks[rng.Intn(len(blocks))]
-		ts, err := s.ReadBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.RewriteBlock(id, ts); err != nil {
+		if err := rewriteInPlace(s, rng.Intn(s.NumBlocks())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,12 +379,7 @@ func TestConcurrentScanVsRewriteRace(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 100; i++ {
 			mu.Lock()
-			blocks := s.Blocks()
-			id := blocks[rng.Intn(len(blocks))]
-			ts, err := s.ReadBlock(id)
-			if err == nil {
-				_, err = s.RewriteBlock(id, ts)
-			}
+			err := rewriteInPlace(s, rng.Intn(s.NumBlocks()))
 			mu.Unlock()
 			if err != nil {
 				errs <- err
@@ -453,11 +445,12 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
-	before, err := s.ReadBlock(id)
+	before, err := s.decodeBlockCached(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build an oversized run that must split into at least two pages.
+	// Merging block 0's own tuples into it doubles every tuple: an
+	// oversized run that must split into at least two pages.
 	double := make([]relation.Tuple, 0, 2*len(before))
 	for _, tu := range before {
 		double = append(double, tu.Clone(), tu.Clone())
@@ -475,8 +468,8 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 	fp.mu.Lock()
 	fp.failAlloc = fp.allocs + preAllocs // fail the final page of the split
 	fp.mu.Unlock()
-	if _, err := s.RewriteBlock(id, double); !errors.Is(err, errInjected) {
-		t.Fatalf("rewrite error = %v, want injected failure", err)
+	if _, _, err := s.MergeRun(before); !errors.Is(err, errInjected) {
+		t.Fatalf("merge error = %v, want injected failure", err)
 	}
 	if !fp.injectedAt {
 		t.Fatal("fault was never injected")
@@ -488,7 +481,10 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 	if got := livePages(t, mem, s); got != liveBefore {
 		t.Fatalf("%d live pages after failed split, want %d (leaked orphan pages)", got, liveBefore)
 	}
-	after, err := s.ReadBlock(id)
+	if s.Blocks()[0] != id {
+		t.Fatal("failed split replaced the original block")
+	}
+	after, err := s.decodeBlockCached(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,15 +496,28 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 	}
 	// And the store must still accept the same rewrite once the fault
 	// clears.
-	if _, err := s.RewriteBlock(id, double); err != nil {
-		t.Fatal(err)
+	if _, n, err := s.MergeRun(before); err != nil || n != len(before) {
+		t.Fatalf("merge after the fault cleared: n=%d err=%v", n, err)
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// countAllocs predicts how many pages splitBlock will write for run, by
+// rewriteInPlace re-codes the block at position at with its own tuples
+// through the mutators' shared replace step: a copy-on-write rewrite that
+// changes nothing but the page.
+func rewriteInPlace(s *Store, at int) error {
+	m := s.man.Load()
+	ts, err := s.decodeBlockCached(m.blocks[at])
+	if err != nil {
+		return err
+	}
+	_, err = s.replace(m, at, ts, ts)
+	return err
+}
+
+// countAllocs predicts how many pages packRuns will write for run, by
 // replaying its layout rule (even halving, else greedy MaxFit).
 func countAllocs(t *testing.T, s *Store, run []relation.Tuple) int {
 	t.Helper()

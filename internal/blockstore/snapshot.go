@@ -1,6 +1,9 @@
 // Manifest snapshots. The store's block layout — the clustered block
-// list, the page-to-position map, and the per-block φ-fences — lives in an
-// immutable manifest published through an atomic pointer. Mutations build
+// list and the per-block φ-fences — lives in an immutable manifest
+// published through an atomic pointer. The fence array is the paper's
+// primary index (Figure 4.4) flattened: blocks are φ-ordered and
+// independent, so a binary search over block first/last tuples is the
+// whole "which block holds tuple t" structure. Mutations build
 // a fresh manifest (copy-on-write over the layout metadata, not the
 // blocks) and publish it in one store; readers that need a consistent
 // multi-block view take a Snapshot, which pins the manifest AND defers the
@@ -13,8 +16,10 @@ package blockstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/ordinal"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -22,57 +27,76 @@ import (
 // Fence is a block's φ-range summary, captured at encode time: the first
 // and last tuples of the block and its tuple count. Because blocks are
 // clustered and non-overlapping, a fence lets a scan decide whether a
-// block can intersect a predicate range without touching the pager. A
-// zero Fence (nil First) means the range is unknown and the block must be
-// read.
+// block can intersect a predicate range without touching the pager.
+// Every fence in a published manifest is captured from the block's own
+// tuples (at encode time, or by Restore's decode), so none is ever unknown.
 type Fence struct {
 	First relation.Tuple
 	Last  relation.Tuple
 	Count int
 }
 
-// Known reports whether the fence carries a usable φ-range.
-func (f Fence) Known() bool { return f.First != nil && f.Last != nil }
-
-// manifest is one immutable version of the store's layout. The slices and
-// map are never mutated after publication; fence tuples are shared across
-// versions and must not be written through.
+// manifest is one immutable version of the store's layout. The slices are
+// never mutated after publication; fence tuples are shared across versions
+// and must not be written through.
 type manifest struct {
 	blocks []storage.PageID
-	pos    map[storage.PageID]int // page -> index in blocks
-	fences []Fence                // parallel to blocks
-}
-
-func newManifest() *manifest {
-	return &manifest{pos: make(map[storage.PageID]int)}
+	fences []Fence // parallel to blocks
 }
 
 // clone copies the layout metadata so a mutation can edit it privately.
 // Fence tuples are shared: they are immutable once captured.
 func (m *manifest) clone() *manifest {
-	c := &manifest{
-		blocks: append([]storage.PageID(nil), m.blocks...),
-		pos:    make(map[storage.PageID]int, len(m.pos)),
-		fences: append([]Fence(nil), m.fences...),
+	return &manifest{
+		blocks: slices.Clone(m.blocks),
+		fences: slices.Clone(m.fences),
 	}
-	for id, at := range m.pos {
-		c.pos[id] = at
-	}
-	return c
 }
 
 // append adds a block at the end of the clustered order.
 func (m *manifest) append(id storage.PageID, f Fence) {
-	m.pos[id] = len(m.blocks)
 	m.blocks = append(m.blocks, id)
 	m.fences = append(m.fences, f)
 }
 
-// reindexFrom refreshes the page-to-position map from position at onward.
-func (m *manifest) reindexFrom(at int) {
-	for i := at; i < len(m.blocks); i++ {
-		m.pos[m.blocks[i]] = i
+// splice replaces the n blocks at position at with the given ones.
+func (m *manifest) splice(at, n int, ids []storage.PageID, fences []Fence) {
+	m.blocks = slices.Replace(m.blocks, at, at+n, ids...)
+	m.fences = slices.Replace(m.fences, at, at+n, fences...)
+}
+
+// search is the one block locate: the position of the first fence for
+// which before is false (len(fences) when it holds for all). before must
+// be monotone over the clustered order — true for a prefix, false after.
+func (m *manifest) search(before func(Fence) bool) int {
+	lo, hi := 0, len(m.fences)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if before(m.fences[mid]) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo
+}
+
+// seek returns the first block whose Last is >= t: the only block that can
+// hold the first tuple >= t, and — because blocks never overlap — the one
+// that holds t if any block does.
+func (m *manifest) seek(s *relation.Schema, t relation.Tuple) int {
+	return m.search(func(f Fence) bool { return s.Compare(f.Last, t) < 0 })
+}
+
+// home returns the block an insert of t belongs to: the last block whose
+// First is <= t, or block 0 when t precedes everything; -1 when there are
+// no blocks.
+func (m *manifest) home(s *relation.Schema, t relation.Tuple) int {
+	at := m.search(func(f Fence) bool { return s.Compare(f.First, t) <= 0 }) - 1
+	if at < 0 && len(m.fences) > 0 {
+		at = 0
+	}
+	return at
 }
 
 // fenceFor captures a block's fence from its tuple run.
@@ -147,15 +171,30 @@ func (sn *Snapshot) NumBlocks() int { return len(sn.m.blocks) }
 // Block returns the page of the i-th block in clustered order.
 func (sn *Snapshot) Block(i int) storage.PageID { return sn.m.blocks[i] }
 
-// Fence returns the i-th block's φ-fence; Known() is false when the
-// range was never captured (a restored layout before fences are adopted).
+// Fence returns the i-th block's φ-fence.
 func (sn *Snapshot) Fence(i int) Fence { return sn.m.fences[i] }
 
-// Pos returns the clustered position of page id in the snapshot's view.
-func (sn *Snapshot) Pos(id storage.PageID) (int, bool) {
-	at, ok := sn.m.pos[id]
-	return at, ok
+// SeekTuple returns the position of the first block whose Last tuple is
+// >= t in φ order — where the first tuple >= t lives — or NumBlocks()
+// when every tuple precedes t. No page is read.
+func (sn *Snapshot) SeekTuple(t relation.Tuple) int { return sn.m.seek(sn.s.schema, t) }
+
+// SeekAttr0 is SeekTuple for a bound on the clustering attribute alone:
+// the first block whose Last has attribute 0 >= lo.
+func (sn *Snapshot) SeekAttr0(lo uint64) int {
+	return sn.m.search(func(f Fence) bool { return f.Last[0] < lo })
 }
+
+// SeekPhi is SeekTuple in ordinal space, for flat schemas: the first block
+// whose Last has φ >= phi.
+func (sn *Snapshot) SeekPhi(phi uint64) int {
+	return sn.m.search(func(f Fence) bool { return ordinal.PhiU64(sn.s.schema, f.Last) < phi })
+}
+
+// Home returns the position of the block an insert of t would land in:
+// the last block whose First is <= t, block 0 when t precedes everything,
+// -1 when the snapshot has no blocks.
+func (sn *Snapshot) Home(t relation.Tuple) int { return sn.m.home(sn.s.schema, t) }
 
 // Schema returns the store's schema.
 func (sn *Snapshot) Schema() *relation.Schema { return sn.s.schema }
@@ -247,26 +286,6 @@ func (s *Store) readStream(id storage.PageID, dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return stream, nil
-}
-
-// AdoptFences installs fences for a restored layout whose blocks were
-// decoded elsewhere (table open rebuilds indexes with one scan and hands
-// the fences it saw here, so restoring never decodes twice). The slice
-// must carry one fence per block in clustered order.
-func (s *Store) AdoptFences(fences []Fence) error {
-	m := s.man.Load()
-	if len(fences) != len(m.blocks) {
-		return fmt.Errorf("blockstore: %d fences for %d blocks", len(fences), len(m.blocks))
-	}
-	for i, f := range fences {
-		if !f.Known() || f.Count <= 0 {
-			return fmt.Errorf("blockstore: adopted fence %d is incomplete", i)
-		}
-	}
-	c := m.clone()
-	c.fences = append(c.fences[:0], fences...)
-	s.man.Store(c)
-	return nil
 }
 
 // freeAll frees (or parks, while snapshots are live) the given block

@@ -29,8 +29,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Rewrite every block underneath the snapshot by deleting its first
 	// tuple (order-preserving, so the store stays valid).
 	for i, id := range s.Blocks() {
-		if _, ok, err := s.DeleteFromBlock(id, before[i][0]); err != nil || !ok {
-			t.Fatalf("delete from block %d: ok=%v err=%v", i, ok, err)
+		if res, ok, err := s.Delete(before[i][0]); err != nil || !ok || res.Old.Page != id {
+			t.Fatalf("delete from block %d: ok=%v err=%v rewrote page %d, want %d", i, ok, err, res.Old.Page, id)
 		}
 	}
 	schema := testSchema(t)
@@ -72,7 +72,7 @@ func TestSnapshotDefersFrees(t *testing.T) {
 	if _, _, err := sn1.ReadBlock(0); err != nil { // second read = cache hit
 		t.Fatal(err)
 	}
-	if _, err := s.InsertIntoBlock(sn1.Block(0), relation.Tuple{0, 0, 0, 0, 0}); err != nil {
+	if _, err := s.Insert(relation.Tuple{0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if inv := s.CacheStats().Invalidations; inv != 0 {
@@ -120,70 +120,4 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 		t.Fatalf("snapshot sees %d tuples after reset, want %d", total, len(tuples))
 	}
 	sn.Release()
-}
-
-// TestAdoptFences: a restored layout has unknown fences until the table
-// hands back the ones it saw while rebuilding indexes.
-func TestAdoptFences(t *testing.T) {
-	s := newStore(t, core.CodecAVQ, 512)
-	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 500, 64)); err != nil {
-		t.Fatal(err)
-	}
-	blocks := s.Blocks()
-
-	// A second store over the same pool, restored from the block list,
-	// has no fences.
-	r, err := New(testSchema(t), core.CodecAVQ, s.pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Restore(blocks); err != nil {
-		t.Fatal(err)
-	}
-	sn := r.Snapshot()
-	for i := 0; i < sn.NumBlocks(); i++ {
-		if sn.Fence(i).Known() {
-			t.Fatalf("restored block %d has a fence before adoption", i)
-		}
-	}
-	sn.Release()
-
-	// Wrong count and incomplete fences are rejected.
-	if err := r.AdoptFences(make([]Fence, len(blocks)+1)); err == nil {
-		t.Fatal("fence count mismatch accepted")
-	}
-	if err := r.AdoptFences(make([]Fence, len(blocks))); err == nil {
-		t.Fatal("unknown fences accepted")
-	}
-
-	fences := make([]Fence, 0, len(blocks))
-	for _, id := range blocks {
-		ts, err := r.ReadBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fences = append(fences, fenceFor(ts))
-	}
-	if err := r.AdoptFences(fences); err != nil {
-		t.Fatal(err)
-	}
-	sn = r.Snapshot()
-	defer sn.Release()
-	for i := 0; i < sn.NumBlocks(); i++ {
-		f := sn.Fence(i)
-		if !f.Known() {
-			t.Fatalf("block %d fence unknown after adoption", i)
-		}
-		ts, _, err := sn.ReadBlock(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		schema := testSchema(t)
-		if schema.Compare(f.First, ts[0]) != 0 || schema.Compare(f.Last, ts[len(ts)-1]) != 0 || f.Count != len(ts) {
-			t.Fatalf("block %d fence disagrees with contents", i)
-		}
-	}
-	if err := r.Check(); err != nil {
-		t.Fatal(err)
-	}
 }

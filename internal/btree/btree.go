@@ -1,16 +1,17 @@
 // Package btree implements an in-memory B+ tree over byte-string keys.
 //
-// The paper's access methods (Section 4.1) are B+ trees: a primary index
-// whose search key is an entire tuple (Figure 4.4) and secondary indexes
-// whose keys are single attribute values pointing at buckets of data blocks
-// (Figure 4.5). Both are built on this tree; tuple and attribute keys are
-// the fixed-width big-endian encodings of package relation, whose byte
-// order equals phi order, so plain bytes.Compare routes correctly.
+// The paper's access methods (Section 4.1) are B+ trees. The secondary
+// indexes, whose keys are single attribute values pointing at buckets of
+// data blocks (Figure 4.5), are built on this tree; attribute keys are the
+// fixed-width big-endian encodings of package relation, whose byte order
+// equals value order, so plain bytes.Compare routes correctly. (The
+// primary index of Figure 4.4 is the block store's sorted fence array and
+// needs no tree.)
 //
 // The tree supports unique-key insert (with replace), delete with
-// borrow/merge rebalancing, point and floor/ceiling lookups, bounded range
-// scans over the doubly linked leaf chain, and a structural invariant
-// checker used by the property tests.
+// borrow/merge rebalancing, point lookups, bounded range scans over the
+// linked leaf chain, and a structural invariant checker used by the
+// property tests.
 package btree
 
 import (
@@ -46,7 +47,6 @@ type node[V any] struct {
 	children []*node[V] // internal nodes: len(children) == len(keys)+1
 	values   []V        // leaf nodes: len(values) == len(keys)
 	next     *node[V]   // leaf chain
-	prev     *node[V]
 }
 
 // New creates a tree whose nodes hold at most order keys.
@@ -125,70 +125,6 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 		return zero, false
 	}
 	return n.values[idx-1], true
-}
-
-// SeekFloor returns the greatest key <= key and its value.
-func (t *Tree[V]) SeekFloor(key []byte) ([]byte, V, bool) {
-	n := t.leafFor(key)
-	idx, _ := searchKeys(n, key)
-	for n != nil && idx == 0 {
-		// Every key in this leaf is greater; the floor, if any, is the
-		// last key of a predecessor leaf.
-		n = n.prev
-		if n != nil {
-			idx = len(n.keys)
-		}
-	}
-	if n == nil {
-		var zero V
-		return nil, zero, false
-	}
-	return n.keys[idx-1], n.values[idx-1], true
-}
-
-// SeekCeil returns the smallest key >= key and its value.
-func (t *Tree[V]) SeekCeil(key []byte) ([]byte, V, bool) {
-	n := t.leafFor(key)
-	idx, exact := searchKeys(n, key)
-	if exact {
-		return n.keys[idx-1], n.values[idx-1], true
-	}
-	for n != nil && idx == len(n.keys) {
-		n = n.next
-		idx = 0
-	}
-	if n == nil {
-		var zero V
-		return nil, zero, false
-	}
-	return n.keys[idx], n.values[idx], true
-}
-
-// Min returns the smallest key and its value.
-func (t *Tree[V]) Min() ([]byte, V, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		var zero V
-		return nil, zero, false
-	}
-	return n.keys[0], n.values[0], true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[V]) Max() ([]byte, V, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		var zero V
-		return nil, zero, false
-	}
-	last := len(n.keys) - 1
-	return n.keys[last], n.values[last], true
 }
 
 // Scan visits entries with from <= key < to in ascending order. A nil from
@@ -294,10 +230,6 @@ func (t *Tree[V]) splitLeaf(n *node[V]) ([]byte, *node[V], bool) {
 		keys:   append([][]byte(nil), n.keys[mid:]...),
 		values: append([]V(nil), n.values[mid:]...),
 		next:   n.next,
-		prev:   n,
-	}
-	if n.next != nil {
-		n.next.prev = right
 	}
 	n.next = right
 	n.keys = n.keys[:mid]
@@ -431,9 +363,6 @@ func (t *Tree[V]) merge(parent *node[V], idx int, left, right *node[V]) {
 		left.keys = append(left.keys, right.keys...)
 		left.values = append(left.values, right.values...)
 		left.next = right.next
-		if right.next != nil {
-			right.next.prev = left
-		}
 	} else {
 		left.keys = append(left.keys, parent.keys[idx])
 		left.keys = append(left.keys, right.keys...)

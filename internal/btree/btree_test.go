@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -30,17 +29,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(key(1)); ok {
 		t.Fatal("Get on empty tree found something")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree")
-	}
-	if _, _, ok := tr.SeekFloor(key(5)); ok {
-		t.Fatal("SeekFloor on empty tree")
-	}
-	if _, _, ok := tr.SeekCeil(key(5)); ok {
-		t.Fatal("SeekCeil on empty tree")
+	if n := tr.Scan(nil, nil, func([]byte, int) bool { return true }); n != 0 {
+		t.Fatalf("Scan on empty tree visited %d entries", n)
 	}
 	if tr.Delete(key(1)) {
 		t.Fatal("Delete on empty tree returned true")
@@ -96,61 +86,6 @@ func TestInsertKeyAliasing(t *testing.T) {
 	k[0] = 0xFF
 	if _, ok := tr.Get(key(42)); !ok {
 		t.Fatal("tree shared caller's key memory")
-	}
-}
-
-func TestSeekFloorCeil(t *testing.T) {
-	tr := MustNew[int](4)
-	for i := 10; i <= 100; i += 10 {
-		tr.Insert(key(i), i)
-	}
-	cases := []struct {
-		probe   int
-		floor   int
-		floorOK bool
-		ceil    int
-		ceilOK  bool
-	}{
-		{5, 0, false, 10, true},
-		{10, 10, true, 10, true},
-		{15, 10, true, 20, true},
-		{55, 50, true, 60, true},
-		{100, 100, true, 100, true},
-		{105, 100, true, 0, false},
-	}
-	for _, c := range cases {
-		k, v, ok := tr.SeekFloor(key(c.probe))
-		if ok != c.floorOK || (ok && (v != c.floor || !bytes.Equal(k, key(c.floor)))) {
-			t.Errorf("SeekFloor(%d) = %d,%v want %d,%v", c.probe, v, ok, c.floor, c.floorOK)
-		}
-		k, v, ok = tr.SeekCeil(key(c.probe))
-		if ok != c.ceilOK || (ok && (v != c.ceil || !bytes.Equal(k, key(c.ceil)))) {
-			t.Errorf("SeekCeil(%d) = %d,%v want %d,%v", c.probe, v, ok, c.ceil, c.ceilOK)
-		}
-	}
-}
-
-// TestSeekFloorAfterDeletes covers the case where a separator no longer
-// equals any live key and the floor lives in a predecessor leaf.
-func TestSeekFloorAfterDeletes(t *testing.T) {
-	tr := MustNew[int](3)
-	for i := 0; i < 100; i++ {
-		tr.Insert(key(i), i)
-	}
-	// Delete a band, forcing floor probes inside the hole to walk left.
-	for i := 40; i < 60; i++ {
-		if !tr.Delete(key(i)) {
-			t.Fatalf("Delete(%d) = false", i)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for probe := 40; probe < 60; probe++ {
-		k, v, ok := tr.SeekFloor(key(probe))
-		if !ok || v != 39 || !bytes.Equal(k, key(39)) {
-			t.Fatalf("SeekFloor(%d) = %d,%v want 39", probe, v, ok)
-		}
 	}
 }
 
@@ -340,19 +275,6 @@ func TestVariableLengthKeys(t *testing.T) {
 	})
 	if !sort.StringsAreSorted(got) || len(got) != len(keys) {
 		t.Fatalf("scan order = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	tr := MustNew[int](4)
-	for _, i := range []int{5, 3, 9, 1, 7} {
-		tr.Insert(key(i), i)
-	}
-	if k, v, ok := tr.Min(); !ok || v != 1 || !bytes.Equal(k, key(1)) {
-		t.Fatalf("Min = %d,%v", v, ok)
-	}
-	if k, v, ok := tr.Max(); !ok || v != 9 || !bytes.Equal(k, key(9)) {
-		t.Fatalf("Max = %d,%v", v, ok)
 	}
 }
 

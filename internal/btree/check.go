@@ -90,21 +90,16 @@ func (t *Tree[V]) CheckInvariants() error {
 	}
 
 	// The leaf chain must enumerate exactly the leaves found by the walk,
-	// in order, and be consistently doubly linked.
+	// in order.
 	first := t.root
 	for !first.leaf {
 		first = first.children[0]
 	}
 	i := 0
-	var prev *node[V]
 	for n := first; n != nil; n = n.next {
 		if i >= len(leaves) || n != leaves[i] {
 			return fmt.Errorf("btree: leaf chain diverges from tree order at position %d", i)
 		}
-		if n.prev != prev {
-			return fmt.Errorf("btree: broken prev link at leaf %d", i)
-		}
-		prev = n
 		i++
 	}
 	if i != len(leaves) {

@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
-	"repro/internal/ordinal"
-	"repro/internal/relation"
 )
 
 // ErrNotFlat reports a batch pass requested over a schema whose ordinal
@@ -77,7 +75,8 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 	defer core.PutArena(a)
 	var streamBuf []byte
 	n := sn.NumBlocks()
-	for i := 0; i < n; i++ {
+	start := seekBound(sn, plan.Candidates, bound, &st)
+	for i := start; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
@@ -87,16 +86,9 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 			}
 		}
 		f := sn.Fence(i)
-		known := f.Known()
-		if bound != nil && known {
-			if f.First[0] > bound.Hi {
-				st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
-				return st, nil
-			}
-			if f.Last[0] < bound.Lo {
-				st.BlocksPruned++
-				continue
-			}
+		if bound != nil && f.First[0] > bound.Hi {
+			st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
+			return st, nil
 		}
 		if a.SlabBytes() > 0 {
 			st.ArenaReuses++
@@ -116,11 +108,6 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 		st.BatchBlocks++
 		st.SlabRows += len(phis)
 		if bound != nil {
-			if len(phis) > 0 && phis[0] > hiPhi {
-				// Only reachable with an unknown fence; nothing here or later
-				// qualifies (blocks are clustered).
-				return st, nil
-			}
 			from, to := core.PhiSpanSorted(phis, loPhi, hiPhi)
 			phis = phis[from:to]
 		}
@@ -145,7 +132,7 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 		if len(phis) > 0 && !kernel(phis) {
 			return st, nil
 		}
-		if bound != nil && known && f.Last[0] > bound.Hi {
+		if bound != nil && f.Last[0] > bound.Hi {
 			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
 			return st, nil
 		}
@@ -162,7 +149,6 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 type BatchIterator struct {
 	sn        *blockstore.Snapshot
 	ctx       context.Context
-	s         *relation.Schema
 	next      int // next block position to read
 	done      bool
 	released  bool
@@ -177,15 +163,13 @@ type BatchIterator struct {
 // snapshot (the iterator owns it either way). On success the caller must
 // Release the iterator, which releases the snapshot.
 func NewBatchIterator(ctx context.Context, sn *blockstore.Snapshot) (*BatchIterator, error) {
-	s := sn.Schema()
-	if _, ok := s.FlatSpace(); !ok {
+	if _, ok := sn.Schema().FlatSpace(); !ok {
 		sn.Release()
 		return nil, ErrNotFlat
 	}
 	return &BatchIterator{
 		sn:    sn,
 		ctx:   ctx,
-		s:     s,
 		a:     core.GetArena(),
 		Stats: Stats{BlocksTotal: sn.NumBlocks()},
 	}, nil
@@ -246,32 +230,20 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 // SeekPhi advances the iterator (forward only) so the next NextPhis
 // returns the first remaining block that can contain a φ >= target: the
 // first block whose fence Last has φ >= target. Blocks skipped on their
-// fence alone count as pruned. With any fence unknown from the current
-// position on, SeekPhi is a no-op and the stream simply delivers every
-// remaining block; a target already behind the iterator is likewise a
+// fence alone count as pruned. A target already behind the iterator is a
 // no-op (slabs already returned are never revisited).
 func (it *BatchIterator) SeekPhi(target uint64) error {
 	n := it.sn.NumBlocks()
 	if it.done || it.next >= n {
 		return nil
 	}
-	for i := it.next; i < n; i++ {
-		if !it.sn.Fence(i).Known() {
-			return nil
-		}
+	at := it.sn.SeekPhi(target)
+	if at <= it.next {
+		return nil
 	}
-	lo, hi := it.next, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ordinal.PhiU64(it.s, it.sn.Fence(mid).Last) < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	it.Stats.BlocksPruned += lo - it.next
-	it.next = lo
-	if lo == n {
+	it.Stats.BlocksPruned += at - it.next
+	it.next = at
+	if at == n {
 		it.done = true
 	}
 	return nil

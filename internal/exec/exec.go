@@ -188,7 +188,8 @@ func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) boo
 	// saves them little.
 	partialOK := !plan.NoPartial && sn.Codec() != core.CodecPacked
 	n := sn.NumBlocks()
-	for i := 0; i < n; i++ {
+	start := seekBound(sn, plan.Candidates, bound, st)
+	for i := start; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -198,27 +199,19 @@ func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) boo
 			}
 		}
 		f := sn.Fence(i)
-		known := f.Known()
-		if bound != nil && known {
-			// Blocks are clustered and non-overlapping: once a block starts
-			// beyond the range, every later block does too.
-			if f.First[0] > bound.Hi {
-				st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
-				return nil
-			}
-			if f.Last[0] < bound.Lo {
-				st.BlocksPruned++
-				continue
-			}
+		// Blocks are clustered and non-overlapping: once a block starts
+		// beyond the range, every later block does too.
+		if bound != nil && f.First[0] > bound.Hi {
+			st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
+			return nil
 		}
-		straddle := bound != nil && known &&
-			(f.First[0] < bound.Lo || f.Last[0] > bound.Hi)
+		straddle := bound != nil && (f.First[0] < bound.Lo || f.Last[0] > bound.Hi)
 		var stop bool
 		var err error
 		if straddle && partialOK {
 			stop, err = p.runPartial(i, *bound, rest, emit)
 		} else {
-			stop, err = p.runFull(i, plan.Preds, bound, emit)
+			stop, err = p.runFull(i, plan.Preds, emit)
 		}
 		if err != nil {
 			return err
@@ -226,7 +219,7 @@ func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) boo
 		if stop {
 			return nil
 		}
-		if bound != nil && known && f.Last[0] > bound.Hi {
+		if bound != nil && f.Last[0] > bound.Hi {
 			// The range ends inside this block; the remainder is prunable.
 			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
 			return nil
@@ -235,8 +228,21 @@ func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) boo
 	return nil
 }
 
+// seekBound returns the block a pass starts at: the first whose fence can
+// reach the clustering bound (block 0 without one), found on the
+// snapshot's fence array. The candidates it skips are pruned on their
+// fence alone and counted as such.
+func seekBound(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, bound *Pred, st *Stats) int {
+	if bound == nil {
+		return 0
+	}
+	start := sn.SeekAttr0(bound.Lo)
+	st.BlocksPruned += countCandidates(sn, cand, 0, start)
+	return start
+}
+
 // countCandidates counts candidate blocks in positions [from, n): the
-// blocks a fence break skips without visiting.
+// blocks a fence seek or break skips without visiting.
 func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, from, n int) int {
 	if cand == nil {
 		return n - from
@@ -317,9 +323,8 @@ func (p *pass) runPartial(i int, bound Pred, rest []Pred, emit func(relation.Tup
 }
 
 // runFull decodes the whole block (through the decoded-block cache) and
-// filters every conjunct. With an unknown fence it also applies the
-// clustered stop rule: a block starting beyond the bound ends the pass.
-func (p *pass) runFull(i int, preds []Pred, bound *Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
+// filters every conjunct.
+func (p *pass) runFull(i int, preds []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
 	sn, st := p.sn, &p.st
 	a := p.arena()
 	tuples, hit, err := sn.ReadBlockArena(i, a)
@@ -334,11 +339,6 @@ func (p *pass) runFull(i int, preds []Pred, bound *Pred, emit func(relation.Tupl
 	st.FullDecodes++
 	if p.pooled == nil {
 		st.SlabBytes += a.SlabBytes()
-	}
-	if bound != nil && len(tuples) > 0 && tuples[0][0] > bound.Hi {
-		// Only reachable with an unknown fence; nothing here qualifies and
-		// neither does anything later.
-		return true, nil
 	}
 	for _, tu := range tuples {
 		if !matchesAll(preds, tu) {

@@ -276,7 +276,7 @@ func TestRunSeesSnapshot(t *testing.T) {
 	sn := store.Snapshot()
 	defer sn.Release()
 	extra := relation.Tuple{3, 3, 3, 3}
-	if _, err := store.InsertIntoBlock(store.Blocks()[sn.NumBlocks()/2], extra); err != nil {
+	if _, err := store.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := collect(t, sn, Plan{})

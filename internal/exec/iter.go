@@ -86,65 +86,25 @@ func (it *Iterator) fill(i int) error {
 }
 
 // Seek positions the iterator so the following Next returns the first
-// tuple >= target in φ order. The first tuple >= target lives in the
-// first block whose fence Last is >= target; with every fence known that
-// block is found by binary search without any page read, otherwise the
-// iterator walks blocks forward.
+// tuple >= target in φ order. That tuple lives in the first block whose
+// fence Last is >= target, which the snapshot's fence search finds without
+// any page read; the blocks before it count as pruned.
 func (it *Iterator) Seek(target relation.Tuple) error {
 	it.done = false
 	it.cur = nil
 	it.pos = 0
 	it.next = 0
-	n := it.sn.NumBlocks()
-	if n == 0 {
-		return nil
-	}
-	s := it.sn.Schema()
-	allKnown := true
-	for i := 0; i < n; i++ {
-		if !it.sn.Fence(i).Known() {
-			allKnown = false
-			break
-		}
-	}
-	start := 0
-	if allKnown {
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.Compare(it.sn.Fence(mid).Last, target) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == n {
-			// Every tuple precedes target.
-			it.done = true
-			return nil
-		}
-		start = lo
-		it.Stats.BlocksPruned += start
-	} else {
-		for ; start < n; start++ {
-			if err := it.fill(start); err != nil {
-				return err
-			}
-			if len(it.cur) > 0 && s.Compare(it.cur[len(it.cur)-1], target) >= 0 {
-				break
-			}
-		}
-		if start == n {
-			it.done = true
-			return nil
-		}
-		it.pos = seekWithin(s, it.cur, target)
+	start := it.sn.SeekTuple(target)
+	it.Stats.BlocksPruned += start
+	if start == it.sn.NumBlocks() {
+		// Every tuple precedes target.
+		it.done = true
 		return nil
 	}
 	if err := it.fill(start); err != nil {
 		return err
 	}
-	it.pos = seekWithin(s, it.cur, target)
+	it.pos = seekWithin(it.sn.Schema(), it.cur, target)
 	return nil
 }
 

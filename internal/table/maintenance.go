@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/btree"
 	"repro/internal/relation"
-	"repro/internal/storage"
 )
 
 // InsertBatchContext inserts many tuples under one exclusive lock with one
 // decode/re-encode per affected block instead of one per tuple: the batch
-// is sorted into phi order, partitioned by target block through the
-// primary index, and each block is merged and rewritten once. Semantically
+// is sorted into phi order and the store merges each run that shares a
+// home block into that block with one rewrite. Semantically
 // identical to calling InsertContext in a loop (duplicates allowed);
 // typically an order of magnitude faster for large batches. Cancellation
 // is observed between block rewrites, leaving the table consistent with
@@ -68,105 +66,28 @@ func (t *Table) insertBatchLogged(ctx context.Context, tuples []relation.Tuple) 
 }
 
 // insertBatchApply merges a validated, phi-sorted batch into the table
-// without logging. If applied is non-nil it is advanced as runs land, so a
-// failing caller knows which prefix of batch is actually in the table
-// (the empty-table seed path reports all-or-nothing: a failed bulk load
-// leaves the table unusable anyway).
+// without logging, one store run (the tuples sharing a home block) at a
+// time. If applied is non-nil it is advanced as runs land, so a failing
+// caller knows which prefix of batch is actually in the table.
 func (t *Table) insertBatchApply(ctx context.Context, batch []relation.Tuple, applied *int) error {
-	bump := func(n int) {
-		if applied != nil {
-			*applied += n
-		}
-	}
-	if t.size == 0 {
-		// Empty table: a batch load is a bulk load.
-		refs, err := t.store.BulkLoadContext(ctx, batch)
-		if err != nil {
-			return err
-		}
-		for _, ref := range refs {
-			t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
-		}
-		if len(t.secondary) > 0 {
-			if err := t.store.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
-				t.registerTuples(id, ts)
-				return true
-			}); err != nil {
-				return err
-			}
-		}
-		for _, tu := range batch {
-			t.histAdd(tu)
-		}
-		t.size = len(batch)
-		bump(len(batch))
-		return nil
-	}
-
-	// Partition the sorted batch into runs sharing a home block, then merge
-	// each run into its block with a single rewrite.
-	for start := 0; start < len(batch); {
+	for len(batch) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		page, ok := t.homeBlock(batch[start])
-		if !ok {
-			// Cannot happen on a non-empty table, but fail safe.
-			if err := t.insertApply(ctx, batch[start]); err != nil {
-				return err
-			}
-			bump(1)
-			start++
-			continue
-		}
-		end := start + 1
-		for end < len(batch) {
-			p, ok := t.homeBlock(batch[end])
-			if !ok || p != page {
-				break
-			}
-			end++
-		}
-		if err := t.mergeIntoBlock(page, batch[start:end]); err != nil {
+		res, n, err := t.store.MergeRun(batch)
+		if err != nil {
 			return err
 		}
-		bump(end - start)
-		start = end
-	}
-	return nil
-}
-
-// mergeIntoBlock merges a phi-sorted run into one block and rewrites it.
-func (t *Table) mergeIntoBlock(page storage.PageID, run []relation.Tuple) error {
-	old, err := t.store.ReadBlock(page)
-	if err != nil {
-		return err
-	}
-	merged := make([]relation.Tuple, 0, len(old)+len(run))
-	i, j := 0, 0
-	for i < len(old) && j < len(run) {
-		if t.schema.Compare(old[i], run[j]) <= 0 {
-			merged = append(merged, old[i])
-			i++
-		} else {
-			merged = append(merged, run[j])
-			j++
+		t.applyMutation(res)
+		for _, tu := range batch[:n] {
+			t.histAdd(tu)
 		}
+		t.size += n
+		if applied != nil {
+			*applied += n
+		}
+		batch = batch[n:]
 	}
-	merged = append(merged, old[i:]...)
-	merged = append(merged, run[j:]...)
-
-	res, err := t.store.RewriteBlock(page, merged)
-	if err != nil {
-		return err
-	}
-	if err := t.applyMutation(page, old, res); err != nil {
-		return err
-	}
-	for _, tu := range run {
-		t.histAdd(tu)
-	}
-	t.size += len(run)
 	return nil
 }
 
@@ -203,16 +124,8 @@ func (t *Table) BulkLoadStreamContext(ctx context.Context, next func() (relation
 	if err != nil {
 		return err
 	}
-	for _, ref := range refs {
-		t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
-	}
-	if len(t.secondary) > 0 {
-		if err := t.store.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
-			t.registerTuples(id, ts)
-			return true
-		}); err != nil {
-			return err
-		}
+	if err := t.indexBlocks(ctx); err != nil {
+		return err
 	}
 	sp.Detailf("%d tuples, %d blocks", count, len(refs))
 	t.size = count
@@ -289,7 +202,8 @@ func (t *Table) deleteWhereLogged(ctx context.Context, preds []Predicate) (remov
 // CompactContext rewrites the relation into freshly packed blocks under
 // the exclusive lock, reclaiming the slack that accumulates as deletions
 // shrink blocks below the packing target (Section 3.4's
-// minimal-unused-space rule degrades under churn). Indexes are rebuilt. It
+// minimal-unused-space rule degrades under churn). Secondary indexes are
+// rebuilt. It
 // returns the block counts before and after. Cancellation is observed only
 // during the initial collection scan: once the old layout is torn down the
 // rewrite runs to completion so the table is never left empty.
@@ -312,18 +226,8 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	if err := t.store.Reset(); err != nil {
 		return before, before, err
 	}
-	freshPrimary, err := btree.New[storage.PageID](t.opts.IndexOrder)
-	if err != nil {
-		return before, before, err
-	}
-	freshPrimary.SetProbeCounter(t.opts.Obs.Counter("index.btree_probes"))
-	t.primary = freshPrimary
 	for attr := range t.secondary {
-		idx, err := newSecIndex(t.opts)
-		if err != nil {
-			return before, before, err
-		}
-		t.secondary[attr] = idx
+		t.secondary[attr] = newSecIndex(t.opts)
 	}
 	for i := range t.hist {
 		t.hist[i] = newHistogram(t.schema.Domain(i).Size)
@@ -333,20 +237,11 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	// Reload tightly packed, deaf to cancellation: the old layout is
 	// already torn down, so aborting here would leave the table empty.
 	ctx = context.WithoutCancel(ctx)
-	refs, err := t.store.BulkLoadContext(ctx, all)
-	if err != nil {
+	if _, err := t.store.BulkLoadContext(ctx, all); err != nil {
 		return before, before, err
 	}
-	for _, ref := range refs {
-		t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
-	}
-	if len(t.secondary) > 0 {
-		if err := t.store.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
-			t.registerTuples(id, ts)
-			return true
-		}); err != nil {
-			return before, before, err
-		}
+	if err := t.indexBlocks(ctx); err != nil {
+		return before, before, err
 	}
 	for _, tu := range all {
 		t.histAdd(tu)

@@ -19,9 +19,7 @@ func TestFunctionalOptions(t *testing.T) {
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPoolFrames(64),
-		WithIndexOrder(8),
 		WithSecondaryAttrs(1, 2),
-		WithSecondaryKind(IndexBTree),
 		WithConcurrency(3),
 		WithConcurrency(2),
 		WithBlockCache(16),
@@ -33,7 +31,7 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 	o := tb.opts
 	if o.Codec != core.CodecAVQ || o.PageSize != 512 || o.PoolFrames != 64 ||
-		o.IndexOrder != 8 || o.Concurrency != 2 || o.CacheBlocks != 16 || o.Obs != reg {
+		o.Concurrency != 2 || o.CacheBlocks != 16 || o.Obs != reg {
 		t.Fatalf("options not applied: %+v", o)
 	}
 	if len(o.SecondaryAttrs) != 2 || o.SecondaryAttrs[0] != 1 || o.SecondaryAttrs[1] != 2 {
@@ -106,35 +104,6 @@ func TestObsWiring(t *testing.T) {
 	if live != 0 {
 		t.Errorf("store.snapshots_live = %d, want 0", live)
 	}
-}
-
-// TestObsHashProbes checks hash-backed secondary indexes report their own
-// probe counter.
-func TestObsHashProbes(t *testing.T) {
-	reg := obs.NewRegistry()
-	tb, err := Create(testSchema(t),
-		WithPageSize(512), WithSecondaryAttrs(1), WithSecondaryKind(IndexHash), WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 500, 42)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tb.SelectPointContext(context.Background(), 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Snapshot(); !hasCounter(got, "index.hash_probes") {
-		t.Fatalf("no index.hash_probes counter in %+v", got.Counters)
-	}
-}
-
-func hasCounter(s obs.Snapshot, name string) bool {
-	for _, c := range s.Counters {
-		if c.Name == name && c.Value > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // TestScanContextCancelMidFlight cancels a multi-block scan from inside

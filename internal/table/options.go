@@ -63,20 +63,10 @@ func WithDiskParams(p simdisk.Params) Option {
 	return optionFunc(func(o *Options) { o.DiskParams = p })
 }
 
-// WithIndexOrder sets the B+ tree node width.
-func WithIndexOrder(n int) Option {
-	return optionFunc(func(o *Options) { o.IndexOrder = n })
-}
-
 // WithSecondaryAttrs lists attribute positions to maintain secondary
 // indexes on.
 func WithSecondaryAttrs(attrs ...int) Option {
 	return optionFunc(func(o *Options) { o.SecondaryAttrs = attrs })
-}
-
-// WithSecondaryKind selects the secondary-index backend.
-func WithSecondaryKind(k IndexKind) Option {
-	return optionFunc(func(o *Options) { o.SecondaryKind = k })
 }
 
 // WithPath backs the table with a page file at the given location.

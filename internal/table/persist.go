@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -31,12 +32,18 @@ import (
 //
 // The catalog blob is:
 //
-//	magic "AVQCAT2\n" | generation uvarint | codec (1) | secondary kind (1)
+//	magic "AVQCAT2\n" | generation uvarint | codec (1) | reserved (1)
 //	| tuple count uvarint
 //	| schema blob (length-prefixed relation.AppendBinary)
 //	| secondary attr count uvarint + attrs
 //	| block count uvarint + block page ids
 //	| crc32 (4, over everything before it)
+//
+// The reserved byte once named the secondary-index backend (B+ tree or
+// extendible hash); it is written 0 and ignored on read, so files from
+// before the hash backend was removed still open. Varints are canonical
+// (minimal length) and nothing may follow the block list, so a blob that
+// parses re-serializes to the same bytes.
 //
 // Each catalog page is framed as:
 //
@@ -56,35 +63,45 @@ var ErrClosed = errors.New("table: closed")
 
 // catalogBlob serializes the table's metadata at the given generation.
 func (t *Table) catalogBlob(generation uint64) []byte {
-	blob := append([]byte(nil), catalogMagic...)
-	blob = binary.AppendUvarint(blob, generation)
-	blob = append(blob, byte(t.opts.Codec), byte(t.opts.SecondaryKind))
-	blob = binary.AppendUvarint(blob, uint64(t.size))
-	schemaBlob := t.schema.AppendBinary(nil)
-	blob = binary.AppendUvarint(blob, uint64(len(schemaBlob)))
-	blob = append(blob, schemaBlob...)
-	blob = binary.AppendUvarint(blob, uint64(len(t.opts.SecondaryAttrs)))
-	for _, a := range t.opts.SecondaryAttrs {
-		blob = binary.AppendUvarint(blob, uint64(a))
-	}
-	blocks := t.store.Blocks()
-	blob = binary.AppendUvarint(blob, uint64(len(blocks)))
-	for _, id := range blocks {
-		blob = binary.AppendUvarint(blob, uint64(id))
-	}
-	sum := crc32.ChecksumIEEE(blob)
-	return binary.BigEndian.AppendUint32(blob, sum)
+	return (&catalogMeta{
+		generation: generation,
+		codec:      byte(t.opts.Codec),
+		size:       t.size,
+		schema:     t.schema,
+		secondary:  t.opts.SecondaryAttrs,
+		blocks:     t.store.Blocks(),
+	}).appendBinary()
 }
 
 // catalogMeta is the parsed catalog.
 type catalogMeta struct {
-	generation    uint64
-	codec         byte
-	secondaryKind byte
-	size          int
-	schema        *relation.Schema
-	secondary     []int
-	blocks        []storage.PageID
+	generation uint64
+	codec      byte
+	size       int
+	schema     *relation.Schema
+	secondary  []int
+	blocks     []storage.PageID
+}
+
+// appendBinary serializes the catalog in the format parseCatalog reads.
+func (m *catalogMeta) appendBinary() []byte {
+	blob := append([]byte(nil), catalogMagic...)
+	blob = binary.AppendUvarint(blob, m.generation)
+	blob = append(blob, m.codec, 0)
+	blob = binary.AppendUvarint(blob, uint64(m.size))
+	schemaBlob := m.schema.AppendBinary(nil)
+	blob = binary.AppendUvarint(blob, uint64(len(schemaBlob)))
+	blob = append(blob, schemaBlob...)
+	blob = binary.AppendUvarint(blob, uint64(len(m.secondary)))
+	for _, a := range m.secondary {
+		blob = binary.AppendUvarint(blob, uint64(a))
+	}
+	blob = binary.AppendUvarint(blob, uint64(len(m.blocks)))
+	for _, id := range m.blocks {
+		blob = binary.AppendUvarint(blob, uint64(id))
+	}
+	sum := crc32.ChecksumIEEE(blob)
+	return binary.BigEndian.AppendUint32(blob, sum)
 }
 
 // parseCatalog decodes and verifies a catalog blob.
@@ -109,6 +126,9 @@ func parseCatalog(blob []byte) (*catalogMeta, error) {
 		if n <= 0 {
 			return 0, errors.New("table: catalog truncated")
 		}
+		if n > 1 && body[pos+n-1] == 0 {
+			return 0, errors.New("table: catalog varint is not minimal")
+		}
 		pos += n
 		return v, nil
 	}
@@ -120,7 +140,7 @@ func parseCatalog(blob []byte) (*catalogMeta, error) {
 	if pos+2 > len(body) {
 		return nil, errors.New("table: catalog truncated")
 	}
-	meta.codec, meta.secondaryKind = body[pos], body[pos+1]
+	meta.codec = body[pos] // body[pos+1] is the reserved byte
 	pos += 2
 	size, err := readUv()
 	if err != nil {
@@ -138,8 +158,8 @@ func parseCatalog(blob []byte) (*catalogMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n != int(schemaLen) {
-		return nil, errors.New("table: trailing bytes in catalog schema")
+	if n != int(schemaLen) || !bytes.Equal(schema.AppendBinary(nil), body[pos:pos+n]) {
+		return nil, errors.New("table: catalog schema is not in canonical form")
 	}
 	meta.schema = schema
 	pos += int(schemaLen)
@@ -170,7 +190,13 @@ func parseCatalog(blob []byte) (*catalogMeta, error) {
 		if err != nil {
 			return nil, err
 		}
+		if id >= uint64(storage.InvalidPage) {
+			return nil, fmt.Errorf("table: catalog block %d names impossible page %d", i, id)
+		}
 		meta.blocks = append(meta.blocks, storage.PageID(id))
+	}
+	if pos != len(body) {
+		return nil, errors.New("table: trailing bytes in catalog")
 	}
 	return meta, nil
 }
@@ -332,8 +358,9 @@ func (t *Table) Close() error {
 // Open loads a persistent table created by Create with a path. The
 // schema, codec, block layout, and secondary-index configuration come from
 // the newest valid catalog; options supply runtime knobs (pool size, disk
-// model, observability). The indexes are rebuilt with one pass over the
-// data blocks.
+// model, observability). One decode pass over the data blocks restores
+// the store's fences (the primary index) and rebuilds the secondary
+// indexes and histograms.
 func Open(path string, options ...Option) (*Table, error) {
 	if path == "" {
 		return nil, errors.New("table: Open needs a path")
@@ -456,7 +483,6 @@ func Open(path string, options ...Option) (*Table, error) {
 	if !opts.Codec.Valid() {
 		return nil, fmt.Errorf("table: catalog names unknown codec %d", best.codec)
 	}
-	opts.SecondaryKind = IndexKind(best.secondaryKind)
 	opts.SecondaryAttrs = best.secondary
 
 	t, err := newTableShell(best.schema, opts)
@@ -465,36 +491,17 @@ func Open(path string, options ...Option) (*Table, error) {
 	}
 	t.catalogChains = chains
 	t.generation = best.generation
-	if err := t.store.Restore(best.blocks); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, err
-	}
-	// Rebuild the in-memory indexes from the data blocks, capturing each
-	// block's φ-fence as it streams by so the executor can prune without a
-	// second decode pass.
+	// One decode pass: the store captures each block's φ-fence and hands
+	// the tuples on for the secondary indexes and histograms.
 	count := 0
-	fences := make([]blockstore.Fence, 0, len(best.blocks))
 	//avqlint:ignore ctxflow opening is uninterruptible setup
-	if err := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
-		t.primary.Insert(t.schema.EncodeTuple(nil, ts[0]), id)
-		if len(t.secondary) > 0 {
-			t.registerTuples(id, ts)
-		}
+	if err := t.store.Restore(context.Background(), best.blocks, func(id storage.PageID, ts []relation.Tuple) {
+		t.registerTuples(id, ts)
 		for _, tu := range ts {
 			t.histAdd(tu)
 		}
-		fences = append(fences, blockstore.Fence{
-			First: ts[0].Clone(),
-			Last:  ts[len(ts)-1].Clone(),
-			Count: len(ts),
-		})
 		count += len(ts)
-		return true
 	}); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, err
-	}
-	if err := t.store.AdoptFences(fences); err != nil {
 		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 		return nil, err
 	}

@@ -2,12 +2,15 @@ package table
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 func tempPath(t *testing.T) string {
@@ -290,13 +293,17 @@ func TestInMemoryCheckpointIsFlush(t *testing.T) {
 	}
 }
 
+// TestPersistentHashIndexRestored: a page file written when the catalog's
+// second header byte still named the secondary-index backend — here 1, the
+// removed extendible-hash kind — opens, and its secondary index comes back
+// as the B+ tree. The byte is reserved now: written 0, ignored on read.
 func TestPersistentHashIndexRestored(t *testing.T) {
 	path := tempPath(t)
+	const pageSize = 512
 	tb, err := Create(testSchema(t),
-		WithPageSize(512),
+		WithPageSize(pageSize),
 		WithPath(path),
 		WithSecondaryAttrs(4),
-		WithSecondaryKind(IndexHash),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +315,31 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, WithPageSize(512))
+	// Rewrite both catalog slots as the old format would have: reserved
+	// byte = 1, checksum recomputed.
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 2; slot++ {
+		page := file[slot*pageSize : (slot+1)*pageSize]
+		if next := storage.PageID(binary.BigEndian.Uint32(page[0:4])); next != storage.InvalidPage {
+			t.Fatalf("catalog slot %d spans pages; shrink the fixture", slot)
+		}
+		blob := page[catalogFrameOverhead : catalogFrameOverhead+int(binary.BigEndian.Uint32(page[4:8]))]
+		_, n := binary.Uvarint(blob[len(catalogMagic):])
+		reserved := len(catalogMagic) + n + 1
+		if blob[reserved] != 0 {
+			t.Fatalf("slot %d: reserved byte written as %d, want 0", slot, blob[reserved])
+		}
+		blob[reserved] = 1
+		body := blob[:len(blob)-4]
+		binary.BigEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Open(path, WithPageSize(pageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +349,10 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Strategy != StrategySecondary || len(rows) == 0 {
-		t.Fatalf("hash index not restored: %v, %d rows", stats.Strategy, len(rows))
+		t.Fatalf("secondary index not restored: %v, %d rows", stats.Strategy, len(rows))
+	}
+	if err := got.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

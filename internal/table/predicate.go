@@ -95,10 +95,8 @@ func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 	default:
 		r.stats.Strategy = StrategyFullScan
 		if idx, ok := t.secondary[driver.Attr]; ok {
-			if pages, ok := t.candidateBlocks(idx, driver.Attr, driver.Lo, driver.Hi); ok {
-				r.stats.Strategy = StrategySecondary
-				r.plan.Candidates = pages
-			}
+			r.stats.Strategy = StrategySecondary
+			r.plan.Candidates = t.candidateBlocks(idx, driver.Attr, driver.Lo, driver.Hi)
 		}
 	}
 	r.snap = t.store.Snapshot()

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/blockstore"
+	"repro/internal/btree"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -21,8 +22,8 @@ const (
 	// clustering prefix attribute.
 	StrategyClustered Strategy = iota
 	// StrategySecondary collects candidate blocks from a secondary index's
-	// buckets and reads each once (Figure 4.5). B+ tree indexes enumerate
-	// the key range; hash indexes probe each value in a narrow range.
+	// buckets, enumerating the key range on the B+ tree, and reads each
+	// once (Figure 4.5).
 	StrategySecondary
 	// StrategyFullScan reads every block.
 	StrategyFullScan
@@ -41,11 +42,6 @@ func (s Strategy) String() string {
 		return fmt.Sprintf("Strategy(%d)", uint8(s))
 	}
 }
-
-// hashEnumLimit bounds how many distinct values a range predicate may
-// enumerate against a hash-backed secondary index before the planner
-// prefers a full scan.
-const hashEnumLimit = 1024
 
 // QueryStats reports what a selection cost. BlocksRead is the paper's N
 // (Section 5.3.3): the number of data blocks brought into memory. Blocks
@@ -200,10 +196,8 @@ func (t *Table) planRange(attr int, lo, hi uint64) (queryRun, error) {
 	default:
 		r.stats.Strategy = StrategyFullScan
 		if idx, ok := t.secondary[attr]; ok {
-			if pages, ok := t.candidateBlocks(idx, attr, lo, hi); ok {
-				r.stats.Strategy = StrategySecondary
-				r.plan.Candidates = pages
-			}
+			r.stats.Strategy = StrategySecondary
+			r.plan.Candidates = t.candidateBlocks(idx, attr, lo, hi)
 		}
 	}
 	r.snap = t.store.Snapshot()
@@ -233,37 +227,21 @@ func (t *Table) batchable() bool {
 }
 
 // candidateBlocks collects the distinct data blocks a secondary index maps
-// the value range onto. For B+ tree indexes it enumerates the key range;
-// for hash indexes it probes each value when the range is narrow enough,
-// and reports !ok otherwise so the planner falls back to a scan.
-func (t *Table) candidateBlocks(idx secIndex, attr int, lo, hi uint64) (map[storage.PageID]struct{}, bool) {
+// the value range onto, by enumerating the key range.
+func (t *Table) candidateBlocks(idx *btree.Tree[*bucket], attr int, lo, hi uint64) map[storage.PageID]struct{} {
 	pageSet := make(map[storage.PageID]struct{})
 	from := t.schema.EncodeAttr(nil, attr, lo)
 	var to []byte
 	if hi+1 < t.schema.Domain(attr).Size {
 		to = t.schema.EncodeAttr(nil, attr, hi+1)
 	}
-	collect := func(b *bucket) bool {
+	idx.Scan(from, to, func(_ []byte, b *bucket) bool {
 		for page := range b.pages {
 			pageSet[page] = struct{}{}
 		}
 		return true
-	}
-	if idx.scanRange(from, to, collect) {
-		return pageSet, true
-	}
-	// Hash backend: probe each value individually when feasible.
-	if hi-lo+1 > hashEnumLimit {
-		return nil, false
-	}
-	key := make([]byte, 0, t.schema.AttrWidth(attr))
-	for v := lo; v <= hi; v++ {
-		key = t.schema.EncodeAttr(key[:0], attr, v)
-		if b, ok := idx.get(key); ok {
-			collect(b)
-		}
-	}
-	return pageSet, true
+	})
+	return pageSet
 }
 
 // SelectPointContext executes sigma_{A_attr = v}(R).
@@ -303,7 +281,7 @@ func (t *Table) BlocksForValue(attr int, v uint64) []storage.PageID {
 	if !ok {
 		return nil
 	}
-	b, ok := idx.get(t.schema.EncodeAttr(nil, attr, v))
+	b, ok := idx.Get(t.schema.EncodeAttr(nil, attr, v))
 	if !ok {
 		return nil
 	}

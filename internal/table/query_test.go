@@ -2,132 +2,11 @@ package table
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/relation"
 )
-
-// newHashTable builds a table whose secondary indexes are hash-backed.
-func newHashTable(t testing.TB, secondaries []int) *Table {
-	t.Helper()
-	tb, err := Create(testSchema(t),
-		WithCodec(core.CodecAVQ),
-		WithPageSize(512),
-		WithSecondaryAttrs(secondaries...),
-		WithSecondaryKind(IndexHash),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-func TestHashSecondaryAgreesWithBTree(t *testing.T) {
-	s := testSchema(t)
-	tuples := randomTuples(t, 1500, 21)
-	bt := newTable(t, core.CodecAVQ, AllAttrs(s))
-	hs := newHashTable(t, AllAttrs(s))
-	if err := bt.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(22))
-	for q := 0; q < 60; q++ {
-		attr := rng.Intn(s.NumAttrs())
-		span := s.Domain(attr).Size
-		lo := uint64(rng.Int63n(int64(span)))
-		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		a, aStats, err := bt.SelectRangeContext(context.Background(), attr, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, bStats, err := hs.SelectRangeContext(context.Background(), attr, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("query %d attr %d [%d,%d]: btree %d rows (%v), hash %d rows (%v)",
-				q, attr, lo, hi, len(a), aStats.Strategy, len(b), bStats.Strategy)
-		}
-		for i := range a {
-			if s.Compare(a[i], b[i]) != 0 {
-				t.Fatalf("query %d: row %d differs", q, i)
-			}
-		}
-	}
-}
-
-func TestHashSecondaryPointQuery(t *testing.T) {
-	tuples := randomTuples(t, 800, 23)
-	hs := newHashTable(t, []int{4})
-	if err := hs.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	v := tuples[17][4]
-	rows, stats, err := hs.SelectPointContext(context.Background(), 4, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Strategy != StrategySecondary {
-		t.Fatalf("point query used %v path", stats.Strategy)
-	}
-	if len(rows) == 0 {
-		t.Fatal("point query found nothing for a loaded value")
-	}
-	for _, tu := range rows {
-		if tu[4] != v {
-			t.Fatalf("row %v does not match point predicate", tu)
-		}
-	}
-}
-
-func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
-	// A range wider than the enumeration limit on a hash-indexed attribute
-	// must fall back to a full scan rather than probing thousands of keys.
-	s := relation.MustSchema(
-		relation.Domain{Name: "a", Size: 8},
-		relation.Domain{Name: "b", Size: 1 << 20},
-	)
-	tb, err := Create(s,
-		WithCodec(core.CodecAVQ),
-		WithPageSize(512),
-		WithSecondaryAttrs(1),
-		WithSecondaryKind(IndexHash),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(24))
-	tuples := make([]relation.Tuple, 500)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{uint64(rng.Intn(8)), uint64(rng.Intn(1 << 20))}
-	}
-	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := tb.SelectRangeContext(context.Background(), 1, 0, 1<<19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Strategy != StrategyFullScan {
-		t.Fatalf("wide hash range used %v path", stats.Strategy)
-	}
-	// A narrow range enumerates through the hash index.
-	_, stats, err = tb.SelectRangeContext(context.Background(), 1, 100, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Strategy != StrategySecondary {
-		t.Fatalf("narrow hash range used %v path", stats.Strategy)
-	}
-}
 
 func TestSelectConjunction(t *testing.T) {
 	s := testSchema(t)
@@ -412,40 +291,5 @@ func TestJoinEmptySides(t *testing.T) {
 	rows, _, err = MergeJoinContext(context.Background(), left, right)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("merge join with empty left = %d rows, %v", len(rows), err)
-	}
-}
-
-func TestIndexKindString(t *testing.T) {
-	if IndexBTree.String() != "btree" || IndexHash.String() != "hash" {
-		t.Fatal("unexpected index kind names")
-	}
-	if IndexKind(7).String() == "" {
-		t.Fatal("unknown kind should render")
-	}
-}
-
-func TestHashTableMutations(t *testing.T) {
-	tb := newHashTable(t, []int{1, 4})
-	tuples := randomTuples(t, 300, 37)
-	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	extra := randomTuples(t, 80, 38)
-	for _, tu := range extra {
-		if err := tb.InsertContext(context.Background(), tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tu := range extra {
-		ok, err := tb.DeleteContext(context.Background(), tu)
-		if err != nil || !ok {
-			t.Fatalf("delete: %v, %v", ok, err)
-		}
-	}
-	if err := tb.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 300 {
-		t.Fatalf("Len = %d", tb.Len())
 	}
 }

@@ -1,8 +1,9 @@
 // Package table ties the substrates into a relational table with the
-// paper's access structure (Section 4): a phi-clustered, block-coded store;
-// a primary B+ tree whose search key is an entire tuple (Figure 4.4); and
-// non-clustering secondary B+ trees per attribute whose leaves hold buckets
-// of data blocks (Figure 4.5).
+// paper's access structure (Section 4): a phi-clustered, block-coded store
+// whose sorted fence array is the primary index on the entire tuple
+// (Figure 4.4, flattened — see blockstore), and non-clustering secondary
+// B+ trees per attribute whose leaves hold buckets of data blocks
+// (Figure 4.5).
 //
 // The same Table runs over any core.Codec, so the paper's compressed and
 // uncompressed relations execute the identical query path; only the number
@@ -21,40 +22,12 @@ import (
 	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/hashidx"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/simdisk"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// IndexKind selects the secondary-index access method. The paper's figures
-// use B+ trees (Figure 4.5) but Section 4 explicitly allows hashing; both
-// are implemented.
-type IndexKind uint8
-
-const (
-	// IndexBTree backs secondary indexes with B+ trees: point and range
-	// predicates both use the index.
-	IndexBTree IndexKind = iota
-	// IndexHash backs secondary indexes with extendible hash tables:
-	// point predicates are O(1), but range predicates fall back to value
-	// enumeration (for narrow ranges) or a table scan.
-	IndexHash
-)
-
-// String returns the kind's name.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexBTree:
-		return "btree"
-	case IndexHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("IndexKind(%d)", uint8(k))
-	}
-}
 
 // Options is the configuration an Option list resolves to (see Resolve);
 // callers set it through the With* options.
@@ -67,13 +40,9 @@ type Options struct {
 	PoolFrames int
 	// DiskParams is the simulated disk cost model. Default PaperParams.
 	DiskParams simdisk.Params
-	// IndexOrder is the B+ tree node width. Default btree.DefaultOrder.
-	IndexOrder int
 	// SecondaryAttrs lists attribute positions to maintain secondary
 	// indexes on. Nil means none; use AllAttrs for every attribute.
 	SecondaryAttrs []int
-	// SecondaryKind selects the secondary-index backend. Default IndexBTree.
-	SecondaryKind IndexKind
 	// Path, when non-empty, backs the table with a page file at that
 	// location instead of memory. Create requires the file to be new or
 	// empty; use Open for an existing table. Persistent tables must be
@@ -147,9 +116,6 @@ func (o *Options) fillDefaults() {
 	if o.DiskParams == (simdisk.Params{}) {
 		o.DiskParams = simdisk.PaperParams()
 	}
-	if o.IndexOrder == 0 {
-		o.IndexOrder = btree.DefaultOrder
-	}
 }
 
 // bucket is a secondary-index posting: the data blocks holding tuples with
@@ -158,52 +124,6 @@ func (o *Options) fillDefaults() {
 type bucket struct {
 	pages map[storage.PageID]int
 }
-
-// secIndex abstracts the secondary-index backend (B+ tree or extendible
-// hash) so the table maintains and queries either uniformly.
-type secIndex interface {
-	get(key []byte) (*bucket, bool)
-	put(key []byte, b *bucket)
-	del(key []byte)
-	// scanRange visits buckets for keys in [from, to); it returns false
-	// when the backend cannot enumerate key ranges (hash indexes).
-	scanRange(from, to []byte, fn func(*bucket) bool) bool
-	// all visits every (key, bucket) pair in unspecified order.
-	all(fn func(key []byte, b *bucket) bool)
-	nodeCount() int
-	check() error
-}
-
-// btreeSec backs a secondary index with a B+ tree.
-type btreeSec struct{ tr *btree.Tree[*bucket] }
-
-func (x btreeSec) get(key []byte) (*bucket, bool) { return x.tr.Get(key) }
-func (x btreeSec) put(key []byte, b *bucket)      { x.tr.Insert(key, b) }
-func (x btreeSec) del(key []byte)                 { x.tr.Delete(key) }
-func (x btreeSec) scanRange(from, to []byte, fn func(*bucket) bool) bool {
-	x.tr.Scan(from, to, func(_ []byte, b *bucket) bool { return fn(b) })
-	return true
-}
-func (x btreeSec) all(fn func(key []byte, b *bucket) bool) {
-	x.tr.Scan(nil, nil, fn)
-}
-func (x btreeSec) nodeCount() int { return x.tr.NodeCount() }
-func (x btreeSec) check() error   { return x.tr.CheckInvariants() }
-
-// hashSec backs a secondary index with an extendible hash table.
-type hashSec struct{ h *hashidx.Table[*bucket] }
-
-func (x hashSec) get(key []byte) (*bucket, bool) { return x.h.Get(key) }
-func (x hashSec) put(key []byte, b *bucket)      { x.h.Insert(key, b) }
-func (x hashSec) del(key []byte)                 { x.h.Delete(key) }
-func (x hashSec) scanRange(from, to []byte, fn func(*bucket) bool) bool {
-	return false // hashing cannot enumerate ordered key ranges
-}
-func (x hashSec) all(fn func(key []byte, b *bucket) bool) {
-	x.h.Range(fn)
-}
-func (x hashSec) nodeCount() int { return x.h.NumBuckets() }
-func (x hashSec) check() error   { return x.h.CheckInvariants() }
 
 // Table is a relational table over a coded block store, safe for concurrent
 // use under one locking rule:
@@ -238,8 +158,7 @@ type Table struct {
 	pager     storage.Pager
 	pool      *buffer.Pool
 	store     *blockstore.Store
-	primary   *btree.Tree[storage.PageID]
-	secondary map[int]secIndex
+	secondary map[int]*btree.Tree[*bucket]
 	hist      []*histogram
 	size      int
 
@@ -342,11 +261,6 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 	if opts.Obs != nil && opts.SlowOpThreshold > 0 {
 		opts.Obs.SetSlowOpThreshold(opts.SlowOpThreshold)
 	}
-	primary, err := btree.New[storage.PageID](opts.IndexOrder)
-	if err != nil {
-		return nil, err
-	}
-	primary.SetProbeCounter(opts.Obs.Counter("index.btree_probes"))
 	t := &Table{
 		schema:    schema,
 		opts:      opts,
@@ -354,19 +268,14 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		pager:     pager,
 		pool:      pool,
 		store:     store,
-		primary:   primary,
-		secondary: make(map[int]secIndex, len(opts.SecondaryAttrs)),
+		secondary: make(map[int]*btree.Tree[*bucket], len(opts.SecondaryAttrs)),
 		hist:      make([]*histogram, schema.NumAttrs()),
 	}
 	for i := range t.hist {
 		t.hist[i] = newHistogram(schema.Domain(i).Size)
 	}
 	for _, a := range opts.SecondaryAttrs {
-		idx, err := newSecIndex(opts)
-		if err != nil {
-			return nil, err
-		}
-		t.secondary[a] = idx
+		t.secondary[a] = newSecIndex(opts)
 	}
 	return t, nil
 }
@@ -374,26 +283,11 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 // persistent reports whether the table is file-backed.
 func (t *Table) persistent() bool { return t.opts.Path != "" }
 
-// newSecIndex builds one secondary index of the configured kind.
-func newSecIndex(opts Options) (secIndex, error) {
-	switch opts.SecondaryKind {
-	case IndexBTree:
-		tr, err := btree.New[*bucket](opts.IndexOrder)
-		if err != nil {
-			return nil, err
-		}
-		tr.SetProbeCounter(opts.Obs.Counter("index.btree_probes"))
-		return btreeSec{tr}, nil
-	case IndexHash:
-		h, err := hashidx.New[*bucket](hashidx.DefaultBucketCap)
-		if err != nil {
-			return nil, err
-		}
-		h.SetProbeCounter(opts.Obs.Counter("index.hash_probes"))
-		return hashSec{h}, nil
-	default:
-		return nil, fmt.Errorf("table: unknown secondary index kind %d", opts.SecondaryKind)
-	}
+// newSecIndex builds one empty secondary index (Figure 4.5).
+func newSecIndex(opts Options) *btree.Tree[*bucket] {
+	tr := btree.MustNew[*bucket](btree.DefaultOrder)
+	tr.SetProbeCounter(opts.Obs.Counter("index.btree_probes"))
+	return tr
 }
 
 // Schema returns the table's schema.
@@ -418,8 +312,8 @@ func (t *Table) NumBlocks() int {
 
 // PhiBounds reports the attribute-0 span actually occupied by the
 // table's blocks (from the block fences). ok is false when the table is
-// empty or a fence is unknown. The shard checker uses this to prove every
-// shard's data sits inside its catalog φ-range.
+// empty. The shard checker uses this to prove every shard's data sits
+// inside its catalog φ-range.
 func (t *Table) PhiBounds() (lo, hi uint64, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -449,23 +343,17 @@ func (t *Table) Generation() uint64 {
 	return t.generation
 }
 
-// IndexNodeCount returns the total node count across the primary and all
-// secondary indexes; experiments convert it to index blocks.
+// IndexNodeCount returns the total node count across the secondary
+// indexes. The primary index is the store's fence array — one directory
+// entry per block (NumBlocks) — and has no nodes of its own.
 func (t *Table) IndexNodeCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.primary.NodeCount()
+	n := 0
 	for _, idx := range t.secondary {
-		n += idx.nodeCount()
+		n += idx.NodeCount()
 	}
 	return n
-}
-
-// PrimaryHeight returns the primary index height.
-func (t *Table) PrimaryHeight() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.primary.Height()
 }
 
 // StoreStats returns the block store's physical layout statistics.
@@ -504,22 +392,13 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	t.schema.SortTuples(sorted)
 	endStage()
 	endStage = sp.Stage("load")
-	refs, err := t.store.BulkLoadContext(ctx, sorted)
-	if err != nil {
+	if _, err := t.store.BulkLoadContext(ctx, sorted); err != nil {
 		return err
 	}
 	endStage()
 	endStage = sp.Stage("index")
-	for _, ref := range refs {
-		t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
-	}
-	if len(t.secondary) > 0 {
-		if err := t.store.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
-			t.registerTuples(id, ts)
-			return true
-		}); err != nil {
-			return err
-		}
+	if err := t.indexBlocks(ctx); err != nil {
+		return err
 	}
 	for _, tu := range sorted {
 		t.histAdd(tu)
@@ -529,15 +408,28 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	return t.walCheckpoint()
 }
 
+// indexBlocks registers every block of a freshly loaded store in the
+// secondary indexes, with one scan; a table without them has nothing to
+// build, the store's fences being the primary index.
+func (t *Table) indexBlocks(ctx context.Context) error {
+	if len(t.secondary) == 0 {
+		return nil
+	}
+	return t.store.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
+		t.registerTuples(id, ts)
+		return true
+	})
+}
+
 // registerTuples adds the block's tuples to every secondary index.
 func (t *Table) registerTuples(id storage.PageID, tuples []relation.Tuple) {
 	for attr, idx := range t.secondary {
 		for _, tu := range tuples {
 			key := t.schema.EncodeAttr(nil, attr, tu[attr])
-			b, ok := idx.get(key)
+			b, ok := idx.Get(key)
 			if !ok {
 				b = &bucket{pages: make(map[storage.PageID]int, 1)}
-				idx.put(key, b)
+				idx.Insert(key, b)
 			}
 			b.pages[id]++
 		}
@@ -549,7 +441,7 @@ func (t *Table) unregisterTuples(id storage.PageID, tuples []relation.Tuple) {
 	for attr, idx := range t.secondary {
 		for _, tu := range tuples {
 			key := t.schema.EncodeAttr(nil, attr, tu[attr])
-			b, ok := idx.get(key)
+			b, ok := idx.Get(key)
 			if !ok {
 				continue
 			}
@@ -558,24 +450,10 @@ func (t *Table) unregisterTuples(id storage.PageID, tuples []relation.Tuple) {
 				delete(b.pages, id)
 			}
 			if len(b.pages) == 0 {
-				idx.del(key)
+				idx.Delete(key)
 			}
 		}
 	}
-}
-
-// homeBlock returns the block that would hold tu in clustered order: the
-// last block whose first tuple is <= tu, or the first block when tu
-// precedes everything.
-func (t *Table) homeBlock(tu relation.Tuple) (storage.PageID, bool) {
-	key := t.schema.EncodeTuple(nil, tu)
-	if _, page, ok := t.primary.SeekFloor(key); ok {
-		return page, true
-	}
-	if _, page, ok := t.primary.Min(); ok {
-		return page, true
-	}
-	return 0, false
 }
 
 // InsertContext adds tu to the table. Duplicates are permitted (relations
@@ -607,7 +485,7 @@ func (t *Table) insertLogged(ctx context.Context, tu relation.Tuple) (uint64, er
 	if err != nil {
 		return 0, err
 	}
-	if err := t.insertApply(ctx, tu); err != nil {
+	if err := t.insertApply(tu); err != nil {
 		t.logAbort(lsn)
 		return 0, err
 	}
@@ -615,34 +493,15 @@ func (t *Table) insertLogged(ctx context.Context, tu relation.Tuple) (uint64, er
 }
 
 // insertApply is the unlogged insert body: it mutates blocks and indexes
-// but never touches the WAL, so replay and batch loading reuse it.
-func (t *Table) insertApply(ctx context.Context, tu relation.Tuple) error {
-	page, ok := t.homeBlock(tu)
-	if !ok {
-		// Empty table: seed the store.
-		refs, err := t.store.BulkLoadContext(ctx, []relation.Tuple{tu.Clone()})
-		if err != nil {
-			return err
-		}
-		t.primary.Insert(t.schema.EncodeTuple(nil, refs[0].First), refs[0].Page)
-		if len(t.secondary) > 0 {
-			t.registerTuples(refs[0].Page, []relation.Tuple{tu})
-		}
-		t.histAdd(tu)
-		t.size = 1
-		return nil
-	}
-	old, err := t.store.ReadBlock(page)
+// but never touches the WAL, so replay and batch loading reuse it. The
+// store finds the home block on its fence array and hands back what it
+// decoded, so the block is read once.
+func (t *Table) insertApply(tu relation.Tuple) error {
+	res, err := t.store.Insert(tu)
 	if err != nil {
 		return err
 	}
-	res, err := t.store.InsertIntoBlock(page, tu)
-	if err != nil {
-		return err
-	}
-	if err := t.applyMutation(page, old, res); err != nil {
-		return err
-	}
+	t.applyMutation(res)
 	t.histAdd(tu)
 	t.size++
 	return nil
@@ -690,24 +549,11 @@ func (t *Table) deleteApply(ctx context.Context, tu relation.Tuple) (bool, error
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	page, found, err := t.findTupleBlock(tu)
+	res, found, err := t.store.Delete(tu)
 	if err != nil || !found {
 		return false, err
 	}
-	old, err := t.store.ReadBlock(page)
-	if err != nil {
-		return false, err
-	}
-	res, ok, err := t.store.DeleteFromBlock(page, tu)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, errors.New("table: block lost tuple between find and delete")
-	}
-	if err := t.applyMutation(page, old, res); err != nil {
-		return false, err
-	}
+	t.applyMutation(res)
 	t.histRemove(tu)
 	t.size--
 	return true, nil
@@ -736,79 +582,29 @@ func (t *Table) UpdateContext(ctx context.Context, old, new relation.Tuple) (boo
 	return true, t.walCommit(lsn)
 }
 
-// applyMutation fixes the primary and secondary indexes after a block
-// mutation: the block's key may have changed, the block may have split,
-// or it may have been removed.
-func (t *Table) applyMutation(page storage.PageID, old []relation.Tuple, res blockstore.MutationResult) error {
-	t.primary.Delete(t.schema.EncodeTuple(nil, old[0]))
-	for _, ref := range res.Blocks {
-		t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
+// applyMutation moves the secondary indexes' postings from the block a
+// mutation replaced to the blocks that replaced it, using the tuple runs
+// the store already decoded.
+func (t *Table) applyMutation(res blockstore.MutationResult) {
+	if len(t.secondary) == 0 {
+		return
 	}
-	if len(t.secondary) > 0 {
-		t.unregisterTuples(page, old)
-		for _, ref := range res.Blocks {
-			ts, err := t.store.ReadBlock(ref.Page)
-			if err != nil {
-				return err
-			}
-			t.registerTuples(ref.Page, ts)
-		}
+	t.unregisterTuples(res.Old.Page, res.Old.Tuples)
+	for _, run := range res.New {
+		t.registerTuples(run.Page, run.Tuples)
 	}
-	return nil
 }
 
-// findTupleBlock locates the block containing tu, walking back across
-// blocks whose boundary tuples equal tu so duplicates spanning blocks are
-// found. The caller holds mu (shared suffices).
-func (t *Table) findTupleBlock(tu relation.Tuple) (storage.PageID, bool, error) {
-	if t.size == 0 {
-		return 0, false, nil
-	}
-	page, ok := t.homeBlock(tu)
-	if !ok {
-		return 0, false, nil
-	}
-	blocks := t.store.Blocks()
-	pos := -1
-	for i, id := range blocks {
-		if id == page {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		return 0, false, fmt.Errorf("table: primary index points at unknown page %d", page)
-	}
-	for i := pos; i >= 0; i-- {
-		ts, err := t.store.ReadBlock(blocks[i])
-		if err != nil {
-			return 0, false, err
-		}
-		for _, x := range ts {
-			if t.schema.Compare(x, tu) == 0 {
-				return blocks[i], true, nil
-			}
-		}
-		// If this block's first tuple is strictly below tu, earlier blocks
-		// are entirely below tu too.
-		if t.schema.Compare(ts[0], tu) < 0 {
-			break
-		}
-	}
-	return 0, false, nil
-}
-
-// Contains reports whether tu is in the table. It probes the primary index
-// and the live blocks, so unlike the streaming queries it holds the shared
-// lock throughout.
+// Contains reports whether tu is in the table. It searches the fence
+// array and decodes at most one live block, so unlike the streaming
+// queries it holds the shared lock throughout.
 func (t *Table) Contains(tu relation.Tuple) (bool, error) {
 	if err := t.schema.ValidateTuple(tu); err != nil {
 		return false, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, found, err := t.findTupleBlock(tu)
-	return found, err
+	return t.store.Contains(tu)
 }
 
 // ScanContext visits every tuple in phi order through the executor,
@@ -829,9 +625,9 @@ func (t *Table) ScanContext(ctx context.Context, fn func(relation.Tuple) bool) e
 // deepest self-validation pass.
 func (t *Table) Check() error { return t.CheckInvariants() }
 
-// CheckInvariants verifies the whole table: store layout, index trees, the
-// agreement of the primary index with block firsts, secondary bucket
-// counts against actual block contents, and the tuple count. It walks
+// CheckInvariants verifies the whole table: store layout and fences (the
+// primary index), secondary index trees, secondary bucket counts against
+// actual block contents, and the tuple count. It walks
 // every block against the live indexes, so it holds the lock exclusively.
 func (t *Table) CheckInvariants() error {
 	t.mu.Lock()
@@ -841,16 +637,10 @@ func (t *Table) CheckInvariants() error {
 	if err := t.store.Check(); err != nil {
 		return err
 	}
-	if err := t.primary.CheckInvariants(); err != nil {
-		return err
-	}
 	for attr, idx := range t.secondary {
-		if err := idx.check(); err != nil {
+		if err := idx.CheckInvariants(); err != nil {
 			return fmt.Errorf("secondary %d: %w", attr, err)
 		}
-	}
-	if t.primary.Len() != t.store.NumBlocks() {
-		return fmt.Errorf("table: primary has %d keys for %d blocks", t.primary.Len(), t.store.NumBlocks())
 	}
 	count := 0
 	type attrVal struct {
@@ -863,12 +653,6 @@ func (t *Table) CheckInvariants() error {
 	//avqlint:ignore ctxflow the Engine seam's Check() carries no ctx; validation runs to its verdict
 	scanErr := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
-		key := t.schema.EncodeTuple(nil, ts[0])
-		page, ok := t.primary.Get(key)
-		if !ok || page != id {
-			checkErr = fmt.Errorf("table: primary missing block first %v -> %d", ts[0], id)
-			return false
-		}
 		for attr := range t.secondary {
 			for _, tu := range ts {
 				wantCounts[attrVal{attr, tu[attr], id}]++
@@ -878,9 +662,6 @@ func (t *Table) CheckInvariants() error {
 	})
 	if scanErr != nil {
 		return scanErr
-	}
-	if checkErr != nil {
-		return checkErr
 	}
 	if count != t.size {
 		return fmt.Errorf("table: %d tuples stored, size says %d", count, t.size)
@@ -892,7 +673,7 @@ func (t *Table) CheckInvariants() error {
 	}
 	for attr, idx := range t.secondary {
 		gotEntries := 0
-		idx.all(func(key []byte, b *bucket) bool {
+		idx.Scan(nil, nil, func(key []byte, b *bucket) bool {
 			for page, n := range b.pages {
 				gotEntries += n
 				// Decode the attr value from the key for comparison.

@@ -224,7 +224,7 @@ func (t *Table) replayRecord(kind byte, tuples []relation.Tuple) error {
 		if len(tuples) != 1 {
 			return fmt.Errorf("table: insert record with %d tuples", len(tuples))
 		}
-		return t.insertApply(ctx, tuples[0])
+		return t.insertApply(tuples[0])
 	case recDelete:
 		if len(tuples) != 1 {
 			return fmt.Errorf("table: delete record with %d tuples", len(tuples))

@@ -2,10 +2,10 @@
 # check.sh — the repo's one-command verification gate.
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
-# suite (internal/analysis) plus the no-Deprecated-wrappers guard, the full
-# test suite, and the race-focused test run over the concurrency-sensitive
-# packages. Fails fast on the first
-# broken stage so CI output points at one problem.
+# suite (internal/analysis) plus the no-Deprecated-wrappers and one-fence-
+# search guards, the full test suite, and the race-focused test run over the
+# concurrency-sensitive packages. Fails fast on the first broken stage so CI
+# output points at one problem; the last line is the tracked line count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,6 +31,10 @@ echo "== avqlint (baseline-gated)"
 go run ./cmd/avqlint -baseline scripts/avqlint-baseline.json ./...
 # Every entry point has one ctx-first name; keep Deprecated twins from growing back.
 if grep -rn 'Deprecated:' --include='*.go' cmd internal examples | grep -v '^internal/analysis/'; then echo "Deprecated: wrapper found; give the entry point one ctx-first name" >&2; exit 1; fi
+# The manifest's fence array has one binary search, in internal/blockstore
+# (Snapshot.SeekTuple / SeekAttr0 / SeekPhi / Home); keep private bisects
+# over Fence( from growing back in its callers.
+if grep -A8 'lo, hi :=' internal/table/*.go internal/exec/*.go | grep 'Fence('; then echo "hand-rolled bisect over block fences; call the blockstore.Snapshot search" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
@@ -45,3 +49,4 @@ go test -race ./internal/buffer ./internal/table ./internal/simdisk \
     ./internal/backend ./internal/shard ./internal/server
 
 echo "check.sh: all gates passed"
+echo "non-test lines in internal/ + cmd/ (scripts/loc.sh): $(sh scripts/loc.sh)"
