@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint lint-baseline build fmt loc bench-pruning bench-obs bench-decode bench-wal bench-join benchgate crash
+.PHONY: check test race lint lint-baseline build fmt loc bench-obs bench-decode bench-wal bench-join benchgate crash
 
 check:
 	sh scripts/check.sh
@@ -30,9 +30,6 @@ bench-decode:
 
 benchgate:
 	sh scripts/benchgate.sh
-
-bench-pruning:
-	$(GO) run ./cmd/avqbench -exp pruning
 
 bench-obs:
 	$(GO) run ./cmd/avqbench -exp obs

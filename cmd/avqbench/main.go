@@ -26,12 +26,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, pipeline, pruning, obs, decode, join, wal, or all")
+		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, obs, decode, join, wal, or all")
 		tuples   = flag.Int("tuples", 0, "override relation size (0 = per-experiment default)")
 		reps     = flag.Int("reps", 0, "timing repetitions (0 = paper's 100)")
 		pageSize = flag.Int("pagesize", 0, "block size in bytes (0 = paper's 8192)")
 		seed     = flag.Int64("seed", 1995, "generator seed")
-		parallel = flag.Int("parallel", 0, "pipeline experiment worker count (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "wal experiment writer count (0 = 16)")
 	)
 	flag.Parse()
 	// Ctrl-C cancels the running experiment at the next block boundary;
@@ -109,28 +109,6 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 				return err
 			}
 			return r.WriteText(out)
-		case "pipeline":
-			r, err := experiments.RunPipeline(ctx, experiments.PipelineConfig{
-				Tuples: tuples, PageSize: pageSize, Concurrency: parallel, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_pipeline.json", r)
-		case "pruning":
-			r, err := experiments.RunPruning(ctx, experiments.PruningConfig{
-				Tuples: tuples, PageSize: pageSize, Reps: reps, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_pruning.json", r)
 		case "obs":
 			r, err := experiments.RunObs(ctx, experiments.ObsConfig{
 				Tuples: tuples, PageSize: pageSize, Seed: seed,
@@ -191,7 +169,7 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 	if exp != "all" {
 		return runOne(exp)
 	}
-	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "pipeline", "pruning", "obs", "decode", "join", "wal"} {
+	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "obs", "decode", "join", "wal"} {
 		if i > 0 {
 			sep()
 		}
@@ -203,7 +181,7 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 }
 
 // writeBenchJSON records an experiment result as a JSON file in the
-// working directory (BENCH_pruning.json, BENCH_wal.json, ...) for CI
+// working directory (BENCH_obs.json, BENCH_wal.json, ...) for CI
 // trend tracking and the scripts/benchgate.sh gates. The write goes
 // through the storage layer's temp+rename path so an interrupted bench
 // run can never leave a torn baseline in the tree.

@@ -372,13 +372,13 @@ func query(ctx context.Context, a args) error {
 	return nil
 }
 
-// pathLine renders a query's access-path counters: the I/O split between
-// disk reads and cache hits, the blocks the φ-fences pruned, and how many
-// reads decoded only a span of the block. Queries that ran on the
-// columnar batch executor also report the slabs and the rows they held.
+// pathLine renders a query's access-path counters: the blocks read (the
+// paper's N), the blocks the φ-fences pruned, and how many reads decoded
+// only a span of the block. Queries that ran on the columnar batch
+// executor also report the slabs and the rows they held.
 func pathLine(st *server.StatsJSON, total int) string {
-	line := fmt.Sprintf("%s path: %d of %d blocks read (%d from cache), %d pruned by fence, %d partial decodes",
-		st.Strategy, st.BlocksRead, total, st.CacheHits, st.BlocksPruned, st.PartialDecodes)
+	line := fmt.Sprintf("%s path: %d of %d blocks read, %d pruned by fence, %d partial decodes",
+		st.Strategy, st.BlocksRead, total, st.BlocksPruned, st.PartialDecodes)
 	if st.BatchBlocks > 0 {
 		line += fmt.Sprintf("; batch: %d slabs, %d rows", st.BatchBlocks, st.SlabRows)
 	}
@@ -458,8 +458,8 @@ func joinCmd(ctx context.Context, a args) error {
 	if rows > a.limit {
 		fmt.Printf("... and %d more\n", rows-a.limit)
 	}
-	fmt.Printf("%d join rows; left %d blocks read (%d from cache), right %d blocks read (%d from cache), %d pruned by fence",
-		st.Matches, st.LeftBlocks, st.LeftCacheHits, st.RightBlocks, st.RightCacheHits, st.BlocksPruned)
+	fmt.Printf("%d join rows; left %d blocks read, right %d blocks read, %d pruned by fence",
+		st.Matches, st.LeftBlocks, st.RightBlocks, st.BlocksPruned)
 	if st.BatchBlocks > 0 {
 		fmt.Printf("; batch: %d slabs, %d rows", st.BatchBlocks, st.SlabRows)
 	}
@@ -500,9 +500,8 @@ func stats(ctx context.Context, a args) error {
 		tb.Len(), tb.NumBlocks(), tb.NumBlocks(), tb.IndexNodeCount())
 	fmt.Printf("coded payload: %d bytes; raw rows would be %d bytes (%.1f%% reduction)\n",
 		st.StreamBytes, st.RawDataBytes, st.StreamSavingsPercent())
-	cs := tb.BlockCacheStats()
-	fmt.Printf("block cache: %d hits, %d misses, %d invalidations, %d entries\n",
-		cs.Hits, cs.Misses, cs.Invalidations, cs.Entries)
+	ps := tb.PoolStats()
+	fmt.Printf("buffer pool: %d hits, %d misses, %d evictions\n", ps.Hits, ps.Misses, ps.Evictions)
 	return nil
 }
 
@@ -512,7 +511,8 @@ func stats(ctx context.Context, a args) error {
 // any ops that crossed the slow threshold.
 func statsLive(ctx context.Context, a args) error {
 	reg := obs.NewRegistry()
-	tb, err := table.Open(a.db, table.WithObs(reg), table.WithSlowOpThreshold(time.Duration(a.slowMs)*time.Millisecond))
+	reg.SetSlowOpThreshold(time.Duration(a.slowMs) * time.Millisecond)
+	tb, err := table.Open(a.db, table.WithObs(reg))
 	if err != nil {
 		return err
 	}
@@ -583,7 +583,8 @@ func walInspect(a args) error {
 // frames and zero live snapshots.
 func serve(ctx context.Context, a args) error {
 	reg := obs.NewRegistry()
-	tb, err := table.Open(a.db, table.WithObs(reg), table.WithSlowOpThreshold(time.Duration(a.slowMs)*time.Millisecond))
+	reg.SetSlowOpThreshold(time.Duration(a.slowMs) * time.Millisecond)
+	tb, err := table.Open(a.db, table.WithObs(reg))
 	if err != nil {
 		return err
 	}

@@ -81,8 +81,8 @@ func main() {
 // openEngine opens path as a sharded database when it is a directory
 // holding a shard catalog, and as a single-file table otherwise. Both
 // engines tolerate the server's concurrent handlers.
-func openEngine(path string, reg *obs.Registry, slow time.Duration) (server.Engine, string, error) {
-	opts := []table.Option{table.WithObs(reg), table.WithSlowOpThreshold(slow)}
+func openEngine(path string, reg *obs.Registry) (server.Engine, string, error) {
+	opts := []table.Option{table.WithObs(reg)}
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		cat, err := shard.ReadCatalogDir(nil, path)
 		if err != nil {
@@ -107,7 +107,8 @@ func run(db, listen string, cfg server.Config, slow, drainMax time.Duration) err
 	defer stop()
 
 	reg := obs.NewRegistry()
-	eng, kind, err := openEngine(db, reg, slow)
+	reg.SetSlowOpThreshold(slow)
+	eng, kind, err := openEngine(db, reg)
 	if err != nil {
 		return err
 	}

@@ -64,8 +64,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("executed: %d rows via %s path, %d blocks read (%d cache hits), %d fence-pruned, %d partial decodes\n\n",
-		len(matched), stats.Strategy, stats.BlocksRead, stats.CacheHits, stats.BlocksPruned, stats.PartialDecodes)
+	fmt.Printf("executed: %d rows via %s path, %d blocks read, %d fence-pruned, %d partial decodes\n\n",
+		len(matched), stats.Strategy, stats.BlocksRead, stats.BlocksPruned, stats.PartialDecodes)
 
 	// Streaming aggregates: revenue-style rollup without materializing.
 	agg, aggStats, err := tbl.AggregateRangeContext(ctx, 2, 0, 2, 3) // units over channels 0-2
@@ -84,7 +84,7 @@ func main() {
 	}
 	fmt.Printf("regions 2-4: %d rows; executor pruned %d of %d blocks by fence, %d full / %d partial decodes\n\n",
 		len(sel), selStats.BlocksPruned, tbl.NumBlocks(),
-		selStats.BlocksRead+selStats.CacheHits-selStats.PartialDecodes, selStats.PartialDecodes)
+		selStats.BlocksRead-selStats.PartialDecodes, selStats.PartialDecodes)
 
 	// Bulk maintenance: a day's new facts arrive as one batch.
 	batch := make([]relation.Tuple, 5000)

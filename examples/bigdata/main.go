@@ -65,7 +65,6 @@ func main() {
 	tbl, err := table.Create(schema,
 		table.WithCodec(core.CodecAVQ),
 		table.WithConcurrency(runtime.GOMAXPROCS(0)),
-		table.WithBlockCache(128),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -139,7 +139,7 @@ type phiSink struct {
 
 // keepPhis retains a φ slab read straight off a snapshot block.
 func (k *phiSink) keepPhis(sn *blockstore.Snapshot, a *core.Arena) error {
-	phis, _, _, err := sn.ReadPhis(0, a, nil)
+	phis, _, err := sn.ReadPhis(0, a, nil)
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func (k *phiSink) sendPhis(a *core.Arena, n int) {
 
 // goodTransientPhis folds over the slab without retaining it.
 func goodTransientPhis(sn *blockstore.Snapshot, a *core.Arena) (uint64, error) {
-	phis, _, _, err := sn.ReadPhis(0, a, nil)
+	phis, _, err := sn.ReadPhis(0, a, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -8,83 +8,32 @@ import (
 )
 
 // TestReadBlockArenaMatchesReadBlock checks the arena read path against
-// the allocating one, with and without the decoded-block cache (hits come
-// back as slab copies; both must be element-equal to a fresh decode).
+// the allocating one: both must be element-equal to a fresh decode.
 func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		s := newStore(t, core.CodecAVQ, 512)
-		if cached {
-			s.Configure(Config{CacheBlocks: 8})
-		}
-		tuples := randomTuples(t, 600, 42)
-		if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
+	s := newStore(t, core.CodecAVQ, 512)
+	tuples := randomTuples(t, 600, 42)
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	a := core.NewArena()
+	for b := 0; b < sn.NumBlocks(); b++ {
+		want, err := sn.ReadBlock(b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sn := s.Snapshot()
-		defer sn.Release()
-		a := core.NewArena()
-		for pass := 0; pass < 2; pass++ { // second pass exercises cache hits
-			for b := 0; b < sn.NumBlocks(); b++ {
-				want, _, err := sn.ReadBlock(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Reset()
-				got, _, err := sn.ReadBlockArena(b, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("cached=%v pass %d: %d tuples, want %d", cached, pass, len(got), len(want))
-				}
-				for i := range want {
-					if s.schema.Compare(got[i], want[i]) != 0 {
-						t.Fatalf("cached=%v pass %d block %d tuple %d: %v != %v",
-							cached, pass, b, i, got[i], want[i])
-					}
-				}
-			}
+		a.Reset()
+		got, err := sn.ReadBlockArena(b, a)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestCacheHitSlabIsolation checks that scribbling on tuples returned from
-// a cache hit cannot poison later reads: entries are copied out, never
-// aliased.
-func TestCacheHitSlabIsolation(t *testing.T) {
-	s := newStore(t, core.CodecAVQ, 512)
-	s.Configure(Config{CacheBlocks: 8})
-	tuples := randomTuples(t, 200, 43)
-	refs, err := s.BulkLoadContext(context.Background(), tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := refs[0].Page
-	first, err := s.decodeBlockCached(id) // miss: fills the cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := make([][]uint64, len(first))
-	for i, tu := range first {
-		clean[i] = append([]uint64(nil), tu...)
-	}
-	hit, err := s.decodeBlockCached(id) // hit: slab copy
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range hit {
-		for j := range tu {
-			tu[j] = ^uint64(0)
+		if len(got) != len(want) {
+			t.Fatalf("block %d: %d tuples, want %d", b, len(got), len(want))
 		}
-	}
-	again, err := s.decodeBlockCached(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tu := range again {
-		for j, v := range tu {
-			if v != clean[i][j] {
-				t.Fatalf("cache entry poisoned at tuple %d digit %d: %d", i, j, v)
+		for i := range want {
+			if s.schema.Compare(got[i], want[i]) != 0 {
+				t.Fatalf("block %d tuple %d: %v != %v", b, i, got[i], want[i])
 			}
 		}
 	}

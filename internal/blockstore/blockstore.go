@@ -83,10 +83,8 @@ type Store struct {
 	snapRefs int
 	deferred []storage.PageID
 
-	// Concurrency configuration (see Configure): conc > 1 enables the
-	// parallel codec pipeline, cache != nil the decoded-block LRU.
-	conc  int
-	cache *blockCache
+	// conc > 1 enables the parallel codec pipeline (see Configure).
+	conc int
 
 	// met holds pre-resolved obs instruments (see Configure); the zero
 	// value means observability is off and every instrument no-ops.
@@ -434,36 +432,20 @@ func (s *Store) writeStream(stream []byte) (storage.PageID, error) {
 	return id, nil
 }
 
-// decodeBlockCached serves a block from the decoded-block cache or decodes
-// it from its page (filling the cache), into a fresh arena the caller owns.
-func (s *Store) decodeBlockCached(id storage.PageID) ([]relation.Tuple, error) {
-	tuples, _, err := s.decodeBlockCachedHitArena(id, nil)
-	return tuples, err
-}
-
-// decodeBlockCachedHitArena is decodeBlockCached, also reporting whether
-// the cache served the block without a page read. Callers always receive
-// tuples they own until the arena's next Reset: cache hits are slab copies
-// into the arena and misses are decoded straight into it.
-func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]relation.Tuple, bool, error) {
-	if a == nil {
-		a = core.NewArena()
-	}
-	n := s.schema.NumAttrs()
-	if c := s.cache; c != nil {
-		if tuples, ok := c.get(id, n, a); ok {
-			return tuples, true, nil
-		}
-	}
+// decodeBlock decodes the block on page id from its coded page in the
+// buffer pool — the only block cache — into arena a (a fresh one when a
+// is nil). The tuples alias the arena and are the caller's until its next
+// Reset.
+func (s *Store) decodeBlock(id storage.PageID, a *core.Arena) ([]relation.Tuple, error) {
 	frame, err := s.pool.Get(id)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer s.pool.Unpin(frame)
 	data := frame.Data()
 	l := binary.BigEndian.Uint32(data[:lenPrefix])
 	if int(l) > s.capacity() {
-		return nil, false, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
+		return nil, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
 	}
 	var t0 time.Time
 	if s.met.decodeHist != nil {
@@ -475,12 +457,9 @@ func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]r
 		s.met.decodes.Inc()
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		return nil, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
 	}
-	if c := s.cache; c != nil {
-		c.put(id, tuples, n)
-	}
-	return tuples, false, nil
+	return tuples, nil
 }
 
 // BlockRun is one block of a mutation: its page and the tuples it holds,
@@ -538,7 +517,7 @@ func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err
 	var old []relation.Tuple
 	if at < 0 {
 		at = 0
-	} else if old, err = s.decodeBlockCached(m.blocks[at]); err != nil {
+	} else if old, err = s.decodeBlock(m.blocks[at], nil); err != nil {
 		return MutationResult{}, 0, err
 	}
 	// Each run tuple goes after the last stored tuple <= it, so duplicates
@@ -568,7 +547,7 @@ func (s *Store) find(m *manifest, t relation.Tuple) (at int, tuples []relation.T
 	if at == len(m.fences) || s.schema.Compare(m.fences[at].First, t) > 0 {
 		return at, nil, -1, nil
 	}
-	if tuples, err = s.decodeBlockCached(m.blocks[at]); err != nil {
+	if tuples, err = s.decodeBlock(m.blocks[at], nil); err != nil {
 		return at, nil, -1, err
 	}
 	idx = sort.Search(len(tuples), func(i int) bool { return s.schema.Compare(tuples[i], t) >= 0 })
@@ -729,10 +708,7 @@ func (s *Store) freePageBestEffort(id storage.PageID) {
 }
 
 // freeBlockPage frees a page that held a published block. While snapshots
-// are live the free is parked (the snapshot may still read the page and
-// the cache may still serve its decode); otherwise the cached decode is
-// dropped first, because pagers reuse freed ids and a stale cache entry
-// would resurrect the old block's tuples under the recycled id.
+// are live the free is parked: a snapshot may still read the page.
 func (s *Store) freeBlockPage(id storage.PageID) error {
 	s.snapMu.Lock()
 	if s.snapRefs > 0 {
@@ -741,9 +717,6 @@ func (s *Store) freeBlockPage(id storage.PageID) error {
 		return nil
 	}
 	s.snapMu.Unlock()
-	if s.cache != nil {
-		s.cache.invalidate(id)
-	}
 	return s.pool.Free(id)
 }
 
@@ -753,11 +726,7 @@ func (s *Store) Reset() error {
 	old := s.man.Load()
 	s.man.Store(&manifest{})
 	s.notifyCommit("reset", 0)
-	err := s.freeAll(old.blocks)
-	if s.cache != nil {
-		s.cache.clear()
-	}
-	return err
+	return s.freeAll(old.blocks)
 }
 
 // ScanBlocksContext visits every block in clustered order, decoding each.
@@ -784,7 +753,7 @@ func (s *Store) scanManifest(ctx context.Context, m *manifest, fn func(id storag
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tuples, err := s.decodeBlockCached(id)
+		tuples, err := s.decodeBlock(id, nil)
 		if err != nil {
 			return err
 		}
@@ -880,7 +849,7 @@ func (s *Store) CheckInvariants() error {
 	}
 	var prevLast relation.Tuple
 	for i, id := range m.blocks {
-		tuples, err := s.decodeBlockCached(id)
+		tuples, err := s.decodeBlock(id, nil)
 		if err != nil {
 			return fmt.Errorf("blockstore: block %d: %w", i, err)
 		}

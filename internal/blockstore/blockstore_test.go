@@ -93,7 +93,7 @@ func TestBulkLoadRoundTrip(t *testing.T) {
 			}
 			// Every ref's First must equal its block's first tuple.
 			for _, ref := range refs {
-				blk, err := s.decodeBlockCached(ref.Page)
+				blk, err := s.decodeBlock(ref.Page, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +276,7 @@ func TestDeleteEmptiesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := refs[0]
-	blk, err := s.decodeBlockCached(first.Page)
+	blk, err := s.decodeBlock(first.Page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestRewriteBlockValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := s.decodeBlockCached(refs[0].Page)
+	blk, err := s.decodeBlock(refs[0].Page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

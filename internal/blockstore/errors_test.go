@@ -12,41 +12,70 @@ import (
 
 // TestErrCorruptBlock checks that every corruption detection path wraps
 // the ErrCorruptBlock sentinel, so callers dispatch with errors.Is without
-// string matching.
+// string matching. The warm input reads the victim through every shape
+// first: a block is only ever served from its coded page, so a read that
+// just succeeded cannot mask the corruption that follows it.
 func TestErrCorruptBlock(t *testing.T) {
-	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
-	tuples := pipelineTuples(t, 2000, 7)
-	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.DropAll(); err != nil {
-		t.Fatal(err)
-	}
-	victim := s.Blocks()[len(s.Blocks())/2]
-	buf := make([]byte, pager.PageSize())
-	if err := pager.Read(victim, buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[lenPrefix+8] ^= 0xFF
-	if err := pager.Write(victim, buf); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.decodeBlockCached(victim)
-	if err == nil {
-		t.Fatal("decode of corrupted block succeeded")
-	}
-	if !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("decode error = %v, want ErrCorruptBlock", err)
-	}
-	// The underlying cause stays reachable through the same chain.
-	if !errors.Is(err, core.ErrChecksum) {
-		t.Fatalf("decode error = %v, want core.ErrChecksum in the chain", err)
-	}
-	if err := s.Check(); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("Check error = %v, want ErrCorruptBlock", err)
+	for _, warm := range []bool{false, true} {
+		s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
+		if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 2000, 7)); err != nil {
+			t.Fatal(err)
+		}
+		at := s.NumBlocks() / 2
+		homed := s.man.Load().fences[at].First.Clone()
+		shapes := func() map[string]error {
+			errs := map[string]error{}
+			// The mutators re-code the block onto a fresh page, so they go
+			// first: the reads then warm the page the corruption hits.
+			_, _, errs["MergeRun"] = s.MergeRun([]relation.Tuple{homed})
+			_, _, errs["Delete"] = s.Delete(homed)
+			sn := s.Snapshot()
+			_, errs["ReadBlockArena"] = sn.ReadBlockArena(at, core.NewArena())
+			_, _, errs["ReadPhis"] = sn.ReadPhis(at, core.NewArena(), nil)
+			sn.Release()
+			return errs
+		}
+		if warm {
+			for shape, err := range shapes() {
+				if err != nil {
+					t.Fatalf("warm-up %s: %v", shape, err)
+				}
+			}
+		}
+		if err := pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		victim := s.Blocks()[at]
+		buf := make([]byte, pager.PageSize())
+		if err := pager.Read(victim, buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[lenPrefix+8] ^= 0xFF
+		if err := pager.Write(victim, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		for shape, err := range shapes() {
+			if !errors.Is(err, ErrCorruptBlock) || !errors.Is(err, core.ErrChecksum) {
+				t.Errorf("warm=%v: %s error = %v, want ErrCorruptBlock wrapping core.ErrChecksum", warm, shape, err)
+			}
+		}
+		_, err := s.decodeBlock(victim, nil)
+		if err == nil {
+			t.Fatalf("warm=%v: decode of corrupted block succeeded", warm)
+		}
+		if !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("warm=%v: decode error = %v, want ErrCorruptBlock", warm, err)
+		}
+		// The underlying cause stays reachable through the same chain.
+		if !errors.Is(err, core.ErrChecksum) {
+			t.Fatalf("warm=%v: decode error = %v, want core.ErrChecksum in the chain", warm, err)
+		}
+		if err := s.Check(); !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("warm=%v: Check error = %v, want ErrCorruptBlock", warm, err)
+		}
 	}
 }
 
@@ -72,7 +101,7 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 	if err := pager.Write(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.decodeBlockCached(victim); !errors.Is(err, ErrCorruptBlock) {
+	if _, err := s.decodeBlock(victim, nil); !errors.Is(err, ErrCorruptBlock) {
 		t.Fatalf("header-corrupt decode error = %v, want ErrCorruptBlock", err)
 	}
 	sn := s.Snapshot()
@@ -90,11 +119,11 @@ func TestErrSnapshotStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
-	if _, _, err := sn.ReadBlock(0); err != nil {
+	if _, err := sn.ReadBlock(0); err != nil {
 		t.Fatalf("live snapshot read: %v", err)
 	}
 	sn.Release()
-	if _, _, err := sn.ReadBlock(0); !errors.Is(err, ErrSnapshotStale) {
+	if _, err := sn.ReadBlock(0); !errors.Is(err, ErrSnapshotStale) {
 		t.Fatalf("stale ReadBlock error = %v, want ErrSnapshotStale", err)
 	}
 	if _, err := sn.ReadStream(0); !errors.Is(err, ErrSnapshotStale) {

@@ -147,7 +147,7 @@ func TestStoreModel(t *testing.T) {
 				var got []relation.Tuple
 				run := 0
 				for i := 0; i < sn.NumBlocks(); i++ {
-					ts, _, err := sn.ReadBlock(i)
+					ts, err := sn.ReadBlock(i)
 					if err != nil {
 						t.Fatal(err)
 					}

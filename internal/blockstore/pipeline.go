@@ -35,9 +35,6 @@ type Config struct {
 	// serial path. The effective scan fan-out is additionally clamped to
 	// the buffer pool's capacity so workers cannot pin every frame.
 	Concurrency int
-	// CacheBlocks is the capacity, in blocks, of the decoded-block LRU
-	// cache consulted by ReadBlock and the scan pipeline. 0 disables it.
-	CacheBlocks int
 	// Obs wires the store's instruments (encode/decode counters and
 	// latencies, snapshot accounting, and the executor's per-pass
 	// counters) into a registry. nil disables instrumentation: the store
@@ -46,15 +43,9 @@ type Config struct {
 }
 
 // Configure applies the concurrency and observability configuration. It
-// must not be called while other goroutines use the store. Reconfiguring
-// the cache size discards previously cached blocks.
+// must not be called while other goroutines use the store.
 func (s *Store) Configure(cfg Config) {
 	s.conc = cfg.Concurrency
-	if cfg.CacheBlocks > 0 {
-		s.cache = newBlockCache(cfg.CacheBlocks)
-	} else {
-		s.cache = nil
-	}
 	if cfg.Obs != nil {
 		s.met = storeMetrics{
 			encodes:       cfg.Obs.Counter("store.encodes"),
@@ -66,7 +57,6 @@ func (s *Store) Configure(cfg Config) {
 			exec: &ExecMetrics{
 				BlocksRead:     cfg.Obs.Counter("exec.blocks_read"),
 				BlocksPruned:   cfg.Obs.Counter("exec.blocks_pruned"),
-				CacheHits:      cfg.Obs.Counter("exec.cache_hits"),
 				PartialDecodes: cfg.Obs.Counter("exec.partial_decodes"),
 				FullDecodes:    cfg.Obs.Counter("exec.full_decodes"),
 				Rows:           cfg.Obs.Counter("exec.rows"),
@@ -101,7 +91,6 @@ type storeMetrics struct {
 type ExecMetrics struct {
 	BlocksRead     *obs.Counter
 	BlocksPruned   *obs.Counter
-	CacheHits      *obs.Counter
 	PartialDecodes *obs.Counter
 	FullDecodes    *obs.Counter
 	Rows           *obs.Counter
@@ -125,14 +114,6 @@ func (s *Store) timeEncode(tuples []relation.Tuple, dst []byte) ([]byte, error) 
 	s.met.encodeHist.Observe(time.Since(t0))
 	s.met.encodes.Inc()
 	return stream, err
-}
-
-// CacheStats returns decoded-block cache counters; zero when disabled.
-func (s *Store) CacheStats() CacheStats {
-	if s.cache == nil {
-		return CacheStats{}
-	}
-	return s.cache.stats()
 }
 
 // parallel reports whether the pipeline paths are enabled.
@@ -394,7 +375,7 @@ func (s *Store) scanBlocksParallel(ctx context.Context, m *manifest, fn func(id 
 			wg.Add(1)
 			go func(id storage.PageID, c chan<- scanResult) {
 				defer wg.Done()
-				tuples, err := s.decodeBlockCached(id)
+				tuples, err := s.decodeBlock(id, nil)
 				c <- scanResult{tuples, err}
 				<-sem
 			}(id, c)

@@ -163,7 +163,7 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 // TestScanBlocksParallelOrderAndEarlyStop verifies the parallel scan
 // delivers blocks in clustered order and honors an early stop.
 func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 8})
+	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
 	tuples := pipelineTuples(t, 3000, 11)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -249,103 +249,12 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecodedBlockCache verifies hits are served without re-decoding, that
-// returned tuples are isolated copies, and that mutation invalidates.
-func TestDecodedBlockCache(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
-	tuples := pipelineTuples(t, 2000, 9)
-	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	id := s.Blocks()[0]
-	first, err := s.decodeBlockCached(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.CacheStats(); st.Misses == 0 || st.Entries == 0 {
-		t.Fatalf("expected a cache miss to populate the cache, stats %+v", st)
-	}
-	// Scribble on the returned tuples: the cache must not see it.
-	for _, tu := range first {
-		for i := range tu {
-			tu[i] = 0
-		}
-	}
-	again, err := s.decodeBlockCached(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.CacheStats(); st.Hits == 0 {
-		t.Fatalf("expected a cache hit, stats %+v", st)
-	}
-	if !s.Schema().TuplesSorted(again) {
-		t.Fatal("cached read returned unsorted tuples")
-	}
-	for i, tu := range again {
-		if s.Schema().Compare(tu, tuples[i]) != 0 {
-			t.Fatalf("cached tuple %d = %v, want %v (cache poisoned by caller mutation?)", i, tu, tuples[i])
-		}
-	}
-
-	// Mutating the block must invalidate, and the re-read must observe the
-	// new contents even though the old page id may be recycled.
-	res, err := s.Insert(tuples[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.CacheStats(); st.Invalidations == 0 {
-		t.Fatalf("mutation did not invalidate the cache, stats %+v", st)
-	}
-	if res.Old.Page != id {
-		t.Fatalf("insert of the smallest tuple rewrote page %d, want block 0's page %d", res.Old.Page, id)
-	}
-	fresh, err := s.decodeBlockCached(res.New[0].Page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.New) != 1 || len(fresh) != len(first)+1 {
-		t.Fatalf("re-read block has %d tuples, want %d", len(fresh), len(first)+1)
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCacheRecycledPageID drives a rewrite loop that recycles freed page
-// ids and verifies reads through the cache never serve stale contents.
-func TestCacheRecycledPageID(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
-	tuples := pipelineTuples(t, 600, 21)
-	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		if err := rewriteInPlace(s, rng.Intn(s.NumBlocks())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	if err := s.ScanBlocksContext(context.Background(), func(_ storage.PageID, ts []relation.Tuple) bool {
-		total += len(ts)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if total != len(tuples) {
-		t.Fatalf("scan found %d tuples, want %d", total, len(tuples))
-	}
-}
-
 // TestConcurrentScanVsRewriteRace is the -race stress test: readers run
-// parallel scans through the decoded-block cache while a writer rewrites
-// blocks (invalidating entries), under the same reader/writer locking the
-// table layer provides.
+// parallel scans while a writer rewrites blocks (freeing and recycling
+// their pages), under the same reader/writer locking the table layer
+// provides.
 func TestConcurrentScanVsRewriteRace(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 32})
+	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
 	tuples := pipelineTuples(t, 2000, 13)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -445,7 +354,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
-	before, err := s.decodeBlockCached(id)
+	before, err := s.decodeBlock(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +393,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 	if s.Blocks()[0] != id {
 		t.Fatal("failed split replaced the original block")
 	}
-	after, err := s.decodeBlockCached(id)
+	after, err := s.decodeBlock(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +418,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 // changes nothing but the page.
 func rewriteInPlace(s *Store, at int) error {
 	m := s.man.Load()
-	ts, err := s.decodeBlockCached(m.blocks[at])
+	ts, err := s.decodeBlock(m.blocks[at], nil)
 	if err != nil {
 		return err
 	}

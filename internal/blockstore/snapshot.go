@@ -111,9 +111,8 @@ func fenceFor(tuples []relation.Tuple) Fence {
 // Snapshot is a pinned, immutable view of the store's block layout. While
 // any snapshot is live, pages freed by mutations are parked instead of
 // returned to the pager, so every page a snapshot references keeps its
-// bytes; cached decodes of those pages likewise stay valid because ids
-// are only recycled after the actual free. A snapshot is meant for one
-// goroutine; Release is idempotent but not concurrency-safe.
+// bytes. A snapshot is meant for one goroutine; Release is idempotent but
+// not concurrency-safe.
 type Snapshot struct {
 	s        *Store
 	m        *manifest
@@ -138,8 +137,7 @@ func (s *Store) Snapshot() *Snapshot {
 func (sn *Snapshot) Metrics() *ExecMetrics { return sn.s.met.exec }
 
 // Release unpins the snapshot. When the last live snapshot releases, the
-// pages parked by intervening mutations are invalidated from the decoded-
-// block cache and returned to the pager.
+// pages parked by intervening mutations are returned to the pager.
 func (sn *Snapshot) Release() {
 	if sn.released {
 		return
@@ -156,9 +154,6 @@ func (sn *Snapshot) Release() {
 	}
 	s.snapMu.Unlock()
 	for _, id := range drain {
-		if s.cache != nil {
-			s.cache.invalidate(id)
-		}
 		// A failed deferred free leaks one page until the next compaction;
 		// there is no caller left to hand the error to.
 		s.pool.Free(id) //avqlint:ignore droppederr deferred free after the mutation already succeeded
@@ -202,51 +197,41 @@ func (sn *Snapshot) Schema() *relation.Schema { return sn.s.schema }
 // Codec returns the store's block codec.
 func (sn *Snapshot) Codec() core.Codec { return sn.s.codec }
 
-// ReadBlock decodes the i-th block, consulting the decoded-block cache;
-// hit reports whether the cache served it without a page read. After
-// Release it fails with ErrSnapshotStale: the pages the snapshot pinned
-// may already be recycled.
-func (sn *Snapshot) ReadBlock(i int) (tuples []relation.Tuple, hit bool, err error) {
+// ReadBlock decodes the i-th block from its coded page. After Release it
+// fails with ErrSnapshotStale: the pages the snapshot pinned may already
+// be recycled.
+func (sn *Snapshot) ReadBlock(i int) ([]relation.Tuple, error) {
 	return sn.ReadBlockArena(i, nil)
 }
 
 // ReadBlockArena is ReadBlock with the decoded tuples carved from the
 // caller's arena (a fresh internal one when a is nil). The tuples alias
 // the arena's slab and are valid only until its next Reset.
-func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) (tuples []relation.Tuple, hit bool, err error) {
+func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) ([]relation.Tuple, error) {
 	if sn.released {
-		return nil, false, fmt.Errorf("%w: ReadBlock(%d)", ErrSnapshotStale, i)
+		return nil, fmt.Errorf("%w: ReadBlock(%d)", ErrSnapshotStale, i)
 	}
-	return sn.s.decodeBlockCachedHitArena(sn.m.blocks[i], a)
+	return sn.s.decodeBlock(sn.m.blocks[i], a)
 }
 
 // ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
-// from the caller's arena — the batch executor's block read. A cache hit
-// Horner-folds the cached row-major digit slab (no tuple headers built); a
-// miss copies the coded stream into buf and walks it with
-// core.DecodeBlockPhis. The possibly-grown stream buffer is returned for
-// reuse across blocks. Misses do not populate the decoded-block cache: the
-// batch pass streams each block once, and slab entries it will never
-// revisit would only evict tuple entries that selective queries do.
-func (sn *Snapshot) ReadPhis(i int, a *core.Arena, buf []byte) (phis []uint64, nbuf []byte, hit bool, err error) {
+// from the caller's arena — the batch executor's block read. It copies the
+// coded stream into buf and walks it with core.DecodeBlockPhis; the
+// possibly-grown stream buffer is returned for reuse across blocks.
+func (sn *Snapshot) ReadPhis(i int, a *core.Arena, buf []byte) (phis []uint64, nbuf []byte, err error) {
 	if sn.released {
-		return nil, buf, false, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
+		return nil, buf, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
 	}
 	id := sn.m.blocks[i]
-	if c := sn.s.cache; c != nil {
-		if phis, ok := c.getPhis(id, sn.s.schema, a); ok {
-			return phis, buf, true, nil
-		}
-	}
 	stream, err := sn.s.readStream(id, buf[:0])
 	if err != nil {
-		return nil, buf, false, err
+		return nil, buf, err
 	}
 	phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a)
 	if err != nil {
-		return nil, stream, false, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		return nil, stream, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
 	}
-	return phis, stream, false, nil
+	return phis, stream, nil
 }
 
 // ReadStream copies the i-th block's coded stream off its page, for

@@ -20,7 +20,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	sn := s.Snapshot()
 	before := make([][]relation.Tuple, sn.NumBlocks())
 	for i := range before {
-		ts, _, err := sn.ReadBlock(i)
+		ts, err := sn.ReadBlock(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	schema := testSchema(t)
 	for i := range before {
-		ts, _, err := sn.ReadBlock(i)
+		ts, err := sn.ReadBlock(i)
 		if err != nil {
 			t.Fatalf("snapshot read after mutation: %v", err)
 		}
@@ -55,37 +55,32 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestSnapshotDefersFrees: pages freed by mutations while snapshots are
-// live are parked, and their cache entries are invalidated only when the
-// last snapshot releases.
+// live are parked, and returned to the pager only when the last snapshot
+// releases.
 func TestSnapshotDefersFrees(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
-	s.Configure(Config{CacheBlocks: 16})
 	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 600, 62)); err != nil {
 		t.Fatal(err)
 	}
 	sn1 := s.Snapshot()
 	sn2 := s.Snapshot()
-	// Warm the cache with the first block, then rewrite it.
-	if _, _, err := sn1.ReadBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sn1.ReadBlock(0); err != nil { // second read = cache hit
+	if _, err := sn1.ReadBlock(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Insert(relation.Tuple{0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if inv := s.CacheStats().Invalidations; inv != 0 {
-		t.Fatalf("cache invalidated while snapshots were live: %d", inv)
+	if len(s.deferred) == 0 {
+		t.Fatal("rewritten page freed while snapshots were live")
 	}
 	sn1.Release()
 	sn1.Release() // idempotent
-	if inv := s.CacheStats().Invalidations; inv != 0 {
-		t.Fatalf("cache invalidated before the last snapshot released: %d", inv)
+	if len(s.deferred) == 0 {
+		t.Fatal("parked pages freed before the last snapshot released")
 	}
 	sn2.Release()
-	if inv := s.CacheStats().Invalidations; inv == 0 {
-		t.Fatal("deferred frees never drained after the last release")
+	if n := len(s.deferred); n != 0 {
+		t.Fatalf("%d parked pages never drained after the last release", n)
 	}
 	if err := s.Check(); err != nil {
 		t.Fatal(err)
@@ -110,7 +105,7 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < n; i++ {
-		ts, _, err := sn.ReadBlock(i)
+		ts, err := sn.ReadBlock(i)
 		if err != nil {
 			t.Fatalf("snapshot read after reset: %v", err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Arena is a bump allocator for decode output: one backing slab of uint64
-// digits, one slab of tuple headers, and one byte scratch buffer. A block
+// digits and one slab of tuple headers. A block
 // decode that used to make one heap allocation per tuple carves everything
 // out of the arena instead, so a steady-state decode (arena pooled and
 // Reset between blocks) performs zero heap allocations.
@@ -25,10 +25,9 @@ import (
 //
 // The zero value is ready to use.
 type Arena struct {
-	vals    []uint64
-	hdrs    []relation.Tuple
-	scratch []byte
-	resets  uint64
+	vals   []uint64
+	hdrs   []relation.Tuple
+	resets uint64
 }
 
 // NewArena returns an empty arena.
@@ -51,7 +50,7 @@ func (a *Arena) Reuses() uint64 { return a.resets }
 // SlabBytes reports the arena's resident slab capacity in bytes.
 func (a *Arena) SlabBytes() int {
 	const hdrSize = 24 // slice header: pointer + len + cap
-	return cap(a.vals)*8 + cap(a.hdrs)*hdrSize + cap(a.scratch)
+	return cap(a.vals)*8 + cap(a.hdrs)*hdrSize
 }
 
 // grow replaces the value slab with one of at least need free capacity.
@@ -113,16 +112,6 @@ func (a *Arena) Tuples(count, n int) []relation.Tuple {
 		out[i] = relation.Tuple(a.vals[lo:hi:hi])
 	}
 	return out
-}
-
-// Scratch returns an m-byte scratch buffer owned by the arena. Successive
-// calls return the same buffer; it is for transient per-diff byte staging,
-// not for carving.
-func (a *Arena) Scratch(m int) []byte {
-	if cap(a.scratch) < m {
-		a.scratch = make([]byte, m)
-	}
-	return a.scratch[:m]
 }
 
 // arenaPool recycles arenas across transient decode passes.

@@ -52,7 +52,6 @@ func TestArenaAppendCannotClobber(t *testing.T) {
 func TestArenaResetReuse(t *testing.T) {
 	a := NewArena()
 	a.Tuples(64, 5)
-	a.Scratch(128)
 	bytesBefore := a.SlabBytes()
 	if bytesBefore == 0 {
 		t.Fatal("expected slab capacity after carving")
@@ -63,7 +62,6 @@ func TestArenaResetReuse(t *testing.T) {
 		t.Fatalf("Reuses() = %d, want %d", a.Reuses(), r0+1)
 	}
 	a.Tuples(64, 5)
-	a.Scratch(128)
 	if a.SlabBytes() != bytesBefore {
 		t.Fatalf("slab grew across Reset with identical demand: %d -> %d", bytesBefore, a.SlabBytes())
 	}

@@ -109,6 +109,19 @@ func TestTransientStats(t *testing.T) {
 	if st.PartialDecodes == 0 {
 		t.Log("no straddling blocks in this layout; flat path not exercised")
 	}
+
+	// A bounded batch pass whose range ends mid-store returns from inside
+	// the block loop; its pooled arena must be accounted on that path too.
+	st, err = RunBatch(context.Background(), sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func([]uint64) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BatchBlocks == 0 || st.BlocksPruned == 0 {
+		t.Fatalf("bounded batch pass: %d slabs, %d pruned; want a range ending mid-store", st.BatchBlocks, st.BlocksPruned)
+	}
+	if st.SlabBytes == 0 {
+		t.Error("SlabBytes = 0 after a bounded batch pass")
+	}
 }
 
 // TestTransientPassAllocs bounds the per-pass allocation count of a

@@ -48,8 +48,8 @@ func (p batchPred) matches(phi uint64) bool {
 	return d >= p.lo && d <= p.hi
 }
 
-func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (Stats, error) {
-	st := Stats{BlocksTotal: sn.NumBlocks()}
+func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (st Stats, err error) {
+	st = Stats{BlocksTotal: sn.NumBlocks()}
 	s := sn.Schema()
 	w, ok := s.FlatWeights()
 	if !ok {
@@ -72,7 +72,12 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 	}
 
 	a := core.GetArena()
-	defer core.PutArena(a)
+	// Every return path accounts the pooled arena's footprint, bounded
+	// passes (which stop early) included.
+	defer func() {
+		st.SlabBytes += a.SlabBytes()
+		core.PutArena(a)
+	}()
 	var streamBuf []byte
 	n := sn.NumBlocks()
 	start := seekBound(sn, plan.Candidates, bound, &st)
@@ -94,16 +99,12 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 			st.ArenaReuses++
 		}
 		a.Reset()
-		phis, buf, hit, err := sn.ReadPhis(i, a, streamBuf)
+		phis, buf, err := sn.ReadPhis(i, a, streamBuf)
 		if err != nil {
 			return st, err
 		}
 		streamBuf = buf
-		if hit {
-			st.CacheHits++
-		} else {
-			st.BlocksRead++
-		}
+		st.BlocksRead++
 		st.FullDecodes++
 		st.BatchBlocks++
 		st.SlabRows += len(phis)
@@ -137,7 +138,6 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 			return st, nil
 		}
 	}
-	st.SlabBytes += a.SlabBytes()
 	return st, nil
 }
 
@@ -206,17 +206,13 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 			it.Stats.ArenaReuses++
 		}
 		it.a.Reset()
-		phis, buf, hit, err := it.sn.ReadPhis(it.next, it.a, it.streamBuf)
+		phis, buf, err := it.sn.ReadPhis(it.next, it.a, it.streamBuf)
 		if err != nil {
 			return nil, err
 		}
 		it.streamBuf = buf
 		it.next++
-		if hit {
-			it.Stats.CacheHits++
-		} else {
-			it.Stats.BlocksRead++
-		}
+		it.Stats.BlocksRead++
 		it.Stats.FullDecodes++
 		it.Stats.BatchBlocks++
 		it.Stats.SlabRows += len(phis)

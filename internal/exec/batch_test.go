@@ -452,22 +452,15 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 }
 
 // TestBatchIteratorZeroAllocSteadyState holds the batch read to the same
-// guarantee as the decode kernels: with the decoded-block cache warm (the
-// Horner fold path) and the pooled arena sized, NextPhis performs zero
-// heap allocations per block.
+// guarantee as the decode kernels: with the pooled arena sized, NextPhis
+// copies each coded page into the reused stream buffer and decodes it
+// with zero heap allocations per block.
 func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
-	store.Configure(blockstore.Config{CacheBlocks: 512})
 	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 6000, 91)); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the decoded-block cache via the tuple path (batch misses do not
-	// populate it) and size the pooled arena with one full batch drain.
-	sn := store.Snapshot()
-	if _, err := RunContext(context.Background(), sn, Plan{Transient: true}, func(relation.Tuple) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	sn.Release()
+	// Size the pooled arena with one full batch drain.
 	warm, err := NewBatchIterator(context.Background(), store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -499,9 +492,6 @@ func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("NextPhis allocates %.1f objects/block steady-state, want 0", allocs)
-	}
-	if it.Stats.CacheHits == 0 {
-		t.Error("measurement window never hit the decoded-block cache")
 	}
 }
 

@@ -55,20 +55,16 @@ type Plan struct {
 	Transient bool
 }
 
-// Stats reports what a pass cost. BlocksRead counts pages actually
-// fetched (full or partial decode); cache hits are reported separately so
-// the paper's N (Section 5.3.3) stays an I/O count.
+// Stats reports what a pass cost.
 type Stats struct {
 	// BlocksTotal is the number of blocks in the snapshot.
 	BlocksTotal int
 	// BlocksPruned counts candidate blocks skipped on their φ-fence alone,
 	// without touching the pager.
 	BlocksPruned int
-	// BlocksRead counts blocks fetched from the pool (page reads).
+	// BlocksRead counts blocks brought in from the pool and decoded (full
+	// or partial): the paper's N (Section 5.3.3).
 	BlocksRead int
-	// CacheHits counts blocks served by the decoded-block cache instead
-	// of a page read.
-	CacheHits int
 	// PartialDecodes counts blocks where only the qualifying span was
 	// decoded; FullDecodes counts whole-block decodes.
 	PartialDecodes int
@@ -128,7 +124,6 @@ func foldStats(sn *blockstore.Snapshot, st Stats) {
 	}
 	m.BlocksRead.Add(int64(st.BlocksRead))
 	m.BlocksPruned.Add(int64(st.BlocksPruned))
-	m.CacheHits.Add(int64(st.CacheHits))
 	m.PartialDecodes.Add(int64(st.PartialDecodes))
 	m.FullDecodes.Add(int64(st.FullDecodes))
 	m.Rows.Add(int64(st.Matches))
@@ -322,20 +317,15 @@ func (p *pass) runPartial(i int, bound Pred, rest []Pred, emit func(relation.Tup
 	return false, nil
 }
 
-// runFull decodes the whole block (through the decoded-block cache) and
-// filters every conjunct.
+// runFull decodes the whole block and filters every conjunct.
 func (p *pass) runFull(i int, preds []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
 	sn, st := p.sn, &p.st
 	a := p.arena()
-	tuples, hit, err := sn.ReadBlockArena(i, a)
+	tuples, err := sn.ReadBlockArena(i, a)
 	if err != nil {
 		return false, err
 	}
-	if hit {
-		st.CacheHits++
-	} else {
-		st.BlocksRead++
-	}
+	st.BlocksRead++
 	st.FullDecodes++
 	if p.pooled == nil {
 		st.SlabBytes += a.SlabBytes()

@@ -24,6 +24,11 @@ func testSchema(t testing.TB) *relation.Schema {
 
 func newStore(t testing.TB, codec core.Codec, pageSize int) *blockstore.Store {
 	t.Helper()
+	return newStoreFor(t, testSchema(t), codec, pageSize)
+}
+
+func newStoreFor(t testing.TB, schema *relation.Schema, codec core.Codec, pageSize int) *blockstore.Store {
+	t.Helper()
 	pager, err := storage.NewMemPager(pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +37,7 @@ func newStore(t testing.TB, codec core.Codec, pageSize int) *blockstore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := blockstore.New(testSchema(t), codec, pool)
+	s, err := blockstore.New(schema, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestRunMatchesNaive(t *testing.T) {
 					if st.Matches != len(want) {
 						t.Fatalf("plan %d: Matches=%d, want %d", pi, st.Matches, len(want))
 					}
-					if st.BlocksRead+st.CacheHits+st.BlocksPruned > st.BlocksTotal {
+					if st.BlocksRead+st.BlocksPruned > st.BlocksTotal {
 						t.Fatalf("plan %d: accounting exceeds total: %+v", pi, st)
 					}
 				}
@@ -157,8 +162,36 @@ func TestRunPrunesAndPartialDecodes(t *testing.T) {
 	if st.BlocksRead >= st.BlocksTotal {
 		t.Fatalf("pruning read every block: %+v", st)
 	}
-	if st.BlocksPruned+st.BlocksRead+st.CacheHits != st.BlocksTotal {
+	if st.BlocksPruned+st.BlocksRead != st.BlocksTotal {
 		t.Fatalf("every block must be pruned or visited: %+v", st)
+	}
+
+	// At 1 % selectivity — one value of a 100-value clustering domain —
+	// the fences alone must skip at least 90 % of the blocks.
+	wide := relation.MustSchema(
+		relation.Domain{Name: "a", Size: 100},
+		relation.Domain{Name: "b", Size: 64},
+		relation.Domain{Name: "c", Size: 4096},
+	)
+	rng := rand.New(rand.NewSource(24))
+	tuples = make([]relation.Tuple, 4000)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{uint64(rng.Intn(100)), uint64(rng.Intn(64)), uint64(rng.Intn(4096))}
+	}
+	wide.SortTuples(tuples)
+	store = newStoreFor(t, wide, core.CodecAVQ, 512)
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	wsn := store.Snapshot()
+	defer wsn.Release()
+	one := []Pred{{Attr: 0, Lo: 30, Hi: 30}}
+	got, st = collect(t, wsn, Plan{Preds: one})
+	if len(got) != len(naiveSelect(tuples, one)) || st.PartialDecodes == 0 {
+		t.Fatalf("1%% range: %d matches, want %d; stats %+v", len(got), len(naiveSelect(tuples, one)), st)
+	}
+	if share := float64(st.BlocksPruned) / float64(st.BlocksTotal); share < 0.9 || st.BlocksPruned+st.BlocksRead != st.BlocksTotal {
+		t.Fatalf("1%% range pruned %.0f%% of blocks, want >= 90%%: %+v", 100*share, st)
 	}
 }
 
@@ -176,8 +209,8 @@ func TestRunCandidates(t *testing.T) {
 		sn.Block(sn.NumBlocks() / 2): {},
 	}
 	_, st := collect(t, sn, Plan{Preds: []Pred{{Attr: 2, Lo: 0, Hi: 63}}, Candidates: cand})
-	if st.BlocksRead+st.CacheHits != len(cand) {
-		t.Fatalf("read %d blocks for %d candidates", st.BlocksRead+st.CacheHits, len(cand))
+	if st.BlocksRead != len(cand) {
+		t.Fatalf("read %d blocks for %d candidates", st.BlocksRead, len(cand))
 	}
 }
 
@@ -235,11 +268,11 @@ func TestIteratorSeekAndNext(t *testing.T) {
 		}
 		// Seek to a mid-table target.
 		target := tuples[len(tuples)*3/4]
-		before := it.Stats.BlocksRead + it.Stats.CacheHits
+		before := it.Stats.BlocksRead
 		if err := it.Seek(target); err != nil {
 			t.Fatal(err)
 		}
-		visited := it.Stats.BlocksRead + it.Stats.CacheHits - before
+		visited := it.Stats.BlocksRead - before
 		if visited != 1 {
 			t.Fatalf("%v: seek visited %d blocks, want 1", codec, visited)
 		}

@@ -69,15 +69,11 @@ func (it *Iterator) fill(i int) error {
 			return err
 		}
 	}
-	tuples, hit, err := it.sn.ReadBlock(i)
+	tuples, err := it.sn.ReadBlock(i)
 	if err != nil {
 		return err
 	}
-	if hit {
-		it.Stats.CacheHits++
-	} else {
-		it.Stats.BlocksRead++
-	}
+	it.Stats.BlocksRead++
 	it.Stats.FullDecodes++
 	it.next = i + 1
 	it.cur = tuples

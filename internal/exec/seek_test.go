@@ -52,7 +52,7 @@ func walkFromZero(t *testing.T, sn *blockstore.Snapshot, plan Plan, batch bool) 
 			st.BlocksPruned++
 			continue
 		}
-		tuples, _, err := sn.ReadBlock(i)
+		tuples, err := sn.ReadBlock(i)
 		if err != nil {
 			t.Fatal(err)
 		}

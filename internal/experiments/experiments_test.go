@@ -309,77 +309,3 @@ func TestUpdatesExperiment(t *testing.T) {
 		t.Fatal("report missing title")
 	}
 }
-
-func TestPipelineSmallScale(t *testing.T) {
-	res, err := RunPipeline(context.Background(), PipelineConfig{Tuples: 8000, Concurrency: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Fatal("parallel load was not byte-identical to serial")
-	}
-	if len(res.Rows) != 2 || res.Rows[0].Mode != "serial" || res.Rows[1].Mode != "parallel" {
-		t.Fatalf("rows = %+v, want serial then parallel", res.Rows)
-	}
-	if res.Blocks <= 0 || res.LoadSpeedup <= 0 || res.ScanSpeedup <= 0 {
-		t.Fatalf("degenerate result %+v", res)
-	}
-	if res.Cache.Misses == 0 || res.Cache.Hits == 0 {
-		t.Fatalf("cache never exercised: %+v", res.Cache)
-	}
-	var sb strings.Builder
-	if err := res.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "byte-identical layout: true") {
-		t.Fatalf("report missing identity line:\n%s", sb.String())
-	}
-	sb.Reset()
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"byte_identical\": true") {
-		t.Fatal("JSON record missing byte_identical")
-	}
-}
-
-func TestPruningSmallScale(t *testing.T) {
-	res, err := RunPruning(context.Background(), PruningConfig{Tuples: 8000, Reps: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks <= 0 || len(res.Rows) == 0 {
-		t.Fatalf("degenerate result %+v", res)
-	}
-	// The paper's selective ranges must show real pruning with the partial
-	// decode path engaged on the boundary blocks.
-	selective := res.Rows[0]
-	if selective.PrunedPercent <= 0 {
-		t.Fatalf("selective range pruned nothing: %+v", selective)
-	}
-	if selective.PartialDecodes == 0 {
-		t.Fatalf("selective range never partial-decoded: %+v", selective)
-	}
-	for _, row := range res.Rows {
-		if row.Matches <= 0 {
-			t.Fatalf("empty range at selectivity %.2f", row.Selectivity)
-		}
-		if row.BlocksPruned+row.FullDecodes+row.PartialDecodes != row.BlocksTotal {
-			t.Fatalf("block accounting broken: %+v", row)
-		}
-	}
-	var sb strings.Builder
-	if err := res.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "pruned %") {
-		t.Fatalf("report missing pruning column:\n%s", sb.String())
-	}
-	sb.Reset()
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"pruned_percent\"") {
-		t.Fatal("JSON record missing pruned_percent")
-	}
-}

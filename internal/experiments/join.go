@@ -146,14 +146,15 @@ func joinWorkload(cfg JoinConfig) (left, right []relation.Tuple) {
 }
 
 // joinTable loads tuples into a fresh memory table, on the batch path or
-// the tuple-path oracle. cacheBlocks > 0 enables the decoded-block cache
-// (the group-by measurement warms it so both paths run memory-resident).
-func joinTable(ctx context.Context, cfg JoinConfig, tuples []relation.Tuple, batch bool, cacheBlocks int) (*table.Table, error) {
+// the tuple-path oracle. frames sizes the buffer pool (0: the default);
+// the group-by measurement sizes it to hold every coded page so both
+// paths run from a warm pool.
+func joinTable(ctx context.Context, cfg JoinConfig, tuples []relation.Tuple, batch bool, frames int) (*table.Table, error) {
 	tb, err := table.Create(joinSchema(),
 		table.WithCodec(core.CodecAVQ),
 		table.WithPageSize(cfg.PageSize),
 		table.WithBatch(batch),
-		table.WithBlockCache(cacheBlocks),
+		table.WithPoolFrames(frames),
 	)
 	if err != nil {
 		return nil, err
@@ -200,8 +201,8 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 
 	leftTuples, rightTuples := joinWorkload(cfg)
 	var tables []*table.Table
-	mk := func(tuples []relation.Tuple, batch bool, cacheBlocks int) (*table.Table, error) {
-		tb, err := joinTable(ctx, cfg, tuples, batch, cacheBlocks)
+	mk := func(tuples []relation.Tuple, batch bool, frames int) (*table.Table, error) {
+		tb, err := joinTable(ctx, cfg, tuples, batch, frames)
 		if err == nil {
 			tables = append(tables, tb)
 		}
@@ -286,10 +287,10 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	}
 
 	// Group-by on the φ prefix: contiguous key runs on raw ordinals
-	// versus the tuple path's hash map. Both tables get the decoded-block
-	// cache, warmed by a tuple-path scan (batch misses never populate
-	// it), so the timed passes compare the kernels — φ Horner folds
-	// against tuple materialization — rather than block decoding.
+	// versus the tuple path's hash map. Both tables get a buffer pool that
+	// holds every coded page, warmed by one scan, so the timed passes
+	// compare the read paths from memory — φ-slab decode and digit
+	// arithmetic against tuple decode and materialization — not pager I/O.
 	dom := joinSchema().Domain(0).Size
 	gb, err := mk(leftTuples, true, lb.NumBlocks()+1)
 	if err != nil {

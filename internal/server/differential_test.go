@@ -22,7 +22,7 @@ func TestDifferentialEngines(t *testing.T) {
 	single := loadedTable(t, 0)
 	db, err := shard.Create(testSchema(t), shard.Config{
 		Shards:  4,
-		Options: []table.Option{table.WithPageSize(512), table.WithBlockCache(16)},
+		Options: []table.Option{table.WithPageSize(512)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -154,7 +154,10 @@ type GroupJSON struct {
 	Agg   AggregateJSON `json:"agg"`
 }
 
-// StatsJSON is table.QueryStats on the wire.
+// StatsJSON is table.QueryStats on the wire. CacheHits is never set: the
+// buffer pool is the only block cache, so every block a query touches
+// counts in BlocksRead. The field stays because wire clients and the
+// frozen bench/ harness parse it; it goes with the harness's next revision.
 type StatsJSON struct {
 	Strategy       string `json:"strategy"`
 	BlocksRead     int    `json:"blocks_read"`
@@ -171,7 +174,6 @@ func statsJSON(qs table.QueryStats) *StatsJSON {
 	return &StatsJSON{
 		Strategy:       qs.Strategy.String(),
 		BlocksRead:     qs.BlocksRead,
-		CacheHits:      qs.CacheHits,
 		BlocksPruned:   qs.BlocksPruned,
 		PartialDecodes: qs.PartialDecodes,
 		Matches:        qs.Matches,

@@ -23,7 +23,7 @@ import (
 // tuple i is (i%64, i%16, i%64, i) for i in [0, n).
 func loadedTable(t *testing.T, n int) *table.Table {
 	t.Helper()
-	tab, err := table.Create(testSchema(t), table.WithPageSize(512), table.WithBlockCache(16))
+	tab, err := table.Create(testSchema(t), table.WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}

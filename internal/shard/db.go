@@ -30,7 +30,7 @@ type Config struct {
 	// wins. Zero/nil means one shard — the degenerate single-table case.
 	Shards int
 	Splits []uint64
-	// Options configure every shard table (codec, page size, cache,
+	// Options configure every shard table (codec, page size, pool frames,
 	// durability, secondary indexes...). Path, Pager, and VFS are owned by
 	// the shard layer and must not appear here.
 	Options []table.Option

@@ -46,7 +46,7 @@ func tuplesEqual(a, b relation.Tuple) bool {
 }
 
 func shardOpts() []table.Option {
-	return []table.Option{table.WithPageSize(512), table.WithBlockCache(16)}
+	return []table.Option{table.WithPageSize(512)}
 }
 
 // compareAll runs the query battery against both engines and fails on

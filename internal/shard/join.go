@@ -35,14 +35,12 @@ func (db *DB) MergeJoinEach(ctx context.Context, other *DB, emit func(table.Join
 	stats.Matches = matches
 	for _, it := range lits {
 		stats.LeftBlocks += it.Stats.BlocksRead
-		stats.LeftCacheHits += it.Stats.CacheHits
 		stats.BlocksPruned += it.Stats.BlocksPruned
 		stats.BatchBlocks += it.Stats.BatchBlocks
 		stats.SlabRows += it.Stats.SlabRows
 	}
 	for _, it := range rits {
 		stats.RightBlocks += it.Stats.BlocksRead
-		stats.RightCacheHits += it.Stats.CacheHits
 		stats.BlocksPruned += it.Stats.BlocksPruned
 		stats.BatchBlocks += it.Stats.BatchBlocks
 		stats.SlabRows += it.Stats.SlabRows

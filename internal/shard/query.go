@@ -12,7 +12,7 @@ import (
 // Stats reports one sharded query: the summed per-shard table stats plus
 // the shard-level scatter accounting. Blocks inside catalog-pruned
 // shards are folded into BlocksPruned, so the fence-pruning invariants
-// (pruned + read + cached = candidates) keep holding at the DB level.
+// (pruned + read = candidates) keep holding at the DB level.
 type Stats struct {
 	table.QueryStats
 	Scatter exec.ScatterStats
@@ -71,7 +71,6 @@ func fold(per []table.QueryStats, sc exec.ScatterStats, live []int) Stats {
 	}
 	for _, qs := range per {
 		st.BlocksRead += qs.BlocksRead
-		st.CacheHits += qs.CacheHits
 		st.BlocksPruned += qs.BlocksPruned
 		st.PartialDecodes += qs.PartialDecodes
 		st.Matches += qs.Matches

@@ -321,12 +321,12 @@ func TestSyncBatchRouting(t *testing.T) {
 
 // TestBatchCountAllocsBounded keeps the whole table-level batch count —
 // plan, snapshot, batch pass, stats fold — within a small allocation
-// budget once the decoded-block cache is warm. The kernel itself must
-// not allocate; the budget covers plan/span scaffolding only.
+// budget once the buffer pool is warm. The kernel itself must not
+// allocate; the budget covers plan/span scaffolding only.
 func TestBatchCountAllocsBounded(t *testing.T) {
 	tuples := randomTuples(t, 2000, 29)
 	s := testSchema(t)
-	tb, err := Create(s, WithCodec(core.CodecPacked), WithPageSize(512), WithBlockCache(256))
+	tb, err := Create(s, WithCodec(core.CodecPacked), WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,8 @@ func TestBatchCountAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm the decoded-block cache (tuple path populates it) and the
-	// arena pool (batch pass returns its arena sized for a full block).
-	if _, _, err := tb.SelectRangeContext(ctx, 0, 0, 7); err != nil {
-		t.Fatal(err)
-	}
+	// Warm the arena pool (the batch pass returns its arena sized for a
+	// full block).
 	if _, _, err := tb.CountRangeContext(ctx, 0, 0, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,11 @@ type JoinRow struct {
 	Right relation.Tuple
 }
 
-// JoinStats reports the cost of a join: blocks read on each side, with
-// decoded-block cache hits split out the same way QueryStats splits them.
+// JoinStats reports the cost of a join: blocks read on each side.
 type JoinStats struct {
-	LeftBlocks     int
-	RightBlocks    int
-	LeftCacheHits  int
-	RightCacheHits int
-	Matches        int
+	LeftBlocks  int
+	RightBlocks int
+	Matches     int
 	// BlocksPruned counts blocks skipped unread on both sides by
 	// fence-level seeks (the batch merge join's sparse-key skipping).
 	BlocksPruned int
@@ -112,10 +109,8 @@ func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr i
 	}
 	if buildLeft {
 		stats.LeftBlocks, stats.RightBlocks = buildStats.BlocksRead, probeStats.BlocksRead
-		stats.LeftCacheHits, stats.RightCacheHits = buildStats.CacheHits, probeStats.CacheHits
 	} else {
 		stats.LeftBlocks, stats.RightBlocks = probeStats.BlocksRead, buildStats.BlocksRead
-		stats.LeftCacheHits, stats.RightCacheHits = probeStats.CacheHits, buildStats.CacheHits
 	}
 	return stats, nil
 }
@@ -171,8 +166,7 @@ func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) 
 	defer ri.Release()
 	matches, err := JoinPhiStreams(li, ri, left.schema, right.schema, emit)
 	stats.Matches = matches
-	stats.LeftBlocks, stats.LeftCacheHits = li.Stats.BlocksRead, li.Stats.CacheHits
-	stats.RightBlocks, stats.RightCacheHits = ri.Stats.BlocksRead, ri.Stats.CacheHits
+	stats.LeftBlocks, stats.RightBlocks = li.Stats.BlocksRead, ri.Stats.BlocksRead
 	stats.BlocksPruned = li.Stats.BlocksPruned + ri.Stats.BlocksPruned
 	stats.BatchBlocks = li.Stats.BatchBlocks + ri.Stats.BatchBlocks
 	stats.SlabRows = li.Stats.SlabRows + ri.Stats.SlabRows
@@ -278,10 +272,7 @@ loop:
 			}
 		}
 	}
-	stats.LeftBlocks = lc.it.Stats.BlocksRead
-	stats.LeftCacheHits = lc.it.Stats.CacheHits
-	stats.RightBlocks = rc.it.Stats.BlocksRead
-	stats.RightCacheHits = rc.it.Stats.CacheHits
+	stats.LeftBlocks, stats.RightBlocks = lc.it.Stats.BlocksRead, rc.it.Stats.BlocksRead
 	return stats, nil
 }
 

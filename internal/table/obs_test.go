@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -22,23 +21,18 @@ func TestFunctionalOptions(t *testing.T) {
 		WithSecondaryAttrs(1, 2),
 		WithConcurrency(3),
 		WithConcurrency(2),
-		WithBlockCache(16),
 		WithObs(reg),
-		WithSlowOpThreshold(time.Hour),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tb.opts
 	if o.Codec != core.CodecAVQ || o.PageSize != 512 || o.PoolFrames != 64 ||
-		o.Concurrency != 2 || o.CacheBlocks != 16 || o.Obs != reg {
+		o.Concurrency != 2 || o.Obs != reg {
 		t.Fatalf("options not applied: %+v", o)
 	}
 	if len(o.SecondaryAttrs) != 2 || o.SecondaryAttrs[0] != 1 || o.SecondaryAttrs[1] != 2 {
 		t.Fatalf("secondary attrs not applied: %v", o.SecondaryAttrs)
-	}
-	if got := reg.SlowOpThreshold(); got != time.Hour {
-		t.Fatalf("slow-op threshold = %v, want 1h", got)
 	}
 }
 

@@ -1,18 +1,15 @@
 package table
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
 
 // Option configures a table at Create/Open time. Options compose left to
 // right: later options override earlier ones.
 //
-//	table.Create(schema, table.WithConcurrency(8), table.WithBlockCache(256))
+//	table.Create(schema, table.WithConcurrency(8), table.WithPoolFrames(256))
 type Option interface {
 	apply(*Options)
 }
@@ -58,11 +55,6 @@ func WithPoolFrames(n int) Option {
 	return optionFunc(func(o *Options) { o.PoolFrames = n })
 }
 
-// WithDiskParams sets the simulated disk cost model.
-func WithDiskParams(p simdisk.Params) Option {
-	return optionFunc(func(o *Options) { o.DiskParams = p })
-}
-
 // WithSecondaryAttrs lists attribute positions to maintain secondary
 // indexes on.
 func WithSecondaryAttrs(attrs ...int) Option {
@@ -89,24 +81,12 @@ func WithConcurrency(n int) Option {
 	return optionFunc(func(o *Options) { o.Concurrency = n })
 }
 
-// WithBlockCache enables the decoded-block LRU cache with the given
-// capacity in blocks; 0 disables it.
-func WithBlockCache(blocks int) Option {
-	return optionFunc(func(o *Options) { o.CacheBlocks = blocks })
-}
-
 // WithObs attaches an observability registry: the buffer pool, block
 // store, executor, and indexes resolve their instruments from it, and the
 // table's public operations record op-latency spans through it. A nil
 // registry (the default) keeps every hot path un-instrumented.
 func WithObs(reg *obs.Registry) Option {
 	return optionFunc(func(o *Options) { o.Obs = reg })
-}
-
-// WithSlowOpThreshold overrides the attached registry's slow-op admission
-// threshold. It only has effect together with WithObs.
-func WithSlowOpThreshold(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.SlowOpThreshold = d })
 }
 
 // WithDurability selects the crash-durability contract (see Durability).

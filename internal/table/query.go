@@ -44,15 +44,13 @@ func (s Strategy) String() string {
 }
 
 // QueryStats reports what a selection cost. BlocksRead is the paper's N
-// (Section 5.3.3): the number of data blocks brought into memory. Blocks
-// served by the decoded-block cache are counted in CacheHits instead, so
-// N stays an I/O count; BlocksPruned counts blocks the executor skipped
-// on their φ-fence alone, and PartialDecodes counts boundary blocks where
-// only the qualifying span was decoded.
+// (Section 5.3.3): the number of data blocks brought into memory and
+// decoded. BlocksPruned counts blocks the executor skipped on their
+// φ-fence alone, and PartialDecodes counts boundary blocks where only the
+// qualifying span was decoded.
 type QueryStats struct {
 	Strategy       Strategy
 	BlocksRead     int
-	CacheHits      int
 	BlocksPruned   int
 	PartialDecodes int
 	Matches        int
@@ -137,7 +135,6 @@ func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bo
 // foldExecStats copies the executor's accounting into QueryStats.
 func foldExecStats(st QueryStats, es exec.Stats) QueryStats {
 	st.BlocksRead = es.BlocksRead
-	st.CacheHits = es.CacheHits
 	st.BlocksPruned = es.BlocksPruned
 	st.PartialDecodes = es.PartialDecodes
 	st.Matches = es.Matches

@@ -101,7 +101,6 @@ func TestSyncSnapshotConsistency(t *testing.T) {
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithSecondaryAttrs(1),
-		WithBlockCache(32),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/btree"
@@ -38,8 +37,6 @@ type Options struct {
 	PageSize int
 	// PoolFrames is the buffer pool capacity in frames. Default 128.
 	PoolFrames int
-	// DiskParams is the simulated disk cost model. Default PaperParams.
-	DiskParams simdisk.Params
 	// SecondaryAttrs lists attribute positions to maintain secondary
 	// indexes on. Nil means none; use AllAttrs for every attribute.
 	SecondaryAttrs []int
@@ -61,17 +58,10 @@ type Options struct {
 	// and stats (see blockstore.Config). Values <= 1 keep the serial
 	// reference path; runtime.NumCPU() is a good parallel setting.
 	Concurrency int
-	// CacheBlocks enables the decoded-block LRU cache with the given
-	// capacity in blocks; 0 disables it. Repeated range selections over
-	// cached blocks skip the difference decode entirely.
-	CacheBlocks int
 	// Obs attaches an observability registry (see internal/obs); nil keeps
 	// every hot path un-instrumented. The pool, store, executor, and
 	// indexes resolve their instruments from it once at construction.
 	Obs *obs.Registry
-	// SlowOpThreshold, when positive, overrides the registry's slow-op
-	// admission threshold. Only meaningful together with Obs.
-	SlowOpThreshold time.Duration
 	// Durability selects the crash-durability contract for persistent
 	// tables: DurabilityCheckpoint (default, durable at Checkpoint/Close)
 	// or DurabilityWAL (write-ahead logged, durable per mutation). Open
@@ -112,9 +102,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.PoolFrames == 0 {
 		o.PoolFrames = 128
-	}
-	if o.DiskParams == (simdisk.Params{}) {
-		o.DiskParams = simdisk.PaperParams()
 	}
 }
 
@@ -240,7 +227,7 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		}
 		pager = mp
 	}
-	disk, err := simdisk.New(opts.DiskParams)
+	disk, err := simdisk.New(simdisk.PaperParams())
 	if err != nil {
 		return nil, err
 	}
@@ -252,15 +239,8 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.Configure(blockstore.Config{
-		Concurrency: opts.Concurrency,
-		CacheBlocks: opts.CacheBlocks,
-		Obs:         opts.Obs,
-	})
+	store.Configure(blockstore.Config{Concurrency: opts.Concurrency, Obs: opts.Obs})
 	pool.SetObs(opts.Obs)
-	if opts.Obs != nil && opts.SlowOpThreshold > 0 {
-		opts.Obs.SetSlowOpThreshold(opts.SlowOpThreshold)
-	}
 	t := &Table{
 		schema:    schema,
 		opts:      opts,
@@ -327,6 +307,10 @@ func (t *Table) Disk() *simdisk.Disk { return t.disk }
 // paper's I/O model assumes.
 func (t *Table) DropCache() error { return t.pool.DropAll() }
 
+// PoolStats returns the buffer pool's hit/miss counters: the pool's coded
+// pages are the table's only block cache.
+func (t *Table) PoolStats() buffer.Stats { return t.pool.Stats() }
+
 // PinnedFrames returns the buffer pool's currently pinned frame count — 0
 // when no operation is mid-flight. Crash and leak tests assert it after
 // recovery, the server's graceful drain after shutdown.
@@ -362,10 +346,6 @@ func (t *Table) StoreStats() (blockstore.Stats, error) {
 	defer t.mu.RUnlock()
 	return t.store.ComputeStats()
 }
-
-// BlockCacheStats returns the decoded-block cache counters (zero when the
-// cache is disabled).
-func (t *Table) BlockCacheStats() blockstore.CacheStats { return t.store.CacheStats() }
 
 // BulkLoadContext fills the empty table with tuples (any order; the table
 // re-orders them per Section 3.2). The input slice is not retained.

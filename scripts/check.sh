@@ -2,8 +2,8 @@
 # check.sh — the repo's one-command verification gate.
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
-# suite (internal/analysis) plus the no-Deprecated-wrappers and one-fence-
-# search guards, the full test suite, and the race-focused test run over the
+# suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
+# search and one-block-cache guards, the full test suite, and the race-focused test run over the
 # concurrency-sensitive packages. Fails fast on the first broken stage so CI
 # output points at one problem; the last line is the tracked line count.
 set -eu
@@ -35,6 +35,9 @@ if grep -rn 'Deprecated:' --include='*.go' cmd internal examples | grep -v '^int
 # (Snapshot.SeekTuple / SeekAttr0 / SeekPhi / Home); keep private bisects
 # over Fence( from growing back in its callers.
 if grep -A8 'lo, hi :=' internal/table/*.go internal/exec/*.go | grep 'Fence('; then echo "hand-rolled bisect over block fences; call the blockstore.Snapshot search" >&2; exit 1; fi
+# The buffer pool's coded pages are the only block cache; keep a second,
+# decoded-block cache from growing back beside it.
+if grep -rnE 'blockCache|CacheBlocks|decodeBlockCached' --include='*.go' cmd internal; then echo "decoded-block cache found; read the coded page through the pool and decode into the caller's arena" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
