@@ -181,8 +181,12 @@ func (s *Store) Blocks() []storage.PageID {
 	return out
 }
 
+// StreamCapacity is the usable coded-stream capacity of a page of
+// pageSize bytes: the page less its stream-length prefix.
+func StreamCapacity(pageSize int) int { return pageSize - lenPrefix }
+
 // capacity is the usable coded-stream capacity of a page.
-func (s *Store) capacity() int { return s.pool.PageSize() - lenPrefix }
+func (s *Store) capacity() int { return StreamCapacity(s.pool.PageSize()) }
 
 // Restore adopts an existing block layout whose pages are already
 // populated in the pool's pager, without rewriting anything. Opening a

@@ -118,9 +118,10 @@ func (l *layout) span(from, to int, a *Arena) ([]relation.Tuple, error) {
 // pass through on its way to the span are folded into a running tuple;
 // only positions inside the span are materialized. Before-anchor
 // differences are stored front-to-back but apply back-to-front, so each is
-// parked in its own output slot and consumed in place (ordinal.Sub
-// tolerates dst aliasing an operand) — no side buffer. A direct layout
-// applies every difference against the anchor instead of its neighbour.
+// parked in its own output slot and consumed in place (ordinal.SubFrom
+// tolerates dst aliasing an operand, and starts from the parked
+// difference's first non-zero digit). A direct layout applies every
+// difference against the anchor instead of its neighbour.
 func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error {
 	s := l.s
 	if l.rows != nil {
@@ -144,7 +145,7 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 	}
 	parked := min(to, mid)
 	for i := from; i < parked; i++ {
-		if err := r.next(out[i-from]); err != nil {
+		if _, err := r.next(out[i-from]); err != nil {
 			return err
 		}
 	}
@@ -152,17 +153,18 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 	if !l.direct && to < mid {
 		copy(acc, l.rep)
 		for i := to; i < mid; i++ {
-			if err := r.next(d); err != nil {
+			k, err := r.next(d)
+			if err != nil {
 				return err
 			}
-			if _, err := ordinal.Sub(s, acc, acc, d); err != nil {
+			if err := ordinal.SubFrom(s, acc, acc, d, k); err != nil {
 				return fail(i, err)
 			}
 		}
 		base = acc
 	}
 	for i := parked - 1; i >= from; i-- {
-		if _, err := ordinal.Sub(s, out[i-from], base, out[i-from]); err != nil {
+		if err := ordinal.SubFrom(s, out[i-from], base, out[i-from], leadingZeroDigits(out[i-from])); err != nil {
 			return fail(i, err)
 		}
 		if !l.direct {
@@ -187,14 +189,15 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 	}
 	prev := l.rep
 	for ; i < to; i++ {
-		if err := r.next(d); err != nil {
+		k, err := r.next(d)
+		if err != nil {
 			return err
 		}
 		dst := acc
 		if i >= from {
 			dst = out[i-from]
 		}
-		if _, err := ordinal.Add(s, dst, prev, d); err != nil {
+		if err := ordinal.AddFrom(s, dst, prev, d, k); err != nil {
 			return fail(i, err)
 		}
 		if !l.direct {
@@ -238,16 +241,16 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 	mid, r := l.anchor, l.diffs
 	repPhi := ordinal.PhiU64(s, l.rep)
 
-	// Before the anchor. A direct difference resolves at once; chained
-	// ones are staged in out[0..mid) — the slab doubles as the delta
-	// buffer — until their sum anchors φ(t[0]) = φ(rep) - Σd, then are
-	// rewritten in place to absolute values.
+	// Before the anchor. The differences are parsed into out[0..mid) in
+	// one pass. A direct difference then resolves at once; chained ones
+	// stay there as the delta buffer until their sum anchors φ(t[0]) =
+	// φ(rep) - Σd, then are rewritten in place to absolute values.
+	if err := r.phis(out[:mid], d); err != nil {
+		return err
+	}
 	var total uint64
 	for i := 0; i < mid; i++ {
-		if err := r.next(d); err != nil {
-			return err
-		}
-		dphi := ordinal.PhiU64(s, d)
+		dphi := out[i]
 		if total+dphi < total || total+dphi > repPhi {
 			return errLeavesSpace
 		}
@@ -259,7 +262,6 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 			continue
 		}
 		total += dphi
-		out[i] = dphi
 	}
 	if !l.direct {
 		cur := repPhi - total
@@ -276,26 +278,35 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 		}
 	}
 
-	// After the anchor.
+	// After the anchor. A whole-block walk parses every difference in one
+	// pass; a visitor may stop at any position, so it parses one at a
+	// time and never reads a difference past the one that ends it.
+	step := len(out)
+	if b != nil {
+		step = 1
+	}
 	prev := repPhi
-	for i := mid + 1; i < len(out); i++ {
-		if err := r.next(d); err != nil {
+	for i := mid + 1; i < len(out); {
+		chunk := out[i:min(i+step, len(out))]
+		if err := r.phis(chunk, d); err != nil {
 			return err
 		}
-		dphi := ordinal.PhiU64(s, d)
-		phi := prev + dphi
-		if phi < prev || phi >= space {
-			return errLeavesSpace
-		}
-		if phi < out[i-1] {
-			return unsorted(i)
-		}
-		out[i] = phi
-		if !l.direct {
-			prev = phi
-		}
-		if b != nil && b.visit(i, phi) {
-			return nil
+		for _, dphi := range chunk {
+			phi := prev + dphi
+			if phi < prev || phi >= space {
+				return errLeavesSpace
+			}
+			if phi < out[i-1] {
+				return unsorted(i)
+			}
+			out[i] = phi
+			if !l.direct {
+				prev = phi
+			}
+			if b != nil && b.visit(i, phi) {
+				return nil
+			}
+			i++
 		}
 	}
 	return r.end()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitio"
@@ -60,15 +61,20 @@ func diffSize(s *relation.Schema, diff relation.Tuple) int {
 //	byte-RLE  count byte lz | RowSize-lz tail bytes        (AVQ, rep-only, delta-chain)
 //	packed    lz in ceil(log2(n+1)) bits | digits lz..n-1   (CodecPacked, see packed.go)
 //
-// next materializes one difference as a digit vector, validating every
-// digit against its radix; skip steps over differences reading only their
-// framing, which is what keeps a point decode O(|idx - anchor|) digit
-// parses; end applies the end-of-payload rule.
+// next materializes one difference as a digit vector and phis folds each
+// straight to φ(d); both validate every digit past the zero run against
+// its radix (the digits inside the run are zero, which every radix
+// admits). skip steps over differences reading only their framing, which
+// is what keeps a point decode O(|idx - anchor|) digit parses; end applies
+// the end-of-payload rule.
 type diffReader struct {
-	s    *relation.Schema
-	body []byte
-	pos  int // byte-RLE: offset of the next difference in body
-	left int // differences not yet consumed
+	s       *relation.Schema
+	body    []byte
+	pos     int      // byte-RLE: offset of the next difference in body
+	left    int      // differences not yet consumed
+	m       int      // s.RowSize()
+	radices []uint64 // s.Radices()
+	weights []uint64 // s.FlatWeights(); nil on a non-flat schema
 
 	packed  bool
 	bits    bitio.Reader // packed: the bit stream after the anchor tuple
@@ -80,10 +86,11 @@ type diffReader struct {
 // newDiffReader positions a reader on the n differences that start at
 // body[pos].
 func newDiffReader(s *relation.Schema, packed bool, body []byte, pos, n int) diffReader {
-	r := diffReader{s: s, body: body, pos: pos, left: n, packed: packed}
+	r := diffReader{s: s, body: body, pos: pos, left: n, m: s.RowSize(), radices: s.Radices(), packed: packed}
+	r.weights, _ = s.FlatWeights()
 	if packed {
 		r.bits.Reset(body[pos:])
-		r.widths, r.suffix = packedBitWidthsCached(s)
+		r.widths, r.suffix = s.BitWidths()
 		r.lzWidth = bitio.BitsFor(uint64(s.NumAttrs()) + 1)
 	}
 	return r
@@ -91,22 +98,33 @@ func newDiffReader(s *relation.Schema, packed bool, body []byte, pos, n int) dif
 
 // rle parses the byte-RLE frame at r.pos — the leading-zero count byte and
 // the tail bytes it implies — and advances past it.
-func (r *diffReader) rle() (lz int, tail []byte, err error) {
-	m := r.s.RowSize()
-	if r.pos >= len(r.body) {
-		return 0, nil, ErrTruncated
+func (r *diffReader) rle() (lz int, err error) {
+	lz, end, ok := frame(r.body, r.pos, r.m)
+	if !ok {
+		return 0, r.errFrame()
 	}
-	lz = int(r.body[r.pos])
-	if lz > m {
-		return 0, nil, fmt.Errorf("%w: leading-zero count %d exceeds tuple size %d", ErrCorrupt, lz, m)
-	}
-	end := r.pos + 1 + m - lz
-	if end > len(r.body) {
-		return 0, nil, ErrTruncated
-	}
-	tail = r.body[r.pos+1 : end]
 	r.pos = end
-	return lz, tail, nil
+	return lz, nil
+}
+
+// frame is the byte-RLE framing rule: the frame at body[pos] is a count
+// byte lz <= m and m-lz tail bytes ending at end <= len(body).
+func frame(body []byte, pos, m int) (lz, end int, ok bool) {
+	if pos >= len(body) {
+		return 0, 0, false
+	}
+	lz = int(body[pos])
+	end = pos + 1 + m - lz
+	return lz, end, lz <= m && end <= len(body)
+}
+
+// errFrame rejects the frame at r.pos: no count byte, a count byte beyond
+// the row, or a tail running past the payload.
+func (r *diffReader) errFrame() error {
+	if r.pos < len(r.body) && int(r.body[r.pos]) > r.m {
+		return fmt.Errorf("%w: leading-zero count %d exceeds tuple size %d", ErrCorrupt, r.body[r.pos], r.m)
+	}
+	return ErrTruncated
 }
 
 // packedLZ reads the leading-zero digit count that opens a packed
@@ -122,50 +140,160 @@ func (r *diffReader) packedLZ() (int, error) {
 	return int(lz), nil
 }
 
-// next parses the next difference into d. This is the hot loop of block
-// decoding (t2 in the paper's cost model).
-func (r *diffReader) next(d relation.Tuple) error {
+// next parses the next difference into d and returns k, the first digit
+// past its zero run: d[:k] is zero (cleared here, since arena tuples are
+// not zeroed) and only d[k:] is read from the stream. The tuple walk's
+// chained add and subtract start from k. This is the hot loop of the
+// tuple decode (t2 in the paper's cost model).
+func (r *diffReader) next(d relation.Tuple) (k int, err error) {
 	r.left--
-	if !r.packed {
-		lz, tail, err := r.rle()
+	if r.packed {
+		lz, err := r.packedLZ()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		// Byte j of the fixed-width row is zero below lz and tail[j-lz]
-		// from there on, so each digit reads only its bytes past the run.
-		off := 0
-		for i := range d {
-			end := off + r.s.AttrWidth(i)
-			var v uint64
-			for j := max(off, lz); j < end; j++ {
-				v = v<<8 | uint64(tail[j-lz])
+		zero(d, lz)
+		for i := lz; i < len(d); i++ {
+			v, err := r.bits.ReadBits(r.widths[i])
+			if err != nil {
+				return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
 			}
-			if v >= r.s.Domain(i).Size {
-				return errDigit(r.s, i, v)
+			if v >= r.radices[i] {
+				return 0, errDigit(r.s, i, v)
 			}
-			d[i], off = v, end
+			d[i] = v
+		}
+		return lz, nil
+	}
+	lz, err := r.rle()
+	if err != nil {
+		return 0, err
+	}
+	if lz == r.m {
+		zero(d, len(d))
+		return len(d), nil
+	}
+	// Byte j of the fixed-width row is zero below lz and body[row+j] from
+	// there on, so each attribute past the run is the low bytes of the
+	// word that ends with its field, masked to its bytes past the run.
+	k = r.s.AttrAtByte(lz)
+	zero(d, k)
+	rad := r.radices
+	d, wid := d[:len(rad)], r.s.AttrWidths()[:len(rad)]
+	off, row := r.s.AttrOffset(k), r.pos-r.m
+	for i := k; i < len(rad); i++ {
+		end := off + wid[i]
+		n := uint(end - max(off, lz))
+		var v uint64
+		if p := row + end; p >= 8 {
+			v = binary.BigEndian.Uint64(r.body[p-8:p]) & (^uint64(0) >> ((64 - 8*n) & 63))
+		} else { // the word would start before the body: the block's first differences
+			for _, c := range r.body[p-int(n) : p] {
+				v = v<<8 | uint64(c)
+			}
+		}
+		if v >= rad[i] {
+			return 0, errDigit(r.s, i, v)
+		}
+		d[i], off = v, end
+	}
+	return k, nil
+}
+
+// zero clears d[:k]: a counted loop, which for the few digits of a zero
+// run is cheaper than the runtime memclr that clear compiles to.
+func zero(d relation.Tuple, k int) {
+	for i := 0; i < k; i++ {
+		d[i] = 0
+	}
+}
+
+// maxWordRow is the widest byte-RLE row phis parses as two machine words.
+const maxWordRow = 16
+
+// phis parses the next len(dst) differences straight to dst[j] = φ(d_j) =
+// Σ d_i·w_i over the schema's FlatWeights, filling no digit vector: the φ
+// walk's hot loop. The schema must be flat. A byte-RLE row of at most 16
+// bytes is read as one 128-bit big-endian number — the tail's one or two
+// words, loaded backward from its last byte and masked to its m-lz bytes
+// — and each attribute from the one holding byte lz onward is a shift and
+// a mask of it: one radix check and one independent multiply per visited
+// digit, none for the attributes inside the zero run. Wider rows and the
+// packed framing parse through next into the scratch vector d.
+func (r *diffReader) phis(dst []uint64, d relation.Tuple) error {
+	if r.packed || r.m > maxWordRow {
+		for j := range dst {
+			k, err := r.next(d)
+			if err != nil {
+				return err
+			}
+			var phi uint64
+			for i := k; i < len(d); i++ {
+				phi += d[i] * r.weights[i]
+			}
+			dst[j] = phi
 		}
 		return nil
 	}
-	lz, err := r.packedLZ()
-	if err != nil {
-		return err
-	}
-	// Arena tuples are not zeroed; clear the leading-zero digits
-	// explicitly.
-	for i := 0; i < lz; i++ {
-		d[i] = 0
-	}
-	for i := lz; i < len(d); i++ {
-		v, err := r.bits.ReadBits(r.widths[i])
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrTruncated, err)
+	r.left -= len(dst)
+	body, pos, m := r.body, r.pos, r.m
+	rad := r.radices
+	wts, wid := r.weights[:len(rad)], r.s.AttrWidths()[:len(rad)]
+	for j := range dst {
+		lz, end, ok := frame(body, pos, m)
+		if !ok {
+			r.pos = pos
+			return r.errFrame()
 		}
-		if v >= r.s.Domain(i).Size {
-			return errDigit(r.s, i, v)
+		pos = end
+		n := uint(m - lz)
+		var hi, lo uint64
+		switch {
+		case n == 0:
+			dst[j] = 0
+			continue
+		case n <= 8 && end >= 8:
+			lo = binary.BigEndian.Uint64(body[end-8:end]) & (^uint64(0) >> ((64 - 8*n) & 63))
+		case end >= 16:
+			lo = binary.BigEndian.Uint64(body[end-8 : end])
+			hi = binary.BigEndian.Uint64(body[end-16:end-8]) & (^uint64(0) >> ((128 - 8*n) & 63))
+		default: // a backward load would leave the body: the block's first differences
+			for _, c := range body[end-int(n) : end] {
+				hi, lo = hi<<8|lo>>56, lo<<8|uint64(c)
+			}
 		}
-		d[i] = v
+		i := r.s.AttrAtByte(lz)
+		sh := uint(8 * (m - r.s.AttrOffset(i))) // bits below attribute i's field, plus its own
+		var phi uint64
+		if n <= 8 {
+			// Every visited field lies in lo.
+			for ; i < len(rad); i++ {
+				bits := uint(8 * wid[i])
+				sh -= bits
+				v := lo >> (sh & 63) & (^uint64(0) >> ((64 - bits) & 63))
+				if v >= rad[i] {
+					return errDigit(r.s, i, v)
+				}
+				phi += v * wts[i]
+			}
+		} else {
+			for ; i < len(rad); i++ {
+				bits := uint(8 * wid[i])
+				sh -= bits
+				v := hi >> (sh & 63)
+				if sh < 64 {
+					v = lo>>sh | hi<<1<<(63-sh)
+				}
+				v &= ^uint64(0) >> ((64 - bits) & 63)
+				if v >= rad[i] {
+					return errDigit(r.s, i, v)
+				}
+				phi += v * wts[i]
+			}
+		}
+		dst[j] = phi
 	}
+	r.pos = pos
 	return nil
 }
 
@@ -175,7 +303,7 @@ func (r *diffReader) skip(n int) error {
 	r.left -= n
 	for ; n > 0; n-- {
 		if !r.packed {
-			if _, _, err := r.rle(); err != nil {
+			if _, err := r.rle(); err != nil {
 				return err
 			}
 			continue

@@ -128,7 +128,7 @@ func TestFigure22StreamDiffs(t *testing.T) {
 			}
 		}
 		for _, row := range rows {
-			if err := r.next(d); err != nil {
+			if _, err := r.next(d); err != nil {
 				t.Fatalf("block %d row %d: %v", b+1, row+1, err)
 			}
 			if got := ordinal.Phi(s, d).Uint64(); got != wantCoded[row] {

@@ -10,11 +10,14 @@ import (
 
 // FuzzDecodeBlock drives every decode shape with arbitrary bytes, both as
 // given and with the trailing four bytes replaced by a valid checksum (so
-// the fuzzer reaches the payload parsers instead of dying at the CRC).
-// Properties: no panics; every shape accepts/rejects and decodes exactly
-// as the naive reference decoder does (checkShapesAgainstReference); and
-// anything that decodes to a sorted block re-encodes to a stream that
-// decodes to the same tuples (decode is a retraction of encode).
+// the fuzzer reaches the payload parsers instead of dying at the CRC),
+// under three schemas: a small three-attribute one and the end-to-end
+// ledger's flat8 (the φ walk's word parse) and wide38 (the tuple walk's),
+// each seeded with blocks of its own. Properties: no panics; every shape
+// accepts/rejects and decodes exactly as the naive reference decoder does
+// (checkShapesAgainstReference); and anything that decodes to a sorted
+// block re-encodes to a stream that decodes to the same tuples (decode is
+// a retraction of encode).
 func FuzzDecodeBlock(f *testing.F) {
 	s := relation.MustSchema(
 		relation.Domain{Name: "a", Size: 8},
@@ -32,45 +35,62 @@ func FuzzDecodeBlock(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xA7, 0x01, 0x00})
+	schemas := []*relation.Schema{s}
+	for _, name := range []string{"flat8", "wide38"} {
+		ls, run := ledgerRelation(f, name, 400)
+		enc, err := EncodeBlock(CodecAVQ, ls, run[:40], nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		schemas = append(schemas, ls)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkShapesAgainstReference(t, s, data)
-		if len(data) >= crcSize {
-			data = rechecksum(data[:len(data)-crcSize])
-			checkShapesAgainstReference(t, s, data)
-		}
-		tuples, err := DecodeBlockArena(s, data, nil)
-		if err != nil {
-			return
-		}
-		for _, tu := range tuples {
-			if err := s.ValidateTuple(tu); err != nil {
-				t.Fatalf("decode produced invalid tuple %v: %v", tu, err)
-			}
-		}
-		// Re-encode and compare (the tuples are sorted by construction of
-		// any successfully decoded stream for the chained codecs; raw and
-		// rep-only blocks may decode unsorted tuples, so only check when
-		// sorted).
-		if !s.TuplesSorted(tuples) {
-			return
-		}
-		info, err := Inspect(data)
-		if err != nil {
-			t.Fatalf("decoded but Inspect failed: %v", err)
-		}
-		enc, err := EncodeBlock(info.Codec, s, tuples, nil)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := DecodeBlockArena(s, enc, nil)
-		if err != nil {
-			t.Fatalf("re-encoded stream does not decode: %v", err)
-		}
-		if !sameTuples(s, back, tuples) {
-			t.Fatalf("round trip changed the block: %v -> %v", tuples, back)
+		for _, s := range schemas {
+			checkDecodeBlock(t, s, data)
 		}
 	})
+}
+
+// checkDecodeBlock is FuzzDecodeBlock's check of one input under one
+// schema.
+func checkDecodeBlock(t *testing.T, s *relation.Schema, data []byte) {
+	checkShapesAgainstReference(t, s, data)
+	if len(data) >= crcSize {
+		data = rechecksum(data[:len(data)-crcSize])
+		checkShapesAgainstReference(t, s, data)
+	}
+	tuples, err := DecodeBlockArena(s, data, nil)
+	if err != nil {
+		return
+	}
+	for _, tu := range tuples {
+		if err := s.ValidateTuple(tu); err != nil {
+			t.Fatalf("decode produced invalid tuple %v: %v", tu, err)
+		}
+	}
+	// Re-encode and compare (the tuples are sorted by construction of any
+	// successfully decoded stream for the chained codecs; raw and rep-only
+	// blocks may decode unsorted tuples, so only check when sorted).
+	if !s.TuplesSorted(tuples) {
+		return
+	}
+	info, err := Inspect(data)
+	if err != nil {
+		t.Fatalf("decoded but Inspect failed: %v", err)
+	}
+	enc, err := EncodeBlock(info.Codec, s, tuples, nil)
+	if err != nil {
+		t.Fatalf("re-encode failed: %v", err)
+	}
+	back, err := DecodeBlockArena(s, enc, nil)
+	if err != nil {
+		t.Fatalf("re-encoded stream does not decode: %v", err)
+	}
+	if !sameTuples(s, back, tuples) {
+		t.Fatalf("round trip changed the block: %v -> %v", tuples, back)
+	}
 }
 
 // FuzzEncodeArbitraryTuples feeds arbitrary digit material through the

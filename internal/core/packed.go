@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/ordinal"
@@ -22,41 +21,8 @@ import (
 //
 // concatenated into one bit stream. This is the natural "further
 // compression" step within the paper's framework and is evaluated in the
-// ablation experiment.
-
-// packedBitWidths returns the per-attribute digit widths in bits and the
-// suffix sums used for size accounting: suffix[i] = bits of digits i..n-1.
-func packedBitWidths(s *relation.Schema) (widths []uint, suffix []int) {
-	n := s.NumAttrs()
-	widths = make([]uint, n)
-	suffix = make([]int, n+1)
-	for i := n - 1; i >= 0; i-- {
-		widths[i] = bitio.BitsFor(s.Domain(i).Size)
-		suffix[i] = suffix[i+1] + int(widths[i])
-	}
-	return widths, suffix
-}
-
-// packedWidthCache memoizes packedBitWidths per schema so the decode hot
-// path pays no table allocation. Schemas are few and long-lived; entries
-// are never evicted.
-var packedWidthCache sync.Map // *relation.Schema -> *packedWidthEntry
-
-type packedWidthEntry struct {
-	widths []uint
-	suffix []int
-}
-
-func packedBitWidthsCached(s *relation.Schema) (widths []uint, suffix []int) {
-	if v, ok := packedWidthCache.Load(s); ok {
-		e := v.(*packedWidthEntry)
-		return e.widths, e.suffix
-	}
-	w, suf := packedBitWidths(s)
-	v, _ := packedWidthCache.LoadOrStore(s, &packedWidthEntry{widths: w, suffix: suf})
-	e := v.(*packedWidthEntry)
-	return e.widths, e.suffix
-}
+// ablation experiment. The per-attribute widths and their suffix sums are
+// the schema's own tables (relation.Schema.BitWidths).
 
 // leadingZeroDigits counts the leading all-zero attributes of diff.
 func leadingZeroDigits(diff relation.Tuple) int {
@@ -88,7 +54,7 @@ func encodePacked(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]by
 	dst = s.EncodeTuple(dst, tuples[mid])
 
 	n := s.NumAttrs()
-	widths, _ := packedBitWidths(s)
+	widths, _ := s.BitWidths()
 	lzWidth := bitio.BitsFor(uint64(n) + 1)
 	w := bitio.NewWriter(nil)
 	diff := make(relation.Tuple, n)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/relation"
 )
@@ -13,47 +15,58 @@ import (
 // kernels (merge joins, group-by, aggregation) consume raw ordinals with
 // tight per-block loops and never build a relation.Tuple for rows that
 // don't reach the result. Attribute values are recovered from φ digits
-// with the cached FlatWeights divisor chain (PhiDigit), never full φ⁻¹.
+// with a DigitExtractor over the cached FlatWeights, never full φ⁻¹.
 
-// PhiDigit extracts attribute digit g from a flat ordinal given the
-// attribute's positional weight and radix: digit_g(φ) = (φ / w_g) mod u_g.
-// For attribute 0 the mod is redundant (φ/w_0 < u_0 on any in-space φ);
-// hot kernels special-case it.
-func PhiDigit(phi, weight, radix uint64) uint64 { return phi / weight % radix }
-
-// DigitExtractor is PhiDigit with the division strength-reduced at plan
-// time: when both the weight and the radix are powers of two — the
-// common case for the generated evaluation schemas — the two hardware
-// divides become a shift and a mask. Batch kernels sit in per-row loops,
-// so the divide latency is the difference between the φ fold and the
-// tuple path it replaces.
+// DigitExtractor extracts one attribute's digit from a flat ordinal,
+// digit_g(φ) = (φ / w_g) mod u_g for the attribute's positional weight w_g
+// and radix u_g, without a hardware divide. When the weight and the radix
+// are powers of two — the common case for the generated evaluation
+// schemas — the digit is a shift and a mask. Otherwise it is read off a
+// precomputed reciprocal of W = w_g·u_g, the weight of the attribute above
+// (Lemire, Kaser and Kurz's direct remainder computation): the low 128
+// bits of c·φ, with c = ⌈2¹²⁸/W⌉, are φ's fraction of W, and the digit is
+// the integer part of that fraction times u_g — three multiply-highs and a
+// multiply. Batch kernels sit in per-row loops, where two dependent
+// hardware divides would cost more than the rest of the row.
 type DigitExtractor struct {
-	weight, radix uint64
-	shift         uint64
-	mask          uint64
-	pow2          bool
+	cHi, cLo uint64 // c = ⌈2¹²⁸ / (weight·radix)⌉ mod 2¹²⁸
+	radix    uint64
+	shift    uint8
+	pow2     bool
 }
 
 // NewDigitExtractor builds the extractor for one attribute's weight and
-// radix (Schema.FlatWeights and Domain.Size).
+// radix (Schema.FlatWeights and Domain.Size), both nonzero, whose product
+// fits 64 bits — true of every attribute of a flat schema, where it is the
+// next attribute up's weight or ||R||.
 func NewDigitExtractor(weight, radix uint64) DigitExtractor {
-	d := DigitExtractor{weight: weight, radix: radix}
-	if weight > 0 && radix > 0 && weight&(weight-1) == 0 && radix&(radix-1) == 0 {
-		d.pow2 = true
-		for w := weight; w > 1; w >>= 1 {
-			d.shift++
-		}
-		d.mask = radix - 1
+	d := DigitExtractor{radix: radix}
+	if weight&(weight-1) == 0 && radix&(radix-1) == 0 {
+		d.pow2, d.shift = true, uint8(bits.TrailingZeros64(weight))
+		return d
 	}
+	// ⌈2¹²⁸/W⌉ = ⌊(2¹²⁸-1)/W⌋ + 1, long-divided a word at a time.
+	w := weight * radix
+	qHi, rem := bits.Div64(0, math.MaxUint64, w)
+	qLo, _ := bits.Div64(rem, math.MaxUint64, w)
+	var carry uint64
+	d.cLo, carry = bits.Add64(qLo, 1, 0)
+	d.cHi = qHi + carry
 	return d
 }
 
 // Digit extracts the attribute's value from φ.
-func (d DigitExtractor) Digit(phi uint64) uint64 {
+func (d *DigitExtractor) Digit(phi uint64) uint64 {
 	if d.pow2 {
-		return phi >> d.shift & d.mask
+		return phi >> (d.shift & 63) & (d.radix - 1)
 	}
-	return phi / d.weight % d.radix
+	// f = c·φ mod 2¹²⁸ (fHi:fLo), then ⌊f·radix / 2¹²⁸⌋.
+	fHi, fLo := bits.Mul64(d.cLo, phi)
+	fHi += d.cHi * phi
+	hi, lo := bits.Mul64(fHi, d.radix)
+	mid, _ := bits.Mul64(fLo, d.radix)
+	_, carry := bits.Add64(lo, mid, 0)
+	return hi + carry
 }
 
 // DecodeBlockPhis decodes a coded block into its φ sequence: one uint64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestDecodeBlockPhisMatchesTupleDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeBlockPhisDigitsRoundTrip: PhiDigit over the FlatWeights
-// divisor chain must recover every attribute of every row without φ⁻¹.
+// TestDecodeBlockPhisDigitsRoundTrip: a DigitExtractor over the
+// FlatWeights must recover every attribute of every row without φ⁻¹.
 func TestDecodeBlockPhisDigitsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := flatRandomSchema(rng)
@@ -68,8 +69,9 @@ func TestDecodeBlockPhisDigitsRoundTrip(t *testing.T) {
 	}
 	for i, phi := range phis {
 		for g := 0; g < s.NumAttrs(); g++ {
-			if got := PhiDigit(phi, w[g], s.Domain(g).Size); got != block[i][g] {
-				t.Fatalf("row %d attr %d: PhiDigit = %d, want %d", i, g, got, block[i][g])
+			d := NewDigitExtractor(w[g], s.Domain(g).Size)
+			if got := d.Digit(phi); got != block[i][g] {
+				t.Fatalf("row %d attr %d: Digit = %d, want %d", i, g, got, block[i][g])
 			}
 		}
 		if got := phi / w[0]; got != block[i][0] {
@@ -197,27 +199,43 @@ func TestPhiSpanSorted(t *testing.T) {
 	}
 }
 
-// TestDigitExtractorMatchesPhiDigit pins the strength-reduced extractor
-// to PhiDigit over random weights and radixes, mixing powers of two
-// (shift+mask path) with arbitrary values (divide path).
-func TestDigitExtractorMatchesPhiDigit(t *testing.T) {
+// TestDigitExtractorExact pins the strength-reduced extractor to the
+// definition, φ / w mod u with hardware divides: every (weight, radix) of
+// the flat8 and employee schemas and random pairs whose product fits 64
+// bits (as every flat schema's do), each at the edge ordinals 0, w-1, w,
+// k·w-1, space-1 and 2⁶⁴-1 plus random ones.
+func TestDigitExtractorExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 2000; trial++ {
-		var weight, radix uint64
-		if trial%2 == 0 {
-			weight = uint64(1) << rng.Intn(40)
-			radix = uint64(1) << (rng.Intn(12) + 1)
-		} else {
-			weight = uint64(rng.Int63n(1<<40) + 1)
-			radix = uint64(rng.Int63n(4096) + 1)
+	flat8, _ := ledgerRelation(t, "flat8", 1)
+	type pair struct{ weight, radix uint64 }
+	var pairs []pair
+	for _, s := range []*relation.Schema{flat8, employeeSchema(t)} {
+		w, _ := s.FlatWeights()
+		for g := range w {
+			pairs = append(pairs, pair{w[g], s.Domain(g).Size})
 		}
-		d := NewDigitExtractor(weight, radix)
-		for i := 0; i < 8; i++ {
-			phi := rng.Uint64() >> uint(rng.Intn(40))
-			want := PhiDigit(phi, weight, radix)
-			if got := d.Digit(phi); got != want {
-				t.Fatalf("Digit(%d) with weight=%d radix=%d: got %d, want %d",
-					phi, weight, radix, got, want)
+	}
+	for len(pairs) < 3000 {
+		var p pair
+		switch len(pairs) % 3 {
+		case 0: // powers of two: the shift-and-mask path
+			p.weight, p.radix = 1<<rng.Intn(52), 1<<(rng.Intn(12)+1)
+		case 1: // the ledger's range: weights up to 2⁴⁸, radices up to 2¹⁷
+			p.weight, p.radix = uint64(rng.Int63n(1<<48)+1), uint64(rng.Int63n(1<<17)+1)
+		default: // anything nonzero
+			p.weight, p.radix = rng.Uint64()>>rng.Intn(64)|1, rng.Uint64()>>rng.Intn(64)|1
+		}
+		if p.radix > math.MaxUint64/p.weight {
+			continue // weight·radix overflows: no flat schema has this pair
+		}
+		pairs = append(pairs, p)
+	}
+	for _, p := range pairs {
+		d := NewDigitExtractor(p.weight, p.radix)
+		w, space := p.weight, p.weight*p.radix
+		for _, phi := range []uint64{0, w - 1, w, 3*w - 1, space - 1, math.MaxUint64, rng.Uint64(), rng.Uint64() >> rng.Intn(64), rng.Uint64() % space} {
+			if got, want := d.Digit(phi), phi/p.weight%p.radix; got != want {
+				t.Fatalf("Digit(%d) with weight=%d radix=%d: got %d, want %d", phi, p.weight, p.radix, got, want)
 			}
 		}
 	}

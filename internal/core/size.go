@@ -76,7 +76,7 @@ func EncodedSize(c Codec, s *relation.Schema, tuples []relation.Tuple) (int, err
 		}
 	case CodecPacked:
 		size += uvarintLen(uint64(u/2)) + m
-		_, suffix := packedBitWidths(s)
+		_, suffix := s.BitWidths()
 		lzWidth := bitio.BitsFor(uint64(s.NumAttrs()) + 1)
 		bits := 0
 		for i := 1; i < u; i++ {
@@ -116,7 +116,7 @@ func NewSizer(c Codec, s *relation.Schema) (*Sizer, bool) {
 	case CodecRaw, CodecAVQ, CodecDeltaChain:
 		return &Sizer{c: c, s: s, m: s.RowSize(), diff: make(relation.Tuple, s.NumAttrs())}, true
 	case CodecPacked:
-		_, suffix := packedBitWidths(s)
+		_, suffix := s.BitWidths()
 		return &Sizer{
 			c: c, s: s, m: s.RowSize(),
 			diff:    make(relation.Tuple, s.NumAttrs()),

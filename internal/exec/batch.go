@@ -2,7 +2,7 @@
 // relation.Tuple at a time, the batch path decodes each block into a flat
 // φ-ordinal slab (one uint64 per row, clustered order) and hands kernels
 // the whole slab at once: predicate evaluation is digit arithmetic on raw
-// ordinals (core.PhiDigit over the FlatWeights divisor chain), qualifying
+// ordinals (a core.DigitExtractor over the FlatWeights), qualifying
 // rows are compacted in place, and no relation.Tuple is ever built for a
 // row that does not reach the result. It exists for the operators whose
 // output is not tuples — counts, aggregates, group-by, and merge joins —

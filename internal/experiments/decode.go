@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/relation"
@@ -17,9 +18,10 @@ import (
 )
 
 // DecodeConfig parameterizes the decode-kernel experiment: the
-// zero-allocation full-block decode of every codec, the flat-ordinal span
-// walk, and the same macro workload RunObs times so the benchgate can
-// compare across PRs.
+// zero-allocation full-block and φ-slab decode of every codec, the
+// flat-ordinal span walk, both decode walks over page-sized blocks shaped
+// like the end-to-end ledger's relations, and the same macro workload
+// RunObs times so the benchgate can compare across PRs.
 type DecodeConfig struct {
 	// Tuples is the macro relation size; default 100_000.
 	Tuples int
@@ -60,16 +62,46 @@ func (c *DecodeConfig) fillDefaults() {
 	}
 }
 
-// DecodeCodecResult is one codec's steady-state full-block decode.
+// DecodeCodecResult is one codec's steady-state full-block decode of the
+// micro block, both ways: tuples (DecodeBlockArena) and the φ slab the
+// batch executor reads (DecodeBlockPhis).
 type DecodeCodecResult struct {
 	Codec            string  `json:"codec"`
 	ArenaNsPerOp     float64 `json:"arena_ns_per_op"`
 	ArenaAllocsPerOp float64 `json:"arena_allocs_per_op"`
+	PhisNsPerOp      float64 `json:"phis_ns_per_op"`
+	PhisAllocsPerOp  float64 `json:"phis_allocs_per_op"`
+}
+
+// DecodeShapeResult is one ledger-shaped relation cut into page-sized
+// blocks: each codec's decode cost per tuple beside a memmove of the same
+// coded bytes, the roofline a byte-oriented decode cannot beat.
+type DecodeShapeResult struct {
+	Shape         string                   `json:"shape"`
+	Tuples        int                      `json:"tuples"`
+	RowBytes      int                      `json:"row_bytes"`
+	Flat          bool                     `json:"flat"`
+	MemmoveMBPerS float64                  `json:"memmove_mb_per_s"`
+	Codecs        []DecodeShapeCodecResult `json:"codecs"`
+}
+
+// DecodeShapeCodecResult is one codec over one shape's blocks. CodedMBPerS
+// is coded stream bytes decoded per second on the walk the shape's reads
+// take: the φ walk on a flat schema, the tuple walk otherwise.
+type DecodeShapeCodecResult struct {
+	Codec            string  `json:"codec"`
+	Blocks           int     `json:"blocks"`
+	TuplesPerBlock   float64 `json:"tuples_per_block"`
+	PhisNsPerTuple   float64 `json:"phis_ns_per_tuple,omitempty"`
+	TuplesNsPerTuple float64 `json:"tuples_ns_per_tuple"`
+	CodedMBPerS      float64 `json:"coded_mb_per_s"`
+	AllocsPerOp      float64 `json:"allocs_per_op"`
 }
 
 // DecodeResult reports the decode-kernel measurements. One gate: every
-// codec's steady-state arena decode, and the PhiSpan walk, allocate zero
-// objects per block (ZeroAllocPass).
+// codec's steady-state arena and φ-slab decode, on the micro block and on
+// every shape's blocks, and the PhiSpan walk, allocate zero objects per
+// block (ZeroAllocPass).
 //
 // LoadMillis and CountMillis repeat RunObs's uninstrumented workload so
 // scripts/benchgate.sh can hold this PR against the committed
@@ -82,6 +114,7 @@ type DecodeResult struct {
 	CountIters  int `json:"count_iters"`
 
 	Codecs []DecodeCodecResult `json:"codecs"`
+	Shapes []DecodeShapeResult `json:"shapes"`
 
 	PhiSpanNsPerOp     float64 `json:"phispan_ns_per_op"`
 	PhiSpanAllocsPerOp float64 `json:"phispan_allocs_per_op"`
@@ -161,9 +194,90 @@ func decodeMicroBlock(cfg DecodeConfig) (*relation.Schema, []relation.Tuple) {
 	return s, tuples
 }
 
+// shapeTuples sizes each ledger-shaped relation of the decode experiment.
+const shapeTuples = 20_000
+
+// runDecodeShape generates the end-to-end benchmark's relation of that
+// name (gen.BenchShapeSpec), cuts it into page-sized blocks per codec the
+// way a bulk load does (packRuns), and times whole-relation passes of
+// each decode walk over those blocks.
+func runDecodeShape(cfg DecodeConfig, name string, codecs []core.Codec) (DecodeShapeResult, error) {
+	spec, err := gen.BenchShapeSpec(name, shapeTuples, cfg.Seed)
+	if err != nil {
+		return DecodeShapeResult{}, err
+	}
+	s, tuples, err := spec.Build()
+	if err != nil {
+		return DecodeShapeResult{}, err
+	}
+	s.SortTuples(tuples)
+	_, flat := s.FlatSpace()
+	res := DecodeShapeResult{Shape: name, Tuples: len(tuples), RowBytes: s.RowSize(), Flat: flat}
+	// Each timed op is one pass over the whole relation; a handful per
+	// round keeps a round near cfg.Iters small-block decodes.
+	iters := max(1, cfg.Iters*cfg.BlockTuples/len(tuples))
+	var coded int
+	for _, c := range codecs {
+		runs, err := packRuns(s, tuples, c, blockstore.StreamCapacity(cfg.PageSize))
+		if err != nil {
+			return res, fmt.Errorf("%s/%v: %w", name, c, err)
+		}
+		blocks := make([][]byte, len(runs))
+		bytes := 0
+		for i, run := range runs {
+			if blocks[i], err = core.EncodeBlock(c, s, run, nil); err != nil {
+				return res, err
+			}
+			bytes += len(blocks[i])
+		}
+		if c == core.CodecAVQ {
+			coded = bytes
+		}
+		a := core.NewArena()
+		tuplesOp := func() {
+			for _, b := range blocks {
+				a.Reset()
+				if _, err := core.DecodeBlockArena(s, b, a); err != nil {
+					panic(err)
+				}
+			}
+		}
+		phisOp := func() {
+			for _, b := range blocks {
+				a.Reset()
+				if _, err := core.DecodeBlockPhis(s, b, a); err != nil {
+					panic(err)
+				}
+			}
+		}
+		n := float64(len(tuples))
+		cr := DecodeShapeCodecResult{
+			Codec:            c.String(),
+			Blocks:           len(blocks),
+			TuplesPerBlock:   n / float64(len(blocks)),
+			TuplesNsPerTuple: bestNsPerOp(cfg.Rounds, iters, tuplesOp) / n,
+			AllocsPerOp:      allocsPerOp(3, tuplesOp) / float64(len(blocks)),
+		}
+		pathNs := cr.TuplesNsPerTuple
+		if flat {
+			cr.PhisNsPerTuple = bestNsPerOp(cfg.Rounds, iters, phisOp) / n
+			cr.AllocsPerOp = max(cr.AllocsPerOp, allocsPerOp(3, phisOp)/float64(len(blocks)))
+			pathNs = cr.PhisNsPerTuple
+		}
+		cr.CodedMBPerS = float64(bytes) / (pathNs * n) * 1e3
+		res.Codecs = append(res.Codecs, cr)
+	}
+	// The roofline: copy the AVQ blocks' coded bytes once per op.
+	src, dst := make([]byte, coded), make([]byte, coded)
+	copyNs := bestNsPerOp(cfg.Rounds, 20*iters, func() { copy(dst, src) })
+	res.MemmoveMBPerS = float64(coded) / copyNs * 1e3
+	return res, nil
+}
+
 // RunDecode measures the zero-allocation decode kernels: per-codec
-// full-block decode, the flat-ordinal PhiSpan walk, and the
-// BulkLoad/CountRange macro workload shared with RunObs.
+// full-block tuple and φ-slab decode, the flat-ordinal PhiSpan walk, both
+// walks over ledger-shaped page-sized blocks, and the BulkLoad/CountRange
+// macro workload shared with RunObs.
 func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	cfg.fillDefaults()
 	res := &DecodeResult{
@@ -193,15 +307,35 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 				panic(err)
 			}
 		}
+		phisOp := func() {
+			a.Reset()
+			if _, err := core.DecodeBlockPhis(s, enc, a); err != nil {
+				panic(err)
+			}
+		}
 		cr := DecodeCodecResult{
 			Codec:            c.String(),
 			ArenaNsPerOp:     bestNsPerOp(cfg.Rounds, cfg.Iters, arenaOp),
 			ArenaAllocsPerOp: allocsPerOp(100, arenaOp),
+			PhisNsPerOp:      bestNsPerOp(cfg.Rounds, cfg.Iters, phisOp),
+			PhisAllocsPerOp:  allocsPerOp(100, phisOp),
 		}
-		if cr.ArenaAllocsPerOp != 0 {
+		if cr.ArenaAllocsPerOp != 0 || cr.PhisAllocsPerOp != 0 {
 			res.ZeroAllocPass = false
 		}
 		res.Codecs = append(res.Codecs, cr)
+	}
+	for _, name := range []string{"flat8", "wide38"} {
+		sr, err := runDecodeShape(cfg, name, codecs)
+		if err != nil {
+			return nil, err
+		}
+		for _, cr := range sr.Codecs {
+			if cr.AllocsPerOp != 0 {
+				res.ZeroAllocPass = false
+			}
+		}
+		res.Shapes = append(res.Shapes, sr)
 	}
 
 	// Flat-ordinal span walk on the clustering-range shape exec's partial
@@ -276,9 +410,18 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 // WriteText renders the result as an aligned report.
 func (r *DecodeResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "Decode kernels: %d-tuple blocks, best of %d rounds\n", r.BlockTuples, r.Rounds)
-	fmt.Fprintf(w, "%-12s %12s %12s\n", "codec", "ns/op", "allocs/op")
+	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n", "codec", "tuple ns/op", "allocs/op", "φ ns/op", "allocs/op")
 	for _, c := range r.Codecs {
-		fmt.Fprintf(w, "%-12s %12.0f %12.1f\n", c.Codec, c.ArenaNsPerOp, c.ArenaAllocsPerOp)
+		fmt.Fprintf(w, "%-12s %12.0f %12.1f %12.0f %12.1f\n", c.Codec, c.ArenaNsPerOp, c.ArenaAllocsPerOp, c.PhisNsPerOp, c.PhisAllocsPerOp)
+	}
+	for _, sh := range r.Shapes {
+		fmt.Fprintf(w, "%s-shaped %d-byte blocks (%d tuples, %d-byte rows), memmove roofline %.0f MB/s\n",
+			sh.Shape, r.PageSize, sh.Tuples, sh.RowBytes, sh.MemmoveMBPerS)
+		fmt.Fprintf(w, "%-12s %8s %10s %12s %12s %10s %10s\n", "codec", "blocks", "tuples/blk", "φ ns/tuple", "tuple ns/t", "coded MB/s", "allocs/blk")
+		for _, c := range sh.Codecs {
+			fmt.Fprintf(w, "%-12s %8d %10.0f %12.1f %12.1f %10.0f %10.1f\n", c.Codec, c.Blocks, c.TuplesPerBlock,
+				c.PhisNsPerTuple, c.TuplesNsPerTuple, c.CodedMBPerS, c.AllocsPerOp)
+		}
 	}
 	fmt.Fprintf(w, "flat-ordinal span: PhiSpan %.0f ns/op (%.1f allocs/op)\n",
 		r.PhiSpanNsPerOp, r.PhiSpanAllocsPerOp)
@@ -288,7 +431,7 @@ func (r *DecodeResult) WriteText(w io.Writer) error {
 	if !r.ZeroAllocPass {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(w, "gate: steady-state arena decode and PhiSpan allocate 0 objects/op: %s\n", verdict)
+	fmt.Fprintf(w, "gate: steady-state tuple and φ-slab decode and PhiSpan allocate 0 objects/op: %s\n", verdict)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/gen"
@@ -84,7 +85,7 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 		return nil, err
 	}
 	schema.SortTuples(tuples)
-	capacity := cfg.PageSize - 4 // the block store's length prefix
+	capacity := blockstore.StreamCapacity(cfg.PageSize)
 
 	runs, err := packRuns(schema, tuples, core.CodecAVQ, capacity)
 	if err != nil {

@@ -130,6 +130,36 @@ func Spec38Byte(tuples int, uniqueLast bool, seed int64) Spec {
 	}
 }
 
+// BenchShapeSpec returns the named relation of the end-to-end benchmark
+// ("flat8" or "wide38": the declared sizes and used ranges of
+// bench/relations.go, copied, since that module is not importable) at the
+// given tuple count. The benchmark holds 1M tuples; here attribute 0's
+// used range shrinks with the tuple count, keeping the tuples per
+// attribute-0 value — and so the distance between φ-adjacent tuples — the
+// same, so the relation's blocks code to the benchmark's differences at a
+// fraction of its size.
+func BenchShapeSpec(name string, tuples int, seed int64) (Spec, error) {
+	var sizes, used []uint64
+	var perValue int // tuples per attribute-0 value at 1M tuples
+	switch name {
+	case "flat8":
+		sizes = []uint64{100000, 257, 257, 257, 257, 64, 16, 8}
+		used = []uint64{0, 2, 2, 2, 2, 0, 0, 0}
+		perValue = 10
+	case "wide38":
+		sizes = []uint64{
+			100000, 40000, 70000, 30000, 80000, 20000, 90000, 10000,
+			5000, 2000, 1000, 500, 400, 300, 70000, 75000,
+		}
+		used = []uint64{1000, 4, 4, 4, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0}
+		perValue = 1000
+	default:
+		return Spec{}, fmt.Errorf("gen: no benchmark relation %q", name)
+	}
+	used[0] = uint64(max(1, tuples/perValue))
+	return Spec{Tuples: tuples, Seed: seed, DomainSizes: sizes, UsedRanges: used}, nil
+}
+
 // Validate reports whether the spec is generable.
 func (sp Spec) Validate() error {
 	if sp.DomainSizes == nil {

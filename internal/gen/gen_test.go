@@ -288,3 +288,33 @@ func TestFigure22Data(t *testing.T) {
 		t.Fatal("ordinal tables must have 50 rows")
 	}
 }
+
+// TestBenchShapeSpec pins the end-to-end benchmark's two relations: their
+// row widths and flatness, and attribute 0's used range scaled so each of
+// its values holds the tuples it holds at 1M tuples.
+func TestBenchShapeSpec(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		rowSize int
+		flat    bool
+		used0   uint64
+	}{
+		{"flat8", 14, true, 2000},
+		{"wide38", 38, false, 20},
+	} {
+		sp, err := BenchShapeSpec(c.name, 20_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, tuples, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, flat := s.FlatSpace(); s.RowSize() != c.rowSize || flat != c.flat || len(tuples) != 20_000 || sp.UsedRanges[0] != c.used0 {
+			t.Errorf("%s: row %d flat %v tuples %d used[0] %d", c.name, s.RowSize(), flat, len(tuples), sp.UsedRanges[0])
+		}
+	}
+	if _, err := BenchShapeSpec("nope", 10, 1); err == nil {
+		t.Error("unknown relation accepted")
+	}
+}

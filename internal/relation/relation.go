@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
+
+	"repro/internal/bitio"
 )
 
 // DomainKind describes the source type of a domain before attribute
@@ -82,10 +84,17 @@ func (d Domain) ByteWidth() int {
 // Schema values are immutable after construction and safe for concurrent
 // use by multiple goroutines.
 type Schema struct {
-	domains []Domain
-	offsets []int // byte offset of each attribute in the fixed-width form
-	widths  []int // byte width of each attribute
-	rowSize int   // total fixed-width bytes per tuple
+	domains  []Domain
+	radices  []uint64 // radices[i] = |A_i|, the digit arithmetic's radix
+	offsets  []int    // byte offset of each attribute in the fixed-width form
+	widths   []int    // byte width of each attribute
+	byteAttr []int    // byteAttr[j] = attribute holding byte j of the fixed-width form
+	rowSize  int      // total fixed-width bytes per tuple
+
+	// Bit-packed form: bits[i] = ceil(log2 |A_i|) (at least 1) and
+	// bitSuffix[i] = bits[i] + ... + bits[n-1], bitSuffix[n] = 0.
+	bits      []uint
+	bitSuffix []int
 
 	// Flat-ordinal cache: when ||R|| = prod |A_i| fits in a uint64, phi
 	// values are single machine words and chain arithmetic can run on them
@@ -102,10 +111,14 @@ func NewSchema(domains ...Domain) (*Schema, error) {
 	if len(domains) == 0 {
 		return nil, errors.New("relation: schema needs at least one domain")
 	}
+	n := len(domains)
 	s := &Schema{
-		domains: make([]Domain, len(domains)),
-		offsets: make([]int, len(domains)),
-		widths:  make([]int, len(domains)),
+		domains:   make([]Domain, n),
+		radices:   make([]uint64, n),
+		offsets:   make([]int, n),
+		widths:    make([]int, n),
+		bits:      make([]uint, n),
+		bitSuffix: make([]int, n+1),
 	}
 	copy(s.domains, domains)
 	off := 0
@@ -114,9 +127,17 @@ func NewSchema(domains ...Domain) (*Schema, error) {
 			return nil, fmt.Errorf("relation: attribute %d: %w", i, err)
 		}
 		w := d.ByteWidth()
+		s.radices[i] = d.Size
 		s.offsets[i] = off
 		s.widths[i] = w
+		s.bits[i] = bitio.BitsFor(d.Size)
+		for range w {
+			s.byteAttr = append(s.byteAttr, i)
+		}
 		off += w
+	}
+	for i := n - 1; i >= 0; i-- {
+		s.bitSuffix[i] = s.bitSuffix[i+1] + int(s.bits[i])
 	}
 	s.rowSize = off
 	s.computeFlat()
@@ -181,6 +202,25 @@ func (s *Schema) AttrWidth(i int) int { return s.widths[i] }
 // AttrOffset returns the byte offset of attribute i within the fixed-width
 // tuple representation.
 func (s *Schema) AttrOffset(i int) int { return s.offsets[i] }
+
+// AttrWidths returns every attribute's AttrWidth, in attribute order. The
+// returned slice is owned by the schema and must not be modified.
+func (s *Schema) AttrWidths() []int { return s.widths }
+
+// AttrAtByte returns the attribute whose fixed-width field holds byte j
+// of the tuple representation, 0 <= j < RowSize.
+func (s *Schema) AttrAtByte(j int) int { return s.byteAttr[j] }
+
+// Radices returns the domain sizes |A_i| in attribute order: the radices
+// of the mixed-radix digit arithmetic. The returned slice is owned by the
+// schema and must not be modified.
+func (s *Schema) Radices() []uint64 { return s.radices }
+
+// BitWidths returns the bit-packed form's field widths, bits[i] =
+// ceil(log2 |A_i|) with a minimum of 1, and their suffix sums, suffix[i] =
+// bits of attributes i..n-1 (len n+1, suffix[n] = 0). Both slices are owned
+// by the schema and must not be modified.
+func (s *Schema) BitWidths() (bits []uint, suffix []int) { return s.bits, s.bitSuffix }
 
 // SpaceSize returns ||R|| = prod |A_i|, the size of the relation scheme's
 // cross-product space, as an arbitrary-precision integer. With 15 attributes

@@ -104,16 +104,15 @@ func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint6
 	if r.batch && !r.empty {
 		return groupByBatchCtx(ctx, r, t.schema, groupAttr, aggAttr)
 	}
-	return groupByRunCtx(ctx, r, groupAttr, aggAttr)
+	return groupByRunCtx(ctx, r, t.schema, groupAttr, aggAttr)
 }
 
 // groupByBatchCtx is GroupBy on raw ordinals: both the group key and the
-// aggregated value come out of each φ via the FlatWeights divisor chain
-// (one divide + mod each), never full φ⁻¹. Grouping on the clustering
-// prefix (groupAttr 0) exploits φ order — keys arrive as contiguous
-// nondecreasing runs, so the result list is appended directly with no
-// hash map and no final sort. Other group attributes bucket into a map
-// exactly like the tuple path.
+// aggregated value come out of each φ through a DigitExtractor, never
+// full φ⁻¹. Grouping on the clustering prefix (groupAttr 0) exploits φ
+// order — keys arrive as contiguous nondecreasing runs, so the result list
+// is appended directly with no per-row key and no final sort. Other group
+// attributes fold into a groupFold exactly like the tuple path.
 func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
 	w, _ := s.FlatWeights()
 	agg := core.NewDigitExtractor(w[aggAttr], s.Domain(aggAttr).Size)
@@ -128,19 +127,11 @@ func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupA
 				k := phis[i] / w0 // attribute 0 needs no mod: φ/w0 < u0
 				limit := (k + 1) * w0
 				if len(out) == 0 || out[len(out)-1].Value != k {
-					out = append(out, GroupResult{Value: k, Agg: AggregateResult{Min: ^uint64(0)}})
+					out = append(out, GroupResult{Value: k, Agg: newAggregate()})
 				}
 				g := &out[len(out)-1].Agg
 				for ; i < len(phis) && phis[i] < limit; i++ {
-					v := agg.Digit(phis[i])
-					g.Count++
-					g.Sum += v
-					if v < g.Min {
-						g.Min = v
-					}
-					if v > g.Max {
-						g.Max = v
-					}
+					g.add(agg.Digit(phis[i]))
 				}
 			}
 			return true
@@ -151,66 +142,84 @@ func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupA
 		return out, stats, nil
 	}
 	grp := core.NewDigitExtractor(w[groupAttr], s.Domain(groupAttr).Size)
-	groups := make(map[uint64]*AggregateResult)
+	g := newGroupFold(s.Domain(groupAttr).Size)
 	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
 		for _, phi := range phis {
-			k := grp.Digit(phi)
-			g := groups[k]
-			if g == nil {
-				g = &AggregateResult{Min: ^uint64(0)}
-				groups[k] = g
-			}
-			v := agg.Digit(phi)
-			g.Count++
-			g.Sum += v
-			if v < g.Min {
-				g.Min = v
-			}
-			if v > g.Max {
-				g.Max = v
-			}
+			g.add(grp.Digit(phi), agg.Digit(phi))
 		}
 		return true
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]GroupResult, 0, len(groups))
-	for v, agg := range groups {
-		out = append(out, GroupResult{Value: v, Agg: *agg})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out, stats, nil
+	return g.results(), stats, nil
 }
 
-// groupByRunCtx executes a planned GroupBy pass tuple by tuple: stream,
-// bucket, sort.
-func groupByRunCtx(ctx context.Context, r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	groups := make(map[uint64]*AggregateResult)
+// groupByRunCtx executes a planned GroupBy pass tuple by tuple into the
+// same groupFold.
+func groupByRunCtx(ctx context.Context, r queryRun, s *relation.Schema, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
+	g := newGroupFold(s.Domain(groupAttr).Size)
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		g := groups[tu[groupAttr]]
-		if g == nil {
-			g = &AggregateResult{Min: ^uint64(0)}
-			groups[tu[groupAttr]] = g
-		}
-		v := tu[aggAttr]
-		g.Count++
-		g.Sum += v
-		if v < g.Min {
-			g.Min = v
-		}
-		if v > g.Max {
-			g.Max = v
-		}
+		g.add(tu[groupAttr], tu[aggAttr])
 		return true
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]GroupResult, 0, len(groups))
-	for v, agg := range groups {
-		out = append(out, GroupResult{Value: v, Agg: *agg})
+	return g.results(), stats, nil
+}
+
+// denseGroups is the largest group-attribute radix GroupBy folds into a
+// dense array indexed by digit (128 KiB of accumulators); above it groups
+// go to a map. The radix is the schema's declared domain size, so the
+// choice is made at plan time.
+const denseGroups = 4096
+
+// groupFold accumulates GroupBy's per-group aggregates, keyed by group
+// value: dense when the group attribute's radix is at most denseGroups,
+// else a map.
+type groupFold struct {
+	dense  []AggregateResult // indexed by group value; nil above denseGroups
+	sparse map[uint64]*AggregateResult
+}
+
+func newGroupFold(radix uint64) *groupFold {
+	if radix > denseGroups {
+		return &groupFold{sparse: make(map[uint64]*AggregateResult)}
+	}
+	g := &groupFold{dense: make([]AggregateResult, radix)}
+	for i := range g.dense {
+		g.dense[i] = newAggregate()
+	}
+	return g
+}
+
+// add folds value v into group k.
+func (g *groupFold) add(k, v uint64) {
+	if g.dense != nil {
+		g.dense[k].add(v)
+		return
+	}
+	a := g.sparse[k]
+	if a == nil {
+		a = new(AggregateResult)
+		*a = newAggregate()
+		g.sparse[k] = a
+	}
+	a.add(v)
+}
+
+// results returns the non-empty groups in ascending group-value order.
+func (g *groupFold) results() []GroupResult {
+	out := make([]GroupResult, 0, len(g.sparse))
+	for k, a := range g.dense {
+		if a.Count > 0 {
+			out = append(out, GroupResult{Value: uint64(k), Agg: a})
+		}
+	}
+	for k, a := range g.sparse {
+		out = append(out, GroupResult{Value: k, Agg: *a})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out, stats, nil
+	return out
 }

@@ -164,6 +164,19 @@ type AggregateResult struct {
 	Max   uint64
 }
 
+// add folds one value into the aggregate: the one Count/Sum/Min/Max step
+// every aggregate and group-by kernel shares. A zero result starts with
+// Min at math.MaxUint64 (see newAggregate).
+func (r *AggregateResult) add(v uint64) {
+	r.Count++
+	r.Sum += v
+	r.Min = min(r.Min, v)
+	r.Max = max(r.Max, v)
+}
+
+// newAggregate is the empty aggregate add folds into.
+func newAggregate() AggregateResult { return AggregateResult{Min: math.MaxUint64} }
+
 // AggregateRangeContext computes COUNT, SUM, MIN, and MAX of attribute
 // aggAttr over the rows matching lo <= A_attr <= hi. Min and Max are
 // meaningful only when Count > 0.
@@ -188,23 +201,15 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 }
 
 // aggregateBatchCtx is the aggregate fold on raw ordinals: the aggregated
-// attribute is extracted from each φ with one divide and one mod over the
-// cached FlatWeights divisor chain — no tuple is ever materialized.
+// attribute is extracted from each φ by a DigitExtractor over the cached
+// FlatWeights — no tuple is ever materialized.
 func aggregateBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, aggAttr int) (AggregateResult, QueryStats, error) {
 	w, _ := s.FlatWeights()
 	agg := core.NewDigitExtractor(w[aggAttr], s.Domain(aggAttr).Size)
-	res := AggregateResult{Min: math.MaxUint64}
+	res := newAggregate()
 	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
 		for _, phi := range phis {
-			v := agg.Digit(phi)
-			res.Count++
-			res.Sum += v
-			if v < res.Min {
-				res.Min = v
-			}
-			if v > res.Max {
-				res.Max = v
-			}
+			res.add(agg.Digit(phi))
 		}
 		return true
 	})
@@ -217,17 +222,9 @@ func aggregateBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, aggA
 // aggregateRunCtx executes a planned aggregate pass tuple by tuple without
 // materializing rows.
 func aggregateRunCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	res := AggregateResult{Min: math.MaxUint64}
+	res := newAggregate()
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		v := tu[aggAttr]
-		res.Count++
-		res.Sum += v
-		if v < res.Min {
-			res.Min = v
-		}
-		if v > res.Max {
-			res.Max = v
-		}
+		res.add(tu[aggAttr])
 		return true
 	})
 	if res.Count == 0 {

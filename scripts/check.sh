@@ -3,7 +3,9 @@
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search and one-block-cache guards, the full test suite, and the race-focused test run over the
+# search and one-block-cache guards, the full test suite, a 10 s fuzz smoke
+# of the block decoder against its reference, the crash matrix, and the
+# race-focused test run over the
 # concurrency-sensitive packages. Fails fast on the first broken stage so CI
 # output points at one problem; the last line is the tracked line count.
 set -eu
@@ -41,6 +43,9 @@ if grep -rnE 'blockCache|CacheBlocks|decodeBlockCached' --include='*.go' cmd int
 
 echo "== go test"
 go test ./...
+
+echo "== decode fuzz smoke (every decode shape against the reference decoder)"
+go test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/core
 
 echo "== crash matrix (kill-at-every-syscall recovery proof)"
 go test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count=1
