@@ -25,19 +25,9 @@ func fig59Relation(b *testing.B, tuples int, codec core.Codec) (*relation.Schema
 		b.Fatal(err)
 	}
 	schema.SortTuples(data)
-	const capacity = 8192 - 4
-	var runs [][]relation.Tuple
-	remaining := data
-	for len(remaining) > 0 {
-		u, err := core.MaxFit(codec, schema, remaining, capacity)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if u == 0 {
-			b.Fatal("tuple does not fit block")
-		}
-		runs = append(runs, remaining[:u])
-		remaining = remaining[u:]
+	runs, _, err := core.Pack(codec, schema, data, 8192-4)
+	if err != nil {
+		b.Fatal(err)
 	}
 	streams := make([][]byte, len(runs))
 	for i, run := range runs {
@@ -114,24 +104,13 @@ func BenchmarkFig57Compression(b *testing.B) {
 				copy(sorted, tuples)
 				schema.SortTuples(sorted)
 				const capacity = 8192 - 4
-				avqBlocks, payload := 0, 0
-				remaining := sorted
-				for len(remaining) > 0 {
-					u, err := core.MaxFit(core.CodecAVQ, schema, remaining, capacity)
-					if err != nil {
-						b.Fatal(err)
-					}
-					size, err := core.EncodedSize(core.CodecAVQ, schema, remaining[:u])
-					if err != nil {
-						b.Fatal(err)
-					}
-					avqBlocks++
-					payload += size
-					remaining = remaining[u:]
+				runs, _, err := core.Pack(core.CodecAVQ, schema, sorted, capacity)
+				if err != nil {
+					b.Fatal(err)
 				}
 				wordBytes := len(tuples) * 4 * schema.NumAttrs()
 				wordBlocks := (wordBytes + capacity - 1) / capacity
-				reduction = 100 * (1 - float64(avqBlocks)/float64(wordBlocks))
+				reduction = 100 * (1 - float64(len(runs))/float64(wordBlocks))
 			}
 			b.ReportMetric(reduction, "%reduction")
 		})
@@ -212,7 +191,7 @@ func BenchmarkFig58BlocksAccessed(b *testing.B) {
 // BenchmarkAblationCodecs times block coding under each codec on identical
 // data: the CPU side of the design-choice ablation.
 func BenchmarkAblationCodecs(b *testing.B) {
-	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain} {
+	for _, codec := range core.Codecs() {
 		b.Run(codec.String(), func(b *testing.B) {
 			schema, runs, streams := fig59Relation(b, 10000, codec)
 			b.Run("encode", func(b *testing.B) {

@@ -77,7 +77,7 @@ func main() {
 	var (
 		db        = fs.String("db", "", "table file (required)")
 		schemaStr = fs.String("schema", "", "create: comma-separated name:size attribute list")
-		codecName = fs.String("codec", "avq", "create: block codec")
+		codecName = fs.String("codec", "avq", fmt.Sprintf("create: block codec, one of %v", core.Codecs()))
 		indexStr  = fs.String("index", "", "create: comma-separated secondary attribute positions")
 		in        = fs.String("in", "", "load: plain .rel file")
 		tupleStr  = fs.String("tuple", "", "insert/delete: comma-separated attribute values")
@@ -204,21 +204,12 @@ func parseValues(str string) ([]uint64, error) {
 	return vals, nil
 }
 
-func parseCodec(name string) (core.Codec, error) {
-	for _, c := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked} {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown codec %q", name)
-}
-
 func create(a args) error {
 	schema, err := parseSchema(a.schema)
 	if err != nil {
 		return err
 	}
-	codec, err := parseCodec(a.codec)
+	codec, err := core.ParseCodec(a.codec)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	avqtool compress   -in data.rel -out data.avq [-codec avq|raw|rep-only|delta-chain] [-blocksize N]
+//	avqtool compress   -in data.rel -out data.avq [-codec raw|avq|packed] [-blocksize N]
 //	avqtool decompress -in data.avq -out data.rel
 //	avqtool inspect    -in file
 //	avqtool verify     -in data.avq
@@ -46,7 +46,7 @@ func main() {
 	var (
 		in        = fs.String("in", "", "input file (required)")
 		out       = fs.String("out", "", "output file")
-		codecName = fs.String("codec", "avq", "block codec: avq, raw, rep-only, delta-chain")
+		codecName = fs.String("codec", "avq", fmt.Sprintf("block codec, one of %v", core.Codecs()))
 		blockSize = fs.Int("blocksize", storage.DefaultPageSize, "block size in bytes")
 		jsonOut   = fs.Bool("json", false, "metrics: emit the registry snapshot as JSON instead of text")
 	)
@@ -63,15 +63,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: avqtool compress|decompress|inspect|verify|stats|convert|metrics -in FILE [flags]")
-}
-
-func parseCodec(name string) (core.Codec, error) {
-	for _, c := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked} {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown codec %q", name)
 }
 
 func run(cmd, in, out, codecName string, blockSize int, jsonOut bool) error {
@@ -100,7 +91,7 @@ func compress(in, out, codecName string, blockSize int) error {
 	if out == "" {
 		return fmt.Errorf("compress needs -out")
 	}
-	codec, err := parseCodec(codecName)
+	codec, err := core.ParseCodec(codecName)
 	if err != nil {
 		return err
 	}
@@ -316,7 +307,7 @@ func convert(in, out string) error {
 // and dumps the observability registry.
 func metrics(in, codecName string, blockSize int, jsonOut bool) error {
 	ctx := context.Background()
-	codec, err := parseCodec(codecName)
+	codec, err := core.ParseCodec(codecName)
 	if err != nil {
 		return err
 	}
@@ -372,27 +363,16 @@ func stats(in string, blockSize int) error {
 	copy(sorted, tuples)
 	schema.SortTuples(sorted)
 	fmt.Printf("%d tuples, %d-byte rows, block size %d\n", len(tuples), schema.RowSize(), blockSize)
-	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked} {
-		blocks := 0
-		payload := 0
-		remaining := sorted
-		for len(remaining) > 0 {
-			u, err := core.MaxFit(codec, schema, remaining, blockSize)
-			if err != nil {
-				return err
-			}
-			if u == 0 {
-				return fmt.Errorf("tuple does not fit block size %d", blockSize)
-			}
-			size, err := core.EncodedSize(codec, schema, remaining[:u])
-			if err != nil {
-				return err
-			}
-			payload += size
-			blocks++
-			remaining = remaining[u:]
+	for _, codec := range core.Codecs() {
+		runs, sizes, err := core.Pack(codec, schema, sorted, blockSize)
+		if err != nil {
+			return fmt.Errorf("block size %d: %w", blockSize, err)
 		}
-		fmt.Printf("  %-12s %6d blocks  %9d payload bytes\n", codec, blocks, payload)
+		payload := 0
+		for _, size := range sizes {
+			payload += size
+		}
+		fmt.Printf("  %-12s %6d blocks  %9d payload bytes\n", codec, len(runs), payload)
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/relfile"
 )
@@ -95,8 +97,10 @@ func TestToolErrors(t *testing.T) {
 	if err := run("compress", rel, "", "avq", 2048, false); err == nil {
 		t.Fatal("compress without -out succeeded")
 	}
-	if err := run("compress", rel, filepath.Join(dir, "x.avq"), "nope", 2048, false); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, name := range []string{"nope", "rep-only", "delta-chain"} {
+		if err := run("compress", rel, filepath.Join(dir, "x.avq"), name, 2048, false); !errors.Is(err, core.ErrBadCodec) {
+			t.Fatalf("codec %q: err = %v, want core.ErrBadCodec", name, err)
+		}
 	}
 	if err := run("decompress", rel, "", "avq", 2048, false); err == nil {
 		t.Fatal("decompress without -out succeeded")
@@ -115,7 +119,8 @@ func TestToolErrors(t *testing.T) {
 func TestAllCodecsThroughTool(t *testing.T) {
 	dir := t.TempDir()
 	rel := writeRel(t, dir)
-	for _, codec := range []string{"raw", "avq", "rep-only", "delta-chain", "packed"} {
+	for _, c := range core.Codecs() {
+		codec := c.String()
 		out := filepath.Join(dir, codec+".avq")
 		if err := run("compress", rel, out, codec, 4096, false); err != nil {
 			t.Fatalf("%s: compress: %v", codec, err)

@@ -60,12 +60,9 @@ func main() {
 		n, sorter.Runs(), time.Since(start).Round(time.Millisecond))
 
 	// Bridge the sorter's push iterator to the table's pull stream. The
-	// parallel codec pipeline packs blocks on GOMAXPROCS workers with a
-	// byte-identical on-disk layout to the serial path.
-	tbl, err := table.Create(schema,
-		table.WithCodec(core.CodecAVQ),
-		table.WithConcurrency(runtime.GOMAXPROCS(0)),
-	)
+	// codec pipeline packs blocks on GOMAXPROCS workers, with an on-disk
+	// layout that does not depend on the worker count.
+	tbl, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 	if err != nil {
 		log.Fatal(err)
 	}

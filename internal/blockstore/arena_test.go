@@ -39,9 +39,10 @@ func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
 	}
 }
 
-// TestEncodeBufferReuse pins the serial append path's encode-buffer
-// behaviour: after the first block sizes the buffer, appending further
-// blocks of the same shape must not grow it again.
+// TestEncodeBufferReuse pins the mutation path's encode-buffer behaviour:
+// the load pipeline codes into per-chunk streams and leaves the buffer
+// alone; mutations re-encode blocks through it, and after a warm-up
+// mutation sizes it, further mutations must reuse the capacity.
 func TestEncodeBufferReuse(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 400, 44)
@@ -49,11 +50,9 @@ func TestEncodeBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(s.encBuf) == 0 {
-		t.Fatal("serial bulk load left no encode buffer behind")
+	if s.encBuf != nil {
+		t.Fatal("bulk load coded through the mutation path's encode buffer")
 	}
-	// Mutations re-encode blocks through the same buffer; after a warm-up
-	// mutation sizes it, further mutations must reuse the capacity.
 	if _, err := s.Insert(refs[0].First); err != nil {
 		t.Fatal(err)
 	}
@@ -69,23 +68,19 @@ func TestEncodeBufferReuse(t *testing.T) {
 	}
 }
 
-// TestEncodeChunksExactCapacity checks the parallel path: chunk streams
+// TestEncodeChunksExactCapacity checks the load pipeline: chunk streams
 // are preallocated from the Sizer's exact accounting, so the encoder never
 // reallocates and len == cap on every stream.
 func TestEncodeChunksExactCapacity(t *testing.T) {
-	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecDeltaChain, core.CodecPacked} {
+	for _, codec := range core.Codecs() {
 		s := newStore(t, codec, 512)
-		s.Configure(Config{Concurrency: 4})
+		s.workers = 4
 		tuples := randomTuples(t, 800, 45)
-		z, ok := core.NewSizer(codec, s.schema)
-		if !ok {
-			t.Fatalf("%v: no sizer", codec)
-		}
 		costs, err := s.pairCosts(tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks, sizes, err := s.chunkGreedy(z, tuples, costs)
+		chunks, sizes, err := core.NewSizer(codec, s.schema).Chunk(tuples, costs, s.capacity())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,9 @@
 //
 // The store is parameterized by a core.Codec: with CodecAVQ it is the
 // paper's compressed store, with CodecRaw it is the "No coding" baseline,
-// and with the ablation codecs it is the corresponding variant. Everything
-// else — packing, block splits, localized insert and delete — is identical
-// across codecs, so the evaluation compares representations, not different
+// and with CodecPacked it is the bit-packed extension. Everything else —
+// packing, block splits, localized insert and delete — is identical across
+// codecs, so the evaluation compares representations, not different
 // engines.
 //
 // Each page holds one coded block: a 4-byte big-endian stream length
@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -46,7 +47,6 @@ const lenPrefix = 4
 
 // Errors returned by the store.
 var (
-	ErrTupleTooLarge = errors.New("blockstore: a single tuple does not fit in a page")
 	// ErrCorruptBlock marks a block whose on-page bytes cannot be decoded:
 	// an impossible stream length, a checksum mismatch, or a malformed
 	// coded stream. It wraps the detailed cause; dispatch with errors.Is.
@@ -83,18 +83,17 @@ type Store struct {
 	snapRefs int
 	deferred []storage.PageID
 
-	// conc > 1 enables the parallel codec pipeline (see Configure).
-	conc int
+	// workers is the codec pipeline's worker count (see pipeline.go):
+	// runtime.GOMAXPROCS(0) when the store is created.
+	workers int
 
-	// met holds pre-resolved obs instruments (see Configure); the zero
-	// value means observability is off and every instrument no-ops.
+	// met holds pre-resolved obs instruments (see SetObs); the zero value
+	// means observability is off and every instrument no-ops.
 	met storeMetrics
 
-	// encBuf is the serial encode path's reusable stream buffer. Mutations
-	// are serialized by the table layer and the parallel pipeline encodes
-	// into its own per-chunk buffers, so encodeInto is the only writer.
-	// The encoded stream is copied onto the page before the next encode,
-	// so reusing the capacity across blocks is safe.
+	// encBuf is the mutation path's reusable stream buffer. Mutations are
+	// serialized by the table layer and the load pipeline encodes into its
+	// own per-chunk buffers, so writeFresh is the only writer.
 	encBuf []byte
 
 	// hook, when set, observes every manifest publication on the mutation
@@ -138,15 +137,16 @@ func (s *Store) LiveSnapshots() int {
 // New creates an empty store over the pool.
 func New(schema *relation.Schema, codec core.Codec, pool *buffer.Pool) (*Store, error) {
 	if !codec.Valid() {
-		return nil, fmt.Errorf("blockstore: invalid codec %d", uint8(codec))
+		return nil, fmt.Errorf("blockstore: %w: %d", core.ErrBadCodec, uint8(codec))
 	}
 	if schema.RowSize()+lenPrefix > pool.PageSize() {
-		return nil, ErrTupleTooLarge
+		return nil, core.ErrTupleTooLarge
 	}
 	s := &Store{
-		schema: schema,
-		codec:  codec,
-		pool:   pool,
+		schema:  schema,
+		codec:   codec,
+		pool:    pool,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	s.man.Store(&manifest{})
 	return s, nil
@@ -191,13 +191,13 @@ func (s *Store) capacity() int { return StreamCapacity(s.pool.PageSize()) }
 // Restore adopts an existing block layout whose pages are already
 // populated in the pool's pager, without rewriting anything. Opening a
 // persistent table uses it to rebuild the store from the catalog's block
-// list. It decodes every block once (on the worker pool when Concurrency >
-// 1), captures the fences itself, and offers each block's tuples to visit
-// in clustered order so the caller can rebuild its indexes from the same
-// decode. The layout is published only if the store is empty, the page ids
-// are distinct, and the decoded blocks are non-empty and in φ order — the
-// block list comes from a file, and a manifest the fence search cannot
-// trust is never published.
+// list. It decodes every block once on the scan pipeline, captures the
+// fences itself, and offers each block's tuples to visit in clustered order
+// so the caller can rebuild its indexes from the same decode. The layout
+// is published only if the store is empty, the page ids are distinct, and
+// the decoded blocks are non-empty and in φ order — the block list comes
+// from a file, and a manifest the fence search cannot trust is never
+// published.
 func (s *Store) Restore(ctx context.Context, blocks []storage.PageID, visit func(id storage.PageID, tuples []relation.Tuple)) error {
 	if s.NumBlocks() != 0 {
 		return errors.New("blockstore: restore into non-empty store")
@@ -238,13 +238,14 @@ func (s *Store) Restore(ctx context.Context, blocks []storage.PageID, visit func
 
 // BulkLoadContext fills the empty store with the given tuples, which must
 // already be sorted in phi order (use Schema.SortTuples). Blocks are packed
-// greedily to the page capacity, the paper's "minimize unused space" rule.
-// It returns a BlockRef per block, in clustered order. The new layout is
-// published once at the end, so concurrent snapshot readers see either the
-// empty store or the complete load. Cancellation is honored at block
-// boundaries, so a cancelled load stops before the next encode with no
-// frames pinned. Pages already written stay tracked by the published
-// partial manifest, so Reset can reclaim them.
+// greedily to the page capacity by core.Sizer.Chunk, the paper's "minimize
+// unused space" rule, and coded on the pipeline (pipeline.go). It returns a
+// BlockRef per block, in clustered order. The new layout is published once
+// at the end, so concurrent snapshot readers see either the empty store or
+// the complete load. Cancellation is honored at block boundaries, so a
+// cancelled load stops before the next page write with no frames pinned.
+// Pages already written stay tracked by the published partial manifest, so
+// Reset can reclaim them.
 func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([]BlockRef, error) {
 	if !s.schema.TuplesSorted(tuples) {
 		return nil, errors.New("blockstore: bulk load input not in phi order")
@@ -259,34 +260,17 @@ func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([
 		s.man.Store(m)
 		s.notifyCommit("bulkload", len(m.blocks))
 	}()
-	if s.parallel() {
-		if z, ok := core.NewSizer(s.codec, s.schema); ok {
-			return s.bulkLoadParallel(ctx, m, z, tuples)
-		}
-		// Non-additive codec (rep-only): fall through to the serial path.
-	}
-	var refs []BlockRef
-	remaining := tuples
-	for len(remaining) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		u, err := core.MaxFit(s.codec, s.schema, remaining, s.capacity())
-		if err != nil {
-			return nil, err
-		}
-		if u == 0 {
-			return nil, ErrTupleTooLarge
-		}
-		ref, err := s.appendBlock(m, remaining[:u])
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, ref)
-		remaining = remaining[u:]
+	refs, _, _, err := s.loadWindow(ctx, m, tuples, true)
+	if err != nil {
+		return nil, err
 	}
 	return refs, nil
 }
+
+// streamWindow is the stream loader's initial window in tuples: enough
+// headroom that the chunker usually sees past one full block. A window
+// holding no complete block is doubled. Tests shrink it to force that.
+var streamWindow = 4096
 
 // BulkLoadStreamContext is BulkLoadContext for sources too large to
 // materialize: it pulls phi-ordered tuples from next (which returns
@@ -304,18 +288,11 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 		s.man.Store(m)
 		s.notifyCommit("bulkload", len(m.blocks))
 	}()
-	var sizer *core.Sizer
-	if s.parallel() {
-		if z, ok := core.NewSizer(s.codec, s.schema); ok {
-			sizer = z
-		}
-	}
 	var refs []BlockRef
 	var window []relation.Tuple
 	var prev relation.Tuple
 	dry := false
-	// Enough headroom that MaxFit can always see past one full block.
-	highWater := 4096
+	highWater := streamWindow
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -338,98 +315,42 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 		if len(window) == 0 {
 			return refs, nil
 		}
-		if sizer != nil {
-			newRefs, tail, grown, err := s.loadWindowParallel(ctx, m, sizer, window, dry)
-			if err != nil {
-				return nil, err
-			}
-			if grown {
-				// The lone block could still grow; widen and refill.
-				highWater *= 2
-				continue
-			}
-			refs = append(refs, newRefs...)
-			window = append(window[:0], tail...)
-			continue
-		}
-		u, err := core.MaxFit(s.codec, s.schema, window, s.capacity())
+		newRefs, tail, grown, err := s.loadWindow(ctx, m, window, dry)
 		if err != nil {
 			return nil, err
 		}
-		if u == 0 {
-			return nil, ErrTupleTooLarge
-		}
-		if u == len(window) && !dry {
-			// The block could still grow; widen the window and refill.
+		if grown {
+			// The lone block could still grow; widen the window and refill.
 			highWater *= 2
 			continue
 		}
-		ref, err := s.appendBlock(m, window[:u])
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, ref)
-		window = append(window[:0], window[u:]...)
+		refs = append(refs, newRefs...)
+		window = append(window[:0], tail...)
 	}
 }
 
-// appendBlock writes a new block at the end of m's clustered order.
-func (s *Store) appendBlock(m *manifest, tuples []relation.Tuple) (BlockRef, error) {
-	frame, err := s.pool.Allocate()
-	if err != nil {
-		return BlockRef{}, err
-	}
-	defer s.pool.Unpin(frame)
-	if err := s.encodeInto(frame, tuples); err != nil {
-		return BlockRef{}, err
-	}
-	id := frame.ID()
-	f := fenceFor(tuples)
-	m.append(id, f)
-	return BlockRef{Page: id, First: f.First, Count: len(tuples)}, nil
-}
-
-// encodeInto codes tuples into the frame's page, reusing the store's
-// encode buffer across blocks (fillFrame copies the stream onto the page
-// before the buffer is touched again).
-func (s *Store) encodeInto(frame *buffer.Frame, tuples []relation.Tuple) error {
-	stream, err := s.timeEncode(tuples, s.encBuf[:0])
-	if err != nil {
-		return err
-	}
-	s.encBuf = stream
-	return s.fillFrame(frame, stream)
-}
-
-// fillFrame lays a pre-encoded block stream out on the frame's page.
-func (s *Store) fillFrame(frame *buffer.Frame, stream []byte) error {
-	if len(stream) > s.capacity() {
-		return fmt.Errorf("blockstore: coded stream %d bytes exceeds page capacity %d", len(stream), s.capacity())
-	}
-	data := frame.Data()
-	binary.BigEndian.PutUint32(data[:lenPrefix], uint32(len(stream)))
-	copy(data[lenPrefix:], stream)
-	// Zero the tail so stale bytes from a previous, longer block cannot
-	// survive on the page.
-	clear(data[lenPrefix+len(stream):])
-	frame.MarkDirty()
-	return nil
-}
-
-// writeStream copies a pre-encoded block stream onto a freshly allocated
-// page; the pipeline committer uses it so page allocation order is decided
-// serially even though encoding was not.
+// writeStream copies a coded block stream onto a freshly allocated page:
+// the length prefix, the stream, and a zeroed tail, so stale bytes from a
+// previous, longer block cannot survive on the page. On failure the page
+// is released again, so an unpin error never strands an allocated page
+// outside the block list. The load pipeline's committer calls it in chunk
+// order, so page allocation order is decided serially even though
+// encoding was not.
 func (s *Store) writeStream(stream []byte) (storage.PageID, error) {
+	if len(stream) > s.capacity() {
+		return 0, fmt.Errorf("blockstore: coded stream %d bytes exceeds page capacity %d", len(stream), s.capacity())
+	}
 	frame, err := s.pool.Allocate()
 	if err != nil {
 		return 0, err
 	}
-	err = s.fillFrame(frame, stream)
+	data := frame.Data()
+	binary.BigEndian.PutUint32(data[:lenPrefix], uint32(len(stream)))
+	copy(data[lenPrefix:], stream)
+	clear(data[lenPrefix+len(stream):])
+	frame.MarkDirty()
 	id := frame.ID()
-	if uerr := s.pool.Unpin(frame); err == nil {
-		err = uerr
-	}
-	if err != nil {
+	if err := s.pool.Unpin(frame); err != nil {
 		s.freePageBestEffort(id)
 		return 0, err
 	}
@@ -644,7 +565,8 @@ func (s *Store) replace(cur *manifest, at int, old, tuples []relation.Tuple) (Mu
 // packRuns cuts a φ-sorted run into the blocks it needs: itself when its
 // coded stream fits a page; otherwise an even split (half the tuples per
 // side, so both halves retain insertion slack) when both halves fit, and
-// greedy MaxFit runs when a half still overflows. No tuples, no blocks.
+// the greedy chunker's runs when a half still overflows. No tuples, no
+// blocks.
 func (s *Store) packRuns(tuples []relation.Tuple) ([][]relation.Tuple, error) {
 	if len(tuples) == 0 {
 		return nil, nil
@@ -669,39 +591,21 @@ func (s *Store) packRuns(tuples []relation.Tuple) ([][]relation.Tuple, error) {
 			return [][]relation.Tuple{tuples[:half], tuples[half:]}, nil
 		}
 	}
-	var runs [][]relation.Tuple
-	for remaining := tuples; len(remaining) > 0; {
-		u, err := core.MaxFit(s.codec, s.schema, remaining, s.capacity())
-		if err != nil {
-			return nil, err
-		}
-		if u == 0 {
-			return nil, ErrTupleTooLarge
-		}
-		runs = append(runs, remaining[:u])
-		remaining = remaining[u:]
-	}
-	return runs, nil
+	runs, _, err := core.Pack(s.codec, s.schema, tuples, s.capacity())
+	return runs, err
 }
 
-// writeFresh codes tuples onto a newly allocated page and returns it. On
-// failure the page is released again, so an encode or unpin error never
-// strands an allocated page outside the block list.
+// writeFresh codes tuples through the store's encode buffer onto a newly
+// allocated page and returns it. writeStream copies the stream onto the
+// page before the buffer is touched again, so reusing its capacity across
+// mutations is safe.
 func (s *Store) writeFresh(tuples []relation.Tuple) (storage.PageID, error) {
-	frame, err := s.pool.Allocate()
+	stream, err := s.timeEncode(tuples, s.encBuf[:0])
 	if err != nil {
 		return 0, err
 	}
-	err = s.encodeInto(frame, tuples)
-	id := frame.ID()
-	if uerr := s.pool.Unpin(frame); err == nil {
-		err = uerr
-	}
-	if err != nil {
-		s.freePageBestEffort(id)
-		return 0, err
-	}
-	return id, nil
+	s.encBuf = stream
+	return s.writeStream(stream)
 }
 
 // freePageBestEffort returns an orphaned page (allocated but never
@@ -734,38 +638,16 @@ func (s *Store) Reset() error {
 }
 
 // ScanBlocksContext visits every block in clustered order, decoding each.
-// fn returning false stops the scan. With Concurrency > 1 blocks are
-// prefetched and decoded on a worker pool, but fn still observes them
-// strictly in clustered order, one at a time. The scan holds a Snapshot
-// for its duration, so it streams a consistent view even while another
-// goroutine mutates the store. Cancellation is checked at every block
-// boundary, before the next decode, so an aborted scan returns with no
-// frames pinned.
+// fn returning false stops the scan. Blocks are prefetched and decoded on
+// the pipeline's workers, but fn observes them strictly in clustered
+// order, one at a time. The scan holds a Snapshot for its duration, so it
+// streams a consistent view even while another goroutine mutates the
+// store. Cancellation is checked at every block boundary, and in-flight
+// decodes are drained, so an aborted scan returns with no frames pinned.
 func (s *Store) ScanBlocksContext(ctx context.Context, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	sn := s.Snapshot()
 	defer sn.Release()
 	return s.scanManifest(ctx, sn.m, fn)
-}
-
-// scanManifest is ScanBlocksContext over a given manifest; Restore runs it
-// on the layout it is about to publish.
-func (s *Store) scanManifest(ctx context.Context, m *manifest, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
-	if s.parallel() && len(m.blocks) > 1 {
-		return s.scanBlocksParallel(ctx, m, fn)
-	}
-	for _, id := range m.blocks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tuples, err := s.decodeBlock(id, nil)
-		if err != nil {
-			return err
-		}
-		if !fn(id, tuples) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Stats summarizes the store's physical layout.
@@ -794,29 +676,6 @@ func (st Stats) StreamSavingsPercent() float64 {
 		return 0
 	}
 	return 100 * (1 - float64(st.StreamBytes)/float64(st.RawDataBytes))
-}
-
-// ComputeStats walks the store and returns its layout statistics. With
-// Concurrency > 1 blocks are inspected on a worker pool. Like ScanBlocks
-// it works over one pinned snapshot.
-func (s *Store) ComputeStats() (Stats, error) {
-	sn := s.Snapshot()
-	defer sn.Release()
-	m := sn.m
-	if s.parallel() && len(m.blocks) > 1 {
-		return s.computeStatsParallel(m)
-	}
-	st := Stats{Blocks: len(m.blocks), PageBytes: len(m.blocks) * s.pool.PageSize()}
-	for _, id := range m.blocks {
-		info, err := s.inspectBlock(id)
-		if err != nil {
-			return Stats{}, err
-		}
-		st.StreamBytes += info.StreamSize
-		st.Tuples += info.TupleCount
-	}
-	st.RawDataBytes = st.Tuples * s.schema.RowSize()
-	return st, nil
 }
 
 // inspectBlock validates one block's stream header without decoding it.

@@ -56,12 +56,8 @@ func randomTuples(t testing.TB, n int, seed int64) []relation.Tuple {
 	return tuples
 }
 
-func allCodecs() []core.Codec {
-	return []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked}
-}
-
 func TestBulkLoadRoundTrip(t *testing.T) {
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
 			tuples := randomTuples(t, 1000, 1)
@@ -144,7 +140,7 @@ func TestAVQUsesFewerBlocksThanRaw(t *testing.T) {
 }
 
 func TestInsertIntoBlock(t *testing.T) {
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
 			tuples := randomTuples(t, 200, 5)
@@ -414,8 +410,21 @@ func TestRandomizedMutations(t *testing.T) {
 func TestTupleTooLargeForPage(t *testing.T) {
 	pager, _ := storage.NewMemPager(8)
 	pool, _ := buffer.New(pager, nil, 4)
-	if _, err := New(testSchema(t), core.CodecAVQ, pool); err == nil {
-		t.Fatal("page smaller than a tuple accepted")
+	if _, err := New(testSchema(t), core.CodecAVQ, pool); !errors.Is(err, core.ErrTupleTooLarge) {
+		t.Fatalf("page smaller than a tuple: err = %v, want ErrTupleTooLarge", err)
+	}
+}
+
+// TestNewRejectsBadCodec is the store's boundary of the codec byte: codec
+// 2, 3 (the retired rep-only and delta-chain layouts) and 9 are refused
+// with core.ErrBadCodec.
+func TestNewRejectsBadCodec(t *testing.T) {
+	pager, _ := storage.NewMemPager(512)
+	pool, _ := buffer.New(pager, nil, 4)
+	for _, c := range []core.Codec{2, 3, 9} {
+		if _, err := New(testSchema(t), c, pool); !errors.Is(err, core.ErrBadCodec) {
+			t.Errorf("codec %d: err = %v, want core.ErrBadCodec", c, err)
+		}
 	}
 }
 
@@ -434,15 +443,15 @@ func TestRestore(t *testing.T) {
 	ctx := context.Background()
 	ignore := func(storage.PageID, []relation.Tuple) {}
 
-	// A second store over the same pool adopts the layout: serially and on
-	// the worker pool, each block is offered to the visitor exactly once, in
+	// A second store over the same pool adopts the layout: at one worker and
+	// at four, each block is offered to the visitor exactly once, in
 	// clustered order, and its fence is captured from that same decode.
 	for _, conc := range []int{1, 4} {
 		dst, err := New(testSchema(t), core.CodecAVQ, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst.Configure(Config{Concurrency: conc})
+		dst.workers = conc
 		var visited []storage.PageID
 		count := 0
 		if err := dst.Restore(ctx, layout, func(id storage.PageID, ts []relation.Tuple) {
@@ -505,7 +514,7 @@ func TestRestoreRejectsDisorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst.Configure(Config{Concurrency: conc})
+		dst.workers = conc
 		visits := 0
 		err = dst.Restore(context.Background(), layout, func(storage.PageID, []relation.Tuple) { visits++ })
 		if !errors.Is(err, ErrCorruptBlock) {
@@ -601,7 +610,7 @@ func TestBulkLoadStreamErrors(t *testing.T) {
 // TestCheckDetectsCorruption flips bytes on a loaded page and verifies the
 // deep checker refuses the store, for every codec.
 func TestCheckDetectsCorruption(t *testing.T) {
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			s := newStore(t, codec, 512)
 			if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 500, 7)); err != nil {

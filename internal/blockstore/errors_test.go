@@ -17,7 +17,7 @@ import (
 // just succeeded cannot mask the corruption that follows it.
 func TestErrCorruptBlock(t *testing.T) {
 	for _, warm := range []bool{false, true} {
-		s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
+		s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 1)
 		if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 2000, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestErrCorruptBlock(t *testing.T) {
 // TestErrCorruptBlockHeader covers the header-length corruption path,
 // which fails before the codec ever sees the stream.
 func TestErrCorruptBlockHeader(t *testing.T) {
-	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
+	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 1)
 	if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 500, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestErrSnapshotStale(t *testing.T) {
 }
 
 // TestBulkLoadContextCancelled checks that a cancelled context stops a
-// serial bulk load between blocks without corrupting the committed prefix.
+// bulk load between blocks without corrupting the committed prefix.
 func TestBulkLoadContextCancelled(t *testing.T) {
-	s, _, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
+	s, _, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.BulkLoadContext(ctx, pipelineTuples(t, 2000, 10)); !errors.Is(err, context.Canceled) {
@@ -152,7 +152,7 @@ func TestBulkLoadContextCancelled(t *testing.T) {
 // stops at a block boundary, holds no pins, and the store stays readable.
 func TestScanBlocksContextCancelled(t *testing.T) {
 	for _, conc := range []int{1, 4} {
-		s, _, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: conc})
+		s, _, pool := pipelineStore(t, core.CodecAVQ, 512, 64, conc)
 		if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 4000, 11)); err != nil {
 			t.Fatal(err)
 		}

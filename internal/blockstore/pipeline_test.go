@@ -3,21 +3,32 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/relation"
+	"repro/internal/relfile"
 	"repro/internal/storage"
 )
 
 // pipelineStore builds a store over a fresh mem pager with the given
-// concurrency configuration.
-func pipelineStore(t testing.TB, codec core.Codec, pageSize, frames int, cfg Config) (*Store, *storage.MemPager, *buffer.Pool) {
+// worker count.
+func pipelineStore(t testing.TB, codec core.Codec, pageSize, frames, workers int) (*Store, *storage.MemPager, *buffer.Pool) {
+	t.Helper()
+	return schemaStore(t, pipelineSchema(t), codec, pageSize, frames, workers)
+}
+
+// schemaStore is pipelineStore for any schema.
+func schemaStore(t testing.TB, schema *relation.Schema, codec core.Codec, pageSize, frames, workers int) (*Store, *storage.MemPager, *buffer.Pool) {
 	t.Helper()
 	pager, err := storage.NewMemPager(pageSize)
 	if err != nil {
@@ -27,11 +38,11 @@ func pipelineStore(t testing.TB, codec core.Codec, pageSize, frames int, cfg Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(pipelineSchema(t), codec, pool)
+	s, err := New(schema, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Configure(cfg)
+	s.workers = workers
 	return s, pager, pool
 }
 
@@ -80,81 +91,238 @@ func pageImages(t *testing.T, s *Store, pager *storage.MemPager, pool *buffer.Po
 	return out
 }
 
-// TestBulkLoadParallelByteIdentical is the differential test for the
-// pipeline: at every concurrency level, for every codec, a parallel bulk
-// load must produce the same block boundaries, the same page ids, and the
-// same page bytes as the serial reference path.
+// naivePack is the packing rule by definition: grow a run one tuple at a
+// time, encode it, and cut before the tuple whose stream would exceed
+// capacity.
+func naivePack(t *testing.T, c core.Codec, s *relation.Schema, tuples []relation.Tuple, capacity int) [][]relation.Tuple {
+	t.Helper()
+	var runs [][]relation.Tuple
+	start := 0
+	for end := 1; end <= len(tuples); end++ {
+		enc, err := core.EncodeBlock(c, s, tuples[start:end], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) <= capacity {
+			continue
+		}
+		if end-start == 1 {
+			t.Fatalf("%v: tuple %d alone needs %d bytes of %d", c, start, len(enc), capacity)
+		}
+		runs = append(runs, tuples[start:end-1])
+		start = end - 1
+		end = start // the next pass re-encodes the cut tuple alone
+	}
+	if start < len(tuples) {
+		runs = append(runs, tuples[start:])
+	}
+	return runs
+}
+
+// naivePages lays naivePack's runs out as a fresh store's pages: stream
+// length prefix, stream, zero padding.
+func naivePages(t *testing.T, c core.Codec, s *relation.Schema, tuples []relation.Tuple, pageSize int) [][]byte {
+	t.Helper()
+	var pages [][]byte
+	for _, run := range naivePack(t, c, s, tuples, StreamCapacity(pageSize)) {
+		page := make([]byte, lenPrefix, pageSize)
+		page, err := core.EncodeBlock(c, s, run, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(page, uint32(len(page)-lenPrefix))
+		pages = append(pages, page[:pageSize])
+	}
+	return pages
+}
+
+// checkNaivePages compares a freshly loaded store with naivePages: the
+// blocks sit on pages 0, 1, ... in clustered order, each holding exactly
+// the reference image.
+func checkNaivePages(t *testing.T, what string, s *Store, pager *storage.MemPager, pool *buffer.Pool, want [][]byte) {
+	t.Helper()
+	got := pageImages(t, s, pager, pool)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d blocks, the reference packs %d", what, len(got), len(want))
+	}
+	for i, id := range s.Blocks() {
+		if id != storage.PageID(i) || !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: block %d on page %d differs from the reference page image", what, i, id)
+		}
+	}
+	if err := s.Check(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// sliceStream feeds tuples to BulkLoadStreamContext.
+func sliceStream(tuples []relation.Tuple) func() (relation.Tuple, bool, error) {
+	i := 0
+	return func() (relation.Tuple, bool, error) {
+		if i >= len(tuples) {
+			return nil, false, nil
+		}
+		i++
+		return tuples[i-1], true, nil
+	}
+}
+
+// smallStreamWindow shrinks the stream loader's window for one test, so
+// that nearly every block forces a widening.
+func smallStreamWindow(t *testing.T) {
+	w := streamWindow
+	streamWindow = 16
+	t.Cleanup(func() { streamWindow = w })
+}
+
+// TestBulkLoadParallelByteIdentical is the differential test for the load
+// pipeline: at every worker count, for every codec, a bulk load writes
+// exactly the naive reference's runs, on the same pages, with the same
+// page bytes.
 func TestBulkLoadParallelByteIdentical(t *testing.T) {
 	const pageSize = 512
 	tuples := pipelineTuples(t, 5000, 42)
-	for _, codec := range []core.Codec{core.CodecAVQ, core.CodecDeltaChain, core.CodecPacked, core.CodecRaw, core.CodecRepOnly} {
-		ref, refPager, refPool := pipelineStore(t, codec, pageSize, 64, Config{})
-		refRefs, err := ref.BulkLoadContext(context.Background(), tuples)
-		if err != nil {
-			t.Fatalf("%v serial: %v", codec, err)
-		}
-		want := pageImages(t, ref, refPager, refPool)
-		for conc := 1; conc <= 8; conc++ {
-			s, pager, pool := pipelineStore(t, codec, pageSize, 64, Config{Concurrency: conc})
+	for _, codec := range core.Codecs() {
+		want := naivePages(t, codec, pipelineSchema(t), tuples, pageSize)
+		for w := 1; w <= 8; w++ {
+			s, pager, pool := pipelineStore(t, codec, pageSize, 64, w)
 			refs, err := s.BulkLoadContext(context.Background(), tuples)
 			if err != nil {
-				t.Fatalf("%v conc=%d: %v", codec, conc, err)
+				t.Fatalf("%v workers=%d: %v", codec, w, err)
 			}
-			if len(refs) != len(refRefs) {
-				t.Fatalf("%v conc=%d: %d blocks, serial made %d", codec, conc, len(refs), len(refRefs))
-			}
-			for i := range refs {
-				if refs[i].Page != refRefs[i].Page || refs[i].Count != refRefs[i].Count {
-					t.Fatalf("%v conc=%d block %d: ref %+v != serial %+v", codec, conc, i, refs[i], refRefs[i])
+			for i, ref := range refs {
+				if ref.Page != storage.PageID(i) {
+					t.Fatalf("%v workers=%d: ref %d names page %d", codec, w, i, ref.Page)
 				}
 			}
-			got := pageImages(t, s, pager, pool)
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%v conc=%d: page image %d differs from serial", codec, conc, i)
-				}
-			}
-			if err := s.Check(); err != nil {
-				t.Fatalf("%v conc=%d: %v", codec, conc, err)
-			}
+			checkNaivePages(t, fmt.Sprintf("%v workers=%d", codec, w), s, pager, pool, want)
 		}
 	}
 }
 
 // TestBulkLoadStreamParallelByteIdentical runs the same differential check
 // through the streaming loader, with a window small enough to force many
-// refill-and-chunk rounds.
+// widen-and-refill rounds.
 func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 	const pageSize = 512
+	smallStreamWindow(t)
 	tuples := pipelineTuples(t, 4000, 7)
-	streamOf := func() func() (relation.Tuple, bool, error) {
-		i := 0
-		return func() (relation.Tuple, bool, error) {
-			if i >= len(tuples) {
-				return nil, false, nil
+	for _, codec := range core.Codecs() {
+		want := naivePages(t, codec, pipelineSchema(t), tuples, pageSize)
+		for w := 1; w <= 8; w *= 2 {
+			s, pager, pool := pipelineStore(t, codec, pageSize, 64, w)
+			if _, err := s.BulkLoadStreamContext(context.Background(), sliceStream(tuples)); err != nil {
+				t.Fatalf("%v workers=%d: %v", codec, w, err)
 			}
-			tu := tuples[i]
-			i++
-			return tu, true, nil
+			checkNaivePages(t, fmt.Sprintf("%v stream workers=%d", codec, w), s, pager, pool, want)
 		}
 	}
-	ref, refPager, refPool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{})
-	if _, err := ref.BulkLoadStreamContext(context.Background(), streamOf()); err != nil {
-		t.Fatal(err)
+}
+
+// packInput is one φ-sorted relation the packing rule is held to.
+type packInput struct {
+	name   string
+	schema *relation.Schema
+	tuples []relation.Tuple
+}
+
+// packInputs are ledger-shaped flat8 and wide38 look-alikes, a Figure 5.7
+// relation and a duplicate-run relation (each tuple of a small relation
+// repeated 1 to 40 times), every one φ-sorted.
+func packInputs(t *testing.T) []packInput {
+	t.Helper()
+	build := func(name string, spec gen.Spec) packInput {
+		s, tuples, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SortTuples(tuples)
+		return packInput{name, s, tuples}
 	}
-	want := pageImages(t, ref, refPager, refPool)
-	for conc := 2; conc <= 8; conc *= 2 {
-		s, pager, pool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{Concurrency: conc})
-		if _, err := s.BulkLoadStreamContext(context.Background(), streamOf()); err != nil {
-			t.Fatalf("conc=%d: %v", conc, err)
+	var in []packInput
+	for _, name := range []string{"flat8", "wide38"} {
+		spec, err := gen.BenchShapeSpec(name, 1500, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := pageImages(t, s, pager, pool)
-		if len(got) != len(want) {
-			t.Fatalf("conc=%d: %d pages, serial made %d", conc, len(got), len(want))
+		in = append(in, build(name, spec))
+	}
+	in = append(in, build("fig5.7", gen.Fig57Spec(1500, true, gen.VarianceLarge, 3)))
+	dup := build("duplicate-runs", gen.Fig57Spec(100, false, gen.VarianceSmall, 4))
+	var runs []relation.Tuple
+	for i, tu := range dup.tuples {
+		for k := 0; k <= i%40; k++ {
+			runs = append(runs, tu)
 		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("conc=%d: page image %d differs from serial", conc, i)
+	}
+	dup.tuples = runs
+	return append(in, dup)
+}
+
+// TestOnePackingRule holds every packer to naivePack: bulk load at one and
+// four workers, the stream loader with a window small enough to force
+// widening, packRuns' greedy fallback and the relfile writer's fences all
+// cut the reference's runs, for every codec on every packInputs relation,
+// at 512-byte pages and at a capacity one tuple exactly fills.
+func TestOnePackingRule(t *testing.T) {
+	smallStreamWindow(t)
+	ctx := context.Background()
+	lengths := func(runs [][]relation.Tuple) []int {
+		out := make([]int, len(runs))
+		for i, run := range runs {
+			out[i] = len(run)
+		}
+		return out
+	}
+	counts := func(refs []BlockRef, err error) []int {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int, len(refs))
+		for i, ref := range refs {
+			out[i] = ref.Count
+		}
+		return out
+	}
+	for _, in := range packInputs(t) {
+		for _, c := range core.Codecs() {
+			exact := core.NewSizer(c, in.schema).BlockSize(1, 0)
+			for _, tc := range []struct {
+				name     string
+				capacity int
+				tuples   []relation.Tuple
+			}{
+				{in.name, StreamCapacity(512), in.tuples},
+				{in.name + "/exact-fill", exact, in.tuples[:60]},
+			} {
+				want := lengths(naivePack(t, c, in.schema, tc.tuples, tc.capacity))
+				got := map[string][]int{}
+				for _, w := range []int{1, 4} {
+					s, _, _ := schemaStore(t, in.schema, c, tc.capacity+lenPrefix, 64, w)
+					got[fmt.Sprintf("bulk load, %d workers", w)] = counts(s.BulkLoadContext(ctx, tc.tuples))
+				}
+				s, _, _ := schemaStore(t, in.schema, c, tc.capacity+lenPrefix, 64, 4)
+				got["stream load"] = counts(s.BulkLoadStreamContext(ctx, sliceStream(tc.tuples)))
+				runs, err := s.packRuns(tc.tuples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got["packRuns"] = lengths(runs)
+				info, err := relfile.WriteCompressed(io.Discard, in.schema, tc.tuples, c, tc.capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range info.Fences {
+					got["relfile"] = append(got["relfile"], f.Count)
+				}
+				if len(want) < 3 {
+					t.Fatalf("%s %v: %d runs; packRuns only falls back to the chunker past two", tc.name, c, len(want))
+				}
+				for packer, g := range got {
+					if !slices.Equal(g, want) {
+						t.Errorf("%s %v, %s: runs %v, reference %v", tc.name, c, packer, g, want)
+					}
+				}
 			}
 		}
 	}
@@ -163,7 +331,7 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 // TestScanBlocksParallelOrderAndEarlyStop verifies the parallel scan
 // delivers blocks in clustered order and honors an early stop.
 func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
+	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, 4)
 	tuples := pipelineTuples(t, 3000, 11)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -208,7 +376,7 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 // TestScanBlocksParallelSmallPool verifies the scan fan-out is clamped so
 // decode workers cannot pin every frame of a tiny pool.
 func TestScanBlocksParallelSmallPool(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 3, Config{Concurrency: 16})
+	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 3, 16)
 	tuples := pipelineTuples(t, 2000, 3)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -225,27 +393,33 @@ func TestScanBlocksParallelSmallPool(t *testing.T) {
 	}
 }
 
-// TestComputeStatsParallelMatchesSerial checks the two stats paths agree.
+// TestComputeStatsParallelMatchesSerial checks the pipelined stats against
+// a front-to-back pass over the block pages with core.Inspect.
 func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 	tuples := pipelineTuples(t, 3000, 5)
-	serial, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
-	if _, err := serial.BulkLoadContext(context.Background(), tuples); err != nil {
+	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 6)
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.ComputeStats()
-	if err != nil {
-		t.Fatal(err)
+	want := Stats{
+		Blocks:       s.NumBlocks(),
+		Tuples:       len(tuples),
+		PageBytes:    s.NumBlocks() * 512,
+		RawDataBytes: len(tuples) * s.Schema().RowSize(),
 	}
-	par, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 6})
-	if _, err := par.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
+	for _, page := range pageImages(t, s, pager, pool) {
+		info, err := core.Inspect(page[lenPrefix : lenPrefix+binary.BigEndian.Uint32(page)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.StreamBytes += info.StreamSize
 	}
-	got, err := par.ComputeStats()
+	got, err := s.ComputeStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("parallel stats %+v != serial %+v", got, want)
+		t.Fatalf("pipelined stats %+v != page walk %+v", got, want)
 	}
 }
 
@@ -254,7 +428,7 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 // their pages), under the same reader/writer locking the table layer
 // provides.
 func TestConcurrentScanVsRewriteRace(t *testing.T) {
-	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
+	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, 4)
 	tuples := pipelineTuples(t, 2000, 13)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -427,7 +601,7 @@ func rewriteInPlace(s *Store, at int) error {
 }
 
 // countAllocs predicts how many pages packRuns will write for run, by
-// replaying its layout rule (even halving, else greedy MaxFit).
+// replaying its layout rule (even halving, else the greedy chunker).
 func countAllocs(t *testing.T, s *Store, run []relation.Tuple) int {
 	t.Helper()
 	size, err := core.EncodedSize(s.Codec(), s.Schema(), run)
@@ -449,20 +623,11 @@ func countAllocs(t *testing.T, s *Store, run []relation.Tuple) int {
 	if left <= s.capacity() && right <= s.capacity() {
 		return 2
 	}
-	n := 0
-	remaining := run
-	for len(remaining) > 0 {
-		u, err := core.MaxFit(s.Codec(), s.Schema(), remaining, s.capacity())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u == 0 {
-			t.Fatal("tuple does not fit a page")
-		}
-		n++
-		remaining = remaining[u:]
+	runs, _, err := core.Pack(s.Codec(), s.Schema(), run, s.capacity())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	return len(runs)
 }
 
 // livePages counts pager pages that are not on the free list, by probing
@@ -484,20 +649,20 @@ func livePages(t *testing.T, mem *storage.MemPager, s *Store) int {
 // TestEmptyStoreStats covers the empty-relation paths: stats are all zero,
 // the ratio helpers are NaN-free, and scans visit nothing.
 func TestEmptyStoreStats(t *testing.T) {
-	for _, conc := range []int{0, 4} {
-		s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 8, Config{Concurrency: conc})
+	for _, workers := range []int{1, 4} {
+		s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 8, workers)
 		st, err := s.ComputeStats()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != (Stats{}) {
-			t.Fatalf("conc=%d: empty store stats = %+v, want zero", conc, st)
+			t.Fatalf("workers=%d: empty store stats = %+v, want zero", workers, st)
 		}
 		if r := st.CompressionRatio(); r != 0 {
-			t.Fatalf("conc=%d: empty CompressionRatio = %v, want 0", conc, r)
+			t.Fatalf("workers=%d: empty CompressionRatio = %v, want 0", workers, r)
 		}
 		if p := st.StreamSavingsPercent(); p != 0 {
-			t.Fatalf("conc=%d: empty StreamSavingsPercent = %v, want 0", conc, p)
+			t.Fatalf("workers=%d: empty StreamSavingsPercent = %v, want 0", workers, p)
 		}
 		visited := 0
 		if err := s.ScanBlocksContext(context.Background(), func(storage.PageID, []relation.Tuple) bool {
@@ -507,15 +672,16 @@ func TestEmptyStoreStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		if visited != 0 {
-			t.Fatalf("conc=%d: scan of empty store visited %d blocks", conc, visited)
+			t.Fatalf("workers=%d: scan of empty store visited %d blocks", workers, visited)
 		}
 	}
 }
 
 // TestParallelErrorReporting checks a decode failure mid-store surfaces
-// from the parallel scan (and stops it) just as it would serially.
+// from the pipelined scan (and stops it) as the first failure in clustered
+// order.
 func TestParallelErrorReporting(t *testing.T) {
-	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
+	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 4)
 	tuples := pipelineTuples(t, 2000, 31)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -563,8 +729,8 @@ func BenchmarkBulkLoad(b *testing.B) {
 		tuples[i] = tu
 	}
 	schema.SortTuples(tuples)
-	for _, conc := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pager, _ := storage.NewMemPager(8192)
@@ -573,7 +739,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.Configure(Config{Concurrency: conc})
+				s.workers = workers
 				if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 					b.Fatal(err)
 				}

@@ -112,7 +112,7 @@ func TestDecodeBlockArenaMatchesAllocating(t *testing.T) {
 			s = flatRandomSchema(rng) // the φ shapes need a flat schema
 		}
 		block := randomSortedBlock(s, rng, 1+rng.Intn(60))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
@@ -147,7 +147,7 @@ func TestDecodeBlockArenaZeroAllocs(t *testing.T) {
 	s := employeeSchema(t)
 	rng := rand.New(rand.NewSource(11))
 	block := randomSortedBlock(s, rng, 64)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -174,7 +174,7 @@ func TestDecodeTupleSpanArenaZeroAllocs(t *testing.T) {
 	s := employeeSchema(t)
 	rng := rand.New(rand.NewSource(12))
 	block := randomSortedBlock(s, rng, 64)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -199,7 +199,7 @@ func BenchmarkDecodeBlockArena(b *testing.B) {
 	s := employeeSchema(b)
 	rng := rand.New(rand.NewSource(13))
 	block := randomSortedBlock(s, rng, 256)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			b.Fatalf("%v: encode: %v", c, err)

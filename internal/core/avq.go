@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ordinal"
@@ -9,33 +10,37 @@ import (
 
 // encodeAVQ writes the full AVQ payload: the index and bytes of the median
 // representative tuple followed by chained differences (Sections 3.4 and
-// Examples 3.2/3.3).
+// Examples 3.2/3.3), each byte-RLE coded by appendDiff.
+func encodeAVQ(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]byte, error) {
+	scratch := make([]byte, 0, s.RowSize())
+	return encodeChain(s, tuples, dst, func(dst []byte, diff relation.Tuple) []byte {
+		return appendDiff(s, dst, diff, scratch)
+	})
+}
+
+// encodeChain writes the payload the two difference codecs share: the
+// median representative's index and tuple, then the u-1 chained
+// differences through emit.
 //
 // For i < mid the stored difference is t[i+1] - t[i] (with t[mid] the
 // representative); for i > mid it is t[i] - t[i-1]. Either way every stored
 // value is the difference of phi-adjacent tuples in the block, which is
-// what makes the leading-zero runs long.
-func encodeAVQ(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]byte, error) {
+// what makes the leading-zero runs long — and the stream order is simply
+// t[k] - t[k-1] for k = 1..u-1.
+func encodeChain(s *relation.Schema, tuples []relation.Tuple, dst []byte, emit func([]byte, relation.Tuple) []byte) ([]byte, error) {
 	u := len(tuples)
 	if u == 0 {
 		return dst, nil
 	}
 	mid := u / 2
-	dst = appendUvarint(dst, uint64(mid))
+	dst = binary.AppendUvarint(dst, uint64(mid))
 	dst = s.EncodeTuple(dst, tuples[mid])
 	diff := make(relation.Tuple, s.NumAttrs())
-	scratch := make([]byte, 0, s.RowSize())
-	for i := 0; i < mid; i++ {
-		if _, err := ordinal.Sub(s, diff, tuples[i+1], tuples[i]); err != nil {
-			return nil, fmt.Errorf("core: avq encode tuple %d: block not phi-sorted: %w", i, err)
+	for k := 1; k < u; k++ {
+		if _, err := ordinal.Sub(s, diff, tuples[k], tuples[k-1]); err != nil {
+			return nil, fmt.Errorf("core: encode tuple %d: block not phi-sorted: %w", k, err)
 		}
-		dst = appendDiff(s, dst, diff, scratch)
-	}
-	for i := mid + 1; i < u; i++ {
-		if _, err := ordinal.Sub(s, diff, tuples[i], tuples[i-1]); err != nil {
-			return nil, fmt.Errorf("core: avq encode tuple %d: block not phi-sorted: %w", i, err)
-		}
-		dst = appendDiff(s, dst, diff, scratch)
+		dst = emit(dst, diff)
 	}
 	return dst, nil
 }

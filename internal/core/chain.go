@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ordinal"
@@ -12,23 +13,20 @@ import (
 // run-length-coded differences (Sections 3.2-3.4) — so one parse describes
 // them all and the two walks below serve every decode shape:
 //
-//	CodecAVQ, CodecPacked  anchor = median index from the stream, chained
-//	CodecDeltaChain        anchor = 0, no index varint, chained
-//	CodecRepOnly           anchor = median index, direct
+//	CodecAVQ, CodecPacked  anchor = representative index from the stream
 //	CodecRaw               no chain: count fixed-width rows (rows != nil)
 //
-// Chained differences are adjacent-pair deltas: position i < anchor stores
+// The differences are adjacent-pair deltas: position i < anchor stores
 // t[i+1]-t[i] and position i > anchor stores t[i]-t[i-1], so a tuple is
-// reached by walking from the anchor toward it. Direct differences each
-// store the distance from the anchor itself.
+// reached by walking from the anchor toward it. The encoder writes the
+// median, but any anchor below count is a valid stream.
 type layout struct {
 	s      *relation.Schema
 	count  int
 	rows   []byte // CodecRaw payload; nil for the difference codecs
 	anchor int
 	rep    relation.Tuple // the anchor tuple, carved from the arena
-	direct bool
-	diffs  diffReader // positioned on the first stored difference
+	diffs  diffReader     // positioned on the first stored difference
 }
 
 // openBlock verifies a block stream's framing and checksum — once per
@@ -57,30 +55,27 @@ func openBlock(s *relation.Schema, buf []byte, a *Arena) (layout, *Arena, error)
 		l.rows = body
 		return l, a, nil
 	}
-	pos := 0
-	if c != CodecDeltaChain {
-		if l.anchor, pos, err = readAnchorIndex(body, count); err != nil {
-			return l, nil, err
-		}
+	anchor, pos, err := readAnchorIndex(body, count)
+	if err != nil {
+		return l, nil, err
 	}
 	if pos+m > len(body) {
 		return l, nil, ErrTruncated
 	}
-	l.rep = a.Tuple(s.NumAttrs())
+	l.anchor, l.rep = anchor, a.Tuple(s.NumAttrs())
 	if err := decodeRow(s, l.rep, body[pos:pos+m]); err != nil {
 		return l, nil, err
 	}
-	l.direct = c == CodecRepOnly
 	l.diffs = newDiffReader(s, c == CodecPacked, body, pos+m, count-1)
 	return l, a, nil
 }
 
 // readAnchorIndex parses the representative-index varint that opens the
-// AVQ, rep-only and packed payloads.
+// AVQ and packed payloads.
 func readAnchorIndex(body []byte, count int) (anchor, pos int, err error) {
-	mid, pos, err := readUvarint(body, 0)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: representative index: %v", ErrCorrupt, err)
+	mid, pos := binary.Uvarint(body)
+	if pos <= 0 {
+		return 0, 0, fmt.Errorf("%w: representative index: %v", ErrCorrupt, ErrTruncated)
 	}
 	if mid >= uint64(count) {
 		return 0, 0, fmt.Errorf("%w: representative index %d >= tuple count %d", ErrCorrupt, mid, count)
@@ -120,8 +115,7 @@ func (l *layout) span(from, to int, a *Arena) ([]relation.Tuple, error) {
 // differences are stored front-to-back but apply back-to-front, so each is
 // parked in its own output slot and consumed in place (ordinal.SubFrom
 // tolerates dst aliasing an operand, and starts from the parked
-// difference's first non-zero digit). A direct layout applies every
-// difference against the anchor instead of its neighbour.
+// difference's first non-zero digit).
 func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error {
 	s := l.s
 	if l.rows != nil {
@@ -139,7 +133,7 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 		return fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
 	}
 
-	// Before the anchor: t[i] = t[i+1] - d[i], or rep - d[i] when direct.
+	// Before the anchor: t[i] = t[i+1] - d[i].
 	if err := r.skip(min(from, mid)); err != nil {
 		return err
 	}
@@ -150,7 +144,7 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 		}
 	}
 	base := l.rep
-	if !l.direct && to < mid {
+	if to < mid {
 		copy(acc, l.rep)
 		for i := to; i < mid; i++ {
 			k, err := r.next(d)
@@ -167,28 +161,19 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 		if err := ordinal.SubFrom(s, out[i-from], base, out[i-from], leadingZeroDigits(out[i-from])); err != nil {
 			return fail(i, err)
 		}
-		if !l.direct {
-			base = out[i-from]
-		}
+		base = out[i-from]
 	}
 	if to <= mid {
 		return r.end()
 	}
 
-	// The anchor and after it: t[i] = t[i-1] + d[i], or rep + d[i] when
-	// direct. A chained walk replays positions mid+1..from-1 in acc; a
-	// direct one skips them.
-	i := mid + 1
+	// The anchor and after it: t[i] = t[i-1] + d[i]. Positions
+	// mid+1..from-1 are replayed in acc.
 	if from <= mid {
 		copy(out[mid-from], l.rep)
-	} else if l.direct {
-		if err := r.skip(from - i); err != nil {
-			return err
-		}
-		i = from
 	}
 	prev := l.rep
-	for ; i < to; i++ {
+	for i := mid + 1; i < to; i++ {
 		k, err := r.next(d)
 		if err != nil {
 			return err
@@ -200,9 +185,7 @@ func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error 
 		if err := ordinal.AddFrom(s, dst, prev, d, k); err != nil {
 			return fail(i, err)
 		}
-		if !l.direct {
-			prev = dst
-		}
+		prev = dst
 	}
 	return r.end()
 }
@@ -219,13 +202,11 @@ var errLeavesSpace = fmt.Errorf("%w: difference chain leaves the schema space", 
 //
 // Blocks are φ-clustered by construction and every consumer of the
 // sequence binary-searches it, so a decreasing sequence — possible only in
-// a raw or direct layout — is corruption, not data.
+// a raw layout, since a chain of nonnegative differences cannot decrease —
+// is corruption, not data.
 func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) error {
 	s := l.s
 	d := a.Tuple(s.NumAttrs())
-	unsorted := func(i int) error {
-		return fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
-	}
 	if l.rows != nil {
 		for i := range out {
 			if err := l.rawRow(i, d); err != nil {
@@ -233,7 +214,7 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 			}
 			out[i] = ordinal.PhiU64(s, d)
 			if i > 0 && out[i] < out[i-1] {
-				return unsorted(i)
+				return fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
 			}
 		}
 		return nil
@@ -242,32 +223,22 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 	repPhi := ordinal.PhiU64(s, l.rep)
 
 	// Before the anchor. The differences are parsed into out[0..mid) in
-	// one pass. A direct difference then resolves at once; chained ones
-	// stay there as the delta buffer until their sum anchors φ(t[0]) =
-	// φ(rep) - Σd, then are rewritten in place to absolute values.
+	// one pass and stay there as the delta buffer until their sum anchors
+	// φ(t[0]) = φ(rep) - Σd, then are rewritten in place to absolute
+	// values.
 	if err := r.phis(out[:mid], d); err != nil {
 		return err
 	}
 	var total uint64
-	for i := 0; i < mid; i++ {
-		dphi := out[i]
+	for _, dphi := range out[:mid] {
 		if total+dphi < total || total+dphi > repPhi {
 			return errLeavesSpace
 		}
-		if l.direct {
-			out[i] = repPhi - dphi
-			if i > 0 && out[i] < out[i-1] {
-				return unsorted(i)
-			}
-			continue
-		}
 		total += dphi
 	}
-	if !l.direct {
-		cur := repPhi - total
-		for i := 0; i < mid; i++ {
-			cur, out[i] = cur+out[i], cur
-		}
+	cur := repPhi - total
+	for i := 0; i < mid; i++ {
+		cur, out[i] = cur+out[i], cur
 	}
 	out[mid] = repPhi
 	if b != nil {
@@ -296,13 +267,7 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 			if phi < prev || phi >= space {
 				return errLeavesSpace
 			}
-			if phi < out[i-1] {
-				return unsorted(i)
-			}
-			out[i] = phi
-			if !l.direct {
-				prev = phi
-			}
+			out[i], prev = phi, phi
 			if b != nil && b.visit(i, phi) {
 				return nil
 			}

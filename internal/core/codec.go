@@ -1,6 +1,6 @@
 // Package core implements Augmented Vector Quantization (AVQ) block coding,
 // the paper's primary contribution (Sections 2.2 and 3), together with the
-// ablation and baseline codecs used by the evaluation.
+// uncoded baseline and one bit-packed extension.
 //
 // A block holds a phi-ordered run of tuples. AVQ coding (Sections 3.2-3.4):
 //
@@ -20,16 +20,10 @@
 // search is ever needed because the representative is stored in the block
 // itself — the property the paper highlights over conventional VQ.
 //
-// The package also implements:
-//
-//   - CodecRaw: fixed-width uncoded tuples — the paper's "No coding"
-//     baseline.
-//   - CodecRepOnly: AVQ without difference chaining (each tuple stores its
-//     distance from the representative directly, as in Table (b) of
-//     Figure 3.3) — an ablation isolating the value of Example 3.3.
-//   - CodecDeltaChain: a pure delta chain anchored at the first tuple
-//     instead of the median — an ablation isolating the value of the
-//     median representative.
+// The codec set is Codecs(): CodecRaw, fixed-width uncoded tuples (the
+// paper's "No coding" baseline); CodecAVQ; and CodecPacked, AVQ with
+// bit-packed differences (packed.go). Blocks are packed to their page by
+// one greedy rule, Sizer.Chunk.
 //
 // Every block stream is self-describing (codec kind, tuple count,
 // representative position) and carries a CRC-32 so corruption is detected
@@ -45,27 +39,35 @@ import (
 	"repro/internal/relation"
 )
 
-// Codec identifies a block coding scheme.
+// Codec identifies a block coding scheme. Its value is the codec byte of
+// every block stream, relfile header and table catalog, so values are
+// never renumbered: bytes 2 and 3 are left invalid, and a stream or file
+// that names them is refused with ErrBadCodec rather than misread.
 type Codec uint8
 
 const (
 	// CodecRaw stores tuples fixed-width with no compression.
-	CodecRaw Codec = iota
+	CodecRaw Codec = 0
 	// CodecAVQ is full AVQ: median representative, chained differences,
 	// leading-zero run-length coding.
-	CodecAVQ
-	// CodecRepOnly stores each tuple's direct difference from the median
-	// representative without chaining.
-	CodecRepOnly
-	// CodecDeltaChain stores the first tuple raw and each subsequent tuple
-	// as the difference from its predecessor.
-	CodecDeltaChain
+	CodecAVQ Codec = 1
 	// CodecPacked is AVQ with bit-packed differences: digits occupy
 	// ceil(log2 |A_i|) bits instead of whole bytes (see packed.go).
-	CodecPacked
-
-	numCodecs
+	CodecPacked Codec = 4
 )
+
+// Codecs returns the valid codecs in byte order.
+func Codecs() []Codec { return []Codec{CodecRaw, CodecAVQ, CodecPacked} }
+
+// ParseCodec returns the codec whose String is name.
+func ParseCodec(name string) (Codec, error) {
+	for _, c := range Codecs() {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q", ErrBadCodec, name)
+}
 
 // String returns the codec's name.
 func (c Codec) String() string {
@@ -74,10 +76,6 @@ func (c Codec) String() string {
 		return "raw"
 	case CodecAVQ:
 		return "avq"
-	case CodecRepOnly:
-		return "rep-only"
-	case CodecDeltaChain:
-		return "delta-chain"
 	case CodecPacked:
 		return "packed"
 	default:
@@ -85,8 +83,8 @@ func (c Codec) String() string {
 	}
 }
 
-// Valid reports whether c names an implemented codec.
-func (c Codec) Valid() bool { return c < numCodecs }
+// Valid reports whether c is one of Codecs().
+func (c Codec) Valid() bool { return c == CodecRaw || c == CodecAVQ || c == CodecPacked }
 
 const (
 	// blockMagic is the first byte of every encoded block.
@@ -99,17 +97,16 @@ const (
 //
 //	magic (1) | codec (1) | count uvarint | payload... | crc32 (4)
 //
-// payload for CodecRaw:        count * RowSize tuple bytes
-// payload for CodecAVQ:        repIndex uvarint | rep tuple | count-1 diffs
-// payload for CodecRepOnly:    repIndex uvarint | rep tuple | count-1 diffs
-// payload for CodecDeltaChain: first tuple | count-1 diffs
+// payload for CodecRaw:    count * RowSize tuple bytes
+// payload for CodecAVQ:    repIndex uvarint | rep tuple | count-1 diffs
+// payload for CodecPacked: repIndex uvarint | rep tuple | diff bit stream
 //
-// Each diff is: leading-zero count byte r | (RowSize - r) tail bytes.
+// Each AVQ diff is: leading-zero count byte r | (RowSize - r) tail bytes.
 
 // Error values reported by the decode entry points.
 var (
 	ErrBadMagic  = errors.New("core: block does not begin with AVQ magic byte")
-	ErrBadCodec  = errors.New("core: unknown codec in block header")
+	ErrBadCodec  = errors.New("core: unknown codec")
 	ErrTruncated = errors.New("core: block stream truncated")
 	ErrChecksum  = errors.New("core: block checksum mismatch")
 	ErrCorrupt   = errors.New("core: block stream corrupt")
@@ -133,13 +130,11 @@ func EncodeBlock(c Codec, s *relation.Schema, tuples []relation.Tuple, dst []byt
 	var err error
 	switch c {
 	case CodecRaw:
-		dst, err = encodeRaw(s, tuples, dst)
+		for _, t := range tuples {
+			dst = s.EncodeTuple(dst, t)
+		}
 	case CodecAVQ:
 		dst, err = encodeAVQ(s, tuples, dst)
-	case CodecRepOnly:
-		dst, err = encodeRepOnly(s, tuples, dst)
-	case CodecDeltaChain:
-		dst, err = encodeDeltaChain(s, tuples, dst)
 	case CodecPacked:
 		dst, err = encodePacked(s, tuples, dst)
 	}
@@ -171,9 +166,8 @@ type BlockInfo struct {
 	StreamSize int // total bytes including header and checksum
 
 	// RepIndex is the position (in phi order) of the block's anchor tuple:
-	// the median representative for CodecAVQ, CodecRepOnly, and
-	// CodecPacked, and position 0 for CodecRaw and CodecDeltaChain, whose
-	// decode chains are anchored at the first tuple.
+	// the median representative for CodecAVQ and CodecPacked, and 0 for
+	// CodecRaw, which has no chain.
 	RepIndex int
 }
 
@@ -186,7 +180,7 @@ func Inspect(buf []byte) (BlockInfo, error) {
 		return BlockInfo{}, err
 	}
 	info := BlockInfo{Codec: c, TupleCount: count, StreamSize: len(buf)}
-	if count > 0 && (c == CodecAVQ || c == CodecRepOnly || c == CodecPacked) {
+	if count > 0 && c != CodecRaw {
 		if info.RepIndex, _, err = readAnchorIndex(body, count); err != nil {
 			return BlockInfo{}, err
 		}

@@ -107,14 +107,10 @@ func TestAVQPaperInsertion(t *testing.T) {
 	}
 }
 
-func allCodecs() []Codec {
-	return []Codec{CodecRaw, CodecAVQ, CodecRepOnly, CodecDeltaChain, CodecPacked}
-}
-
 func TestRoundTripAllCodecs(t *testing.T) {
 	s := employeeSchema(t)
 	block := fig33Block()
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -138,7 +134,7 @@ func TestRoundTripEdgeSizes(t *testing.T) {
 	s := employeeSchema(t)
 	full := fig33Block()
 	for _, u := range []int{0, 1, 2, 3} {
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, full[:u], nil)
 			if err != nil {
 				t.Fatalf("%v u=%d: encode: %v", c, u, err)
@@ -158,7 +154,7 @@ func TestRoundTripDuplicates(t *testing.T) {
 	s := employeeSchema(t)
 	dup := relation.Tuple{3, 8, 36, 39, 35}
 	block := []relation.Tuple{dup, dup.Clone(), dup.Clone(), {3, 9, 0, 0, 0}}
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -179,7 +175,7 @@ func TestEncodeRejectsUnsorted(t *testing.T) {
 	s := employeeSchema(t)
 	block := fig33Block()
 	block[0], block[4] = block[4], block[0]
-	for _, c := range []Codec{CodecAVQ, CodecRepOnly, CodecDeltaChain} {
+	for _, c := range []Codec{CodecAVQ, CodecPacked} {
 		if _, err := EncodeBlock(c, s, block, nil); err == nil {
 			t.Errorf("%v: encoded an unsorted block without error", c)
 		}
@@ -188,8 +184,10 @@ func TestEncodeRejectsUnsorted(t *testing.T) {
 
 func TestEncodeRejectsBadCodec(t *testing.T) {
 	s := employeeSchema(t)
-	if _, err := EncodeBlock(Codec(99), s, fig33Block(), nil); err == nil {
-		t.Fatal("expected error for unknown codec")
+	for _, c := range []Codec{2, 3, 99} {
+		if _, err := EncodeBlock(c, s, fig33Block(), nil); !errors.Is(err, ErrBadCodec) {
+			t.Fatalf("codec %d: err = %v, want ErrBadCodec", c, err)
+		}
 	}
 }
 
@@ -228,7 +226,7 @@ func TestRoundTripRandomSchemas(t *testing.T) {
 	for iter := 0; iter < 150; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, rng.Intn(200))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatalf("iter %d %v: encode: %v", iter, c, err)
@@ -274,7 +272,7 @@ func TestEncodedSizeMatchesEncodeBlock(t *testing.T) {
 	for iter := 0; iter < 80; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, rng.Intn(300))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			want, err := EncodedSize(c, s, block)
 			if err != nil {
 				t.Fatalf("%v: EncodedSize: %v", c, err)
@@ -291,54 +289,63 @@ func TestEncodedSizeMatchesEncodeBlock(t *testing.T) {
 	}
 }
 
+// checkMaxFit holds Pack's runs to the max-fit rule: they partition the
+// input in order, each run's reported size is its EncodeBlock size and fits
+// capacity, and no run could take the next tuple as well.
+func checkMaxFit(t *testing.T, c Codec, s *relation.Schema, block []relation.Tuple, capacity int) {
+	t.Helper()
+	runs, sizes, err := Pack(c, s, block, capacity)
+	if err != nil {
+		t.Fatalf("%v: Pack: %v", c, err)
+	}
+	next := 0
+	for i, run := range runs {
+		enc, err := EncodeBlock(c, s, run, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run) == 0 || &run[0] != &block[next] || len(enc) != sizes[i] || sizes[i] > capacity {
+			t.Fatalf("%v run %d: %d tuples at %d, size %d (stream %d) for capacity %d",
+				c, i, len(run), next, sizes[i], len(enc), capacity)
+		}
+		next += len(run)
+		if next < len(block) {
+			if size, err := EncodedSize(c, s, block[next-len(run):next+1]); err != nil || size <= capacity {
+				t.Fatalf("%v run %d not maximal: one more tuple fits (%d bytes, %v)", c, i, size, err)
+			}
+		}
+	}
+	if next != len(block) {
+		t.Fatalf("%v: runs cover %d of %d tuples", c, next, len(block))
+	}
+}
+
+// TestMaxFit: the packer cuts maximal runs for every codec.
 func TestMaxFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 40; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, 100+rng.Intn(200))
 		capacity := 512 + rng.Intn(4096)
-		for _, c := range allCodecs() {
-			u, err := MaxFit(c, s, block, capacity)
-			if err != nil {
-				t.Fatalf("%v: MaxFit: %v", c, err)
-			}
-			if u > 0 {
-				size, err := EncodedSize(c, s, block[:u])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if size > capacity {
-					t.Fatalf("%v: MaxFit=%d but size %d > capacity %d", c, u, size, capacity)
-				}
-			}
-			// Maximality: u+1 must not fit (allowing the rep-only codec's
-			// small non-monotonicity, where a larger block can occasionally
-			// be smaller; skip the check there).
-			if c != CodecRepOnly && u < len(block) {
-				size, err := EncodedSize(c, s, block[:u+1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if size <= capacity {
-					t.Fatalf("%v: MaxFit=%d not maximal: %d tuples fit in %d bytes",
-						c, u, u+1, capacity)
-				}
-			}
+		for _, c := range Codecs() {
+			checkMaxFit(t, c, s, block, capacity)
 		}
 	}
 }
 
 func TestMaxFitEmptyAndTiny(t *testing.T) {
 	s := employeeSchema(t)
-	for _, c := range allCodecs() {
-		u, err := MaxFit(c, s, nil, 8192)
-		if err != nil || u != 0 {
-			t.Fatalf("%v: MaxFit(empty) = %d, %v", c, u, err)
+	for _, c := range Codecs() {
+		if runs, sizes, err := Pack(c, s, nil, 8192); err != nil || runs != nil || sizes != nil {
+			t.Fatalf("%v: Pack(empty) = %v, %v, %v", c, runs, sizes, err)
 		}
-		u, err = MaxFit(c, s, fig33Block(), 3) // nothing fits in 3 bytes
-		if err != nil || u != 0 {
-			t.Fatalf("%v: MaxFit(cap=3) = %d, %v", c, u, err)
+		// Nothing fits in 3 bytes.
+		if _, _, err := Pack(c, s, fig33Block(), 3); !errors.Is(err, ErrTupleTooLarge) {
+			t.Fatalf("%v: Pack(cap=3) err = %v, want ErrTupleTooLarge", c, err)
 		}
+	}
+	if _, _, err := Pack(Codec(2), s, fig33Block(), 8192); !errors.Is(err, ErrBadCodec) {
+		t.Fatalf("Pack(Codec(2)) err = %v, want ErrBadCodec", err)
 	}
 }
 
@@ -346,7 +353,7 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	s := employeeSchema(t)
 	rng := rand.New(rand.NewSource(31))
 	block := randomSortedBlock(s, rng, 50)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -374,7 +381,7 @@ func TestTrailingPayloadRejectedByEveryShape(t *testing.T) {
 	s := flatRandomSchema(rng)
 	block := randomSortedBlock(s, rng, 50)
 	count := len(block)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -427,6 +434,36 @@ func TestDecodeRejectsBadMagicAndCodec(t *testing.T) {
 	}
 }
 
+// TestRetiredCodecBytesRejected is the block-stream boundary of the codec
+// byte: a well-checksummed stream naming codec 2, 3 (the retired rep-only
+// and delta-chain layouts) or 9 is refused with ErrBadCodec by Inspect and
+// by every decode shape.
+func TestRetiredCodecBytesRejected(t *testing.T) {
+	s := employeeSchema(t)
+	enc, err := EncodeBlock(CodecAVQ, s, fig33Block(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []byte{2, 3, 9} {
+		bad := append([]byte(nil), enc[:len(enc)-crcSize]...)
+		bad[1] = b
+		bad = rechecksum(bad)
+		shapes := map[string]func() error{
+			"inspect": func() error { _, err := Inspect(bad); return err },
+			"full":    func() error { _, err := DecodeBlockArena(s, bad, nil); return err },
+			"at":      func() error { _, err := DecodeTupleAtArena(s, bad, 0, nil); return err },
+			"span":    func() error { _, err := DecodeTupleSpanArena(s, bad, 0, 1, nil); return err },
+			"φ-slab":  func() error { _, err := DecodeBlockPhis(s, bad, nil); return err },
+			"φ-span":  func() error { _, _, err := PhiSpan(s, bad, 0, math.MaxUint64, nil); return err },
+		}
+		for name, run := range shapes {
+			if err := run(); !errors.Is(err, ErrBadCodec) {
+				t.Errorf("codec byte %d, %s: err = %v, want ErrBadCodec", b, name, err)
+			}
+		}
+	}
+}
+
 func TestInspect(t *testing.T) {
 	s := employeeSchema(t)
 	enc, err := EncodeBlock(CodecAVQ, s, fig33Block(), nil)
@@ -443,23 +480,36 @@ func TestInspect(t *testing.T) {
 }
 
 func TestCodecString(t *testing.T) {
-	want := map[Codec]string{
-		CodecRaw: "raw", CodecAVQ: "avq",
-		CodecRepOnly: "rep-only", CodecDeltaChain: "delta-chain",
-	}
+	want := map[Codec]string{CodecRaw: "raw", CodecAVQ: "avq", CodecPacked: "packed"}
 	for c, w := range want {
 		if c.String() != w {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), w)
 		}
+		if got, err := ParseCodec(w); got != c || err != nil {
+			t.Errorf("ParseCodec(%q) = %v, %v", w, got, err)
+		}
 	}
-	if Codec(42).Valid() {
-		t.Fatal("Codec(42) claims valid")
+	if len(Codecs()) != len(want) {
+		t.Fatalf("Codecs() = %v", Codecs())
+	}
+	for _, c := range []Codec{2, 3, 42} {
+		if c.Valid() {
+			t.Fatalf("Codec(%d) claims valid", c)
+		}
+	}
+	for _, name := range []string{"rep-only", "delta-chain", "Codec(2)", ""} {
+		if _, err := ParseCodec(name); !errors.Is(err, ErrBadCodec) {
+			t.Errorf("ParseCodec(%q) err = %v, want ErrBadCodec", name, err)
+		}
 	}
 }
 
 // TestChainedBeatsUnchained validates the benefit of Example 3.3 that the
 // ablation experiment quantifies: the chained codec never produces a larger
 // stream than the unchained one on sorted blocks, and usually a smaller one.
+// The unchained size (Figure 3.3 (b): every tuple's distance from the
+// median) is summed on the AVQ Sizer, whose pair cost is the byte-RLE size
+// of any nonnegative difference.
 func TestChainedBeatsUnchained(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	wins := 0
@@ -470,10 +520,22 @@ func TestChainedBeatsUnchained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unchained, err := EncodedSize(CodecRepOnly, s, block)
-		if err != nil {
-			t.Fatal(err)
+		z, mid, acc := NewSizer(CodecAVQ, s), len(block)/2, 0
+		for i, tu := range block {
+			if i == mid {
+				continue
+			}
+			lo, hi := tu, block[mid]
+			if i > mid {
+				lo, hi = hi, lo
+			}
+			cost, err := z.PairCost(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc += cost
 		}
+		unchained := z.BlockSize(len(block), acc)
 		if chained < unchained {
 			wins++
 		}

@@ -58,7 +58,7 @@ func diffSize(s *relation.Schema, diff relation.Tuple) int {
 // framings, so every decode shape reads a block through the same code and
 // rejects the same streams.
 //
-//	byte-RLE  count byte lz | RowSize-lz tail bytes        (AVQ, rep-only, delta-chain)
+//	byte-RLE  count byte lz | RowSize-lz tail bytes        (CodecAVQ)
 //	packed    lz in ceil(log2(n+1)) bits | digits lz..n-1   (CodecPacked, see packed.go)
 //
 // next materializes one difference as a digit vector and phis folds each

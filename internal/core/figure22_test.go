@@ -105,8 +105,8 @@ func TestFigure22StreamDiffs(t *testing.T) {
 		if err != nil || c != CodecAVQ || count != u {
 			t.Fatalf("block %d header: count=%d codec=%v err=%v", b+1, count, c, err)
 		}
-		mid64, pos, err := readUvarint(body, 0)
-		if err != nil || int(mid64) != u/2 {
+		mid64, pos, err := readAnchorIndex(body, count)
+		if err != nil || mid64 != u/2 {
 			t.Fatalf("block %d: mid=%d err=%v", b+1, mid64, err)
 		}
 		m := s.RowSize()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -24,14 +25,22 @@ func FuzzDecodeBlock(f *testing.F) {
 		relation.Domain{Name: "b", Size: 300},
 		relation.Domain{Name: "c", Size: 64},
 	)
+	// Seeds #0-#4 are one block per codec byte 0-4; bytes 2 and 3, the
+	// retired rep-only and delta-chain layouts, carry an AVQ payload that
+	// every shape must now refuse with ErrBadCodec.
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range allCodecs() {
+	for b := Codec(0); b <= CodecPacked; b++ {
 		block := randomSortedBlock(s, rng, 20)
+		c := b
+		if !c.Valid() {
+			c = CodecAVQ
+		}
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(enc)
+		enc[1] = byte(b)
+		f.Add(rechecksum(enc[:len(enc)-crcSize]))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xA7, 0x01, 0x00})
@@ -56,6 +65,11 @@ func FuzzDecodeBlock(f *testing.F) {
 // checkDecodeBlock is FuzzDecodeBlock's check of one input under one
 // schema.
 func checkDecodeBlock(t *testing.T, s *relation.Schema, data []byte) {
+	if len(data) >= 2+1+crcSize && data[0] == blockMagic && !Codec(data[1]).Valid() {
+		if _, err := DecodeBlockArena(s, data, nil); !errors.Is(err, ErrBadCodec) {
+			t.Fatalf("codec byte %d: err = %v, want ErrBadCodec", data[1], err)
+		}
+	}
 	checkShapesAgainstReference(t, s, data)
 	if len(data) >= crcSize {
 		data = rechecksum(data[:len(data)-crcSize])
@@ -71,8 +85,8 @@ func checkDecodeBlock(t *testing.T, s *relation.Schema, data []byte) {
 		}
 	}
 	// Re-encode and compare (the tuples are sorted by construction of any
-	// successfully decoded stream for the chained codecs; raw and rep-only
-	// blocks may decode unsorted tuples, so only check when sorted).
+	// successfully decoded chained stream; a raw block may decode unsorted
+	// tuples, so only check when sorted).
 	if !s.TuplesSorted(tuples) {
 		return
 	}
@@ -111,7 +125,7 @@ func FuzzEncodeArbitraryTuples(f *testing.F) {
 			})
 		}
 		s.SortTuples(tuples)
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, tuples, nil)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)

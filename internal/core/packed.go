@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
-	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
@@ -42,40 +39,22 @@ func packedDiffBits(diff relation.Tuple, lzWidth uint, suffix []int) int {
 }
 
 // encodePacked writes the packed-AVQ payload: representative index and
-// tuple (byte-aligned, as in CodecAVQ), then the bit stream of chained
-// differences.
+// tuple (byte-aligned, as in CodecAVQ), then the bit stream of the same
+// chained differences.
 func encodePacked(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]byte, error) {
-	u := len(tuples)
-	if u == 0 {
-		return dst, nil
-	}
-	mid := u / 2
-	dst = appendUvarint(dst, uint64(mid))
-	dst = s.EncodeTuple(dst, tuples[mid])
-
-	n := s.NumAttrs()
 	widths, _ := s.BitWidths()
-	lzWidth := bitio.BitsFor(uint64(n) + 1)
+	lzWidth := bitio.BitsFor(uint64(s.NumAttrs()) + 1)
 	w := bitio.NewWriter(nil)
-	diff := make(relation.Tuple, n)
-	emit := func(d relation.Tuple) {
+	dst, err := encodeChain(s, tuples, dst, func(dst []byte, d relation.Tuple) []byte {
 		lz := leadingZeroDigits(d)
 		w.WriteBits(uint64(lz), lzWidth)
-		for i := lz; i < n; i++ {
+		for i := lz; i < len(d); i++ {
 			w.WriteBits(d[i], widths[i])
 		}
-	}
-	for i := 0; i < mid; i++ {
-		if _, err := ordinal.Sub(s, diff, tuples[i+1], tuples[i]); err != nil {
-			return nil, fmt.Errorf("core: packed encode tuple %d: block not phi-sorted: %w", i, err)
-		}
-		emit(diff)
-	}
-	for i := mid + 1; i < u; i++ {
-		if _, err := ordinal.Sub(s, diff, tuples[i], tuples[i-1]); err != nil {
-			return nil, fmt.Errorf("core: packed encode tuple %d: block not phi-sorted: %w", i, err)
-		}
-		emit(diff)
+		return dst
+	})
+	if err != nil {
+		return nil, err
 	}
 	return append(dst, w.Bytes()...), nil
 }

@@ -87,33 +87,13 @@ func TestPackedDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestPackedMaxFitMatchesEncodedSize: the packer's bit-granular sizes
+// round to the packed stream's bytes exactly, run after run.
 func TestPackedMaxFitMatchesEncodedSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 30; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, 150)
-		capacity := 400 + rng.Intn(2000)
-		u, err := MaxFit(CodecPacked, s, block, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u > 0 {
-			size, err := EncodedSize(CodecPacked, s, block[:u])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size > capacity {
-				t.Fatalf("MaxFit=%d but size %d > capacity %d", u, size, capacity)
-			}
-		}
-		if u < len(block) {
-			size, err := EncodedSize(CodecPacked, s, block[:u+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size <= capacity {
-				t.Fatalf("MaxFit=%d not maximal (u+1 fits in %d)", u, capacity)
-			}
-		}
+		checkMaxFit(t, CodecPacked, s, block, 400+rng.Intn(2000))
 	}
 }

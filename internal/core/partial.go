@@ -15,11 +15,10 @@ import (
 // This operation is why the paper chooses the block's *median* tuple as
 // its representative (Section 3.4): decoding position idx requires
 // following the difference chain from the anchor to idx, which is at most
-// u/2 steps from the median but up to u-1 steps from a first-tuple anchor
-// (CodecDeltaChain). Differences on the far side of the anchor are skipped
-// by their framing alone; a direct layout (CodecRepOnly) skips to the one
-// difference it needs and a raw block is a direct offset. The decode-reach
-// ablation (BenchmarkPointAccess) quantifies exactly that gap.
+// u/2 steps from the median but up to u-1 steps from a first-tuple anchor.
+// Differences on the far side of the anchor are skipped by their framing
+// alone, and a raw block is a direct offset. The decode-reach ablation
+// (BenchmarkPointAccess) quantifies exactly that gap.
 func DecodeTupleAtArena(s *relation.Schema, buf []byte, idx int, a *Arena) (relation.Tuple, error) {
 	l, a, err := openBlock(s, buf, a)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestDecodeTupleAtMatchesFullDecode(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, 1+rng.Intn(100))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -80,7 +81,7 @@ func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, 1+rng.Intn(80))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +133,7 @@ func TestSearchBlockFindsBoundaries(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		s := randomSchema(rng)
 		block := randomSortedBlock(s, rng, 1+rng.Intn(60))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +179,7 @@ func TestSearchBlockVerifiesChecksumOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	block := randomSortedBlock(s, rng, 64)
 	pivot := block[50]
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -205,14 +206,13 @@ func TestSearchBlockVerifiesChecksumOnce(t *testing.T) {
 }
 
 // TestInspectReportsRepIndex: Inspect must report the anchor position
-// without decoding — the median for AVQ-family codecs, zero for the
-// first-tuple-anchored ones.
+// without decoding — the median for the difference codecs, zero for raw.
 func TestInspectReportsRepIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	s := randomSchema(rng)
 	for _, u := range []int{1, 2, 5, 41} {
 		block := randomSortedBlock(s, rng, u)
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -221,10 +221,9 @@ func TestInspectReportsRepIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := 0
-			switch c {
-			case CodecAVQ, CodecRepOnly, CodecPacked:
-				want = u / 2
+			want := u / 2
+			if c == CodecRaw {
+				want = 0
 			}
 			if info.RepIndex != want {
 				t.Fatalf("u=%d %v: RepIndex %d want %d", u, c, info.RepIndex, want)
@@ -240,10 +239,29 @@ func TestInspectReportsRepIndex(t *testing.T) {
 	}
 }
 
+// firstAnchorStream is the test-built first-tuple-anchor layout the
+// decode-reach ablation measures against: the AVQ stream of block,
+// re-anchored at position 0. The stored differences are the same adjacent
+// deltas whatever the anchor, so only the anchor index and tuple change,
+// and the walker accepts any anchor below the tuple count.
+func firstAnchorStream(tb testing.TB, s *relation.Schema, block []relation.Tuple) []byte {
+	tb.Helper()
+	enc, err := EncodeBlock(CodecAVQ, s, block, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, n := binary.Uvarint(enc[2:])
+	_, w := binary.Uvarint(enc[2+n:])
+	out := binary.AppendUvarint(append([]byte(nil), enc[:2+n]...), 0)
+	out = s.EncodeTuple(out, block[0])
+	return rechecksum(append(out, enc[2+n+w+s.RowSize():len(enc)-crcSize]...))
+}
+
 // TestMedianAnchorHalvesChainWork demonstrates the paper's rationale for
 // the median representative: the worst-case chain length to reach a tuple
-// is halved relative to a first-tuple anchor. Measured as actual work via
-// decode agreement at the extremes.
+// is halved relative to a first-tuple anchor. Both anchors decode the
+// block's tail correctly; the benchmark BenchmarkPointAccess quantifies
+// the cost gap.
 func TestMedianAnchorHalvesChainWork(t *testing.T) {
 	s := employeeSchema(t)
 	rng := rand.New(rand.NewSource(53))
@@ -252,18 +270,19 @@ func TestMedianAnchorHalvesChainWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := EncodeBlock(CodecDeltaChain, s, block, nil)
-	if err != nil {
-		t.Fatal(err)
+	first := firstAnchorStream(t, s, block)
+	if info, err := Inspect(first); err != nil || info.RepIndex != 0 {
+		t.Fatalf("first-anchor stream: %+v, %v", info, err)
 	}
-	// Both agree with the source at the far end; the benchmark
-	// BenchmarkPointAccess quantifies the cost gap.
+	if got, err := DecodeBlockArena(s, first, nil); err != nil || !sameTuples(s, got, block) {
+		t.Fatalf("first-anchor stream decodes to %d tuples, %v", len(got), err)
+	}
 	last := len(block) - 1
 	a, err := DecodeTupleAtArena(s, avq, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DecodeTupleAtArena(s, chain, last, nil)
+	b, err := DecodeTupleAtArena(s, first, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,19 +293,23 @@ func TestMedianAnchorHalvesChainWork(t *testing.T) {
 
 // BenchmarkPointAccess measures the decode-reach ablation: accessing the
 // last tuple of a block costs ~u/2 chain steps with the median anchor but
-// ~u with a first-tuple anchor; rep-only and the far side of a chained
-// anchor pay only a framing skip; raw pays an offset.
+// ~u with a first-tuple anchor; the far side of the anchor pays only a
+// framing skip; raw pays an offset.
 func BenchmarkPointAccess(b *testing.B) {
 	s := employeeSchema(b)
 	rng := rand.New(rand.NewSource(54))
 	block := randomSortedBlock(s, rng, 400)
 	last := len(block) - 1
-	for _, c := range allCodecs() {
+	names, streams := []string{"first-anchor"}, [][]byte{firstAnchorStream(b, s, block)}
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.String(), func(b *testing.B) {
+		names, streams = append(names, c.String()), append(streams, enc)
+	}
+	for i, enc := range streams {
+		b.Run(names[i], func(b *testing.B) {
 			b.ReportAllocs()
 			a := NewArena()
 			for i := 0; i < b.N; i++ {

@@ -72,7 +72,7 @@ func (d *DigitExtractor) Digit(phi uint64) uint64 {
 // DecodeBlockPhis decodes a coded block into its φ sequence: one uint64
 // flat ordinal per tuple, in block (clustered) order, carved from the
 // caller's arena. It requires a flat schema (Schema.FlatSpace ok) and a
-// checksummed block, and serves all five codecs through the one φ-space
+// checksummed block, and serves every codec through the one φ-space
 // walk (layout.walkPhis).
 //
 // The returned slab aliases the arena and is valid until its next Reset;

@@ -19,7 +19,7 @@ func TestDecodeBlockPhisMatchesTupleDecode(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		s := flatRandomSchema(rng)
 		block := randomSortedBlock(s, rng, 1+rng.Intn(150))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
@@ -87,7 +87,7 @@ func TestDecodeBlockPhisZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := flatRandomSchema(rng)
 	block := randomSortedBlock(s, rng, 200)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -112,7 +112,7 @@ func TestDecodeBlockPhisRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	s := flatRandomSchema(rng)
 	block := randomSortedBlock(s, rng, 60)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -152,7 +152,7 @@ func TestDecodeBlockPhisNeedsFlatSchema(t *testing.T) {
 func TestDecodeBlockPhisEmptyBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := flatRandomSchema(rng)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, nil, nil)
 		if err != nil {
 			// Some codecs may refuse empty blocks; that is fine here.

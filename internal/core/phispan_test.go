@@ -35,7 +35,7 @@ func TestPhiSpanMatchesLinearScan(t *testing.T) {
 		s := flatRandomSchema(rng)
 		space, _ := s.FlatSpace()
 		block := randomSortedBlock(s, rng, 1+rng.Intn(120))
-		for _, c := range allCodecs() {
+		for _, c := range Codecs() {
 			enc, err := EncodeBlock(c, s, block, nil)
 			if err != nil {
 				t.Fatalf("%v: encode: %v", c, err)
@@ -107,7 +107,7 @@ func TestPhiSpanCorruptStreams(t *testing.T) {
 	s := flatRandomSchema(rng)
 	space, _ := s.FlatSpace()
 	block := randomSortedBlock(s, rng, 40)
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)
@@ -141,7 +141,7 @@ func TestPhiSpanZeroAllocs(t *testing.T) {
 	block := randomSortedBlock(s, rng, 200)
 	lo := ordinal.PhiU64(s, block[40])
 	hi := ordinal.PhiU64(s, block[150])
-	for _, c := range allCodecs() {
+	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", c, err)

@@ -47,7 +47,7 @@ func refBitWidth(size uint64) int { return max(1, bits.Len64(size-1)) }
 // refDecode decodes a block stream, or reports that it is not a valid
 // one.
 func refDecode(s *relation.Schema, buf []byte) ([]relation.Tuple, error) {
-	if len(buf) < 7 || buf[0] != 0xA7 || buf[1] > 4 {
+	if len(buf) < 7 || buf[0] != 0xA7 || buf[1] != 0 && buf[1] != 1 && buf[1] != 4 {
 		return nil, errRefReject
 	}
 	end := len(buf) - 4
@@ -86,14 +86,11 @@ func refDecode(s *relation.Schema, buf []byte) ([]relation.Tuple, error) {
 	}
 
 	// Anchor position and tuple.
-	mid := 0
-	if codec != CodecDeltaChain {
-		v, w := binary.Uvarint(body)
-		if w <= 0 || v >= count64 {
-			return nil, errRefReject
-		}
-		mid, body = int(v), body[w:]
+	v, w := binary.Uvarint(body)
+	if w <= 0 || v >= count64 {
+		return nil, errRefReject
 	}
+	mid, body := int(v), body[w:]
 	if len(body) < m {
 		return nil, errRefReject
 	}
@@ -157,18 +154,10 @@ func refDecode(s *relation.Schema, buf []byte) ([]relation.Tuple, error) {
 	phis := make([]*big.Int, count)
 	phis[mid] = ordinal.Phi(s, rep)
 	for i := mid - 1; i >= 0; i-- {
-		from := phis[i+1]
-		if codec == CodecRepOnly {
-			from = phis[mid]
-		}
-		phis[i] = new(big.Int).Sub(from, diffs[i])
+		phis[i] = new(big.Int).Sub(phis[i+1], diffs[i])
 	}
 	for i := mid + 1; i < count; i++ {
-		from := phis[i-1]
-		if codec == CodecRepOnly {
-			from = phis[mid]
-		}
-		phis[i] = new(big.Int).Add(from, diffs[i-1])
+		phis[i] = new(big.Int).Add(phis[i-1], diffs[i-1])
 	}
 	out := make([]relation.Tuple, count)
 	for i, phi := range phis {

@@ -31,18 +31,15 @@ type rleFrame struct {
 	tail []byte
 }
 
-// rleFrames splits a valid AVQ, rep-only or delta-chain stream into the
-// payload bytes ahead of its first difference (header, anchor index,
-// anchor row) and its count-1 difference frames.
+// rleFrames splits a valid AVQ stream into the payload bytes ahead of its
+// first difference (header, anchor index, anchor row) and its count-1
+// difference frames.
 func rleFrames(t *testing.T, s *relation.Schema, enc []byte) (prefix []byte, frames []rleFrame) {
 	t.Helper()
 	count, n := binary.Uvarint(enc[2:])
 	pos := 2 + n
-	if Codec(enc[1]) != CodecDeltaChain {
-		_, n = binary.Uvarint(enc[pos:])
-		pos += n
-	}
-	pos += s.RowSize()
+	_, n = binary.Uvarint(enc[pos:])
+	pos += n + s.RowSize()
 	prefix = enc[:pos]
 	for k := uint64(1); k < count; k++ {
 		lz := int(enc[pos])
@@ -141,7 +138,7 @@ func TestWordParsesAgainstReference(t *testing.T) {
 				blocks = append(blocks, []relation.Tuple{a, b, e, e})
 			}
 			for _, block := range blocks {
-				for _, codec := range allCodecs() {
+				for _, codec := range Codecs() {
 					enc, err := EncodeBlock(codec, s, block, nil)
 					if err != nil {
 						t.Fatal(err)

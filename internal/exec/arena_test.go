@@ -21,7 +21,7 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 		{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 3, Lo: 100, Hi: 3000}}},
 		{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}, NoPartial: true},
 	}
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
 			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {

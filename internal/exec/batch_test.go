@@ -44,7 +44,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		{Preds: []Pred{{Attr: 1, Lo: 4, Hi: 9}, {Attr: 2, Lo: 0, Hi: 31}}},
 		{Preds: []Pred{{Attr: 0, Lo: 7, Hi: 20}}},
 	}
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
 			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
@@ -170,7 +170,7 @@ func drainPhis(t *testing.T, ps PhiStream) []uint64 {
 func TestBatchIteratorMatchesIterator(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 77)
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
 			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
@@ -344,7 +344,7 @@ func TestMergeJoinPhis(t *testing.T) {
 			wantPairs[k] = nl * nr
 		}
 	}
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			ls, rs := newStore(t, codec, 512), newStore(t, codec, 512)
 			if _, err := ls.BulkLoadContext(context.Background(), left); err != nil {

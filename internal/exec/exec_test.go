@@ -59,10 +59,6 @@ func randomTuples(t testing.TB, n int, seed int64) []relation.Tuple {
 	return tuples
 }
 
-func allCodecs() []core.Codec {
-	return []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked}
-}
-
 // naiveSelect is the reference: full decode of every block, linear filter.
 func naiveSelect(tuples []relation.Tuple, preds []Pred) []relation.Tuple {
 	var out []relation.Tuple
@@ -104,7 +100,7 @@ func TestRunMatchesNaive(t *testing.T) {
 		{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 3, Lo: 100, Hi: 3000}}},
 		{Preds: []Pred{{Attr: 1, Lo: 4, Hi: 9}, {Attr: 2, Lo: 0, Hi: 31}}},
 	}
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
 			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
@@ -244,7 +240,7 @@ func TestRunEarlyStop(t *testing.T) {
 func TestIteratorSeekAndNext(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 25)
-	for _, codec := range allCodecs() {
+	for _, codec := range core.Codecs() {
 		store := newStore(t, codec, 512)
 		if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)

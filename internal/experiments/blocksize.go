@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -63,32 +64,20 @@ func RunBlockSize(ctx context.Context, cfg BlockSizeConfig) (*BlockSizeResult, e
 	schema.SortTuples(tuples)
 	res := &BlockSizeResult{Tuples: cfg.Tuples}
 	for _, size := range cfg.Sizes {
-		rawBlocks, err := blockCount(ctx, schema, tuples, core.CodecRaw, size)
+		capacity := blockstore.StreamCapacity(size)
+		raw, _, err := core.Pack(core.CodecRaw, schema, tuples, capacity)
 		if err != nil {
 			return nil, err
 		}
-		avqBlocks, err := blockCount(ctx, schema, tuples, core.CodecAVQ, size)
+		avq, sizes, err := core.Pack(core.CodecAVQ, schema, tuples, capacity)
 		if err != nil {
 			return nil, err
 		}
+		rawBlocks, avqBlocks := len(raw), len(avq)
 		// Waste: coded payload vs page-granular footprint.
 		payload := 0
-		remaining := tuples
-		for len(remaining) > 0 {
-			capacity := size - 4 // the block store's length prefix
-			u, err := core.MaxFit(core.CodecAVQ, schema, remaining, capacity)
-			if err != nil {
-				return nil, err
-			}
-			if u == 0 {
-				return nil, fmt.Errorf("experiments: tuple does not fit %d-byte block", size)
-			}
-			sz, err := core.EncodedSize(core.CodecAVQ, schema, remaining[:u])
-			if err != nil {
-				return nil, err
-			}
+		for _, sz := range sizes {
 			payload += sz
-			remaining = remaining[u:]
 		}
 		res.Cells = append(res.Cells, BlockSizeCell{
 			BlockSize:    size,

@@ -199,7 +199,7 @@ const shapeTuples = 20_000
 
 // runDecodeShape generates the end-to-end benchmark's relation of that
 // name (gen.BenchShapeSpec), cuts it into page-sized blocks per codec the
-// way a bulk load does (packRuns), and times whole-relation passes of
+// way a bulk load does (core.Pack), and times whole-relation passes of
 // each decode walk over those blocks.
 func runDecodeShape(cfg DecodeConfig, name string, codecs []core.Codec) (DecodeShapeResult, error) {
 	spec, err := gen.BenchShapeSpec(name, shapeTuples, cfg.Seed)
@@ -218,7 +218,7 @@ func runDecodeShape(cfg DecodeConfig, name string, codecs []core.Codec) (DecodeS
 	iters := max(1, cfg.Iters*cfg.BlockTuples/len(tuples))
 	var coded int
 	for _, c := range codecs {
-		runs, err := packRuns(s, tuples, c, blockstore.StreamCapacity(cfg.PageSize))
+		runs, _, err := core.Pack(c, s, tuples, blockstore.StreamCapacity(cfg.PageSize))
 		if err != nil {
 			return res, fmt.Errorf("%s/%v: %w", name, c, err)
 		}
@@ -291,10 +291,7 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 
 	s, block := decodeMicroBlock(cfg)
 
-	codecs := []core.Codec{
-		core.CodecRaw, core.CodecAVQ, core.CodecRepOnly,
-		core.CodecDeltaChain, core.CodecPacked,
-	}
+	codecs := core.Codecs()
 	for _, c := range codecs {
 		enc, err := core.EncodeBlock(c, s, block, nil)
 		if err != nil {

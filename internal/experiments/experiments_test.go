@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestFig57SmallScale(t *testing.T) {
@@ -165,29 +163,28 @@ func TestAblationSmallScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Cells) != 20 {
-		t.Fatalf("cells = %d, want 4 tests x 5 codecs", len(res.Cells))
+		t.Fatalf("cells = %d, want 4 tests x 5 layouts", len(res.Cells))
 	}
-	byTest := map[int]map[core.Codec]int{}
+	byTest := map[int]map[string]int{}
 	for _, c := range res.Cells {
 		if byTest[c.Test] == nil {
-			byTest[c.Test] = map[core.Codec]int{}
+			byTest[c.Test] = map[string]int{}
 		}
-		byTest[c.Test][c.Codec] = c.Blocks
+		byTest[c.Test][c.Layout] = c.Blocks
 	}
 	for test, m := range byTest {
-		if m[core.CodecAVQ] > m[core.CodecRepOnly] {
+		if m["avq"] > m["rep-only"] {
 			t.Fatalf("test %d: chained AVQ (%d blocks) worse than unchained (%d)",
-				test, m[core.CodecAVQ], m[core.CodecRepOnly])
+				test, m["avq"], m["rep-only"])
 		}
-		if m[core.CodecAVQ] > m[core.CodecRaw] {
+		if m["avq"] > m["raw"] {
 			t.Fatalf("test %d: AVQ worse than raw", test)
 		}
-		// Chained codecs store identical diffs, so block counts match to
+		// Chained layouts store identical diffs, so block counts match to
 		// within rounding.
-		diff := m[core.CodecAVQ] - m[core.CodecDeltaChain]
-		if diff < -1 || diff > 1 {
+		if diff := m["avq"] - m["delta-chain"]; diff < -1 || diff > 1 {
 			t.Fatalf("test %d: avq %d vs delta-chain %d blocks; expected near-identical",
-				test, m[core.CodecAVQ], m[core.CodecDeltaChain])
+				test, m["avq"], m["delta-chain"])
 		}
 	}
 	var sb strings.Builder

@@ -335,10 +335,7 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	// Slab kernel: steady-state DecodeBlockPhis must allocate nothing,
 	// for every codec.
 	s, block := decodeMicroBlock(DecodeConfig{BlockTuples: 256, Seed: cfg.Seed})
-	for _, c := range []core.Codec{
-		core.CodecRaw, core.CodecAVQ, core.CodecRepOnly,
-		core.CodecDeltaChain, core.CodecPacked,
-	} {
+	for _, c := range core.Codecs() {
 		enc, err := core.EncodeBlock(c, s, block, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%v: encode: %w", c, err)
@@ -402,8 +399,8 @@ func (r *JoinResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "group-by(A1): batch %.2f ms vs tuple %.2f ms (%.1fx, %d groups)\n",
 		r.GroupBatchMillis, r.GroupTupleMillis, r.GroupSpeedup, r.Groups)
 	fmt.Fprintf(w, "slab kernel allocs/op:")
-	for _, c := range []string{"raw", "avq", "rep-only", "delta-chain", "packed"} {
-		if v, ok := r.SlabAllocsPerOp[c]; ok {
+	for _, c := range core.Codecs() {
+		if v, ok := r.SlabAllocsPerOp[c.String()]; ok {
 			fmt.Fprintf(w, " %s=%.1f", c, v)
 		}
 	}

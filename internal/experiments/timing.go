@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/gen"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -53,26 +52,6 @@ type TimingResult struct {
 	Host cpumodel.Machine
 }
 
-// packRuns splits the sorted relation into the per-block tuple runs the
-// paper's coder sees: each run is the largest prefix whose coded stream
-// fits the page (Section 3.4).
-func packRuns(schema *relation.Schema, tuples []relation.Tuple, codec core.Codec, capacity int) ([][]relation.Tuple, error) {
-	var runs [][]relation.Tuple
-	remaining := tuples
-	for len(remaining) > 0 {
-		u, err := core.MaxFit(codec, schema, remaining, capacity)
-		if err != nil {
-			return nil, err
-		}
-		if u == 0 {
-			return nil, fmt.Errorf("experiments: tuple does not fit a block")
-		}
-		runs = append(runs, remaining[:u])
-		remaining = remaining[u:]
-	}
-	return runs, nil
-}
-
 // RunTiming performs the Section 5.2 measurement on this host: it loads
 // the 38-byte-tuple relation into memory (offsetting any I/O time, as the
 // paper does), then times AVQ coding and decoding of every block,
@@ -87,7 +66,7 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 	schema.SortTuples(tuples)
 	capacity := blockstore.StreamCapacity(cfg.PageSize)
 
-	runs, err := packRuns(schema, tuples, core.CodecAVQ, capacity)
+	runs, _, err := core.Pack(core.CodecAVQ, schema, tuples, capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +105,7 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 	decodeTotal := time.Since(start)
 
 	// Extraction (t3): decode the uncoded representation's blocks.
-	rawRuns, err := packRuns(schema, tuples, core.CodecRaw, capacity)
+	rawRuns, _, err := core.Pack(core.CodecRaw, schema, tuples, capacity)
 	if err != nil {
 		return nil, err
 	}

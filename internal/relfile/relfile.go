@@ -208,7 +208,7 @@ type CompressedInfo struct {
 func WriteCompressed(w io.Writer, s *relation.Schema, tuples []relation.Tuple, codec core.Codec, blockSize int) (CompressedInfo, error) {
 	info := CompressedInfo{Schema: s, Codec: codec, Version: 2, BlockSize: blockSize, Tuples: len(tuples)}
 	if !codec.Valid() {
-		return info, fmt.Errorf("relfile: invalid codec %d", uint8(codec))
+		return info, fmt.Errorf("relfile: %w: %d", core.ErrBadCodec, uint8(codec))
 	}
 	if blockSize <= s.RowSize() {
 		return info, fmt.Errorf("relfile: block size %d cannot hold one %d-byte tuple", blockSize, s.RowSize())
@@ -237,34 +237,21 @@ func WriteCompressed(w io.Writer, s *relation.Schema, tuples []relation.Tuple, c
 	}
 
 	// Pack first so the block count can prefix the streams.
-	var streams [][]byte
-	var fences []BlockFence
-	remaining := sorted
-	for len(remaining) > 0 {
-		u, err := core.MaxFit(codec, s, remaining, blockSize)
-		if err != nil {
-			return info, err
-		}
-		if u == 0 {
-			return info, fmt.Errorf("relfile: tuple does not fit block size %d", blockSize)
-		}
-		stream, err := core.EncodeBlock(codec, s, remaining[:u], nil)
-		if err != nil {
-			return info, err
-		}
-		streams = append(streams, stream)
-		fences = append(fences, BlockFence{
-			First: remaining[0].Clone(),
-			Last:  remaining[u-1].Clone(),
-			Count: u,
-		})
-		remaining = remaining[u:]
+	runs, _, err := core.Pack(codec, s, sorted, blockSize)
+	if err != nil {
+		return info, fmt.Errorf("relfile: block size %d: %w", blockSize, err)
 	}
-	if err := writeUvarint(bw, uint64(len(streams))); err != nil {
+	if err := writeUvarint(bw, uint64(len(runs))); err != nil {
 		return info, err
 	}
 	buf := make([]byte, 0, s.RowSize())
-	for i, stream := range streams {
+	fences := make([]BlockFence, len(runs))
+	var stream []byte
+	for i, run := range runs {
+		if stream, err = core.EncodeBlock(codec, s, run, stream[:0]); err != nil {
+			return info, err
+		}
+		fences[i] = BlockFence{First: run[0].Clone(), Last: run[len(run)-1].Clone(), Count: len(run)}
 		if err := writeFence(bw, s, fences[i], buf); err != nil {
 			return info, err
 		}
@@ -276,8 +263,8 @@ func WriteCompressed(w io.Writer, s *relation.Schema, tuples []relation.Tuple, c
 		}
 		info.StreamBytes += len(stream)
 	}
-	info.Blocks = len(streams)
-	info.BlockBytes = len(streams) * blockSize
+	info.Blocks = len(runs)
+	info.BlockBytes = len(runs) * blockSize
 	info.Fences = fences
 	return info, bw.Flush()
 }
@@ -355,7 +342,7 @@ func readCompressedHeader(br *bufio.Reader) (CompressedInfo, error) {
 	}
 	codec := core.Codec(codecByte)
 	if !codec.Valid() {
-		return info, fmt.Errorf("relfile: unknown codec %d", codecByte)
+		return info, fmt.Errorf("relfile: %w: %d", core.ErrBadCodec, codecByte)
 	}
 	blocks, err := readUvarint(br)
 	if err != nil {

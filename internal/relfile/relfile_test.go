@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestPlainEmptyRelation(t *testing.T) {
 func TestCompressedRoundTrip(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 2)
-	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked} {
+	for _, codec := range core.Codecs() {
 		var buf bytes.Buffer
 		info, err := WriteCompressed(&buf, s, tuples, codec, 1024)
 		if err != nil {
@@ -168,24 +169,18 @@ func writeCompressedV1(t *testing.T, s *relation.Schema, tuples []relation.Tuple
 	if err := bw.WriteByte(byte(codec)); err != nil {
 		t.Fatal(err)
 	}
-	var streams [][]byte
-	remaining := sorted
-	for len(remaining) > 0 {
-		u, err := core.MaxFit(codec, s, remaining, blockSize)
-		if err != nil || u == 0 {
-			t.Fatalf("MaxFit: u=%d err=%v", u, err)
-		}
-		stream, err := core.EncodeBlock(codec, s, remaining[:u], nil)
+	runs, _, err := core.Pack(codec, s, sorted, blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeUvarint(bw, uint64(len(runs))); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		stream, err := core.EncodeBlock(codec, s, run, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams = append(streams, stream)
-		remaining = remaining[u:]
-	}
-	if err := writeUvarint(bw, uint64(len(streams))); err != nil {
-		t.Fatal(err)
-	}
-	for _, stream := range streams {
 		if err := writeUvarint(bw, uint64(len(stream))); err != nil {
 			t.Fatal(err)
 		}
@@ -354,5 +349,37 @@ func TestWriteCompressedValidation(t *testing.T) {
 	}
 	if err := WritePlain(&buf, s, bad); err == nil {
 		t.Fatal("plain writer accepted out-of-domain tuple")
+	}
+}
+
+// TestBadCodecByteRejected is the relfile header's boundary of the codec
+// byte: the writer refuses codec 2, 3 (the retired rep-only and
+// delta-chain layouts) and 9, and both readers refuse a header naming
+// them, each with core.ErrBadCodec.
+func TestBadCodecByteRejected(t *testing.T) {
+	s := testSchema(t)
+	const blockSize = 1024
+	var buf bytes.Buffer
+	if _, err := WriteCompressed(&buf, s, randomTuples(t, 200, 12), core.CodecAVQ, blockSize); err != nil {
+		t.Fatal(err)
+	}
+	blob := s.AppendBinary(nil)
+	at := len(magicCompressedV2) + len(binary.AppendUvarint(nil, uint64(len(blob)))) + len(blob) +
+		len(binary.AppendUvarint(nil, blockSize))
+	if buf.Bytes()[at] != byte(core.CodecAVQ) {
+		t.Fatalf("header byte %d is %d, not the codec", at, buf.Bytes()[at])
+	}
+	for _, c := range []core.Codec{2, 3, 9} {
+		if _, err := WriteCompressed(io.Discard, s, nil, c, blockSize); !errors.Is(err, core.ErrBadCodec) {
+			t.Errorf("write codec %d: err = %v, want core.ErrBadCodec", c, err)
+		}
+		data := bytes.Clone(buf.Bytes())
+		data[at] = byte(c)
+		if _, _, err := ReadCompressed(bytes.NewReader(data)); !errors.Is(err, core.ErrBadCodec) {
+			t.Errorf("read codec %d: err = %v, want core.ErrBadCodec", c, err)
+		}
+		if _, err := InspectCompressed(bytes.NewReader(data)); !errors.Is(err, core.ErrBadCodec) {
+			t.Errorf("inspect codec %d: err = %v, want core.ErrBadCodec", c, err)
+		}
 	}
 }

@@ -11,20 +11,8 @@ import (
 	"repro/internal/relation"
 )
 
-// batchTestCodecs is every block codec; the batch path must be
-// byte-identical to the tuple path under each.
-var batchTestCodecs = []struct {
-	name  string
-	codec core.Codec
-}{
-	{"raw", core.CodecRaw},
-	{"avq", core.CodecAVQ},
-	{"reponly", core.CodecRepOnly},
-	{"deltachain", core.CodecDeltaChain},
-	{"packed", core.CodecPacked},
-}
-
-// newBatchPair loads the same tuples into two tables of the given codec:
+// newBatchPair loads the same tuples into two tables of the given codec
+// (every codec runs both paths, which must agree byte for byte):
 // one on the default (batch) path and one opted out via WithBatch(false)
 // — the tuple-path differential oracle.
 func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batch, oracle *Table) {
@@ -52,9 +40,9 @@ func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batc
 func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 2000, 42)
-	for _, tc := range batchTestCodecs {
-		t.Run(tc.name, func(t *testing.T) {
-			batch, oracle := newBatchPair(t, tc.codec, tuples)
+	for _, codec := range core.Codecs() {
+		t.Run(codec.String(), func(t *testing.T) {
+			batch, oracle := newBatchPair(t, codec, tuples)
 			ranges := []struct {
 				attr   int
 				lo, hi uint64
@@ -165,10 +153,10 @@ func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 		tu[0] &^= 3
 		right = append(right, tu)
 	}
-	for _, tc := range batchTestCodecs {
-		t.Run(tc.name, func(t *testing.T) {
-			lb, lo := newBatchPair(t, tc.codec, left)
-			rb, ro := newBatchPair(t, tc.codec, right)
+	for _, codec := range core.Codecs() {
+		t.Run(codec.String(), func(t *testing.T) {
+			lb, lo := newBatchPair(t, codec, left)
+			rb, ro := newBatchPair(t, codec, right)
 			got, gst, err := MergeJoinContext(ctx, lb, rb)
 			if err != nil {
 				t.Fatal(err)

@@ -17,18 +17,16 @@ func TestFunctionalOptions(t *testing.T) {
 	tb, err := Create(testSchema(t),
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
-		WithPoolFrames(64),
+		WithPoolFrames(32),
 		WithSecondaryAttrs(1, 2),
-		WithConcurrency(3),
-		WithConcurrency(2),
+		WithPoolFrames(64),
 		WithObs(reg),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := tb.opts
-	if o.Codec != core.CodecAVQ || o.PageSize != 512 || o.PoolFrames != 64 ||
-		o.Concurrency != 2 || o.Obs != reg {
+	if o.Codec != core.CodecAVQ || o.PageSize != 512 || o.PoolFrames != 64 || o.Obs != reg {
 		t.Fatalf("options not applied: %+v", o)
 	}
 	if len(o.SecondaryAttrs) != 2 || o.SecondaryAttrs[0] != 1 || o.SecondaryAttrs[1] != 2 {

@@ -9,7 +9,7 @@ import (
 // Option configures a table at Create/Open time. Options compose left to
 // right: later options override earlier ones.
 //
-//	table.Create(schema, table.WithConcurrency(8), table.WithPoolFrames(256))
+//	table.Create(schema, table.WithCodec(core.CodecPacked), table.WithPoolFrames(256))
 type Option interface {
 	apply(*Options)
 }
@@ -73,12 +73,6 @@ func WithPath(path string) Option {
 // implement storage.DurablePager.
 func WithPager(p storage.Pager) Option {
 	return optionFunc(func(o *Options) { o.Pager = p })
-}
-
-// WithConcurrency sets the block-codec worker count for bulk loads, scans,
-// and stats; values <= 1 keep the serial reference path.
-func WithConcurrency(n int) Option {
-	return optionFunc(func(o *Options) { o.Concurrency = n })
 }
 
 // WithObs attaches an observability registry: the buffer pool, block

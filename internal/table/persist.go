@@ -481,7 +481,7 @@ func Open(path string, options ...Option) (*Table, error) {
 	}
 	opts.Codec = core.Codec(best.codec)
 	if !opts.Codec.Valid() {
-		return nil, fmt.Errorf("table: catalog names unknown codec %d", best.codec)
+		return nil, fmt.Errorf("table: open %s: catalog names %w %d", path, core.ErrBadCodec, best.codec)
 	}
 	opts.SecondaryAttrs = best.secondary
 

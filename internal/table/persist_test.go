@@ -3,6 +3,7 @@ package table
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -317,27 +318,8 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 	}
 	// Rewrite both catalog slots as the old format would have: reserved
 	// byte = 1, checksum recomputed.
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 2; slot++ {
-		page := file[slot*pageSize : (slot+1)*pageSize]
-		if next := storage.PageID(binary.BigEndian.Uint32(page[0:4])); next != storage.InvalidPage {
-			t.Fatalf("catalog slot %d spans pages; shrink the fixture", slot)
-		}
-		blob := page[catalogFrameOverhead : catalogFrameOverhead+int(binary.BigEndian.Uint32(page[4:8]))]
-		_, n := binary.Uvarint(blob[len(catalogMagic):])
-		reserved := len(catalogMagic) + n + 1
-		if blob[reserved] != 0 {
-			t.Fatalf("slot %d: reserved byte written as %d, want 0", slot, blob[reserved])
-		}
-		blob[reserved] = 1
-		body := blob[:len(blob)-4]
-		binary.BigEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
-	}
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
+	if old := patchCatalogHeader(t, path, pageSize, 1, 1); old != 0 {
+		t.Fatalf("reserved byte written as %d, want 0", old)
 	}
 	got, err := Open(path, WithPageSize(pageSize))
 	if err != nil {
@@ -353,6 +335,60 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 	}
 	if err := got.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// patchCatalogHeader sets header byte off of both catalog slots of the
+// page file at path — 0 is the codec byte, 1 the reserved byte — and
+// recomputes their checksums. It returns the byte it replaced (both slots
+// of a file written by Close hold the same header).
+func patchCatalogHeader(t *testing.T, path string, pageSize, off int, v byte) (old byte) {
+	t.Helper()
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 0; slot < 2; slot++ {
+		page := file[slot*pageSize : (slot+1)*pageSize]
+		if next := storage.PageID(binary.BigEndian.Uint32(page[0:4])); next != storage.InvalidPage {
+			t.Fatalf("catalog slot %d spans pages; shrink the fixture", slot)
+		}
+		blob := page[catalogFrameOverhead : catalogFrameOverhead+int(binary.BigEndian.Uint32(page[4:8]))]
+		_, n := binary.Uvarint(blob[len(catalogMagic):])
+		at := len(catalogMagic) + n + off
+		old, blob[at] = blob[at], v
+		body := blob[:len(blob)-4]
+		binary.BigEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return old
+}
+
+// TestOpenRejectsBadCatalogCodec is the table catalog's boundary of the
+// codec byte: a catalog naming codec 2, 3 (the retired rep-only and
+// delta-chain layouts) or 9 fails Open with core.ErrBadCodec.
+func TestOpenRejectsBadCatalogCodec(t *testing.T) {
+	const pageSize = 512
+	for _, c := range []core.Codec{2, 3, 9} {
+		path := tempPath(t)
+		tb, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(pageSize), WithPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 50, 47)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if old := patchCatalogHeader(t, path, pageSize, 0, byte(c)); old != byte(core.CodecAVQ) {
+			t.Fatalf("codec byte written as %d, want %d", old, core.CodecAVQ)
+		}
+		if _, err := Open(path, WithPageSize(pageSize)); !errors.Is(err, core.ErrBadCodec) {
+			t.Errorf("codec %d: Open err = %v, want core.ErrBadCodec", c, err)
+		}
 	}
 }
 

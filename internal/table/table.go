@@ -54,10 +54,6 @@ type Options struct {
 	// catalog checkpoint protocol against the injected pager, which must
 	// then implement storage.DurablePager.
 	Pager storage.Pager
-	// Concurrency is the block-codec worker count for bulk loads, scans,
-	// and stats (see blockstore.Config). Values <= 1 keep the serial
-	// reference path; runtime.NumCPU() is a good parallel setting.
-	Concurrency int
 	// Obs attaches an observability registry (see internal/obs); nil keeps
 	// every hot path un-instrumented. The pool, store, executor, and
 	// indexes resolve their instruments from it once at construction.
@@ -239,7 +235,7 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.Configure(blockstore.Config{Concurrency: opts.Concurrency, Obs: opts.Obs})
+	store.SetObs(opts.Obs)
 	pool.SetObs(opts.Obs)
 	t := &Table{
 		schema:    schema,

@@ -3,11 +3,11 @@
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search and one-block-cache guards, the full test suite, a 10 s fuzz smoke
-# of the block decoder against its reference, the crash matrix, and the
-# race-focused test run over the
-# concurrency-sensitive packages. Fails fast on the first broken stage so CI
-# output points at one problem; the last line is the tracked line count.
+# search, one-block-cache and one-codec-set guards, the full test suite, a
+# 10 s fuzz smoke of the block decoder against its reference, the crash
+# matrix, and the race-focused test run over the concurrency-sensitive
+# packages. Fails fast on the first broken stage so CI output points at one
+# problem; the last line is the tracked line count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,6 +40,10 @@ if grep -A8 'lo, hi :=' internal/table/*.go internal/exec/*.go | grep 'Fence('; 
 # The buffer pool's coded pages are the only block cache; keep a second,
 # decoded-block cache from growing back beside it.
 if grep -rnE 'blockCache|CacheBlocks|decodeBlockCached' --include='*.go' cmd internal; then echo "decoded-block cache found; read the coded page through the pool and decode into the caller's arena" >&2; exit 1; fi
+# One codec set ({raw, avq, packed}), one packing rule (core.Sizer.Chunk)
+# and one load path (GOMAXPROCS workers); keep the retired ablation codecs,
+# the bracketed fit, MaxFit and the Concurrency knob from growing back.
+if grep -rnE 'CodecRepOnly|CodecDeltaChain|maxFitBracketed|core\.MaxFit\(|WithConcurrency|Config\{Concurrency' --include='*.go' cmd internal; then echo "retired codec, second packer or Concurrency knob found; use core.Codecs, core.Pack / Sizer.Chunk and the store's one pipeline" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
