@@ -109,11 +109,14 @@ func (p *Pager) check(id storage.PageID, buf []byte) error {
 	return nil
 }
 
-// Read implements storage.Pager.
+// Read implements storage.Pager. Only the page check holds p.mu; the
+// object read does not, so reads of different pages overlap. The buffer
+// pool never frees or writes a page while a read of it is in flight.
 func (p *Pager) Read(id storage.PageID, buf []byte) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.check(id, buf); err != nil {
+	err := p.check(id, buf)
+	p.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	//avqlint:ignore ctxflow storage.Pager is context-free

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -267,5 +268,61 @@ func TestTableOverBackendPager(t *testing.T) {
 	ok, err := again.Contains(extra)
 	if err != nil || !ok {
 		t.Fatalf("inserted tuple after second reopen: %v, %v", ok, err)
+	}
+}
+
+// blockingStore is a Store whose ReadBlock of one key waits until the test
+// releases it.
+type blockingStore struct {
+	backend.Store
+	key     string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
+	if key == s.key {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.Store.ReadBlock(ctx, key)
+}
+
+// TestPagerReadsOverlap: a page read waiting on the object store does not
+// hold the pager, so a read of another page completes beside it.
+func TestPagerReadsOverlap(t *testing.T) {
+	mem := backend.NewMemoryStore()
+	defer mem.Close()
+	store := &blockingStore{Store: mem, key: "t/pages/0000000000", entered: make(chan struct{}), release: make(chan struct{})}
+	p := newPager(t, store, "t", 32)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Write(1, bytes.Repeat([]byte{5}, 32)); err != nil {
+		t.Fatal(err)
+	}
+
+	slow := make(chan error, 1)
+	go func() { slow <- p.Read(0, make([]byte, 32)) }()
+	<-store.entered
+	defer func() {
+		close(store.release)
+		if err := <-slow; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	fast := make(chan error, 1)
+	buf := make([]byte, 32)
+	go func() { fast <- p.Read(1, buf) }()
+	select {
+	case err := <-fast:
+		if err != nil || buf[0] != 5 {
+			t.Fatalf("read beside a blocked read: %v, byte %d", err, buf[0])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a page read waited for another page's object read")
 	}
 }

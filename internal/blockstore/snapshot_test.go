@@ -1,11 +1,15 @@
 package blockstore
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // TestSnapshotIsolation: a snapshot taken before mutations keeps reading
@@ -115,4 +119,73 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 		t.Fatalf("snapshot sees %d tuples after reset, want %d", total, len(tuples))
 	}
 	sn.Release()
+}
+
+// TestStreamCopiesSurviveFrameReuse: a pool miss reads into an evicted
+// frame's buffer, so everything a snapshot read returns must be a copy,
+// never the frame's page. A stream, a φ slab and a decoded block read from
+// block 0 stay identical after 64+ further misses cycle every frame of a
+// 4-frame pool.
+func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
+	pager, err := storage.NewMemPager(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.New(pager, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(testSchema(t), core.CodecAVQ, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 6000, 64)); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	if sn.NumBlocks() < 66 {
+		t.Fatalf("%d blocks; the test needs 64+ misses after block 0", sn.NumBlocks())
+	}
+
+	stream, err := sn.ReadStreamInto(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phis, phiStream, err := sn.ReadPhis(0, core.NewArena(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := sn.ReadBlockArena(0, core.NewArena())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStream, wantPhis, wantPhiStream := bytes.Clone(stream), slices.Clone(phis), bytes.Clone(phiStream)
+	wantTuples := make([]relation.Tuple, len(tuples))
+	for i, tu := range tuples {
+		wantTuples[i] = tu.Clone()
+	}
+
+	misses := pool.Stats().Misses
+	var buf []byte
+	for i := 1; i < sn.NumBlocks(); i++ {
+		if buf, err = sn.ReadStreamInto(i, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := pool.Stats().Misses - misses; n < 64 {
+		t.Fatalf("only %d misses after block 0", n)
+	}
+
+	if !bytes.Equal(stream, wantStream) || !bytes.Equal(phiStream, wantPhiStream) {
+		t.Fatal("a copied-out stream changed when its page's frame was reused")
+	}
+	if !slices.Equal(phis, wantPhis) {
+		t.Fatal("a φ slab changed when its page's frame was reused")
+	}
+	for i := range tuples {
+		if !slices.Equal(tuples[i], wantTuples[i]) {
+			t.Fatalf("decoded tuple %d changed when its page's frame was reused", i)
+		}
+	}
 }

@@ -6,6 +6,16 @@
 // simdisk.Disk the pool records those accesses against the disk's cost
 // model, so experiments obtain N (blocks accessed) and simulated I/O time
 // directly from running real queries.
+//
+// A miss reads outside the pool lock: Get evicts a victim, publishes the
+// new frame pinned and loading, and only then calls the pager, so hits and
+// other misses proceed while one request waits on its read. A Get of a page
+// that is still loading waits for that one read and shares its frame; it
+// counts as a hit, so Stats().Misses is exactly the number of pager reads.
+// The new frame takes the victim's page buffer, so a steady-state miss
+// allocates no page memory — and a frame's Data must never be touched after
+// its Unpin, because the next miss may already be reading another page
+// into it.
 package buffer
 
 import (
@@ -38,6 +48,12 @@ type Frame struct {
 	pins  int
 	dirty atomic.Bool
 
+	// loading is set while the page is read outside the pool lock; Gets of
+	// the page wait on Pool.loaded until it clears. err is the failed
+	// read's error, handed to those waiters.
+	loading bool
+	err     error
+
 	// LRU list links; a frame is on the list only while unpinned.
 	prev, next *Frame
 }
@@ -46,7 +62,10 @@ type Frame struct {
 func (f *Frame) ID() storage.PageID { return f.id }
 
 // Data returns the page contents. The slice aliases pool memory: it is
-// valid only while the frame is pinned.
+// valid only while the frame is pinned. After Unpin the pool may evict the
+// frame and read another page into the same buffer, so a use after Unpin
+// reads or corrupts a page someone else holds (avqlint's framealias rule
+// guards this).
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the frame's data was modified and must be written
@@ -73,6 +92,11 @@ type Pool struct {
 	lruTail  *Frame // least recently used unpinned frame
 	stats    Stats
 	closed   bool
+
+	// loaded is signalled (on mu) whenever a read started by Get finishes;
+	// loads counts the reads in flight, so Close can wait them out.
+	loaded sync.Cond
+	loads  int
 
 	// met holds pre-resolved obs instruments; nil instruments no-op, so
 	// the pool pays one nil check per event when observability is off.
@@ -111,12 +135,14 @@ func New(pager storage.Pager, disk *simdisk.Disk, capacity int) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: capacity %d must be positive", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		pager:    pager,
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[storage.PageID]*Frame, capacity),
-	}, nil
+	}
+	p.loaded.L = &p.mu
+	return p, nil
 }
 
 // PageSize returns the underlying pager's page size.
@@ -157,25 +183,30 @@ func (p *Pool) lruPush(f *Frame) {
 	}
 }
 
-// evictLocked frees one unpinned frame, writing it back if dirty. The
+// bufferLocked returns a page buffer for a new frame: a fresh one while
+// the pool has room, otherwise the buffer of the least recently used
+// unpinned frame, which is evicted (and written back if dirty). The
 // caller holds p.mu.
-func (p *Pool) evictLocked() error {
+func (p *Pool) bufferLocked() ([]byte, error) {
+	if len(p.frames) < p.capacity {
+		return make([]byte, p.pager.PageSize()), nil
+	}
 	victim := p.lruTail
 	if victim == nil {
-		return ErrPoolFull
+		return nil, ErrPoolFull
 	}
 	p.lruRemove(victim)
 	if victim.dirty.Load() {
 		if err := p.writeBackLocked(victim); err != nil {
 			// Re-link so the pool stays consistent after the error.
 			p.lruPush(victim)
-			return err
+			return nil, err
 		}
 	}
 	delete(p.frames, victim.id)
 	p.stats.Evictions++
 	p.met.evictions.Inc()
-	return nil
+	return victim.data, nil
 }
 
 func (p *Pool) writeBackLocked(f *Frame) error {
@@ -193,6 +224,11 @@ func (p *Pool) writeBackLocked(f *Frame) error {
 
 // Get pins the page in the pool, reading it from the pager on a miss, and
 // returns its frame. Every successful Get must be paired with an Unpin.
+//
+// The pager read runs without the pool lock, on a frame already published
+// pinned and loading; a concurrent Get of the same page waits for that read
+// instead of issuing its own. A failed read unpublishes the frame and
+// returns its error to the loader and every waiter.
 func (p *Pool) Get(id storage.PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -205,27 +241,46 @@ func (p *Pool) Get(id storage.PageID) (*Frame, error) {
 			p.met.pinned.Add(1)
 		}
 		f.pins++
+		for f.loading {
+			p.loaded.Wait()
+		}
+		if f.err != nil {
+			return nil, f.err
+		}
 		p.stats.Hits++
 		p.met.hits.Inc()
 		return f, nil
 	}
-	if len(p.frames) >= p.capacity {
-		if err := p.evictLocked(); err != nil {
-			return nil, err
-		}
+	data, err := p.bufferLocked()
+	if err != nil {
+		return nil, err
 	}
-	data := make([]byte, p.pager.PageSize())
-	if err := p.pager.Read(id, data); err != nil {
+	f := &Frame{id: id, data: data, pins: 1, loading: true}
+	p.frames[id] = f
+	p.stats.Misses++
+	p.met.misses.Inc()
+	p.met.pinned.Add(1)
+	p.loads++
+
+	p.mu.Unlock()
+	err = p.pager.Read(id, data)
+	p.mu.Lock()
+
+	p.loads--
+	f.loading = false
+	p.loaded.Broadcast()
+	if err != nil {
+		// Waiters took pins on f; they return the error instead of the
+		// frame, so the pins die with it.
+		f.err = err
+		f.pins = 0
+		delete(p.frames, id)
+		p.met.pinned.Add(-1)
 		return nil, err
 	}
 	if p.disk != nil {
 		p.disk.RecordReadPage(int64(id), len(data))
 	}
-	p.stats.Misses++
-	p.met.misses.Inc()
-	p.met.pinned.Add(1)
-	f := &Frame{id: id, data: data, pins: 1}
-	p.frames[id] = f
 	return f, nil
 }
 
@@ -239,14 +294,17 @@ func (p *Pool) Unpin(f *Frame) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		p.lruPush(f)
+		if !p.closed {
+			p.lruPush(f)
+		}
 		p.met.pinned.Add(-1)
 	}
 	return nil
 }
 
 // Allocate creates a new zeroed page and returns it pinned. The frame
-// starts clean; callers that fill it must MarkDirty.
+// starts clean; callers that fill it must MarkDirty. Like a miss, it takes
+// an evicted frame's buffer, cleared.
 func (p *Pool) Allocate() (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -257,13 +315,13 @@ func (p *Pool) Allocate() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(p.frames) >= p.capacity {
-		if err := p.evictLocked(); err != nil {
-			return nil, err
-		}
+	data, err := p.bufferLocked()
+	if err != nil {
+		return nil, err
 	}
+	clear(data)
 	p.met.pinned.Add(1)
-	f := &Frame{id: id, data: make([]byte, p.pager.PageSize()), pins: 1}
+	f := &Frame{id: id, data: data, pins: 1}
 	p.frames[id] = f
 	return f, nil
 }
@@ -355,11 +413,15 @@ func (p *Pool) ResetStats() {
 	p.mu.Unlock()
 }
 
-// Close flushes dirty frames and closes the pool (but not the pager, which
-// the caller owns).
+// Close waits for in-flight reads, flushes dirty frames and closes the
+// pool (but not the pager, which the caller owns). Frames still pinned stay
+// valid for their holders; their Unpin no longer returns them to the pool.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for p.loads > 0 {
+		p.loaded.Wait()
+	}
 	if p.closed {
 		return nil
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
 	"repro/internal/table"
@@ -46,6 +47,12 @@ type UpdatesRow struct {
 	DeletePerOp time.Duration
 	BatchPerOp  time.Duration // batched insertion, amortized
 	BlocksAfter int
+
+	// InsertEncodes and BatchEncodes are blocks re-encoded per inserted
+	// tuple (the store's encode counter), single inserts vs one batch: the
+	// deterministic form of the batched path's saving.
+	InsertEncodes float64
+	BatchEncodes  float64
 }
 
 // UpdatesResult quantifies Section 4.2: tuple insertion and deletion are
@@ -59,7 +66,8 @@ type UpdatesResult struct {
 }
 
 // RunUpdates measures per-operation wall time for Insert, Delete, and
-// InsertBatch on the Section 5.2 relation under each representation.
+// InsertBatch on the Section 5.2 relation under each representation, and
+// counts the blocks single and batched inserts re-encode.
 func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) {
 	cfg.fillDefaults()
 	spec := gen.Spec38Byte(cfg.Tuples, false, cfg.Seed)
@@ -77,7 +85,9 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 	}
 	res := &UpdatesResult{Tuples: cfg.Tuples, Operations: cfg.Operations}
 	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecPacked} {
-		tb, err := table.Create(schema, table.WithCodec(codec), table.WithPageSize(cfg.PageSize))
+		reg := obs.NewRegistry()
+		encodes := reg.Counter("store.encodes")
+		tb, err := table.Create(schema, table.WithCodec(codec), table.WithPageSize(cfg.PageSize), table.WithObs(reg))
 		if err != nil {
 			return nil, err
 		}
@@ -86,13 +96,18 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 		}
 		row := UpdatesRow{Codec: codec, Blocks: tb.NumBlocks()}
 
-		start := time.Now()
+		perTuple := func(since int64) float64 {
+			return float64(encodes.Value()-since) / float64(cfg.Operations)
+		}
+
+		start, encoded := time.Now(), encodes.Value()
 		for _, tu := range inserts {
 			if err := tb.InsertContext(ctx, tu); err != nil {
 				return nil, err
 			}
 		}
 		row.InsertPerOp = time.Since(start) / time.Duration(cfg.Operations)
+		row.InsertEncodes = perTuple(encoded)
 
 		start = time.Now()
 		for _, tu := range inserts {
@@ -102,11 +117,12 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 		}
 		row.DeletePerOp = time.Since(start) / time.Duration(cfg.Operations)
 
-		start = time.Now()
+		start, encoded = time.Now(), encodes.Value()
 		if err := tb.InsertBatchContext(ctx, inserts); err != nil {
 			return nil, err
 		}
 		row.BatchPerOp = time.Since(start) / time.Duration(cfg.Operations)
+		row.BatchEncodes = perTuple(encoded)
 		row.BlocksAfter = tb.NumBlocks()
 		res.Rows = append(res.Rows, row)
 	}
@@ -118,7 +134,8 @@ func (r *UpdatesResult) WriteText(w io.Writer) error {
 	fmt.Fprintln(w, "Section 4.2 — localized insert/delete cost per operation (this host)")
 	fmt.Fprintf(w, "base relation: %d tuples; %d operations per cell\n\n", r.Tuples, r.Operations)
 	tbl := &textTable{header: []string{
-		"codec", "blocks", "insert/op", "delete/op", "batch insert/op", "blocks after",
+		"codec", "blocks", "insert/op", "delete/op", "batch insert/op",
+		"encodes/insert", "batch encodes/insert", "blocks after",
 	}}
 	for _, row := range r.Rows {
 		tbl.addRow(
@@ -127,6 +144,8 @@ func (r *UpdatesResult) WriteText(w io.Writer) error {
 			fmt.Sprintf("%.1fµs", float64(row.InsertPerOp)/1e3),
 			fmt.Sprintf("%.1fµs", float64(row.DeletePerOp)/1e3),
 			fmt.Sprintf("%.1fµs", float64(row.BatchPerOp)/1e3),
+			fmt.Sprintf("%.2f", row.InsertEncodes),
+			fmt.Sprintf("%.2f", row.BatchEncodes),
 			fmt.Sprintf("%d", row.BlocksAfter),
 		)
 	}

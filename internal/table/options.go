@@ -19,9 +19,10 @@ type optionFunc func(*Options)
 
 func (f optionFunc) apply(o *Options) { f(o) }
 
-// resolveOptions folds a Create/Open option list into one Options value.
+// resolveOptions folds a Create/Open option list into one Options value,
+// starting from the defaults the With* options document.
 func resolveOptions(opts []Option) Options {
-	var o Options
+	o := Options{Codec: core.CodecAVQ}
 	for _, op := range opts {
 		op.apply(&o)
 	}

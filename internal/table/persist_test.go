@@ -392,6 +392,53 @@ func TestOpenRejectsBadCatalogCodec(t *testing.T) {
 	}
 }
 
+// TestCreateDefaultsToAVQ: a table created without a codec option codes
+// its blocks with AVQ, the documented default, and records codec byte 1 in
+// its catalog, so Open reads it back as AVQ.
+func TestCreateDefaultsToAVQ(t *testing.T) {
+	const pageSize = 512
+	path := tempPath(t)
+	tb, err := Create(testSchema(t), WithPageSize(pageSize), WithPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 48)); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Codec() != core.CodecAVQ {
+		t.Fatalf("Codec() = %v, want %v", tb.Codec(), core.CodecAVQ)
+	}
+	sn := tb.store.Snapshot()
+	for i := 0; i < sn.NumBlocks(); i++ {
+		stream, err := sn.ReadStream(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := core.Inspect(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Codec != core.CodecAVQ {
+			t.Fatalf("block %d coded %v, want %v", i, info.Codec, core.CodecAVQ)
+		}
+	}
+	sn.Release()
+	if err := tb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if old := patchCatalogHeader(t, path, pageSize, 0, byte(core.CodecAVQ)); old != byte(core.CodecAVQ) {
+		t.Fatalf("catalog codec byte %d, want %d", old, core.CodecAVQ)
+	}
+	re, err := Open(path, WithPageSize(pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Codec() != core.CodecAVQ {
+		t.Fatalf("reopened Codec() = %v, want %v", re.Codec(), core.CodecAVQ)
+	}
+}
+
 // TestCrashRecoversLastCheckpoint is the crash-consistency guarantee end
 // to end: copy-on-write rewrites + deferred page reuse + dual catalogs
 // mean the on-disk file always reopens at exactly the last checkpoint,

@@ -5,8 +5,8 @@
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
 # search, one-block-cache and one-codec-set guards, the full test suite, a
 # 10 s fuzz smoke of the block decoder against its reference, the crash
-# matrix, and the race-focused test run over the concurrency-sensitive
-# packages. Fails fast on the first broken stage so CI output points at one
+# matrix, the race-focused test run over the concurrency-sensitive
+# packages, and a repeated race run of the buffer pool's miss-path tests. Fails fast on the first broken stage so CI output points at one
 # problem; the last line is the tracked line count.
 set -eu
 
@@ -59,6 +59,11 @@ go test -race ./internal/buffer ./internal/table ./internal/simdisk \
     ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
     ./internal/core ./internal/analysis ./internal/wal \
     ./internal/backend ./internal/shard ./internal/server
+
+echo "== buffer pool miss-path latch tests (-race -count=50)"
+# The pool reads outside its lock; repeat the blocked-pager tests so a
+# rarely-hit interleaving of the loading latch still shows up.
+go test -race -count=50 -run '^TestMiss' ./internal/buffer
 
 echo "check.sh: all gates passed"
 echo "non-test lines in internal/ + cmd/ (scripts/loc.sh): $(sh scripts/loc.sh)"
