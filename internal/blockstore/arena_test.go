@@ -2,9 +2,12 @@ package blockstore
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/relation"
 )
 
 // TestReadBlockArenaMatchesReadBlock checks the arena read path against
@@ -41,7 +44,7 @@ func TestReadBlockArenaMatchesReadBlock(t *testing.T) {
 
 // TestEncodeBufferReuse pins the mutation path's encode-buffer behaviour:
 // the load pipeline codes into per-chunk streams and leaves the buffer
-// alone; mutations re-encode blocks through it, and after a warm-up
+// alone; mutations edit or re-encode blocks through it, and after a warm-up
 // mutation sizes it, further mutations must reuse the capacity.
 func TestEncodeBufferReuse(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
@@ -96,5 +99,53 @@ func TestEncodeChunksExactCapacity(t *testing.T) {
 				t.Errorf("%v chunk %d: stream reallocated (len %d, cap %d)", codec, i, len(stream), cap(stream))
 			}
 		}
+	}
+}
+
+// TestInsertAllocatesNoSlab: with run tuples off (a table without
+// secondary indexes), a steady-state single-tuple insert decodes its home
+// block into a pooled arena and edits the coded stream, so it allocates no
+// tuple slab — a small fraction of one block's slab bytes per insert.
+func TestInsertAllocatesNoSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under -race, so pooled arenas are re-grown")
+	}
+	s := newStore(t, core.CodecAVQ, 8192)
+	tuples := randomTuples(t, 20000, 46)
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	slab := len(tuples) / s.NumBlocks() * (s.schema.NumAttrs()*8 + 24)
+	rng := rand.New(rand.NewSource(47))
+	insert := func() {
+		tu := relation.Tuple{
+			uint64(rng.Intn(8)), uint64(rng.Intn(16)),
+			uint64(rng.Intn(64)), uint64(rng.Intn(64)), uint64(rng.Intn(4096)),
+		}
+		if _, err := s.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Bulk-loaded blocks are packed full, so the first insert into each
+	// splits it; after that every block has slack and inserts edit.
+	for range 400 {
+		insert()
+	}
+	const n = 500
+	blocks := s.NumBlocks()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for range n {
+		insert()
+	}
+	runtime.ReadMemStats(&m1)
+	if s.NumBlocks() != blocks {
+		t.Fatalf("blocks %d -> %d: the measured inserts split, not steady state", blocks, s.NumBlocks())
+	}
+	perInsert := (m1.TotalAlloc - m0.TotalAlloc) / n
+	t.Logf("%d bytes allocated per insert; one block's tuple slab is %d bytes", perInsert, slab)
+	if perInsert >= uint64(slab)/8 {
+		t.Fatalf("%d bytes allocated per insert, at least an eighth of a %d-byte tuple slab", perInsert, slab)
 	}
 }

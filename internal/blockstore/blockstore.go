@@ -13,9 +13,12 @@
 // order, and the ordered block list is the clustered order of the relation.
 // Insertion and deletion are tuple-addressed: the store finds the home
 // block by binary search over the manifest's fence array (the flattened
-// primary index of Figure 4.4), then decodes, modifies, and re-encodes only
-// that block (Figure 4.6); a block whose re-coded stream no longer fits its
-// page is split, and an emptied block's page is freed.
+// primary index of Figure 4.4), decodes only that block (Figure 4.6), and
+// edits its coded stream rather than re-coding it: core.EditBlock splices
+// the one or two differences the write changes and copies the rest, to the
+// byte the stream a full re-encode writes. A block whose edited stream no
+// longer fits its page is split from the tuples of the same decode, and an
+// emptied block's page is freed.
 //
 // The layout metadata lives in an immutable manifest (see snapshot.go):
 // mutations clone it, edit the clone, and publish it atomically, freeing
@@ -91,10 +94,16 @@ type Store struct {
 	// means observability is off and every instrument no-ops.
 	met storeMetrics
 
-	// encBuf is the mutation path's reusable stream buffer. Mutations are
-	// serialized by the table layer and the load pipeline encodes into its
-	// own per-chunk buffers, so writeFresh is the only writer.
-	encBuf []byte
+	// encBuf and homeBuf are the mutation path's reusable stream buffers:
+	// the stream a mutation writes and the home block's stream it read.
+	// Mutations are serialized by the table layer and the load pipeline
+	// encodes into its own per-chunk buffers, so the mutators are their
+	// only users.
+	encBuf, homeBuf []byte
+
+	// runTuples makes mutations hand back their blocks' tuples in
+	// MutationResult (see SetRunTuples).
+	runTuples bool
 
 	// hook, when set, observes every manifest publication on the mutation
 	// path (see SetCommitHook). Called by the single mutator, after the
@@ -114,10 +123,17 @@ type CommitEvent struct {
 
 // SetCommitHook registers fn to run after every manifest publication made
 // by a mutation (rewrite, split, empty-block removal, bulk load, reset).
-// The WAL-enabled table uses it to account page commits against the log;
-// observability layers can count them. fn runs on the mutating goroutine
+// The table uses it to count the fresh pages its writes cost
+// (store.pages_written). fn runs on the mutating goroutine
 // with no store locks held and must not mutate the store.
 func (s *Store) SetCommitHook(fn func(CommitEvent)) { s.hook = fn }
+
+// SetRunTuples makes every later mutation fill its MutationResult's
+// BlockRun.Tuples, which the table needs only to move secondary-index
+// postings. Off (the default), a mutation materializes no tuple slice: an
+// edit reads its home block as a φ slab (a tuple slab on a non-flat
+// schema) in a pooled arena and never leaves it.
+func (s *Store) SetRunTuples(on bool) { s.runTuples = on }
 
 // notifyCommit invokes the commit hook if one is registered.
 func (s *Store) notifyCommit(kind string, pages int) {
@@ -372,24 +388,36 @@ func (s *Store) decodeBlock(id storage.PageID, a *core.Arena) ([]relation.Tuple,
 	if int(l) > s.capacity() {
 		return nil, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
 	}
-	var t0 time.Time
-	if s.met.decodeHist != nil {
-		t0 = time.Now()
-	}
+	t0 := s.decodeStart()
 	tuples, err := core.DecodeBlockArena(s.schema, data[lenPrefix:lenPrefix+int(l)], a)
-	if s.met.decodeHist != nil {
-		s.met.decodeHist.Observe(time.Since(t0))
-		s.met.decodes.Inc()
-	}
+	s.decodeDone(t0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
 	}
 	return tuples, nil
 }
 
-// BlockRun is one block of a mutation: its page and the tuples it holds,
-// in φ order. The tuples are the mutator's own decode (or the run it just
-// encoded), handed over so the caller can maintain its indexes without
+// decodeStart reads the clock for a block decode's latency, unless
+// observability is off.
+func (s *Store) decodeStart() time.Time {
+	if s.met.decodeHist == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// decodeDone counts a block decode that began at t0 and records its
+// latency.
+func (s *Store) decodeDone(t0 time.Time) {
+	if s.met.decodeHist != nil {
+		s.met.decodeHist.Observe(time.Since(t0))
+		s.met.decodes.Inc()
+	}
+}
+
+// BlockRun is one block of a mutation: its page and, with run tuples on,
+// the tuples it holds, in φ order. The tuples come from the mutator's own
+// decode, handed over so the caller can maintain its indexes without
 // reading the block again; they must not be modified.
 type BlockRun struct {
 	Page   storage.PageID
@@ -399,19 +427,20 @@ type BlockRun struct {
 // MutationResult reports how an insert, delete or merge changed the block
 // layout, so the table layer can maintain its secondary indexes.
 type MutationResult struct {
-	// Old is the block the mutation replaced, with its pre-image. Its
-	// Tuples are nil when nothing was replaced (a write into an empty
-	// store).
+	// Old is the block the mutation replaced, with its pre-image; its Page
+	// is storage.InvalidPage when nothing was replaced (a write into an
+	// empty store). Old's and New's Tuples are set only with run tuples
+	// on (SetRunTuples).
 	Old BlockRun
 	// New holds the blocks that now cover the affected range, in clustered
-	// order: the re-coded block, plus any created by a split. Empty when
+	// order: the edited block, or the blocks a split made of it. Empty when
 	// the block became empty and was removed.
 	New []BlockRun
 }
 
 // Insert adds t to its home block — the last block whose first tuple is
 // <= t, found on the fence array; a fresh block when the store is empty —
-// keeping phi order, re-coding the block onto a fresh page, and splitting
+// keeping phi order, editing the block onto a fresh page, and splitting
 // it if the coded stream no longer fits (Section 4.2). Duplicates are
 // permitted.
 func (s *Store) Insert(t relation.Tuple) (MutationResult, error) {
@@ -420,9 +449,9 @@ func (s *Store) Insert(t relation.Tuple) (MutationResult, error) {
 }
 
 // MergeRun merges the longest prefix of a φ-sorted, non-empty batch that
-// shares one home block into that block, with one decode and one
-// re-encode, and reports how many tuples it consumed. Batch insertion
-// calls it until the batch is used up.
+// shares one home block into that block, with one decode and one edit (see
+// edit), and reports how many tuples it consumed. Batch insertion calls it
+// until the batch is used up.
 func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err error) {
 	if len(batch) == 0 {
 		return MutationResult{}, 0, errors.New("blockstore: merge with no tuples")
@@ -439,88 +468,202 @@ func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err
 	if !s.schema.TuplesSorted(run) {
 		return MutationResult{}, 0, errors.New("blockstore: merge input not in phi order")
 	}
-	var old []relation.Tuple
 	if at < 0 {
-		at = 0
-	} else if old, err = s.decodeBlock(m.blocks[at], nil); err != nil {
+		// An empty store: the run becomes the first blocks.
+		res = MutationResult{Old: BlockRun{Page: storage.InvalidPage}}
+		if res.New, err = s.writeRuns(m, 0, 0, run); err != nil {
+			return MutationResult{}, 0, err
+		}
+		return res, n, nil
+	}
+	h, err := s.readHome(m, at)
+	if err != nil {
 		return MutationResult{}, 0, err
 	}
-	// Each run tuple goes after the last stored tuple <= it, so duplicates
-	// stay adjacent and a single insert costs one binary search.
-	merged := make([]relation.Tuple, 0, len(old)+len(run))
-	rest := old
-	for _, tu := range run {
-		k := sort.Search(len(rest), func(i int) bool { return s.schema.Compare(rest[i], tu) > 0 })
-		merged = append(append(merged, rest[:k]...), tu)
-		rest = rest[k:]
-	}
-	merged = append(merged, rest...)
-	res, err = s.replace(m, at, old, merged)
-	if err != nil {
+	defer s.releaseHome(h)
+	if res, err = s.edit(m, h, core.Edit{Insert: run}); err != nil {
 		return MutationResult{}, 0, err
 	}
 	return res, n, nil
 }
 
-// find locates t without trusting the caller for a block: blocks never
-// overlap, so if any block holds t the first block whose Last is >= t
-// does. It returns that block's position, its decoded tuples, and the
-// index of t's first occurrence in them (-1 when t is absent, in which
-// case no block may have been decoded).
-func (s *Store) find(m *manifest, t relation.Tuple) (at int, tuples []relation.Tuple, idx int, err error) {
-	at = m.seek(s.schema, t)
-	if at == len(m.fences) || s.schema.Compare(m.fences[at].First, t) > 0 {
-		return at, nil, -1, nil
-	}
-	if tuples, err = s.decodeBlock(m.blocks[at], nil); err != nil {
-		return at, nil, -1, err
-	}
-	idx = sort.Search(len(tuples), func(i int) bool { return s.schema.Compare(tuples[i], t) >= 0 })
-	if idx == len(tuples) || s.schema.Compare(tuples[idx], t) != 0 {
-		idx = -1
-	}
-	return at, tuples, idx, nil
+// holder returns the one block that can hold t — blocks never overlap, so
+// if any block holds t the first whose Last is >= t does — and false when
+// the fences already rule t out.
+func (m *manifest) holder(s *relation.Schema, t relation.Tuple) (int, bool) {
+	at := m.seek(s, t)
+	return at, at < len(m.fences) && s.Compare(m.fences[at].First, t) <= 0
 }
 
 // Contains reports whether t is stored, decoding at most one block. Like
 // the mutators it reads the live layout, so the caller must exclude
 // concurrent mutation.
 func (s *Store) Contains(t relation.Tuple) (bool, error) {
-	_, _, idx, err := s.find(s.man.Load(), t)
-	return idx >= 0, err
+	m := s.man.Load()
+	at, ok := m.holder(s.schema, t)
+	if !ok {
+		return false, nil
+	}
+	a := core.GetArena()
+	defer core.PutArena(a)
+	slab, _, err := s.readSlab(m.blocks[at], a, nil)
+	return err == nil && slab.Find(s.schema, t) >= 0, err
 }
 
-// Delete removes one occurrence of t, re-coding its block (or freeing the
-// block's page when it held nothing else). It returns the mutation result
-// and whether the tuple was found.
+// Delete removes one occurrence of t from its block with one decode and
+// one edit (or frees the block's page when it held nothing else). It
+// returns the mutation result and whether the tuple was found.
 func (s *Store) Delete(t relation.Tuple) (MutationResult, bool, error) {
 	m := s.man.Load()
-	at, old, idx, err := s.find(m, t)
-	if err != nil || idx < 0 {
+	at, ok := m.holder(s.schema, t)
+	if !ok {
+		return MutationResult{}, false, nil
+	}
+	h, err := s.readHome(m, at)
+	if err != nil {
 		return MutationResult{}, false, err
 	}
-	res, err := s.replace(m, at, old, slices.Delete(slices.Clone(old), idx, idx+1))
+	defer s.releaseHome(h)
+	idx := h.slab.Find(s.schema, t)
+	if idx < 0 {
+		return MutationResult{}, false, nil
+	}
+	res, err := s.edit(m, h, core.Edit{Delete: idx})
 	if err != nil {
 		return MutationResult{}, false, err
 	}
 	return res, true, nil
 }
 
-// replace re-codes tuples onto fresh pages (copy-on-write) in place of the
-// block at position at whose decoded pre-image is old — or, when old is
-// nil, as new blocks inserted at that position — splitting into as many
-// blocks as the page capacity demands, then publishes the edited manifest
-// and frees the replaced page. An empty tuples removes the block. The
-// original page is freed only after publication — and only once no
-// snapshot pins it — so a crash between catalog checkpoints can never
-// clobber a block the last durable catalog references, and concurrent
-// snapshot readers keep a consistent pre-rewrite view.
-func (s *Store) replace(cur *manifest, at int, old, tuples []relation.Tuple) (MutationResult, error) {
-	runs, err := s.packRuns(tuples)
+// homeBlock is the block a mutation edits, decoded once: its position,
+// its coded stream (in homeBuf) and its slab — the φ sequence on a flat
+// schema, the tuples otherwise. The slab's arena is pooled unless run
+// tuples are on, in which case the tuples carved from it go to the caller.
+type homeBlock struct {
+	at     int
+	stream []byte
+	slab   core.Slab
+	arena  *core.Arena
+}
+
+// readHome reads and decodes the block at position at of m for a mutation.
+func (s *Store) readHome(m *manifest, at int) (*homeBlock, error) {
+	h := &homeBlock{at: at}
+	if s.runTuples {
+		h.arena = core.NewArena()
+	} else {
+		h.arena = core.GetArena()
+	}
+	var err error
+	h.slab, h.stream, err = s.readSlab(m.blocks[at], h.arena, s.homeBuf)
+	s.homeBuf = h.stream
+	if err != nil {
+		s.releaseHome(h)
+		return nil, err
+	}
+	return h, nil
+}
+
+// releaseHome returns a home block's pooled arena.
+func (s *Store) releaseHome(h *homeBlock) {
+	if !s.runTuples {
+		core.PutArena(h.arena)
+	}
+}
+
+// readSlab copies the coded stream on page id into buf and decodes it
+// into arena a (core.DecodeBlockSlab), with every check of a full decode.
+func (s *Store) readSlab(id storage.PageID, a *core.Arena, buf []byte) (core.Slab, []byte, error) {
+	stream, err := s.readStream(id, buf[:0])
+	if err != nil {
+		return core.Slab{}, buf, err
+	}
+	t0 := s.decodeStart()
+	slab, err := core.DecodeBlockSlab(s.schema, stream, a)
+	s.decodeDone(t0)
+	if err != nil {
+		return core.Slab{}, stream, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+	}
+	return slab, stream, nil
+}
+
+// edit applies e to the home block h of cur, copy-on-write: when the edited
+// run's stream fits a page it is core.EditBlock's — byte-identical to
+// re-encoding the run, at the cost of one stream copy — and otherwise the
+// run is split by packRuns, from tuples recovered out of the same decode.
+// A delete of a block's last tuple removes the block.
+func (s *Store) edit(cur *manifest, h *homeBlock, e core.Edit) (MutationResult, error) {
+	res := MutationResult{Old: BlockRun{Page: cur.blocks[h.at]}}
+	emptied := len(e.Insert) == 0 && h.slab.Len() == 1
+	var stream []byte
+	fits := false
+	if !emptied {
+		var err error
+		if stream, fits, err = core.EditBlock(s.schema, h.stream, h.slab, e, s.capacity(), s.encBuf[:0]); err != nil {
+			return MutationResult{}, err
+		}
+	}
+	var edited []relation.Tuple
+	if s.runTuples || !fits {
+		old := h.slab.Materialize(s.schema, h.arena)
+		edited = e.Apply(s.schema, old)
+		if s.runTuples {
+			res.Old.Tuples = old
+		}
+	}
+	if !fits {
+		var err error
+		if res.New, err = s.writeRuns(cur, h.at, 1, edited); err != nil {
+			return MutationResult{}, err
+		}
+		return res, nil
+	}
+	s.encBuf = stream
+	s.met.edits.Inc()
+	id, err := s.writeStream(stream)
 	if err != nil {
 		return MutationResult{}, err
 	}
-	res := MutationResult{New: make([]BlockRun, len(runs))}
+	res.New = []BlockRun{{Page: id, Tuples: edited}}
+	return res, s.publish(cur, h.at, 1, []storage.PageID{id}, []Fence{editedFence(s.schema, cur.fences[h.at], h.slab, e)})
+}
+
+// editedFence is a block's fence after edit e, from its fence before and
+// the edit's ends: only an insert below the first tuple or above the last,
+// or a delete of either, moves one.
+func editedFence(sch *relation.Schema, f Fence, slab core.Slab, e core.Edit) Fence {
+	u := slab.Len()
+	if ins := e.Insert; len(ins) > 0 {
+		f.Count += len(ins)
+		if slab.Search(sch, ins[0]) == 0 {
+			f.First = ins[0].Clone()
+		}
+		if slab.Search(sch, ins[len(ins)-1]) == u {
+			f.Last = ins[len(ins)-1].Clone()
+		}
+		return f
+	}
+	f.Count--
+	if e.Delete == 0 {
+		f.First = slab.At(sch, 1)
+	}
+	if e.Delete == u-1 {
+		f.Last = slab.At(sch, u-2)
+	}
+	return f
+}
+
+// writeRuns codes tuples onto fresh pages (copy-on-write), splitting them
+// into as many blocks as the page capacity demands (packRuns), in place of
+// the replaced (0 or 1) blocks at position at of cur, and publishes the
+// result; no tuples removes the block. It returns the new blocks, with
+// their tuples when run tuples are on.
+func (s *Store) writeRuns(cur *manifest, at, replaced int, tuples []relation.Tuple) ([]BlockRun, error) {
+	runs, err := s.packRuns(tuples)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]BlockRun, len(runs))
 	ids := make([]storage.PageID, len(runs))
 	fences := make([]Fence, len(runs))
 	for i, run := range runs {
@@ -533,33 +676,40 @@ func (s *Store) replace(cur *manifest, at int, old, tuples []relation.Tuple) (Mu
 			for _, written := range ids[:i] {
 				s.freePageBestEffort(written)
 			}
-			return MutationResult{}, err
+			return nil, err
 		}
 		ids[i], fences[i] = id, fenceFor(run)
-		res.New[i] = BlockRun{Page: id, Tuples: run}
+		out[i].Page = id
+		if s.runTuples {
+			out[i].Tuples = run
+		}
 	}
-	replaced := 0
-	if old != nil {
-		replaced = 1
-		res.Old = BlockRun{Page: cur.blocks[at], Tuples: old}
-	}
+	return out, s.publish(cur, at, replaced, ids, fences)
+}
+
+// publish splices the freshly written blocks ids, with their fences, in
+// place of the replaced (0 or 1) blocks at position at of cur, publishes
+// the edited manifest, and frees the replaced page. The original page is
+// freed only after publication — and only once no snapshot pins it — so a
+// crash between catalog checkpoints can never clobber a block the last
+// durable catalog references, and concurrent snapshot readers keep a
+// consistent pre-rewrite view.
+func (s *Store) publish(cur *manifest, at, replaced int, ids []storage.PageID, fences []Fence) error {
 	m := cur.clone()
 	m.splice(at, replaced, ids, fences)
 	s.man.Store(m)
 	kind := "rewrite"
 	switch {
-	case len(runs) == 0:
+	case len(ids) == 0:
 		kind = "remove"
-	case len(runs) > 1:
+	case len(ids) > 1:
 		kind = "split"
 	}
 	s.notifyCommit(kind, len(ids))
 	if replaced == 1 {
-		if err := s.freeBlockPage(res.Old.Page); err != nil {
-			return MutationResult{}, err
-		}
+		return s.freeBlockPage(cur.blocks[at])
 	}
-	return res, nil
+	return nil
 }
 
 // packRuns cuts a φ-sorted run into the blocks it needs: itself when its

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,6 +27,12 @@ func testSchema(t testing.TB) *relation.Schema {
 
 func newStore(t testing.TB, codec core.Codec, pageSize int) *Store {
 	t.Helper()
+	return newSchemaStore(t, testSchema(t), codec, pageSize)
+}
+
+// newSchemaStore is newStore over a schema of the caller's.
+func newSchemaStore(t testing.TB, schema *relation.Schema, codec core.Codec, pageSize int) *Store {
+	t.Helper()
 	pager, err := storage.NewMemPager(pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +41,7 @@ func newStore(t testing.TB, codec core.Codec, pageSize int) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(testSchema(t), codec, pool)
+	s, err := New(schema, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,43 +149,61 @@ func TestAVQUsesFewerBlocksThanRaw(t *testing.T) {
 func TestInsertIntoBlock(t *testing.T) {
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			s := newStore(t, codec, 512)
-			tuples := randomTuples(t, 200, 5)
-			refs, err := s.BulkLoadContext(context.Background(), tuples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			target := refs[len(refs)/2]
-			ins := target.First.Clone()
-			// A tuple just above the block's first tuple lands inside it.
-			ins[len(ins)-1] = (ins[len(ins)-1] + 1) % 4096
-			res, err := s.Insert(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Old.Page != target.Page || len(res.Old.Tuples) != target.Count {
-				t.Fatalf("insert replaced page %d (%d tuples), want home block %d (%d tuples)",
-					res.Old.Page, len(res.Old.Tuples), target.Page, target.Count)
-			}
-			after := 0
-			for _, run := range res.New {
-				after += len(run.Tuples)
-			}
-			if len(res.New) == 0 || after != target.Count+1 {
-				t.Fatalf("insert handed back %d blocks holding %d tuples, want %d", len(res.New), after, target.Count+1)
-			}
-			if err := s.Check(); err != nil {
-				t.Fatal(err)
-			}
-			count := 0
-			s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
-				count += len(ts)
-				return true
-			})
-			if count != len(tuples)+1 {
-				t.Fatalf("store has %d tuples, want %d", count, len(tuples)+1)
+			for _, runTuples := range []bool{false, true} {
+				t.Run(fmt.Sprintf("runTuples=%v", runTuples), func(t *testing.T) {
+					testInsertIntoBlock(t, codec, runTuples)
+				})
 			}
 		})
+	}
+}
+
+// testInsertIntoBlock is one TestInsertIntoBlock case: the mutation result
+// names the home block, and carries tuples exactly when runTuples is on.
+func testInsertIntoBlock(t *testing.T, codec core.Codec, runTuples bool) {
+	s := newStore(t, codec, 512)
+	s.SetRunTuples(runTuples)
+	tuples := randomTuples(t, 200, 5)
+	refs, err := s.BulkLoadContext(context.Background(), tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := refs[len(refs)/2]
+	ins := target.First.Clone()
+	// A tuple just above the block's first tuple lands inside it.
+	ins[len(ins)-1] = (ins[len(ins)-1] + 1) % 4096
+	res, err := s.Insert(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	if runTuples {
+		want = target.Count
+	}
+	if res.Old.Page != target.Page || len(res.Old.Tuples) != want {
+		t.Fatalf("insert replaced page %d (%d tuples), want home block %d (%d tuples)",
+			res.Old.Page, len(res.Old.Tuples), target.Page, want)
+	}
+	after := 0
+	for _, run := range res.New {
+		after += len(run.Tuples)
+	}
+	if runTuples {
+		want++
+	}
+	if len(res.New) == 0 || after != want {
+		t.Fatalf("insert handed back %d blocks holding %d tuples, want %d", len(res.New), after, want)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	s.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
+		count += len(ts)
+		return true
+	})
+	if count != len(tuples)+1 {
+		t.Fatalf("store has %d tuples, want %d", count, len(tuples)+1)
 	}
 }
 
@@ -218,6 +243,7 @@ func TestInsertForcesSplit(t *testing.T) {
 
 func TestDeleteFromBlock(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
+	s.SetRunTuples(true)
 	tuples := randomTuples(t, 300, 8)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -531,9 +557,10 @@ func TestRestoreRejectsDisorder(t *testing.T) {
 
 // TestRewriteBlockValidation: MergeRun is the store's batch rewrite; it
 // refuses input it cannot place (none, or out of φ order) and otherwise
-// re-codes the home block copy-on-write.
+// edits the home block copy-on-write.
 func TestRewriteBlockValidation(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
+	s.SetRunTuples(true)
 	tuples := randomTuples(t, 100, 21)
 	refs, err := s.BulkLoadContext(context.Background(), tuples)
 	if err != nil {

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -19,6 +20,9 @@ import (
 //     header tuple count agreeing with what actually decodes, and a
 //     representative index (from Inspect, never a decode) that anchors the
 //     tuple the full decode places there;
+//   - that the stream is canonical: byte-identical to core.EncodeBlock of
+//     its own decoded tuples, so a block a mutation edited in place
+//     (core.EditBlock) is indistinguishable from one re-coded whole;
 //   - that every stored difference decodes back to a tuple inside the
 //     schema's φ space (every digit below its domain size) and inside the
 //     block's φ range — at or after the block's first (representative-
@@ -77,6 +81,13 @@ func (s *Store) Check() error {
 		}
 		if s.schema.Compare(anchor, tuples[info.RepIndex]) != 0 {
 			return fmt.Errorf("blockstore: block %d anchor decode disagrees with full decode at ordinal %d", i, info.RepIndex)
+		}
+		canon, err := core.EncodeBlock(s.codec, s.schema, tuples, nil)
+		if err != nil {
+			return fmt.Errorf("blockstore: check block %d re-encode: %w", i, err)
+		}
+		if !bytes.Equal(canon, stream) {
+			return fmt.Errorf("blockstore: block %d stream (%d bytes) is not the EncodeBlock stream of its tuples (%d bytes)", i, len(stream), len(canon))
 		}
 		var next relation.Tuple // first tuple of the following block, if any
 		if i+1 < len(m.blocks) {

@@ -35,6 +35,7 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	}
 	s.met = storeMetrics{
 		encodes:       reg.Counter("store.encodes"),
+		edits:         reg.Counter("store.edits"),
 		decodes:       reg.Counter("store.decodes"),
 		encodeHist:    reg.Histogram("store.encode"),
 		decodeHist:    reg.Histogram("store.decode"),
@@ -59,6 +60,7 @@ func (s *Store) SetObs(reg *obs.Registry) {
 // value (nil instruments) is "observability off".
 type storeMetrics struct {
 	encodes       *obs.Counter
+	edits         *obs.Counter // blocks written by core.EditBlock, not re-encoded
 	decodes       *obs.Counter
 	encodeHist    *obs.Histogram
 	decodeHist    *obs.Histogram

@@ -588,15 +588,15 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 }
 
 // rewriteInPlace re-codes the block at position at with its own tuples
-// through the mutators' shared replace step: a copy-on-write rewrite that
-// changes nothing but the page.
+// through the mutators' shared write-and-publish step: a copy-on-write
+// rewrite that changes nothing but the page.
 func rewriteInPlace(s *Store, at int) error {
 	m := s.man.Load()
 	ts, err := s.decodeBlock(m.blocks[at], nil)
 	if err != nil {
 		return err
 	}
-	_, err = s.replace(m, at, ts, ts)
+	_, err = s.writeRuns(m, at, 1, ts)
 	return err
 }
 

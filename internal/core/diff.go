@@ -319,6 +319,15 @@ func (r *diffReader) skip(n int) error {
 	return nil
 }
 
+// offset is where the next difference starts: a byte offset into the body
+// for byte-RLE, a bit offset into the bit stream for packed.
+func (r *diffReader) offset() int {
+	if r.packed {
+		return r.bits.Offset()
+	}
+	return r.pos
+}
+
 // end is the end-of-payload rule, the same for every decode shape: a walk
 // that consumed the block's last difference requires the payload to stop
 // there (the packed bit stream may carry up to 7 bits of padding). A walk

@@ -107,6 +107,61 @@ func checkDecodeBlock(t *testing.T, s *relation.Schema, data []byte) {
 	}
 }
 
+// FuzzEditBlock cuts arbitrary digit material into a block and an edit —
+// a sorted run of inserts, or a delete when the cut leaves none — and
+// asserts that EditBlock's stream is EncodeBlock's stream of the edited
+// run (checkEdit) under every codec, on a flat schema (φ slab) and one past
+// 64 bits (tuple slab). data[0] picks the codec, data[1] the cut.
+func FuzzEditBlock(f *testing.F) {
+	flat := relation.MustSchema(
+		relation.Domain{Name: "a", Size: 16},
+		relation.Domain{Name: "b", Size: 1000},
+		relation.Domain{Name: "c", Size: 64},
+	)
+	wide := relation.MustSchema(
+		relation.Domain{Name: "a", Size: 16},
+		relation.Domain{Name: "b", Size: 1000},
+		relation.Domain{Name: "c", Size: 1 << 40},
+		relation.Domain{Name: "d", Size: 1 << 40},
+	)
+	rng := rand.New(rand.NewSource(9))
+	for c := range 3 {
+		seed := make([]byte, 2+rng.Intn(120))
+		rng.Read(seed)
+		seed[0] = byte(c)
+		f.Add(seed)
+	}
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		c := Codecs()[int(data[0])%len(Codecs())]
+		for _, s := range []*relation.Schema{flat, wide} {
+			var tuples []relation.Tuple
+			for rest := data[2:]; len(rest) >= 2*s.NumAttrs() && len(tuples) < 64; rest = rest[2*s.NumAttrs():] {
+				tu := make(relation.Tuple, s.NumAttrs())
+				for i := range tu {
+					tu[i] = (uint64(rest[2*i])<<8 | uint64(rest[2*i+1])) % s.Domain(i).Size
+				}
+				tuples = append(tuples, tu)
+			}
+			if len(tuples) == 0 {
+				continue
+			}
+			cut := 1 + int(data[1])%len(tuples)
+			block, ins := tuples[:cut], tuples[cut:]
+			s.SortTuples(block)
+			s.SortTuples(ins)
+			e := Edit{Insert: ins}
+			if len(ins) == 0 {
+				e.Delete = int(data[1]) % len(block)
+			}
+			checkEdit(t, c, s, block, e)
+		}
+	})
+}
+
 // FuzzEncodeArbitraryTuples feeds arbitrary digit material through the
 // sort-encode-decode pipeline.
 func FuzzEncodeArbitraryTuples(f *testing.F) {

@@ -46,15 +46,21 @@ func encodePacked(s *relation.Schema, tuples []relation.Tuple, dst []byte) ([]by
 	lzWidth := bitio.BitsFor(uint64(s.NumAttrs()) + 1)
 	w := bitio.NewWriter(nil)
 	dst, err := encodeChain(s, tuples, dst, func(dst []byte, d relation.Tuple) []byte {
-		lz := leadingZeroDigits(d)
-		w.WriteBits(uint64(lz), lzWidth)
-		for i := lz; i < len(d); i++ {
-			w.WriteBits(d[i], widths[i])
-		}
+		writePackedDiff(w, d, widths, lzWidth)
 		return dst
 	})
 	if err != nil {
 		return nil, err
 	}
 	return append(dst, w.Bytes()...), nil
+}
+
+// writePackedDiff writes one difference's packed frame: its leading-zero
+// digit count, then every digit past the run in its attribute's width.
+func writePackedDiff(w *bitio.Writer, d relation.Tuple, widths []uint, lzWidth uint) {
+	lz := leadingZeroDigits(d)
+	w.WriteBits(uint64(lz), lzWidth)
+	for i := lz; i < len(d); i++ {
+		w.WriteBits(d[i], widths[i])
+	}
 }

@@ -66,10 +66,16 @@ func (z *Sizer) PairCost(prev, cur relation.Tuple) (int, error) {
 	if _, err := ordinal.Sub(z.s, z.diff, cur, prev); err != nil {
 		return 0, fmt.Errorf("core: pair cost: block not phi-sorted: %w", err)
 	}
+	return z.cost(z.diff), nil
+}
+
+// cost is the coded size of one stored difference d of a difference codec:
+// bits for CodecPacked, bytes for CodecAVQ.
+func (z *Sizer) cost(d relation.Tuple) int {
 	if z.c == CodecPacked {
-		return packedDiffBits(z.diff, z.lzWidth, z.suffix), nil
+		return packedDiffBits(d, z.lzWidth, z.suffix)
 	}
-	return diffSize(z.s, z.diff), nil
+	return diffSize(z.s, d)
 }
 
 // PairCosts sets costs[i] = PairCost(tuples[i-1], tuples[i]) for every i

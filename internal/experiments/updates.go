@@ -48,15 +48,24 @@ type UpdatesRow struct {
 	BatchPerOp  time.Duration // batched insertion, amortized
 	BlocksAfter int
 
-	// InsertEncodes and BatchEncodes are blocks re-encoded per inserted
-	// tuple (the store's encode counter), single inserts vs one batch: the
-	// deterministic form of the batched path's saving.
+	// InsertPages and BatchPages are fresh pages written per inserted tuple
+	// (the commit hook's CommitEvent.Pages, as store.pages_written), single
+	// inserts vs one batch: the deterministic form of the batched path's
+	// saving.
+	InsertPages float64
+	BatchPages  float64
+
+	// InsertEncodes and BatchEncodes are blocks re-encoded whole per
+	// inserted tuple (store.encodes). A write whose block still fits its
+	// page is an edit of the coded block instead (store.edits), so only
+	// splits re-encode.
 	InsertEncodes float64
 	BatchEncodes  float64
 }
 
 // UpdatesResult quantifies Section 4.2: tuple insertion and deletion are
-// confined to one block, so their cost is one decode + one re-encode plus
+// confined to one block, so their cost is one block decode, one edit of its
+// coded stream (or a re-encode when it splits) and one fresh page, plus
 // index maintenance — compared here between the compressed and
 // uncompressed representations, with the batched path alongside.
 type UpdatesResult struct {
@@ -67,7 +76,8 @@ type UpdatesResult struct {
 
 // RunUpdates measures per-operation wall time for Insert, Delete, and
 // InsertBatch on the Section 5.2 relation under each representation, and
-// counts the blocks single and batched inserts re-encode.
+// counts the pages single and batched inserts write and the blocks they
+// re-encode.
 func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) {
 	cfg.fillDefaults()
 	spec := gen.Spec38Byte(cfg.Tuples, false, cfg.Seed)
@@ -86,7 +96,7 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 	res := &UpdatesResult{Tuples: cfg.Tuples, Operations: cfg.Operations}
 	for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecPacked} {
 		reg := obs.NewRegistry()
-		encodes := reg.Counter("store.encodes")
+		encodes, pages := reg.Counter("store.encodes"), reg.Counter("store.pages_written")
 		tb, err := table.Create(schema, table.WithCodec(codec), table.WithPageSize(cfg.PageSize), table.WithObs(reg))
 		if err != nil {
 			return nil, err
@@ -96,18 +106,19 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 		}
 		row := UpdatesRow{Codec: codec, Blocks: tb.NumBlocks()}
 
-		perTuple := func(since int64) float64 {
-			return float64(encodes.Value()-since) / float64(cfg.Operations)
+		perTuple := func(c *obs.Counter, since int64) float64 {
+			return float64(c.Value()-since) / float64(cfg.Operations)
 		}
 
-		start, encoded := time.Now(), encodes.Value()
+		start, encoded, written := time.Now(), encodes.Value(), pages.Value()
 		for _, tu := range inserts {
 			if err := tb.InsertContext(ctx, tu); err != nil {
 				return nil, err
 			}
 		}
 		row.InsertPerOp = time.Since(start) / time.Duration(cfg.Operations)
-		row.InsertEncodes = perTuple(encoded)
+		row.InsertEncodes = perTuple(encodes, encoded)
+		row.InsertPages = perTuple(pages, written)
 
 		start = time.Now()
 		for _, tu := range inserts {
@@ -117,12 +128,13 @@ func RunUpdates(ctx context.Context, cfg UpdatesConfig) (*UpdatesResult, error) 
 		}
 		row.DeletePerOp = time.Since(start) / time.Duration(cfg.Operations)
 
-		start, encoded = time.Now(), encodes.Value()
+		start, encoded, written = time.Now(), encodes.Value(), pages.Value()
 		if err := tb.InsertBatchContext(ctx, inserts); err != nil {
 			return nil, err
 		}
 		row.BatchPerOp = time.Since(start) / time.Duration(cfg.Operations)
-		row.BatchEncodes = perTuple(encoded)
+		row.BatchEncodes = perTuple(encodes, encoded)
+		row.BatchPages = perTuple(pages, written)
 		row.BlocksAfter = tb.NumBlocks()
 		res.Rows = append(res.Rows, row)
 	}
@@ -135,7 +147,7 @@ func (r *UpdatesResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "base relation: %d tuples; %d operations per cell\n\n", r.Tuples, r.Operations)
 	tbl := &textTable{header: []string{
 		"codec", "blocks", "insert/op", "delete/op", "batch insert/op",
-		"encodes/insert", "batch encodes/insert", "blocks after",
+		"pages/insert", "batch pages/insert", "encodes/insert", "batch encodes/insert", "blocks after",
 	}}
 	for _, row := range r.Rows {
 		tbl.addRow(
@@ -144,6 +156,8 @@ func (r *UpdatesResult) WriteText(w io.Writer) error {
 			fmt.Sprintf("%.1fµs", float64(row.InsertPerOp)/1e3),
 			fmt.Sprintf("%.1fµs", float64(row.DeletePerOp)/1e3),
 			fmt.Sprintf("%.1fµs", float64(row.BatchPerOp)/1e3),
+			fmt.Sprintf("%.2f", row.InsertPages),
+			fmt.Sprintf("%.2f", row.BatchPages),
 			fmt.Sprintf("%.2f", row.InsertEncodes),
 			fmt.Sprintf("%.2f", row.BatchEncodes),
 			fmt.Sprintf("%d", row.BlocksAfter),

@@ -374,14 +374,16 @@ func (m *MutateRequest) Run(ctx context.Context, e Engine) (*MutateResponse, err
 
 // decodeStrict decodes one JSON request body, rejecting unknown fields
 // and trailing garbage so typos fail loudly as 400s instead of silently
-// defaulting.
+// defaulting. The body must end after the object: Decoder.More is false
+// before a stray closing delimiter, so the check asks for the next token
+// and accepts only io.EOF.
 func decodeStrict(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
 	}
 	return nil

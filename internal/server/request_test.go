@@ -89,8 +89,20 @@ func TestDecodeStrictRejects(t *testing.T) {
 	if err := decodeStrict(strings.NewReader(`{"op":"count","atr":0}`), &q); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown field: got %v, want ErrBadRequest", err)
 	}
-	if err := decodeStrict(strings.NewReader(`{"op":"count"} trailing`), &q); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("trailing data: got %v, want ErrBadRequest", err)
+	for _, body := range []string{
+		`{"op":"count"} trailing`,
+		`{"op":"count"} {}`,
+		// A closing delimiter is not "more" to json.Decoder.More, so these
+		// two need the stream to end, not just to hold no further value.
+		`{"op":"count","attr":0,"lo":0,"hi":1}}`,
+		`{"op":"count","attr":0,"lo":0,"hi":1}]`,
+	} {
+		if err := decodeStrict(strings.NewReader(body), &q); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("trailing data %q: got %v, want ErrBadRequest", body, err)
+		}
+	}
+	if err := decodeStrict(strings.NewReader("{\"op\":\"count\"} \n\t"), &q); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
 	}
 	if err := decodeStrict(strings.NewReader(`{`), &q); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("truncated JSON: got %v, want ErrBadRequest", err)

@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -148,7 +149,8 @@ func TestDuplicateRunSpansBlocks(t *testing.T) {
 // TestMutationDecodesBlockOnce: the store finds the home block on its
 // fence array and hands the table the tuples it decoded, so a single-tuple
 // insert or delete costs one block decode — with or without secondary
-// indexes to maintain.
+// indexes to maintain, whether it edits the coded block in place or, its
+// block full, splits it from the tuples of that same decode.
 func TestMutationDecodesBlockOnce(t *testing.T) {
 	ctx := context.Background()
 	for _, secondaries := range [][]int{nil, {1, 4}} {
@@ -161,21 +163,46 @@ func TestMutationDecodesBlockOnce(t *testing.T) {
 		if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 			t.Fatal(err)
 		}
-		decodes := reg.Counter("store.decodes")
+		decodes, edits, encodes := reg.Counter("store.decodes"), reg.Counter("store.edits"), reg.Counter("store.encodes")
+		// mutate runs one mutation and reports whether it edited the block
+		// (rather than re-encoding it), having checked that it decoded
+		// exactly one.
+		mutate := func(what string, fn func() error) (edited bool) {
+			t.Helper()
+			d, e, c := decodes.Value(), edits.Value(), encodes.Value()
+			if err := fn(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if got := decodes.Value() - d; got != 1 {
+				t.Errorf("secondaries %v: %s decoded %d blocks, want 1", secondaries, what, got)
+			}
+			edited = edits.Value()-e == 1 && encodes.Value() == c
+			if !edited && (edits.Value() != e || encodes.Value()-c < 2) {
+				t.Errorf("secondaries %v: %s made %d edits and %d encodes: neither an edit nor a split", secondaries, what, edits.Value()-e, encodes.Value()-c)
+			}
+			return edited
+		}
+
+		// Bulk-loaded blocks are packed full, so an insert into one splits
+		// it (re-encoding both halves), and the next insert into a half
+		// edits it.
 		tu := relation.Tuple{4, 7, 30, 30, 2000}
-		before := decodes.Value()
-		if err := tb.InsertContext(ctx, tu); err != nil {
-			t.Fatal(err)
+		if mutate("insert into a full block", func() error { return tb.InsertContext(ctx, tu) }) {
+			t.Errorf("secondaries %v: an insert into a full bulk-loaded block did not split", secondaries)
 		}
-		if got := decodes.Value() - before; got != 1 {
-			t.Errorf("secondaries %v: InsertContext decoded %d blocks, want 1", secondaries, got)
+		tu2 := relation.Tuple{4, 7, 30, 30, 2001}
+		if !mutate("insert with slack", func() error { return tb.InsertContext(ctx, tu2) }) {
+			t.Errorf("secondaries %v: an insert into a freshly split block did not edit it", secondaries)
 		}
-		before = decodes.Value()
-		if ok, err := tb.DeleteContext(ctx, tu); err != nil || !ok {
-			t.Fatalf("delete: %v, %v", ok, err)
-		}
-		if got := decodes.Value() - before; got != 1 {
-			t.Errorf("secondaries %v: DeleteContext decoded %d blocks, want 1", secondaries, got)
+		for _, del := range []relation.Tuple{tu, tu2} {
+			if !mutate("delete", func() error {
+				if ok, err := tb.DeleteContext(ctx, del); err != nil || !ok {
+					return fmt.Errorf("found %v, %v", ok, err)
+				}
+				return nil
+			}) {
+				t.Errorf("secondaries %v: a delete did not edit its block", secondaries)
+			}
 		}
 		if err := tb.Check(); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // InsertBatchContext inserts many tuples under one exclusive lock with one
-// decode/re-encode per affected block instead of one per tuple: the batch
+// decode and edit per affected block instead of one per tuple: the batch
 // is sorted into phi order and the store merges each run that shares a
 // home block into that block with one rewrite. Semantically
 // identical to calling InsertContext in a loop (duplicates allowed);

@@ -237,6 +237,8 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 	}
 	store.SetObs(opts.Obs)
 	pool.SetObs(opts.Obs)
+	// Only the secondary indexes read the tuples a mutation hands back.
+	store.SetRunTuples(len(opts.SecondaryAttrs) > 0)
 	t := &Table{
 		schema:    schema,
 		opts:      opts,
@@ -253,7 +255,23 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 	for _, a := range opts.SecondaryAttrs {
 		t.secondary[a] = newSecIndex(opts)
 	}
+	t.wirePageCommits()
 	return t, nil
+}
+
+// wirePageCommits connects the block store's manifest publications to the
+// observability layer, so write amplification — fresh pages written per
+// mutation, next to wal.appends in WAL mode — is visible.
+func (t *Table) wirePageCommits() {
+	if t.opts.Obs == nil {
+		return
+	}
+	commits := t.opts.Obs.Counter("store.page_commits")
+	pages := t.opts.Obs.Counter("store.pages_written")
+	t.store.SetCommitHook(func(ev blockstore.CommitEvent) {
+		commits.Inc()
+		pages.Add(int64(ev.Pages))
+	})
 }
 
 // persistent reports whether the table is file-backed.

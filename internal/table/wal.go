@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/blockstore"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -144,7 +143,6 @@ func (t *Table) attachWAL() error {
 		return err
 	}
 	t.wal = l
-	t.wirePageCommits()
 	return nil
 }
 
@@ -161,7 +159,6 @@ func (t *Table) attachWALReplay() error {
 		return err
 	}
 	t.wal = l
-	t.wirePageCommits()
 	// On any replay failure, detach and close the log WITHOUT rotating:
 	// the caller must leave the on-disk log intact for the next attempt.
 	fail := func(err error) error {
@@ -246,19 +243,4 @@ func (t *Table) replayRecord(kind byte, tuples []relation.Tuple) error {
 	default:
 		return fmt.Errorf("table: unknown wal record kind %d", kind)
 	}
-}
-
-// wirePageCommits connects the block store's manifest publications to the
-// observability layer, so WAL-mode write amplification (pages rewritten
-// per logged record) is visible next to wal.appends.
-func (t *Table) wirePageCommits() {
-	if t.opts.Obs == nil {
-		return
-	}
-	commits := t.opts.Obs.Counter("wal.page_commits")
-	pages := t.opts.Obs.Counter("wal.pages_written")
-	t.store.SetCommitHook(func(ev blockstore.CommitEvent) {
-		commits.Inc()
-		pages.Add(int64(ev.Pages))
-	})
 }

@@ -3,11 +3,13 @@
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search, one-block-cache and one-codec-set guards, the full test suite, a
-# 10 s fuzz smoke of the block decoder against its reference, the crash
-# matrix, the race-focused test run over the concurrency-sensitive
-# packages, and a repeated race run of the buffer pool's miss-path tests. Fails fast on the first broken stage so CI output points at one
-# problem; the last line is the tracked line count.
+# search, one-block-cache and one-codec-set guards, the full test suite,
+# 10 s fuzz smokes of the block decoder against its reference and of the
+# block edit against a re-encode, the crash matrix, the race-focused test
+# run over the concurrency-sensitive packages, and repeated race runs of
+# the buffer pool's miss-path tests and the store model. Fails fast on the
+# first broken stage so CI output points at one problem; the last line is
+# the tracked line count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,6 +53,9 @@ go test ./...
 echo "== decode fuzz smoke (every decode shape against the reference decoder)"
 go test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/core
 
+echo "== edit fuzz smoke (EditBlock against EncodeBlock of the edited run)"
+go test -run '^$' -fuzz FuzzEditBlock -fuzztime 10s ./internal/core
+
 echo "== crash matrix (kill-at-every-syscall recovery proof)"
 go test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count=1
 
@@ -64,6 +69,11 @@ echo "== buffer pool miss-path latch tests (-race -count=50)"
 # The pool reads outside its lock; repeat the blocked-pager tests so a
 # rarely-hit interleaving of the loading latch still shows up.
 go test -race -count=50 -run '^TestMiss' ./internal/buffer
+
+echo "== store model under edits (-race -count=5)"
+# Every mutation edits its block's coded stream in place; Check's
+# canonical-stream rule proves each edited page equals a re-encode.
+go test -race -count=5 -run '^TestStoreModel$' ./internal/blockstore
 
 echo "check.sh: all gates passed"
 echo "non-test lines in internal/ + cmd/ (scripts/loc.sh): $(sh scripts/loc.sh)"
