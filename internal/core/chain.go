@@ -244,14 +244,16 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 	if b != nil {
 		for i := 0; i <= mid; i++ {
 			if b.visit(i, out[i]) {
-				return nil
+				return r.end()
 			}
 		}
 	}
 
 	// After the anchor. A whole-block walk parses every difference in one
 	// pass; a visitor may stop at any position, so it parses one at a
-	// time and never reads a difference past the one that ends it.
+	// time and never reads a difference past the one that ends it. A stop
+	// after the block's last difference still applies the end-of-payload
+	// rule.
 	step := len(out)
 	if b != nil {
 		step = 1
@@ -269,7 +271,7 @@ func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) er
 			}
 			out[i], prev = phi, phi
 			if b != nil && b.visit(i, phi) {
-				return nil
+				return r.end()
 			}
 			i++
 		}

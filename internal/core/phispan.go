@@ -17,27 +17,75 @@ import (
 // (Schema.FlatSpace ok) and a checksummed block; the header is verified
 // once, not once per probe.
 //
-// The caller typically follows with DecodeTupleSpanArena(from, to) — only
-// the qualifying run is ever materialized, realizing the ordinal-space
-// predicate evaluation of the read path.
+// A caller that wants the span's tuples calls PhiSpanSlab instead, which
+// hands back the walk's φ values, so only the qualifying run is ever
+// materialized, from ordinals the walk already computed.
 func PhiSpan(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	space, ok := s.FlatSpace()
-	if !ok {
-		return 0, 0, fmt.Errorf("core: PhiSpan needs a schema space within 64 bits")
-	}
-	l, a, err := openBlock(s, buf, a)
+	l, a, space, err := openFlat(s, buf, a)
 	if err != nil || l.count == 0 {
 		return 0, 0, err
 	}
-	if l.rows != nil {
-		return l.rawPhiSpan(loPhi, hiPhi, a)
+	_, from, to, err = l.phiSpan(space, loPhi, hiPhi, a)
+	return from, to, err
+}
+
+// PhiSpanSlab is PhiSpan returning the span's φ values instead of its
+// positions: the ordinals of positions [from, to), nondecreasing, carved
+// from the arena and valid until its next Reset. It runs the same walk
+// with the same checks, so it accepts and rejects exactly the streams
+// PhiSpan followed by DecodeTupleSpanArena(from, to) does; the span's
+// tuples are then digits of its ordinals (DigitExtractor), and no second,
+// tuple-space walk from the anchor is needed. A raw block's binary search
+// reads only its probes, so its span's rows are read here.
+func PhiSpanSlab(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) ([]uint64, error) {
+	l, a, space, err := openFlat(s, buf, a)
+	if err != nil || l.count == 0 {
+		return nil, err
 	}
+	phis, from, to, err := l.phiSpan(space, loPhi, hiPhi, a)
+	if err != nil {
+		return nil, err
+	}
+	if l.rows == nil {
+		return phis[from:to], nil
+	}
+	out, t := a.Phis(to-from), a.Tuple(s.NumAttrs())
+	for i := range out {
+		if err := l.rawRow(from+i, t); err != nil {
+			return nil, err
+		}
+		out[i] = ordinal.PhiU64(s, t)
+	}
+	return out, nil
+}
+
+// openFlat is openBlock for the φ-space shapes, which need a schema space
+// within 64 bits.
+func openFlat(s *relation.Schema, buf []byte, a *Arena) (layout, *Arena, uint64, error) {
+	space, ok := s.FlatSpace()
+	if !ok {
+		return layout{}, nil, 0, fmt.Errorf("core: a φ span needs a schema space within 64 bits")
+	}
+	l, a, err := openBlock(s, buf, a)
+	return l, a, space, err
+}
+
+// phiSpan locates [from, to) on a non-empty layout. A chain is walked
+// with the bounds visitor into a count-entry slab, whose entries [0, to)
+// the walk has filled; a raw layout is binary-searched and returns no
+// slab.
+func (l *layout) phiSpan(space, loPhi, hiPhi uint64, a *Arena) (phis []uint64, from, to int, err error) {
+	if l.rows != nil {
+		from, to, err = l.rawPhiSpan(loPhi, hiPhi, a)
+		return nil, from, to, err
+	}
+	phis = a.Phis(l.count)
 	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
-	if err := l.walkPhis(space, a.Phis(l.count), &b, a); err != nil {
-		return 0, 0, err
+	if err := l.walkPhis(space, phis, &b, a); err != nil {
+		return nil, 0, 0, err
 	}
 	from, to = b.finish(l.count)
-	return from, to, nil
+	return phis, from, to, nil
 }
 
 // phiBounds tracks the running lower/upper bound scan over a nondecreasing

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
@@ -132,9 +133,10 @@ func TestPhiSpanCorruptStreams(t *testing.T) {
 	}
 }
 
-// TestPhiSpanZeroAllocs holds the φ-space span walk to the steady-state
-// guarantee of the other shapes, for every codec (raw binary-searches its
-// rows; the rest ride walkPhis with the bounds visitor).
+// TestPhiSpanZeroAllocs holds the φ-space span walk, and the slab it
+// hands back, to the steady-state guarantee of the other shapes, for
+// every codec (raw binary-searches its rows; the rest ride walkPhis with
+// the bounds visitor).
 func TestPhiSpanZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	s := flatRandomSchema(rng)
@@ -155,6 +157,15 @@ func TestPhiSpanZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: PhiSpan allocates %.1f objects/op steady-state, want 0", c, allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			a.Reset()
+			if _, err := PhiSpanSlab(s, enc, lo, hi, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: PhiSpanSlab allocates %.1f objects/op steady-state, want 0", c, allocs)
 		}
 	}
 }
@@ -195,4 +206,153 @@ func BenchmarkPhiSpanVsSearchBlock(b *testing.B) {
 			}
 		}
 	})
+}
+
+// twoWalkSpan is the span as the read path once materialized it: PhiSpan's
+// positions, then DecodeTupleSpanArena's tuple-space walk from the anchor.
+func twoWalkSpan(s *relation.Schema, data []byte, loPhi, hiPhi uint64) ([]relation.Tuple, error) {
+	from, to, err := PhiSpan(s, data, loPhi, hiPhi, nil)
+	if err != nil || from >= to {
+		return nil, err
+	}
+	return DecodeTupleSpanArena(s, data, from, to, nil)
+}
+
+// oneWalkSpan is PhiSpanSlab's span as tuples: each ordinal's digits.
+func oneWalkSpan(s *relation.Schema, data []byte, loPhi, hiPhi uint64) ([]relation.Tuple, error) {
+	phis, err := PhiSpanSlab(s, data, loPhi, hiPhi, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]relation.Tuple, len(phis))
+	for i, phi := range phis {
+		if rows[i], err = ordinal.PhiInverseU64(s, make(relation.Tuple, s.NumAttrs()), phi); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// checkSpanWalksAgree holds the one-walk span to the two-walk span on one
+// (arbitrary) stream: both accept or both reject, and accepted, they
+// yield the same tuples.
+func checkSpanWalksAgree(t *testing.T, s *relation.Schema, data []byte, loPhi, hiPhi uint64) {
+	t.Helper()
+	want, wantErr := twoWalkSpan(s, data, loPhi, hiPhi)
+	got, err := oneWalkSpan(s, data, loPhi, hiPhi)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("φ [%d,%d]: one walk err = %v, two walks err = %v", loPhi, hiPhi, err, wantErr)
+	}
+	if err == nil && !sameTuples(s, got, want) {
+		t.Fatalf("φ [%d,%d]: one walk = %v, two walks = %v", loPhi, hiPhi, got, want)
+	}
+}
+
+// attr0Phis is the φ interval of lo <= A_0 <= hi, hi clamped to the domain.
+func attr0Phis(s *relation.Schema, lo, hi uint64) (uint64, uint64) {
+	w, _ := s.FlatWeights()
+	hi = min(hi, s.Domain(0).Size-1)
+	return lo * w[0], hi*w[0] + (w[0] - 1)
+}
+
+// TestPhiSpanSlabMatchesTwoWalks: on flat8-shaped, Fig 5.7 and
+// duplicate-run relations, under every codec, PhiSpanSlab's span equals
+// PhiSpan + DecodeTupleSpanArena's for every attribute-0 range [lo, hi]
+// around a block — gaps, single values and ranges outside the block
+// included — and re-checksummed mutations of each block are accepted or
+// rejected by both alike.
+func TestPhiSpanSlabMatchesTwoWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	rels := editRelations(t)
+	delete(rels, "wide38")
+	// The Fig 5.7 family's 15 attributes overflow 64 bits; its first seven
+	// keep the family's domain sizes and skew within a flat space.
+	fig := gen.Fig57Spec(400, true, gen.VarianceLarge, 3)
+	fig.Attrs = 7
+	s, tuples, err := fig.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SortTuples(tuples)
+	rels["fig5.7"] = editRelation{s, tuples}
+	for name, rel := range rels {
+		s := rel.s
+		if _, ok := s.FlatSpace(); !ok {
+			t.Fatalf("%s: schema %v is not flat", name, s)
+		}
+		// One block as generated, one with every value of attribute 0
+		// congruent to 1 mod 3 left out, so ranges can fall in gaps.
+		var gapped []relation.Tuple
+		for _, tu := range rel.tuples {
+			if tu[0]%3 != 1 {
+				gapped = append(gapped, tu)
+			}
+		}
+		for _, block := range [][]relation.Tuple{rel.tuples, gapped[len(gapped)/3:]} {
+			// At most 150 tuples over at most 40 values of attribute 0.
+			block = block[:150]
+			for i, tu := range block {
+				if tu[0] > block[0][0]+40 {
+					block = block[:i]
+					break
+				}
+			}
+			first, last := block[0][0], block[len(block)-1][0]
+			size := s.Domain(0).Size
+			var ranges [][2]uint64
+			for lo := first - min(first, 2); lo <= min(last+2, size-1); lo++ {
+				for hi := lo; hi <= min(last+2, size-1); hi++ {
+					ranges = append(ranges, [2]uint64{lo, hi})
+				}
+			}
+			for _, c := range Codecs() {
+				enc, err := EncodeBlock(c, s, block, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range ranges {
+					lo, hi := attr0Phis(s, r[0], r[1])
+					checkSpanWalksAgree(t, s, enc, lo, hi)
+				}
+				for m := 0; m < 40; m++ {
+					bad := append([]byte(nil), enc[:len(enc)-crcSize]...)
+					bad[rng.Intn(len(bad))] ^= byte(1 + rng.Intn(255))
+					if m%4 == 0 {
+						bad = append(bad, byte(rng.Intn(256)))
+					}
+					bad = rechecksum(bad)
+					for k := 0; k < 6; k++ {
+						r := ranges[rng.Intn(len(ranges))]
+						lo, hi := attr0Phis(s, r[0], r[1])
+						checkSpanWalksAgree(t, s, bad, lo, hi)
+					}
+				}
+			}
+			t.Logf("%s: attribute 0 in [%d, %d], %d ranges", name, first, last, len(ranges))
+		}
+	}
+}
+
+// TestPhiSpanEndRule: a walk that stops after consuming a block's last
+// difference — here a two-tuple block whose anchor is its last position,
+// so every difference precedes the stop — still rejects a trailing
+// payload byte, as every whole-payload shape does.
+func TestPhiSpanEndRule(t *testing.T) {
+	s := employeeSchema(t)
+	block := []relation.Tuple{{1, 2, 3, 4, 5}, {5, 6, 7, 8, 9}}
+	enc, err := EncodeBlock(CodecAVQ, s, block, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := rechecksum(append(append([]byte(nil), enc[:len(enc)-crcSize]...), 0))
+	if _, err := DecodeBlockArena(s, bad, nil); err == nil {
+		t.Fatal("full decode accepted a trailing byte")
+	}
+	phi := ordinal.PhiU64(s, block[0])
+	if _, _, err := PhiSpan(s, bad, phi, phi, nil); err == nil {
+		t.Fatal("PhiSpan stopping at the anchor accepted a trailing byte")
+	}
+	if _, err := PhiSpanSlab(s, bad, phi, phi, nil); err == nil {
+		t.Fatal("PhiSpanSlab stopping at the anchor accepted a trailing byte")
+	}
 }

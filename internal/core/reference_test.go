@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/ordinal"
@@ -217,7 +218,10 @@ func sameTuples(s *relation.Schema, got, want []relation.Tuple) bool {
 //     with the reference tuple-for-tuple and φ-for-φ;
 //   - on a rejected stream the partial shapes (a sub-span, one tuple, a
 //     search, raw's binary-searched φ span) see only part of the payload,
-//     so they may accept; they must not panic.
+//     so they may accept; they must not panic;
+//   - on any stream the one-walk span (PhiSpanSlab) accepts exactly when
+//     the two-walk span (PhiSpan, then DecodeTupleSpanArena) does, with
+//     the same tuples.
 func checkShapesAgainstReference(t *testing.T, s *relation.Schema, data []byte) {
 	t.Helper()
 	want, refErr := refDecode(s, data)
@@ -269,6 +273,9 @@ func checkShapesAgainstReference(t *testing.T, s *relation.Schema, data []byte) 
 		if err == nil && sorted && (from != 0 || to != len(want)) {
 			t.Fatalf("un-exited φ span = [%d,%d), want [0,%d)", from, to, len(want))
 		}
+		// The one-walk span against the two-walk span, on any stream.
+		checkSpanWalksAgree(t, s, data, 0, math.MaxUint64)
+		checkSpanWalksAgree(t, s, data, space/3, space/2)
 	}
 
 	if refErr != nil {
@@ -326,6 +333,12 @@ func checkShapesAgainstReference(t *testing.T, s *relation.Schema, data []byte) 
 			if err != nil || from != wantFrom || to != wantTo {
 				t.Fatalf("φ span [%d,%d] = [%d,%d), %v; reference [%d,%d)", r[0], r[1], from, to, err, wantFrom, wantTo)
 			}
+			a.Reset()
+			phis, err := PhiSpanSlab(s, data, r[0], r[1], a)
+			if err != nil || !slices.Equal(phis, wantPhis[wantFrom:wantTo]) {
+				t.Fatalf("φ span slab [%d,%d] = %v, %v; reference %v", r[0], r[1], phis, err, wantPhis[wantFrom:wantTo])
+			}
+			checkSpanWalksAgree(t, s, data, r[0], r[1])
 		}
 	}
 }

@@ -149,3 +149,40 @@ func TestTransientPassAllocs(t *testing.T) {
 		t.Errorf("transient pass allocates %.1f objects/op over %d blocks; want O(1)", allocs, sn.NumBlocks())
 	}
 }
+
+// TestEmptySpanAccountsSlab: a select whose attribute-0 range falls in a
+// gap inside one block decodes that block partially and emits nothing; the
+// arena the empty span was located in still counts in SlabBytes, on the
+// flat and the non-flat path and on every codec with a partial decode.
+func TestEmptySpanAccountsSlab(t *testing.T) {
+	nonflat := relation.MustSchema(
+		relation.Domain{Name: "a", Size: 8},
+		relation.Domain{Name: "b", Size: 1 << 40},
+		relation.Domain{Name: "c", Size: 1 << 40},
+	)
+	for _, s := range []*relation.Schema{testSchema(t), nonflat} {
+		var tuples []relation.Tuple
+		for i := 0; i < 20; i++ {
+			tu := make(relation.Tuple, s.NumAttrs())
+			tu[0] = 2 + 2*uint64(i%2) // attribute 0 takes 2 and 4; 3 is a gap
+			tu[1] = uint64(i / 2)
+			tuples = append(tuples, tu)
+		}
+		s.SortTuples(tuples)
+		for _, codec := range []core.Codec{core.CodecRaw, core.CodecAVQ} {
+			store := newStoreFor(t, s, codec, 4096)
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
+				t.Fatal(err)
+			}
+			sn := store.Snapshot()
+			got, st := collect(t, sn, Plan{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}})
+			sn.Release()
+			if len(got) != 0 || st.PartialDecodes != 1 {
+				t.Fatalf("%v %v: %d rows, %d partial decodes; want an empty span in one straddling block", s, codec, len(got), st.PartialDecodes)
+			}
+			if st.SlabBytes == 0 {
+				t.Errorf("%v %v: SlabBytes = 0 after an empty-span partial decode", s, codec)
+			}
+		}
+	}
+}

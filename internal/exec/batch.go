@@ -36,18 +36,6 @@ func RunBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 	return st, err
 }
 
-// batchPred is one residual conjunct compiled to digit arithmetic, with
-// the extraction strength-reduced at compile (plan) time.
-type batchPred struct {
-	dig    core.DigitExtractor
-	lo, hi uint64
-}
-
-func (p batchPred) matches(phi uint64) bool {
-	d := p.dig.Digit(phi)
-	return d >= p.lo && d <= p.hi
-}
-
 func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (st Stats, err error) {
 	st = Stats{BlocksTotal: sn.NumBlocks()}
 	s := sn.Schema()
@@ -66,9 +54,9 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 		}
 		loPhi, hiPhi = bound.Lo*w[0], hi*w[0]+(w[0]-1)
 	}
-	residual := make([]batchPred, len(rest))
-	for i, p := range rest {
-		residual[i] = batchPred{dig: core.NewDigitExtractor(w[p.Attr], s.Domain(p.Attr).Size), lo: p.Lo, hi: p.Hi}
+	var dig []core.DigitExtractor
+	if len(rest) > 0 {
+		dig = digitsOf(s, w)
 	}
 
 	a := core.GetArena()
@@ -112,22 +100,14 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 			from, to := core.PhiSpanSorted(phis, loPhi, hiPhi)
 			phis = phis[from:to]
 		}
-		if len(residual) > 0 {
-			keep := 0
+		if len(rest) > 0 {
+			keep := phis[:0]
 			for _, phi := range phis {
-				ok := true
-				for _, p := range residual {
-					if !p.matches(phi) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					phis[keep] = phi
-					keep++
+				if matchesPhi(rest, dig, phi) {
+					keep = append(keep, phi)
 				}
 			}
-			phis = phis[:keep]
+			phis = keep
 		}
 		st.Matches += len(phis)
 		if len(phis) > 0 && !kernel(phis) {

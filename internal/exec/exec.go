@@ -13,6 +13,7 @@ package exec
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
@@ -76,7 +77,8 @@ type Stats struct {
 	ArenaReuses int
 	// SlabBytes is the arena slab capacity backing the pass: the pooled
 	// arena's final footprint for Transient passes, the sum of per-block
-	// arena footprints otherwise.
+	// arena footprints otherwise — on the flat partial path, the pooled
+	// scratch arena plus the slab of retained rows.
 	SlabBytes int
 	// FlatPathHits counts straddling blocks whose span was located by the
 	// flat-ordinal (single-uint64 φ) walk instead of chain-probe search.
@@ -139,14 +141,21 @@ func foldStats(sn *blockstore.Snapshot, st Stats) {
 }
 
 // pass carries one streaming pass's per-block scratch: the stats being
-// accumulated, the pooled arena for Transient plans, and the reusable
-// stream buffer the partial path reads coded blocks into.
+// accumulated, the pooled arena for Transient plans, and what the partial
+// path reuses across the blocks it reads.
 type pass struct {
-	sn        *blockstore.Snapshot
-	st        Stats
-	pooled    *core.Arena // non-nil iff the plan is Transient
-	streamBuf []byte      // partial path: coded-stream copy, reused per block
+	sn     *blockstore.Snapshot
+	st     Stats
+	pooled *core.Arena // non-nil iff the plan is Transient
+	stream *[]byte     // partial path: pooled coded-stream buffer, taken on first use
+	// digits extracts each attribute from a flat ordinal; the flat partial
+	// path builds them on first use.
+	digits []core.DigitExtractor
 }
+
+// streamPool recycles the partial path's coded-stream buffers across
+// passes: one page-sized copy per straddling block, reused.
+var streamPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // arena returns the arena the next block decodes into: the pooled one,
 // Reset (its slab capacity surviving), for Transient plans; a fresh arena
@@ -168,6 +177,11 @@ func runContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit fu
 		p.pooled = core.GetArena()
 		defer core.PutArena(p.pooled)
 	}
+	defer func() {
+		if p.stream != nil {
+			streamPool.Put(p.stream)
+		}
+	}()
 	err := p.run(ctx, plan, emit)
 	if p.pooled != nil {
 		p.st.SlabBytes += p.pooled.SlabBytes()
@@ -252,69 +266,150 @@ func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, 
 }
 
 // runPartial decodes only the qualifying span of a straddling block. On a
-// flat schema the span boundaries come from one ordinal-space walk
-// (core.PhiSpan): the block's φ sequence is scanned as plain uint64s, so
-// the bound is evaluated before any tuple is materialized. Otherwise
+// flat schema one ordinal-space walk (core.PhiSpanSlab) both locates the
+// span and yields its φ values: the bound is evaluated before any tuple is
+// materialized, residual conjuncts are digit tests on the ordinals, and
+// only the rows that pass become tuples, by digit extraction. Otherwise
 // binary search on the clustering attribute finds the boundaries with
-// O(log u) partial-decode probes. Either way one span decode then
-// materializes exactly the qualifying run; tuples in the span satisfy the
-// bound by construction and only the residual conjuncts filter.
+// O(log u) partial-decode probes and one span decode materializes the
+// qualifying run. Either way tuples in the span satisfy the bound by
+// construction and only the residual conjuncts filter.
 func (p *pass) runPartial(i int, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
 	sn, st := p.sn, &p.st
-	stream, err := sn.ReadStreamInto(i, p.streamBuf[:0])
+	if p.stream == nil {
+		p.stream = streamPool.Get().(*[]byte)
+	}
+	stream, err := sn.ReadStreamInto(i, (*p.stream)[:0])
 	if err != nil {
 		return false, err
 	}
-	p.streamBuf = stream
+	*p.stream = stream
 	st.BlocksRead++
 	st.PartialDecodes++
 	s := sn.Schema()
-	a := p.arena()
-	var start, end int
 	if w, ok := s.FlatWeights(); ok {
-		// The clustering bound [lo, hi] on attribute 0 is exactly the φ
-		// interval [lo*w0, hi*w0 + (w0-1)]: every tuple with A_0 in range
-		// lands there regardless of its remaining digits. Clamp hi to the
-		// domain first so the products stay inside the (64-bit) space.
-		hi := bound.Hi
-		if limit := s.Domain(0).Size - 1; hi > limit {
-			hi = limit
-		}
-		start, end, err = core.PhiSpan(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), a)
-		if err != nil {
-			return false, err
-		}
-		st.FlatPathHits++
-	} else {
-		start, err = core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] >= bound.Lo }, a)
-		if err != nil {
-			return false, err
-		}
-		end, err = core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] > bound.Hi }, a)
-		if err != nil {
-			return false, err
-		}
+		return p.runFlatSpan(stream, w, bound, rest, emit)
 	}
-	if start >= end {
-		return false, nil
+	a := p.arena()
+	if p.pooled == nil {
+		// Every exit accounts the block's arena, an empty span included.
+		defer func() { st.SlabBytes += a.SlabBytes() }()
+	}
+	start, err := core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] >= bound.Lo }, a)
+	if err != nil {
+		return false, err
+	}
+	end, err := core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] > bound.Hi }, a)
+	if err != nil || start >= end {
+		return false, err
 	}
 	span, err := core.DecodeTupleSpanArena(s, stream, start, end, a)
 	if err != nil {
 		return false, err
 	}
-	if p.pooled == nil {
-		st.SlabBytes += a.SlabBytes()
+	return p.emitAll(span, rest, emit), nil
+}
+
+// runFlatSpan is runPartial on a flat schema. The walk's φ scratch comes
+// from a pooled arena (the pass's own on a Transient plan). The rows a
+// Transient plan emits are carved from that arena too; any other plan's
+// rows may be retained by the caller, so they go into one exact-size slab
+// of their own.
+func (p *pass) runFlatSpan(stream []byte, w []uint64, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
+	st, s := &p.st, p.sn.Schema()
+	var a *core.Arena
+	var rows []relation.Tuple
+	if p.pooled != nil {
+		a = p.arena()
+	} else {
+		a = core.GetArena()
+		defer core.PutArena(a)
+		// Every exit accounts the scratch and the retained slab, an empty
+		// span included.
+		defer func() { st.SlabBytes += a.SlabBytes() + slabBytes(rows) }()
 	}
-	for _, tu := range span {
-		if !matchesAll(rest, tu) {
+	// The clustering bound [lo, hi] on attribute 0 is exactly the φ
+	// interval [lo*w0, hi*w0 + (w0-1)]: every tuple with A_0 in range lands
+	// there regardless of its remaining digits. Clamp hi to the domain
+	// first so the products stay inside the (64-bit) space.
+	hi := min(bound.Hi, s.Domain(0).Size-1)
+	phis, err := core.PhiSpanSlab(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), a)
+	if err != nil {
+		return false, err
+	}
+	st.FlatPathHits++
+	if p.digits == nil {
+		p.digits = digitsOf(s, w)
+	}
+	dig := p.digits
+	keep := phis[:0]
+	for _, phi := range phis {
+		if matchesPhi(rest, dig, phi) {
+			keep = append(keep, phi)
+		}
+	}
+	n := len(dig)
+	if p.pooled != nil {
+		rows = a.Tuples(len(keep), n)
+	} else {
+		vals := make([]uint64, len(keep)*n)
+		rows = make([]relation.Tuple, len(keep))
+		for j := range rows {
+			rows[j] = vals[j*n : (j+1)*n : (j+1)*n]
+		}
+	}
+	for j, phi := range keep {
+		tu := rows[j]
+		for g := range tu {
+			tu[g] = dig[g].Digit(phi)
+		}
+	}
+	return p.emitAll(rows, nil, emit), nil
+}
+
+// digitsOf builds one extractor per attribute of a flat schema with
+// weights w, strength-reduced once per pass.
+func digitsOf(s *relation.Schema, w []uint64) []core.DigitExtractor {
+	dig := make([]core.DigitExtractor, len(w))
+	for g := range dig {
+		dig[g] = core.NewDigitExtractor(w[g], s.Domain(g).Size)
+	}
+	return dig
+}
+
+// matchesPhi is matchesAll on a flat ordinal.
+func matchesPhi(preds []Pred, dig []core.DigitExtractor, phi uint64) bool {
+	for _, p := range preds {
+		if v := dig[p.Attr].Digit(phi); v < p.Lo || v > p.Hi {
+			return false
+		}
+	}
+	return true
+}
+
+// slabBytes is the footprint of rows carved from one exact-size slab: its
+// digits plus one slice header per row.
+func slabBytes(rows []relation.Tuple) int {
+	const hdrSize = 24 // slice header: pointer + len + cap
+	if len(rows) == 0 {
+		return 0
+	}
+	return len(rows) * (len(rows[0])*8 + hdrSize)
+}
+
+// emitAll passes the tuples satisfying preds to emit, counting matches; it
+// reports whether emit stopped the pass.
+func (p *pass) emitAll(tuples []relation.Tuple, preds []Pred, emit func(relation.Tuple) bool) (stop bool) {
+	for _, tu := range tuples {
+		if !matchesAll(preds, tu) {
 			continue
 		}
-		st.Matches++
+		p.st.Matches++
 		if !emit(tu) {
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // runFull decodes the whole block and filters every conjunct.
@@ -330,16 +425,7 @@ func (p *pass) runFull(i int, preds []Pred, emit func(relation.Tuple) bool) (sto
 	if p.pooled == nil {
 		st.SlabBytes += a.SlabBytes()
 	}
-	for _, tu := range tuples {
-		if !matchesAll(preds, tu) {
-			continue
-		}
-		st.Matches++
-		if !emit(tu) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return p.emitAll(tuples, preds, emit), nil
 }
 
 // matchesAll reports whether tu satisfies every conjunct.

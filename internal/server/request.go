@@ -47,7 +47,15 @@ var (
 	ErrOverload = errors.New("server: overloaded")
 	// ErrDraining marks a request that arrived after shutdown began.
 	ErrDraining = errors.New("server: draining")
+	// ErrTooLarge marks a request body longer than maxRequestBytes (413).
+	ErrTooLarge = errors.New("server: request body too large")
 )
+
+// maxRequestBytes bounds a request body. The largest legitimate request,
+// a batch insert, spends about 60 bytes per tuple, so the cap admits
+// batches of tens of thousands of tuples and stops an unbounded body
+// before it is read into memory.
+const maxRequestBytes = 4 << 20
 
 // HTTPStatus maps the error vocabulary onto HTTP response codes: one
 // mapping, used by the handlers and asserted by the tests.
@@ -59,6 +67,8 @@ func HTTPStatus(err error) int {
 		return http.StatusTooManyRequests // 429
 	case errors.Is(err, ErrDraining), errors.Is(err, table.ErrClosed):
 		return http.StatusServiceUnavailable // 503
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge // 413
 	case errors.Is(err, ErrBadRequest), errors.Is(err, relation.ErrDomainRange):
 		return http.StatusBadRequest // 400
 	case errors.Is(err, context.DeadlineExceeded):
@@ -376,15 +386,28 @@ func (m *MutateRequest) Run(ctx context.Context, e Engine) (*MutateResponse, err
 // and trailing garbage so typos fail loudly as 400s instead of silently
 // defaulting. The body must end after the object: Decoder.More is false
 // before a stray closing delimiter, so the check asks for the next token
-// and accepts only io.EOF.
+// and accepts only io.EOF. A body cut off by http.MaxBytesReader fails
+// with ErrTooLarge.
 func decodeStrict(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return requestError(err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+		if err == nil {
+			return fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+		}
+		return requestError(err)
 	}
 	return nil
+}
+
+// requestError classifies a body that failed to decode.
+func requestError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("%w: over %d bytes", ErrTooLarge, tooLarge.Limit)
+	}
+	return fmt.Errorf("%w: %w", ErrBadRequest, err)
 }

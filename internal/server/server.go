@@ -162,7 +162,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -183,7 +183,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, resp)
+	writeBody(w, resp)
 	s.queryLat.Observe(time.Since(start))
 }
 
@@ -195,7 +195,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -216,7 +216,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, resp)
+	writeBody(w, resp)
 	s.mutateLat.Observe(time.Since(start))
 }
 

@@ -4,8 +4,9 @@
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
 # search, one-block-cache and one-codec-set guards, the full test suite,
-# 10 s fuzz smokes of the block decoder against its reference and of the
-# block edit against a re-encode, the crash matrix, the race-focused test
+# 10 s fuzz smokes of the block decoder against its reference, of the
+# block edit against a re-encode and of the server's wire (request decode,
+# response encoding against encoding/json), the crash matrix, the race-focused test
 # run over the concurrency-sensitive packages, and repeated race runs of
 # the buffer pool's miss-path tests and the store model. Fails fast on the
 # first broken stage so CI output points at one problem; the last line is
@@ -55,6 +56,9 @@ go test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/core
 
 echo "== edit fuzz smoke (EditBlock against EncodeBlock of the edited run)"
 go test -run '^$' -fuzz FuzzEditBlock -fuzztime 10s ./internal/core
+
+echo "== wire fuzz smoke (request decode + validate, response append-encoding against encoding/json)"
+go test -run '^$' -fuzz FuzzServerWire -fuzztime 10s ./internal/server
 
 echo "== crash matrix (kill-at-every-syscall recovery proof)"
 go test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count=1
