@@ -21,10 +21,10 @@
 // emptied block's page is freed.
 //
 // The layout metadata lives in an immutable manifest (see snapshot.go):
-// mutations clone it, edit the clone, and publish it atomically, freeing
-// replaced pages only after publication — and only once no Snapshot still
-// pins them. Readers holding a Snapshot therefore stream a consistent
-// pre-mutation view while writers proceed.
+// a mutation copies only the chunks of it that it changes, publishes the
+// new version atomically, and frees replaced pages only after publication —
+// and only once no Snapshot still pins them. Readers holding a Snapshot
+// therefore stream a consistent pre-mutation view while writers proceed.
 package blockstore
 
 import (
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -175,7 +174,7 @@ func (s *Store) Schema() *relation.Schema { return s.schema }
 func (s *Store) Codec() core.Codec { return s.codec }
 
 // NumBlocks returns the number of data blocks.
-func (s *Store) NumBlocks() int { return len(s.man.Load().blocks) }
+func (s *Store) NumBlocks() int { return s.man.Load().n }
 
 // FenceBounds reports the attribute-0 span the store's fences cover:
 // the clustering order is attribute-0-major, so the first block's First
@@ -183,18 +182,15 @@ func (s *Store) NumBlocks() int { return len(s.man.Load().blocks) }
 // store is empty.
 func (s *Store) FenceBounds() (lo, hi uint64, ok bool) {
 	m := s.man.Load()
-	if len(m.fences) == 0 {
+	if m.n == 0 {
 		return 0, 0, false
 	}
-	return m.fences[0].First[0], m.fences[len(m.fences)-1].Last[0], true
+	return m.fence(0).First[0], m.fence(m.n - 1).Last[0], true
 }
 
 // Blocks returns the pages of the store's blocks in clustered order.
 func (s *Store) Blocks() []storage.PageID {
-	m := s.man.Load()
-	out := make([]storage.PageID, len(m.blocks))
-	copy(out, m.blocks)
-	return out
+	return s.man.Load().pages()
 }
 
 // StreamCapacity is the usable coded-stream capacity of a page of
@@ -225,20 +221,20 @@ func (s *Store) Restore(ctx context.Context, blocks []storage.PageID, visit func
 		}
 		seen[id] = struct{}{}
 	}
-	m := &manifest{blocks: slices.Clone(blocks), fences: make([]Fence, 0, len(blocks))}
+	m := &manifest{}
 	var orderErr error
-	err := s.scanManifest(ctx, m, func(id storage.PageID, tuples []relation.Tuple) bool {
-		i := len(m.fences)
+	err := s.scanPages(ctx, blocks, func(id storage.PageID, tuples []relation.Tuple) bool {
+		i := m.n
 		if len(tuples) == 0 {
 			orderErr = fmt.Errorf("%w: restored block %d (page %d) is empty", ErrCorruptBlock, i, id)
 			return false
 		}
 		f := fenceFor(tuples)
-		if i > 0 && s.schema.Compare(m.fences[i-1].Last, f.First) > 0 {
+		if i > 0 && s.schema.Compare(m.fence(i-1).Last, f.First) > 0 {
 			orderErr = fmt.Errorf("%w: restored block %d (page %d) precedes its predecessor in φ order", ErrCorruptBlock, i, id)
 			return false
 		}
-		m.fences = append(m.fences, f)
+		m.append(id, f)
 		visit(id, tuples)
 		return true
 	})
@@ -274,7 +270,7 @@ func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([
 	// tracked by the store (Reset can then free them) instead of leaking.
 	defer func() {
 		s.man.Store(m)
-		s.notifyCommit("bulkload", len(m.blocks))
+		s.notifyCommit("bulkload", m.n)
 	}()
 	refs, _, _, err := s.loadWindow(ctx, m, tuples, true)
 	if err != nil {
@@ -302,7 +298,7 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 	m := &manifest{}
 	defer func() {
 		s.man.Store(m)
-		s.notifyCommit("bulkload", len(m.blocks))
+		s.notifyCommit("bulkload", m.n)
 	}()
 	var refs []BlockRef
 	var window []relation.Tuple
@@ -459,9 +455,9 @@ func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err
 	m := s.man.Load()
 	at := m.home(s.schema, batch[0])
 	n = len(batch)
-	if at+1 < len(m.fences) {
+	if at+1 < m.n {
 		// Tuples at or beyond the next block's first belong further on.
-		next := m.fences[at+1].First
+		next := m.fence(at + 1).First
 		n = sort.Search(len(batch), func(i int) bool { return s.schema.Compare(batch[i], next) >= 0 })
 	}
 	run := batch[:n]
@@ -492,7 +488,7 @@ func (s *Store) MergeRun(batch []relation.Tuple) (res MutationResult, n int, err
 // the fences already rule t out.
 func (m *manifest) holder(s *relation.Schema, t relation.Tuple) (int, bool) {
 	at := m.seek(s, t)
-	return at, at < len(m.fences) && s.Compare(m.fences[at].First, t) <= 0
+	return at, at < m.n && s.Compare(m.fence(at).First, t) <= 0
 }
 
 // Contains reports whether t is stored, decoding at most one block. Like
@@ -506,7 +502,7 @@ func (s *Store) Contains(t relation.Tuple) (bool, error) {
 	}
 	a := core.GetArena()
 	defer core.PutArena(a)
-	slab, _, err := s.readSlab(m.blocks[at], a, nil)
+	slab, _, err := s.readSlab(m.block(at), a, nil)
 	return err == nil && slab.Find(s.schema, t) >= 0, err
 }
 
@@ -555,7 +551,7 @@ func (s *Store) readHome(m *manifest, at int) (*homeBlock, error) {
 		h.arena = core.GetArena()
 	}
 	var err error
-	h.slab, h.stream, err = s.readSlab(m.blocks[at], h.arena, s.homeBuf)
+	h.slab, h.stream, err = s.readSlab(m.block(at), h.arena, s.homeBuf)
 	s.homeBuf = h.stream
 	if err != nil {
 		s.releaseHome(h)
@@ -593,7 +589,7 @@ func (s *Store) readSlab(id storage.PageID, a *core.Arena, buf []byte) (core.Sla
 // run is split by packRuns, from tuples recovered out of the same decode.
 // A delete of a block's last tuple removes the block.
 func (s *Store) edit(cur *manifest, h *homeBlock, e core.Edit) (MutationResult, error) {
-	res := MutationResult{Old: BlockRun{Page: cur.blocks[h.at]}}
+	res := MutationResult{Old: BlockRun{Page: cur.block(h.at)}}
 	emptied := len(e.Insert) == 0 && h.slab.Len() == 1
 	var stream []byte
 	fits := false
@@ -625,7 +621,7 @@ func (s *Store) edit(cur *manifest, h *homeBlock, e core.Edit) (MutationResult, 
 		return MutationResult{}, err
 	}
 	res.New = []BlockRun{{Page: id, Tuples: edited}}
-	return res, s.publish(cur, h.at, 1, []storage.PageID{id}, []Fence{editedFence(s.schema, cur.fences[h.at], h.slab, e)})
+	return res, s.publish(cur, h.at, 1, []storage.PageID{id}, []Fence{editedFence(s.schema, cur.fence(h.at), h.slab, e)})
 }
 
 // editedFence is a block's fence after edit e, from its fence before and
@@ -695,9 +691,7 @@ func (s *Store) writeRuns(cur *manifest, at, replaced int, tuples []relation.Tup
 // durable catalog references, and concurrent snapshot readers keep a
 // consistent pre-rewrite view.
 func (s *Store) publish(cur *manifest, at, replaced int, ids []storage.PageID, fences []Fence) error {
-	m := cur.clone()
-	m.splice(at, replaced, ids, fences)
-	s.man.Store(m)
+	s.man.Store(cur.spliced(at, replaced, ids, fences))
 	kind := "rewrite"
 	switch {
 	case len(ids) == 0:
@@ -707,7 +701,7 @@ func (s *Store) publish(cur *manifest, at, replaced int, ids []storage.PageID, f
 	}
 	s.notifyCommit(kind, len(ids))
 	if replaced == 1 {
-		return s.freeBlockPage(cur.blocks[at])
+		return s.freeBlockPage(cur.block(at))
 	}
 	return nil
 }
@@ -784,7 +778,7 @@ func (s *Store) Reset() error {
 	old := s.man.Load()
 	s.man.Store(&manifest{})
 	s.notifyCommit("reset", 0)
-	return s.freeAll(old.blocks)
+	return s.freeAll(old.pages())
 }
 
 // ScanBlocksContext visits every block in clustered order, decoding each.
@@ -797,7 +791,7 @@ func (s *Store) Reset() error {
 func (s *Store) ScanBlocksContext(ctx context.Context, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	sn := s.Snapshot()
 	defer sn.Release()
-	return s.scanManifest(ctx, sn.m, fn)
+	return s.scanPages(ctx, sn.m.pages(), fn)
 }
 
 // Stats summarizes the store's physical layout.
@@ -857,11 +851,8 @@ func (s *Store) inspectBlock(id storage.PageID) (core.BlockInfo, error) {
 // Tests and the avqtool verify command use it.
 func (s *Store) CheckInvariants() error {
 	m := s.man.Load()
-	if len(m.fences) != len(m.blocks) {
-		return fmt.Errorf("blockstore: %d fences for %d blocks", len(m.fences), len(m.blocks))
-	}
 	var prevLast relation.Tuple
-	for i, id := range m.blocks {
+	for i, id := range m.pages() {
 		tuples, err := s.decodeBlock(id, nil)
 		if err != nil {
 			return fmt.Errorf("blockstore: block %d: %w", i, err)
@@ -876,7 +867,7 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("blockstore: block %d overlaps predecessor", i)
 		}
 		prevLast = tuples[len(tuples)-1]
-		f := m.fences[i]
+		f := m.fence(i)
 		if f.Count != len(tuples) {
 			return fmt.Errorf("blockstore: block %d fence count %d, %d decoded", i, f.Count, len(tuples))
 		}

@@ -39,7 +39,7 @@ func (s *Store) Check() error {
 		return err
 	}
 	m := s.man.Load()
-	for i, id := range m.blocks {
+	for i, id := range m.pages() {
 		// Header and stream validation against the raw page.
 		frame, err := s.pool.Get(id)
 		if err != nil {
@@ -90,8 +90,8 @@ func (s *Store) Check() error {
 			return fmt.Errorf("blockstore: block %d stream (%d bytes) is not the EncodeBlock stream of its tuples (%d bytes)", i, len(stream), len(canon))
 		}
 		var next relation.Tuple // first tuple of the following block, if any
-		if i+1 < len(m.blocks) {
-			next = m.fences[i+1].First
+		if i+1 < m.n {
+			next = m.fence(i + 1).First
 		}
 		for j, tu := range tuples {
 			if err := s.schema.ValidateTuple(tu); err != nil {

@@ -22,7 +22,7 @@ func TestErrCorruptBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		at := s.NumBlocks() / 2
-		homed := s.man.Load().fences[at].First.Clone()
+		homed := s.man.Load().fence(at).First.Clone()
 		shapes := func() map[string]error {
 			errs := map[string]error{}
 			// The mutators re-code the block onto a fresh page, so they go

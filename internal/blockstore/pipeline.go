@@ -253,14 +253,13 @@ type scanResult struct {
 	err    error
 }
 
-// scanManifest decodes m's blocks on the workers with bounded lookahead
-// and delivers them to fn strictly in clustered order; ScanBlocksContext
-// runs it on a snapshot's manifest and Restore on the layout it is about
-// to publish. fn returning false (or a decode error, or cancellation)
-// stops the pipeline; in-flight workers are drained before returning so no
-// goroutine outlives the call.
-func (s *Store) scanManifest(ctx context.Context, m *manifest, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
-	ids := m.blocks
+// scanPages decodes the blocks on pages ids on the workers with bounded
+// lookahead and delivers them to fn strictly in clustered order;
+// ScanBlocksContext runs it on a snapshot's pages and Restore on the
+// layout it is about to publish. fn returning false (or a decode error,
+// or cancellation) stops the pipeline; in-flight workers are drained
+// before returning so no goroutine outlives the call.
+func (s *Store) scanPages(ctx context.Context, ids []storage.PageID, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	workers := s.scanWorkers(len(ids))
 	futures := make(chan chan scanResult, workers*2)
 	sem := make(chan struct{}, workers)
@@ -324,8 +323,8 @@ func (s *Store) ComputeStats() (Stats, error) {
 	sn := s.Snapshot()
 	defer sn.Release()
 	m := sn.m
-	st := Stats{Blocks: len(m.blocks), PageBytes: len(m.blocks) * s.pool.PageSize()}
-	parts := make([]Stats, s.scanWorkers(len(m.blocks)))
+	st := Stats{Blocks: m.n, PageBytes: m.n * s.pool.PageSize()}
+	parts := make([]Stats, s.scanWorkers(m.n))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var firstErr minIndexErr
@@ -335,10 +334,10 @@ func (s *Store) ComputeStats() (Stats, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(m.blocks) {
+				if i >= m.n {
 					return
 				}
-				info, err := s.inspectBlock(m.blocks[i])
+				info, err := s.inspectBlock(m.block(i))
 				if err != nil {
 					firstErr.record(i, err)
 					return

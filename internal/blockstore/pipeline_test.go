@@ -592,7 +592,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 // rewrite that changes nothing but the page.
 func rewriteInPlace(s *Store, at int) error {
 	m := s.man.Load()
-	ts, err := s.decodeBlock(m.blocks[at], nil)
+	ts, err := s.decodeBlock(m.block(at), nil)
 	if err != nil {
 		return err
 	}

@@ -3,14 +3,15 @@
 // published through an atomic pointer. The fence array is the paper's
 // primary index (Figure 4.4) flattened: blocks are φ-ordered and
 // independent, so a binary search over block first/last tuples is the
-// whole "which block holds tuple t" structure. Mutations build
-// a fresh manifest (copy-on-write over the layout metadata, not the
-// blocks) and publish it in one store; readers that need a consistent
-// multi-block view take a Snapshot, which pins the manifest AND defers the
-// recycling of any page it references until release. The result is the
-// paper's localized-access story made concurrent: a long range scan keeps
-// streaming its pre-mutation view while inserts and deletes rewrite
-// blocks underneath it, and neither waits for the other.
+// whole "which block holds tuple t" structure. Mutations build a fresh
+// manifest (copy-on-write over the layout metadata, not the blocks, and
+// over only the one chunk of it an edit writes) and publish it in one
+// store; readers that need a consistent multi-block view take a
+// Snapshot, which pins the manifest AND defers the recycling of any page
+// it references until release. The result is the paper's localized-
+// access story made concurrent: a long range scan keeps streaming its
+// pre-mutation view while inserts and deletes rewrite blocks underneath
+// it, and neither waits for the other.
 package blockstore
 
 import (
@@ -36,43 +37,111 @@ type Fence struct {
 	Count int
 }
 
-// manifest is one immutable version of the store's layout. The slices are
-// never mutated after publication; fence tuples are shared across versions
+// chunkLen is the manifest's fan-out: the number of (page, fence) entries
+// per chunk. An edit's publish copies the chunk-pointer array (n/chunkLen
+// words) and the one chunk it writes (chunkLen entries, 60 bytes each);
+// 32 copies the fewest bytes below 16k blocks (BenchmarkPublish, DESIGN.md
+// §9).
+const chunkLen = 32
+
+// chunk holds chunkLen consecutive entries of the clustered block order.
+// A published chunk is immutable; an edit writes a copy.
+type chunk struct {
+	blocks [chunkLen]storage.PageID
+	fences [chunkLen]Fence // parallel to blocks
+}
+
+// manifest is one immutable version of the store's layout: n blocks in
+// clustered order, held in chunks of chunkLen of which every one but the
+// last is full, so block i is entry i%chunkLen of chunk i/chunkLen. A
+// published manifest and its chunks are never mutated; versions share
+// every chunk neither wrote, and fence tuples are shared across versions
 // and must not be written through.
 type manifest struct {
-	blocks []storage.PageID
-	fences []Fence // parallel to blocks
+	n      int
+	chunks []*chunk
 }
 
-// clone copies the layout metadata so a mutation can edit it privately.
-// Fence tuples are shared: they are immutable once captured.
-func (m *manifest) clone() *manifest {
-	return &manifest{
-		blocks: slices.Clone(m.blocks),
-		fences: slices.Clone(m.fences),
+// slot returns the chunk holding block i and i's index in it.
+func (m *manifest) slot(i int) (*chunk, int) {
+	if uint(i) >= uint(m.n) {
+		panic("blockstore: block index out of range")
 	}
+	return m.chunks[uint(i)/chunkLen], int(uint(i) % chunkLen)
 }
 
-// append adds a block at the end of the clustered order.
+// block returns the page of block i.
+func (m *manifest) block(i int) storage.PageID {
+	c, j := m.slot(i)
+	return c.blocks[j]
+}
+
+// fence returns block i's φ-fence.
+func (m *manifest) fence(i int) Fence {
+	c, j := m.slot(i)
+	return c.fences[j]
+}
+
+// pages returns the pages of every block, in clustered order.
+func (m *manifest) pages() []storage.PageID {
+	out := make([]storage.PageID, m.n)
+	for i := range out {
+		out[i] = m.block(i)
+	}
+	return out
+}
+
+// append adds a block at the end of the clustered order, writing the last
+// chunk in place: only a manifest no reader has seen may be appended to.
 func (m *manifest) append(id storage.PageID, f Fence) {
-	m.blocks = append(m.blocks, id)
-	m.fences = append(m.fences, f)
+	j := m.n % chunkLen
+	if j == 0 {
+		m.chunks = append(m.chunks, new(chunk))
+	}
+	c := m.chunks[len(m.chunks)-1]
+	c.blocks[j], c.fences[j] = id, f
+	m.n++
 }
 
-// splice replaces the n blocks at position at with the given ones.
-func (m *manifest) splice(at, n int, ids []storage.PageID, fences []Fence) {
-	m.blocks = slices.Replace(m.blocks, at, at+n, ids...)
-	m.fences = slices.Replace(m.fences, at, at+n, fences...)
+// spliced returns a new version of m with the n blocks at position at
+// replaced by the given ones; m itself is left as it was. A same-count
+// splice — the edit path, one block for one — copies the chunk-pointer
+// array and the one chunk it writes. A splice that changes the count
+// shifts every later entry, so it keeps the chunks before at's and
+// rebuilds the rest.
+func (m *manifest) spliced(at, n int, ids []storage.PageID, fences []Fence) *manifest {
+	if len(ids) == n {
+		out := &manifest{n: m.n, chunks: slices.Clone(m.chunks)}
+		for k, id := range ids {
+			c, j := out.slot(at + k)
+			cp := *c
+			cp.blocks[j], cp.fences[j] = id, fences[k]
+			out.chunks[uint(at+k)/chunkLen] = &cp
+		}
+		return out
+	}
+	first := at / chunkLen * chunkLen
+	out := &manifest{n: first, chunks: slices.Clone(m.chunks[:first/chunkLen])}
+	for i := first; i < at; i++ {
+		out.append(m.block(i), m.fence(i))
+	}
+	for k, id := range ids {
+		out.append(id, fences[k])
+	}
+	for i := at + n; i < m.n; i++ {
+		out.append(m.block(i), m.fence(i))
+	}
+	return out
 }
 
 // search is the one block locate: the position of the first fence for
-// which before is false (len(fences) when it holds for all). before must
+// which before is false (the block count when it holds for all). before must
 // be monotone over the clustered order — true for a prefix, false after.
 func (m *manifest) search(before func(Fence) bool) int {
-	lo, hi := 0, len(m.fences)
+	lo, hi := 0, m.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if before(m.fences[mid]) {
+		if before(m.fence(mid)) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -93,7 +162,7 @@ func (m *manifest) seek(s *relation.Schema, t relation.Tuple) int {
 // no blocks.
 func (m *manifest) home(s *relation.Schema, t relation.Tuple) int {
 	at := m.search(func(f Fence) bool { return s.Compare(f.First, t) <= 0 }) - 1
-	if at < 0 && len(m.fences) > 0 {
+	if at < 0 && m.n > 0 {
 		at = 0
 	}
 	return at
@@ -161,13 +230,13 @@ func (sn *Snapshot) Release() {
 }
 
 // NumBlocks returns the number of blocks in the snapshot's view.
-func (sn *Snapshot) NumBlocks() int { return len(sn.m.blocks) }
+func (sn *Snapshot) NumBlocks() int { return sn.m.n }
 
 // Block returns the page of the i-th block in clustered order.
-func (sn *Snapshot) Block(i int) storage.PageID { return sn.m.blocks[i] }
+func (sn *Snapshot) Block(i int) storage.PageID { return sn.m.block(i) }
 
 // Fence returns the i-th block's φ-fence.
-func (sn *Snapshot) Fence(i int) Fence { return sn.m.fences[i] }
+func (sn *Snapshot) Fence(i int) Fence { return sn.m.fence(i) }
 
 // SeekTuple returns the position of the first block whose Last tuple is
 // >= t in φ order — where the first tuple >= t lives — or NumBlocks()
@@ -211,7 +280,7 @@ func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) ([]relation.Tuple, erro
 	if sn.released {
 		return nil, fmt.Errorf("%w: ReadBlock(%d)", ErrSnapshotStale, i)
 	}
-	return sn.s.decodeBlock(sn.m.blocks[i], a)
+	return sn.s.decodeBlock(sn.m.block(i), a)
 }
 
 // ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
@@ -222,7 +291,7 @@ func (sn *Snapshot) ReadPhis(i int, a *core.Arena, buf []byte) (phis []uint64, n
 	if sn.released {
 		return nil, buf, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
 	}
-	id := sn.m.blocks[i]
+	id := sn.m.block(i)
 	stream, err := sn.s.readStream(id, buf[:0])
 	if err != nil {
 		return nil, buf, err
@@ -247,7 +316,7 @@ func (sn *Snapshot) ReadStreamInto(i int, dst []byte) ([]byte, error) {
 	if sn.released {
 		return nil, fmt.Errorf("%w: ReadStream(%d)", ErrSnapshotStale, i)
 	}
-	return sn.s.readStream(sn.m.blocks[i], dst)
+	return sn.s.readStream(sn.m.block(i), dst)
 }
 
 // readStream appends a copy of the coded stream stored on page id to dst.

@@ -15,7 +15,8 @@
 // The new frame takes the victim's page buffer, so a steady-state miss
 // allocates no page memory — and a frame's Data must never be touched after
 // its Unpin, because the next miss may already be reading another page
-// into it.
+// into it. A freed frame's buffer is kept the same way, for the next new
+// frame, so a write's Allocate and Free of a page allocate none either.
 package buffer
 
 import (
@@ -92,6 +93,11 @@ type Pool struct {
 	lruTail  *Frame // least recently used unpinned frame
 	stats    Stats
 	closed   bool
+
+	// spare holds the page buffers of freed frames, handed to the next
+	// new frame. One is taken only while the pool has room for a frame,
+	// so frames plus spares never exceed the capacity.
+	spare [][]byte
 
 	// loaded is signalled (on mu) whenever a read started by Get finishes;
 	// loads counts the reads in flight, so Close can wait them out.
@@ -183,12 +189,17 @@ func (p *Pool) lruPush(f *Frame) {
 	}
 }
 
-// bufferLocked returns a page buffer for a new frame: a fresh one while
-// the pool has room, otherwise the buffer of the least recently used
-// unpinned frame, which is evicted (and written back if dirty). The
-// caller holds p.mu.
+// bufferLocked returns a page buffer for a new frame: while the pool has
+// room, a freed frame's spare buffer or a fresh one; otherwise the buffer
+// of the least recently used unpinned frame, which is evicted (and written
+// back if dirty). The caller holds p.mu.
 func (p *Pool) bufferLocked() ([]byte, error) {
 	if len(p.frames) < p.capacity {
+		if n := len(p.spare); n > 0 {
+			data := p.spare[n-1]
+			p.spare = p.spare[:n-1]
+			return data, nil
+		}
 		return make([]byte, p.pager.PageSize()), nil
 	}
 	victim := p.lruTail
@@ -304,19 +315,22 @@ func (p *Pool) Unpin(f *Frame) error {
 
 // Allocate creates a new zeroed page and returns it pinned. The frame
 // starts clean; callers that fill it must MarkDirty. Like a miss, it takes
-// an evicted frame's buffer, cleared.
+// a spare or evicted frame's buffer, cleared. The buffer is taken before
+// the page, so a pool with every frame pinned fails without allocating
+// one, and a failed pager allocation returns the buffer to the spares.
 func (p *Pool) Allocate() (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, ErrPoolClosed
 	}
-	id, err := p.pager.Allocate()
+	data, err := p.bufferLocked()
 	if err != nil {
 		return nil, err
 	}
-	data, err := p.bufferLocked()
+	id, err := p.pager.Allocate()
 	if err != nil {
+		p.spare = append(p.spare, data)
 		return nil, err
 	}
 	clear(data)
@@ -327,7 +341,8 @@ func (p *Pool) Allocate() (*Frame, error) {
 }
 
 // Free drops the page from the pool and returns it to the pager's free
-// list. The page must not be pinned.
+// list, keeping its frame's buffer as a spare for the next new frame. The
+// page must not be pinned, so no holder still aliases the buffer.
 func (p *Pool) Free(id storage.PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -340,6 +355,7 @@ func (p *Pool) Free(id storage.PageID) error {
 		}
 		p.lruRemove(f)
 		delete(p.frames, id)
+		p.spare = append(p.spare, f.data)
 	}
 	return p.pager.Free(id)
 }
@@ -434,6 +450,7 @@ func (p *Pool) Close() error {
 	}
 	p.closed = true
 	p.frames = nil
+	p.spare = nil
 	p.lruHead, p.lruTail = nil, nil
 	return nil
 }

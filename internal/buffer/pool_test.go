@@ -3,6 +3,7 @@ package buffer
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -225,6 +226,89 @@ func TestFreeDropsPage(t *testing.T) {
 		t.Fatal("Free of pinned page succeeded")
 	}
 	pool.Unpin(f)
+}
+
+// TestAllocateFailureReturnsPage: an Allocate that cannot get a frame
+// (every frame pinned) must leave the pager as it was. Taking the page
+// first orphaned it: the failed call's id was never freed, and the next
+// Allocate got a fresh one.
+func TestAllocateFailureReturnsPage(t *testing.T) {
+	pool, _, pager := newPool(t, 1)
+	f, err := pool.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Allocate(); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("Allocate with every frame pinned: err = %v, want ErrPoolFull", err)
+	}
+	if n := pager.NumPages(); n != 1 {
+		t.Fatalf("pager has %d pages after the failed Allocate, want 1", n)
+	}
+	if err := pool.Unpin(f); err != nil {
+		t.Fatal(err)
+	}
+	g, err := pool.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.ID() != f.ID()+1 {
+		t.Fatalf("next Allocate got page %d, want %d: a page was orphaned", g.ID(), f.ID()+1)
+	}
+	if err := pool.Unpin(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFreeRecyclesFrameBuffer: a write's page churn — Allocate a page,
+// fill it, Unpin, Free it — hands the freed frame's buffer to the next
+// Allocate, so a cycle allocates no page memory, and the recycled buffer
+// still reads as zeros.
+func TestFreeRecyclesFrameBuffer(t *testing.T) {
+	const pageSize = 8192
+	pager, err := storage.NewMemPager(pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := New(pager, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		f, err := pool.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := f.Data()
+		for i, b := range data {
+			if b != 0 {
+				t.Fatalf("Allocate returned a page with byte %d set: a recycled buffer was not cleared", i)
+			}
+		}
+		for j := range data {
+			data[j] = 0xAB
+		}
+		f.MarkDirty()
+		id := f.ID()
+		if err := pool.Unpin(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		cycle()
+	}
+	const n = 512
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range n {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	if perCycle := (m1.TotalAlloc - m0.TotalAlloc) / n; perCycle >= 1024 {
+		t.Fatalf("%d bytes allocated per Allocate/Free cycle; Free must keep the frame's %d-byte buffer for the next frame", perCycle, pageSize)
+	}
 }
 
 func TestCloseFlushesAndBlocks(t *testing.T) {

@@ -16,7 +16,8 @@ import (
 // pool, forcing constant eviction and write-back races. Under -race it
 // fails if any counter, LRU-list, or dirty-flag update is unsynchronized
 // (the dirty flag in particular is written by concurrent pin holders while
-// the flusher clears it).
+// the flusher clears it) or if a freed frame's recycled buffer is handed
+// out while another frame still holds it.
 func TestPoolConcurrentStress(t *testing.T) {
 	const (
 		pageSize   = 128
@@ -53,7 +54,7 @@ func TestPoolConcurrentStress(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines+1)
+	errCh := make(chan error, goroutines+2)
 
 	// A concurrent flusher forces write-backs of frames other goroutines
 	// hold pinned and are marking dirty: the flusher clears the dirty flag
@@ -75,6 +76,38 @@ func TestPoolConcurrentStress(t *testing.T) {
 			// Throttle: an unthrottled flush loop just serializes the pool
 			// mutex and starves the workers of overlap.
 			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	// A churner allocates, fills and frees pages of its own, as a
+	// copy-on-write mutation does, so freed frames' buffers pass to new
+	// frames while the workers read theirs: a recycled buffer still
+	// aliased by a live frame would clobber a worker's page.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			f, err := pool.Allocate()
+			if errors.Is(err, ErrPoolFull) {
+				continue
+			}
+			if err != nil {
+				errCh <- err
+				return
+			}
+			for j := range f.Data() {
+				f.Data()[j] = 0xFF
+			}
+			f.MarkDirty()
+			id := f.ID()
+			if err := pool.Unpin(f); err != nil {
+				errCh <- err
+				return
+			}
+			if err := pool.Free(id); err != nil {
+				errCh <- err
+				return
+			}
 		}
 	}()
 

@@ -198,6 +198,7 @@ type FilePager struct {
 	deferFree bool
 	isFree    map[PageID]bool
 	closed    bool
+	zero      []byte // one zeroed page, the source of Allocate's writes
 }
 
 // OpenFilePager opens (or creates) a file-backed pager at path on the real
@@ -241,6 +242,7 @@ func OpenFilePagerFS(fs FS, path string, pageSize int) (*FilePager, error) {
 		f:        f,
 		numPages: int(size / int64(pageSize)),
 		isFree:   make(map[PageID]bool),
+		zero:     make([]byte, pageSize),
 	}, nil
 }
 
@@ -296,7 +298,8 @@ func (p *FilePager) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// Allocate implements Pager.
+// Allocate implements Pager. A reused page stays on the free list until
+// its zero write succeeds, so a failed write leaves it free, not lost.
 func (p *FilePager) Allocate() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -305,15 +308,15 @@ func (p *FilePager) Allocate() (PageID, error) {
 	}
 	if n := len(p.freed); n > 0 {
 		id := p.freed[n-1]
-		p.freed = p.freed[:n-1]
-		delete(p.isFree, id)
-		if _, err := p.f.WriteAt(make([]byte, p.pageSize), int64(id)*int64(p.pageSize)); err != nil {
+		if _, err := p.f.WriteAt(p.zero, int64(id)*int64(p.pageSize)); err != nil {
 			return InvalidPage, fmt.Errorf("storage: zero reused page %d: %w", id, err)
 		}
+		p.freed = p.freed[:n-1]
+		delete(p.isFree, id)
 		return id, nil
 	}
 	id := PageID(p.numPages)
-	if _, err := p.f.WriteAt(make([]byte, p.pageSize), int64(id)*int64(p.pageSize)); err != nil {
+	if _, err := p.f.WriteAt(p.zero, int64(id)*int64(p.pageSize)); err != nil {
 		return InvalidPage, fmt.Errorf("storage: extend to page %d: %w", id, err)
 	}
 	p.numPages++

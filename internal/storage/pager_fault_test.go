@@ -3,6 +3,7 @@
 package storage_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/simdisk"
@@ -101,5 +102,39 @@ func TestWriteFileAtomicDurable(t *testing.T) {
 	n, _ := f.ReadAt(buf, 0)
 	if string(buf[:n]) != `{"v":1}` {
 		t.Fatalf("recovered %q", buf[:n])
+	}
+}
+
+// TestFilePagerAllocateKeepsFreePageOnWriteError: Allocate zeroes a reused
+// page before handing it out. When that write fails the page must stay on
+// the free list — unreadable, and the next Allocate's — instead of being
+// neither free nor owned.
+func TestFilePagerAllocateKeepsFreePageOnWriteError(t *testing.T) {
+	fs := simdisk.NewFaultFS()
+	p, err := storage.OpenFilePagerFS(fs, "p.db", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	id, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailAt(1, nil) // the reused page's zero write
+	if _, err := p.Allocate(); err == nil {
+		t.Fatal("Allocate succeeded through a failed zero write")
+	}
+	if err := p.Read(id, make([]byte, 128)); !errors.Is(err, storage.ErrPageFreed) {
+		t.Fatalf("Read of the page after the failed Allocate: err = %v, want ErrPageFreed", err)
+	}
+	got, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != id || p.NumPages() != 1 {
+		t.Fatalf("Allocate after the failure got page %d of %d, want the freed page %d reused", got, p.NumPages(), id)
 	}
 }

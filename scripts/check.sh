@@ -8,9 +8,9 @@
 # block edit against a re-encode and of the server's wire (request decode,
 # response encoding against encoding/json), the crash matrix, the race-focused test
 # run over the concurrency-sensitive packages, and repeated race runs of
-# the buffer pool's miss-path tests and the store model. Fails fast on the
-# first broken stage so CI output points at one problem; the last line is
-# the tracked line count.
+# the buffer pool's miss-path tests and the store and manifest models.
+# Fails fast on the first broken stage so CI output points at one problem;
+# the last line is the tracked line count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -74,10 +74,12 @@ echo "== buffer pool miss-path latch tests (-race -count=50)"
 # rarely-hit interleaving of the loading latch still shows up.
 go test -race -count=50 -run '^TestMiss' ./internal/buffer
 
-echo "== store model under edits (-race -count=5)"
+echo "== store and manifest models under edits (-race -count=5)"
 # Every mutation edits its block's coded stream in place; Check's
-# canonical-stream rule proves each edited page equals a re-encode.
-go test -race -count=5 -run '^TestStoreModel$' ./internal/blockstore
+# canonical-stream rule proves each edited page equals a re-encode. Every
+# publish copies only the manifest chunk it writes; the manifest model
+# re-checks every earlier version, so a write through a shared chunk shows.
+go test -race -count=5 -run '^(TestStoreModel|TestManifestModel)$' ./internal/blockstore
 
 echo "check.sh: all gates passed"
 echo "non-test lines in internal/ + cmd/ (scripts/loc.sh): $(sh scripts/loc.sh)"
