@@ -2,7 +2,7 @@
 // paper's tuple re-ordering step (Section 3.2) at out-of-core scale.
 //
 // The sorter accumulates tuples up to a memory budget, sorts each batch
-// with the relation's merge sort, spills it as a fixed-width run file, and
+// with Schema.SortTuples, spills it as a fixed-width run file, and
 // finally streams the k-way merge of all runs (plus the in-memory tail)
 // through a loser-free binary heap. Output is a pull iterator, so a
 // compressed bulk load can consume it without ever materializing the whole

@@ -226,7 +226,7 @@ func TestSortTuplesSmall(t *testing.T) {
 }
 
 func TestSortTuplesStability(t *testing.T) {
-	// Equal tuples must keep their relative order (merge sort is stable).
+	// Equal tuples must keep their relative order (the sort is stable).
 	s := MustSchema(Domain{Name: "k", Size: 4})
 	a := Tuple{1}
 	b := Tuple{1}
@@ -328,28 +328,5 @@ func BenchmarkCompare(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Compare(x, y)
-	}
-}
-
-func BenchmarkSortTuples(b *testing.B) {
-	s := MustSchema(
-		Domain{Name: "a", Size: 8}, Domain{Name: "b", Size: 16},
-		Domain{Name: "c", Size: 64}, Domain{Name: "d", Size: 64},
-		Domain{Name: "e", Size: 64},
-	)
-	rng := rand.New(rand.NewSource(3))
-	base := make([]Tuple, 10000)
-	for i := range base {
-		base[i] = Tuple{
-			uint64(rng.Intn(8)), uint64(rng.Intn(16)),
-			uint64(rng.Intn(64)), uint64(rng.Intn(64)), uint64(rng.Intn(64)),
-		}
-	}
-	work := make([]Tuple, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, base)
-		s.SortTuples(work)
 	}
 }

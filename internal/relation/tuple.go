@@ -130,58 +130,8 @@ func (s *Schema) EncodeAttr(dst []byte, attr int, v uint64) []byte {
 	return dst
 }
 
-// SortTuples sorts tuples in place into ascending phi order (Section 3.2,
-// tuple re-ordering). The sort is a bottom-up merge sort: it is O(n log n)
-// worst case and stable, so re-ordering a relation that is already largely
-// clustered costs close to one pass of comparisons.
-func (s *Schema) SortTuples(tuples []Tuple) {
-	n := len(tuples)
-	if n < 2 {
-		return
-	}
-	buf := make([]Tuple, n)
-	src, dst := tuples, buf
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := mid + width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if s.Compare(src[i], src[j]) <= 0 {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-				k++
-			}
-			for i < mid {
-				dst[k] = src[i]
-				i++
-				k++
-			}
-			for j < hi {
-				dst[k] = src[j]
-				j++
-				k++
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &tuples[0] {
-		copy(tuples, src)
-	}
-}
-
-// TuplesSorted reports whether tuples are in ascending phi order with no
-// duplicates allowed (duplicates are permitted; they compare equal).
+// TuplesSorted reports whether tuples are in non-decreasing phi order:
+// each tuple compares <= its successor, so duplicates are permitted.
 func (s *Schema) TuplesSorted(tuples []Tuple) bool {
 	for i := 1; i < len(tuples); i++ {
 		if s.Compare(tuples[i-1], tuples[i]) > 0 {

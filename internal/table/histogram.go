@@ -37,6 +37,15 @@ func newHistogram(domain uint64) *histogram {
 	}
 }
 
+// newHistograms returns an empty histogram per attribute of schema.
+func newHistograms(schema *relation.Schema) []*histogram {
+	hs := make([]*histogram, schema.NumAttrs())
+	for i := range hs {
+		hs[i] = newHistogram(schema.Domain(i).Size)
+	}
+	return hs
+}
+
 func (h *histogram) bucketOf(v uint64) int {
 	b := int(v / h.width)
 	if b >= len(h.counts) {
@@ -48,6 +57,14 @@ func (h *histogram) bucketOf(v uint64) int {
 func (h *histogram) add(v uint64) {
 	h.counts[h.bucketOf(v)]++
 	h.total++
+}
+
+// merge adds o's counts, a histogram over the same domain, into h.
+func (h *histogram) merge(o *histogram) {
+	for b, c := range o.counts {
+		h.counts[b] += c
+	}
+	h.total += o.total
 }
 
 func (h *histogram) remove(v uint64) {

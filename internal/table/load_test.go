@@ -1,0 +1,169 @@
+package table
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/blockstore"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/relation"
+)
+
+// histCounts snapshots every histogram's bucket counts, then its total.
+func histCounts(tb *Table) [][]int {
+	out := make([][]int, len(tb.hist))
+	for i, h := range tb.hist {
+		out[i] = append(slices.Clone(h.counts), h.total)
+	}
+	return out
+}
+
+func TestBulkLoadNamesLowestInvalidTuple(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	n := 4 * minLoadChunk
+	tuples := randomTuples(t, n, 7)
+	// The last worker meets its bad tuples at the end of its range, the
+	// first worker at the end of its own: the first worker's is the lower
+	// index, whichever worker finishes first.
+	tuples[n-2] = relation.Tuple{0, 99, 0, 0, 0}
+	tuples[n-1] = relation.Tuple{0, 0, 0, 0, 9999}
+	low := n/runtime.GOMAXPROCS(0) - 1
+	tuples[low] = relation.Tuple{9, 0, 0, 0, 0}
+	tb := newTable(t, core.CodecAVQ, nil)
+	err := tb.BulkLoadContext(context.Background(), tuples)
+	if !errors.Is(err, relation.ErrDomainRange) {
+		t.Fatalf("bulk load error = %v, want relation.ErrDomainRange", err)
+	}
+	if want := fmt.Sprintf("tuple %d: ", low); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "attribute 0") {
+		t.Fatalf("bulk load error = %q, want it to name %q and attribute 0", err, want)
+	}
+}
+
+func TestBulkLoadFailureLeavesTableUnchanged(t *testing.T) {
+	tuples := randomTuples(t, 3*minLoadChunk, 8)
+	bad := slices.Clone(tuples)
+	bad[len(bad)/2] = relation.Tuple{0, 0, 64, 0, 0}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, load := range map[string]func(*Table) error{
+		"invalid":   func(tb *Table) error { return tb.BulkLoadContext(context.Background(), bad) },
+		"cancelled": func(tb *Table) error { return tb.BulkLoadContext(cancelled, tuples) },
+	} {
+		tb := newTable(t, core.CodecAVQ, []int{1})
+		empty := histCounts(tb)
+		if err := load(tb); err == nil {
+			t.Fatalf("%s: bulk load succeeded", name)
+		}
+		if tb.Len() != 0 {
+			t.Errorf("%s: Len = %d after a failed load, want 0", name, tb.Len())
+		}
+		if got := histCounts(tb); !slices.EqualFunc(got, empty, slices.Equal) {
+			t.Errorf("%s: histograms changed by a failed load: %v", name, got)
+		}
+	}
+
+	// An invalid input fails before the store sees it, so the table takes
+	// the good load after it, with exact histograms.
+	tb := newTable(t, core.CodecAVQ, nil)
+	if err := tb.BulkLoadContext(context.Background(), bad); err == nil {
+		t.Fatal("invalid bulk load succeeded")
+	}
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	want := newHistograms(tb.schema)
+	for _, tu := range tuples {
+		for i, h := range want {
+			h.add(tu[i])
+		}
+	}
+	for i, h := range tb.hist {
+		if !slices.Equal(h.counts, want[i].counts) || h.total != want[i].total {
+			t.Fatalf("histogram %d = %v (%d), want %v (%d)", i, h.counts, h.total, want[i].counts, want[i].total)
+		}
+	}
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkLoadPagesIndependentOfSort pins the table's load to the pages a
+// reference sort gives: every block stream and the store statistics of a
+// shuffled load through the table equal those of the stably sorted input
+// loaded straight into a store.
+func TestBulkLoadPagesIndependentOfSort(t *testing.T) {
+	for _, shape := range []string{"flat8", "wide38"} {
+		spec, err := gen.BenchShapeSpec(shape, 60000, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema, tuples, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rand.New(rand.NewSource(5)).Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
+
+		got, err := Create(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.BulkLoadContext(context.Background(), tuples); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Create(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := slices.Clone(tuples)
+		slices.SortStableFunc(sorted, schema.Compare)
+		if _, err := ref.store.BulkLoadContext(context.Background(), sorted); err != nil {
+			t.Fatal(err)
+		}
+
+		gotStats, err := got.StoreStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refStats, err := ref.store.ComputeStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != refStats {
+			t.Fatalf("%s: stats %+v, reference %+v", shape, gotStats, refStats)
+		}
+		if gotStats.Blocks < 2 {
+			t.Fatalf("%s: %d blocks; the comparison needs several", shape, gotStats.Blocks)
+		}
+		compareStreams(t, shape, got.store, ref.store)
+	}
+}
+
+// compareStreams fails unless both stores hold the same block streams in
+// the same order.
+func compareStreams(t *testing.T, shape string, got, ref *blockstore.Store) {
+	t.Helper()
+	gs, rs := got.Snapshot(), ref.Snapshot()
+	defer gs.Release()
+	defer rs.Release()
+	for i := range got.NumBlocks() {
+		g, err := gs.ReadStream(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := rs.ReadStream(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, r) {
+			t.Fatalf("%s: block %d stream differs from the reference load", shape, i)
+		}
+	}
+}

@@ -229,9 +229,7 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	for attr := range t.secondary {
 		t.secondary[attr] = newSecIndex(t.opts)
 	}
-	for i := range t.hist {
-		t.hist[i] = newHistogram(t.schema.Domain(i).Size)
-	}
+	t.hist = newHistograms(t.schema)
 	t.size = 0
 
 	// Reload tightly packed, deaf to cancellation: the old layout is

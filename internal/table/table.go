@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/blockstore"
@@ -247,10 +248,7 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		pool:      pool,
 		store:     store,
 		secondary: make(map[int]*btree.Tree[*bucket], len(opts.SecondaryAttrs)),
-		hist:      make([]*histogram, schema.NumAttrs()),
-	}
-	for i := range t.hist {
-		t.hist[i] = newHistogram(schema.Domain(i).Size)
+		hist:      newHistograms(schema),
 	}
 	for _, a := range opts.SecondaryAttrs {
 		t.secondary[a] = newSecIndex(opts)
@@ -362,10 +360,11 @@ func (t *Table) StoreStats() (blockstore.Stats, error) {
 }
 
 // BulkLoadContext fills the empty table with tuples (any order; the table
-// re-orders them per Section 3.2). The input slice is not retained.
-// Cancellation is observed at block boundaries during encoding and
-// indexing, leaving the table partially loaded (discard it on error, as
-// with any failed bulk load).
+// re-orders them per Section 3.2). The input slice is not retained. An
+// invalid tuple fails the load before any work, naming the lowest invalid
+// index, and leaves the table unchanged. Cancellation is observed at block
+// boundaries during encoding and indexing, leaving the table partially
+// loaded (discard it on error, as with any failed bulk load).
 func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -376,12 +375,9 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	defer sp.End()
 	sp.Detailf("%d tuples", len(tuples))
 	endStage := sp.Stage("sort")
-	sorted := make([]relation.Tuple, len(tuples))
-	for i, tu := range tuples {
-		if err := t.schema.ValidateTuple(tu); err != nil {
-			return err
-		}
-		sorted[i] = tu.Clone()
+	sorted, hist, err := t.copyValidated(tuples)
+	if err != nil {
+		return err
 	}
 	t.schema.SortTuples(sorted)
 	endStage()
@@ -394,12 +390,64 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	if err := t.indexBlocks(ctx); err != nil {
 		return err
 	}
-	for _, tu := range sorted {
-		t.histAdd(tu)
+	for i, h := range hist {
+		t.hist[i].merge(h)
 	}
 	endStage()
 	t.size = len(sorted)
 	return t.walCheckpoint()
+}
+
+// minLoadChunk is the fewest input tuples one load-prologue worker takes.
+const minLoadChunk = 1 << 14
+
+// copyValidated is BulkLoadContext's prologue. Up to GOMAXPROCS workers
+// each take a contiguous range of the input: they validate its tuples,
+// copy them into one shared slab, and count them in a private set of
+// histograms. It returns the copies and the summed histograms, which the
+// caller merges into the table's once the load has succeeded. On bad
+// input it returns the lowest-index invalid tuple's error, the one a
+// front-to-back pass would hit first. The copies alias the slab; the
+// store keeps none of them (fences are cloned).
+func (t *Table) copyValidated(tuples []relation.Tuple) ([]relation.Tuple, []*histogram, error) {
+	n, arity := len(tuples), t.schema.NumAttrs()
+	workers := min(runtime.GOMAXPROCS(0), max(1, n/minLoadChunk))
+	slab := make([]uint64, n*arity)
+	rows := make([]relation.Tuple, n)
+	hists := make([][]*histogram, workers)
+	errs := make([]error, workers) // each worker's first error; ranges ascend with w
+	var wg sync.WaitGroup
+	for w := range workers {
+		hists[w] = newHistograms(t.schema)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				if err := t.schema.ValidateTuple(tuples[i]); err != nil {
+					errs[w] = fmt.Errorf("table: tuple %d: %w", i, err)
+					return
+				}
+				row := slab[i*arity : (i+1)*arity : (i+1)*arity]
+				copy(row, tuples[i])
+				rows[i] = row
+				for a, h := range hists[w] {
+					h.add(row[a])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	for _, h := range hists[1:] {
+		for i, hg := range h {
+			hists[0][i].merge(hg)
+		}
+	}
+	return rows, hists[0], nil
 }
 
 // indexBlocks registers every block of a freshly loaded store in the

@@ -8,7 +8,8 @@
 # block edit against a re-encode and of the server's wire (request decode,
 # response encoding against encoding/json), the crash matrix, the race-focused test
 # run over the concurrency-sensitive packages, and repeated race runs of
-# the buffer pool's miss-path tests and the store and manifest models.
+# the buffer pool's miss-path tests, the store and manifest models and the
+# parallel tuple sort against its reference.
 # Fails fast on the first broken stage so CI output points at one problem;
 # the last line is the tracked line count.
 set -eu
@@ -65,7 +66,7 @@ go test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count
 
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/buffer ./internal/table ./internal/simdisk \
-    ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
+    ./internal/relation ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
     ./internal/core ./internal/analysis ./internal/wal \
     ./internal/backend ./internal/shard ./internal/server
 
@@ -80,6 +81,11 @@ echo "== store and manifest models under edits (-race -count=5)"
 # publish copies only the manifest chunk it writes; the manifest model
 # re-checks every earlier version, so a write through a shared chunk shows.
 go test -race -count=5 -run '^(TestStoreModel|TestManifestModel)$' ./internal/blockstore
+
+echo "== parallel tuple sort against its reference (-race -count=3)"
+# SortTuples builds keys, counts, scatters and gathers on GOMAXPROCS
+# goroutines; repeat its differential oracle so a racy pass still shows.
+go test -race -count=3 -run '^TestSortTuplesMatchesReference$' ./internal/relation
 
 echo "check.sh: all gates passed"
 echo "non-test lines in internal/ + cmd/ (scripts/loc.sh): $(sh scripts/loc.sh)"
