@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/relation"
@@ -28,6 +29,10 @@ type Arena struct {
 	vals   []uint64
 	hdrs   []relation.Tuple
 	resets uint64
+
+	// The suffix digit tables of the last schema decoded into the arena
+	// (suffixDigits); they survive Reset.
+	sx suffixDigits
 }
 
 // NewArena returns an empty arena.
@@ -112,6 +117,51 @@ func (a *Arena) Tuples(count, n int) []relation.Tuple {
 		out[i] = relation.Tuple(a.vals[lo:hi:hi])
 	}
 	return out
+}
+
+// suffixDigits returns what a tuple decode reads a row's suffix digits
+// off its suffix ordinal with (put), for s's split. It is built once per
+// schema the arena decodes, not once per block.
+func (a *Arena) suffixDigits(s *relation.Schema) *suffixDigits {
+	if a.sx.s != s {
+		at, w, _ := s.Split()
+		a.sx.s, a.sx.div, a.sx.rad = s, a.sx.div[:0], s.Radices()[at:]
+		for _, wg := range w[at : len(w)-1] {
+			a.sx.div = append(a.sx.div, newDivider(wg))
+		}
+	}
+	return &a.sx
+}
+
+// suffixDigits holds, for the suffix attributes at..n-1 of a schema's
+// split, a divider by each weight but the last (which is 1) and the
+// radices.
+type suffixDigits struct {
+	s   *relation.Schema
+	div []divider
+	rad []uint64
+}
+
+// divider divides by an invariant d >= 1 without a hardware divide
+// (Granlund and Montgomery, "Division by invariant integers using
+// multiplication", PLDI 1994, Fig. 4.1): ⌊n/d⌋ for every 64-bit n is one
+// multiply-high, two adds and two shifts.
+type divider struct {
+	m        uint64 // ⌊2⁶⁴(2^l - d)/d⌋ + 1, l = ⌈log2 d⌉
+	sh1, sh2 uint8  // min(l, 1), max(l-1, 0)
+}
+
+func newDivider(d uint64) divider {
+	l := bits.Len64(d - 1)
+	// 2^l - d < d, so the quotient fits; 2^l wraps to 0 when l = 64.
+	q, _ := bits.Div64(uint64(1)<<l-d, 0, d)
+	return divider{m: q + 1, sh1: uint8(min(l, 1)), sh2: uint8(max(l-1, 0))}
+}
+
+// quo returns ⌊n/d⌋.
+func (v divider) quo(n uint64) uint64 {
+	t, _ := bits.Mul64(v.m, n)
+	return (t + (n-t)>>v.sh1) >> v.sh2
 }
 
 // arenaPool recycles arenas across transient decode passes.

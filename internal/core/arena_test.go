@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -214,5 +215,24 @@ func BenchmarkDecodeBlockArena(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDividerExact holds the invariant division put reads suffix digits
+// with to the hardware divide, for divisors from 1 to 2^64-1 and dividends
+// at both ends of the word.
+func TestDividerExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	divisors := []uint64{1, 2, 3, 7, 10, 255, 257, 1 << 31, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for range 200 {
+		divisors = append(divisors, rng.Uint64()>>rng.Intn(64)|1, rng.Uint64()>>rng.Intn(64)+1)
+	}
+	for _, d := range divisors {
+		v := newDivider(d)
+		for _, n := range []uint64{0, 1, d - 1, d, d + 1, math.MaxUint64 - 1, math.MaxUint64, rng.Uint64(), rng.Uint64() >> rng.Intn(64)} {
+			if got := v.quo(n); got != n/d {
+				t.Fatalf("%d / %d = %d, want %d", n, d, got, n/d)
+			}
+		}
 	}
 }

@@ -3,15 +3,15 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
-	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
 // layout is a parsed block payload. Every codec's block is the same
 // structure — an anchor tuple at a known position plus count-1
 // run-length-coded differences (Sections 3.2-3.4) — so one parse describes
-// them all and the two walks below serve every decode shape:
+// them all and the one walk below serves every decode shape:
 //
 //	CodecAVQ, CodecPacked  anchor = representative index from the stream
 //	CodecRaw               no chain: count fixed-width rows (rows != nil)
@@ -27,6 +27,17 @@ type layout struct {
 	anchor int
 	rep    relation.Tuple // the anchor tuple, carved from the arena
 	diffs  diffReader     // positioned on the first stored difference
+	reach  reach          // pass's scratch, carved on first use
+}
+
+// reach is the scratch pass parses a chunk of differences into: their
+// suffix ordinals, first prefix digits and parked prefix digits, and the
+// packed framing's digit vector. A layout carves it once, however many
+// walks (a search's probes) step through the chain's reach.
+type reach struct {
+	dS, ks []uint64
+	park   []relation.Tuple
+	d      relation.Tuple
 }
 
 // openBlock verifies a block stream's framing and checksum — once per
@@ -90,191 +101,307 @@ func (l *layout) rawRow(i int, t relation.Tuple) error {
 	return decodeRow(l.s, t, l.rows[i*m:(i+1)*m])
 }
 
-// span carves positions [from, to) out of the arena and reconstructs them
-// with the tuple-space walk.
+// span carves positions [from, to) out of the arena and reconstructs
+// them: a raw layout reads its rows, a chain is walked.
 func (l *layout) span(from, to int, a *Arena) ([]relation.Tuple, error) {
 	if from == to {
 		return nil, nil
 	}
 	out := a.Tuples(to-from, l.s.NumAttrs())
-	if err := l.walkTuples(from, to, out, a); err != nil {
+	if l.rows != nil {
+		for i := from; i < to; i++ {
+			if err := l.rawRow(i, out[i-from]); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	if err := l.walk(from, to, a.Phis(to-from), out, nil, a); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// walkTuples reconstructs positions [from, to) of the block into out
-// (to-from arena-carved tuples, from < to): the tuple-space walk behind
-// DecodeBlockArena (0, count), DecodeTupleSpanArena, DecodeTupleAtArena
-// (idx, idx+1) and, through it, SearchBlockArena.
+// errLeavesSpace reports a chain step below 0 or at/above ||R||: a carry
+// or borrow out of the split form's first digit.
+var errLeavesSpace = fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
+
+// walk reconstructs positions [from, to) of a difference-coded block
+// (from < to) in split-ordinal form (relation.Schema.Split): the running
+// tuple is its prefix digits 0..at-1 plus one uint64 S, the ordinal of its
+// digits at..n-1, so a step is one checked add of the difference's suffix
+// ordinal, and the prefix digits move only when the difference reaches
+// them or S carries. When rows is non-nil it writes position i's tuple to
+// rows[i-from] (put); otherwise — only at split 0, where S is φ — it
+// writes position i's φ to suf[i-from]. suf (to-from entries) is the
+// walk's slab of parsed suffix ordinals either way. It is the walk behind
+// every decode shape: through span, DecodeBlockArena,
+// DecodeTupleSpanArena, DecodeTupleAtArena and SearchBlockArena;
+// DecodeBlockPhis; and, with the bounds visitor b, PhiSpan and
+// PhiSpanSlab.
 //
-// The chain is walked outward from the anchor. Differences on the near
-// side of the span are stepped over with skip; differences the chain must
-// pass through on its way to the span are folded into a running tuple;
-// only positions inside the span are materialized. Before-anchor
-// differences are stored front-to-back but apply back-to-front, so each is
-// parked in its own output slot and consumed in place (ordinal.SubFrom
-// tolerates dst aliasing an operand, and starts from the parked
-// difference's first non-zero digit).
-func (l *layout) walkTuples(from, to int, out []relation.Tuple, a *Arena) error {
-	s := l.s
-	if l.rows != nil {
-		for i := from; i < to; i++ {
-			if err := l.rawRow(i, out[i-from]); err != nil {
-				return err
-			}
-		}
-		return nil
+// Before the anchor the span's differences are parsed in one pass — their
+// suffix ordinals into suf, the prefix digits of those that reach the
+// prefix parked in their own output rows — and summed with the ones
+// between the span and the anchor, which anchors t[from] = rep - Σd; the
+// walk then runs forward. Differences ahead of from are stepped over with
+// skip. After the anchor the chain passes through every difference up to
+// to, materializing positions from on, a chunk at a time so the rows a
+// chunk parks in are still in cache when it is applied; a visitor (which
+// may stop at any position) parses one at a time, so it never reads a
+// difference past the one that ends it. A stop after the block's last
+// difference still applies the end-of-payload rule.
+func (l *layout) walk(from, to int, suf []uint64, rows []relation.Tuple, b *phiBounds, a *Arena) error {
+	r := l.diffs
+	mid, at, n, space := l.anchor, r.at, l.s.NumAttrs(), r.space
+	pre, d := a.Tuple(at), a.Tuple(n)
+	var ks []uint64 // ks[i-from]: the first digit position i's difference has in the prefix, or at
+	if at > 0 {
+		ks = a.Phis(to - from)
 	}
-	mid, r := l.anchor, l.diffs
-	n := s.NumAttrs()
-	d, acc := a.Tuple(n), a.Tuple(n)
-	fail := func(i int, err error) error {
-		return fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
+	var sx *suffixDigits
+	if rows != nil {
+		sx = a.suffixDigits(l.s)
+	}
+	var repS uint64
+	for i := at; i < n; i++ {
+		repS += l.rep[i] * r.weights[i]
 	}
 
-	// Before the anchor: t[i] = t[i+1] - d[i].
+	// Before the anchor: t[i+1] = t[i] + d[i].
 	if err := r.skip(min(from, mid)); err != nil {
 		return err
 	}
-	parked := min(to, mid)
-	for i := from; i < parked; i++ {
-		if _, err := r.next(out[i-from]); err != nil {
+	end := min(to, mid) // positions [from, end) are walked here
+	clear(pre)
+	var S uint64
+	var ok bool
+	if from < end {
+		if err := r.split(suf[:end-from], ks, rows, d); err != nil {
+			return err
+		}
+		if S, ok = r.addAll(pre, S, suf[:end-from], ks, rows); !ok {
+			return errLeavesSpace
+		}
+	}
+	if to < mid {
+		var err error
+		if S, err = l.pass(&r, mid-to, pre, S, a); err != nil {
 			return err
 		}
 	}
-	base := l.rep
-	if to < mid {
-		copy(acc, l.rep)
-		for i := to; i < mid; i++ {
-			k, err := r.next(d)
-			if err != nil {
-				return err
+	if from < end {
+		// t[from] = rep - Σd, then forward to end; every step stays at or
+		// below rep, so none can leave the space.
+		if S, ok = r.sub(pre, l.rep, repS, pre, S); !ok {
+			return errLeavesSpace
+		}
+		for j, dS := range suf[:end-from] {
+			if rows == nil {
+				suf[j], S = S, S+dS
+				continue
 			}
-			if err := ordinal.SubFrom(s, acc, acc, d, k); err != nil {
-				return fail(i, err)
+			row, k := rows[j], at
+			if at > 0 {
+				k = int(ks[j])
+			}
+			copy(d[k:at], row[k:at])
+			put(row, pre, S, sx)
+			if S += dS; S < dS || S >= space || k < at {
+				S, _ = r.carry(pre, S, dS, d, k)
 			}
 		}
-		base = acc
-	}
-	for i := parked - 1; i >= from; i-- {
-		if err := ordinal.SubFrom(s, out[i-from], base, out[i-from], leadingZeroDigits(out[i-from])); err != nil {
-			return fail(i, err)
-		}
-		base = out[i-from]
 	}
 	if to <= mid {
 		return r.end()
 	}
 
-	// The anchor and after it: t[i] = t[i-1] + d[i]. Positions
-	// mid+1..from-1 are replayed in acc.
+	// The anchor and after it: t[i] = t[i-1] + d[i].
+	copy(pre, l.rep)
+	S = repS
 	if from <= mid {
-		copy(out[mid-from], l.rep)
+		if rows != nil {
+			put(rows[mid-from], pre, S, sx)
+		} else {
+			suf[mid-from] = S
+		}
 	}
-	prev := l.rep
-	for i := mid + 1; i < to; i++ {
-		k, err := r.next(d)
-		if err != nil {
+	if b != nil {
+		for i := 0; i <= mid; i++ {
+			if b.visit(i, suf[i]) {
+				return r.end()
+			}
+		}
+	}
+	if from > mid+1 {
+		var err error
+		if S, err = l.pass(&r, from-mid-1, pre, S, a); err != nil {
 			return err
 		}
-		dst := acc
-		if i >= from {
-			dst = out[i-from]
+	}
+	step := to // a φ slab: one pass
+	switch {
+	case b != nil:
+		step = 1
+	case rows != nil:
+		step = walkChunk
+	}
+	for i := max(from, mid+1); i < to; {
+		lo, hi := i-from, min(i+step, to)-from
+		chunk := suf[lo:hi]
+		if rows == nil {
+			if err := r.split(chunk, nil, nil, d); err != nil {
+				return err
+			}
+			for _, dS := range chunk {
+				if S += dS; S < dS || S >= space {
+					return errLeavesSpace
+				}
+				suf[i-from] = S
+				if b != nil && b.visit(i, S) {
+					return r.end()
+				}
+				i++
+			}
+			continue
 		}
-		if err := ordinal.AddFrom(s, dst, prev, d, k); err != nil {
-			return fail(i, err)
+		var kc []uint64
+		if at > 0 {
+			kc = ks[lo:hi]
 		}
-		prev = dst
+		park := rows[lo:hi]
+		if err := r.split(chunk, kc, park, d); err != nil {
+			return err
+		}
+		for j, dS := range chunk {
+			k := at
+			if at > 0 {
+				k = int(kc[j])
+			}
+			if S += dS; S < dS || S >= space || k < at {
+				if S, ok = r.carry(pre, S, dS, park[j], k); !ok {
+					return errLeavesSpace
+				}
+			}
+			put(park[j], pre, S, sx)
+		}
+		i += len(chunk)
 	}
 	return r.end()
 }
 
-// errLeavesSpace reports a φ-space chain step below 0 or at/above ||R||.
-var errLeavesSpace = fmt.Errorf("%w: difference chain leaves the schema space", ErrCorrupt)
+// walkChunk is how many differences after the anchor walk parses at a
+// time.
+const walkChunk = 64
 
-// walkPhis is walkTuples in flat-ordinal space: each difference d
-// contributes φ(d) as one uint64, so the chain is a run of checked adds.
-// It writes φ(t[i]) to out[i] (len count) front to back and is the walk
-// behind DecodeBlockPhis (b == nil: the slab is the result) and PhiSpan (b
-// folds each position into its bounds and may end the walk early; out is
-// scratch). The schema must be flat, with space = ||R||.
-//
-// Blocks are φ-clustered by construction and every consumer of the
-// sequence binary-searches it, so a decreasing sequence — possible only in
-// a raw layout, since a chain of nonnegative differences cannot decrease —
-// is corruption, not data.
-func (l *layout) walkPhis(space uint64, out []uint64, b *phiBounds, a *Arena) error {
-	s := l.s
-	d := a.Tuple(s.NumAttrs())
-	if l.rows != nil {
-		for i := range out {
-			if err := l.rawRow(i, d); err != nil {
-				return err
-			}
-			out[i] = ordinal.PhiU64(s, d)
-			if i > 0 && out[i] < out[i-1] {
-				return fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
-			}
-		}
-		return nil
+// put writes a split-form tuple into row: its prefix digits copied, its
+// suffix digits read off S. With q_g = ⌊S/w_g⌋ (one invariant division
+// each; q_{n-1} = S, q_{at-1} = 0), digit g is q_g - q_{g-1}·|A_g|: the
+// quotients are independent of each other, so a row's digits cost one
+// multiply-high and one multiply apiece, with no chain between them.
+func put(row, pre []uint64, S uint64, sx *suffixDigits) {
+	copy(row, pre)
+	var q uint64
+	for g, d := range sx.div {
+		qg := d.quo(S)
+		row[len(pre)+g], q = qg-q*sx.rad[g], qg
 	}
-	mid, r := l.anchor, l.diffs
-	repPhi := ordinal.PhiU64(s, l.rep)
+	row[len(row)-1] = S - q*sx.rad[len(sx.div)]
+}
 
-	// Before the anchor. The differences are parsed into out[0..mid) in
-	// one pass and stay there as the delta buffer until their sum anchors
-	// φ(t[0]) = φ(rep) - Σd, then are rewritten in place to absolute
-	// values.
-	if err := r.phis(out[:mid], d); err != nil {
-		return err
-	}
-	var total uint64
-	for _, dphi := range out[:mid] {
-		if total+dphi < total || total+dphi > repPhi {
-			return errLeavesSpace
-		}
-		total += dphi
-	}
-	cur := repPhi - total
-	for i := 0; i < mid; i++ {
-		cur, out[i] = cur+out[i], cur
-	}
-	out[mid] = repPhi
-	if b != nil {
-		for i := 0; i <= mid; i++ {
-			if b.visit(i, out[i]) {
-				return r.end()
+// addAll steps the split-form tuple (pre, S) over parsed differences, as
+// split leaves them: suffix ordinals dS and, with a prefix, ks and the
+// digits parked in park. It reports false on a step that leaves the
+// space.
+func (r *diffReader) addAll(pre []uint64, S uint64, dS, ks []uint64, park []relation.Tuple) (uint64, bool) {
+	at, space := r.at, r.space
+	if at == 0 {
+		for _, v := range dS {
+			if S += v; S < v || S >= space {
+				return 0, false
 			}
 		}
+		return S, true
 	}
+	for j, v := range dS {
+		if k := int(ks[j]); S+v < v || S+v >= space || k < at {
+			var ok bool
+			if S, ok = r.carry(pre, S+v, v, park[j], k); !ok {
+				return 0, false
+			}
+		} else {
+			S += v
+		}
+	}
+	return S, true
+}
 
-	// After the anchor. A whole-block walk parses every difference in one
-	// pass; a visitor may stop at any position, so it parses one at a
-	// time and never reads a difference past the one that ends it. A stop
-	// after the block's last difference still applies the end-of-payload
-	// rule.
-	step := len(out)
-	if b != nil {
-		step = 1
+// pass steps (pre, S) over r's next cnt differences without
+// materializing any position: the chain's reach between the anchor and a
+// span. It parses them a chunk at a time into the layout's reach scratch.
+func (l *layout) pass(r *diffReader, cnt int, pre []uint64, S uint64, a *Arena) (uint64, error) {
+	x := &l.reach
+	if x.d == nil {
+		n := l.s.NumAttrs()
+		x.dS, x.ks, x.park, x.d = a.Phis(walkChunk), a.Phis(walkChunk), a.Tuples(walkChunk, n), a.Tuple(n)
 	}
-	prev := repPhi
-	for i := mid + 1; i < len(out); {
-		chunk := out[i:min(i+step, len(out))]
-		if err := r.phis(chunk, d); err != nil {
-			return err
+	for c := 0; cnt > 0; cnt -= c {
+		c = min(walkChunk, cnt)
+		if err := r.split(x.dS[:c], x.ks, x.park, x.d); err != nil {
+			return 0, err
 		}
-		for _, dphi := range chunk {
-			phi := prev + dphi
-			if phi < prev || phi >= space {
-				return errLeavesSpace
-			}
-			out[i], prev = phi, phi
-			if b != nil && b.visit(i, phi) {
-				return r.end()
-			}
-			i++
+		var ok bool
+		if S, ok = r.addAll(pre, S, x.dS[:c], x.ks, x.park); !ok {
+			return 0, errLeavesSpace
 		}
 	}
-	return r.end()
+	return S, nil
+}
+
+// carry finishes a chain step the walk could not finish with its one
+// add, S = S₀+dS mod 2⁶⁴: one whose sum wrapped (S < dS) or reached the
+// suffix space, or whose difference has prefix digits d[k:at] (k < at).
+// It reduces S below the space, then adds d[k:at] and the suffix's carry
+// into the prefix digits pre, rippling the carry only as far as it goes.
+// It reports false when the sum leaves the space: a carry out of the
+// prefix's first digit, or out of S at split 0.
+func (r *diffReader) carry(pre []uint64, S, dS uint64, d []uint64, k int) (uint64, bool) {
+	var c uint64
+	if S < dS || S >= r.space {
+		S, c = S-r.space, 1
+	}
+	rad := r.radices
+	i := len(pre) - 1
+	for ; i >= k; i-- {
+		v, o := bits.Add64(pre[i], d[i], c)
+		if o != 0 || v >= rad[i] {
+			v, o = v-rad[i], 1
+		}
+		pre[i], c = v, o
+	}
+	for ; c != 0 && i >= 0; i-- {
+		if pre[i]+1 < rad[i] {
+			pre[i], c = pre[i]+1, 0
+		} else {
+			pre[i] = 0
+		}
+	}
+	return S, c == 0
+}
+
+// sub returns t - u in split form, the prefix digits into dst (which may
+// alias u); it reports false when the difference is negative.
+func (r *diffReader) sub(dst, t []uint64, tS uint64, u []uint64, uS uint64) (uint64, bool) {
+	S, bw := bits.Sub64(tS, uS, 0)
+	if bw != 0 {
+		S += r.space
+	}
+	for i := len(dst) - 1; i >= 0; i-- {
+		v, o := bits.Sub64(t[i], u[i], bw)
+		if o != 0 {
+			v += r.radices[i]
+		}
+		dst[i], bw = v, o
+	}
+	return S, bw == 0
 }

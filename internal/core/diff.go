@@ -61,12 +61,14 @@ func diffSize(s *relation.Schema, diff relation.Tuple) int {
 //	byte-RLE  count byte lz | RowSize-lz tail bytes        (CodecAVQ)
 //	packed    lz in ceil(log2(n+1)) bits | digits lz..n-1   (CodecPacked, see packed.go)
 //
-// next materializes one difference as a digit vector and phis folds each
-// straight to φ(d); both validate every digit past the zero run against
-// its radix (the digits inside the run are zero, which every radix
-// admits). skip steps over differences reading only their framing, which
-// is what keeps a point decode O(|idx - anchor|) digit parses; end applies
-// the end-of-payload rule.
+// split parses differences in the schema's split-ordinal form
+// (relation.Schema.Split): the digits of the suffix attributes at..n-1
+// folded into one uint64, plus the prefix digits when the difference
+// reaches them. It validates every digit past the zero run against its
+// radix (the digits inside the run are zero, which every radix admits).
+// skip steps over differences reading only their framing, which is what
+// keeps a point decode O(|idx - anchor|) digit parses; end applies the
+// end-of-payload rule.
 type diffReader struct {
 	s       *relation.Schema
 	body    []byte
@@ -74,7 +76,12 @@ type diffReader struct {
 	left    int      // differences not yet consumed
 	m       int      // s.RowSize()
 	radices []uint64 // s.Radices()
-	weights []uint64 // s.FlatWeights(); nil on a non-flat schema
+
+	// The split (s.Split()): attributes at..n-1 fold into one ordinal
+	// below space with the given weights.
+	at      int
+	weights []uint64
+	space   uint64
 
 	packed  bool
 	bits    bitio.Reader // packed: the bit stream after the anchor tuple
@@ -87,7 +94,7 @@ type diffReader struct {
 // body[pos].
 func newDiffReader(s *relation.Schema, packed bool, body []byte, pos, n int) diffReader {
 	r := diffReader{s: s, body: body, pos: pos, left: n, m: s.RowSize(), radices: s.Radices(), packed: packed}
-	r.weights, _ = s.FlatWeights()
+	r.at, r.weights, r.space = s.Split()
 	if packed {
 		r.bits.Reset(body[pos:])
 		r.widths, r.suffix = s.BitWidths()
@@ -140,64 +147,27 @@ func (r *diffReader) packedLZ() (int, error) {
 	return int(lz), nil
 }
 
-// next parses the next difference into d and returns k, the first digit
-// past its zero run: d[:k] is zero (cleared here, since arena tuples are
-// not zeroed) and only d[k:] is read from the stream. The tuple walk's
-// chained add and subtract start from k. This is the hot loop of the
-// tuple decode (t2 in the paper's cost model).
+// next parses the next packed difference into d and returns k, its
+// leading-zero digit count: d[:k] is zero (cleared here, since arena
+// tuples are not zeroed) and only d[k:] is read from the stream.
 func (r *diffReader) next(d relation.Tuple) (k int, err error) {
 	r.left--
-	if r.packed {
-		lz, err := r.packedLZ()
-		if err != nil {
-			return 0, err
-		}
-		zero(d, lz)
-		for i := lz; i < len(d); i++ {
-			v, err := r.bits.ReadBits(r.widths[i])
-			if err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-			}
-			if v >= r.radices[i] {
-				return 0, errDigit(r.s, i, v)
-			}
-			d[i] = v
-		}
-		return lz, nil
-	}
-	lz, err := r.rle()
+	lz, err := r.packedLZ()
 	if err != nil {
 		return 0, err
 	}
-	if lz == r.m {
-		zero(d, len(d))
-		return len(d), nil
-	}
-	// Byte j of the fixed-width row is zero below lz and body[row+j] from
-	// there on, so each attribute past the run is the low bytes of the
-	// word that ends with its field, masked to its bytes past the run.
-	k = r.s.AttrAtByte(lz)
-	zero(d, k)
-	rad := r.radices
-	d, wid := d[:len(rad)], r.s.AttrWidths()[:len(rad)]
-	off, row := r.s.AttrOffset(k), r.pos-r.m
-	for i := k; i < len(rad); i++ {
-		end := off + wid[i]
-		n := uint(end - max(off, lz))
-		var v uint64
-		if p := row + end; p >= 8 {
-			v = binary.BigEndian.Uint64(r.body[p-8:p]) & (^uint64(0) >> ((64 - 8*n) & 63))
-		} else { // the word would start before the body: the block's first differences
-			for _, c := range r.body[p-int(n) : p] {
-				v = v<<8 | uint64(c)
-			}
+	zero(d, lz)
+	for i := lz; i < len(d); i++ {
+		v, err := r.bits.ReadBits(r.widths[i])
+		if err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrTruncated, err)
 		}
-		if v >= rad[i] {
+		if v >= r.radices[i] {
 			return 0, errDigit(r.s, i, v)
 		}
-		d[i], off = v, end
+		d[i] = v
 	}
-	return k, nil
+	return lz, nil
 }
 
 // zero clears d[:k]: a counted loop, which for the few digits of a zero
@@ -208,93 +178,186 @@ func zero(d relation.Tuple, k int) {
 	}
 }
 
-// maxWordRow is the widest byte-RLE row phis parses as two machine words.
-const maxWordRow = 16
-
-// phis parses the next len(dst) differences straight to dst[j] = φ(d_j) =
-// Σ d_i·w_i over the schema's FlatWeights, filling no digit vector: the φ
-// walk's hot loop. The schema must be flat. A byte-RLE row of at most 16
-// bytes is read as one 128-bit big-endian number — the tail's one or two
-// words, loaded backward from its last byte and masked to its m-lz bytes
-// — and each attribute from the one holding byte lz onward is a shift and
-// a mask of it: one radix check and one independent multiply per visited
-// digit, none for the attributes inside the zero run. Wider rows and the
-// packed framing parse through next into the scratch vector d.
-func (r *diffReader) phis(dst []uint64, d relation.Tuple) error {
-	if r.packed || r.m > maxWordRow {
+// split parses the next len(dst) differences in split-ordinal form:
+// dst[j] = Σ d_i·w_i over the suffix attributes i >= at, one uint64, and,
+// when the schema has a prefix (at > 0), ks[j] = min(k, at) for k the
+// attribute holding the difference's first tail byte. A difference that
+// reaches the prefix (k < at) also parks its prefix digits in
+// park[j][k:at]. At split 0 ks and park may be nil.
+//
+// A byte-RLE frame that stays in the suffix — every frame on a flat
+// schema, 75 % of wide38's — is parsed by window, any other by long.
+// Packed frames parse through next into the scratch vector d.
+func (r *diffReader) split(dst, ks []uint64, park []relation.Tuple, d relation.Tuple) error {
+	at, n := r.at, len(r.radices)
+	if r.packed {
 		for j := range dst {
 			k, err := r.next(d)
 			if err != nil {
 				return err
 			}
-			var phi uint64
-			for i := k; i < len(d); i++ {
-				phi += d[i] * r.weights[i]
+			var dS uint64
+			for i := max(k, at); i < n; i++ {
+				dS += d[i] * r.weights[i]
 			}
-			dst[j] = phi
+			dst[j] = dS
+			if at > 0 {
+				k = min(k, at)
+				copy(park[j][k:at], d[k:at])
+				ks[j] = uint64(k)
+			}
 		}
 		return nil
 	}
 	r.left -= len(dst)
+	if at > 0 {
+		ks = ks[:len(dst)]
+		for j := range ks {
+			ks[j] = uint64(at) // window's frames; long overwrites its own
+		}
+	}
+	for j := 0; ; j++ {
+		var err error
+		if j, err = r.window(dst, j); err != nil || j == len(dst) {
+			return err
+		}
+		lz, end, ok := frame(r.body, r.pos, r.m)
+		if !ok {
+			return r.errFrame()
+		}
+		r.pos = end
+		var row relation.Tuple
+		if at > 0 {
+			row = park[j]
+		}
+		var k int
+		if dst[j], k, err = r.long(end, lz, row); err != nil {
+			return err
+		}
+		if at > 0 {
+			ks[j] = uint64(k)
+		}
+	}
+}
+
+// window is split's loop over the frames that stay in the suffix, from
+// dst[j] on. Byte j of a frame's row is zero below lz and body[end-m+j]
+// from there on. A tail of at most 8 bytes is one word, loaded backward
+// from the frame's last byte and masked to its m-lz bytes, and each field
+// from the one holding byte lz onward is a shift and a mask of it; a
+// longer tail loads the word that ends with each field. Either way a
+// visited digit costs one radix check and one independent multiply, and
+// the attributes inside the zero run cost nothing. It stops at the first
+// frame that reaches the prefix, breaks the framing rule or lies too close
+// to the body's start for a word load, leaving r.pos on its count byte,
+// and returns its index (len(dst) when there is none). It calls nothing
+// that returns into the loop, so the loop keeps its state in registers.
+func (r *diffReader) window(dst []uint64, j int) (int, error) {
 	body, pos, m := r.body, r.pos, r.m
 	rad := r.radices
 	wts, wid := r.weights[:len(rad)], r.s.AttrWidths()[:len(rad)]
-	for j := range dst {
-		lz, end, ok := frame(body, pos, m)
-		if !ok {
-			r.pos = pos
-			return r.errFrame()
+	short := r.s.AttrOffset(r.at)
+	tails := uint(m - short) // lz - short for the frames this loop takes
+loop:
+	for ; j < len(dst) && pos < len(body); j++ {
+		// The framing rule (frame) and lz >= short in two compares.
+		lz := int(body[pos])
+		end := pos + 1 + m - lz
+		if uint(lz-short) > tails || end > len(body) {
+			break loop
 		}
-		pos = end
-		n := uint(m - lz)
-		var hi, lo uint64
-		switch {
+		var dS uint64
+		switch n := m - lz; {
 		case n == 0:
-			dst[j] = 0
-			continue
 		case n <= 8 && end >= 8:
-			lo = binary.BigEndian.Uint64(body[end-8:end]) & (^uint64(0) >> ((64 - 8*n) & 63))
-		case end >= 16:
-			lo = binary.BigEndian.Uint64(body[end-8 : end])
-			hi = binary.BigEndian.Uint64(body[end-16:end-8]) & (^uint64(0) >> ((128 - 8*n) & 63))
-		default: // a backward load would leave the body: the block's first differences
-			for _, c := range body[end-int(n) : end] {
-				hi, lo = hi<<8|lo>>56, lo<<8|uint64(c)
+			// One word: every field is a shift and a mask of it.
+			lo := binary.BigEndian.Uint64(body[end-8:end]) & byteMask[n]
+			i := r.s.AttrAtByte(lz)
+			sh := uint(8 * (m - r.s.AttrOffset(i))) // bits below field i, plus its own
+			for ; i < len(rad); i++ {
+				sh -= uint(8 * wid[i])
+				v := lo >> (sh & 63) & byteMask[wid[i]]
+				if v >= rad[i] {
+					return j, errDigit(r.s, i, v)
+				}
+				dS += v * wts[i]
+			}
+		default:
+			// One word load per field, ending with it.
+			i, row0 := r.s.AttrAtByte(lz), end-m
+			fe := r.s.AttrOffset(i) + wid[i]
+			if row0+fe < 8 {
+				break loop // the word would start before the body: long's byte path
+			}
+			v := binary.BigEndian.Uint64(body[row0+fe-8:row0+fe]) & byteMask[fe-lz]
+			for {
+				if v >= rad[i] {
+					return j, errDigit(r.s, i, v)
+				}
+				dS += v * wts[i]
+				if i++; i == len(rad) {
+					break
+				}
+				fe += wid[i]
+				v = binary.BigEndian.Uint64(body[row0+fe-8:row0+fe]) & byteMask[wid[i]]
 			}
 		}
-		i := r.s.AttrAtByte(lz)
-		sh := uint(8 * (m - r.s.AttrOffset(i))) // bits below attribute i's field, plus its own
-		var phi uint64
-		if n <= 8 {
-			// Every visited field lies in lo.
-			for ; i < len(rad); i++ {
-				bits := uint(8 * wid[i])
-				sh -= bits
-				v := lo >> (sh & 63) & (^uint64(0) >> ((64 - bits) & 63))
-				if v >= rad[i] {
-					return errDigit(r.s, i, v)
-				}
-				phi += v * wts[i]
-			}
-		} else {
-			for ; i < len(rad); i++ {
-				bits := uint(8 * wid[i])
-				sh -= bits
-				v := hi >> (sh & 63)
-				if sh < 64 {
-					v = lo>>sh | hi<<1<<(63-sh)
-				}
-				v &= ^uint64(0) >> ((64 - bits) & 63)
-				if v >= rad[i] {
-					return errDigit(r.s, i, v)
-				}
-				phi += v * wts[i]
-			}
-		}
-		dst[j] = phi
+		dst[j], pos = dS, end
 	}
 	r.pos = pos
-	return nil
+	return j, nil
+}
+
+// byteMask[n] keeps the low n bytes of a word.
+var byteMask = [9]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1, ^uint64(0)}
+
+// long parses the byte-RLE frame ending at body[end] with zero run lz <
+// m that window does not take: one that reaches the prefix, or starts too
+// close to the body's start for a word load. Byte j of its row is zero
+// below lz and body[end-m+j] from there on, so each field past the run is
+// the low bytes of the word that ends with it. It returns the suffix
+// ordinal and k = min(attribute holding byte lz, at), with the prefix
+// digits in row[k:at] (row is nil at split 0).
+func (r *diffReader) long(end, lz int, row relation.Tuple) (dS uint64, k int, err error) {
+	at := r.at
+	body, rad, wts := r.body, r.radices, r.weights[:len(r.radices)]
+	wid := r.s.AttrWidths()[:len(rad)]
+	i := r.s.AttrAtByte(lz)
+	row0, fe := end-r.m, r.s.AttrOffset(i)+wid[i]
+	v := word(body, row0+fe, fe-lz)
+	for k = min(i, at); i < at; {
+		if v >= rad[i] {
+			return 0, 0, errDigit(r.s, i, v)
+		}
+		row[i] = v
+		i++
+		fe += wid[i]
+		v = word(body, row0+fe, wid[i])
+	}
+	for {
+		if v >= rad[i] {
+			return 0, 0, errDigit(r.s, i, v)
+		}
+		dS += v * wts[i]
+		if i++; i == len(rad) {
+			return dS, k, nil
+		}
+		fe += wid[i]
+		v = word(body, row0+fe, wid[i])
+	}
+}
+
+// word returns the n <= 8 bytes of body that end at p as a big-endian
+// number: one load of the word ending there, masked to its low n bytes.
+func word(body []byte, p, n int) uint64 {
+	if p >= 8 {
+		return binary.BigEndian.Uint64(body[p-8:p]) & byteMask[n]
+	}
+	var v uint64 // the word would start before the body: the block's first differences
+	for _, c := range body[p-n : p] {
+		v = v<<8 | uint64(c)
+	}
+	return v
 }
 
 // skip steps over the next n differences without materializing their

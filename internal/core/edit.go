@@ -38,8 +38,8 @@ type Slab struct {
 }
 
 // DecodeBlockSlab decodes a block into a Slab carved from a (a fresh arena
-// when a is nil): the φ walk on a flat schema, the tuple walk otherwise.
-// Either walk makes every check a full decode makes.
+// when a is nil): the φ slab on a flat schema, tuples otherwise. Either
+// shape makes every check a full decode makes.
 func DecodeBlockSlab(s *relation.Schema, buf []byte, a *Arena) (Slab, error) {
 	if _, ok := s.FlatSpace(); ok {
 		phis, err := DecodeBlockPhis(s, buf, a)

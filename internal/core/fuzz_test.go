@@ -12,8 +12,10 @@ import (
 // FuzzDecodeBlock drives every decode shape with arbitrary bytes, both as
 // given and with the trailing four bytes replaced by a valid checksum (so
 // the fuzzer reaches the payload parsers instead of dying at the CRC),
-// under three schemas: a small three-attribute one and the end-to-end
-// ledger's flat8 (the φ walk's word parse) and wide38 (the tuple walk's),
+// under schemas on both sides of the split-ordinal form: a small
+// three-attribute one, the end-to-end ledger's flat8 (flat, 14-byte rows)
+// and wide38 (split at attribute 11), and splitSchemas' three (a suffix
+// of one attribute, a suffix of 63 one-byte fields, a flat 20-byte row),
 // each seeded with blocks of its own. Properties: no panics; every shape
 // accepts/rejects and decodes exactly as the naive reference decoder does
 // (checkShapesAgainstReference); and anything that decodes to a sorted
@@ -53,6 +55,14 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		f.Add(enc)
 		schemas = append(schemas, ls)
+	}
+	for _, c := range splitSchemas() {
+		enc, err := EncodeBlock(CodecAVQ, c.s, clusteredBlock(c.s, rng, 30, c.attrs), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		schemas = append(schemas, c.s)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

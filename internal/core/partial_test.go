@@ -239,21 +239,22 @@ func TestInspectReportsRepIndex(t *testing.T) {
 	}
 }
 
-// firstAnchorStream is the test-built first-tuple-anchor layout the
-// decode-reach ablation measures against: the AVQ stream of block,
-// re-anchored at position 0. The stored differences are the same adjacent
-// deltas whatever the anchor, so only the anchor index and tuple change,
-// and the walker accepts any anchor below the tuple count.
-func firstAnchorStream(tb testing.TB, s *relation.Schema, block []relation.Tuple) []byte {
+// reanchor is the block's stream under codec c with its anchor moved to
+// position idx and anchor tuple set to anchor (block[idx] for a valid
+// stream). The stored differences are the same adjacent deltas whatever
+// the anchor, so only the anchor index and tuple change, and the walker
+// accepts any anchor below the tuple count. At idx 0 it is the
+// first-tuple-anchor layout the decode-reach ablation measures against.
+func reanchor(tb testing.TB, c Codec, s *relation.Schema, block []relation.Tuple, idx int, anchor relation.Tuple) []byte {
 	tb.Helper()
-	enc, err := EncodeBlock(CodecAVQ, s, block, nil)
+	enc, err := EncodeBlock(c, s, block, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	_, n := binary.Uvarint(enc[2:])
 	_, w := binary.Uvarint(enc[2+n:])
-	out := binary.AppendUvarint(append([]byte(nil), enc[:2+n]...), 0)
-	out = s.EncodeTuple(out, block[0])
+	out := binary.AppendUvarint(append([]byte(nil), enc[:2+n]...), uint64(idx))
+	out = s.EncodeTuple(out, anchor)
 	return rechecksum(append(out, enc[2+n+w+s.RowSize():len(enc)-crcSize]...))
 }
 
@@ -270,7 +271,7 @@ func TestMedianAnchorHalvesChainWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := firstAnchorStream(t, s, block)
+	first := reanchor(t, CodecAVQ, s, block, 0, block[0])
 	if info, err := Inspect(first); err != nil || info.RepIndex != 0 {
 		t.Fatalf("first-anchor stream: %+v, %v", info, err)
 	}
@@ -300,7 +301,7 @@ func BenchmarkPointAccess(b *testing.B) {
 	rng := rand.New(rand.NewSource(54))
 	block := randomSortedBlock(s, rng, 400)
 	last := len(block) - 1
-	names, streams := []string{"first-anchor"}, [][]byte{firstAnchorStream(b, s, block)}
+	names, streams := []string{"first-anchor"}, [][]byte{reanchor(b, CodecAVQ, s, block, 0, block[0])}
 	for _, c := range Codecs() {
 		enc, err := EncodeBlock(c, s, block, nil)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
@@ -72,16 +73,20 @@ func (d *DigitExtractor) Digit(phi uint64) uint64 {
 // DecodeBlockPhis decodes a coded block into its φ sequence: one uint64
 // flat ordinal per tuple, in block (clustered) order, carved from the
 // caller's arena. It requires a flat schema (Schema.FlatSpace ok) and a
-// checksummed block, and serves every codec through the one φ-space
-// walk (layout.walkPhis).
+// checksummed block, and serves the difference codecs through the one
+// walk (layout.walk at split 0, where the suffix ordinal is φ).
+//
+// Blocks are φ-clustered by construction and every consumer of the
+// sequence binary-searches it, so a decreasing sequence — possible only in
+// a raw layout, since a chain of nonnegative differences cannot decrease —
+// is corruption, not data.
 //
 // The returned slab aliases the arena and is valid until its next Reset;
 // callers may overwrite entries in place (the batch executor compacts
 // qualifying rows forward). With a pooled, Reset arena the decode is
 // allocation-free steady-state, like the tuple kernels.
 func DecodeBlockPhis(s *relation.Schema, buf []byte, a *Arena) ([]uint64, error) {
-	space, ok := s.FlatSpace()
-	if !ok {
+	if _, ok := s.FlatSpace(); !ok {
 		return nil, fmt.Errorf("core: DecodeBlockPhis needs a schema space within 64 bits")
 	}
 	l, a, err := openBlock(s, buf, a)
@@ -92,10 +97,30 @@ func DecodeBlockPhis(s *relation.Schema, buf []byte, a *Arena) ([]uint64, error)
 	if l.count == 0 {
 		return out, nil
 	}
-	if err := l.walkPhis(space, out, nil, a); err != nil {
+	if l.rows == nil {
+		err = l.walk(0, l.count, out, nil, nil, a)
+	} else {
+		err = l.rawPhis(out, a)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// rawPhis fills out with the φ of each of a raw layout's rows.
+func (l *layout) rawPhis(out []uint64, a *Arena) error {
+	t := a.Tuple(l.s.NumAttrs())
+	for i := range out {
+		if err := l.rawRow(i, t); err != nil {
+			return err
+		}
+		out[i] = ordinal.PhiU64(l.s, t)
+		if i > 0 && out[i] < out[i-1] {
+			return fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
+		}
+	}
+	return nil
 }
 
 // PhiSpanSorted clips a nondecreasing φ slab to the positions whose value

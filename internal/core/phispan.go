@@ -21,11 +21,11 @@ import (
 // hands back the walk's φ values, so only the qualifying run is ever
 // materialized, from ordinals the walk already computed.
 func PhiSpan(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) (from, to int, err error) {
-	l, a, space, err := openFlat(s, buf, a)
+	l, a, err := openFlat(s, buf, a)
 	if err != nil || l.count == 0 {
 		return 0, 0, err
 	}
-	_, from, to, err = l.phiSpan(space, loPhi, hiPhi, a)
+	_, from, to, err = l.phiSpan(loPhi, hiPhi, a)
 	return from, to, err
 }
 
@@ -38,11 +38,11 @@ func PhiSpan(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) (fro
 // tuple-space walk from the anchor is needed. A raw block's binary search
 // reads only its probes, so its span's rows are read here.
 func PhiSpanSlab(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) ([]uint64, error) {
-	l, a, space, err := openFlat(s, buf, a)
+	l, a, err := openFlat(s, buf, a)
 	if err != nil || l.count == 0 {
 		return nil, err
 	}
-	phis, from, to, err := l.phiSpan(space, loPhi, hiPhi, a)
+	phis, from, to, err := l.phiSpan(loPhi, hiPhi, a)
 	if err != nil {
 		return nil, err
 	}
@@ -61,27 +61,25 @@ func PhiSpanSlab(s *relation.Schema, buf []byte, loPhi, hiPhi uint64, a *Arena) 
 
 // openFlat is openBlock for the φ-space shapes, which need a schema space
 // within 64 bits.
-func openFlat(s *relation.Schema, buf []byte, a *Arena) (layout, *Arena, uint64, error) {
-	space, ok := s.FlatSpace()
-	if !ok {
-		return layout{}, nil, 0, fmt.Errorf("core: a φ span needs a schema space within 64 bits")
+func openFlat(s *relation.Schema, buf []byte, a *Arena) (layout, *Arena, error) {
+	if _, ok := s.FlatSpace(); !ok {
+		return layout{}, nil, fmt.Errorf("core: a φ span needs a schema space within 64 bits")
 	}
-	l, a, err := openBlock(s, buf, a)
-	return l, a, space, err
+	return openBlock(s, buf, a)
 }
 
 // phiSpan locates [from, to) on a non-empty layout. A chain is walked
 // with the bounds visitor into a count-entry slab, whose entries [0, to)
 // the walk has filled; a raw layout is binary-searched and returns no
 // slab.
-func (l *layout) phiSpan(space, loPhi, hiPhi uint64, a *Arena) (phis []uint64, from, to int, err error) {
+func (l *layout) phiSpan(loPhi, hiPhi uint64, a *Arena) (phis []uint64, from, to int, err error) {
 	if l.rows != nil {
 		from, to, err = l.rawPhiSpan(loPhi, hiPhi, a)
 		return nil, from, to, err
 	}
 	phis = a.Phis(l.count)
 	b := phiBounds{loPhi: loPhi, hiPhi: hiPhi}
-	if err := l.walkPhis(space, phis, &b, a); err != nil {
+	if err := l.walk(0, l.count, phis, nil, &b, a); err != nil {
 		return nil, 0, 0, err
 	}
 	from, to = b.finish(l.count)

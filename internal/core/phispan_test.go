@@ -135,7 +135,7 @@ func TestPhiSpanCorruptStreams(t *testing.T) {
 
 // TestPhiSpanZeroAllocs holds the φ-space span walk, and the slab it
 // hands back, to the steady-state guarantee of the other shapes, for
-// every codec (raw binary-searches its rows; the rest ride walkPhis with
+// every codec (raw binary-searches its rows; the rest ride the walk with
 // the bounds visitor).
 func TestPhiSpanZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))

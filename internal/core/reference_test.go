@@ -20,7 +20,7 @@ import (
 // ordinal arithmetic in big.Int (φ and φ⁻¹ are ordinal's big.Int oracles,
 // which the walker never calls), and reads packed streams one bit at a
 // time. It exists so the decode shapes — which all share one layout parse,
-// one difference reader and two walks, and so can no longer be checked
+// one difference reader and one walk, and so can no longer be checked
 // against each other — have an independent second opinion on which streams
 // are valid and what they hold.
 

@@ -70,17 +70,17 @@ func reframe(f rleFrame, lz int) rleFrame {
 }
 
 // TestWordParsesAgainstReference holds the word-at-a-time difference
-// parses (the φ walk's one- and two-word phis, the tuple walk's
-// word-load next, and the byte paths both take at the start of a body) to
-// the reference decoder, through every decode shape. The schemas reach
-// every branch:
+// parse (split's one-word tails, its per-field word loads for longer
+// ones and for frames that reach the prefix, and the byte path taken at
+// the start of a body) to the reference decoder, through every decode
+// shape. The schemas reach every branch:
 //
 //   - flat8: 14-byte rows, radix-257 digits, attribute 2 straddling the
 //     8-byte word boundary (bytes 5-6 of the row);
 //   - the employee schema: 5-byte rows, where the first differences of a
 //     block sit within 8 bytes of the body's start;
 //   - seventeen radix-2 attributes: a flat row wider than 16 bytes;
-//   - wide38: the tuple walk.
+//   - wide38: a split schema, whose frames reach the prefix.
 //
 // Each gets duplicate tuples (lz == RowSize), lz == 0 both natural and
 // re-framed, two-tuple blocks whose one difference directly follows the

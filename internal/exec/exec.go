@@ -217,10 +217,15 @@ func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) boo
 		straddle := bound != nil && (f.First[0] < bound.Lo || f.Last[0] > bound.Hi)
 		var stop bool
 		var err error
-		if straddle && partialOK {
+		switch {
+		case straddle && partialOK:
 			stop, err = p.runPartial(i, *bound, rest, emit)
-		} else {
+		case straddle:
 			stop, err = p.runFull(i, plan.Preds, emit)
+		default:
+			// The fence lies inside the bound (or there is none): every
+			// row satisfies it, so only the residual conjuncts filter.
+			stop, err = p.runFull(i, rest, emit)
 		}
 		if err != nil {
 			return err

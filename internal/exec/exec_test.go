@@ -191,6 +191,57 @@ func TestRunPrunesAndPartialDecodes(t *testing.T) {
 	}
 }
 
+// TestCoveredBlocksFilterResidual: a block whose fence lies inside the
+// clustering bound is filtered on the residual conjuncts alone, and still
+// on them; a straddling block read in full (packed, or NoPartial) keeps
+// the bound. Matches and BlocksRead agree with NoPartial on and off.
+func TestCoveredBlocksFilterResidual(t *testing.T) {
+	tuples := randomTuples(t, 3000, 25)
+	preds := []Pred{{Attr: 0, Lo: 2, Hi: 5}, {Attr: 3, Lo: 100, Hi: 1500}}
+	want := naiveSelect(tuples, preds)
+	for _, codec := range core.Codecs() {
+		store := newStore(t, codec, 512)
+		if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
+			t.Fatal(err)
+		}
+		sn := store.Snapshot()
+		covered := 0
+		for i := 0; i < sn.NumBlocks(); i++ {
+			if f := sn.Fence(i); f.First[0] >= 2 && f.Last[0] <= 5 {
+				covered++
+			}
+		}
+		if covered == 0 {
+			t.Fatalf("%v: no block lies inside the bound", codec)
+		}
+		var stats [2]Stats
+		for k, noPartial := range []bool{false, true} {
+			got, st := collect(t, sn, Plan{Preds: preds, NoPartial: noPartial})
+			if !sameRows(testSchema(t), got, want) || st.Matches != len(want) {
+				t.Fatalf("%v noPartial=%v: %d rows (Matches %d), want %d", codec, noPartial, len(got), st.Matches, len(want))
+			}
+			stats[k] = st
+		}
+		if stats[0].BlocksRead != stats[1].BlocksRead {
+			t.Fatalf("%v: BlocksRead %d with partial decodes, %d without", codec, stats[0].BlocksRead, stats[1].BlocksRead)
+		}
+		sn.Release()
+	}
+}
+
+// sameRows reports whether got and want hold the same tuples in order.
+func sameRows(s *relation.Schema, got, want []relation.Tuple) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if s.Compare(got[i], want[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRunCandidates: a candidate set must restrict reads to its blocks.
 func TestRunCandidates(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)

@@ -86,8 +86,8 @@ type DecodeShapeResult struct {
 }
 
 // DecodeShapeCodecResult is one codec over one shape's blocks. CodedMBPerS
-// is coded stream bytes decoded per second on the walk the shape's reads
-// take: the φ walk on a flat schema, the tuple walk otherwise.
+// is coded stream bytes decoded per second on the shape the table's reads
+// take: the φ slab on a flat schema, tuples otherwise.
 type DecodeShapeCodecResult struct {
 	Codec            string  `json:"codec"`
 	Blocks           int     `json:"blocks"`

@@ -67,36 +67,23 @@ func PhiInverse(s *relation.Schema, e *big.Int) (relation.Tuple, error) {
 }
 
 // Sub computes the digit vector of phi(a) - phi(b), writing the result into
-// dst (which must have the schema's arity) and returning it. It requires
-// a >= b in phi order and performs schoolbook subtraction with borrow in the
-// schema's mixed radix. The result is itself a valid tuple of the schema:
-// every difference of two ordinals below ||R|| is below ||R||.
+// dst (which must have the schema's arity, and may alias a or b) and
+// returning it. It requires a >= b in phi order and performs schoolbook
+// subtraction with borrow in the schema's mixed radix. The result is
+// itself a valid tuple of the schema: every difference of two ordinals
+// below ||R|| is below ||R||.
 //
 // This is the difference measure d(t_i, t_j) of Eq. 2.6 for t_j <= t_i.
 func Sub(s *relation.Schema, dst, a, b relation.Tuple) (relation.Tuple, error) {
-	if err := SubFrom(s, dst, a, b, 0); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// SubFrom is Sub for a subtrahend b whose digits below k are zero, as a
-// decoded difference's are below its zero run: digits n-1..k subtract
-// with borrow, the borrow then ripples into a's prefix only as far as it
-// goes, and the rest of the prefix is copied. With k > 0, a's digits must
-// lie below their radices; under that condition it fails exactly where Sub
-// does. dst may alias a or b.
-func SubFrom(s *relation.Schema, dst, a, b relation.Tuple, k int) error {
 	rad := s.Radices()
 	var borrow uint64
-	i := len(rad) - 1
-	for ; i >= k; i-- {
+	for i := len(rad) - 1; i >= 0; i-- {
 		ai, bi := a[i], b[i]+borrow
 		if bi < borrow {
 			// b[i] + borrow overflowed uint64: only possible if
 			// b[i] == MaxUint64, which ValidateTuple rules out, but
 			// guard anyway for corrupt inputs.
-			return ErrUnderflow
+			return nil, ErrUnderflow
 		}
 		if ai >= bi {
 			dst[i], borrow = ai-bi, 0
@@ -104,84 +91,44 @@ func SubFrom(s *relation.Schema, dst, a, b relation.Tuple, k int) error {
 			dst[i], borrow = ai+rad[i]-bi, 1
 		}
 	}
-	for ; borrow != 0 && i >= 0; i-- {
-		if a[i] > 0 {
-			dst[i], borrow = a[i]-1, 0
-		} else {
-			dst[i] = rad[i] - 1
-		}
-	}
 	if borrow != 0 {
-		return ErrUnderflow
-	}
-	copyPrefix(dst, a, i)
-	return nil
-}
-
-// Add computes the digit vector of phi(a) + phi(d), writing into dst and
-// returning it. It performs addition with carry in the schema's mixed radix
-// and returns ErrOverflow if the sum is >= ||R|| or any digit math would
-// overflow uint64. Decoding a difference stream is a chain of Adds and Subs
-// anchored at the block's representative tuple.
-func Add(s *relation.Schema, dst, a, d relation.Tuple) (relation.Tuple, error) {
-	if err := AddFrom(s, dst, a, d, 0); err != nil {
-		return nil, err
+		return nil, ErrUnderflow
 	}
 	return dst, nil
 }
 
-// AddFrom is Add for a difference d whose digits below k are zero: digits
-// n-1..k add with carry, the carry then ripples into a's prefix only as
-// far as it goes, and the rest of the prefix is copied. With k > 0, a's
-// digits must lie below their radices; under that condition it fails
-// exactly where Add does. dst may alias a.
-func AddFrom(s *relation.Schema, dst, a, d relation.Tuple, k int) error {
+// Add computes the digit vector of phi(a) + phi(d), writing into dst (which
+// may alias a or d) and returning it. It performs addition with carry in
+// the schema's mixed radix and returns ErrOverflow if the sum is >= ||R||
+// or any digit math would overflow uint64.
+func Add(s *relation.Schema, dst, a, d relation.Tuple) (relation.Tuple, error) {
 	rad := s.Radices()
 	var carry uint64
-	i := len(rad) - 1
-	for ; i >= k; i-- {
+	for i := len(rad) - 1; i >= 0; i-- {
 		sum := a[i] + d[i]
 		if sum < a[i] {
-			return ErrOverflow
+			return nil, ErrOverflow
 		}
 		sum += carry
 		if sum < carry {
-			return ErrOverflow
+			return nil, ErrOverflow
 		}
 		if sum >= rad[i] {
 			// a and d were individually < radix and carry <= 1, so
 			// sum < 2*radix always holds for valid inputs; reaching
 			// the check means the inputs were not valid tuples.
 			if sum -= rad[i]; sum >= rad[i] {
-				return ErrOverflow
+				return nil, ErrOverflow
 			}
 			dst[i], carry = sum, 1
 		} else {
 			dst[i], carry = sum, 0
 		}
 	}
-	for ; carry != 0 && i >= 0; i-- {
-		if a[i]+1 < rad[i] {
-			dst[i], carry = a[i]+1, 0
-		} else {
-			dst[i] = 0
-		}
-	}
 	if carry != 0 {
-		return ErrOverflow
+		return nil, ErrOverflow
 	}
-	copyPrefix(dst, a, i)
-	return nil
-}
-
-// copyPrefix copies a[0..i] into dst unless dst is a: a counted loop,
-// cheaper than the runtime memmove copy compiles to for a few digits.
-func copyPrefix(dst, a relation.Tuple, i int) {
-	if i >= 0 && &dst[0] != &a[0] {
-		for j := 0; j <= i; j++ {
-			dst[j] = a[j]
-		}
-	}
+	return dst, nil
 }
 
 // Diff computes |phi(a) - phi(b)| as a digit vector into dst, matching

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bitio"
@@ -96,13 +97,16 @@ type Schema struct {
 	bits      []uint
 	bitSuffix []int
 
-	// Flat-ordinal cache: when ||R|| = prod |A_i| fits in a uint64, phi
-	// values are single machine words and chain arithmetic can run on them
-	// directly instead of digit-wise. flatWeights[i] = prod_{j>i} |A_j| is
-	// the positional weight of attribute i in phi.
-	flat        bool
-	flatSpace   uint64   // ||R||, valid only when flat
-	flatWeights []uint64 // len == len(domains), valid only when flat
+	// Split-ordinal form: attributes split..n-1 are the longest run of
+	// final attributes whose radix product W fits in a uint64, so their
+	// digits are one machine word, Σ t[i]·weights[i] over i >= split, and
+	// chain arithmetic on them is a checked add. weights[i] = prod_{j>i}
+	// |A_j| for i >= split (zero below it). A schema whose whole space
+	// ||R|| fits in 64 bits is flat: it splits at 0, weights are the
+	// flat-ordinal weights of phi and W = ||R||.
+	split   int
+	weights []uint64
+	space   uint64
 }
 
 // NewSchema builds a schema from the given domains. It returns an error if
@@ -140,32 +144,28 @@ func NewSchema(domains ...Domain) (*Schema, error) {
 		s.bitSuffix[i] = s.bitSuffix[i+1] + int(s.bits[i])
 	}
 	s.rowSize = off
-	s.computeFlat()
+	s.computeSplit()
 	return s, nil
 }
 
-// computeFlat precomputes the uint64 fast-path weights when the whole
-// cross-product space fits in 64 bits. Weights are built back to front:
-// w[n-1] = 1, w[i] = w[i+1] * |A_{i+1}|, and ||R|| = w[0] * |A_0|. Any
-// multiplication that overflows uint64 disables the fast path.
-func (s *Schema) computeFlat() {
-	n := len(s.domains)
+// computeSplit finds the split: starting from the last attribute alone,
+// it extends the suffix leftward while the radix product still fits in a
+// uint64, recording each attribute's weight on the way (w[n-1] = 1,
+// w[i] = w[i+1] * |A_{i+1}|).
+func (s *Schema) computeSplit() {
+	n := len(s.radices)
 	w := make([]uint64, n)
-	w[n-1] = 1
-	for i := n - 2; i >= 0; i-- {
-		size := s.domains[i+1].Size
-		w[i] = w[i+1] * size
-		if size != 0 && w[i]/size != w[i+1] {
-			return // overflow: space exceeds 64 bits
+	at, space := n-1, s.radices[n-1]
+	w[at] = 1
+	for at > 0 {
+		hi, lo := bits.Mul64(space, s.radices[at-1])
+		if hi != 0 {
+			break
 		}
+		at--
+		w[at], space = space, lo
 	}
-	space := w[0] * s.domains[0].Size
-	if s.domains[0].Size != 0 && space/s.domains[0].Size != w[0] {
-		return
-	}
-	s.flat = true
-	s.flatSpace = space
-	s.flatWeights = w
+	s.split, s.weights, s.space = at, w, space
 }
 
 // MustSchema is like NewSchema but panics on error. It is intended for
@@ -224,8 +224,9 @@ func (s *Schema) BitWidths() (bits []uint, suffix []int) { return s.bits, s.bitS
 
 // SpaceSize returns ||R|| = prod |A_i|, the size of the relation scheme's
 // cross-product space, as an arbitrary-precision integer. With 15 attributes
-// this routinely exceeds 64 bits, which is why all per-tuple arithmetic in
-// this repository is digit-wise mixed radix rather than integer ordinals.
+// this routinely exceeds 64 bits, which is why per-tuple arithmetic in this
+// repository is mixed radix: over digits, or over the split-ordinal form
+// (Split) where the final attributes share one machine word.
 func (s *Schema) SpaceSize() *big.Int {
 	size := big.NewInt(1)
 	var tmp big.Int
@@ -241,7 +242,10 @@ func (s *Schema) SpaceSize() *big.Int {
 // words). ok is false when the space exceeds 64 bits; callers must then use
 // the digit-wise mixed-radix arithmetic.
 func (s *Schema) FlatSpace() (space uint64, ok bool) {
-	return s.flatSpace, s.flat
+	if s.split != 0 {
+		return 0, false
+	}
+	return s.space, true
 }
 
 // FlatWeights returns the positional weights of the flat-ordinal fast path:
@@ -249,7 +253,22 @@ func (s *Schema) FlatSpace() (space uint64, ok bool) {
 // returned slice is owned by the schema and must not be modified. ok is
 // false when the space exceeds 64 bits.
 func (s *Schema) FlatWeights() (weights []uint64, ok bool) {
-	return s.flatWeights, s.flat
+	if s.split != 0 {
+		return nil, false
+	}
+	return s.weights, true
+}
+
+// Split returns the schema's split-ordinal form: at is the first attribute
+// of the longest run of final attributes whose radix product fits in 64
+// bits, weights[i] (for i >= at) the positional weight prod_{j>i} |A_j| of
+// attribute i within that suffix, and space the suffix's size W =
+// weights[at]·|A_at|. Digits at..n-1 of a tuple are then one ordinal below
+// W. A flat schema splits at 0, where weights and space are FlatWeights and
+// FlatSpace. weights has one entry per attribute, zero below at; it is
+// owned by the schema and must not be modified.
+func (s *Schema) Split() (at int, weights []uint64, space uint64) {
+	return s.split, s.weights, s.space
 }
 
 // String renders the schema compactly, e.g. "(dept:8, job:16, years:64)".

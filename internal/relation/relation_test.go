@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -328,5 +329,57 @@ func BenchmarkCompare(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Compare(x, y)
+	}
+}
+
+// TestSplit checks the split-ordinal form against big-integer products:
+// at is the first attribute of the longest run of final attributes whose
+// radix product fits in 64 bits, the weights are the suffix's positional
+// weights, and a flat schema splits at 0 with its flat weights and space.
+func TestSplit(t *testing.T) {
+	dom := func(sizes ...uint64) *Schema {
+		d := make([]Domain, len(sizes))
+		for i, sz := range sizes {
+			d[i] = Domain{Name: fmt.Sprintf("a%d", i), Size: sz}
+		}
+		return MustSchema(d...)
+	}
+	max64 := new(big.Int).SetUint64(^uint64(0))
+	for _, c := range []struct {
+		s  *Schema
+		at int
+	}{
+		{dom(8, 16, 64), 0},
+		{dom(1<<32, 1<<31), 0},
+		{dom(1<<40, 1<<40, 1<<40), 2},
+		{dom(^uint64(0), 2), 1},
+		{dom(3, 1<<32, 1<<32-1), 1},
+		{dom(100000, 40000, 70000, 30000, 80000, 20000, 90000, 10000, 5000, 2000, 1000, 500, 400, 300, 70000, 75000), 11},
+	} {
+		at, w, space := c.s.Split()
+		if at != c.at {
+			t.Fatalf("%v splits at %d, want %d", c.s, at, c.at)
+		}
+		n := c.s.NumAttrs()
+		prod := big.NewInt(1)
+		for i := n - 1; i >= at; i-- {
+			if w[i] != prod.Uint64() {
+				t.Fatalf("%v: weight %d = %d, want %s", c.s, i, w[i], prod)
+			}
+			prod.Mul(prod, new(big.Int).SetUint64(c.s.Domain(i).Size))
+		}
+		if prod.Cmp(max64) > 0 || space != prod.Uint64() {
+			t.Fatalf("%v: space %d, want %s within 64 bits", c.s, space, prod)
+		}
+		if at > 0 {
+			if prod.Mul(prod, new(big.Int).SetUint64(c.s.Domain(at-1).Size)); prod.Cmp(max64) <= 0 {
+				t.Fatalf("%v: the suffix could extend to attribute %d", c.s, at-1)
+			}
+		}
+		fw, flat := c.s.FlatWeights()
+		fs, _ := c.s.FlatSpace()
+		if flat != (at == 0) || flat && (&fw[0] != &w[0] || fs != space) {
+			t.Fatalf("%v: flat %v, but split at %d", c.s, flat, at)
+		}
 	}
 }

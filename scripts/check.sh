@@ -3,13 +3,14 @@
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search, one-block-cache and one-codec-set guards, the full test suite,
-# 10 s fuzz smokes of the block decoder against its reference, of the
-# block edit against a re-encode and of the server's wire (request decode,
-# response encoding against encoding/json), the crash matrix, the race-focused test
-# run over the concurrency-sensitive packages, and repeated race runs of
-# the buffer pool's miss-path tests, the store and manifest models and the
-# parallel tuple sort against its reference.
+# search, one-block-cache, one-codec-set and one-chain-walk guards, the
+# full test suite, 10 s fuzz smokes of the block decoder against its
+# reference, of the block edit against a re-encode and of the server's
+# wire (request decode, response encoding against encoding/json), the
+# crash matrix, the race-focused test run over the concurrency-sensitive
+# packages, and repeated race runs of the buffer pool's miss-path tests,
+# the store and manifest models and the parallel tuple sort against its
+# reference.
 # Fails fast on the first broken stage so CI output points at one problem;
 # the last line is the tracked line count.
 set -eu
@@ -48,6 +49,10 @@ if grep -rnE 'blockCache|CacheBlocks|decodeBlockCached' --include='*.go' cmd int
 # and one load path (GOMAXPROCS workers); keep the retired ablation codecs,
 # the bracketed fit, MaxFit and the Concurrency knob from growing back.
 if grep -rnE 'CodecRepOnly|CodecDeltaChain|maxFitBracketed|core\.MaxFit\(|WithConcurrency|Config\{Concurrency' --include='*.go' cmd internal; then echo "retired codec, second packer or Concurrency knob found; use core.Codecs, core.Pack / Sizer.Chunk and the store's one pipeline" >&2; exit 1; fi
+# Every decode shape walks the difference chain in split-ordinal form
+# (core's layout.walk); keep the digit-vector chain — ordinal.AddFrom /
+# SubFrom over parked difference tuples, walkTuples — from growing back.
+if grep -rnE 'ordinal\.(AddFrom|SubFrom)|walkTuples' --include='*.go' internal/core; then echo "digit-vector chain walk found in internal/core; walk the chain in split-ordinal form (layout.walk)" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
