@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/storage"
 )
@@ -20,11 +19,8 @@ import (
 // across a crash. The store runs over any storage.FS; crash tests inject
 // simdisk.NewFaultFS().
 type FilesystemStore struct {
-	fs   storage.FS
-	root string
-
-	mu     sync.Mutex
-	closed bool
+	handleCache // GETs: ReadBlock, ReadBlockRange, ReadBlockInto, Close
+	root        string
 }
 
 // NewFilesystemStore opens a filesystem store rooted at dir on fsys (the
@@ -39,17 +35,13 @@ func NewFilesystemStore(fsys storage.FS, dir string) (*FilesystemStore, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("backend: create root %s: %w", dir, err)
 	}
-	return &FilesystemStore{fs: fsys, root: dir}, nil
+	s := &FilesystemStore{root: dir}
+	s.handleCache = handleCache{fs: fsys, path: s.pathOf, handles: make(map[string]*handle)}
+	return s, nil
 }
 
 // Kind implements Store.
 func (s *FilesystemStore) Kind() Kind { return KindFilesystem }
-
-func (s *FilesystemStore) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
 
 // pathOf maps a validated key onto the backing filesystem.
 func (s *FilesystemStore) pathOf(key string) string {
@@ -58,14 +50,8 @@ func (s *FilesystemStore) pathOf(key string) string {
 
 // WriteBlock implements Store.
 func (s *FilesystemStore) WriteBlock(ctx context.Context, key string, data []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.writable(ctx, key); err != nil {
 		return err
-	}
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
 	}
 	p := s.pathOf(key)
 	if dir := filepath.Dir(p); dir != s.root {
@@ -73,91 +59,20 @@ func (s *FilesystemStore) WriteBlock(ctx context.Context, key string, data []byt
 			return fmt.Errorf("backend: mkdir %s: %w", dir, err)
 		}
 	}
-	return storage.WriteFileAtomic(s.fs, p, data)
-}
-
-// ReadBlock implements Store.
-func (s *FilesystemStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	p := s.pathOf(key)
-	size, err := s.fs.Stat(p)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return nil, fmt.Errorf("backend: stat %s: %w", p, err)
-	}
-	return s.readRange(key, p, 0, size)
-}
-
-// ReadBlockRange implements Store.
-func (s *FilesystemStore) ReadBlockRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	p := s.pathOf(key)
-	size, err := s.fs.Stat(p)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return nil, fmt.Errorf("backend: stat %s: %w", p, err)
-	}
-	if off < 0 || length < 0 || off+length > size {
-		return nil, fmt.Errorf("%w: [%d, %d) of %q (%d bytes)", ErrBadRange, off, off+length, key, size)
-	}
-	return s.readRange(key, p, off, length)
-}
-
-// readRange reads [off, off+length) of the file backing key.
-func (s *FilesystemStore) readRange(key, p string, off, length int64) ([]byte, error) {
-	f, err := s.fs.OpenFile(p, os.O_RDONLY)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return nil, fmt.Errorf("backend: open %s: %w", p, err)
-	}
-	buf := make([]byte, length)
-	if length > 0 {
-		if _, rerr := f.ReadAt(buf, off); rerr != nil {
-			f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, fmt.Errorf("backend: read %s: %w", p, rerr)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("backend: close %s: %w", p, err)
-	}
-	return buf, nil
+	err := storage.WriteFileAtomic(s.fs, p, data)
+	s.invalidate(key)
+	return err
 }
 
 // DeleteBlock implements Store.
 func (s *FilesystemStore) DeleteBlock(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.writable(ctx, key); err != nil {
 		return err
-	}
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
 	}
 	p := s.pathOf(key)
-	if err := s.fs.Remove(p); err != nil {
+	err := s.fs.Remove(p)
+	s.invalidate(key)
+	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
@@ -168,16 +83,7 @@ func (s *FilesystemStore) DeleteBlock(ctx context.Context, key string) error {
 
 // DeleteByPrefix implements Store.
 func (s *FilesystemStore) DeleteByPrefix(ctx context.Context, prefix string) (int, error) {
-	keys, err := s.List(ctx, prefix)
-	if err != nil {
-		return 0, err
-	}
-	for i, key := range keys {
-		if err := s.DeleteBlock(ctx, key); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
+	return deleteByPrefix(ctx, s, prefix)
 }
 
 // List implements Store. It walks the directory tree under the root; an
@@ -232,12 +138,4 @@ func (s *FilesystemStore) List(ctx context.Context, prefix string) ([]string, er
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Close implements Store.
-func (s *FilesystemStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
 }

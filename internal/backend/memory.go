@@ -41,44 +41,63 @@ func (s *MemoryStore) WriteBlock(ctx context.Context, key string, data []byte) e
 	return nil
 }
 
-// ReadBlock implements Store.
-func (s *MemoryStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
+// get looks key up for a read. Callers hold s.mu for reading.
+func (s *MemoryStore) get(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := ValidateKey(key); err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
 	data, ok := s.blobs[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return data, nil
+}
+
+// ReadBlock implements Store.
+func (s *MemoryStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	data, err := s.get(ctx, key)
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), data...), nil
 }
 
 // ReadBlockRange implements Store.
 func (s *MemoryStore) ReadBlockRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+	data, err := s.get(ctx, key)
+	if err != nil {
+		return nil, err
 	}
-	data, ok := s.blobs[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	if err := checkRange(key, int64(len(data)), off, length); err != nil {
+		return nil, err
 	}
-	return rangeOf(key, data, off, length)
+	return append([]byte(nil), data[off:off+length]...), nil
+}
+
+// ReadBlockInto implements Store: a copy under the read lock.
+func (s *MemoryStore) ReadBlockInto(ctx context.Context, key string, dst []byte) (int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	data, err := s.get(ctx, key)
+	if err != nil {
+		return 0, err
+	}
+	size := int64(len(data))
+	if err := checkInto(key, size, dst); err != nil {
+		return size, err
+	}
+	copy(dst, data)
+	return size, nil
 }
 
 // DeleteBlock implements Store.

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/storage"
 )
@@ -23,11 +22,8 @@ import (
 // simdisk.FaultFS fault-injects "the object service" with the same
 // syscall-tick model the disk gets.
 type ObjectStore struct {
-	fs     storage.FS
-	bucket string
-
-	mu     sync.Mutex
-	closed bool
+	handleCache // GETs: ReadBlock, ReadBlockRange, ReadBlockInto, Close
+	bucket      string
 }
 
 // NewObjectStore opens an object store whose bucket directory is dir on
@@ -42,17 +38,13 @@ func NewObjectStore(fsys storage.FS, dir string) (*ObjectStore, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("backend: create bucket %s: %w", dir, err)
 	}
-	return &ObjectStore{fs: fsys, bucket: dir}, nil
+	s := &ObjectStore{bucket: dir}
+	s.handleCache = handleCache{fs: fsys, path: s.pathOf, handles: make(map[string]*handle)}
+	return s, nil
 }
 
 // Kind implements Store.
 func (s *ObjectStore) Kind() Kind { return KindObject }
-
-func (s *ObjectStore) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
 
 // pathOf maps a key to its object file: the escaped key inside the bucket.
 func (s *ObjectStore) pathOf(key string) string {
@@ -61,105 +53,22 @@ func (s *ObjectStore) pathOf(key string) string {
 
 // WriteBlock implements Store: an atomic PUT.
 func (s *ObjectStore) WriteBlock(ctx context.Context, key string, data []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.writable(ctx, key); err != nil {
 		return err
 	}
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	return storage.WriteFileAtomic(s.fs, s.pathOf(key), data)
-}
-
-// ReadBlock implements Store: a whole-object GET.
-func (s *ObjectStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	size, err := s.statObject(key)
-	if err != nil {
-		return nil, err
-	}
-	return s.readRange(key, 0, size)
-}
-
-// ReadBlockRange implements Store: a ranged GET.
-func (s *ObjectStore) ReadBlockRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	size, err := s.statObject(key)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || length < 0 || off+length > size {
-		return nil, fmt.Errorf("%w: [%d, %d) of %q (%d bytes)", ErrBadRange, off, off+length, key, size)
-	}
-	return s.readRange(key, off, length)
-}
-
-// statObject returns the object's size, mapping a missing file to
-// ErrNotFound.
-func (s *ObjectStore) statObject(key string) (int64, error) {
-	size, err := s.fs.Stat(s.pathOf(key))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return 0, fmt.Errorf("backend: stat object %q: %w", key, err)
-	}
-	return size, nil
-}
-
-// readRange reads [off, off+length) of the object.
-func (s *ObjectStore) readRange(key string, off, length int64) ([]byte, error) {
-	p := s.pathOf(key)
-	f, err := s.fs.OpenFile(p, os.O_RDONLY)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return nil, fmt.Errorf("backend: open object %q: %w", key, err)
-	}
-	buf := make([]byte, length)
-	if length > 0 {
-		if _, rerr := f.ReadAt(buf, off); rerr != nil {
-			f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, fmt.Errorf("backend: read object %q: %w", key, rerr)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("backend: close object %q: %w", key, err)
-	}
-	return buf, nil
+	err := storage.WriteFileAtomic(s.fs, s.pathOf(key), data)
+	s.invalidate(key)
+	return err
 }
 
 // DeleteBlock implements Store.
 func (s *ObjectStore) DeleteBlock(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.writable(ctx, key); err != nil {
 		return err
 	}
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	if err := s.fs.Remove(s.pathOf(key)); err != nil {
+	err := s.fs.Remove(s.pathOf(key))
+	s.invalidate(key)
+	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
@@ -170,16 +79,7 @@ func (s *ObjectStore) DeleteBlock(ctx context.Context, key string) error {
 
 // DeleteByPrefix implements Store.
 func (s *ObjectStore) DeleteByPrefix(ctx context.Context, prefix string) (int, error) {
-	keys, err := s.List(ctx, prefix)
-	if err != nil {
-		return 0, err
-	}
-	for i, key := range keys {
-		if err := s.DeleteBlock(ctx, key); err != nil {
-			return i, err
-		}
-	}
-	return len(keys), nil
+	return deleteByPrefix(ctx, s, prefix)
 }
 
 // List implements Store. Objects whose escaped name ends in ".tmp" are
@@ -216,12 +116,4 @@ func (s *ObjectStore) List(ctx context.Context, prefix string) ([]string, error)
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Close implements Store.
-func (s *ObjectStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
 }

@@ -27,7 +27,7 @@ import (
 type Pager struct {
 	mu        sync.Mutex
 	store     Store
-	prefix    string
+	pages     string // prefix + "pages/": every page key starts with it
 	pageSize  int
 	numPages  int
 	freed     []storage.PageID
@@ -57,12 +57,12 @@ func NewPager(store Store, prefix string, pageSize int) (*Pager, error) {
 	}
 	p := &Pager{
 		store:    store,
-		prefix:   prefix,
+		pages:    prefix + "pages/",
 		pageSize: pageSize,
 		isFree:   make(map[storage.PageID]bool),
 	}
 	//avqlint:ignore ctxflow storage.Pager is context-free; opening is uninterruptible setup
-	keys, err := store.List(context.Background(), p.prefix+"pages/")
+	keys, err := store.List(context.Background(), p.pages)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,19 @@ func NewPager(store Store, prefix string, pageSize int) (*Pager, error) {
 	return p, nil
 }
 
-// key names page id's object.
+// key names page id's object: the page prefix, then the id zero-padded
+// to ten digits (every uint32 id fits), built in one allocation.
 func (p *Pager) key(id storage.PageID) string {
-	return fmt.Sprintf("%spages/%010d", p.prefix, id)
+	var digits [10]byte
+	d := strconv.AppendUint(digits[:0], uint64(id), 10)
+	var b strings.Builder
+	b.Grow(len(p.pages) + len(digits))
+	b.WriteString(p.pages)
+	for i := len(d); i < len(digits); i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // PageSize implements storage.Pager.
@@ -109,9 +119,11 @@ func (p *Pager) check(id storage.PageID, buf []byte) error {
 	return nil
 }
 
-// Read implements storage.Pager. Only the page check holds p.mu; the
-// object read does not, so reads of different pages overlap. The buffer
-// pool never frees or writes a page while a read of it is in flight.
+// Read implements storage.Pager: one ReadBlockInto straight into buf,
+// which checks the object holds exactly one page. Only the page check
+// holds p.mu; the object read does not, so reads of different pages
+// overlap. The buffer pool never frees or writes a page while a read of
+// it is in flight.
 func (p *Pager) Read(id storage.PageID, buf []byte) error {
 	p.mu.Lock()
 	err := p.check(id, buf)
@@ -120,14 +132,13 @@ func (p *Pager) Read(id storage.PageID, buf []byte) error {
 		return err
 	}
 	//avqlint:ignore ctxflow storage.Pager is context-free
-	data, err := p.store.ReadBlock(context.Background(), p.key(id))
+	size, err := p.store.ReadBlockInto(context.Background(), p.key(id), buf)
+	if errors.Is(err, ErrBadRange) {
+		return fmt.Errorf("backend: page %d object holds %d bytes, want %d", id, size, p.pageSize)
+	}
 	if err != nil {
 		return fmt.Errorf("backend: read page %d: %w", id, err)
 	}
-	if len(data) != p.pageSize {
-		return fmt.Errorf("backend: page %d object holds %d bytes, want %d", id, len(data), p.pageSize)
-	}
-	copy(buf, data)
 	return nil
 }
 

@@ -271,8 +271,8 @@ func TestTableOverBackendPager(t *testing.T) {
 	}
 }
 
-// blockingStore is a Store whose ReadBlock of one key waits until the test
-// releases it.
+// blockingStore is a Store whose ReadBlockInto of one key waits until the
+// test releases it.
 type blockingStore struct {
 	backend.Store
 	key     string
@@ -280,12 +280,12 @@ type blockingStore struct {
 	release chan struct{}
 }
 
-func (s *blockingStore) ReadBlock(ctx context.Context, key string) ([]byte, error) {
+func (s *blockingStore) ReadBlockInto(ctx context.Context, key string, dst []byte) (int64, error) {
 	if key == s.key {
 		s.entered <- struct{}{}
 		<-s.release
 	}
-	return s.Store.ReadBlock(ctx, key)
+	return s.Store.ReadBlockInto(ctx, key, dst)
 }
 
 // TestPagerReadsOverlap: a page read waiting on the object store does not
@@ -325,4 +325,40 @@ func TestPagerReadsOverlap(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a page read waited for another page's object read")
 	}
+}
+
+// TestPagerReadAllocs: a read of a page whose object handle is cached
+// allocates only its key; the object lands straight in the caller's
+// buffer.
+func TestPagerReadAllocs(t *testing.T) {
+	store, err := backend.NewObjectStore(nil, filepath.Join(t.TempDir(), "bucket"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	p := newPager(t, store, "shard-0000", 8192)
+	id, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{7}, 8192)
+	if err := p.Write(id, page); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8192)
+	if err := p.Read(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := p.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(buf, page) {
+		t.Fatal("page read back wrong")
+	}
+	if allocs > 1 {
+		t.Fatalf("Pager.Read of a cached page makes %.1f allocations, want <= 1", allocs)
+	}
+	t.Logf("Pager.Read: %.1f allocations per op", allocs)
 }

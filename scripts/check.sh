@@ -9,8 +9,9 @@
 # wire (request decode, response encoding against encoding/json), the
 # crash matrix, the race-focused test run over the concurrency-sensitive
 # packages, and repeated race runs of the buffer pool's miss-path tests,
-# the store and manifest models and the parallel tuple sort against its
-# reference.
+# the store and manifest models, the object and filesystem stores' cached
+# read handles against writers and deleters, and the parallel tuple sort
+# against its reference.
 # Fails fast on the first broken stage so CI output points at one problem;
 # the last line is the tracked line count.
 set -eu
@@ -86,6 +87,12 @@ echo "== store and manifest models under edits (-race -count=5)"
 # publish copies only the manifest chunk it writes; the manifest model
 # re-checks every earlier version, so a write through a shared chunk shows.
 go test -race -count=5 -run '^(TestStoreModel|TestManifestModel)$' ./internal/blockstore
+
+echo "== cached read handles under writers and deleters (-race -count=5)"
+# A read takes a cached handle outside the store's lock; a write or delete
+# drops it. Repeat the stress test so a read that caches a stale handle,
+# or a handle closed under a reader, still shows.
+go test -race -count=5 -run '^TestReadCacheStress$' ./internal/backend
 
 echo "== parallel tuple sort against its reference (-race -count=3)"
 # SortTuples builds keys, counts, scatters and gathers on GOMAXPROCS
