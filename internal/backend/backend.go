@@ -17,8 +17,9 @@
 //
 // All implementations share one durability contract: WriteBlock is atomic
 // and durable on return — a crash observes the old blob or the new one,
-// never a torn mix — which is exactly the property the two-barrier
-// checkpoint protocol needs from its page writes.
+// never a torn mix. Pager builds the two-barrier checkpoint's page writes
+// on it: each page is one WriteBlock, run in the background, and durable
+// once the pager's Sync has returned.
 //
 // The filesystem and object stores share one read path, a cache of open
 // read handles (handleCache): a read of a cached key is one pread.

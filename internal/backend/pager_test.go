@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,6 +87,10 @@ func TestPagerBasics(t *testing.T) {
 	if err := p.Free(id0); !errors.Is(err, storage.ErrPageFreed) {
 		t.Fatalf("double free = %v", err)
 	}
+	// Writes land in the background: Sync before looking at the store.
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	keys, _ := store.List(context.Background(), "t/pages/")
 	if len(keys) != 1 {
 		t.Fatalf("objects after free: %v", keys)
@@ -111,6 +118,13 @@ func TestPagerDeferredFree(t *testing.T) {
 
 	id, err := p.Allocate()
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Allocate writes no object; the page's first Write, once synced, does.
+	if err := p.Write(id, bytes.Repeat([]byte{3}, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Free(id); err != nil {
@@ -296,11 +310,16 @@ func TestPagerReadsOverlap(t *testing.T) {
 	store := &blockingStore{Store: mem, key: "t/pages/0000000000", entered: make(chan struct{}), release: make(chan struct{})}
 	p := newPager(t, store, "t", 32)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Allocate(); err != nil {
+		id, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(id, bytes.Repeat([]byte{byte(4 + i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Write(1, bytes.Repeat([]byte{5}, 32)); err != nil {
+	// Both pages on the store, so neither read is served from memory.
+	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,6 +364,10 @@ func TestPagerReadAllocs(t *testing.T) {
 	if err := p.Write(id, page); err != nil {
 		t.Fatal(err)
 	}
+	// Measure the object read, not a copy of the write in flight.
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, 8192)
 	if err := p.Read(id, buf); err != nil {
 		t.Fatal(err)
@@ -361,4 +384,426 @@ func TestPagerReadAllocs(t *testing.T) {
 		t.Fatalf("Pager.Read of a cached page makes %.1f allocations, want <= 1", allocs)
 	}
 	t.Logf("Pager.Read: %.1f allocations per op", allocs)
+}
+
+// gatedStore is a Store whose writes announce themselves on started
+// and then wait until the test closes gate; with fail set they then fail.
+type gatedStore struct {
+	backend.Store
+	started chan string
+	gate    chan struct{}
+	fail    error
+}
+
+// newGatedStore's started channel holds more announcements than any test
+// starts writes, so a write never blocks announcing itself.
+func newGatedStore() *gatedStore {
+	return &gatedStore{Store: backend.NewMemoryStore(), started: make(chan string, 4*backend.MaxInFlight), gate: make(chan struct{})}
+}
+
+func (s *gatedStore) WriteBlock(ctx context.Context, key string, data []byte) error {
+	s.started <- key
+	<-s.gate
+	if s.fail != nil {
+		return s.fail
+	}
+	return s.Store.WriteBlock(ctx, key, data)
+}
+
+// returnsWithin runs fn and reports whether it returned within d; when it
+// did not, the caller must unblock it and may then wait on the channel.
+func returnsWithin(d time.Duration, fn func() error) (bool, chan error) {
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		done <- err
+		return true, done
+	case <-time.After(d):
+		return false, done
+	}
+}
+
+func objects(t *testing.T, store backend.Store) []string {
+	t.Helper()
+	keys, err := store.List(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestPagerFreshPageReadsZeros: Allocate writes no object; the page reads
+// as zeros from memory until written. Reopened, a page that was never
+// written is a missing object and reads as an error.
+func TestPagerFreshPageReadsZeros(t *testing.T) {
+	store := backend.NewMemoryStore()
+	defer store.Close()
+	p := newPager(t, store, "t", 32)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys := objects(t, store); len(keys) != 0 {
+		t.Fatalf("Allocate wrote objects: %v", keys)
+	}
+	buf := bytes.Repeat([]byte{0xEE}, 32)
+	if err := p.Read(0, buf); err != nil || !bytes.Equal(buf, make([]byte, 32)) {
+		t.Fatalf("fresh page read = %v, %x; want zeros", err, buf)
+	}
+	if err := p.Write(1, bytes.Repeat([]byte{1}, 32)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys := objects(t, store); len(keys) != 1 {
+		t.Fatalf("objects after one write: %v", keys)
+	}
+	again := newPager(t, store, "t", 32)
+	if again.NumPages() != 2 {
+		t.Fatalf("reopened NumPages = %d, want 2", again.NumPages())
+	}
+	if err := again.Read(0, buf); !errors.Is(err, backend.ErrNotFound) {
+		t.Fatalf("reopened read of a never-written page = %v, want ErrNotFound", err)
+	}
+}
+
+// TestPagerInFlightReadsNewBytes: a read of a page whose write has not
+// returned sees the bytes written, from the pager's copy, and a caller
+// reusing its buffer after Write changes nothing.
+func TestPagerInFlightReadsNewBytes(t *testing.T) {
+	store := newGatedStore()
+	p := newPager(t, store, "t", 32)
+	id, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{9}, 32)
+	if err := p.Write(id, page); err != nil {
+		t.Fatal(err)
+	}
+	<-store.started
+	clear(page)
+	buf := make([]byte, 32)
+	if err := p.Read(id, buf); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{9}, 32)) {
+		t.Fatalf("in-flight read = %v, %x", err, buf)
+	}
+	if keys := objects(t, store.Store); len(keys) != 0 {
+		t.Fatalf("object landed before its write was let through: %v", keys)
+	}
+	close(store.gate)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.ReadBlock(context.Background(), "t/pages/0000000000")
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{9}, 32)) {
+		t.Fatalf("object after Sync = %v, %x", err, got)
+	}
+}
+
+// TestPagerWriteOrdering: a rewrite of a page waits for its write in
+// flight, so the last write wins; a free, or a release of a deferred
+// free, waits too, so a late write never brings a deleted object back.
+func TestPagerWriteOrdering(t *testing.T) {
+	const wait = 50 * time.Millisecond
+	t.Run("rewrite", func(t *testing.T) {
+		store := newGatedStore()
+		p := newPager(t, store, "t", 32)
+		id, _ := p.Allocate()
+		if err := p.Write(id, bytes.Repeat([]byte{1}, 32)); err != nil {
+			t.Fatal(err)
+		}
+		<-store.started
+		returned, done := returnsWithin(wait, func() error { return p.Write(id, bytes.Repeat([]byte{2}, 32)) })
+		if returned {
+			t.Fatal("a rewrite did not wait for the page's write in flight")
+		}
+		close(store.gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := store.ReadBlock(context.Background(), "t/pages/0000000000")
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{2}, 32)) {
+			t.Fatalf("object after two writes = %v, %x; want the second", err, got)
+		}
+	})
+	for _, deferred := range []bool{false, true} {
+		t.Run(fmt.Sprintf("free/deferred=%v", deferred), func(t *testing.T) {
+			store := newGatedStore()
+			p := newPager(t, store, "t", 32)
+			p.SetDeferredFree(deferred)
+			id, _ := p.Allocate()
+			if err := p.Write(id, bytes.Repeat([]byte{1}, 32)); err != nil {
+				t.Fatal(err)
+			}
+			<-store.started
+			free := func() error { return p.Free(id) }
+			if deferred {
+				if err := p.Free(id); err != nil {
+					t.Fatal(err)
+				}
+				free = func() error { p.ReleasePending(); return nil }
+			}
+			returned, done := returnsWithin(wait, free)
+			if returned {
+				t.Fatal("deleting a page's object did not wait for its write in flight")
+			}
+			close(store.gate)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if keys := objects(t, store.Store); len(keys) != 0 {
+				t.Fatalf("objects after the free: %v", keys)
+			}
+			re, err := p.Allocate()
+			buf := bytes.Repeat([]byte{0xEE}, 32)
+			if err != nil || re != id {
+				t.Fatalf("reuse = %d, %v; want %d", re, err, id)
+			}
+			if err := p.Read(re, buf); err != nil || !bytes.Equal(buf, make([]byte, 32)) {
+				t.Fatalf("reused page read = %v, %x; want zeros", err, buf)
+			}
+		})
+	}
+}
+
+// TestPagerWriteFailureIsSticky: a failed object write surfaces at Sync,
+// and every later Read, Write, Allocate, Sync and Close returns it.
+func TestPagerWriteFailureIsSticky(t *testing.T) {
+	injected := errors.New("injected PUT failure")
+	store := newGatedStore()
+	store.fail = injected
+	close(store.gate)
+	p := newPager(t, store, "t", 32)
+	id, _ := p.Allocate()
+	if err := p.Write(id, bytes.Repeat([]byte{1}, 32)); err != nil {
+		t.Fatalf("Write = %v; a write's failure surfaces at Sync", err)
+	}
+	if err := p.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("Sync = %v, want the injected failure", err)
+	}
+	store.fail = nil // the store recovers; the pager stays poisoned
+	if err := p.Write(id, bytes.Repeat([]byte{2}, 32)); !errors.Is(err, injected) {
+		t.Fatalf("Write after a failure = %v", err)
+	}
+	if err := p.Read(id, make([]byte, 32)); !errors.Is(err, injected) {
+		t.Fatalf("Read after a failure = %v", err)
+	}
+	if _, err := p.Allocate(); !errors.Is(err, injected) {
+		t.Fatalf("Allocate after a failure = %v", err)
+	}
+	if err := p.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("second Sync after a failure = %v", err)
+	}
+	if err := p.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close after a failure = %v", err)
+	}
+}
+
+// TestPagerCloseDrains: Close waits for every write in flight, then
+// refuses further operations.
+func TestPagerCloseDrains(t *testing.T) {
+	store := newGatedStore()
+	p := newPager(t, store, "t", 32)
+	id, _ := p.Allocate()
+	if err := p.Write(id, bytes.Repeat([]byte{1}, 32)); err != nil {
+		t.Fatal(err)
+	}
+	<-store.started
+	returned, done := returnsWithin(50*time.Millisecond, p.Close)
+	if returned {
+		t.Fatal("Close did not wait for a write in flight")
+	}
+	close(store.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if keys := objects(t, store.Store); len(keys) != 1 {
+		t.Fatalf("objects after Close: %v", keys)
+	}
+	if err := p.Write(id, make([]byte, 32)); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("Write after Close = %v", err)
+	}
+}
+
+// TestPagerBoundsWritesInFlight: at most MaxInFlight writes run at once;
+// the next Write waits for a slot.
+func TestPagerBoundsWritesInFlight(t *testing.T) {
+	store := newGatedStore()
+	p := newPager(t, store, "t", 32)
+	for i := 0; i <= backend.MaxInFlight; i++ {
+		if _, err := p.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < backend.MaxInFlight; i++ {
+		if err := p.Write(storage.PageID(i), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	returned, done := returnsWithin(50*time.Millisecond, func() error {
+		return p.Write(storage.PageID(backend.MaxInFlight), make([]byte, 32))
+	})
+	if returned {
+		t.Fatalf("Write past %d in flight did not wait", backend.MaxInFlight)
+	}
+	if n := len(store.started); n != backend.MaxInFlight {
+		t.Fatalf("%d writes started, want %d", n, backend.MaxInFlight)
+	}
+	close(store.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys := objects(t, store.Store); len(keys) != backend.MaxInFlight+1 {
+		t.Fatalf("%d objects, want %d", len(keys), backend.MaxInFlight+1)
+	}
+}
+
+// stressPage is page id's content for writer w's seq-th write: a stamp
+// repeated over the page, so a torn or foreign page shows.
+func stressPage(id storage.PageID, w, seq, size int) []byte {
+	stamp := fmt.Sprintf("%d/%d/%d|", id, w, seq)
+	return bytes.Repeat([]byte(stamp), size/len(stamp)+1)[:size]
+}
+
+// TestPagerStress runs writers, readers and a freer on one small set of
+// overlapping page ids on every store kind. A read returns zeros (a fresh
+// page), a whole page some writer wrote to that id, or a freed or missing
+// page error; never a torn or foreign page. After a final Sync every live
+// page written since its last free reads back its last write.
+func TestPagerStress(t *testing.T) {
+	const (
+		ids      = 8
+		size     = 256
+		writes   = 150
+		nWriters = 3
+		nReaders = 3
+	)
+	for _, fx := range fixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			store, _ := fx.open(t, &countingFS{FS: storage.OSFS{}})
+			defer store.Close()
+			p := newPager(t, store, "t", size)
+			for i := 0; i < ids; i++ {
+				if _, err := p.Allocate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// last[id] is the page id's last write; a free clears it. The
+			// lock orders each operation with its record, so last is exact.
+			var mu sync.Mutex
+			last := make([][]byte, ids)
+			ok := func(err error) bool {
+				return err == nil || errors.Is(err, storage.ErrPageFreed) || errors.Is(err, backend.ErrNotFound)
+			}
+			errs := make(chan error, nWriters+nReaders+1)
+			var work, readers sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < nWriters; w++ {
+				work.Add(1)
+				go func() {
+					defer work.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for seq := 0; seq < writes; seq++ {
+						id := storage.PageID(rng.Intn(ids))
+						page := stressPage(id, w, seq, size)
+						mu.Lock()
+						err := p.Write(id, page)
+						if err == nil {
+							last[id] = page
+						}
+						mu.Unlock()
+						if !ok(err) {
+							errs <- fmt.Errorf("write %d: %w", id, err)
+							return
+						}
+					}
+				}()
+			}
+			work.Add(1)
+			go func() {
+				defer work.Done()
+				rng := rand.New(rand.NewSource(77))
+				for i := 0; i < writes/3; i++ {
+					id := storage.PageID(rng.Intn(ids))
+					mu.Lock()
+					err := p.Free(id)
+					if err == nil {
+						last[id] = nil
+						var re storage.PageID
+						if re, err = p.Allocate(); err == nil && re != id {
+							err = fmt.Errorf("reallocated %d, want %d", re, id)
+						}
+					}
+					mu.Unlock()
+					if err != nil {
+						errs <- fmt.Errorf("free %d: %w", id, err)
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			for r := 0; r < nReaders; r++ {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					rng := rand.New(rand.NewSource(int64(100 + r)))
+					buf := make([]byte, size)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						id := storage.PageID(rng.Intn(ids))
+						err := p.Read(id, buf)
+						if !ok(err) {
+							errs <- fmt.Errorf("read %d: %w", id, err)
+							return
+						}
+						if err != nil || bytes.Equal(buf, make([]byte, size)) {
+							continue
+						}
+						var gotID storage.PageID
+						var w, seq int
+						if _, serr := fmt.Sscanf(string(buf), "%d/%d/%d|", &gotID, &w, &seq); serr != nil || gotID != id || !bytes.Equal(buf, stressPage(id, w, seq, size)) {
+							errs <- fmt.Errorf("read %d: torn or foreign page %.24q", id, buf)
+							return
+						}
+					}
+				}()
+			}
+			work.Wait()
+			close(stop)
+			readers.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if err := p.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, size)
+			for id := range last {
+				want := last[id]
+				if want == nil {
+					want = make([]byte, size)
+				}
+				if err := p.Read(storage.PageID(id), buf); err != nil || !bytes.Equal(buf, want) {
+					t.Errorf("page %d after Sync = %v, %.24q; want %.24q", id, err, buf, want)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

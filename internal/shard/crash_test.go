@@ -10,12 +10,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/relation"
 	"repro/internal/shard"
 	"repro/internal/simdisk"
+	"repro/internal/storage"
 	"repro/internal/table"
 )
 
@@ -191,7 +195,8 @@ func verifyShardCrashState(t *testing.T, kind backend.Kind, fs *simdisk.FaultFS,
 }
 
 // TestShardKillAndRecover strides kill points across the workload's
-// syscall ticks for both durable kinds, in strict and torn modes.
+// syscall ticks for both durable kinds, in strict and torn modes, then
+// across an object-kind bulk load (testKillDuringBulkLoad).
 func TestShardKillAndRecover(t *testing.T) {
 	ops := shardCrashOps()
 	snaps := buildShardSnapshots(ops)
@@ -241,4 +246,211 @@ func TestShardKillAndRecover(t *testing.T) {
 			}
 		})
 	}
+	t.Run("object-bulkload", testKillDuringBulkLoad)
+}
+
+// opLog is a storage.FS that records every call it forwards, in order, so
+// a failing kill point can show the interleaving that led to it: the
+// pager's page writes run concurrently, so the order of syscalls, and
+// which one a tick-numbered kill lands on, varies from run to run.
+type opLog struct {
+	storage.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (l *opLog) add(op, path string, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	line := op + " " + filepath.Base(path)
+	if err != nil {
+		line += " (" + err.Error() + ")"
+	}
+	l.ops = append(l.ops, line)
+}
+
+// tail returns the calls up to and a few past the first failed one.
+func (l *opLog) tail() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	end := len(l.ops)
+	for i, op := range l.ops {
+		if strings.HasSuffix(op, ")") {
+			end = min(i+8, len(l.ops))
+			break
+		}
+	}
+	return strings.Join(l.ops[max(0, end-48):end], "\n")
+}
+
+func (l *opLog) OpenFile(path string, flag int) (storage.File, error) {
+	f, err := l.FS.OpenFile(path, flag)
+	l.add("open", path, err)
+	if err != nil {
+		return nil, err
+	}
+	return &opLogFile{File: f, log: l, path: path}, nil
+}
+
+func (l *opLog) Remove(path string) error {
+	err := l.FS.Remove(path)
+	l.add("remove", path, err)
+	return err
+}
+
+func (l *opLog) Rename(oldpath, newpath string) error {
+	err := l.FS.Rename(oldpath, newpath)
+	l.add("rename", newpath, err)
+	return err
+}
+
+func (l *opLog) SyncDir(path string) error {
+	err := l.FS.SyncDir(path)
+	l.add("syncdir", path, err)
+	return err
+}
+
+type opLogFile struct {
+	storage.File
+	log  *opLog
+	path string
+}
+
+func (f *opLogFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.log.add("write", f.path, err)
+	return n, err
+}
+
+func (f *opLogFile) Sync() error {
+	err := f.File.Sync()
+	f.log.add("fsync", f.path, err)
+	return err
+}
+
+// bulkCrashConfig is crashConfig with a four-frame pool per shard, so the
+// load writes pages back as it goes, not only at the checkpoint.
+func bulkCrashConfig(fs storage.FS) shard.Config {
+	cfg := crashConfig(backend.KindObject, nil)
+	cfg.FS = fs
+	cfg.Options = append(cfg.Options, table.WithPoolFrames(4))
+	return cfg
+}
+
+// runShardBulkLoad creates an object-kind database, bulk-loads tuples,
+// checkpoints and closes it. created reports whether Create returned, and
+// loaded the ticks consumed when it did.
+func runShardBulkLoad(fs *simdisk.FaultFS, log *opLog, tuples []relation.Tuple) (created bool, loaded int64, err error) {
+	log.FS = fs
+	db, err := shard.Create(oracleSchema(), bulkCrashConfig(log))
+	if err != nil {
+		return false, 0, err
+	}
+	loaded = fs.OpCount()
+	if err := db.BulkLoad(context.Background(), tuples); err != nil {
+		return true, loaded, err
+	}
+	if err := db.Checkpoint(); err != nil {
+		return true, loaded, err
+	}
+	return true, loaded, db.Close()
+}
+
+// testKillDuringBulkLoad kills an object-kind database at every tick
+// (strided) of a bulk load and the checkpoint after it, including inside
+// the pager's write-behind window: after a page Write has returned and
+// before the Sync barrier drains it. The reopened database must pass
+// Check with no pinned frame or live snapshot, and every shard must hold
+// its previous durable state — empty, since Create — or its whole load,
+// never part of it.
+func testKillDuringBulkLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	tuples := make([]relation.Tuple, 1500)
+	for i := range tuples {
+		tuples[i] = randTuple(rng)
+	}
+	probe := simdisk.NewFaultFS()
+	created, from, err := runShardBulkLoad(probe, &opLog{}, tuples)
+	if !created || err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	total := probe.OpCount()
+	if total-from < 200 {
+		t.Fatalf("suspiciously small load: %d ticks", total-from)
+	}
+	stride := max(1, (total-from)/150)
+	for _, mode := range []string{"strict", "torn"} {
+		t.Run(mode, func(t *testing.T) {
+			kills := 0
+			for k := from + 1; k <= total; k += stride {
+				fs := simdisk.NewFaultFS()
+				fs.CrashAt(k)
+				log := &opLog{}
+				created, _, err := runShardBulkLoad(fs, log, tuples)
+				if err == nil {
+					break // run finished before tick k
+				}
+				kills++
+				var torn *rand.Rand
+				if mode == "torn" {
+					torn = rand.New(rand.NewSource(0xB0 + k))
+				}
+				fs.Recover(torn)
+				tag := fmt.Sprintf("%s kill@%d/%d", mode, k, total)
+				if msg := verifyBulkLoadCrash(fs, tuples, created); msg != "" {
+					t.Fatalf("%s: %s\nsyscalls up to the kill:\n%s", tag, msg, log.tail())
+				}
+			}
+			if kills < 100 {
+				t.Fatalf("matrix only exercised %d kill points", kills)
+			}
+		})
+	}
+}
+
+// verifyBulkLoadCrash reopens a crashed bulk load and returns what is
+// wrong with it, or "".
+func verifyBulkLoadCrash(fs *simdisk.FaultFS, tuples []relation.Tuple, created bool) string {
+	db, err := shard.Open(bulkCrashConfig(fs))
+	if err != nil {
+		if !created {
+			return "" // the crash predates a durable create
+		}
+		return fmt.Sprintf("reopen: %v", err)
+	}
+	defer db.Close()
+	if err := db.Check(); err != nil {
+		return fmt.Sprintf("Check: %v", err)
+	}
+	got := map[skey]int{}
+	if err := db.Scan(context.Background(), func(tu relation.Tuple) bool {
+		got[sKey(tu)]++
+		return true
+	}); err != nil {
+		return fmt.Sprintf("scan: %v", err)
+	}
+	if n, s := db.PinnedFrames(), db.LiveSnapshots(); n != 0 || s != 0 {
+		return fmt.Sprintf("%d pinned frames, %d live snapshots after a scan", n, s)
+	}
+	all := map[skey]int{}
+	for _, tu := range tuples {
+		all[sKey(tu)]++
+	}
+	cat := db.Catalog()
+	restrict := func(m map[skey]int, shard int) map[skey]int {
+		out := map[skey]int{}
+		for k, v := range m {
+			if cat.Route(k[0]) == shard {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	for i := 0; i < cat.NumShards(); i++ {
+		g := restrict(got, i)
+		if len(g) != 0 && !sameShardMultiset(g, restrict(all, i)) {
+			return fmt.Sprintf("shard %d holds %d distinct tuples, neither none nor its whole load", i, len(g))
+		}
+	}
+	return ""
 }

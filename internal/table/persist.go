@@ -202,12 +202,18 @@ func parseCatalog(blob []byte) (*catalogMeta, error) {
 }
 
 // initCatalogHeads reserves pages 0 and 1 as the two catalog chain heads
-// on a fresh persistent table.
+// on a fresh persistent table. The first checkpoint publishes generation
+// 1 into slot 1's head; slot 0's head is marked dirty so that checkpoint
+// writes it zeroed, and both heads are on stable storage once Create
+// returns, whatever the pager (an object pager's Allocate writes nothing).
 func (t *Table) initCatalogHeads() error {
 	for slot := 0; slot < 2; slot++ {
 		frame, err := t.pool.Allocate()
 		if err != nil {
 			return err
+		}
+		if slot == 0 {
+			frame.MarkDirty()
 		}
 		t.catalogChains[slot] = []storage.PageID{frame.ID()}
 		if err := t.pool.Unpin(frame); err != nil {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/blockstore"
@@ -375,11 +376,13 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	defer sp.End()
 	sp.Detailf("%d tuples", len(tuples))
 	endStage := sp.Stage("sort")
-	sorted, hist, err := t.copyValidated(tuples)
+	hist, err := t.validateLoad(tuples)
 	if err != nil {
 		return err
 	}
+	sorted := slices.Clone(tuples)
 	t.schema.SortTuples(sorted)
+	t.copySorted(sorted)
 	endStage()
 	endStage = sp.Stage("load")
 	if _, err := t.store.BulkLoadContext(ctx, sorted); err != nil {
@@ -401,45 +404,52 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 // minLoadChunk is the fewest input tuples one load-prologue worker takes.
 const minLoadChunk = 1 << 14
 
-// copyValidated is BulkLoadContext's prologue. Up to GOMAXPROCS workers
-// each take a contiguous range of the input: they validate its tuples,
-// copy them into one shared slab, and count them in a private set of
-// histograms. It returns the copies and the summed histograms, which the
-// caller merges into the table's once the load has succeeded. On bad
-// input it returns the lowest-index invalid tuple's error, the one a
-// front-to-back pass would hit first. The copies alias the slab; the
-// store keeps none of them (fences are cloned).
-func (t *Table) copyValidated(tuples []relation.Tuple) ([]relation.Tuple, []*histogram, error) {
-	n, arity := len(tuples), t.schema.NumAttrs()
-	workers := min(runtime.GOMAXPROCS(0), max(1, n/minLoadChunk))
-	slab := make([]uint64, n*arity)
-	rows := make([]relation.Tuple, n)
-	hists := make([][]*histogram, workers)
-	errs := make([]error, workers) // each worker's first error; ranges ascend with w
+// loadChunks runs fn(w, lo, hi) over workers contiguous chunks of [0, n),
+// one goroutine per chunk, and waits for them.
+func loadChunks(workers, n int, fn func(w, lo, hi int)) {
 	var wg sync.WaitGroup
 	for w := range workers {
-		hists[w] = newHistograms(t.schema)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w * n / workers; i < (w+1)*n/workers; i++ {
-				if err := t.schema.ValidateTuple(tuples[i]); err != nil {
-					errs[w] = fmt.Errorf("table: tuple %d: %w", i, err)
-					return
-				}
-				row := slab[i*arity : (i+1)*arity : (i+1)*arity]
-				copy(row, tuples[i])
-				rows[i] = row
-				for a, h := range hists[w] {
-					h.add(row[a])
-				}
-			}
+			fn(w, w*n/workers, (w+1)*n/workers)
 		}()
 	}
 	wg.Wait()
+}
+
+// loadWorkers is how many workers a load-prologue pass over n tuples
+// takes: up to GOMAXPROCS, each with at least minLoadChunk tuples.
+func loadWorkers(n int) int {
+	return min(runtime.GOMAXPROCS(0), max(1, n/minLoadChunk))
+}
+
+// validateLoad is BulkLoadContext's prologue. Each worker takes a
+// contiguous range of the input, in input order: it validates the range's
+// tuples and counts them in a private set of histograms. It returns the
+// summed histograms, which the caller merges into the table's once the
+// load has succeeded. On bad input it returns the lowest-index invalid
+// tuple's error, the one a front-to-back pass would hit first. Nothing is
+// copied here; copySorted copies once the tuples are in φ order.
+func (t *Table) validateLoad(tuples []relation.Tuple) ([]*histogram, error) {
+	workers := loadWorkers(len(tuples))
+	hists := make([][]*histogram, workers)
+	errs := make([]error, workers) // each worker's first error; ranges ascend with w
+	loadChunks(workers, len(tuples), func(w, lo, hi int) {
+		hists[w] = newHistograms(t.schema)
+		for i := lo; i < hi; i++ {
+			if err := t.schema.ValidateTuple(tuples[i]); err != nil {
+				errs[w] = fmt.Errorf("table: tuple %d: %w", i, err)
+				return
+			}
+			for a, h := range hists[w] {
+				h.add(tuples[i][a])
+			}
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for _, h := range hists[1:] {
@@ -447,7 +457,24 @@ func (t *Table) copyValidated(tuples []relation.Tuple) ([]relation.Tuple, []*his
 			hists[0][i].merge(hg)
 		}
 	}
-	return rows, hists[0], nil
+	return hists[0], nil
+}
+
+// copySorted copies the φ-sorted tuples into one slab in φ order and
+// points each entry of sorted at its copy, so the load's pair-cost and
+// encode passes read memory front to back. The table holds no tuple of
+// the caller's, and the store keeps none of the copies (fences are
+// cloned).
+func (t *Table) copySorted(sorted []relation.Tuple) {
+	n, arity := len(sorted), t.schema.NumAttrs()
+	slab := make([]uint64, n*arity)
+	loadChunks(loadWorkers(n), n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := slab[i*arity : (i+1)*arity : (i+1)*arity]
+			copy(row, sorted[i])
+			sorted[i] = row
+		}
+	})
 }
 
 // indexBlocks registers every block of a freshly loaded store in the

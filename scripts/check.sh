@@ -3,15 +3,16 @@
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search, one-block-cache, one-codec-set and one-chain-walk guards, the
-# full test suite, 10 s fuzz smokes of the block decoder against its
-# reference, of the block edit against a re-encode and of the server's
-# wire (request decode, response encoding against encoding/json), the
-# crash matrix, the race-focused test run over the concurrency-sensitive
-# packages, and repeated race runs of the buffer pool's miss-path tests,
-# the store and manifest models, the object and filesystem stores' cached
-# read handles against writers and deleters, and the parallel tuple sort
-# against its reference.
+# search, one-block-cache, one-codec-set, one-chain-walk and no-zeroed-
+# object guards, the full test suite, 10 s fuzz smokes of the block
+# decoder against its reference, of the block edit against a re-encode
+# and of the server's wire (request decode, response encoding against
+# encoding/json), the crash matrix, the race-focused test run over the
+# concurrency-sensitive packages, and repeated race runs of the buffer
+# pool's miss-path tests, the store and manifest models, the object and
+# filesystem stores' cached read handles against writers and deleters,
+# the object pager's write-behind pages against readers, writers and
+# freers, and the parallel tuple sort against its reference.
 # Fails fast on the first broken stage so CI output points at one problem;
 # the last line is the tracked line count.
 set -eu
@@ -54,6 +55,10 @@ if grep -rnE 'CodecRepOnly|CodecDeltaChain|maxFitBracketed|core\.MaxFit\(|WithCo
 # (core's layout.walk); keep the digit-vector chain — ordinal.AddFrom /
 # SubFrom over parked difference tuples, walkTuples — from growing back.
 if grep -rnE 'ordinal\.(AddFrom|SubFrom)|walkTuples' --include='*.go' internal/core; then echo "digit-vector chain walk found in internal/core; walk the chain in split-ordinal form (layout.walk)" >&2; exit 1; fi
+# An object-backed page costs one object write, its first Write: the
+# pager's Allocate writes nothing (a fresh page reads as zeros from
+# memory); keep the zeroed-object PUT from growing back.
+if awk '/^func \(p \*Pager\) Allocate\(/,/^}/' internal/backend/pager.go | grep -nE 'WriteBlock|p\.put|p\.Write'; then echo "backend.Pager.Allocate writes an object; a fresh page reads as zeros from memory until its first Write" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
@@ -88,11 +93,14 @@ echo "== store and manifest models under edits (-race -count=5)"
 # re-checks every earlier version, so a write through a shared chunk shows.
 go test -race -count=5 -run '^(TestStoreModel|TestManifestModel)$' ./internal/blockstore
 
-echo "== cached read handles under writers and deleters (-race -count=5)"
+echo "== cached read handles and write-behind pages under writers, readers and deleters (-race -count=5)"
 # A read takes a cached handle outside the store's lock; a write or delete
-# drops it. Repeat the stress test so a read that caches a stale handle,
-# or a handle closed under a reader, still shows.
-go test -race -count=5 -run '^TestReadCacheStress$' ./internal/backend
+# drops it. The pager's page writes run in the background, served to
+# reads from their copies until they land, and a free waits for them.
+# Repeat both stress tests so a read that caches a stale handle, a handle
+# closed under a reader, or a page read torn or resurrected by a late
+# write, still shows.
+go test -race -count=5 -run '^(TestReadCacheStress|TestPagerStress)$' ./internal/backend
 
 echo "== parallel tuple sort against its reference (-race -count=3)"
 # SortTuples builds keys, counts, scatters and gathers on GOMAXPROCS
