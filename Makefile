@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint lint-baseline build fmt loc bench-obs bench-decode bench-wal bench-join benchgate crash
+.PHONY: check test race lint build fmt loc bench-obs bench-decode bench-wal bench-join benchgate crash
 
 check:
 	sh scripts/check.sh
@@ -42,12 +42,7 @@ bench-join:
 
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/avqlint -baseline scripts/avqlint-baseline.json ./...
-
-# Regenerate the accepted-findings baseline. Run this deliberately after
-# triaging new findings or retiring old ones; the diff is the review artifact.
-lint-baseline:
-	$(GO) run ./cmd/avqlint -baseline scripts/avqlint-baseline.json -write-baseline ./...
+	$(GO) run ./cmd/avqlint ./...
 
 fmt:
 	gofmt -w cmd internal examples *.go

@@ -92,7 +92,7 @@ func main() {
 		listen    = fs.String("listen", "localhost:6060", "serve: debug endpoint listen address")
 		slowMs    = fs.Int("slowms", 50, "serve: slow-op log threshold in milliseconds")
 	)
-	fs.Parse(flagArgs) //avqlint:ignore droppederr ExitOnError FlagSet exits on parse failure
+	fs.Parse(flagArgs)
 	if *db == "" {
 		fmt.Fprintln(os.Stderr, "avqdb: -db is required")
 		os.Exit(2)

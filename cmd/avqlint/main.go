@@ -3,39 +3,29 @@
 //
 // Usage:
 //
-//	avqlint [-rules a,b] [-pinflow ...] [-list] [-json]
-//	        [-baseline file [-write-baseline]] [dir | dir/... ...]
+//	avqlint [dir | dir/... ...]
 //
 // With no arguments (or "./...") it analyzes every package under the
 // module root. A plain directory argument analyzes that one package; a
-// trailing /... analyzes the subtree. Diagnostics print as
+// trailing /... analyzes the subtree. Every rule runs, and each finding
+// prints as
 //
 //	file:line:col: [rule] message
 //
-// or, with -json, as a JSON array of {file, line, col, rule, message}
-// objects with module-root-relative paths.
+// with the path relative to the module root. A finding is suppressed in
+// source with a trailing or preceding comment of the form
+// //avqlint:ignore <rule> <justification>; a directive naming a rule that
+// does not exist is itself a finding (rule "ignore"), so the suppressions
+// of a deleted or renamed rule cannot linger.
 //
-// Rules are selected with -rules a,b or with per-rule boolean flags
-// (-pinflow, -snapflow, ...); the two compose as a union. Findings can be
-// suppressed in source with a trailing or preceding comment of the form
-// //avqlint:ignore <rule> <justification>; a directive naming an
-// unregistered rule is itself reported under the synthetic rule "ignore".
-//
-// With -baseline, findings matching the committed baseline are accepted;
-// fresh findings AND stale baseline entries (accepted findings that no
-// longer occur) both fail, so the baseline only changes through an
-// explicit -write-baseline regeneration that shows up in review.
-//
-// Exit status: 0 clean, 1 findings or stale baseline, 2 usage or load
-// error.
+// Exit status: 0 clean, 1 findings, 2 a flag or a load error.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -45,67 +35,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("avqlint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	list := fs.Bool("list", false, "list the registered analyzers and exit")
-	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	baselinePath := fs.String("baseline", "", "accept findings recorded in this baseline file")
-	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from the current findings and exit")
-	registry := analysis.Registry()
-	ruleFlags := make(map[string]*bool, len(registry))
-	for _, a := range registry {
-		ruleFlags[a.Name] = fs.Bool(a.Name, false, "enable only selected rules: "+a.Doc)
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *list {
-		for _, a := range registry {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "avqlint: -write-baseline requires -baseline")
-		return 2
-	}
-
-	// Rule selection: -rules and per-rule flags compose as a union; with
-	// neither, everything runs.
-	selected := make(map[string]bool)
-	if *rules != "" {
-		for _, name := range strings.Split(*rules, ",") {
-			name = strings.TrimSpace(name)
-			if analysis.Lookup(name) == nil {
-				fmt.Fprintf(stderr, "avqlint: unknown rule %q\n", name)
-				return 2
-			}
-			selected[name] = true
+func run(targets []string, stdout, stderr io.Writer) int {
+	for _, t := range targets {
+		if strings.HasPrefix(t, "-") {
+			fmt.Fprintf(stderr, "avqlint: takes package patterns only, not %q\n", t)
+			return 2
 		}
 	}
-	for name, on := range ruleFlags {
-		if *on {
-			selected[name] = true
-		}
-	}
-	analyzers := registry
-	if len(selected) > 0 {
-		analyzers = nil
-		for _, a := range registry {
-			if selected[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		}
-	}
-
-	targets := fs.Args()
 	if len(targets) == 0 {
 		targets = []string{"./..."}
 	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(stderr, "avqlint: %v\n", err)
@@ -139,61 +78,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pkgs = append(pkgs, pkg)
 	}
 
-	known := func(rule string) bool { return analysis.Lookup(rule) != nil }
-	var diags []analysis.Diagnostic
+	findings := 0
 	seen := make(map[string]bool)
 	for _, pkg := range pkgs {
 		if seen[pkg.Dir] {
 			continue
 		}
 		seen[pkg.Dir] = true
-		diags = append(diags, analysis.RunAnalyzers(pkg, analyzers)...)
-		diags = append(diags, analysis.ValidateIgnores(pkg, known)...)
-	}
-	findings := analysis.ToFindings(diags, loader.ModuleRoot)
-
-	if *writeBaseline {
-		b := analysis.NewBaseline(findings)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintf(stderr, "avqlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "avqlint: wrote %d baseline entr(ies) covering %d finding(s) to %s\n",
-			len(b.Findings), len(findings), *baselinePath)
-		return 0
-	}
-
-	var stale []analysis.BaselineEntry
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "avqlint: %v\n", err)
-			return 2
-		}
-		findings, stale = b.Filter(findings)
-	}
-
-	if *asJSON {
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
-		data, err := json.MarshalIndent(findings, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "avqlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "%s\n", data)
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Rule, f.Message)
+		for _, d := range analysis.Lint(pkg) {
+			if rel, err := filepath.Rel(loader.ModuleRoot, d.Pos.Filename); err == nil {
+				d.Pos.Filename = filepath.ToSlash(rel)
+			}
+			fmt.Fprintln(stdout, d)
+			findings++
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "avqlint: stale baseline entry: %s [%s] %q x%d no longer occurs; regenerate with -write-baseline\n",
-			e.File, e.Rule, e.Message, e.Count)
-	}
-	if len(findings) > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "avqlint: %d finding(s), %d stale baseline entr(ies)\n", len(findings), len(stale))
+	if findings > 0 {
+		fmt.Fprintf(stderr, "avqlint: %d finding(s)\n", findings)
 		return 1
 	}
 	return 0

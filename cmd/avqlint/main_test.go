@@ -2,13 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 func runLint(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -22,21 +18,6 @@ func fixture(name string) string {
 	return filepath.Join("..", "..", "internal", "analysis", "testdata", "src", name)
 }
 
-func TestListRules(t *testing.T) {
-	code, out, _ := runLint(t, "-list")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	for _, rule := range []string{"pinflow", "snapflow", "arenaescape", "ctxflow", "framealias", "lockbalance", "droppederr", "ordwidth", "errwrap"} {
-		if !strings.Contains(out, rule) {
-			t.Errorf("rule %q missing from -list output:\n%s", rule, out)
-		}
-	}
-	if strings.Contains(out, "unpinpair") || strings.Contains(out, "arenaalias") {
-		t.Errorf("retired rule still listed:\n%s", out)
-	}
-}
-
 func TestFindingsExitNonZero(t *testing.T) {
 	code, out, stderr := runLint(t, fixture("droppederr"))
 	if code != 1 {
@@ -45,38 +26,8 @@ func TestFindingsExitNonZero(t *testing.T) {
 	if !strings.Contains(out, "[droppederr]") {
 		t.Errorf("output missing droppederr finding:\n%s", out)
 	}
-}
-
-func TestRuleFilter(t *testing.T) {
-	// With only an unrelated rule selected, the fixture is clean.
-	code, out, stderr := runLint(t, "-rules", "lockbalance", fixture("droppederr"))
-	if code != 0 {
-		t.Fatalf("exit %d, want 0; stdout: %s stderr: %s", code, out, stderr)
-	}
-}
-
-func TestPerRuleFlag(t *testing.T) {
-	// The boolean per-rule flags select rules just like -rules does.
-	code, out, _ := runLint(t, "-lockbalance", fixture("droppederr"))
-	if code != 0 {
-		t.Fatalf("exit %d, want 0; stdout: %s", code, out)
-	}
-	code, out, _ = runLint(t, "-droppederr", fixture("droppederr"))
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(out, "[droppederr]") {
-		t.Errorf("output missing droppederr finding:\n%s", out)
-	}
-}
-
-func TestUnknownRule(t *testing.T) {
-	code, _, stderr := runLint(t, "-rules", "nosuchrule")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "unknown rule") {
-		t.Errorf("stderr: %s", stderr)
+	if !strings.Contains(out, "internal/analysis/testdata/src/droppederr/droppederr.go:") {
+		t.Errorf("finding paths are not module-relative:\n%s", out)
 	}
 }
 
@@ -87,100 +38,24 @@ func TestCleanPackageExitsZero(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	code, out, stderr := runLint(t, "-json", fixture("droppederr"))
+// TestIgnoreNamingDeletedRuleFails: the fixture's code is clean, but one
+// of its directives still suppresses a rule that no longer exists. That
+// directive is a finding, so deleting a rule cannot leave its
+// suppressions behind.
+func TestIgnoreNamingDeletedRuleFails(t *testing.T) {
+	code, out, stderr := runLint(t, fixture("staleignore"))
 	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr)
+		t.Fatalf("exit %d, want 1; stdout: %s stderr: %s", code, out, stderr)
 	}
-	var findings []analysis.Finding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not a JSON finding array: %v\n%s", err, out)
-	}
-	if len(findings) == 0 {
-		t.Fatal("no findings decoded")
-	}
-	for _, f := range findings {
-		if f.Rule != "droppederr" {
-			t.Errorf("unexpected rule %q", f.Rule)
-		}
-		if filepath.IsAbs(f.File) || strings.Contains(f.File, "\\") {
-			t.Errorf("file %q is not module-relative slash-separated", f.File)
-		}
-		if f.Line <= 0 || f.Col <= 0 {
-			t.Errorf("finding missing position: %+v", f)
-		}
+	if !strings.Contains(out, `[ignore] //avqlint:ignore names unknown rule "lockbalance"`) {
+		t.Errorf("output missing the stale directive:\n%s", out)
 	}
 }
 
-func TestJSONCleanEmitsEmptyArray(t *testing.T) {
-	code, out, _ := runLint(t, "-json", filepath.Join("..", "..", "internal", "ordinal"))
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("want empty JSON array, got %q", out)
-	}
-}
-
-func TestBaselineWorkflow(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-
-	// -write-baseline snapshots the current findings and exits 0.
-	code, _, stderr := runLint(t, "-baseline", path, "-write-baseline", fixture("droppederr"))
-	if code != 0 {
-		t.Fatalf("write-baseline exit %d; stderr: %s", code, stderr)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	// With the baseline in force the same findings are accepted.
-	code, out, stderr := runLint(t, "-baseline", path, fixture("droppederr"))
-	if code != 0 {
-		t.Fatalf("baselined run exit %d; stdout: %s stderr: %s", code, out, stderr)
-	}
-
-	// A finding outside the baseline is still fresh.
-	code, out, _ = runLint(t, "-baseline", path, fixture("droppederr"), fixture("ordwidth"))
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if strings.Contains(out, "[droppederr]") {
-		t.Errorf("baselined findings leaked into output:\n%s", out)
-	}
-	if !strings.Contains(out, "[ordwidth]") {
-		t.Errorf("fresh ordwidth finding missing:\n%s", out)
-	}
-}
-
-func TestBaselineStaleEntryFails(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	b := &analysis.Baseline{Version: 1, Findings: []analysis.BaselineEntry{
-		{File: "gone/gone.go", Rule: "droppederr", Message: "no such finding", Count: 2},
-	}}
-	if err := b.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	// The target package is clean, but the baseline claims an accepted
-	// finding that no longer occurs: the gate must fail so the baseline
-	// only shrinks via explicit regeneration.
-	code, _, stderr := runLint(t, "-baseline", path, filepath.Join("..", "..", "internal", "ordinal"))
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "-write-baseline") {
-		t.Errorf("stderr missing stale-entry guidance: %s", stderr)
-	}
-}
-
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	code, _, stderr := runLint(t, "-write-baseline")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-baseline") {
-		t.Errorf("stderr: %s", stderr)
+// TestFlagRejected: avqlint takes package patterns only.
+func TestFlagRejected(t *testing.T) {
+	code, _, stderr := runLint(t, "-json", "./...")
+	if code != 2 || !strings.Contains(stderr, "package patterns only") {
+		t.Fatalf("exit %d, stderr %q; want 2 and a usage error", code, stderr)
 	}
 }

@@ -50,7 +50,7 @@ func main() {
 		blockSize = fs.Int("blocksize", storage.DefaultPageSize, "block size in bytes")
 		jsonOut   = fs.Bool("json", false, "metrics: emit the registry snapshot as JSON instead of text")
 	)
-	fs.Parse(os.Args[2:]) //avqlint:ignore droppederr ExitOnError FlagSet exits on parse failure
+	fs.Parse(os.Args[2:])
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "avqtool: -in is required")
 		os.Exit(2)

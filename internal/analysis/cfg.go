@@ -6,8 +6,8 @@ import (
 )
 
 // This file builds a per-function control-flow graph over the Go AST. The
-// CFG is the substrate the flow-sensitive analyzers (pinflow, snapflow,
-// arenaescape) run their dataflow on: blocks hold straight-line statements
+// CFG is the substrate the flow-sensitive analyzers (pinflow, snapflow)
+// run their dataflow on: blocks hold straight-line statements
 // in execution order, and edges carry the branch condition that selects
 // them, so a transfer function can refine facts along an `err != nil`
 // edge the way the type system never could.

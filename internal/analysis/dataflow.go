@@ -2,8 +2,8 @@ package analysis
 
 // This file is the forward-dataflow engine the flow-sensitive analyzers
 // share. An analysis instantiates FlowSpec with its fact type — pinflow
-// and snapflow use per-resource lattice states, arenaescape uses a taint
-// vector — and RunFlow drives a worklist to a fixpoint over a BuildCFG
+// and snapflow use per-resource lattice states — and RunFlow drives a
+// worklist to a fixpoint over a BuildCFG
 // graph: facts merge at joins, propagate through each block's transfer
 // function, and may be refined along condition-carrying edges (the
 // `err != nil` edge of an acquisition demotes the resource to unborn,

@@ -3,28 +3,22 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// AnalyzerDroppedErr flags calls whose final error result is silently
-// dropped: either the call stands alone as an expression statement, or the
-// error position is assigned to the blank identifier. Dropped errors around
-// the pager and buffer pool silently corrupt the paper's I/O accounting, so
-// intentional drops must be annotated with //avqlint:ignore droppederr and
-// a justification.
+// AnalyzerDroppedErr flags a dropped error from the durable substrate: a
+// call to a method of storage.File, storage.FS, backend.Store or wal.Log
+// whose error result is discarded, by a bare call statement or by
+// assigning it to _. These are the calls whose lost error can lose data: a
+// Sync, WriteAt or Rename that did not happen, or a ReadAt that failed and
+// is taken for a short file. A cleanup on a path that already returns an
+// error folds its own error in with errors.Join rather than dropping it.
 //
-// Deliberate exclusions, documented here because they are policy:
-//   - defer and go statements, including calls inside deferred closures
-//     (no propagation path at that point; flushing cleanup errors is the
-//     enclosing function's Close contract);
-//   - the fmt Print/Fprint family (conventionally unchecked);
-//   - methods on strings.Builder and bytes.Buffer, whose Write methods are
-//     documented never to return a non-nil error.
-//
-// Test files are never analyzed (the loader skips them).
+// Deferred and go calls, including calls inside deferred closures, are
+// excluded: there is no propagation path at that point. Test files are
+// never analyzed (the loader skips them).
 var AnalyzerDroppedErr = &Analyzer{
 	Name: "droppederr",
-	Doc:  "error results must be handled, not discarded with _ or a bare call statement",
+	Doc:  "an error from storage.File, storage.FS, backend.Store or wal.Log must be handled, not discarded",
 	Run:  runDroppedErr,
 }
 
@@ -34,10 +28,7 @@ func runDroppedErr(pass *Pass) {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				call, ok := unparen(n.X).(*ast.CallExpr)
-				if !ok || inDefer(stack) {
-					return
-				}
-				if sig := errorReturningCall(pass.Pkg, call); sig != nil && !isExcusedCallee(pass.Pkg, call) {
+				if ok && !inDefer(stack) && substrateErrCall(pass.Pkg, call) != nil {
 					pass.Report(n.Pos(), "dropped error: result of %s is discarded", types.ExprString(call.Fun))
 				}
 			case *ast.AssignStmt:
@@ -47,7 +38,7 @@ func runDroppedErr(pass *Pass) {
 	})
 }
 
-// inDefer reports whether the ancestor chain passes through a defer
+// inDefer reports whether the ancestor chain passes through a defer or go
 // statement; a call in a deferred closure is excluded exactly like a
 // directly deferred call.
 func inDefer(stack []ast.Node) bool {
@@ -60,24 +51,20 @@ func inDefer(stack []ast.Node) bool {
 	return false
 }
 
-// checkAssignDrops reports error results assigned to the blank identifier.
+// checkAssignDrops reports substrate errors assigned to the blank
+// identifier, in the tuple form (n, _ := f.ReadAt(...)) and the parallel
+// form (_ = f.Sync()).
 func checkAssignDrops(pass *Pass, as *ast.AssignStmt) {
-	// Tuple form: a, _ := f() with the error in final position.
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		sig := errorReturningCall(pass.Pkg, call)
-		if sig == nil || sig.Results().Len() != len(as.Lhs) || isExcusedCallee(pass.Pkg, call) {
-			return
-		}
-		if isBlank(as.Lhs[len(as.Lhs)-1]) {
+		if sig := substrateErrCall(pass.Pkg, call); sig != nil && sig.Results().Len() == len(as.Lhs) && isBlank(as.Lhs[len(as.Lhs)-1]) {
 			pass.Report(as.Pos(), "dropped error: final result of %s assigned to _", types.ExprString(call.Fun))
 		}
 		return
 	}
-	// Parallel form: _ = f() for each position.
 	if len(as.Rhs) != len(as.Lhs) {
 		return
 	}
@@ -86,44 +73,30 @@ func checkAssignDrops(pass *Pass, as *ast.AssignStmt) {
 		if !ok || !isBlank(as.Lhs[i]) {
 			continue
 		}
-		if sig := errorReturningCall(pass.Pkg, call); sig != nil && sig.Results().Len() == 1 && !isExcusedCallee(pass.Pkg, call) {
+		if sig := substrateErrCall(pass.Pkg, call); sig != nil && sig.Results().Len() == 1 {
 			pass.Report(as.Lhs[i].Pos(), "dropped error: result of %s assigned to _", types.ExprString(call.Fun))
 		}
 	}
 }
 
-// errorReturningCall returns the callee signature when call's final result
-// is an error, and nil otherwise (including for conversions and builtins).
-func errorReturningCall(pkg *Package, call *ast.CallExpr) *types.Signature {
-	sig := calleeSignature(pkg, call)
-	if sig == nil || sig.Results().Len() == 0 {
+// substrateErrCall returns the callee signature when call is a method of
+// storage.File, storage.FS, backend.Store or wal.Log whose final result is
+// an error, and nil otherwise.
+func substrateErrCall(pkg *Package, call *ast.CallExpr) *types.Signature {
+	recv, _, ok := methodCall(pkg, call)
+	if !ok {
 		return nil
 	}
-	if !isErrorType(sig.Results().At(sig.Results().Len() - 1).Type()) {
+	t := pkg.Info.TypeOf(recv)
+	if !namedFrom(t, storagePkg, "File") && !namedFrom(t, storagePkg, "FS") &&
+		!namedFrom(t, backendPkg, "Store") && !namedFrom(t, walPkg, "Log") {
+		return nil
+	}
+	sig := calleeSignature(pkg, call)
+	if sig == nil || sig.Results().Len() == 0 || !isErrorType(sig.Results().At(sig.Results().Len()-1).Type()) {
 		return nil
 	}
 	return sig
-}
-
-// isExcusedCallee implements the documented exclusion list.
-func isExcusedCallee(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	// Methods on never-failing writers.
-	if recv, _, ok := methodCall(pkg, call); ok {
-		t := pkg.Info.TypeOf(recv)
-		return namedFrom(t, "strings", "Builder") || namedFrom(t, "bytes", "Buffer")
-	}
-	// fmt.Print / fmt.Println / fmt.Printf / fmt.Fprint* package functions.
-	if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
-			(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
-			return true
-		}
-	}
-	return false
 }
 
 // isBlank reports whether e is the blank identifier.
@@ -131,3 +104,10 @@ func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
 }
+
+// The substrate packages, suffix-matched like the other package constants.
+const (
+	storagePkg = "internal/storage"
+	backendPkg = "internal/backend"
+	walPkg     = "internal/wal"
+)

@@ -47,6 +47,10 @@ var snapFlowSpec = &resourceSpec{
 	},
 }
 
+// blockstorePkg suffix-matches the block-store package that defines Store
+// and Snapshot.
+const blockstorePkg = "internal/blockstore"
+
 func runSnapFlow(pass *Pass) {
 	runResourceFlow(pass, snapFlowSpec)
 }

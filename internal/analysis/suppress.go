@@ -53,21 +53,24 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) []ignoreDirective {
 }
 
 // ValidateIgnores returns a diagnostic for every suppression directive in
-// pkg naming a rule that known does not recognize. A typo in a directive
-// suppresses nothing, silently — after a rule rename (unpinpair→pinflow,
-// arenaalias→arenaescape) the stale directives are exactly the lines whose
-// suppressed findings came back, so the CLI surfaces them as findings of
-// the synthetic rule "ignore".
-func ValidateIgnores(pkg *Package, known func(rule string) bool) []Diagnostic {
+// pkg naming no registered rule. A typo in a directive suppresses nothing,
+// silently; after a rule is renamed or deleted its directives are exactly
+// the lines whose findings came back or that no longer mean anything, so
+// they surface as findings of the synthetic rule "ignore".
+func ValidateIgnores(pkg *Package) []Diagnostic {
+	var rules []string
+	for _, a := range Registry() {
+		rules = append(rules, a.Name)
+	}
 	var out []Diagnostic
 	for _, d := range pkg.ignores {
-		if d.rule == "all" || known(d.rule) {
+		if d.rule == "all" || Lookup(d.rule) != nil {
 			continue
 		}
 		out = append(out, Diagnostic{
 			Pos:     token.Position{Filename: d.file, Line: d.line, Column: d.col},
 			Rule:    "ignore",
-			Message: fmt.Sprintf("//avqlint:ignore names unknown rule %q; run avqlint -list for the rule set", d.rule),
+			Message: fmt.Sprintf("//avqlint:ignore names unknown rule %q; the rules are %s", d.rule, strings.Join(rules, ", ")),
 		})
 	}
 	return out

@@ -3,7 +3,11 @@
 // loops, next to their correctly threaded twins.
 package ctxflow
 
-import "context"
+import (
+	"context"
+	"net/http"
+	"time"
+)
 
 type store struct{}
 
@@ -20,10 +24,12 @@ func freshInCtxFunc(ctx context.Context, s *store) error {
 	return s.ScanContext(context.Background(), nil)
 }
 
-// freshInPlainFunc severs cancellation: only package main may mint a root
-// context.
-func freshInPlainFunc(s *store) error {
-	return s.ScanContext(context.TODO(), nil)
+// requestCtx is the server's per-request deadline laid on a fresh root
+// instead of the request's context: the deadline still fires, but a
+// client that hangs up no longer cancels its query. No test caught that
+// mutation in the real code; only package main may mint a root context.
+func requestCtx(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), d)
 }
 
 // Deprecated: use ScanContext directly. The label sanctions nothing: a

@@ -1,74 +1,72 @@
-// Package droppederr is an analyzer fixture: silently dropped error
-// results and the documented exclusions.
+// Package droppederr is an analyzer fixture: errors dropped from the
+// durable substrate, next to the calls the rule leaves alone.
 package droppederr
 
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"os"
+
+	"repro/internal/storage"
 )
 
-type closer struct{}
-
-func (closer) Close() error                { return nil }
-func (closer) Write(p []byte) (int, error) { return len(p), nil }
-
-func fail() error { return errors.New("boom") }
-
-func pair() (int, error) { return 0, errors.New("boom") }
-
-// dropExpr discards an error-returning call as a statement.
-func dropExpr(c closer) {
-	c.Close()
-}
-
-// dropBlank discards a lone error with the blank identifier.
-func dropBlank() {
-	_ = fail()
-}
-
-// dropTuple discards the final error of a multi-result call.
-func dropTuple() int {
-	n, _ := pair()
-	return n
-}
-
-// suppressedDrop is annotated with a justification.
-func suppressedDrop(c closer) {
-	c.Close() //avqlint:ignore droppederr fixture: proves suppression works
-}
-
-// goodHandled propagates the error.
-func goodHandled(c closer) error {
-	if err := fail(); err != nil {
+// writeAtomic is storage.WriteFileAtomic with its fsync's error dropped:
+// a temp file whose data never reached the disk is renamed over the old
+// one. No test or crash matrix caught that mutation in the real code.
+func writeAtomic(fs storage.FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
+	if err != nil {
 		return err
 	}
-	return c.Close()
+	if _, err := f.WriteAt(data, 0); err != nil {
+		return errors.Join(err, f.Close(), fs.Remove(tmp))
+	}
+	f.Sync()
+	if err := f.Close(); err != nil {
+		return errors.Join(err, fs.Remove(tmp))
+	}
+	return fs.Rename(tmp, path)
 }
 
-// goodDefer relies on the documented defer exclusion, directly and through
-// a closure.
-func goodDefer(c closer) {
-	defer c.Close()
+// headerIntact is the WAL recovery scan as it was: a failed read counts
+// as a short one, so one transient EIO looked like a torn tail.
+func headerIntact(f storage.File, hdr []byte) bool {
+	n, _ := f.ReadAt(hdr, 0)
+	return n == len(hdr)
+}
+
+// removeBlank discards a lone substrate error with the blank identifier.
+func removeBlank(fs storage.FS, path string) {
+	_ = fs.Remove(path)
+}
+
+// suppressedClose is annotated with a justification.
+func suppressedClose(f storage.File) {
+	f.Close() //avqlint:ignore droppederr fixture: proves suppression works
+}
+
+// goodJoin folds a cleanup error into the error already being returned.
+func goodJoin(f storage.File, err error) error {
+	return errors.Join(err, f.Close())
+}
+
+// goodDefer relies on the defer exclusion, directly and through a closure.
+func goodDefer(f storage.File) {
+	defer f.Close()
 	defer func() {
-		c.Close()
+		f.Sync()
 	}()
 }
 
-// goodFmt relies on the fmt Print-family exclusion.
-func goodFmt(c closer) {
+type closer struct{}
+
+func (closer) Close() error { return nil }
+
+// goodNotSubstrate drops errors from calls outside the substrate, which
+// the rule leaves alone.
+func goodNotSubstrate(c closer) {
+	c.Close()
+	_ = os.Remove("x")
 	fmt.Println("hello")
-	fmt.Fprintf(c, "world %d", 42)
-}
-
-// goodBuilder relies on the never-failing-writer exclusion.
-func goodBuilder() string {
-	var b strings.Builder
-	b.WriteString("ok")
-	return b.String()
-}
-
-// goodNoError calls something with no error result at all.
-func goodNoError() {
-	strings.Repeat("x", 3)
 }

@@ -11,9 +11,11 @@ var errSentinel = errors.New("sentinel")
 
 func fail() error { return errSentinel }
 
-// flattenV loses the sentinel behind %v.
-func flattenV(err error) error {
-	return fmt.Errorf("load failed: %v", err)
+// openSegment is wal.Open's open-segment error flattened with %v: a
+// caller can no longer tell a missing segment (fs.ErrNotExist) from a
+// failed disk. No test caught that mutation in the real code.
+func openSegment(path string, err error) error {
+	return fmt.Errorf("wal: open segment %s: %v", path, err)
 }
 
 // flattenS loses the sentinel behind %s, mid-arg-list.

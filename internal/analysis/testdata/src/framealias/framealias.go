@@ -3,21 +3,27 @@
 package framealias
 
 import (
+	"encoding/binary"
+
 	"repro/internal/buffer"
 	"repro/internal/storage"
 )
 
-// useAfterUnpin reads a data slice after releasing the pin.
-func useAfterUnpin(p *buffer.Pool, id storage.PageID) (byte, error) {
+// decodeAfterUnpin is Store.decodeBlock with its deferred Unpin moved
+// ahead of the decode: the stream is read from a page the pool may
+// already have given to another reader. No test or race run caught that
+// mutation in the real code.
+func decodeAfterUnpin(p *buffer.Pool, id storage.PageID) ([]byte, error) {
 	f, err := p.Get(id)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	d := f.Data()
+	data := f.Data()
 	if err := p.Unpin(f); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return d[0], nil
+	l := binary.BigEndian.Uint32(data[:4])
+	return data[4 : 4+l], nil
 }
 
 // callAfterUnpin calls Data() itself after the unpin.

@@ -2,9 +2,11 @@
 // arithmetic results versus idiomatic byte extraction.
 package ordwidth
 
-// truncateAdd narrows a 64-bit sum to 32 bits.
-func truncateAdd(a, b uint64) uint32 {
-	return uint32(a + b)
+// pageOffset is FilePager.Read's file offset with the product taken
+// through 32 bits: every page past 4 GiB is read from the wrong place. No
+// test file is that large, and no test caught that mutation.
+func pageOffset(id uint64, pageSize int) int64 {
+	return int64(uint32(id * uint64(pageSize)))
 }
 
 // truncateMul narrows a 64-bit product to a byte.

@@ -2,13 +2,62 @@
 // disproven) along every control-flow path. The branchLeak case is the
 // one the old flow-insensitive unpinpair rule could not see: a single
 // Unpin anywhere in the function satisfied it, even when another path
-// leaked.
+// leaked. corruptLengthLeak is the rule's proof: a leak seeded into
+// blockstore's Store.readStream that no test, race run or pin-count
+// assertion caught.
 package pinflow
 
 import (
+	"encoding/binary"
+	"errors"
+
 	"repro/internal/buffer"
 	"repro/internal/storage"
 )
+
+// corruptLengthLeak is Store.readStream with its corrupt-length check
+// turned into an early return: the pin leaks on the one branch only a
+// damaged page reaches, which no test takes with a pin count to check.
+func corruptLengthLeak(p *buffer.Pool, id storage.PageID, dst []byte, capacity int) ([]byte, error) {
+	f, err := p.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	data := f.Data()
+	l := int(binary.BigEndian.Uint32(data[:4]))
+	if l > capacity {
+		return nil, errors.New("page claims a stream longer than its capacity")
+	}
+	stream := append(dst, data[4:4+l]...)
+	if err := p.Unpin(f); err != nil {
+		return nil, err
+	}
+	return stream, nil
+}
+
+// goodReadStream is Store.readStream as it is: the corrupt length becomes
+// the error the one Unpin's error is folded into. Clean.
+func goodReadStream(p *buffer.Pool, id storage.PageID, dst []byte, capacity int) ([]byte, error) {
+	f, err := p.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	data := f.Data()
+	l := int(binary.BigEndian.Uint32(data[:4]))
+	var stream []byte
+	if l > capacity {
+		err = errors.New("page claims a stream longer than its capacity")
+	} else {
+		stream = append(dst, data[4:4+l]...)
+	}
+	if uerr := p.Unpin(f); err == nil {
+		err = uerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return stream, nil
+}
 
 // branchLeak unpins on the flush path only; the plain path leaks the pin.
 func branchLeak(p *buffer.Pool, id storage.PageID, flush bool) error {

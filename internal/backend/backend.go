@@ -291,16 +291,14 @@ func (c *handleCache) acquire(ctx context.Context, key string, hint int64) (*han
 	}
 	size, err := sizeOf(f, hint)
 	if err != nil {
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, fmt.Errorf("backend: size %q: %w", key, err)
+		return nil, fmt.Errorf("backend: size %q: %w", key, errors.Join(err, f.Close()))
 	}
 	h := &handle{f: f, size: size, refs: 1}
 	var evicted storage.File
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, ErrClosed
+		return nil, errors.Join(ErrClosed, f.Close())
 	}
 	// A handle opened while a write or delete ran, or after another miss
 	// cached one, serves this read only.

@@ -287,7 +287,7 @@ func (p *Pager) Free(id storage.PageID) error {
 func (p *Pager) deleteObject(id storage.PageID) {
 	//avqlint:ignore ctxflow storage.Pager is context-free
 	if err := p.store.DeleteBlock(context.Background(), p.key(id)); err != nil && !errors.Is(err, ErrNotFound) {
-		_ = err //avqlint:ignore droppederr freed-page objects are unreferenced; a leaked one is reclaimed on reuse
+		_ = err
 	}
 }
 

@@ -756,7 +756,7 @@ func (s *Store) writeFresh(tuples []relation.Tuple) (storage.PageID, error) {
 // published in any manifest) to the pager on an error path. Such a page
 // was never visible to a snapshot, so it is freed immediately.
 func (s *Store) freePageBestEffort(id storage.PageID) {
-	s.pool.Free(id) //avqlint:ignore droppederr best-effort rollback on a path already returning the primary error
+	s.pool.Free(id)
 }
 
 // freeBlockPage frees a page that held a published block. While snapshots

@@ -225,7 +225,7 @@ func (sn *Snapshot) Release() {
 	for _, id := range drain {
 		// A failed deferred free leaks one page until the next compaction;
 		// there is no caller left to hand the error to.
-		s.pool.Free(id) //avqlint:ignore droppederr deferred free after the mutation already succeeded
+		s.pool.Free(id)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -210,7 +211,7 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	}
 	defer func() {
 		for _, tb := range tables {
-			_ = tb.Close() //avqlint:ignore droppederr memory tables; nothing to persist
+			_ = tb.Close()
 		}
 	}()
 	lb, err := mk(leftTuples, true, 0)
@@ -371,8 +372,7 @@ func shardJoinRows(ctx context.Context, cfg JoinConfig, left, right []relation.T
 			return nil, err
 		}
 		if err := db.BulkLoad(ctx, tuples); err != nil {
-			_ = db.Close() //avqlint:ignore droppederr load failed; that error is the one to report
-			return nil, err
+			return nil, errors.Join(err, db.Close())
 		}
 		return db, nil
 	}

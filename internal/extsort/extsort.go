@@ -268,8 +268,7 @@ func writeRun(schema *relation.Schema, batch []relation.Tuple, path string) erro
 		werr = cerr
 	}
 	if werr != nil {
-		os.Remove(path) //avqlint:ignore droppederr best-effort removal of a partial run on a path already returning the primary error
-		return werr
+		return errors.Join(werr, os.Remove(path))
 	}
 	return nil
 }
@@ -376,7 +375,7 @@ func newPrefetchRun(rr *runReader) *prefetchRun {
 	go func() {
 		defer close(p.done)
 		defer close(p.ch)
-		defer rr.f.Close() //avqlint:ignore droppederr read-only run file; a close error cannot corrupt data already decoded
+		defer rr.f.Close()
 		for {
 			ok, err := rr.next()
 			if err != nil {
@@ -477,7 +476,7 @@ func (s *Sorter) Iterate(fn func(relation.Tuple) bool) (err error) {
 	var sources []runSource
 	defer func() {
 		for _, src := range sources {
-			src.close() //avqlint:ignore droppederr read-only run files; drained or superseded by the primary error
+			src.close()
 		}
 	}()
 	for _, path := range s.runs {

@@ -21,11 +21,11 @@ func Handler(r *Registry) http.Handler {
 		snap := r.Snapshot()
 		if req.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
-			_ = snap.WriteJSON(w) //avqlint:ignore droppederr response writer errors have no propagation path
+			_ = snap.WriteJSON(w)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = snap.WriteText(w) //avqlint:ignore droppederr response writer errors have no propagation path
+		_ = snap.WriteText(w)
 	})
 	mux.HandleFunc("/slowops", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -35,7 +35,7 @@ func Handler(r *Registry) http.Handler {
 		if ops == nil {
 			ops = []SlowOp{}
 		}
-		_ = enc.Encode(ops) //avqlint:ignore droppederr response writer errors have no propagation path
+		_ = enc.Encode(ops)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

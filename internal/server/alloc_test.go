@@ -20,7 +20,7 @@ func pointSelectBytes(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tab.Close() //avqlint:ignore droppederr test cleanup
+	defer tab.Close()
 	tuples := make([]relation.Tuple, 64*100)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{uint64(i % 64), uint64(i % 16), uint64(i / 64 % 64), uint64(i % 4096)}

@@ -27,7 +27,7 @@ func TestDifferentialEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() }) //avqlint:ignore droppederr test cleanup
+	t.Cleanup(func() { db.Close() })
 
 	engines := []struct {
 		name string
@@ -129,7 +129,7 @@ func TestEngineSeamCompileTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() }) //avqlint:ignore droppederr test cleanup
+	t.Cleanup(func() { db.Close() })
 	engines = append(engines, db)
 	for _, e := range engines {
 		if e.Schema().NumAttrs() != 4 {

@@ -226,7 +226,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok") //avqlint:ignore droppederr response writer errors have no propagation path
+	fmt.Fprintln(w, "ok")
 }
 
 // statusz is the engine summary: what `avqdb stats` prints, as JSON.
@@ -273,11 +273,11 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	_ = enc.Encode(errorBody{Error: err.Error(), Code: code}) //avqlint:ignore droppederr response writer errors have no propagation path
+	_ = enc.Encode(errorBody{Error: err.Error(), Code: code})
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) //avqlint:ignore droppederr response writer errors have no propagation path
+	_ = enc.Encode(v)
 }

@@ -34,7 +34,7 @@ func loadedTable(t *testing.T, n int) *table.Table {
 	if err := tab.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tab.Close() }) //avqlint:ignore droppederr test cleanup
+	t.Cleanup(func() { tab.Close() })
 	return tab
 }
 

@@ -34,7 +34,7 @@ func writeBody(w http.ResponseWriter, v wireBody) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b) //avqlint:ignore droppederr response writer errors have no propagation path
+	_, _ = w.Write(b)
 	if cap(b) <= maxPooledResp {
 		*bp = b
 		respPool.Put(bp)

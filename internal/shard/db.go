@@ -112,8 +112,7 @@ func Create(schema *relation.Schema, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	if err := db.publishCatalog(); err != nil {
-		_ = db.closeShards() //avqlint:ignore droppederr bootstrap failed; the catalog error is the one to report
-		return nil, err
+		return nil, errors.Join(err, db.closeShards())
 	}
 	return db, nil
 }
@@ -131,8 +130,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	//avqlint:ignore ctxflow opening is uninterruptible setup
 	blob, err := cats.ReadBlock(context.Background(), CatalogKey)
-	_ = cats.Close() //avqlint:ignore droppederr probe store; wire builds the long-lived one
-	if err != nil {
+	if err = errors.Join(err, cats.Close()); err != nil {
 		return nil, fmt.Errorf("shard: read catalog: %w", err)
 	}
 	cat, err := DecodeCatalog(blob)
@@ -231,8 +229,7 @@ func wire(schema *relation.Schema, cat *Catalog, cfg Config, reopen bool) (*DB, 
 			}
 		}
 		if err != nil {
-			_ = db.closeShards() //avqlint:ignore droppederr bootstrap failed; the shard error is the one to report
-			return nil, fmt.Errorf("shard: %s: %w", shardName(i), err)
+			return nil, errors.Join(fmt.Errorf("shard: %s: %w", shardName(i), err), db.closeShards())
 		}
 		db.shards = append(db.shards, tb)
 	}

@@ -224,17 +224,14 @@ func OpenFilePagerFS(fs FS, path string, pageSize int) (*FilePager, error) {
 	}
 	size, err := fs.Stat(path)
 	if err != nil {
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, fmt.Errorf("storage: stat %s: %w", path, err)
+		return nil, fmt.Errorf("storage: stat %s: %w", path, errors.Join(err, f.Close()))
 	}
 	if size%int64(pageSize) != 0 {
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, fmt.Errorf("storage: %s size %d is not a multiple of page size %d", path, size, pageSize)
+		return nil, errors.Join(fmt.Errorf("storage: %s size %d is not a multiple of page size %d", path, size, pageSize), f.Close())
 	}
 	if !existed {
 		if err := fs.SyncDir(filepath.Dir(path)); err != nil {
-			f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, err
+			return nil, errors.Join(err, f.Close())
 		}
 	}
 	return &FilePager{

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,22 +115,16 @@ func WriteFileAtomic(fs FS, path string, data []byte) error {
 		return fmt.Errorf("storage: create %s: %w", tmp, err)
 	}
 	if _, err := f.WriteAt(data, 0); err != nil {
-		f.Close()      //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		fs.Remove(tmp) //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("storage: write %s: %w", tmp, err)
+		return fmt.Errorf("storage: write %s: %w", tmp, errors.Join(err, f.Close(), fs.Remove(tmp)))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()      //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		fs.Remove(tmp) //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("storage: sync %s: %w", tmp, err)
+		return fmt.Errorf("storage: sync %s: %w", tmp, errors.Join(err, f.Close(), fs.Remove(tmp)))
 	}
 	if err := f.Close(); err != nil {
-		fs.Remove(tmp) //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("storage: close %s: %w", tmp, err)
+		return fmt.Errorf("storage: close %s: %w", tmp, errors.Join(err, fs.Remove(tmp)))
 	}
 	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp) //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("storage: rename %s -> %s: %w", tmp, path, err)
+		return fmt.Errorf("storage: rename %s -> %s: %w", tmp, path, errors.Join(err, fs.Remove(tmp)))
 	}
 	if err := fs.SyncDir(dir); err != nil {
 		return err

@@ -57,7 +57,7 @@ func (t *Table) insertBatchLogged(ctx context.Context, tuples []relation.Tuple) 
 			// committed): the caller saw an error, so no durability was
 			// promised; any later commit carries it, matching memory.
 			if _, rerr := t.logRecord(recInsertBatch, batch[:applied]...); rerr != nil {
-				_ = rerr //avqlint:ignore droppederr best-effort re-log on a path already returning the apply error
+				_ = rerr
 			}
 		}
 		return 0, err
@@ -187,7 +187,7 @@ func (t *Table) deleteWhereLogged(ctx context.Context, preds []Predicate) (remov
 				// matches[:i] were all attempted; deletes of absent tuples
 				// are no-ops at replay, so the prefix re-log is exact.
 				if _, rerr := t.logRecord(recDeleteBatch, matches[:i]...); rerr != nil {
-					_ = rerr //avqlint:ignore droppederr best-effort re-log on a path already returning the apply error
+					_ = rerr
 				}
 			}
 			return removed, 0, err

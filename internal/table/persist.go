@@ -442,8 +442,7 @@ func Open(path string, options ...Option) (*Table, error) {
 		probe = fp
 	}
 	if probe.NumPages() < 2 {
-		probe.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, errors.New("table: file holds no catalog; use Create")
+		return nil, errors.Join(errors.New("table: file holds no catalog; use Create"), probe.Close())
 	}
 	var (
 		best   *catalogMeta
@@ -508,12 +507,10 @@ func Open(path string, options ...Option) (*Table, error) {
 		}
 		count += len(ts)
 	}); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, err
+		return nil, errors.Join(err, t.Close())
 	}
 	if count != best.size {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return nil, fmt.Errorf("table: catalog says %d tuples, blocks hold %d", best.size, count)
+		return nil, errors.Join(fmt.Errorf("table: catalog says %d tuples, blocks hold %d", best.size, count), t.Close())
 	}
 	t.size = count
 	// Return any file pages that neither a catalog chain nor a block claims
@@ -530,8 +527,7 @@ func Open(path string, options ...Option) (*Table, error) {
 	for id := 0; id < t.pager.NumPages(); id++ {
 		if !referenced[storage.PageID(id)] {
 			if err := t.pager.Free(storage.PageID(id)); err != nil {
-				t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-				return nil, err
+				return nil, errors.Join(err, t.Close())
 			}
 		}
 	}
@@ -549,9 +545,7 @@ func Open(path string, options ...Option) (*Table, error) {
 			// partially replayed state and orphan the log. Tear down raw so
 			// the catalog and log on disk stay exactly as found.
 			t.closed = true
-			t.pool.Close()  //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			t.pager.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, err
+			return nil, errors.Join(err, t.pool.Close(), t.pager.Close())
 		}
 	}
 	return t, nil

@@ -166,9 +166,7 @@ func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 	}
 	if t.persistent() {
 		if t.pager.NumPages() != 0 {
-			t.pool.Close()  //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			t.pager.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, fmt.Errorf("table: %s already holds pages; use Open", t.opts.Path)
+			return nil, errors.Join(fmt.Errorf("table: %s already holds pages; use Open", t.opts.Path), t.pool.Close(), t.pager.Close())
 		}
 		if err := t.initCatalogHeads(); err != nil {
 			return nil, err
@@ -179,8 +177,7 @@ func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 	}
 	if t.opts.Durability == DurabilityWAL {
 		if err := t.attachWAL(); err != nil {
-			t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, err
+			return nil, errors.Join(err, t.Close())
 		}
 	}
 	return t, nil

@@ -3,6 +3,7 @@ package table
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/relation"
@@ -74,9 +75,10 @@ func (t *Table) decodeTupleRec(body []byte) ([]relation.Tuple, error) {
 	}
 	body = body[w:]
 	arity := t.schema.NumAttrs()
-	const maxBatch = 1 << 28
-	if n > maxBatch {
-		return nil, fmt.Errorf("table: wal record claims %d tuples", n)
+	// Every digit is at least one uvarint byte, so the body bounds the
+	// count before anything is allocated for it.
+	if n > uint64(len(body)/arity) {
+		return nil, fmt.Errorf("table: wal record claims %d tuples in %d bytes", n, len(body))
 	}
 	tuples := make([]relation.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -129,7 +131,7 @@ func (t *Table) logAbort(lsn uint64) {
 	body := []byte{recAbort}
 	body = binary.AppendUvarint(body, lsn)
 	if _, err := t.wal.AppendCommit(body); err != nil {
-		_ = err //avqlint:ignore droppederr best-effort abort marker on a path already returning the apply error
+		_ = err
 	}
 }
 
@@ -162,7 +164,7 @@ func (t *Table) attachWALReplay() error {
 	// On any replay failure, detach and close the log WITHOUT rotating:
 	// the caller must leave the on-disk log intact for the next attempt.
 	fail := func(err error) error {
-		t.wal.Close() //avqlint:ignore droppederr best-effort teardown on a path already returning the replay error
+		err = errors.Join(err, t.wal.Close())
 		t.wal = nil
 		return err
 	}

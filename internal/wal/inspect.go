@@ -52,9 +52,9 @@ func Inspect(fs storage.FS, dir string) ([]SegmentInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: open %s: %w", path, err)
 		}
-		recs, _, damaged, headerOK := scanSegment(f, s, g)
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("wal: close %s: %w", path, err)
+		recs, _, damaged, headerOK, err := scanSegment(f, s, g)
+		if err = errors.Join(err, f.Close()); err != nil {
+			return nil, fmt.Errorf("wal: read %s: %w", path, err)
 		}
 		infos = append(infos, SegmentInfo{
 			Name:     name,

@@ -220,17 +220,14 @@ func (l *Log) openSegment(baseGen uint64, seq uint32) error {
 	binary.LittleEndian.PutUint32(hdr[16:20], seq)
 	binary.LittleEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(hdr[:20]))
 	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("wal: write segment header %s: %w", path, err)
+		return fmt.Errorf("wal: write segment header %s: %w", path, errors.Join(err, f.Close()))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-		return fmt.Errorf("wal: sync segment header %s: %w", path, err)
+		return fmt.Errorf("wal: sync segment header %s: %w", path, errors.Join(err, f.Close()))
 	}
 	if l.f != nil {
 		if err := l.f.Close(); err != nil {
-			f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return fmt.Errorf("wal: close previous segment: %w", err)
+			return fmt.Errorf("wal: close previous segment: %w", errors.Join(err, f.Close()))
 		}
 	}
 	l.f = f
@@ -568,10 +565,12 @@ func Open(o Options, catalogGen uint64) (*Log, []Record, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: open segment %s: %w", path, err)
 		}
-		recs, end, damaged, headerOK := scanSegment(f, s.seq, catalogGen)
+		recs, end, damaged, headerOK, err := scanSegment(f, s.seq, catalogGen)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: read segment %s: %w", path, errors.Join(err, f.Close()))
+		}
 		if damaged && !last {
-			f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-			return nil, nil, fmt.Errorf("%w: %s at byte %d", ErrCorrupt, s.name, end)
+			return nil, nil, errors.Join(fmt.Errorf("%w: %s at byte %d", ErrCorrupt, s.name, end), f.Close())
 		}
 		for _, p := range recs {
 			l.appended++
@@ -596,12 +595,10 @@ func Open(o Options, catalogGen uint64) (*Log, []Record, error) {
 		case last:
 			// Cut any torn tail so future appends start on a clean edge.
 			if err := f.Truncate(end); err != nil {
-				f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
+				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, errors.Join(err, f.Close()))
 			}
 			if err := f.Sync(); err != nil {
-				f.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
-				return nil, nil, fmt.Errorf("wal: sync %s: %w", path, err)
+				return nil, nil, fmt.Errorf("wal: sync %s: %w", path, errors.Join(err, f.Close()))
 			}
 			l.f = f
 			l.segSeq = s.seq
@@ -619,47 +616,66 @@ func Open(o Options, catalogGen uint64) (*Log, []Record, error) {
 // scanSegment validates the header and walks frames until end-of-file or
 // damage. It returns the intact payloads, the byte offset just past the
 // last intact record, whether trailing damage was found, and whether the
-// segment header itself was intact.
-func scanSegment(f storage.File, wantSeq uint32, wantGen uint64) (payloads [][]byte, end int64, damaged, headerOK bool) {
+// segment header itself was intact. Only a read cut short by end-of-file
+// is damage; any other read error is returned, because cutting the
+// segment at a read that failed would delete acknowledged records.
+func scanSegment(f storage.File, wantSeq uint32, wantGen uint64) (payloads [][]byte, end int64, damaged, headerOK bool, err error) {
 	var hdr [segHeaderLen]byte
-	//avqlint:ignore droppederr a read error yields a short count, which is classified as damage below
-	if n, _ := f.ReadAt(hdr[:], 0); n < segHeaderLen {
-		// A header that never fully hit disk: the segment is as good as
-		// absent. Only acceptable where a torn tail is (the caller
-		// rejects damage in non-final segments).
-		return nil, 0, true, false
+	n, err := readAt(f, hdr[:], 0)
+	if err != nil {
+		return nil, 0, false, false, err
 	}
-	if string(hdr[:8]) != segMagic ||
+	if n < segHeaderLen ||
+		string(hdr[:8]) != segMagic ||
 		crc32.ChecksumIEEE(hdr[:20]) != binary.LittleEndian.Uint32(hdr[20:24]) ||
 		binary.LittleEndian.Uint64(hdr[8:16]) != wantGen ||
 		binary.LittleEndian.Uint32(hdr[16:20]) != wantSeq {
-		return nil, 0, true, false
+		// A header that never fully hit disk: the segment is as good as
+		// absent. Only acceptable where a torn tail is (the caller
+		// rejects damage in non-final segments).
+		return nil, 0, true, false, nil
 	}
 	off := int64(segHeaderLen)
 	var frameHdr [frameOverhead]byte
 	for {
-		n, rerr := f.ReadAt(frameHdr[:], off)
-		if rerr == io.EOF && n == 0 {
-			return payloads, off, false, true // clean end
+		n, err := readAt(f, frameHdr[:], off)
+		if err != nil {
+			return nil, 0, false, false, err
+		}
+		if n == 0 {
+			return payloads, off, false, true, nil // clean end
 		}
 		if n < frameOverhead {
-			return payloads, off, true, true // torn frame header
+			return payloads, off, true, true, nil // torn frame header
 		}
 		plen := binary.LittleEndian.Uint32(frameHdr[0:4])
 		if plen == 0 || plen > MaxRecordLen {
 			// Append rejects empty payloads, so a zero frame is zeroed
 			// disk (its CRC of nothing even matches), not a record.
-			return payloads, off, true, true // implausible length
+			return payloads, off, true, true, nil // implausible length
 		}
 		payload := make([]byte, plen)
-		//avqlint:ignore droppederr a read error yields a short count, which is classified as damage below
-		if pn, _ := f.ReadAt(payload, off+frameOverhead); pn < int(plen) {
-			return payloads, off, true, true // torn payload
+		pn, err := readAt(f, payload, off+frameOverhead)
+		if err != nil {
+			return nil, 0, false, false, err
+		}
+		if pn < int(plen) {
+			return payloads, off, true, true, nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frameHdr[4:8]) {
-			return payloads, off, true, true // CRC mismatch
+			return payloads, off, true, true, nil // CRC mismatch
 		}
 		payloads = append(payloads, payload)
 		off += frameOverhead + int64(plen)
 	}
+}
+
+// readAt is f.ReadAt with end-of-file folded into the short count it
+// explains; every other error is the caller's.
+func readAt(f storage.File, p []byte, off int64) (int, error) {
+	n, err := f.ReadAt(p, off)
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
 }

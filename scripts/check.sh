@@ -2,9 +2,10 @@
 # check.sh — the repo's one-command verification gate.
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
-# suite (internal/analysis) plus the no-Deprecated-wrappers, one-fence-
-# search, one-block-cache, one-codec-set, one-chain-walk and no-zeroed-
-# object guards, the full test suite, 10 s fuzz smokes of the block
+# suite (internal/analysis; any finding fails, there is no baseline) plus
+# the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
+# block-cache, one-codec-set, one-chain-walk and no-zeroed-object guards,
+# the full test suite, 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
 # and of the server's wire (request decode, response encoding against
 # encoding/json), the crash matrix, the race-focused test run over the
@@ -33,11 +34,13 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== avqlint (baseline-gated)"
-# Fails on any finding not recorded in the committed baseline AND on stale
-# baseline entries, so accepted findings can only change via an explicit
-# `make lint-baseline` regeneration that shows up in review.
-go run ./cmd/avqlint -baseline scripts/avqlint-baseline.json ./...
+echo "== avqlint"
+# Takes package patterns only; any finding fails, and so does a
+# suppression naming a rule that does not exist.
+go run ./cmd/avqlint ./...
+# Findings are fixed or suppressed in source with a justification; keep an
+# accepted-findings baseline file or flag from growing back.
+if [ -e scripts/avqlint-baseline.json ] || grep -rnE 'avqlint-baseline\.json|lint-baseline|(^|[[:space:]"])-(write-)?baseline' Makefile scripts/*.sh cmd/avqlint | grep -v '^scripts/check.sh:'; then echo "avqlint baseline found; fix the finding or suppress it in source" >&2; exit 1; fi
 # Every entry point has one ctx-first name; keep Deprecated twins from growing back.
 if grep -rn 'Deprecated:' --include='*.go' cmd internal examples | grep -v '^internal/analysis/'; then echo "Deprecated: wrapper found; give the entry point one ctx-first name" >&2; exit 1; fi
 # The manifest's fence array has one binary search, in internal/blockstore
