@@ -5,13 +5,20 @@ import (
 	"go/token"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// sharedLoader is the one Loader the tests share: the module packages and
+// standard-library imports the fixtures reach are type-checked from source
+// once per test binary, not once per fixture. The tests run sequentially,
+// and nothing they do writes to a loaded package.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
 
 // loadFixture type-checks one fixture package under testdata/src.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	l, err := NewLoader(".")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -250,7 +257,7 @@ func TestRegistry(t *testing.T) {
 // TestLoader checks module resolution, type-checking, and test-file
 // exclusion.
 func TestLoader(t *testing.T) {
-	l, err := NewLoader(".")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}

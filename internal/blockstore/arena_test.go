@@ -87,7 +87,7 @@ func TestEncodeChunksExactCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams, err := s.encodeChunks(chunks, sizes)
+		streams, _, err := s.encodeChunks(chunks, sizes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,9 @@ func (s *Store) capacity() int { return StreamCapacity(s.pool.PageSize()) }
 // persistent table uses it to rebuild the store from the catalog's block
 // list. It decodes every block once on the scan pipeline, captures the
 // fences itself, and offers each block's tuples to visit in clustered order
-// so the caller can rebuild its indexes from the same decode. The layout
+// so the caller can rebuild its indexes from the same decode. The tuples
+// live in a pooled arena that is reused once visit returns, so visit must
+// not retain them. The layout
 // is published only if the store is empty, the page ids are distinct, and
 // the decoded blocks are non-empty and in φ order — the block list comes
 // from a file, and a manifest the fence search cannot trust is never
@@ -223,13 +225,12 @@ func (s *Store) Restore(ctx context.Context, blocks []storage.PageID, visit func
 	}
 	m := &manifest{}
 	var orderErr error
-	err := s.scanPages(ctx, blocks, func(id storage.PageID, tuples []relation.Tuple) bool {
-		i := m.n
+	err := s.scanPages(ctx, blocks, true, func(id storage.PageID, r *scanResult) bool {
+		i, tuples, f := m.n, r.tuples, r.fence
 		if len(tuples) == 0 {
 			orderErr = fmt.Errorf("%w: restored block %d (page %d) is empty", ErrCorruptBlock, i, id)
 			return false
 		}
-		f := fenceFor(tuples)
 		if i > 0 && s.schema.Compare(m.fence(i-1).Last, f.First) > 0 {
 			orderErr = fmt.Errorf("%w: restored block %d (page %d) precedes its predecessor in φ order", ErrCorruptBlock, i, id)
 			return false
@@ -374,23 +375,36 @@ func (s *Store) writeStream(stream []byte) (storage.PageID, error) {
 // is nil). The tuples alias the arena and are the caller's until its next
 // Reset.
 func (s *Store) decodeBlock(id storage.PageID, a *core.Arena) ([]relation.Tuple, error) {
+	tuples, _, err := s.decodePage(id, a, false)
+	return tuples, err
+}
+
+// decodePage is decodeBlock that, when fence is set, also captures a
+// non-empty block's fence from the same decode and the stream on the page
+// (Restore's one pass).
+func (s *Store) decodePage(id storage.PageID, a *core.Arena, fence bool) ([]relation.Tuple, Fence, error) {
 	frame, err := s.pool.Get(id)
 	if err != nil {
-		return nil, err
+		return nil, Fence{}, err
 	}
 	defer s.pool.Unpin(frame)
 	data := frame.Data()
 	l := binary.BigEndian.Uint32(data[:lenPrefix])
 	if int(l) > s.capacity() {
-		return nil, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
+		return nil, Fence{}, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
 	}
+	stream := data[lenPrefix : lenPrefix+int(l)]
 	t0 := s.decodeStart()
-	tuples, err := core.DecodeBlockArena(s.schema, data[lenPrefix:lenPrefix+int(l)], a)
+	tuples, err := core.DecodeBlockArena(s.schema, stream, a)
 	s.decodeDone(t0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+	var f Fence
+	if err == nil && fence && len(tuples) > 0 {
+		f, err = s.fenceFor(tuples, stream)
 	}
-	return tuples, nil
+	if err != nil {
+		return nil, Fence{}, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+	}
+	return tuples, f, nil
 }
 
 // decodeStart reads the clock for a block decode's latency, unless
@@ -615,13 +629,18 @@ func (s *Store) edit(cur *manifest, h *homeBlock, e core.Edit) (MutationResult, 
 		return res, nil
 	}
 	s.encBuf = stream
+	f := editedFence(s.schema, cur.fence(h.at), h.slab, e)
+	var err error
+	if f.Restarts, err = core.EditRestarts(s.schema, stream, h.slab, e); err != nil {
+		return MutationResult{}, err
+	}
 	s.met.edits.Inc()
 	id, err := s.writeStream(stream)
 	if err != nil {
 		return MutationResult{}, err
 	}
 	res.New = []BlockRun{{Page: id, Tuples: edited}}
-	return res, s.publish(cur, h.at, 1, []storage.PageID{id}, []Fence{editedFence(s.schema, cur.fence(h.at), h.slab, e)})
+	return res, s.publish(cur, h.at, 1, []storage.PageID{id}, []Fence{f})
 }
 
 // editedFence is a block's fence after edit e, from its fence before and
@@ -663,7 +682,7 @@ func (s *Store) writeRuns(cur *manifest, at, replaced int, tuples []relation.Tup
 	ids := make([]storage.PageID, len(runs))
 	fences := make([]Fence, len(runs))
 	for i, run := range runs {
-		id, err := s.writeFresh(run)
+		id, f, err := s.writeFresh(run)
 		if err != nil {
 			// Roll back the runs already written: they are not in any
 			// published manifest, and leaving them allocated would strand
@@ -674,7 +693,7 @@ func (s *Store) writeRuns(cur *manifest, at, replaced int, tuples []relation.Tup
 			}
 			return nil, err
 		}
-		ids[i], fences[i] = id, fenceFor(run)
+		ids[i], fences[i] = id, f
 		out[i].Page = id
 		if s.runTuples {
 			out[i].Tuples = run
@@ -740,16 +759,21 @@ func (s *Store) packRuns(tuples []relation.Tuple) ([][]relation.Tuple, error) {
 }
 
 // writeFresh codes tuples through the store's encode buffer onto a newly
-// allocated page and returns it. writeStream copies the stream onto the
-// page before the buffer is touched again, so reusing its capacity across
-// mutations is safe.
-func (s *Store) writeFresh(tuples []relation.Tuple) (storage.PageID, error) {
+// allocated page and returns it with the block's fence. writeStream copies
+// the stream onto the page before the buffer is touched again, so reusing
+// its capacity across mutations is safe.
+func (s *Store) writeFresh(tuples []relation.Tuple) (storage.PageID, Fence, error) {
 	stream, err := s.timeEncode(tuples, s.encBuf[:0])
 	if err != nil {
-		return 0, err
+		return 0, Fence{}, err
 	}
 	s.encBuf = stream
-	return s.writeStream(stream)
+	f, err := s.fenceFor(tuples, stream)
+	if err != nil {
+		return 0, Fence{}, err
+	}
+	id, err := s.writeStream(stream)
+	return id, f, err
 }
 
 // freePageBestEffort returns an orphaned page (allocated but never
@@ -791,7 +815,7 @@ func (s *Store) Reset() error {
 func (s *Store) ScanBlocksContext(ctx context.Context, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	sn := s.Snapshot()
 	defer sn.Release()
-	return s.scanPages(ctx, sn.m.pages(), fn)
+	return s.scanPages(ctx, sn.m.pages(), false, func(id storage.PageID, r *scanResult) bool { return fn(id, r.tuples) })
 }
 
 // Stats summarizes the store's physical layout.

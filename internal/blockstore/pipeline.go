@@ -160,11 +160,12 @@ func (s *Store) pairCosts(tuples []relation.Tuple) ([]int, error) {
 }
 
 // encodeChunks codes every chunk on the workers, returning the streams
-// indexed like the chunks. Every stream is preallocated to its exact
-// encoded size from the chunker's accounting, so the encoders never
-// reallocate mid-stream.
-func (s *Store) encodeChunks(chunks [][]relation.Tuple, sizes []int) ([][]byte, error) {
+// and the blocks' fences indexed like the chunks. Every stream is
+// preallocated to its exact encoded size from the chunker's accounting, so
+// the encoders never reallocate mid-stream.
+func (s *Store) encodeChunks(chunks [][]relation.Tuple, sizes []int) ([][]byte, []Fence, error) {
 	streams := make([][]byte, len(chunks))
+	fences := make([]Fence, len(chunks))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var firstErr minIndexErr
@@ -178,6 +179,9 @@ func (s *Store) encodeChunks(chunks [][]relation.Tuple, sizes []int) ([][]byte, 
 					return
 				}
 				stream, err := s.timeEncode(chunks[i], make([]byte, 0, sizes[i]))
+				if err == nil {
+					fences[i], err = s.fenceFor(chunks[i], stream)
+				}
 				if err != nil {
 					firstErr.record(i, err)
 					continue
@@ -188,9 +192,9 @@ func (s *Store) encodeChunks(chunks [][]relation.Tuple, sizes []int) ([][]byte, 
 	}
 	wg.Wait()
 	if err := firstErr.get(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return streams, nil
+	return streams, fences, nil
 }
 
 // commitChunks appends the pre-encoded chunks as blocks of m, allocating
@@ -198,7 +202,7 @@ func (s *Store) encodeChunks(chunks [][]relation.Tuple, sizes []int) ([][]byte, 
 // worker count. Cancellation is honored between chunks: pages already
 // committed stay in m (which the caller publishes even on error) so Reset
 // can reclaim them.
-func (s *Store) commitChunks(ctx context.Context, m *manifest, chunks [][]relation.Tuple, streams [][]byte) ([]BlockRef, error) {
+func (s *Store) commitChunks(ctx context.Context, m *manifest, streams [][]byte, fences []Fence) ([]BlockRef, error) {
 	var refs []BlockRef
 	for i, stream := range streams {
 		if err := ctx.Err(); err != nil {
@@ -208,9 +212,9 @@ func (s *Store) commitChunks(ctx context.Context, m *manifest, chunks [][]relati
 		if err != nil {
 			return nil, err
 		}
-		f := fenceFor(chunks[i])
+		f := fences[i]
 		m.append(id, f)
-		refs = append(refs, BlockRef{Page: id, First: f.First, Count: len(chunks[i])})
+		refs = append(refs, BlockRef{Page: id, First: f.First, Count: f.Count})
 	}
 	return refs, nil
 }
@@ -236,30 +240,38 @@ func (s *Store) loadWindow(ctx context.Context, m *manifest, window []relation.T
 			return nil, tail, true, nil
 		}
 	}
-	streams, err := s.encodeChunks(chunks, sizes)
+	streams, fences, err := s.encodeChunks(chunks, sizes)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	refs, err = s.commitChunks(ctx, m, chunks, streams)
+	refs, err = s.commitChunks(ctx, m, streams, fences)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	return refs, tail, false, nil
 }
 
-// scanResult carries one decoded block through the scan pipeline.
+// scanResult carries one decoded block through the scan pipeline: on a
+// restore scan with its fence, and its tuples in a pooled arena that goes
+// back to the pool once the visitor has run.
 type scanResult struct {
 	tuples []relation.Tuple
+	fence  Fence
+	arena  *core.Arena
 	err    error
 }
 
 // scanPages decodes the blocks on pages ids on the workers with bounded
 // lookahead and delivers them to fn strictly in clustered order;
-// ScanBlocksContext runs it on a snapshot's pages and Restore on the
-// layout it is about to publish. fn returning false (or a decode error,
-// or cancellation) stops the pipeline; in-flight workers are drained
-// before returning so no goroutine outlives the call.
-func (s *Store) scanPages(ctx context.Context, ids []storage.PageID, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
+// ScanBlocksContext runs it on a snapshot's pages and Restore, with
+// restore set, on the layout it is about to publish. A restore scan
+// captures each block's fence from its decode and decodes into pooled
+// arenas, one per block in flight, so fn must not retain the tuples; any
+// other scan decodes into a fresh arena per block, whose tuples fn owns.
+// fn returning false (or a decode error, or cancellation) stops the
+// pipeline; in-flight workers are drained before returning so no goroutine
+// outlives the call.
+func (s *Store) scanPages(ctx context.Context, ids []storage.PageID, restore bool, fn func(id storage.PageID, r *scanResult) bool) error {
 	workers := s.scanWorkers(len(ids))
 	futures := make(chan chan scanResult, workers*2)
 	sem := make(chan struct{}, workers)
@@ -283,8 +295,12 @@ func (s *Store) scanPages(ctx context.Context, ids []storage.PageID, fn func(id 
 			wg.Add(1)
 			go func(id storage.PageID, c chan<- scanResult) {
 				defer wg.Done()
-				tuples, err := s.decodeBlock(id, nil)
-				c <- scanResult{tuples, err}
+				var r scanResult
+				if restore {
+					r.arena = core.GetArena()
+				}
+				r.tuples, r.fence, r.err = s.decodePage(id, r.arena, restore)
+				c <- r
 				<-sem
 			}(id, c)
 		}
@@ -304,10 +320,13 @@ func (s *Store) scanPages(ctx context.Context, ids []storage.PageID, fn func(id 
 				err = r.err
 				stopped = true
 				close(done)
-			case !fn(ids[i], r.tuples):
+			case !fn(ids[i], &r):
 				stopped = true
 				close(done)
 			}
+		}
+		if r.arena != nil {
+			core.PutArena(r.arena)
 		}
 		i++
 	}

@@ -191,6 +191,12 @@ func Inspect(buf []byte) (BlockInfo, error) {
 // checkHeader verifies magic, codec, count, and checksum, returning the
 // payload body (header and checksum stripped).
 func checkHeader(buf []byte) (body []byte, count int, c Codec, err error) {
+	return readHeader(buf, true)
+}
+
+// readHeader is checkHeader that, with crc false, leaves the checksum
+// unread: for a stream the caller has just encoded or verified.
+func readHeader(buf []byte, crc bool) (body []byte, count int, c Codec, err error) {
 	if len(buf) < 2+1+crcSize {
 		return nil, 0, 0, ErrTruncated
 	}
@@ -202,9 +208,11 @@ func checkHeader(buf []byte) (body []byte, count int, c Codec, err error) {
 		return nil, 0, 0, fmt.Errorf("%w: %d", ErrBadCodec, buf[1])
 	}
 	payload := buf[: len(buf)-crcSize : len(buf)-crcSize]
-	want := binary.BigEndian.Uint32(buf[len(buf)-crcSize:])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, 0, 0, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
+	if crc {
+		want := binary.BigEndian.Uint32(buf[len(buf)-crcSize:])
+		if got := crc32.Checksum(payload, crcTable); got != want {
+			return nil, 0, 0, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
+		}
 	}
 	u, n := binary.Uvarint(payload[2:])
 	if n <= 0 {

@@ -346,17 +346,27 @@ func EditBlock(s *relation.Schema, stream []byte, sl Slab, e Edit, capacity int,
 // editedEntry returns position i of the edited run: an inserted tuple, or
 // a slab entry (written into dst on a φ slab).
 func editedEntry(s *relation.Schema, sl Slab, sps []splice, i int, dst relation.Tuple) relation.Tuple {
+	k, ins := editedSource(sps, i)
+	if ins != nil {
+		return ins
+	}
+	return sl.tuple(s, k, dst)
+}
+
+// editedSource resolves position i of the edited run: an inserted tuple,
+// or (ins nil) slab entry k.
+func editedSource(sps []splice, i int) (k int, ins relation.Tuple) {
 	shift := 0
 	for _, sp := range sps {
 		switch {
 		case i < sp.at+shift:
-			return sl.tuple(s, i-shift, dst)
+			return i - shift, nil
 		case i < sp.at+shift+len(sp.ins):
-			return sp.ins[i-sp.at-shift]
+			return 0, sp.ins[i-sp.at-shift]
 		}
 		shift += len(sp.ins) - sp.del
 	}
-	return sl.tuple(s, i-shift, dst)
+	return i - shift, nil
 }
 
 // copyBits appends bits [from, to) of src to w.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/relation"
 )
@@ -55,6 +56,47 @@ func DecodeTupleSpanArena(s *relation.Schema, buf []byte, from, to int, a *Arena
 	return l.span(from, to, a)
 }
 
+// DecodeAttr0SpanArena reconstructs the run of an encoded block's tuples
+// whose attribute 0 — the clustering attribute, nondecreasing in φ order —
+// lies in [lo, hi], carving them (and all chain scratch) out of the arena
+// like DecodeTupleSpanArena. It is the executor's partial decode on a
+// schema whose space exceeds 64 bits.
+//
+// With dir, the block's restart directory (BlockRestarts), it walks from
+// the last restart whose attribute 0 is below lo to the first whose is
+// above hi, then clips the run: O(k + span) differences. With a nil dir it
+// binary-searches the two bounds with one-tuple probes from the anchor
+// (SearchBlockArena's) and decodes the span between them.
+func DecodeAttr0SpanArena(s *relation.Schema, buf []byte, lo, hi uint64, dir *Restarts, a *Arena) ([]relation.Tuple, error) {
+	l, a, err := openBlock(s, buf, a)
+	if err == nil {
+		err = l.restart(dir)
+	}
+	if err != nil || l.count == 0 {
+		return nil, err
+	}
+	d := l.dir
+	if d == nil {
+		from, err := l.search(func(t relation.Tuple) bool { return t[0] >= lo }, a)
+		if err != nil {
+			return nil, err
+		}
+		to, err := l.search(func(t relation.Tuple) bool { return t[0] > hi }, a)
+		if err != nil || from >= to {
+			return nil, err
+		}
+		return l.span(from, to, a)
+	}
+	first, last := d.bracket(func(e int) uint64 { return d.attr0(s, e) }, lo, hi)
+	rows, err := l.span(d.pos(first), d.pos(last)+1, a)
+	if err != nil {
+		return nil, err
+	}
+	from := sort.Search(len(rows), func(i int) bool { return rows[i][0] >= lo })
+	to := sort.Search(len(rows), func(i int) bool { return rows[i][0] > hi })
+	return rows[from:max(from, to)], nil
+}
+
 // SearchBlockArena binary-searches an encoded block for the first position
 // at which pred becomes true. pred must be monotone over the block's phi
 // order (false...false true...true); the result is count when pred is
@@ -67,6 +109,11 @@ func SearchBlockArena(s *relation.Schema, buf []byte, pred func(relation.Tuple) 
 	if err != nil {
 		return 0, err
 	}
+	return l.search(pred, a)
+}
+
+// search is SearchBlockArena on a parsed layout.
+func (l *layout) search(pred func(relation.Tuple) bool, a *Arena) (int, error) {
 	lo, hi := 0, l.count
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

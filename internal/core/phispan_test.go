@@ -160,7 +160,7 @@ func TestPhiSpanZeroAllocs(t *testing.T) {
 		}
 		allocs = testing.AllocsPerRun(100, func() {
 			a.Reset()
-			if _, err := PhiSpanSlab(s, enc, lo, hi, a); err != nil {
+			if _, err := PhiSpanSlab(s, enc, lo, hi, nil, a); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -220,7 +220,7 @@ func twoWalkSpan(s *relation.Schema, data []byte, loPhi, hiPhi uint64) ([]relati
 
 // oneWalkSpan is PhiSpanSlab's span as tuples: each ordinal's digits.
 func oneWalkSpan(s *relation.Schema, data []byte, loPhi, hiPhi uint64) ([]relation.Tuple, error) {
-	phis, err := PhiSpanSlab(s, data, loPhi, hiPhi, nil)
+	phis, err := PhiSpanSlab(s, data, loPhi, hiPhi, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -352,7 +352,7 @@ func TestPhiSpanEndRule(t *testing.T) {
 	if _, _, err := PhiSpan(s, bad, phi, phi, nil); err == nil {
 		t.Fatal("PhiSpan stopping at the anchor accepted a trailing byte")
 	}
-	if _, err := PhiSpanSlab(s, bad, phi, phi, nil); err == nil {
+	if _, err := PhiSpanSlab(s, bad, phi, phi, nil, nil); err == nil {
 		t.Fatal("PhiSpanSlab stopping at the anchor accepted a trailing byte")
 	}
 }

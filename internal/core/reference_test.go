@@ -298,6 +298,7 @@ func checkShapesAgainstReference(t *testing.T, s *relation.Schema, data []byte) 
 	if !sameTuples(s, span, want) {
 		t.Fatalf("span [0,count) disagrees with the reference")
 	}
+	checkRestartShapes(t, s, data, want)
 	for idx := range want {
 		a.Reset()
 		tu, err := DecodeTupleAtArena(s, data, idx, a)
@@ -334,7 +335,7 @@ func checkShapesAgainstReference(t *testing.T, s *relation.Schema, data []byte) 
 				t.Fatalf("φ span [%d,%d] = [%d,%d), %v; reference [%d,%d)", r[0], r[1], from, to, err, wantFrom, wantTo)
 			}
 			a.Reset()
-			phis, err := PhiSpanSlab(s, data, r[0], r[1], a)
+			phis, err := PhiSpanSlab(s, data, r[0], r[1], nil, a)
 			if err != nil || !slices.Equal(phis, wantPhis[wantFrom:wantTo]) {
 				t.Fatalf("φ span slab [%d,%d] = %v, %v; reference %v", r[0], r[1], phis, err, wantPhis[wantFrom:wantTo])
 			}

@@ -5,7 +5,8 @@
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk and no-zeroed-object guards,
-# the full test suite, 10 s fuzz smokes of the block
+# the full test suite, the bench module's vet and tests (every ledger
+# workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
 # and of the server's wire (request decode, response encoding against
 # encoding/json), the crash matrix, the race-focused test run over the
@@ -58,6 +59,9 @@ if grep -rnE 'CodecRepOnly|CodecDeltaChain|maxFitBracketed|core\.MaxFit\(|WithCo
 # (core's layout.walk); keep the digit-vector chain — ordinal.AddFrom /
 # SubFrom over parked difference tuples, walkTuples — from growing back.
 if grep -rnE 'ordinal\.(AddFrom|SubFrom)|walkTuples' --include='*.go' internal/core; then echo "digit-vector chain walk found in internal/core; walk the chain in split-ordinal form (layout.walk)" >&2; exit 1; fi
+# A partial decode walks from the block's nearest restart (the fence's
+# core.Restarts); keep the anchor-walk probes from growing back in exec.
+if grep -n 'SearchBlockArena' internal/exec/*.go | grep -v '_test\.go:'; then echo "exec probes a block with SearchBlockArena; decode the span from the fence's restart directory (core.DecodeAttr0SpanArena)" >&2; exit 1; fi
 # An object-backed page costs one object write, its first Write: the
 # pager's Allocate writes nothing (a fresh page reads as zeros from
 # memory); keep the zeroed-object PUT from growing back.
@@ -65,6 +69,13 @@ if awk '/^func \(p \*Pager\) Allocate\(/,/^}/' internal/backend/pager.go | grep 
 
 echo "== go test"
 go test ./...
+
+echo "== bench module (go vet + go test: every workload timed and traced at 20k tuples)"
+# bench/ is a nested module that ./... does not reach. Its TestEveryWorkload
+# replays every traced read on a twin store and fails on engine stats that
+# disagree, so a change to which blocks the executor reads or partially
+# decodes fails here rather than in a ledger run.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== decode fuzz smoke (every decode shape against the reference decoder)"
 go test -run '^$' -fuzz FuzzDecodeBlock -fuzztime 10s ./internal/core
