@@ -5,15 +5,15 @@
 //
 // The analyzers enforce invariants the Go type system cannot express but
 // the storage stack depends on, each kept because a seeded defect of its
-// class got past every test: every buffer-pool pin reaches an unpin on
-// every control-flow path, every manifest snapshot reaches a Release on
-// every path, a Frame.Data slice is never used after its frame is
-// unpinned, a ctx in scope is threaded down to the work it bounds, an
-// error from the durable substrate is never dropped, ordinal and offset
-// arithmetic never truncates through a narrowing conversion, and a
-// forwarded error keeps its chain. The flow-sensitive rules (pinflow,
-// snapflow) run a worklist fixpoint over a per-function CFG (cfg.go,
-// dataflow.go, resflow.go); see the per-analyzer files for details.
+// class got past every test: a ctx in scope is threaded down to the work
+// it bounds, an error from the durable substrate is never dropped, ordinal
+// and offset arithmetic never truncates through a narrowing conversion,
+// and a forwarded error keeps its chain. Each is a syntactic, per-call
+// check over the typed AST; see the per-analyzer files for details. Pin
+// and snapshot balance is not a lint rule: the block store reads every
+// page through one scoped view (blockstore's viewStream), and the test
+// constructors fail any test that ends with a frame pinned or a snapshot
+// live.
 //
 // A finding can be suppressed by placing a comment of the form
 //
@@ -83,9 +83,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 // register themselves here.
 func Registry() []*Analyzer {
 	all := []*Analyzer{
-		AnalyzerPinFlow,
-		AnalyzerSnapFlow,
-		AnalyzerFrameAlias,
 		AnalyzerCtxFlow,
 		AnalyzerDroppedErr,
 		AnalyzerOrdWidth,

@@ -48,23 +48,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		want []string
 	}{
 		{
-			rule: "pinflow",
-			want: []string{
-				`pinflow.go:22:12: frame "f" pinned by Pool.Get is unpinned on some paths but leaks on others`,
-				`pinflow.go:64:12: frame "f" pinned by Pool.Get is unpinned on some paths but leaks on others`,
-				`pinflow.go:77:12: frame "f" pinned by Pool.Get is never unpinned in this function`,
-				`pinflow.go:87:2: frame pinned by Pool.Allocate is discarded; it can never be unpinned`,
-			},
-		},
-		{
-			rule: "snapflow",
-			want: []string{
-				`snapflow.go:19:8: snapshot "sn" from Store.Snapshot is never released in this function`,
-				`snapflow.go:25:8: snapshot "sn" from Store.Snapshot is released on some paths but leaks on others`,
-				`snapflow.go:36:2: snapshot from Store.Snapshot is discarded; its manifest refcount can never be released`,
-			},
-		},
-		{
 			rule: "ctxflow",
 			want: []string{
 				`ctxflow.go:24:23: context.Background() inside a function that already has a ctx parameter; thread "ctx" instead`,
@@ -72,14 +55,6 @@ func TestAnalyzersGolden(t *testing.T) {
 				`ctxflow.go:38:23: context.Background() severs cancellation from every caller; accept a ctx parameter`,
 				`ctxflow.go:44:9: call to Scan drops the in-scope ctx; use ScanContext instead`,
 				`ctxflow.go:55:2: loop reads blocks but never consults "ctx"; check ctx.Err() between iterations or use a Context-aware read`,
-			},
-		},
-		{
-			rule: "framealias",
-			want: []string{
-				`framealias.go:25:31: use of "data", a Frame.Data() slice of frame "f", after the frame's Unpin`,
-				`framealias.go:26:9: use of "data", a Frame.Data() slice of frame "f", after the frame's Unpin`,
-				`framealias.go:38:13: Frame.Data() called on frame "f" after its Unpin`,
 			},
 		},
 		{
@@ -131,38 +106,11 @@ func TestAnalyzersGolden(t *testing.T) {
 	}
 }
 
-// TestPinflowSubsumesUnpinpair runs pinflow over the retired unpinpair
-// rule's fixture: every defect the old flow-insensitive rule caught is
-// still caught, at the same position with the same message. (The fixture's
-// suppression directive names the old rule, so its planted leak surfaces
-// here too — under pinflow it needs an updated directive.) The leak class
-// pinflow adds on top — unpinned on one branch, leaked on another, which
-// unpinpair's "any Unpin anywhere" check was blind to — is pinned down by
-// the branchLeak case of the pinflow golden fixture above.
-func TestPinflowSubsumesUnpinpair(t *testing.T) {
-	pkg := loadFixture(t, "unpinpair")
-	got := render(RunAnalyzers(pkg, []*Analyzer{Lookup("pinflow")}))
-	want := []string{
-		`unpinpair.go:12:12: frame "f" pinned by Pool.Get is never unpinned in this function`,
-		`unpinpair.go:21:2: frame pinned by Pool.Allocate is discarded; it can never be unpinned`,
-		`unpinpair.go:26:12: frame pinned by Pool.Get is discarded; it can never be unpinned`,
-		`unpinpair.go:32:12: frame "f" pinned by Pool.Get is never unpinned in this function`,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d diagnostics, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("diagnostic %d:\ngot:  %s\nwant: %s", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSuppression checks the directive machinery directly: same line,
 // preceding line, rule mismatch, and the "all" wildcard.
 func TestSuppression(t *testing.T) {
 	pkg := &Package{ignores: []ignoreDirective{
-		{file: "a.go", line: 10, rule: "unpinpair"},
+		{file: "a.go", line: 10, rule: "errwrap"},
 		{file: "a.go", line: 20, rule: "all"},
 	}}
 	cases := []struct {
@@ -171,12 +119,12 @@ func TestSuppression(t *testing.T) {
 		rule string
 		want bool
 	}{
-		{"a.go", 10, "unpinpair", true},  // same line
-		{"a.go", 11, "unpinpair", true},  // line below the directive
-		{"a.go", 12, "unpinpair", false}, // too far
+		{"a.go", 10, "errwrap", true},  // same line
+		{"a.go", 11, "errwrap", true},  // line below the directive
+		{"a.go", 12, "errwrap", false}, // too far
 		{"a.go", 10, "droppederr", false},
-		{"b.go", 10, "unpinpair", false}, // other file
-		{"a.go", 20, "ordwidth", true},   // wildcard
+		{"b.go", 10, "errwrap", false}, // other file
+		{"a.go", 20, "ordwidth", true}, // wildcard
 		{"a.go", 21, "lockbalance", true},
 	}
 	for _, c := range cases {
@@ -192,10 +140,10 @@ func TestSuppression(t *testing.T) {
 // and the "all" wildcard pass.
 func TestValidateIgnores(t *testing.T) {
 	pkg := &Package{ignores: []ignoreDirective{
-		{file: "a.go", line: 4, col: 2, rule: "pinflow"},
-		{file: "a.go", line: 9, col: 30, rule: "unpinpair"}, // retired name
+		{file: "a.go", line: 4, col: 2, rule: "ctxflow"},
+		{file: "a.go", line: 9, col: 30, rule: "pinflow"}, // retired name
 		{file: "b.go", line: 1, col: 1, rule: "all"},
-		{file: "b.go", line: 7, col: 1, rule: "pinfow"}, // typo
+		{file: "b.go", line: 7, col: 1, rule: "ctxflwo"}, // typo
 	}}
 	var rules []string
 	for _, a := range Registry() {
@@ -204,8 +152,8 @@ func TestValidateIgnores(t *testing.T) {
 	list := strings.Join(rules, ", ")
 	got := render(ValidateIgnores(pkg))
 	want := []string{
-		`a.go:9:30: //avqlint:ignore names unknown rule "unpinpair"; the rules are ` + list,
-		`b.go:7:1: //avqlint:ignore names unknown rule "pinfow"; the rules are ` + list,
+		`a.go:9:30: //avqlint:ignore names unknown rule "pinflow"; the rules are ` + list,
+		`b.go:7:1: //avqlint:ignore names unknown rule "ctxflwo"; the rules are ` + list,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -213,11 +161,11 @@ func TestValidateIgnores(t *testing.T) {
 }
 
 // TestSuppressionForms proves both directive placements end to end on real
-// fixtures: the pinflow fixture suppresses with a trailing same-line
+// fixtures: the droppederr fixture suppresses with a trailing same-line
 // comment, the ctxflow fixture with a standalone comment on the line
 // above. Both planted defects must stay silent under their rule.
 func TestSuppressionForms(t *testing.T) {
-	for rule, fn := range map[string]string{"pinflow": "suppressedBranchLeak", "ctxflow": "suppressed"} {
+	for rule, fn := range map[string]string{"droppederr": "suppressedClose", "ctxflow": "suppressed"} {
 		pkg := loadFixture(t, rule)
 		for _, d := range RunAnalyzers(pkg, []*Analyzer{Lookup(rule)}) {
 			t.Logf("%s: %s", rule, d)
@@ -238,7 +186,7 @@ func TestSuppressionForms(t *testing.T) {
 
 // TestRegistry checks the full analyzer set is registered and named.
 func TestRegistry(t *testing.T) {
-	want := []string{"ctxflow", "droppederr", "errwrap", "framealias", "ordwidth", "pinflow", "snapflow"}
+	want := []string{"ctxflow", "droppederr", "errwrap", "ordwidth"}
 	var got []string
 	for _, a := range Registry() {
 		got = append(got, a.Name)
@@ -290,7 +238,7 @@ func TestLoader(t *testing.T) {
 	}
 	// A fixture importing module-internal packages resolves through the
 	// loader's importer.
-	fix, err := l.LoadDir(filepath.Join("testdata", "src", "unpinpair"))
+	fix, err := l.LoadDir(filepath.Join("testdata", "src", "droppederr"))
 	if err != nil {
 		t.Fatalf("fixture load: %v", err)
 	}
@@ -313,5 +261,18 @@ func TestLoadAllSkipsNestedModules(t *testing.T) {
 	}
 	if len(pkgs) != 1 || !strings.HasSuffix(pkgs[0].Path, "nestedmod") {
 		t.Fatalf("LoadAll loaded %d packages (%v), want only the outer one", len(pkgs), pkgs)
+	}
+}
+
+// TestLoaderHonoursBuildConstraints: a //go:build race file and its !race
+// twin declare the same name; the loader type-checks the default build's
+// files only, so the pair loads as one declaration.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	pkg := loadFixture(t, "buildtags")
+	if len(pkg.Files) != 1 {
+		t.Fatalf("loaded %d files, want the !race one only", len(pkg.Files))
+	}
+	if name := filepath.Base(pkg.Fset.Position(pkg.Files[0].Pos()).Filename); name != "off.go" {
+		t.Fatalf("loaded %s, want off.go", name)
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -148,6 +149,14 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Build constraints select the files of the default build, as the
+		// go tool does: a //go:build race file and its !race twin are one
+		// declaration, not two.
+		if ok, err := build.Default.MatchFile(abs, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

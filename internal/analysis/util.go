@@ -65,16 +65,6 @@ func isErrorType(t types.Type) bool {
 	return ok && n.Obj().Pkg() == nil && n.Obj().Name() == "error"
 }
 
-// identObj resolves e to the object of a plain identifier, or nil when e is
-// not a simple identifier (or is the blank identifier).
-func identObj(pkg *Package, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	return pkg.Info.ObjectOf(id)
-}
-
 // unparen strips any number of surrounding parentheses.
 func unparen(e ast.Expr) ast.Expr {
 	for {
@@ -84,25 +74,6 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// bufferPkg suffix-matches the buffer-pool package that defines Pool and
-// Frame.
-const bufferPkg = "internal/buffer"
-
-// isPoolMethod reports whether call invokes the named method on a
-// buffer.Pool receiver, returning the receiver expression.
-func isPoolMethod(pkg *Package, call *ast.CallExpr, names ...string) (ast.Expr, string, bool) {
-	recv, name, ok := methodCall(pkg, call)
-	if !ok || !namedFrom(pkg.Info.TypeOf(recv), bufferPkg, "Pool") {
-		return nil, "", false
-	}
-	for _, n := range names {
-		if name == n {
-			return recv, name, true
-		}
-	}
-	return nil, "", false
 }
 
 // walkWithStack traverses n, calling fn with each node and the stack of its
@@ -118,12 +89,4 @@ func walkWithStack(n ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// parentOf returns the immediate ancestor from a walkWithStack stack.
-func parentOf(stack []ast.Node) ast.Node {
-	if len(stack) == 0 {
-		return nil
-	}
-	return stack[len(stack)-1]
 }

@@ -104,6 +104,11 @@ type Store struct {
 	// MutationResult (see SetRunTuples).
 	runTuples bool
 
+	// viewBuf is the copy a race build's viewStream hands its callback,
+	// kept for the next view so a steady-state read allocates nothing
+	// there either (see viewCopy); nil while a view holds it.
+	viewBuf atomic.Pointer[[]byte]
+
 	// hook, when set, observes every manifest publication on the mutation
 	// path (see SetCommitHook). Called by the single mutator, after the
 	// publish, so implementations see the post-commit state.
@@ -342,13 +347,61 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 	}
 }
 
+// viewStream is the store's one read of a page: it pins page id through
+// the pool, applies the page framing — a length prefix beyond the page's
+// stream capacity is ErrCorruptBlock naming the page — and calls fn on the
+// coded stream the page holds, then unpins, joining the unpin's error to
+// fn's. stream is the pinned frame's own memory and is valid only inside
+// fn: anything fn needs afterwards it copies or decodes out. A race build
+// enforces that (poisonViews): fn gets a copy, overwritten with viewPoison
+// once fn returns, so a slice kept past the callback decodes to garbage.
+func (s *Store) viewStream(id storage.PageID, fn func(stream []byte) error) error {
+	frame, err := s.pool.Get(id)
+	if err != nil {
+		return err
+	}
+	data := frame.Data()
+	if l := int(binary.BigEndian.Uint32(data[:lenPrefix])); l > s.capacity() {
+		err = fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
+	} else if poisonViews {
+		err = s.viewCopy(data[lenPrefix:lenPrefix+l], fn)
+	} else {
+		err = fn(data[lenPrefix : lenPrefix+l])
+	}
+	if uerr := s.pool.Unpin(frame); uerr != nil {
+		err = errors.Join(err, uerr)
+	}
+	return err
+}
+
+// viewPoison is the byte a race build's viewStream overwrites its
+// callback's copy of the stream with once the callback returns.
+const viewPoison = 0xA5
+
+// viewCopy calls fn on a copy of stream and then poisons the copy: the race
+// build's half of viewStream. The copy's buffer is reused by the next view.
+func (s *Store) viewCopy(stream []byte, fn func([]byte) error) error {
+	buf := s.viewBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	c := append((*buf)[:0], stream...)
+	err := fn(c)
+	for i := range c {
+		c[i] = viewPoison
+	}
+	*buf = c
+	s.viewBuf.Store(buf)
+	return err
+}
+
 // writeStream copies a coded block stream onto a freshly allocated page:
 // the length prefix, the stream, and a zeroed tail, so stale bytes from a
-// previous, longer block cannot survive on the page. On failure the page
-// is released again, so an unpin error never strands an allocated page
-// outside the block list. The load pipeline's committer calls it in chunk
-// order, so page allocation order is decided serially even though
-// encoding was not.
+// previous, longer block cannot survive on the page. It is the write side
+// of viewStream's framing. On failure the page is released again, so an
+// unpin error never strands an allocated page outside the block list. The
+// load pipeline's committer calls it in chunk order, so page allocation
+// order is decided serially even though encoding was not.
 func (s *Store) writeStream(stream []byte) (storage.PageID, error) {
 	if len(stream) > s.capacity() {
 		return 0, fmt.Errorf("blockstore: coded stream %d bytes exceeds page capacity %d", len(stream), s.capacity())
@@ -382,27 +435,22 @@ func (s *Store) decodeBlock(id storage.PageID, a *core.Arena) ([]relation.Tuple,
 // decodePage is decodeBlock that, when fence is set, also captures a
 // non-empty block's fence from the same decode and the stream on the page
 // (Restore's one pass).
-func (s *Store) decodePage(id storage.PageID, a *core.Arena, fence bool) ([]relation.Tuple, Fence, error) {
-	frame, err := s.pool.Get(id)
+func (s *Store) decodePage(id storage.PageID, a *core.Arena, fence bool) (tuples []relation.Tuple, f Fence, err error) {
+	err = s.viewStream(id, func(stream []byte) error {
+		t0 := s.decodeStart()
+		var err error
+		tuples, err = core.DecodeBlockArena(s.schema, stream, a)
+		s.decodeDone(t0)
+		if err == nil && fence && len(tuples) > 0 {
+			f, err = s.fenceFor(tuples, stream)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, Fence{}, err
-	}
-	defer s.pool.Unpin(frame)
-	data := frame.Data()
-	l := binary.BigEndian.Uint32(data[:lenPrefix])
-	if int(l) > s.capacity() {
-		return nil, Fence{}, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
-	}
-	stream := data[lenPrefix : lenPrefix+int(l)]
-	t0 := s.decodeStart()
-	tuples, err := core.DecodeBlockArena(s.schema, stream, a)
-	s.decodeDone(t0)
-	var f Fence
-	if err == nil && fence && len(tuples) > 0 {
-		f, err = s.fenceFor(tuples, stream)
-	}
-	if err != nil {
-		return nil, Fence{}, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
 	}
 	return tuples, f, nil
 }
@@ -847,22 +895,14 @@ func (st Stats) StreamSavingsPercent() float64 {
 }
 
 // inspectBlock validates one block's stream header without decoding it.
-func (s *Store) inspectBlock(id storage.PageID) (core.BlockInfo, error) {
-	frame, err := s.pool.Get(id)
-	if err != nil {
-		return core.BlockInfo{}, err
-	}
-	data := frame.Data()
-	l := int(binary.BigEndian.Uint32(data[:lenPrefix]))
-	var info core.BlockInfo
-	if l > s.capacity() {
-		err = fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
-	} else if info, err = core.Inspect(data[lenPrefix : lenPrefix+l]); err != nil {
-		err = fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
-	}
-	if uerr := s.pool.Unpin(frame); err == nil {
-		err = uerr
-	}
+func (s *Store) inspectBlock(id storage.PageID) (info core.BlockInfo, err error) {
+	err = s.viewStream(id, func(stream []byte) error {
+		var err error
+		if info, err = core.Inspect(stream); err != nil {
+			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return core.BlockInfo{}, err
 	}

@@ -41,10 +41,28 @@ func newSchemaStore(t testing.TB, schema *relation.Schema, codec core.Codec, pag
 	if err != nil {
 		t.Fatal(err)
 	}
+	return poolStore(t, schema, codec, pool)
+}
+
+// poolStore is New for a test: it fails t on error and, once the test is
+// over, fails it again if the pool still holds a pinned frame or the store
+// a live snapshot — every read and scan must give back what it took, on
+// its error paths as much as on its success path. The tests build their
+// stores through it.
+func poolStore(t testing.TB, schema *relation.Schema, codec core.Codec, pool *buffer.Pool) *Store {
+	t.Helper()
 	s, err := New(schema, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if n := s.pool.PinnedFrames(); n != 0 {
+			t.Errorf("%d buffer-pool frames still pinned at the end of the test", n)
+		}
+		if n := s.LiveSnapshots(); n != 0 {
+			t.Errorf("%d snapshots still live at the end of the test", n)
+		}
+	})
 	return s
 }
 
@@ -457,10 +475,7 @@ func TestNewRejectsBadCodec(t *testing.T) {
 func TestRestore(t *testing.T) {
 	pager, _ := storage.NewMemPager(512)
 	pool, _ := buffer.New(pager, nil, 16)
-	src, err := New(testSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 	tuples := randomTuples(t, 400, 20)
 	if _, err := src.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -473,10 +488,7 @@ func TestRestore(t *testing.T) {
 	// at four, each block is offered to the visitor exactly once, in
 	// clustered order, and its fence is captured from that same decode.
 	for _, conc := range []int{1, 4} {
-		dst, err := New(testSchema(t), core.CodecAVQ, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 		dst.workers = conc
 		var visited []storage.PageID
 		count := 0
@@ -505,10 +517,7 @@ func TestRestore(t *testing.T) {
 			t.Fatal("restore into non-empty store accepted")
 		}
 	}
-	dup, err := New(testSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dup := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 	if err := dup.Restore(ctx, []storage.PageID{layout[0], layout[1], layout[0]}, ignore); err == nil {
 		t.Fatal("duplicate layout accepted")
 	}
@@ -523,10 +532,7 @@ func TestRestore(t *testing.T) {
 func TestRestoreRejectsDisorder(t *testing.T) {
 	pager, _ := storage.NewMemPager(512)
 	pool, _ := buffer.New(pager, nil, 16)
-	src, err := New(testSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 	if _, err := src.BulkLoadContext(context.Background(), randomTuples(t, 400, 24)); err != nil {
 		t.Fatal(err)
 	}
@@ -536,13 +542,10 @@ func TestRestoreRejectsDisorder(t *testing.T) {
 	}
 	slices.Reverse(layout[1:])
 	for _, conc := range []int{1, 4} {
-		dst, err := New(testSchema(t), core.CodecAVQ, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dst := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 		dst.workers = conc
 		visits := 0
-		err = dst.Restore(context.Background(), layout, func(storage.PageID, []relation.Tuple) { visits++ })
+		err := dst.Restore(context.Background(), layout, func(storage.PageID, []relation.Tuple) { visits++ })
 		if !errors.Is(err, ErrCorruptBlock) {
 			t.Fatalf("conc=%d: out-of-order layout: err = %v, want ErrCorruptBlock", conc, err)
 		}

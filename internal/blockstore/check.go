@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -44,105 +43,97 @@ func (s *Store) Check() error {
 	}
 	m := s.man.Load()
 	for i, id := range m.pages() {
-		// Header and stream validation against the raw page.
-		frame, err := s.pool.Get(id)
-		if err != nil {
-			return fmt.Errorf("blockstore: check block %d: %w", i, err)
+		if err := s.viewStream(id, func(stream []byte) error { return s.checkBlock(m, i, stream) }); err != nil {
+			return err
 		}
-		data := frame.Data()
-		l := int(binary.BigEndian.Uint32(data[:lenPrefix]))
-		var info core.BlockInfo
-		if l > s.capacity() {
-			err = fmt.Errorf("%w: block %d header claims %d stream bytes, page capacity is %d", ErrCorruptBlock, i, l, s.capacity())
-		} else {
-			info, err = core.Inspect(data[lenPrefix : lenPrefix+l])
-		}
-		stream := append([]byte(nil), data[lenPrefix:lenPrefix+min(l, s.capacity())]...)
-		if uerr := s.pool.Unpin(frame); err == nil {
-			err = uerr
-		}
-		if err != nil {
-			return fmt.Errorf("blockstore: check block %d: %w", i, err)
-		}
-		if info.Codec != s.codec {
-			return fmt.Errorf("blockstore: block %d coded with %v, store uses %v", i, info.Codec, s.codec)
-		}
+	}
+	return nil
+}
 
-		// Every stored difference must decode back to a tuple in range.
-		tuples, err := core.DecodeBlockArena(s.schema, stream, nil)
-		if err != nil {
-			return fmt.Errorf("blockstore: check block %d: %w", i, err)
-		}
-		if len(tuples) != info.TupleCount {
-			return fmt.Errorf("blockstore: block %d header says %d tuples, %d decoded", i, info.TupleCount, len(tuples))
-		}
-		if info.RepIndex < 0 || info.RepIndex >= len(tuples) {
-			return fmt.Errorf("blockstore: block %d representative index %d out of range [0,%d)", i, info.RepIndex, len(tuples))
-		}
-		anchor, err := core.DecodeTupleAtArena(s.schema, stream, info.RepIndex, nil)
-		if err != nil {
-			return fmt.Errorf("blockstore: check block %d anchor: %w", i, err)
-		}
-		if s.schema.Compare(anchor, tuples[info.RepIndex]) != 0 {
-			return fmt.Errorf("blockstore: block %d anchor decode disagrees with full decode at ordinal %d", i, info.RepIndex)
-		}
-		canon, err := core.EncodeBlock(s.codec, s.schema, tuples, nil)
-		if err != nil {
-			return fmt.Errorf("blockstore: check block %d re-encode: %w", i, err)
-		}
-		if !bytes.Equal(canon, stream) {
-			return fmt.Errorf("blockstore: block %d stream (%d bytes) is not the EncodeBlock stream of its tuples (%d bytes)", i, len(stream), len(canon))
-		}
-		// The fence's restart directory must walk the whole block to the
-		// same tuples, every entry checked on the way.
-		dir := m.fence(i).Restarts
-		want, err := core.BlockRestarts(s.schema, stream, tuples)
+// checkBlock is Check of block i of m, whose coded stream is stream.
+func (s *Store) checkBlock(m *manifest, i int, stream []byte) error {
+	info, err := core.Inspect(stream)
+	if err != nil {
+		return fmt.Errorf("%w: check block %d: %w", ErrCorruptBlock, i, err)
+	}
+	if info.Codec != s.codec {
+		return fmt.Errorf("blockstore: block %d coded with %v, store uses %v", i, info.Codec, s.codec)
+	}
+
+	// Every stored difference must decode back to a tuple in range.
+	tuples, err := core.DecodeBlockArena(s.schema, stream, nil)
+	if err != nil {
+		return fmt.Errorf("blockstore: check block %d: %w", i, err)
+	}
+	if len(tuples) != info.TupleCount {
+		return fmt.Errorf("blockstore: block %d header says %d tuples, %d decoded", i, info.TupleCount, len(tuples))
+	}
+	if info.RepIndex < 0 || info.RepIndex >= len(tuples) {
+		return fmt.Errorf("blockstore: block %d representative index %d out of range [0,%d)", i, info.RepIndex, len(tuples))
+	}
+	anchor, err := core.DecodeTupleAtArena(s.schema, stream, info.RepIndex, nil)
+	if err != nil {
+		return fmt.Errorf("blockstore: check block %d anchor: %w", i, err)
+	}
+	if s.schema.Compare(anchor, tuples[info.RepIndex]) != 0 {
+		return fmt.Errorf("blockstore: block %d anchor decode disagrees with full decode at ordinal %d", i, info.RepIndex)
+	}
+	canon, err := core.EncodeBlock(s.codec, s.schema, tuples, nil)
+	if err != nil {
+		return fmt.Errorf("blockstore: check block %d re-encode: %w", i, err)
+	}
+	if !bytes.Equal(canon, stream) {
+		return fmt.Errorf("blockstore: block %d stream (%d bytes) is not the EncodeBlock stream of its tuples (%d bytes)", i, len(stream), len(canon))
+	}
+	// The fence's restart directory must walk the whole block to the
+	// same tuples, every entry checked on the way.
+	dir := m.fence(i).Restarts
+	want, err := core.BlockRestarts(s.schema, stream, tuples)
+	if err != nil {
+		return fmt.Errorf("blockstore: check block %d restarts: %w", i, err)
+	}
+	if (dir != nil) != (want != nil) {
+		return fmt.Errorf("blockstore: block %d fence has restart directory %v for a %d-tuple %v block", i, dir != nil, len(tuples), s.codec)
+	}
+	if dir != nil {
+		walked, err := core.DecodeAttr0SpanArena(s.schema, stream, 0, math.MaxUint64, dir, nil)
 		if err != nil {
 			return fmt.Errorf("blockstore: check block %d restarts: %w", i, err)
 		}
-		if (dir != nil) != (want != nil) {
-			return fmt.Errorf("blockstore: block %d fence has restart directory %v for a %d-tuple %v block", i, dir != nil, len(tuples), s.codec)
+		if len(walked) != len(tuples) {
+			return fmt.Errorf("blockstore: block %d: the walk from its restarts yields %d of %d tuples", i, len(walked), len(tuples))
 		}
-		if dir != nil {
-			walked, err := core.DecodeAttr0SpanArena(s.schema, stream, 0, math.MaxUint64, dir, nil)
-			if err != nil {
-				return fmt.Errorf("blockstore: check block %d restarts: %w", i, err)
-			}
-			if len(walked) != len(tuples) {
-				return fmt.Errorf("blockstore: block %d: the walk from its restarts yields %d of %d tuples", i, len(walked), len(tuples))
-			}
-			for j, tu := range walked {
-				if s.schema.Compare(tu, tuples[j]) != 0 {
-					return fmt.Errorf("blockstore: block %d: the walk from its restarts disagrees with the full decode at ordinal %d", i, j)
-				}
+		for j, tu := range walked {
+			if s.schema.Compare(tu, tuples[j]) != 0 {
+				return fmt.Errorf("blockstore: block %d: the walk from its restarts disagrees with the full decode at ordinal %d", i, j)
 			}
 		}
-		var next relation.Tuple // first tuple of the following block, if any
-		if i+1 < m.n {
-			next = m.fence(i + 1).First
+	}
+	var next relation.Tuple // first tuple of the following block, if any
+	if i+1 < m.n {
+		next = m.fence(i + 1).First
+	}
+	for j, tu := range tuples {
+		if err := s.schema.ValidateTuple(tu); err != nil {
+			return fmt.Errorf("blockstore: block %d tuple %d outside schema space: %w", i, j, err)
 		}
-		for j, tu := range tuples {
-			if err := s.schema.ValidateTuple(tu); err != nil {
-				return fmt.Errorf("blockstore: block %d tuple %d outside schema space: %w", i, j, err)
-			}
-			if s.schema.Compare(tu, tuples[0]) < 0 {
-				return fmt.Errorf("blockstore: block %d tuple %d below the block's first tuple", i, j)
-			}
-			if next != nil && s.schema.Compare(tu, next) > 0 {
-				return fmt.Errorf("blockstore: block %d tuple %d beyond the next block's first tuple", i, j)
-			}
+		if s.schema.Compare(tu, tuples[0]) < 0 {
+			return fmt.Errorf("blockstore: block %d tuple %d below the block's first tuple", i, j)
 		}
+		if next != nil && s.schema.Compare(tu, next) > 0 {
+			return fmt.Errorf("blockstore: block %d tuple %d beyond the next block's first tuple", i, j)
+		}
+	}
 
-		// Representative ordering, cross-checked in exact arithmetic.
-		if next != nil {
-			digitCmp := s.schema.Compare(tuples[0], next)
-			phiCmp := ordinal.Phi(s.schema, tuples[0]).Cmp(ordinal.Phi(s.schema, next))
-			if digitCmp > 0 {
-				return fmt.Errorf("blockstore: block %d first tuple above block %d first tuple", i, i+1)
-			}
-			if (digitCmp < 0) != (phiCmp < 0) || (digitCmp == 0) != (phiCmp == 0) {
-				return fmt.Errorf("blockstore: blocks %d/%d: digit comparison %d disagrees with φ comparison %d", i, i+1, digitCmp, phiCmp)
-			}
+	// Representative ordering, cross-checked in exact arithmetic.
+	if next != nil {
+		digitCmp := s.schema.Compare(tuples[0], next)
+		phiCmp := ordinal.Phi(s.schema, tuples[0]).Cmp(ordinal.Phi(s.schema, next))
+		if digitCmp > 0 {
+			return fmt.Errorf("blockstore: block %d first tuple above block %d first tuple", i, i+1)
+		}
+		if (digitCmp < 0) != (phiCmp < 0) || (digitCmp == 0) != (phiCmp == 0) {
+			return fmt.Errorf("blockstore: blocks %d/%d: digit comparison %d disagrees with φ comparison %d", i, i+1, digitCmp, phiCmp)
 		}
 	}
 	return nil

@@ -2,9 +2,11 @@ package blockstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -79,11 +81,115 @@ func TestErrCorruptBlock(t *testing.T) {
 	}
 }
 
+// pageReads reads block at of s through every Store entry point that
+// reads a page — the three snapshot reads, both checkers, both scans,
+// Contains, Restore into a second store over the same pool, and an Insert
+// and a Delete homed in the block — and returns each one's error. After
+// every call it requires that no frame is pinned and no snapshot is live,
+// so an error path that forgets its unpin or its release fails here.
+func pageReads(t *testing.T, s *Store, at int) map[string]error {
+	t.Helper()
+	ctx := context.Background()
+	homed := s.man.Load().fence(at).First.Clone()
+	snap := func(read func(sn *Snapshot) error) func() error {
+		return func() error {
+			sn := s.Snapshot()
+			defer sn.Release()
+			return read(sn)
+		}
+	}
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"ReadStreamInto", snap(func(sn *Snapshot) error { _, err := sn.ReadStreamInto(at, nil); return err })},
+		{"ReadBlockArena", snap(func(sn *Snapshot) error { _, err := sn.ReadBlockArena(at, core.NewArena()); return err })},
+		{"ReadPhis", snap(func(sn *Snapshot) error { _, _, err := sn.ReadPhis(at, core.NewArena(), nil); return err })},
+		{"Check", s.Check},
+		{"CheckInvariants", s.CheckInvariants},
+		{"ComputeStats", func() error { _, err := s.ComputeStats(); return err }},
+		{"ScanBlocksContext", func() error {
+			return s.ScanBlocksContext(ctx, func(storage.PageID, []relation.Tuple) bool { return true })
+		}},
+		{"Contains", func() error { _, err := s.Contains(homed); return err }},
+		{"Restore", func() error {
+			dst := poolStore(t, s.schema, s.codec, s.pool)
+			return dst.Restore(ctx, s.Blocks(), func(storage.PageID, []relation.Tuple) {})
+		}},
+		{"Insert", func() error { _, err := s.Insert(homed); return err }},
+		{"Delete", func() error { _, _, err := s.Delete(homed); return err }},
+	}
+	errs := map[string]error{}
+	for _, r := range reads {
+		errs[r.name] = r.read()
+		if n := s.pool.PinnedFrames(); n != 0 {
+			t.Errorf("%s left %d frames pinned", r.name, n)
+		}
+		if n := s.LiveSnapshots(); n != 0 {
+			t.Errorf("%s left %d snapshots live", r.name, n)
+		}
+	}
+	return errs
+}
+
 // TestErrCorruptBlockHeader covers the header-length corruption path,
-// which fails before the codec ever sees the stream.
+// which fails before the codec ever sees the stream: one block's length
+// prefix is set past the page capacity and the block is read through
+// every entry point (pageReads). Each must fail with ErrCorruptBlock and
+// give back its pin, on a cold pool and on one where the page is already
+// resident.
 func TestErrCorruptBlockHeader(t *testing.T) {
-	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 1)
-	if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 500, 8)); err != nil {
+	for _, warm := range []bool{false, true} {
+		s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, 4)
+		if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 2000, 12)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		at := s.NumBlocks() / 2
+		victim := s.Blocks()[at]
+		buf := make([]byte, pager.PageSize())
+		if err := pager.Read(victim, buf); err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(buf[:lenPrefix], uint32(s.capacity()+1))
+		if err := pager.Write(victim, buf); err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if err := s.CheckInvariants(); !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("warm-up CheckInvariants error = %v, want ErrCorruptBlock", err)
+			}
+		}
+		for name, err := range pageReads(t, s, at) {
+			if !errors.Is(err, ErrCorruptBlock) {
+				t.Errorf("warm=%v: %s error = %v, want ErrCorruptBlock", warm, name, err)
+			}
+		}
+	}
+}
+
+// TestPagerReadFailure fails every page read under a store whose pool
+// holds none of its pages: every entry point must return the pager's
+// error and give back its pin (pageReads), and once reads work again the
+// store must check clean, with no failed read cached in the pool.
+func TestPagerReadFailure(t *testing.T) {
+	mem, err := storage.NewMemPager(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := &faultPager{Pager: mem}
+	pool, err := buffer.New(fp, nil, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := poolStore(t, pipelineSchema(t), core.CodecAVQ, pool)
+	tuples := pipelineTuples(t, 2000, 13)
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Flush(); err != nil {
@@ -92,22 +198,22 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	victim := s.Blocks()[0]
-	buf := make([]byte, pager.PageSize())
-	if err := pager.Read(victim, buf); err != nil {
+	fp.failReads.Store(true)
+	for name, err := range pageReads(t, s, s.NumBlocks()/2) {
+		if !errors.Is(err, errInjectedRead) {
+			t.Errorf("%s error = %v, want the pager's read error", name, err)
+		}
+	}
+	fp.failReads.Store(false)
+	if err := s.Check(); err != nil {
+		t.Fatalf("Check after reads recovered: %v", err)
+	}
+	st, err := s.ComputeStats()
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf[0], buf[1], buf[2], buf[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if err := pager.Write(victim, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.decodeBlock(victim, nil); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("header-corrupt decode error = %v, want ErrCorruptBlock", err)
-	}
-	sn := s.Snapshot()
-	defer sn.Release()
-	if _, err := sn.ReadStream(0); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("header-corrupt ReadStream error = %v, want ErrCorruptBlock", err)
+	if st.Tuples != len(tuples) {
+		t.Fatalf("store holds %d tuples after the failed reads, want %d", st.Tuples, len(tuples))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/buffer"
@@ -38,10 +39,7 @@ func schemaStore(t testing.TB, schema *relation.Schema, codec core.Codec, pageSi
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(schema, codec, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := poolStore(t, schema, codec, pool)
 	s.workers = workers
 	return s, pager, pool
 }
@@ -481,16 +479,27 @@ func TestConcurrentScanVsRewriteRace(t *testing.T) {
 }
 
 // faultPager injects a failure into the Nth Allocate call, for rollback
-// fault-injection tests.
+// fault-injection tests, and into every Read while failReads is set.
 type faultPager struct {
 	storage.Pager
 	mu         sync.Mutex
 	allocs     int
 	failAlloc  int // fail the Nth allocate (1-based); 0 disables
 	injectedAt bool
+	failReads  atomic.Bool
 }
 
-var errInjected = errors.New("injected allocate failure")
+var (
+	errInjected     = errors.New("injected allocate failure")
+	errInjectedRead = errors.New("injected read failure")
+)
+
+func (p *faultPager) Read(id storage.PageID, buf []byte) error {
+	if p.failReads.Load() {
+		return errInjectedRead
+	}
+	return p.Pager.Read(id, buf)
+}
 
 func (p *faultPager) Allocate() (storage.PageID, error) {
 	p.mu.Lock()
@@ -519,10 +528,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(pipelineSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := poolStore(t, pipelineSchema(t), core.CodecAVQ, pool)
 	tuples := pipelineTuples(t, 800, 17)
 	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)

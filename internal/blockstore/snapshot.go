@@ -15,7 +15,6 @@
 package blockstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -330,25 +329,14 @@ func (sn *Snapshot) ReadStreamInto(i int, dst []byte) ([]byte, error) {
 
 // readStream appends a copy of the coded stream stored on page id to dst.
 func (s *Store) readStream(id storage.PageID, dst []byte) ([]byte, error) {
-	frame, err := s.pool.Get(id)
+	err := s.viewStream(id, func(stream []byte) error {
+		dst = append(dst, stream...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	data := frame.Data()
-	l := int(binary.BigEndian.Uint32(data[:lenPrefix]))
-	var stream []byte
-	if l > s.capacity() {
-		err = fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
-	} else {
-		stream = append(dst, data[lenPrefix:lenPrefix+l]...)
-	}
-	if uerr := s.pool.Unpin(frame); err == nil {
-		err = uerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return stream, nil
+	return dst, nil
 }
 
 // freeAll frees (or parks, while snapshots are live) the given block

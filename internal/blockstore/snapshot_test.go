@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -135,10 +136,7 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(testSchema(t), core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := poolStore(t, testSchema(t), core.CodecAVQ, pool)
 	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 6000, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -187,5 +185,77 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 		if !slices.Equal(tuples[i], wantTuples[i]) {
 			t.Fatalf("decoded tuple %d changed when its page's frame was reused", i)
 		}
+	}
+}
+
+// TestConcurrentReadsShareFrames: readers on four goroutines cycle every
+// block through a pool of four frames, so each miss reads a page into a
+// buffer another goroutine's view held a moment before. Every read must
+// still match the block's stream and decode as read alone. A view that
+// reads its frame after the unpin races the next miss's load into it:
+// -race reports it, and without -race the read shows the other page.
+func TestConcurrentReadsShareFrames(t *testing.T) {
+	const readers = 4
+	s, _, pool := pipelineStore(t, core.CodecAVQ, 256, readers, 1)
+	if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 3000, 65)); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	n := sn.NumBlocks()
+	if n < 4*readers {
+		t.Fatalf("%d blocks; the test needs the pool to cycle", n)
+	}
+	streams := make([][]byte, n)
+	counts := make([]int, n)
+	for i := range n {
+		tuples, err := sn.ReadBlockArena(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = len(tuples)
+		if streams[i], err = sn.ReadStreamInto(i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := pool.Stats().Misses
+	errs := make(chan error, readers)
+	for g := range readers {
+		go func() {
+			errs <- func() error {
+				a := core.NewArena()
+				var buf []byte
+				for round := range 3 {
+					for k := range n {
+						i := (k*(g+1) + round) % n
+						a.Reset()
+						var phis []uint64
+						var err error
+						if phis, buf, err = sn.ReadPhis(i, a, buf); err != nil {
+							return err
+						}
+						if len(phis) != counts[i] || !bytes.Equal(buf, streams[i]) {
+							return fmt.Errorf("block %d read %d φs, %d stream bytes; want %d, %d", i, len(phis), len(buf), counts[i], len(streams[i]))
+						}
+						tuples, err := sn.ReadBlockArena(i, a)
+						if err != nil {
+							return err
+						}
+						if len(tuples) != counts[i] {
+							return fmt.Errorf("block %d decoded %d tuples, want %d", i, len(tuples), counts[i])
+						}
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for range readers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := pool.Stats().Misses - misses; got < int64(n) {
+		t.Fatalf("only %d misses over %d blocks; the pool did not cycle", got, n)
 	}
 }

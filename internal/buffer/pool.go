@@ -15,7 +15,8 @@
 // The new frame takes the victim's page buffer, so a steady-state miss
 // allocates no page memory — and a frame's Data must never be touched after
 // its Unpin, because the next miss may already be reading another page
-// into it. A freed frame's buffer is kept the same way, for the next new
+// into it (the block store's one page read, viewStream, scopes every pin
+// to a callback, and race builds poison what the callback was handed). A freed frame's buffer is kept the same way, for the next new
 // frame, so a write's Allocate and Free of a page allocate none either.
 package buffer
 
@@ -65,8 +66,10 @@ func (f *Frame) ID() storage.PageID { return f.id }
 // Data returns the page contents. The slice aliases pool memory: it is
 // valid only while the frame is pinned. After Unpin the pool may evict the
 // frame and read another page into the same buffer, so a use after Unpin
-// reads or corrupts a page someone else holds (avqlint's framealias rule
-// guards this).
+// reads or corrupts a page someone else holds. The block store reads
+// pages only through its scoped view (blockstore's viewStream), which
+// unpins after its callback returns; a race build poisons the callback's
+// copy of the stream then, so a slice kept past the view reads as garbage.
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the frame's data was modified and must be written

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/blockstore"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/ordinal"
@@ -132,10 +131,7 @@ func TestRunBatchNonFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := blockstore.New(wide, core.CodecAVQ, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := poolStore(t, wide, core.CodecAVQ, pool)
 	if _, err := store.BulkLoadContext(context.Background(), []relation.Tuple{{1, 2}, {3, 4}}); err != nil {
 		t.Fatal(err)
 	}

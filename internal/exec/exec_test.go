@@ -37,10 +37,27 @@ func newStoreFor(t testing.TB, schema *relation.Schema, codec core.Codec, pageSi
 	if err != nil {
 		t.Fatal(err)
 	}
+	return poolStore(t, schema, codec, pool)
+}
+
+// poolStore is blockstore.New for a test: it fails t on error and, once
+// the test is over, fails it again if the pool still holds a pinned frame
+// or the store a live snapshot — every pass, iterator and cursor must give
+// back what it took, on its error and cancellation paths too.
+func poolStore(t testing.TB, schema *relation.Schema, codec core.Codec, pool *buffer.Pool) *blockstore.Store {
+	t.Helper()
 	s, err := blockstore.New(schema, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Errorf("%d buffer-pool frames still pinned at the end of the test", n)
+		}
+		if n := s.LiveSnapshots(); n != 0 {
+			t.Errorf("%d snapshots still live at the end of the test", n)
+		}
+	})
 	return s
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/blockstore"
-	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/ordinal"
 	"repro/internal/relation"
@@ -121,18 +120,7 @@ func TestSeekStartedPassMatchesWalk(t *testing.T) {
 					}
 				}
 				s.SortTuples(tuples)
-				pager, err := storage.NewMemPager(256)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pool, err := buffer.New(pager, nil, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				store, err := blockstore.New(s, codec, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
+				store := newStoreFor(t, s, codec, 256)
 				if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 					t.Fatal(err)
 				}

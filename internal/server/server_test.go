@@ -35,7 +35,23 @@ func loadedTable(t *testing.T, n int) *table.Table {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tab.Close() })
+	checkLeaks(t, tab)
 	return tab
+}
+
+// checkLeaks fails t, once the test is over and before the engine's own
+// Close cleanup runs, if eng still holds a pinned buffer-pool frame or a
+// live snapshot: every request must give back what it took, on its error,
+// timeout and cancellation paths too.
+func checkLeaks(t *testing.T, eng Engine) {
+	t.Cleanup(func() {
+		if n := eng.PinnedFrames(); n != 0 {
+			t.Errorf("%d buffer-pool frames still pinned at the end of the test", n)
+		}
+		if n := eng.LiveSnapshots(); n != 0 {
+			t.Errorf("%d snapshots still live at the end of the test", n)
+		}
+	})
 }
 
 func testTuple(i int) relation.Tuple {

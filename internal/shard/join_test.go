@@ -41,7 +41,27 @@ func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table
 	if err := oracle.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
+	checkLeaks(t, db)
+	checkLeaks(t, oracle)
 	return db, oracle
+}
+
+// checkLeaks fails t, once the test is over and before the engine's own
+// Close cleanup runs, if e still holds a pinned buffer-pool frame or a
+// live snapshot: every pass, scatter-gather stream and join must give back
+// what it took, on its error and cancellation paths too.
+func checkLeaks(t *testing.T, e interface {
+	PinnedFrames() int
+	LiveSnapshots() int
+}) {
+	t.Cleanup(func() {
+		if n := e.PinnedFrames(); n != 0 {
+			t.Errorf("%d buffer-pool frames still pinned at the end of the test", n)
+		}
+		if n := e.LiveSnapshots(); n != 0 {
+			t.Errorf("%d snapshots still live at the end of the test", n)
+		}
+	})
 }
 
 func TestShardMergeJoinMatchesSingleTable(t *testing.T) {

@@ -2,8 +2,10 @@ package table
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -20,10 +22,7 @@ func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batc
 	s := testSchema(t)
 	mk := func(opts ...Option) *Table {
 		all := append([]Option{WithCodec(codec), WithPageSize(512)}, opts...)
-		tb, err := Create(s, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := createTable(t, s, all...)
 		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
@@ -136,6 +135,47 @@ func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 					got.Sum, got.Count, want, wantCount)
 			}
 		})
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on, so a pass that checks Err at every block boundary
+// stops after n blocks, in the middle of the table.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAggregateCancelledMidBatch cancels a batch aggregate after each of
+// its first blocks in turn: RunBatch must return the cancellation and the
+// pass must release its snapshot and every pin on that error path, as on
+// the success path (checked here after each pass, and by checkLeaks).
+func TestAggregateCancelledMidBatch(t *testing.T) {
+	tb, _ := newBatchPair(t, core.CodecAVQ, randomTuples(t, 2000, 43))
+	blocks := tb.store.NumBlocks()
+	if blocks < 4 {
+		t.Fatalf("%d blocks; the test needs a pass to stop in the middle", blocks)
+	}
+	for n := int64(1); n < int64(blocks)/2; n++ {
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.n.Store(n)
+		_, st, err := tb.AggregateRangeContext(ctx, 0, 0, 7, 2)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled after %d blocks: err = %v, want context.Canceled", n, err)
+		}
+		if st.BatchBlocks == 0 || st.BatchBlocks >= blocks {
+			t.Fatalf("cancelled after %d blocks: the pass read %d of %d blocks", n, st.BatchBlocks, blocks)
+		}
+		if p, sn := tb.PinnedFrames(), tb.LiveSnapshots(); p != 0 || sn != 0 {
+			t.Fatalf("cancelled after %d blocks: %d frames pinned, %d snapshots live", n, p, sn)
+		}
 	}
 }
 
@@ -314,10 +354,7 @@ func TestSyncBatchRouting(t *testing.T) {
 func TestBatchCountAllocsBounded(t *testing.T) {
 	tuples := randomTuples(t, 2000, 29)
 	s := testSchema(t)
-	tb, err := Create(s, WithCodec(core.CodecPacked), WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, s, WithCodec(core.CodecPacked), WithPageSize(512))
 	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,7 @@ func TestCursorSeek(t *testing.T) {
 		if s.Compare(tu, target) != 0 {
 			t.Fatalf("Seek landed on %v, want %v", tu, target)
 		}
+		c.Close()
 	}
 	// Seek past the end.
 	c := tb.NewCursorContext(context.Background())
@@ -81,8 +82,10 @@ func TestCursorSeek(t *testing.T) {
 	if ok && s.Compare(tu, relation.Tuple{7, 15, 63, 63, 4095}) < 0 {
 		t.Fatalf("Seek past end returned smaller tuple %v", tu)
 	}
+	c.Close()
 	// Seek before the beginning lands on the minimum.
 	c = tb.NewCursorContext(context.Background())
+	defer c.Close()
 	if err := c.Seek(relation.Tuple{0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}

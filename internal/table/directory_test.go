@@ -88,10 +88,7 @@ func TestDuplicateRunSpansBlocks(t *testing.T) {
 	}
 	for name, fill := range build {
 		t.Run(name, func(t *testing.T) {
-			tb, err := Create(schema, WithPageSize(256), WithSecondaryAttrs(1))
-			if err != nil {
-				t.Fatal(err)
-			}
+			tb := createTable(t, schema, WithPageSize(256), WithSecondaryAttrs(1))
 			neighbours := fill(t, tb)
 			if n := blocksSharingFirst(tb, dup); n < 3 {
 				t.Fatalf("only %d blocks start with the duplicated tuple; the run must span >= 3", n)
@@ -155,10 +152,7 @@ func TestMutationDecodesBlockOnce(t *testing.T) {
 	ctx := context.Background()
 	for _, secondaries := range [][]int{nil, {1, 4}} {
 		reg := obs.NewRegistry()
-		tb, err := Create(testSchema(t), WithPageSize(512), WithSecondaryAttrs(secondaries...), WithObs(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := createTable(t, testSchema(t), WithPageSize(512), WithSecondaryAttrs(secondaries...), WithObs(reg))
 		tuples := randomTuples(t, 2000, 91)
 		if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 			t.Fatal(err)

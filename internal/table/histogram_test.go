@@ -100,10 +100,7 @@ func TestPlannerUsesHistogram(t *testing.T) {
 		relation.Domain{Name: "b", Size: 1000}, // values concentrated in [0,100)
 		relation.Domain{Name: "c", Size: 1000}, // uniform
 	)
-	tb, err := Create(s, WithCodec(core.CodecAVQ), WithPageSize(512), WithSecondaryAttrs(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, s, WithCodec(core.CodecAVQ), WithPageSize(512), WithSecondaryAttrs(1, 2))
 	rng := rand.New(rand.NewSource(63))
 	tuples := make([]relation.Tuple, 3000)
 	for i := range tuples {

@@ -113,17 +113,11 @@ func TestBulkLoadPagesIndependentOfSort(t *testing.T) {
 		}
 		rand.New(rand.NewSource(5)).Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
 
-		got, err := Create(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := createTable(t, schema)
 		if err := got.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Create(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := createTable(t, schema)
 		sorted := slices.Clone(tuples)
 		slices.SortStableFunc(sorted, schema.Compare)
 		if _, err := ref.store.BulkLoadContext(context.Background(), sorted); err != nil {
@@ -190,10 +184,7 @@ func TestBulkLoadStreamsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := Create(schema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := createTable(t, schema)
 		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}

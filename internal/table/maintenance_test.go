@@ -218,15 +218,12 @@ func TestCompactEmptyTable(t *testing.T) {
 
 func TestCompactPersistentTable(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t),
+	tb := createTable(t, testSchema(t),
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPath(path),
 		WithSecondaryAttrs(1),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 1000, 79)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +237,7 @@ func TestCompactPersistentTable(t *testing.T) {
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != wantLen {
 		t.Fatalf("Len after compact+reopen = %d, want %d", got.Len(), wantLen)

@@ -14,7 +14,7 @@ import (
 // configuration, a later option overriding an earlier one.
 func TestFunctionalOptions(t *testing.T) {
 	reg := obs.NewRegistry()
-	tb, err := Create(testSchema(t),
+	tb := createTable(t, testSchema(t),
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPoolFrames(32),
@@ -22,9 +22,6 @@ func TestFunctionalOptions(t *testing.T) {
 		WithPoolFrames(64),
 		WithObs(reg),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := tb.opts
 	if o.Codec != core.CodecAVQ || o.PageSize != 512 || o.PoolFrames != 64 || o.Obs != reg {
 		t.Fatalf("options not applied: %+v", o)
@@ -39,11 +36,8 @@ func TestFunctionalOptions(t *testing.T) {
 // and op spans.
 func TestObsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	tb, err := Create(testSchema(t),
+	tb := createTable(t, testSchema(t),
 		WithCodec(core.CodecAVQ), WithPageSize(512), WithSecondaryAttrs(1), WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 3000, 41)); err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +211,7 @@ func TestInsertDomainRangeSentinel(t *testing.T) {
 		t.Fatalf("bulk load error = %v, want relation.ErrDomainRange", err)
 	}
 	// Zero options: Create with no configuration at all still works.
-	if _, err := Create(testSchema(t)); err != nil {
-		t.Fatal(err)
-	}
+	createTable(t, testSchema(t))
 }
 
 // TestSyncContextVariants smoke-tests the lock-taking ctx methods,

@@ -24,15 +24,12 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1200, 40)
 
-	tb, err := Create(s,
+	tb := createTable(t, s,
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPath(path),
 		WithSecondaryAttrs(1, 4),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +38,7 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(path, WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != 1200 {
 		t.Fatalf("reopened Len = %d", got.Len())
@@ -83,10 +77,7 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 func TestPersistentMutationsSurviveReopen(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s, WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, s, WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 41)); err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +95,7 @@ func TestPersistentMutationsSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(path, WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != wantLen {
 		t.Fatalf("Len = %d, want %d", got.Len(), wantLen)
@@ -129,10 +117,7 @@ func TestPersistentMutationsSurviveReopen(t *testing.T) {
 
 func TestCheckpointWithoutClose(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 200, 42)); err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +126,7 @@ func TestCheckpointWithoutClose(t *testing.T) {
 	}
 	// Simulate a crash: no Close. The last checkpoint must be readable.
 	// (The pool may hold clean pages only, since Checkpoint flushed.)
-	got, err := Open(path, WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != 200 {
 		t.Fatalf("Len after crash-reopen = %d", got.Len())
@@ -158,10 +140,7 @@ func TestCheckpointWithoutClose(t *testing.T) {
 func TestLargeCatalogChain(t *testing.T) {
 	// A small page size plus many blocks forces a multi-page catalog.
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithCodec(core.CodecRaw), WithPageSize(256), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithCodec(core.CodecRaw), WithPageSize(256), WithPath(path))
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 3000, 43)); err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +150,7 @@ func TestLargeCatalogChain(t *testing.T) {
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, WithPageSize(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(256))
 	defer got.Close()
 	if got.Len() != 3000 {
 		t.Fatalf("Len = %d", got.Len())
@@ -186,10 +162,7 @@ func TestLargeCatalogChain(t *testing.T) {
 
 func TestCreateRefusesExistingTable(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithPageSize(512), WithPath(path))
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +189,7 @@ func TestOpenErrors(t *testing.T) {
 
 func TestCatalogCorruptionResilience(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithPageSize(512), WithPath(path))
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 100, 44)); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +211,7 @@ func TestCatalogCorruptionResilience(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, WithPageSize(512))
-	if err != nil {
-		t.Fatalf("open with one corrupt catalog slot: %v", err)
-	}
+	got := openTable(t, path, WithPageSize(512))
 	if got.Len() != 100 {
 		t.Fatalf("recovered Len = %d", got.Len())
 	}
@@ -266,10 +233,7 @@ func TestCatalogCorruptionResilience(t *testing.T) {
 
 func TestClosedTableRejectsOps(t *testing.T) {
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithPageSize(512), WithPath(path))
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,14 +265,11 @@ func TestInMemoryCheckpointIsFlush(t *testing.T) {
 func TestPersistentHashIndexRestored(t *testing.T) {
 	path := tempPath(t)
 	const pageSize = 512
-	tb, err := Create(testSchema(t),
+	tb := createTable(t, testSchema(t),
 		WithPageSize(pageSize),
 		WithPath(path),
 		WithSecondaryAttrs(4),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tuples := randomTuples(t, 400, 46)
 	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
@@ -321,10 +282,7 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 	if old := patchCatalogHeader(t, path, pageSize, 1, 1); old != 0 {
 		t.Fatalf("reserved byte written as %d, want 0", old)
 	}
-	got, err := Open(path, WithPageSize(pageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openTable(t, path, WithPageSize(pageSize))
 	defer got.Close()
 	rows, stats, err := got.SelectPointContext(context.Background(), 4, tuples[3][4])
 	if err != nil {
@@ -373,10 +331,7 @@ func TestOpenRejectsBadCatalogCodec(t *testing.T) {
 	const pageSize = 512
 	for _, c := range []core.Codec{2, 3, 9} {
 		path := tempPath(t)
-		tb, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(pageSize), WithPath(path))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := createTable(t, testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(pageSize), WithPath(path))
 		if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 50, 47)); err != nil {
 			t.Fatal(err)
 		}
@@ -398,10 +353,7 @@ func TestOpenRejectsBadCatalogCodec(t *testing.T) {
 func TestCreateDefaultsToAVQ(t *testing.T) {
 	const pageSize = 512
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), WithPageSize(pageSize), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, testSchema(t), WithPageSize(pageSize), WithPath(path))
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -429,10 +381,7 @@ func TestCreateDefaultsToAVQ(t *testing.T) {
 	if old := patchCatalogHeader(t, path, pageSize, 0, byte(core.CodecAVQ)); old != byte(core.CodecAVQ) {
 		t.Fatalf("catalog codec byte %d, want %d", old, core.CodecAVQ)
 	}
-	re, err := Open(path, WithPageSize(pageSize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openTable(t, path, WithPageSize(pageSize))
 	defer re.Close()
 	if re.Codec() != core.CodecAVQ {
 		t.Fatalf("reopened Codec() = %v, want %v", re.Codec(), core.CodecAVQ)
@@ -446,15 +395,12 @@ func TestCreateDefaultsToAVQ(t *testing.T) {
 func TestCrashRecoversLastCheckpoint(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s,
+	tb := createTable(t, s,
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPath(path),
 		WithPoolFrames(4), // tiny pool: mutations force evictions to disk
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := randomTuples(t, 800, 47)
 	if err := tb.BulkLoadContext(context.Background(), base); err != nil {
 		t.Fatal(err)
@@ -495,10 +441,7 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Open(crashPath, WithPageSize(512))
-	if err != nil {
-		t.Fatalf("open after crash: %v", err)
-	}
+	got := openTable(t, crashPath, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != len(want) {
 		t.Fatalf("recovered %d tuples, checkpoint had %d", got.Len(), len(want))
@@ -525,15 +468,12 @@ func TestCrashRecoversLastCheckpoint(t *testing.T) {
 func TestCrashAfterManyCheckpoints(t *testing.T) {
 	path := tempPath(t)
 	s := testSchema(t)
-	tb, err := Create(s,
+	tb := createTable(t, s,
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithPath(path),
 		WithPoolFrames(4),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 300, 49)); err != nil {
 		t.Fatal(err)
 	}
@@ -569,10 +509,7 @@ func TestCrashAfterManyCheckpoints(t *testing.T) {
 	if err := os.WriteFile(crashPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(crashPath, WithPageSize(512))
-	if err != nil {
-		t.Fatalf("open after crash: %v", err)
-	}
+	got := openTable(t, crashPath, WithPageSize(512))
 	defer got.Close()
 	if got.Len() != len(want) {
 		t.Fatalf("recovered %d tuples, last checkpoint had %d", got.Len(), len(want))

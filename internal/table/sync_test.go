@@ -97,14 +97,11 @@ func TestSyncConcurrentReadersAndWriters(t *testing.T) {
 // blocks. Run with -race to also verify the locking.
 func TestSyncSnapshotConsistency(t *testing.T) {
 	s := testSchema(t)
-	st, err := Create(s,
+	st := createTable(t, s,
 		WithCodec(core.CodecAVQ),
 		WithPageSize(512),
 		WithSecondaryAttrs(1),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 1200
 	if err := st.BulkLoadContext(context.Background(), randomTuples(t, n, 83)); err != nil {
 		t.Fatal(err)
@@ -295,10 +292,7 @@ func checkView(s *relation.Schema, base []relation.Tuple, rows []relation.Tuple,
 func TestTableConcurrentOracle(t *testing.T) {
 	ctx := context.Background()
 	s := testSchema(t)
-	tb, err := Create(s, walTestOpts(simdisk.NewFaultFS())...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := createTable(t, s, walTestOpts(simdisk.NewFaultFS())...)
 	rng := rand.New(rand.NewSource(91))
 	base := markedTuples(rng, 1200, false)
 	if err := tb.BulkLoadContext(ctx, base); err != nil {

@@ -33,17 +33,53 @@ func randomTuples(t testing.TB, n int, seed int64) []relation.Tuple {
 	return tuples
 }
 
+// createTable is Create for a test and openTable is Open: each fails t on
+// error and registers the leak check (checkLeaks). Every test table that
+// a test builds is made through one of them.
+func createTable(t testing.TB, s *relation.Schema, opts ...Option) *Table {
+	t.Helper()
+	tb, err := Create(s, opts...)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	checkLeaks(t, tb)
+	return tb
+}
+
+func openTable(t testing.TB, path string, opts ...Option) *Table {
+	t.Helper()
+	tb, err := Open(path, opts...)
+	if err != nil {
+		t.Fatalf("Open %s: %v", path, err)
+	}
+	checkLeaks(t, tb)
+	return tb
+}
+
+// checkLeaks fails t, once the test is over, if tb's pool still holds a
+// pinned frame or its store a live snapshot: every query, cursor and
+// mutation must give back what it took, on its error and cancellation
+// paths too. A table the test closed has no frames left to count, so
+// only its snapshots are checked.
+func checkLeaks(t testing.TB, tb *Table) {
+	t.Cleanup(func() {
+		if n := tb.PinnedFrames(); n != 0 {
+			t.Errorf("%d buffer-pool frames still pinned at the end of the test", n)
+		}
+		if n := tb.LiveSnapshots(); n != 0 {
+			t.Errorf("%d snapshots still live at the end of the test", n)
+		}
+	})
+}
+
 func newTable(t testing.TB, codec core.Codec, secondaries []int) *Table {
 	t.Helper()
 	s := testSchema(t)
-	tb, err := Create(s,
+	tb := createTable(t, s,
 		WithCodec(codec),
 		WithPageSize(512),
 		WithSecondaryAttrs(secondaries...),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return tb
 }
 

@@ -28,10 +28,7 @@ func walTestOpts(fs *simdisk.FaultFS) []Option {
 // silently lost on a crash. Now reopen must replay all of them.
 func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
 	ctx := context.Background()
 	tuples := randomTuples(t, 200, 42)
 	for _, tu := range tuples {
@@ -43,10 +40,7 @@ func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 	// unsynced write. Without the log this loses all 200 inserts.
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs)...)
-	if err != nil {
-		t.Fatalf("reopen after kill: %v", err)
-	}
+	re := openTable(t, "db.avq", walTestOpts(fs)...)
 	defer re.Close()
 	if got := re.Len(); got != len(tuples) {
 		t.Fatalf("recovered %d tuples, want %d acknowledged inserts", got, len(tuples))
@@ -70,10 +64,7 @@ func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 // mode — forgetting a flag must not silently discard the log.
 func TestOpenAutoDetectsWAL(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
 	ctx := context.Background()
 	tuples := randomTuples(t, 50, 7)
 	for _, tu := range tuples {
@@ -85,10 +76,7 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 
 	// The caller "forgot" WAL mode.
 	opts := append(walTestOpts(fs), WithDurability(DurabilityCheckpoint))
-	re, err := Open("db.avq", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openTable(t, "db.avq", opts...)
 	if got := re.Len(); got != len(tuples) {
 		t.Fatalf("auto-detected replay recovered %d tuples, want %d", got, len(tuples))
 	}
@@ -99,10 +87,7 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Recover(nil)
-	re2, err := Open("db.avq", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re2 := openTable(t, "db.avq", opts...)
 	defer re2.Close()
 	ok, err := re2.Contains(extra)
 	if err != nil {
@@ -117,10 +102,7 @@ func TestOpenAutoDetectsWAL(t *testing.T) {
 // Checkpoint, reopen must not need (or replay) the old records.
 func TestWALCheckpointTruncatesLog(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
 	ctx := context.Background()
 	for _, tu := range randomTuples(t, 100, 3) {
 		if err := tbl.InsertContext(ctx, tu); err != nil {
@@ -136,10 +118,7 @@ func TestWALCheckpointTruncatesLog(t *testing.T) {
 	}
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openTable(t, "db.avq", walTestOpts(fs)...)
 	defer re.Close()
 	if got := re.Len(); got != 101 {
 		t.Fatalf("recovered %d tuples, want 101 (100 checkpointed + 1 replayed)", got)
@@ -155,10 +134,7 @@ func TestWALCheckpointTruncatesLog(t *testing.T) {
 func TestTruncatedFileErrCorruptBlock(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.avq")
-	tbl, err := Create(testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), WithCodec(core.CodecAVQ), WithPageSize(512), WithPath(path))
 	for _, tu := range randomTuples(t, 64, 9) {
 		if err := tbl.InsertContext(context.Background(), tu); err != nil {
 			t.Fatal(err)
@@ -189,10 +165,7 @@ func TestTruncatedFileErrCorruptBlock(t *testing.T) {
 // publish — trailing garbage can only be an unacknowledged write.
 func TestWALTornPageFileRepaired(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
 	ctx := context.Background()
 	tuples := randomTuples(t, 80, 11)
 	for _, tu := range tuples {
@@ -218,10 +191,7 @@ func TestWALTornPageFileRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open("db.avq", walTestOpts(fs)...)
-	if err != nil {
-		t.Fatalf("WAL-mode open did not repair the torn tail: %v", err)
-	}
+	re := openTable(t, "db.avq", walTestOpts(fs)...)
 	defer re.Close()
 	if got := re.Len(); got != len(tuples) {
 		t.Fatalf("recovered %d tuples, want %d", got, len(tuples))
@@ -235,10 +205,7 @@ func TestWALTornPageFileRepaired(t *testing.T) {
 // kill: deletes, updates, and predicate deletes must all replay.
 func TestWALUpdateDeleteDurable(t *testing.T) {
 	fs := simdisk.NewFaultFS()
-	tbl, err := Create(testSchema(t), walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
 	ctx := context.Background()
 	tuples := randomTuples(t, 60, 21)
 	if err := tbl.InsertBatchContext(ctx, tuples); err != nil {
@@ -254,10 +221,7 @@ func TestWALUpdateDeleteDurable(t *testing.T) {
 	want := tbl.Len()
 	fs.Recover(nil)
 
-	re, err := Open("db.avq", walTestOpts(fs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openTable(t, "db.avq", walTestOpts(fs)...)
 	defer re.Close()
 	if got := re.Len(); got != want {
 		t.Fatalf("recovered %d tuples, want %d", got, want)

@@ -4,7 +4,8 @@
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
-# block-cache, one-codec-set, one-chain-walk and no-zeroed-object guards,
+# block-cache, one-codec-set, one-chain-walk, no-zeroed-object and one-
+# page-read (viewStream) guards,
 # the full test suite, the bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
@@ -66,6 +67,11 @@ if grep -n 'SearchBlockArena' internal/exec/*.go | grep -v '_test\.go:'; then ec
 # pager's Allocate writes nothing (a fresh page reads as zeros from
 # memory); keep the zeroed-object PUT from growing back.
 if awk '/^func \(p \*Pager\) Allocate\(/,/^}/' internal/backend/pager.go | grep -nE 'WriteBlock|p\.put|p\.Write'; then echo "backend.Pager.Allocate writes an object; a fresh page reads as zeros from memory until its first Write" >&2; exit 1; fi
+
+# viewStream is the store's one read of a page: it pins, checks the
+# framing, calls back and unpins, joining the unpin's error. Keep a second
+# Pool.Get, with its own unpin paths, from growing back in internal/blockstore.
+if awk '/^func \(s \*Store\) viewStream\(/,/^}/ { next } /pool\.Get\(/ { print FILENAME ": " $0 }' internal/blockstore/*.go | grep .; then echo "pool.Get outside viewStream in internal/blockstore; read the page through viewStream" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
