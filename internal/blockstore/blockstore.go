@@ -348,8 +348,9 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 }
 
 // viewStream is the store's one read of a page: it pins page id through
-// the pool, applies the page framing — a length prefix beyond the page's
-// stream capacity is ErrCorruptBlock naming the page — and calls fn on the
+// the pool — a failed read names the page, wrapping the pool's error —
+// applies the page framing — a length prefix beyond the page's stream
+// capacity is ErrCorruptBlock naming the page — and calls fn on the
 // coded stream the page holds, then unpins, joining the unpin's error to
 // fn's. stream is the pinned frame's own memory and is valid only inside
 // fn: anything fn needs afterwards it copies or decodes out. A race build
@@ -358,7 +359,7 @@ func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation
 func (s *Store) viewStream(id storage.PageID, fn func(stream []byte) error) error {
 	frame, err := s.pool.Get(id)
 	if err != nil {
-		return err
+		return fmt.Errorf("blockstore: read page %d: %w", id, err)
 	}
 	data := frame.Data()
 	if l := int(binary.BigEndian.Uint32(data[:lenPrefix])); l > s.capacity() {

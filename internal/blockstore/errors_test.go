@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
@@ -33,7 +36,7 @@ func TestErrCorruptBlock(t *testing.T) {
 			_, _, errs["Delete"] = s.Delete(homed)
 			sn := s.Snapshot()
 			_, errs["ReadBlockArena"] = sn.ReadBlockArena(at, core.NewArena())
-			_, _, errs["ReadPhis"] = sn.ReadPhis(at, core.NewArena(), nil)
+			_, errs["ReadPhis"] = sn.ReadPhis(at, core.NewArena())
 			sn.Release()
 			return errs
 		}
@@ -104,7 +107,7 @@ func pageReads(t *testing.T, s *Store, at int) map[string]error {
 	}{
 		{"ReadStreamInto", snap(func(sn *Snapshot) error { _, err := sn.ReadStreamInto(at, nil); return err })},
 		{"ReadBlockArena", snap(func(sn *Snapshot) error { _, err := sn.ReadBlockArena(at, core.NewArena()); return err })},
-		{"ReadPhis", snap(func(sn *Snapshot) error { _, _, err := sn.ReadPhis(at, core.NewArena(), nil); return err })},
+		{"ReadPhis", snap(func(sn *Snapshot) error { _, err := sn.ReadPhis(at, core.NewArena()); return err })},
 		{"Check", s.Check},
 		{"CheckInvariants", s.CheckInvariants},
 		{"ComputeStats", func() error { _, err := s.ComputeStats(); return err }},
@@ -175,8 +178,9 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 
 // TestPagerReadFailure fails every page read under a store whose pool
 // holds none of its pages: every entry point must return the pager's
-// error and give back its pin (pageReads), and once reads work again the
-// store must check clean, with no failed read cached in the pool.
+// error, naming the page it read, and give back its pin (pageReads), and
+// once reads work again the store must check clean, with no failed read
+// cached in the pool.
 func TestPagerReadFailure(t *testing.T) {
 	mem, err := storage.NewMemPager(512)
 	if err != nil {
@@ -199,9 +203,22 @@ func TestPagerReadFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp.failReads.Store(true)
-	for name, err := range pageReads(t, s, s.NumBlocks()/2) {
+	at := s.NumBlocks() / 2
+	for name, err := range pageReads(t, s, at) {
 		if !errors.Is(err, errInjectedRead) {
 			t.Errorf("%s error = %v, want the pager's read error", name, err)
+			continue
+		}
+		// The error names the page whose read failed: the block's own for
+		// the reads of one block, some block's for the whole-store ones.
+		ids := s.Blocks()
+		if strings.HasPrefix(name, "Read") {
+			ids = ids[at : at+1]
+		}
+		if !slices.ContainsFunc(ids, func(id storage.PageID) bool {
+			return strings.Contains(err.Error(), fmt.Sprintf("read page %d: ", id))
+		}) {
+			t.Errorf("%s error = %v, want it to name the page read (one of %v)", name, err, ids)
 		}
 	}
 	fp.failReads.Store(false)

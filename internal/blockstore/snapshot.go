@@ -292,23 +292,25 @@ func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) ([]relation.Tuple, erro
 }
 
 // ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
-// from the caller's arena — the batch executor's block read. It copies the
-// coded stream into buf and walks it with core.DecodeBlockPhis; the
-// possibly-grown stream buffer is returned for reuse across blocks.
-func (sn *Snapshot) ReadPhis(i int, a *core.Arena, buf []byte) (phis []uint64, nbuf []byte, err error) {
+// from the caller's arena — the batch executor's block read. It walks the
+// coded stream with core.DecodeBlockPhis where it lies, in the pinned
+// page's frame, copying nothing.
+func (sn *Snapshot) ReadPhis(i int, a *core.Arena) (phis []uint64, err error) {
 	if sn.released {
-		return nil, buf, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
+		return nil, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
 	}
 	id := sn.m.block(i)
-	stream, err := sn.s.readStream(id, buf[:0])
+	err = sn.s.viewStream(id, func(stream []byte) error {
+		var err error
+		if phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a); err != nil {
+			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, buf, err
+		return nil, err
 	}
-	phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a)
-	if err != nil {
-		return nil, stream, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
-	}
-	return phis, stream, nil
+	return phis, nil
 }
 
 // ReadStream copies the i-th block's coded stream off its page, for

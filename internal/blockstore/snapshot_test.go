@@ -150,7 +150,7 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phis, phiStream, err := sn.ReadPhis(0, core.NewArena(), nil)
+	phis, err := sn.ReadPhis(0, core.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStream, wantPhis, wantPhiStream := bytes.Clone(stream), slices.Clone(phis), bytes.Clone(phiStream)
+	wantStream, wantPhis := bytes.Clone(stream), slices.Clone(phis)
 	wantTuples := make([]relation.Tuple, len(tuples))
 	for i, tu := range tuples {
 		wantTuples[i] = tu.Clone()
@@ -175,7 +175,7 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 		t.Fatalf("only %d misses after block 0", n)
 	}
 
-	if !bytes.Equal(stream, wantStream) || !bytes.Equal(phiStream, wantPhiStream) {
+	if !bytes.Equal(stream, wantStream) {
 		t.Fatal("a copied-out stream changed when its page's frame was reused")
 	}
 	if !slices.Equal(phis, wantPhis) {
@@ -208,6 +208,7 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 	}
 	streams := make([][]byte, n)
 	counts := make([]int, n)
+	wantPhis := make([][]uint64, n)
 	for i := range n {
 		tuples, err := sn.ReadBlockArena(i, nil)
 		if err != nil {
@@ -215,6 +216,9 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 		}
 		counts[i] = len(tuples)
 		if streams[i], err = sn.ReadStreamInto(i, nil); err != nil {
+			t.Fatal(err)
+		}
+		if wantPhis[i], err = sn.ReadPhis(i, core.NewArena()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,12 +233,14 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 					for k := range n {
 						i := (k*(g+1) + round) % n
 						a.Reset()
-						var phis []uint64
-						var err error
-						if phis, buf, err = sn.ReadPhis(i, a, buf); err != nil {
+						phis, err := sn.ReadPhis(i, a)
+						if err != nil {
 							return err
 						}
-						if len(phis) != counts[i] || !bytes.Equal(buf, streams[i]) {
+						if buf, err = sn.ReadStreamInto(i, buf[:0]); err != nil {
+							return err
+						}
+						if !slices.Equal(phis, wantPhis[i]) || !bytes.Equal(buf, streams[i]) {
 							return fmt.Errorf("block %d read %d φs, %d stream bytes; want %d, %d", i, len(phis), len(buf), counts[i], len(streams[i]))
 						}
 						tuples, err := sn.ReadBlockArena(i, a)

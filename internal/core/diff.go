@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitio"
 	"repro/internal/relation"
@@ -72,10 +73,11 @@ func diffSize(s *relation.Schema, diff relation.Tuple) int {
 type diffReader struct {
 	s       *relation.Schema
 	body    []byte
-	pos     int      // byte-RLE: offset of the next difference in body
-	left    int      // differences not yet consumed
-	m       int      // s.RowSize()
-	radices []uint64 // s.Radices()
+	pos     int                // byte-RLE: offset of the next difference in body
+	left    int                // differences not yet consumed
+	m       int                // s.RowSize()
+	radices []uint64           // s.Radices()
+	plan    *relation.TailPlan // s.TailPlan(): window's fixed parse
 
 	// The split (s.Split()): attributes at..n-1 fold into one ordinal
 	// below space with the given weights.
@@ -93,7 +95,7 @@ type diffReader struct {
 // newDiffReader positions a reader on the n differences that start at
 // body[pos].
 func newDiffReader(s *relation.Schema, packed bool, body []byte, pos, n int) diffReader {
-	r := diffReader{s: s, body: body, pos: pos, left: n, m: s.RowSize(), radices: s.Radices(), packed: packed}
+	r := diffReader{s: s, body: body, pos: pos, left: n, m: s.RowSize(), radices: s.Radices(), plan: s.TailPlan(), packed: packed}
 	r.at, r.weights, r.space = s.Split()
 	if packed {
 		r.bits.Reset(body[pos:])
@@ -206,20 +208,24 @@ func (r *diffReader) split(dst, ks []uint64, park []relation.Tuple, d relation.T
 		}
 	}
 	for j := 0; ; j++ {
-		var err error
-		if j, err = r.window(dst, j); err != nil || j == len(dst) {
-			return err
+		if j = r.window(dst, j); j == len(dst) {
+			return nil
 		}
 		lz, end, ok := frame(r.body, r.pos, r.m)
 		if !ok {
 			return r.errFrame()
 		}
 		r.pos = end
+		if lz == r.m {
+			dst[j] = 0 // a duplicate within 16 bytes of the body's start
+			continue
+		}
 		var row relation.Tuple
 		if at > 0 {
 			row = park[j]
 		}
 		var k int
+		var err error
 		if dst[j], k, err = r.long(end, lz, row); err != nil {
 			return err
 		}
@@ -229,99 +235,98 @@ func (r *diffReader) split(dst, ks []uint64, park []relation.Tuple, d relation.T
 	}
 }
 
-// window is split's loop over the frames that stay in the suffix, from
-// dst[j] on. Byte j of a frame's row is zero below lz and body[end-m+j]
-// from there on. A tail of at most 8 bytes is one word, loaded backward
-// from the frame's last byte and masked to its m-lz bytes, and each field
-// from the one holding byte lz onward is a shift and a mask of it; a
-// longer tail loads the word that ends with each field. Either way a
-// visited digit costs one radix check and one independent multiply, and
-// the attributes inside the zero run cost nothing. It stops at the first
-// frame that reaches the prefix, breaks the framing rule or lies too close
-// to the body's start for a word load, leaving r.pos on its count byte,
-// and returns its index (len(dst) when there is none). It calls nothing
-// that returns into the loop, so the loop keeps its state in registers.
-func (r *diffReader) window(dst []uint64, j int) (int, error) {
-	body, pos, m := r.body, r.pos, r.m
-	rad := r.radices
-	wts, wid := r.weights[:len(rad)], r.s.AttrWidths()[:len(rad)]
-	short := r.s.AttrOffset(r.at)
-	tails := uint(m - short) // lz - short for the frames this loop takes
-loop:
+// window is split's loop over the frames that stay in the suffix and in
+// the row's last 16 bytes, from dst[j] on, through the schema's fixed
+// tail plan (relation.TailPlan): the same few operations for every frame,
+// whatever its lz. Byte j of a frame's row is zero below lz and
+// body[end-m+j] from there on, so the row's last 16 bytes are two
+// big-endian word loads ending at the frame's last byte; the plan's
+// tables for a tail of t = m-lz bytes are zero past it, which masks the
+// bytes before the tail, and the earlier frames they belong to, out. The
+// suffix ordinal is the dot product of the 16 bytes with the per-byte
+// weights: one multiply each, at constant offsets. The radix check is two
+// parity passes over the 16 bytes as one 128-bit add each, with a guard
+// bit above every field and the carry out of the top one. window stops at
+// the first frame it does not take, leaving r.pos on its count byte, and
+// returns its index (len(dst) when there is none): a frame that breaks
+// the framing rule, reaches the prefix, has a tail over 16 bytes or starts
+// within 16 bytes of the body's start, or fails the check, for long to
+// parse or reject digit by digit. It calls nothing, so the loop keeps its
+// state in registers.
+func (r *diffReader) window(dst []uint64, j int) int {
+	p, body, pos, m := r.plan, r.body[:len(r.body):len(r.body)], r.pos, r.m
+	if pos < 15 {
+		return j // a frame ends at pos+1 or later: from pos 15 on, at 16 or later
+	}
 	for ; j < len(dst) && pos < len(body); j++ {
-		// The framing rule (frame) and lz >= short in two compares.
-		lz := int(body[pos])
-		end := pos + 1 + m - lz
-		if uint(lz-short) > tails || end > len(body) {
-			break loop
+		// The framing rule (frame) and lz >= m-MaxTail in two compares.
+		t := m - int(body[pos])
+		end := pos + 1 + t
+		if uint(t) > uint(p.MaxTail) || end > len(body) {
+			break
 		}
-		var dS uint64
-		switch n := m - lz; {
-		case n == 0:
-		case n <= 8 && end >= 8:
-			// One word: every field is a shift and a mask of it.
-			lo := binary.BigEndian.Uint64(body[end-8:end]) & byteMask[n]
-			i := r.s.AttrAtByte(lz)
-			sh := uint(8 * (m - r.s.AttrOffset(i))) // bits below field i, plus its own
-			for ; i < len(rad); i++ {
-				sh -= uint(8 * wid[i])
-				v := lo >> (sh & 63) & byteMask[wid[i]]
-				if v >= rad[i] {
-					return j, errDigit(r.s, i, v)
-				}
-				dS += v * wts[i]
-			}
-		default:
-			// One word load per field, ending with it.
-			i, row0 := r.s.AttrAtByte(lz), end-m
-			fe := r.s.AttrOffset(i) + wid[i]
-			if row0+fe < 8 {
-				break loop // the word would start before the body: long's byte path
-			}
-			v := binary.BigEndian.Uint64(body[row0+fe-8:row0+fe]) & byteMask[fe-lz]
-			for {
-				if v >= rad[i] {
-					return j, errDigit(r.s, i, v)
-				}
-				dS += v * wts[i]
-				if i++; i == len(rad) {
-					break
-				}
-				fe += wid[i]
-				v = binary.BigEndian.Uint64(body[row0+fe-8:row0+fe]) & byteMask[wid[i]]
-			}
+		row := (*[16]byte)(body[end-16 : end : end])
+		tb := &p.Tails[t]
+		lo := binary.BigEndian.Uint64(row[8:])
+		hi := binary.BigEndian.Uint64(row[:8])
+		// Two parity passes over the 16 bytes, each one 128-bit add.
+		s0, c := bits.Add64(lo&tb.Keep[0][0], p.Add[0][0], 0)
+		s1, c := bits.Add64(hi&tb.Keep[0][1], p.Add[0][1], c)
+		if s0&p.Guard[0][0]|s1&p.Guard[0][1]|c != 0 {
+			break
 		}
-		dst[j], pos = dS, end
+		s0, c = bits.Add64(lo&tb.Keep[1][0], p.Add[1][0], 0)
+		s1, c = bits.Add64(hi&tb.Keep[1][1], p.Add[1][1], c)
+		if s0&p.Guard[1][0]|s1&p.Guard[1][1]|c != 0 {
+			break
+		}
+		w := &tb.Weights
+		dst[j] = uint64(row[15])*w[0] + uint64(row[14])*w[1] + uint64(row[13])*w[2] + uint64(row[12])*w[3] +
+			uint64(row[11])*w[4] + uint64(row[10])*w[5] + uint64(row[9])*w[6] + uint64(row[8])*w[7] +
+			uint64(row[7])*w[8] + uint64(row[6])*w[9] + uint64(row[5])*w[10] + uint64(row[4])*w[11] +
+			uint64(row[3])*w[12] + uint64(row[2])*w[13] + uint64(row[1])*w[14] + uint64(row[0])*w[15]
+		pos = end
 	}
 	r.pos = pos
-	return j, nil
+	return j
 }
 
 // byteMask[n] keeps the low n bytes of a word.
 var byteMask = [9]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1, ^uint64(0)}
 
 // long parses the byte-RLE frame ending at body[end] with zero run lz <
-// m that window does not take: one that reaches the prefix, or starts too
-// close to the body's start for a word load. Byte j of its row is zero
-// below lz and body[end-m+j] from there on, so each field past the run is
-// the low bytes of the word that ends with it. It returns the suffix
-// ordinal and k = min(attribute holding byte lz, at), with the prefix
-// digits in row[k:at] (row is nil at split 0).
+// m that window does not take — one that reaches the prefix, has a tail
+// over 16 bytes or starts within 16 bytes of the body's start — and
+// rejects the one that fails window's check, naming the first digit out
+// of its radix. Byte j of its row is zero below lz and body[end-m+j] from
+// there on, so each field past the run is the low bytes of the word that
+// ends with it. It returns the suffix ordinal and k = min(attribute
+// holding byte lz, at), with the prefix digits in row[k:at] (row is nil
+// at split 0).
 func (r *diffReader) long(end, lz int, row relation.Tuple) (dS uint64, k int, err error) {
 	at := r.at
 	body, rad, wts := r.body, r.radices, r.weights[:len(r.radices)]
 	wid := r.s.AttrWidths()[:len(rad)]
 	i := r.s.AttrAtByte(lz)
-	row0, fe := end-r.m, r.s.AttrOffset(i)+wid[i]
-	v := word(body, row0+fe, fe-lz)
-	for k = min(i, at); i < at; {
+	fe := r.s.AttrOffset(i) + wid[i]
+	p := end - r.m + fe // where field i ends in body
+	v := word(body, p, fe-lz)
+	// The prefix digits, and any while the word ending with the field
+	// would start before the body (the block's first differences).
+	for k = min(i, at); i < at || p < 8; {
 		if v >= rad[i] {
 			return 0, 0, errDigit(r.s, i, v)
 		}
-		row[i] = v
-		i++
-		fe += wid[i]
-		v = word(body, row0+fe, wid[i])
+		if i < at {
+			row[i] = v
+		} else {
+			dS += v * wts[i]
+		}
+		if i++; i == len(rad) {
+			return dS, k, nil
+		}
+		p += wid[i]
+		v = word(body, p, wid[i])
 	}
 	for {
 		if v >= rad[i] {
@@ -331,8 +336,8 @@ func (r *diffReader) long(end, lz int, row relation.Tuple) (dS uint64, k int, er
 		if i++; i == len(rad) {
 			return dS, k, nil
 		}
-		fe += wid[i]
-		v = word(body, row0+fe, wid[i])
+		p += wid[i]
+		v = binary.BigEndian.Uint64(body[p-8:p]) & byteMask[wid[i]]
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 // given and with the trailing four bytes replaced by a valid checksum (so
 // the fuzzer reaches the payload parsers instead of dying at the CRC),
 // under schemas on both sides of the split-ordinal form: a small
-// three-attribute one, the end-to-end ledger's flat8 (flat, 14-byte rows)
-// and wide38 (split at attribute 11), and splitSchemas' three (a suffix
-// of one attribute, a suffix of 63 one-byte fields, a flat 20-byte row),
-// each seeded with blocks of its own. Properties: no panics; every shape
+// three-attribute one, wordShapes' eight (among them the end-to-end
+// ledger's flat8 and wide38, fields straddling the two words of a row's
+// last 16 bytes, radices 256^w and 256^w-1, and suffixes wider than 16
+// bytes), and splitSchemas' three (a suffix of one attribute, a suffix of
+// 63 one-byte fields, a flat 20-byte row), each seeded with blocks of its
+// own. Properties: no panics; every shape
 // accepts/rejects and decodes exactly as the naive reference decoder does
 // (checkShapesAgainstReference); and anything that decodes to a sorted
 // block re-encodes to a stream that decodes to the same tuples (decode is
@@ -47,14 +49,17 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xA7, 0x01, 0x00})
 	schemas := []*relation.Schema{s}
-	for _, name := range []string{"flat8", "wide38"} {
-		ls, run := ledgerRelation(f, name, 400)
-		enc, err := EncodeBlock(CodecAVQ, ls, run[:40], nil)
+	for _, c := range wordShapes(f) {
+		block := c.run
+		if block == nil {
+			block = clusteredBlock(c.s, rng, 30, c.cluster)
+		}
+		enc, err := EncodeBlock(CodecAVQ, c.s, block, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(enc)
-		schemas = append(schemas, ls)
+		schemas = append(schemas, c.s)
 	}
 	for _, c := range splitSchemas() {
 		enc, err := EncodeBlock(CodecAVQ, c.s, clusteredBlock(c.s, rng, 30, c.attrs), nil)

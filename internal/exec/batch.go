@@ -66,7 +66,6 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 		st.SlabBytes += a.SlabBytes()
 		core.PutArena(a)
 	}()
-	var streamBuf []byte
 	n := sn.NumBlocks()
 	start := seekBound(sn, plan.Candidates, bound, &st)
 	for i := start; i < n; i++ {
@@ -87,11 +86,10 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 			st.ArenaReuses++
 		}
 		a.Reset()
-		phis, buf, err := sn.ReadPhis(i, a, streamBuf)
+		phis, err := sn.ReadPhis(i, a)
 		if err != nil {
 			return st, err
 		}
-		streamBuf = buf
 		st.BlocksRead++
 		st.FullDecodes++
 		st.BatchBlocks++
@@ -127,13 +125,12 @@ func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel fu
 // pooled arena backs the iterator, reset at every NextPhis — a returned
 // slab is valid only until the next call.
 type BatchIterator struct {
-	sn        *blockstore.Snapshot
-	ctx       context.Context
-	next      int // next block position to read
-	done      bool
-	released  bool
-	a         *core.Arena
-	streamBuf []byte
+	sn       *blockstore.Snapshot
+	ctx      context.Context
+	next     int // next block position to read
+	done     bool
+	released bool
+	a        *core.Arena
 	// Stats accumulates block accounting across NextPhis and SeekPhi.
 	Stats Stats
 }
@@ -186,11 +183,10 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 			it.Stats.ArenaReuses++
 		}
 		it.a.Reset()
-		phis, buf, err := it.sn.ReadPhis(it.next, it.a, it.streamBuf)
+		phis, err := it.sn.ReadPhis(it.next, it.a)
 		if err != nil {
 			return nil, err
 		}
-		it.streamBuf = buf
 		it.next++
 		it.Stats.BlocksRead++
 		it.Stats.FullDecodes++

@@ -107,6 +107,9 @@ type Schema struct {
 	split   int
 	weights []uint64
 	space   uint64
+
+	// tail is the byte-RLE tail plan (TailPlan), derived from the split.
+	tail TailPlan
 }
 
 // NewSchema builds a schema from the given domains. It returns an error if
@@ -145,6 +148,7 @@ func NewSchema(domains ...Domain) (*Schema, error) {
 	}
 	s.rowSize = off
 	s.computeSplit()
+	s.computeTailPlan()
 	return s, nil
 }
 

@@ -4,8 +4,8 @@
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
-# block-cache, one-codec-set, one-chain-walk, no-zeroed-object and one-
-# page-read (viewStream) guards,
+# block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
+# page-read (viewStream) and no-per-field-window guards,
 # the full test suite, the bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
@@ -72,6 +72,12 @@ if awk '/^func \(p \*Pager\) Allocate\(/,/^}/' internal/backend/pager.go | grep 
 # framing, calls back and unpins, joining the unpin's error. Keep a second
 # Pool.Get, with its own unpin paths, from growing back in internal/blockstore.
 if awk '/^func \(s \*Store\) viewStream\(/,/^}/ { next } /pool\.Get\(/ { print FILENAME ": " $0 }' internal/blockstore/*.go | grep .; then echo "pool.Get outside viewStream in internal/blockstore; read the page through viewStream" >&2; exit 1; fi
+# diffReader.window parses a frame that stays in the suffix through the
+# schema's fixed tail plan (relation.TailPlan): a dot product of its tail
+# bytes and a word-wide radix check, one loop over frames and none over
+# attributes. Keep a per-field loop from growing back inside it.
+window=$(awk '/^func \(r \*diffReader\) window\(/,/^}/' internal/core/diff.go)
+if [ -z "$window" ] || echo "$window" | grep -nE 'AttrAtByte\(|AttrOffset\(|AttrWidths\(' || [ "$(echo "$window" | grep -cE '^[[:space:]]*for[[:space:]{]')" -ne 1 ]; then echo "diffReader.window loops over attributes (or is gone); parse the frame through the schema's TailPlan, and leave other frames to long" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
