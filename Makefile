@@ -16,7 +16,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/buffer ./internal/table ./internal/simdisk \
-		./internal/relation ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
+		./internal/relation ./internal/blockstore ./internal/exec ./internal/obs \
 		./internal/core ./internal/analysis ./internal/wal \
 	./internal/backend ./internal/shard ./internal/server
 

@@ -7,9 +7,12 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/simdisk"
+	"repro/internal/storage"
 	"repro/internal/table"
 )
 
@@ -36,6 +39,20 @@ func main() {
 		}
 		return tbl
 	}
+	// coldSelect runs the selection on an empty pool and prices its pool
+	// misses, one block read each, on the paper's 1995 disk.
+	t1 := simdisk.PaperParams().BlockTime(storage.DefaultPageSize)
+	coldSelect := func(tbl *table.Table, attr int, lo, hi uint64) (table.QueryStats, time.Duration) {
+		if err := tbl.DropCache(); err != nil {
+			log.Fatal(err)
+		}
+		before := tbl.PoolStats().Misses
+		_, stats, err := tbl.SelectRangeContext(ctx, attr, lo, hi)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return stats, time.Duration(tbl.PoolStats().Misses-before) * t1
+	}
 	raw := build(core.CodecRaw)
 	avq := build(core.CodecAVQ)
 	fmt.Printf("data blocks: uncoded=%d  avq=%d (%.1fx compression)\n\n",
@@ -60,26 +77,12 @@ func main() {
 		if q.attr == schema.NumAttrs()-1 || hi <= lo {
 			hi = lo
 		}
-		if err := raw.DropCache(); err != nil {
-			log.Fatal(err)
-		}
-		raw.Disk().Reset()
-		_, rawStats, err := raw.SelectRangeContext(ctx, q.attr, lo, hi)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := avq.DropCache(); err != nil {
-			log.Fatal(err)
-		}
-		avq.Disk().Reset()
-		_, avqStats, err := avq.SelectRangeContext(ctx, q.attr, lo, hi)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rawStats, rawTime := coldSelect(raw, q.attr, lo, hi)
+		avqStats, avqTime := coldSelect(avq, q.attr, lo, hi)
 		fmt.Printf("%-28s %-10s %12d %12d %9d/%-4d\n", q.name, avqStats.Strategy,
 			rawStats.BlocksRead, avqStats.BlocksRead, avqStats.BlocksPruned, avq.NumBlocks())
 		fmt.Printf("%-28s %-10s %11.2fs %11.2fs  (%d partial decodes, simulated disk)\n", "", "",
-			raw.Disk().Stats().Elapsed.Seconds(), avq.Disk().Stats().Elapsed.Seconds(),
+			rawTime.Seconds(), avqTime.Seconds(),
 			avqStats.PartialDecodes)
 	}
 }

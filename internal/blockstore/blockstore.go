@@ -278,73 +278,19 @@ func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([
 		s.man.Store(m)
 		s.notifyCommit("bulkload", m.n)
 	}()
-	refs, _, _, err := s.loadWindow(ctx, m, tuples, true)
+	costs, err := s.pairCosts(tuples)
 	if err != nil {
 		return nil, err
 	}
-	return refs, nil
-}
-
-// streamWindow is the stream loader's initial window in tuples: enough
-// headroom that the chunker usually sees past one full block. A window
-// holding no complete block is doubled. Tests shrink it to force that.
-var streamWindow = 4096
-
-// BulkLoadStreamContext is BulkLoadContext for sources too large to
-// materialize: it pulls phi-ordered tuples from next (which returns
-// ok=false when dry) and packs blocks incrementally, holding only a small
-// buffering window in memory. Used with the external sorter it loads
-// relations of any size. Cancellation is checked once per window before
-// the next pull-and-pack round, so an abandoned stream load stops without
-// pinned frames; the partial manifest is published for Reset to reclaim.
-func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation.Tuple, bool, error)) ([]BlockRef, error) {
-	if s.NumBlocks() != 0 {
-		return nil, errors.New("blockstore: bulk load into non-empty store")
+	chunks, sizes, err := core.NewSizer(s.codec, s.schema).Chunk(tuples, costs, s.capacity())
+	if err != nil {
+		return nil, err
 	}
-	m := &manifest{}
-	defer func() {
-		s.man.Store(m)
-		s.notifyCommit("bulkload", m.n)
-	}()
-	var refs []BlockRef
-	var window []relation.Tuple
-	var prev relation.Tuple
-	dry := false
-	highWater := streamWindow
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for !dry && len(window) < highWater {
-			tu, ok, err := next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				dry = true
-				break
-			}
-			if prev != nil && s.schema.Compare(prev, tu) > 0 {
-				return nil, errors.New("blockstore: stream not in phi order")
-			}
-			prev = tu.Clone()
-			window = append(window, tu.Clone())
-		}
-		if len(window) == 0 {
-			return refs, nil
-		}
-		newRefs, tail, grown, err := s.loadWindow(ctx, m, window, dry)
-		if err != nil {
-			return nil, err
-		}
-		if grown {
-			// The lone block could still grow; widen the window and refill.
-			highWater *= 2
-			continue
-		}
-		refs = append(refs, newRefs...)
-		window = append(window[:0], tail...)
+	streams, fences, err := s.encodeChunks(chunks, sizes)
+	if err != nil {
+		return nil, err
 	}
+	return s.commitChunks(ctx, m, streams, fences)
 }
 
 // viewStream is the store's one read of a page: it pins page id through

@@ -627,16 +627,6 @@ func TestResetStore(t *testing.T) {
 	}
 }
 
-func TestBulkLoadStreamErrors(t *testing.T) {
-	s := newStore(t, core.CodecAVQ, 512)
-	boom := func() (relation.Tuple, bool, error) {
-		return nil, false, core.ErrCorrupt
-	}
-	if _, err := s.BulkLoadStreamContext(context.Background(), boom); err == nil {
-		t.Fatal("stream error swallowed")
-	}
-}
-
 // TestCheckDetectsCorruption flips bytes on a loaded page and verifies the
 // deep checker refuses the store, for every codec.
 func TestCheckDetectsCorruption(t *testing.T) {

@@ -106,6 +106,7 @@ func pageReads(t *testing.T, s *Store, at int) map[string]error {
 		read func() error
 	}{
 		{"ReadStreamInto", snap(func(sn *Snapshot) error { _, err := sn.ReadStreamInto(at, nil); return err })},
+		{"ViewStream", snap(func(sn *Snapshot) error { return sn.ViewStream(at, func([]byte) error { return nil }) })},
 		{"ReadBlockArena", snap(func(sn *Snapshot) error { _, err := sn.ReadBlockArena(at, core.NewArena()); return err })},
 		{"ReadPhis", snap(func(sn *Snapshot) error { _, err := sn.ReadPhis(at, core.NewArena()); return err })},
 		{"Check", s.Check},
@@ -212,7 +213,7 @@ func TestPagerReadFailure(t *testing.T) {
 		// The error names the page whose read failed: the block's own for
 		// the reads of one block, some block's for the whole-store ones.
 		ids := s.Blocks()
-		if strings.HasPrefix(name, "Read") {
+		if strings.HasPrefix(name, "Read") || name == "ViewStream" {
 			ids = ids[at : at+1]
 		}
 		if !slices.ContainsFunc(ids, func(id storage.PageID) bool {

@@ -219,38 +219,6 @@ func (s *Store) commitChunks(ctx context.Context, m *manifest, streams [][]byte,
 	return refs, nil
 }
 
-// loadWindow chunks a φ-sorted window and loads its complete blocks as
-// new blocks of m, returning the unconsumed tail. When dry the whole
-// window is loaded and the tail comes back empty. Otherwise the last chunk
-// could still grow as a stream refills, so it is held back; grown reports
-// that it was the only one, and the caller must widen the window.
-func (s *Store) loadWindow(ctx context.Context, m *manifest, window []relation.Tuple, dry bool) (refs []BlockRef, tail []relation.Tuple, grown bool, err error) {
-	costs, err := s.pairCosts(window)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	chunks, sizes, err := core.NewSizer(s.codec, s.schema).Chunk(window, costs, s.capacity())
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if !dry && len(chunks) > 0 {
-		tail = chunks[len(chunks)-1]
-		chunks, sizes = chunks[:len(chunks)-1], sizes[:len(sizes)-1]
-		if len(chunks) == 0 {
-			return nil, tail, true, nil
-		}
-	}
-	streams, fences, err := s.encodeChunks(chunks, sizes)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	refs, err = s.commitChunks(ctx, m, streams, fences)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return refs, tail, false, nil
-}
-
 // scanResult carries one decoded block through the scan pipeline: on a
 // restore scan with its fence, and its tuples in a pooled arena that goes
 // back to the pool once the visitor has run.

@@ -153,26 +153,6 @@ func checkNaivePages(t *testing.T, what string, s *Store, pager *storage.MemPage
 	}
 }
 
-// sliceStream feeds tuples to BulkLoadStreamContext.
-func sliceStream(tuples []relation.Tuple) func() (relation.Tuple, bool, error) {
-	i := 0
-	return func() (relation.Tuple, bool, error) {
-		if i >= len(tuples) {
-			return nil, false, nil
-		}
-		i++
-		return tuples[i-1], true, nil
-	}
-}
-
-// smallStreamWindow shrinks the stream loader's window for one test, so
-// that nearly every block forces a widening.
-func smallStreamWindow(t *testing.T) {
-	w := streamWindow
-	streamWindow = 16
-	t.Cleanup(func() { streamWindow = w })
-}
-
 // TestBulkLoadParallelByteIdentical is the differential test for the load
 // pipeline: at every worker count, for every codec, a bulk load writes
 // exactly the naive reference's runs, on the same pages, with the same
@@ -194,25 +174,6 @@ func TestBulkLoadParallelByteIdentical(t *testing.T) {
 				}
 			}
 			checkNaivePages(t, fmt.Sprintf("%v workers=%d", codec, w), s, pager, pool, want)
-		}
-	}
-}
-
-// TestBulkLoadStreamParallelByteIdentical runs the same differential check
-// through the streaming loader, with a window small enough to force many
-// widen-and-refill rounds.
-func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
-	const pageSize = 512
-	smallStreamWindow(t)
-	tuples := pipelineTuples(t, 4000, 7)
-	for _, codec := range core.Codecs() {
-		want := naivePages(t, codec, pipelineSchema(t), tuples, pageSize)
-		for w := 1; w <= 8; w *= 2 {
-			s, pager, pool := pipelineStore(t, codec, pageSize, 64, w)
-			if _, err := s.BulkLoadStreamContext(context.Background(), sliceStream(tuples)); err != nil {
-				t.Fatalf("%v workers=%d: %v", codec, w, err)
-			}
-			checkNaivePages(t, fmt.Sprintf("%v stream workers=%d", codec, w), s, pager, pool, want)
 		}
 	}
 }
@@ -258,12 +219,10 @@ func packInputs(t *testing.T) []packInput {
 }
 
 // TestOnePackingRule holds every packer to naivePack: bulk load at one and
-// four workers, the stream loader with a window small enough to force
-// widening, packRuns' greedy fallback and the relfile writer's fences all
-// cut the reference's runs, for every codec on every packInputs relation,
-// at 512-byte pages and at a capacity one tuple exactly fills.
+// four workers, packRuns' greedy fallback and the relfile writer's fences
+// all cut the reference's runs, for every codec on every packInputs
+// relation, at 512-byte pages and at a capacity one tuple exactly fills.
 func TestOnePackingRule(t *testing.T) {
-	smallStreamWindow(t)
 	ctx := context.Background()
 	lengths := func(runs [][]relation.Tuple) []int {
 		out := make([]int, len(runs))
@@ -300,7 +259,6 @@ func TestOnePackingRule(t *testing.T) {
 					got[fmt.Sprintf("bulk load, %d workers", w)] = counts(s.BulkLoadContext(ctx, tc.tuples))
 				}
 				s, _, _ := schemaStore(t, in.schema, c, tc.capacity+lenPrefix, 64, 4)
-				got["stream load"] = counts(s.BulkLoadStreamContext(ctx, sliceStream(tc.tuples)))
 				runs, err := s.packRuns(tc.tuples)
 				if err != nil {
 					t.Fatal(err)

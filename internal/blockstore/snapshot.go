@@ -291,19 +291,27 @@ func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) ([]relation.Tuple, erro
 	return sn.s.decodeBlock(sn.m.block(i), a)
 }
 
+// ViewStream calls fn on the i-th block's coded stream where it lies, in
+// the pinned page's frame, and unpins once fn returns. The stream is valid
+// only inside fn (see viewStream): fn decodes what it needs out of it and
+// must not call back into the store. After Release it fails with
+// ErrSnapshotStale.
+func (sn *Snapshot) ViewStream(i int, fn func(stream []byte) error) error {
+	if sn.released {
+		return fmt.Errorf("%w: block %d", ErrSnapshotStale, i)
+	}
+	return sn.s.viewStream(sn.m.block(i), fn)
+}
+
 // ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
 // from the caller's arena — the batch executor's block read. It walks the
-// coded stream with core.DecodeBlockPhis where it lies, in the pinned
-// page's frame, copying nothing.
+// coded stream with core.DecodeBlockPhis inside ViewStream, copying
+// nothing.
 func (sn *Snapshot) ReadPhis(i int, a *core.Arena) (phis []uint64, err error) {
-	if sn.released {
-		return nil, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
-	}
-	id := sn.m.block(i)
-	err = sn.s.viewStream(id, func(stream []byte) error {
+	err = sn.ViewStream(i, func(stream []byte) error {
 		var err error
 		if phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a); err != nil {
-			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, sn.m.block(i), err)
 		}
 		return nil
 	})

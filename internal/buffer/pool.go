@@ -2,10 +2,9 @@
 //
 // The pool is where the paper's I/O accounting happens: every miss is one
 // block read (a t1 in the cost model of Section 5.3) and every dirty
-// eviction or flush is one block write. When constructed with a
-// simdisk.Disk the pool records those accesses against the disk's cost
-// model, so experiments obtain N (blocks accessed) and simulated I/O time
-// directly from running real queries.
+// eviction or flush is one block write. Stats().Misses and Flushes are
+// those two counts, so experiments measure N (blocks accessed) by running
+// real queries and price it with the paper's per-block time t1.
 //
 // A miss reads outside the pool lock: Get evicts a victim, publishes the
 // new frame pinned and loading, and only then calls the pager, so hits and
@@ -16,8 +15,9 @@
 // allocates no page memory — and a frame's Data must never be touched after
 // its Unpin, because the next miss may already be reading another page
 // into it (the block store's one page read, viewStream, scopes every pin
-// to a callback, and race builds poison what the callback was handed). A freed frame's buffer is kept the same way, for the next new
-// frame, so a write's Allocate and Free of a page allocate none either.
+// to a callback, and race builds poison what the callback was handed). A
+// freed frame's buffer is kept the same way, for the next new frame, so a
+// write's Allocate and Free of a page allocate none either.
 package buffer
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
 
@@ -89,7 +88,6 @@ type Stats struct {
 type Pool struct {
 	mu       sync.Mutex
 	pager    storage.Pager
-	disk     *simdisk.Disk
 	capacity int
 	frames   map[storage.PageID]*Frame
 	lruHead  *Frame // most recently used unpinned frame
@@ -112,7 +110,7 @@ type Pool struct {
 	met poolMetrics
 }
 
-// poolMetrics are the pool's obs instruments, resolved once by SetObs.
+// poolMetrics are the pool's obs instruments, resolved once by New.
 type poolMetrics struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -121,34 +119,24 @@ type poolMetrics struct {
 	pinned    *obs.Gauge
 }
 
-// SetObs wires the pool's counters into a registry (nil detaches). Call
-// before the pool is shared; the instruments themselves are atomic, but
-// installing them is not synchronized with concurrent pool use.
-func (p *Pool) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		p.met = poolMetrics{}
-		return
-	}
-	p.met = poolMetrics{
-		hits:      reg.Counter("pool.hits"),
-		misses:    reg.Counter("pool.misses"),
-		evictions: reg.Counter("pool.evictions"),
-		flushes:   reg.Counter("pool.flushes"),
-		pinned:    reg.Gauge("pool.pinned"),
-	}
-}
-
-// New creates a pool of the given capacity (in frames) over the pager.
-// disk may be nil to disable cost accounting.
-func New(pager storage.Pager, disk *simdisk.Disk, capacity int) (*Pool, error) {
+// New creates a pool of the given capacity (in frames) over the pager,
+// with its counters wired into reg (nil for no instruments; a nil
+// instrument no-ops).
+func New(pager storage.Pager, reg *obs.Registry, capacity int) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: capacity %d must be positive", capacity)
 	}
 	p := &Pool{
 		pager:    pager,
-		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[storage.PageID]*Frame, capacity),
+		met: poolMetrics{
+			hits:      reg.Counter("pool.hits"),
+			misses:    reg.Counter("pool.misses"),
+			evictions: reg.Counter("pool.evictions"),
+			flushes:   reg.Counter("pool.flushes"),
+			pinned:    reg.Gauge("pool.pinned"),
+		},
 	}
 	p.loaded.L = &p.mu
 	return p, nil
@@ -227,9 +215,6 @@ func (p *Pool) writeBackLocked(f *Frame) error {
 	if err := p.pager.Write(f.id, f.data); err != nil {
 		return fmt.Errorf("buffer: write back page %d: %w", f.id, err)
 	}
-	if p.disk != nil {
-		p.disk.RecordWritePage(int64(f.id), len(f.data))
-	}
 	f.dirty.Store(false)
 	p.stats.Flushes++
 	p.met.flushes.Inc()
@@ -291,9 +276,6 @@ func (p *Pool) Get(id storage.PageID) (*Frame, error) {
 		delete(p.frames, id)
 		p.met.pinned.Add(-1)
 		return nil, err
-	}
-	if p.disk != nil {
-		p.disk.RecordReadPage(int64(id), len(data))
 	}
 	return f, nil
 }

@@ -7,22 +7,20 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
 
-func newPool(t *testing.T, capacity int) (*Pool, *simdisk.Disk, storage.Pager) {
+func newPool(t *testing.T, capacity int) (*Pool, storage.Pager) {
 	t.Helper()
 	pager, err := storage.NewMemPager(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := simdisk.MustNew(simdisk.PaperParams())
-	pool, err := New(pager, disk, capacity)
+	pool, err := New(pager, nil, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool, disk, pager
+	return pool, pager
 }
 
 func allocPages(t *testing.T, pool *Pool, n int) []storage.PageID {
@@ -42,12 +40,11 @@ func allocPages(t *testing.T, pool *Pool, n int) []storage.PageID {
 }
 
 func TestGetMissAndHit(t *testing.T) {
-	pool, disk, _ := newPool(t, 4)
+	pool, _ := newPool(t, 4)
 	ids := allocPages(t, pool, 1)
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	disk.Reset()
 	pool.ResetStats()
 
 	f, err := pool.Get(ids[0])
@@ -65,15 +62,12 @@ func TestGetMissAndHit(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss 1 hit", st)
 	}
-	if ds := disk.Stats(); ds.Reads != 1 {
-		t.Fatalf("disk reads = %d, want 1 (hit must not touch disk)", ds.Reads)
-	}
 }
 
 func TestDirtyWriteBackOnEviction(t *testing.T) {
-	pool, disk, pager := newPool(t, 2)
+	pool, pager := newPool(t, 2)
 	ids := allocPages(t, pool, 3)
-	disk.Reset()
+	pool.ResetStats()
 
 	f, err := pool.Get(ids[0])
 	if err != nil {
@@ -91,11 +85,12 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 		}
 		pool.Unpin(f)
 	}
-	if st := pool.Stats(); st.Evictions == 0 {
+	st := pool.Stats()
+	if st.Evictions == 0 {
 		t.Fatal("no eviction happened")
 	}
-	if ds := disk.Stats(); ds.Writes != 1 {
-		t.Fatalf("disk writes = %d, want 1 (dirty eviction)", ds.Writes)
+	if st.Flushes != 1 {
+		t.Fatalf("flushes = %d, want 1 (dirty eviction)", st.Flushes)
 	}
 	// The pager must hold the new data.
 	buf := make([]byte, 128)
@@ -108,7 +103,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 }
 
 func TestAllFramesPinned(t *testing.T) {
-	pool, _, _ := newPool(t, 2)
+	pool, _ := newPool(t, 2)
 	ids := allocPages(t, pool, 3)
 	f0, err := pool.Get(ids[0])
 	if err != nil {
@@ -129,7 +124,7 @@ func TestAllFramesPinned(t *testing.T) {
 }
 
 func TestDoubleUnpin(t *testing.T) {
-	pool, _, _ := newPool(t, 2)
+	pool, _ := newPool(t, 2)
 	ids := allocPages(t, pool, 1)
 	f, err := pool.Get(ids[0])
 	if err != nil {
@@ -144,7 +139,7 @@ func TestDoubleUnpin(t *testing.T) {
 }
 
 func TestPinCountNesting(t *testing.T) {
-	pool, _, _ := newPool(t, 1)
+	pool, _ := newPool(t, 1)
 	ids := allocPages(t, pool, 2)
 	f1, _ := pool.Get(ids[0])
 	f2, _ := pool.Get(ids[0]) // second pin on the same frame
@@ -163,13 +158,13 @@ func TestPinCountNesting(t *testing.T) {
 }
 
 func TestFlushAndDropAll(t *testing.T) {
-	pool, disk, pager := newPool(t, 4)
+	pool, pager := newPool(t, 4)
 	ids := allocPages(t, pool, 2)
 	f, _ := pool.Get(ids[1])
 	f.Data()[5] = 42
 	f.MarkDirty()
 	pool.Unpin(f)
-	disk.Reset()
+	pool.ResetStats()
 
 	if err := pool.Flush(); err != nil {
 		t.Fatal(err)
@@ -181,8 +176,8 @@ func TestFlushAndDropAll(t *testing.T) {
 	if buf[5] != 42 {
 		t.Fatal("Flush did not write back")
 	}
-	if ds := disk.Stats(); ds.Writes != 1 {
-		t.Fatalf("disk writes = %d", ds.Writes)
+	if st := pool.Stats(); st.Flushes != 1 {
+		t.Fatalf("flushes = %d, want 1", st.Flushes)
 	}
 
 	if err := pool.DropAll(); err != nil {
@@ -200,7 +195,7 @@ func TestFlushAndDropAll(t *testing.T) {
 }
 
 func TestDropAllRefusesPinned(t *testing.T) {
-	pool, _, _ := newPool(t, 4)
+	pool, _ := newPool(t, 4)
 	ids := allocPages(t, pool, 1)
 	f, _ := pool.Get(ids[0])
 	if err := pool.DropAll(); err == nil {
@@ -210,7 +205,7 @@ func TestDropAllRefusesPinned(t *testing.T) {
 }
 
 func TestFreeDropsPage(t *testing.T) {
-	pool, _, pager := newPool(t, 4)
+	pool, pager := newPool(t, 4)
 	ids := allocPages(t, pool, 1)
 	if err := pool.Free(ids[0]); err != nil {
 		t.Fatal(err)
@@ -233,7 +228,7 @@ func TestFreeDropsPage(t *testing.T) {
 // first orphaned it: the failed call's id was never freed, and the next
 // Allocate got a fresh one.
 func TestAllocateFailureReturnsPage(t *testing.T) {
-	pool, _, pager := newPool(t, 1)
+	pool, pager := newPool(t, 1)
 	f, err := pool.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +307,7 @@ func TestFreeRecyclesFrameBuffer(t *testing.T) {
 }
 
 func TestCloseFlushesAndBlocks(t *testing.T) {
-	pool, _, pager := newPool(t, 4)
+	pool, pager := newPool(t, 4)
 	ids := allocPages(t, pool, 1)
 	f, _ := pool.Get(ids[0])
 	f.Data()[0] = 9
@@ -337,7 +332,7 @@ func TestCloseFlushesAndBlocks(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	pool, _, _ := newPool(t, 3)
+	pool, _ := newPool(t, 3)
 	ids := allocPages(t, pool, 4)
 	pool.ResetStats()
 	get := func(id storage.PageID) {
@@ -365,23 +360,6 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-func TestNilDiskAllowed(t *testing.T) {
-	pager, _ := storage.NewMemPager(64)
-	pool, err := New(pager, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := pool.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.MarkDirty()
-	pool.Unpin(f)
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBadCapacity(t *testing.T) {
 	pager, _ := storage.NewMemPager(64)
 	if _, err := New(pager, nil, 0); err == nil {
@@ -390,7 +368,7 @@ func TestBadCapacity(t *testing.T) {
 }
 
 func TestConcurrentGetUnpin(t *testing.T) {
-	pool, _, _ := newPool(t, 8)
+	pool, _ := newPool(t, 8)
 	ids := allocPages(t, pool, 16)
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
@@ -148,15 +147,10 @@ type pass struct {
 	sn     *blockstore.Snapshot
 	st     Stats
 	pooled *core.Arena // non-nil iff the plan is Transient
-	stream *[]byte     // partial path: pooled coded-stream buffer, taken on first use
 	// digits extracts each attribute from a flat ordinal; the flat partial
 	// path builds them on first use.
 	digits []core.DigitExtractor
 }
-
-// streamPool recycles the partial path's coded-stream buffers across
-// passes: one page-sized copy per straddling block, reused.
-var streamPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // arena returns the arena the next block decodes into: the pooled one,
 // Reset (its slab capacity surviving), for Transient plans; a fresh arena
@@ -178,11 +172,6 @@ func runContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit fu
 		p.pooled = core.GetArena()
 		defer core.PutArena(p.pooled)
 	}
-	defer func() {
-		if p.stream != nil {
-			streamPool.Put(p.stream)
-		}
-	}()
 	err := p.run(ctx, plan, emit)
 	if p.pooled != nil {
 		p.st.SlabBytes += p.pooled.SlabBytes()
@@ -282,41 +271,40 @@ func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, 
 // Either way tuples in the span satisfy the bound by construction and only
 // the residual conjuncts filter.
 func (p *pass) runPartial(i int, dir *core.Restarts, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	sn, st := p.sn, &p.st
-	if p.stream == nil {
-		p.stream = streamPool.Get().(*[]byte)
-	}
-	stream, err := sn.ReadStreamInto(i, (*p.stream)[:0])
-	if err != nil {
-		return false, err
-	}
-	*p.stream = stream
-	st.BlocksRead++
-	st.PartialDecodes++
-	s := sn.Schema()
+	st, s := &p.st, p.sn.Schema()
 	if w, ok := s.FlatWeights(); ok {
-		stop, err = p.runFlatSpan(stream, dir, w, bound, rest, emit)
-		return stop, corruptSpan(sn, i, err)
+		return p.runFlatSpan(i, dir, w, bound, rest, emit)
 	}
 	a := p.arena()
 	if p.pooled == nil {
 		// Every exit accounts the block's arena, an empty span included.
 		defer func() { st.SlabBytes += a.SlabBytes() }()
 	}
-	span, err := core.DecodeAttr0SpanArena(s, stream, bound.Lo, bound.Hi, dir, a)
+	var span []relation.Tuple
+	err = p.viewSpan(i, func(stream []byte) (err error) {
+		span, err = core.DecodeAttr0SpanArena(s, stream, bound.Lo, bound.Hi, dir, a)
+		return err
+	})
 	if err != nil {
-		return false, corruptSpan(sn, i, err)
+		return false, err
 	}
 	return p.emitAll(span, rest, emit), nil
 }
 
-// corruptSpan reports a partial decode's failure on block i as the
-// block's corruption, as a full decode reports its own.
-func corruptSpan(sn *blockstore.Snapshot, i int, err error) error {
-	if err == nil {
+// viewSpan runs a span decode of block i on the coded stream in its pinned
+// frame (Snapshot.ViewStream) and reports the decode's failure as the
+// block's corruption, as a full decode reports its own. decode must leave
+// nothing aliasing the stream; the rows are filtered and emitted only
+// after the view returns, so caller code never runs with the page pinned.
+func (p *pass) viewSpan(i int, decode func(stream []byte) error) error {
+	return p.sn.ViewStream(i, func(stream []byte) error {
+		p.st.BlocksRead++
+		p.st.PartialDecodes++
+		if err := decode(stream); err != nil {
+			return fmt.Errorf("%w: page %d: %w", blockstore.ErrCorruptBlock, p.sn.Block(i), err)
+		}
 		return nil
-	}
-	return fmt.Errorf("%w: page %d: %w", blockstore.ErrCorruptBlock, sn.Block(i), err)
+	})
 }
 
 // runFlatSpan is runPartial on a flat schema. The walk's φ scratch comes
@@ -324,7 +312,7 @@ func corruptSpan(sn *blockstore.Snapshot, i int, err error) error {
 // Transient plan emits are carved from that arena too; any other plan's
 // rows may be retained by the caller, so they go into one exact-size slab
 // of their own.
-func (p *pass) runFlatSpan(stream []byte, dir *core.Restarts, w []uint64, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
+func (p *pass) runFlatSpan(i int, dir *core.Restarts, w []uint64, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
 	st, s := &p.st, p.sn.Schema()
 	var a *core.Arena
 	var rows []relation.Tuple
@@ -342,7 +330,11 @@ func (p *pass) runFlatSpan(stream []byte, dir *core.Restarts, w []uint64, bound 
 	// there regardless of its remaining digits. Clamp hi to the domain
 	// first so the products stay inside the (64-bit) space.
 	hi := min(bound.Hi, s.Domain(0).Size-1)
-	phis, err := core.PhiSpanSlab(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), dir, a)
+	var phis []uint64
+	err = p.viewSpan(i, func(stream []byte) (err error) {
+		phis, err = core.PhiSpanSlab(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), dir, a)
+		return err
+	})
 	if err != nil {
 		return false, err
 	}

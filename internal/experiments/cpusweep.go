@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cpumodel"
 	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
@@ -73,7 +72,7 @@ func RunCPUSweep(ctx context.Context, cfg CPUSweepConfig) (*CPUSweepResult, erro
 	if err != nil {
 		return nil, err
 	}
-	hp := cpumodel.PaperMachines()[0]
+	hp := PaperMachines()[0]
 	t1 := cfg.Disk.BlockTime(cfg.PageSize)
 	iUnc := time.Duration(cfg.IndexBlockFraction * float64(fig58.RawBlocks) * float64(t1))
 	iAVQ := time.Duration(cfg.IndexBlockFraction * float64(fig58.AVQBlocks) * float64(t1))

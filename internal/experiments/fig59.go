@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cpumodel"
 	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
@@ -43,7 +42,7 @@ func (c *Fig59Config) fillDefaults() {
 
 // Fig59MachineRow is the response-time model evaluated for one machine.
 type Fig59MachineRow struct {
-	Machine cpumodel.Machine
+	Machine Machine
 	// IUncoded and IAVQ are index search times (rows 5-6).
 	IUncoded, IAVQ time.Duration
 	// C2 and C1 are the total I/O times, uncoded and AVQ (rows 9-10).
@@ -101,7 +100,7 @@ func RunFig59(ctx context.Context, cfg Fig59Config) (*Fig59Result, error) {
 	}
 	iUnc := time.Duration(cfg.IndexBlockFraction * float64(fig58.RawBlocks) * float64(t1))
 	iAVQ := time.Duration(cfg.IndexBlockFraction * float64(fig58.AVQBlocks) * float64(t1))
-	for _, m := range append(cpumodel.PaperMachines(), timing.Host) {
+	for _, m := range append(PaperMachines(), timing.Host) {
 		c2 := iUnc + time.Duration(res.NUncoded*float64(t1+m.Extract))
 		c1 := iAVQ + time.Duration(res.NAVQ*float64(t1+m.BlockDecode))
 		res.Rows = append(res.Rows, Fig59MachineRow{

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
-	"repro/internal/cpumodel"
 	"repro/internal/gen"
 	"repro/internal/storage"
 )
@@ -48,8 +47,8 @@ type TimingResult struct {
 	Code    time.Duration
 	Decode  time.Duration
 	Extract time.Duration
-	// Host is the measured profile in cpumodel form.
-	Host cpumodel.Machine
+	// Host is the measured profile as a Machine.
+	Host Machine
 }
 
 // RunTiming performs the Section 5.2 measurement on this host: it loads
@@ -137,7 +136,7 @@ func RunTiming(ctx context.Context, cfg TimingConfig) (*TimingResult, error) {
 		Decode:       decodeTotal / time.Duration(nOps),
 		Extract:      extractTotal / time.Duration(nRawOps),
 	}
-	res.Host = cpumodel.Host(res.Code, res.Decode, res.Extract)
+	res.Host = hostMachine(res.Code, res.Decode, res.Extract)
 	return res, nil
 }
 
@@ -147,7 +146,7 @@ func (r *TimingResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "relation: %d tuples in %d AVQ blocks (%.1f tuples/block)\n\n",
 		r.Tuples, r.Blocks, r.TuplesPerBlk)
 	tbl := &textTable{header: []string{"machine", "code/block", "decode/block (t2)", "extract/block (t3)"}}
-	for _, m := range append(cpumodel.PaperMachines(), r.Host) {
+	for _, m := range append(PaperMachines(), r.Host) {
 		tbl.addRow(m.Name,
 			fmt.Sprintf("%.3fms", float64(m.BlockCode)/1e6),
 			fmt.Sprintf("%.3fms", float64(m.BlockDecode)/1e6),

@@ -5,14 +5,13 @@
 // parameters (20 ms seek, 8 ms rotation, 3 Mb/s transfer, 2 ms controller)
 // an 8192-byte block costs about 30 ms — the paper's t1.
 //
-// A Disk instance also counts real block reads and writes, so experiment
-// code measures N (the number of blocks accessed, Section 5.3.3) rather
-// than assuming it, and converts counts into simulated elapsed time.
+// The model is analytic: nothing here sits on the read or write path. N,
+// the number of blocks a query accesses (Section 5.3.3), is measured as
+// the buffer pool's misses, and BlockTime turns it into simulated time.
 package simdisk
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -26,15 +25,6 @@ type Params struct {
 	TransferBitsPerSec float64
 	// Controller is the controller overhead per access.
 	Controller time.Duration
-	// SequentialAware, when true, charges sequential accesses (page id one
-	// past the previous access) TrackToTrackSeek instead of the average
-	// seek and no rotational delay — the clustered-scan advantage the
-	// paper's average-cost model leaves on the table. Off by default to
-	// match Section 5.3.2 exactly.
-	SequentialAware bool
-	// TrackToTrackSeek is the reduced positioning cost for sequential
-	// accesses when SequentialAware is set.
-	TrackToTrackSeek time.Duration
 }
 
 // PaperParams returns the parameter set of Section 5.3.2: 20 ms seek
@@ -70,115 +60,4 @@ func (p Params) Validate() error {
 func (p Params) BlockTime(blockSize int) time.Duration {
 	transfer := time.Duration(float64(blockSize*8) / p.TransferBitsPerSec * float64(time.Second))
 	return p.Seek + p.Rotation + transfer + p.Controller
-}
-
-// SequentialBlockTime returns the modeled time for an access that follows
-// its predecessor on disk: track-to-track positioning, no rotational wait.
-func (p Params) SequentialBlockTime(blockSize int) time.Duration {
-	transfer := time.Duration(float64(blockSize*8) / p.TransferBitsPerSec * float64(time.Second))
-	return p.TrackToTrackSeek + transfer + p.Controller
-}
-
-// Stats is a snapshot of a disk's counters.
-type Stats struct {
-	Reads      int64
-	Writes     int64
-	BytesRead  int64
-	BytesWrite int64
-	// Elapsed is the total simulated I/O time accumulated by the cost
-	// model (not wall-clock time).
-	Elapsed time.Duration
-}
-
-// Accesses returns the total number of block accesses.
-func (s Stats) Accesses() int64 { return s.Reads + s.Writes }
-
-// Disk accumulates simulated I/O costs. It is safe for concurrent use.
-type Disk struct {
-	params Params
-
-	mu       sync.Mutex
-	stats    Stats
-	lastPage int64 // last accessed page, -1 when unknown
-}
-
-// New creates a disk with the given cost parameters.
-func New(params Params) (*Disk, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	return &Disk{params: params, lastPage: -1}, nil
-}
-
-// MustNew is New panicking on invalid parameters; for tests and statically
-// known configurations.
-func MustNew(params Params) *Disk {
-	d, err := New(params)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Params returns the disk's cost parameters.
-func (d *Disk) Params() Params { return d.params }
-
-// RecordRead accounts for reading one block of the given size at an
-// unknown position (always random cost).
-func (d *Disk) RecordRead(blockSize int) { d.RecordReadPage(-1, blockSize) }
-
-// RecordWrite accounts for writing one block of the given size at an
-// unknown position.
-func (d *Disk) RecordWrite(blockSize int) { d.RecordWritePage(-1, blockSize) }
-
-// RecordReadPage accounts for reading the block on the given page;
-// sequential-aware models charge the reduced cost when page follows the
-// previous access. A negative page means unknown position.
-func (d *Disk) RecordReadPage(page int64, blockSize int) {
-	d.mu.Lock()
-	t := d.accessTimeLocked(page, blockSize)
-	d.stats.Reads++
-	d.stats.BytesRead += int64(blockSize)
-	d.stats.Elapsed += t
-	d.mu.Unlock()
-}
-
-// RecordWritePage accounts for writing the block on the given page.
-func (d *Disk) RecordWritePage(page int64, blockSize int) {
-	d.mu.Lock()
-	t := d.accessTimeLocked(page, blockSize)
-	d.stats.Writes++
-	d.stats.BytesWrite += int64(blockSize)
-	d.stats.Elapsed += t
-	d.mu.Unlock()
-}
-
-// accessTimeLocked prices one access and updates the head position.
-func (d *Disk) accessTimeLocked(page int64, blockSize int) time.Duration {
-	sequential := d.params.SequentialAware && page >= 0 && d.lastPage >= 0 && page == d.lastPage+1
-	if page >= 0 {
-		d.lastPage = page
-	} else {
-		d.lastPage = -1
-	}
-	if sequential {
-		return d.params.SequentialBlockTime(blockSize)
-	}
-	return d.params.BlockTime(blockSize)
-}
-
-// Stats returns a snapshot of the counters.
-func (d *Disk) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// Reset zeroes the counters and forgets the head position, keeping the
-// parameters.
-func (d *Disk) Reset() {
-	d.mu.Lock()
-	d.stats = Stats{}
-	d.lastPage = -1
-	d.mu.Unlock()
 }

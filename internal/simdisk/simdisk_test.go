@@ -1,7 +1,6 @@
 package simdisk
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -34,100 +33,16 @@ func TestBlockTimeScalesWithSize(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
+	if err := PaperParams().Validate(); err != nil {
+		t.Fatalf("paper parameters rejected: %v", err)
+	}
 	bad := Params{TransferBitsPerSec: 0}
-	if _, err := New(bad); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Fatal("zero transfer rate accepted")
 	}
 	bad = PaperParams()
 	bad.Seek = -time.Millisecond
-	if _, err := New(bad); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Fatal("negative seek accepted")
-	}
-}
-
-func TestCounters(t *testing.T) {
-	d := MustNew(PaperParams())
-	d.RecordRead(8192)
-	d.RecordRead(8192)
-	d.RecordWrite(8192)
-	st := d.Stats()
-	if st.Reads != 2 || st.Writes != 1 || st.Accesses() != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BytesRead != 16384 || st.BytesWrite != 8192 {
-		t.Fatalf("bytes = %d/%d", st.BytesRead, st.BytesWrite)
-	}
-	want := 3 * PaperParams().BlockTime(8192)
-	if st.Elapsed != want {
-		t.Fatalf("Elapsed = %v, want %v", st.Elapsed, want)
-	}
-	d.Reset()
-	if st := d.Stats(); st.Accesses() != 0 || st.Elapsed != 0 {
-		t.Fatalf("after Reset: %+v", st)
-	}
-}
-
-func TestConcurrentRecording(t *testing.T) {
-	d := MustNew(PaperParams())
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				d.RecordRead(4096)
-			}
-		}()
-	}
-	wg.Wait()
-	if st := d.Stats(); st.Reads != 8000 {
-		t.Fatalf("Reads = %d, want 8000", st.Reads)
-	}
-}
-
-func TestSequentialAwareAccounting(t *testing.T) {
-	p := PaperParams()
-	p.SequentialAware = true
-	p.TrackToTrackSeek = 2 * time.Millisecond
-	d := MustNew(p)
-	// Random access, then a sequential run of 4.
-	d.RecordReadPage(10, 8192)
-	for pg := int64(11); pg <= 14; pg++ {
-		d.RecordReadPage(pg, 8192)
-	}
-	want := p.BlockTime(8192) + 4*p.SequentialBlockTime(8192)
-	if got := d.Stats().Elapsed; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
-	}
-	// A jump breaks the run.
-	d.Reset()
-	d.RecordReadPage(10, 8192)
-	d.RecordReadPage(20, 8192)
-	if got := d.Stats().Elapsed; got != 2*p.BlockTime(8192) {
-		t.Fatalf("non-sequential Elapsed = %v", got)
-	}
-	// Unknown positions never count as sequential.
-	d.Reset()
-	d.RecordRead(8192)
-	d.RecordRead(8192)
-	if got := d.Stats().Elapsed; got != 2*p.BlockTime(8192) {
-		t.Fatalf("unknown-position Elapsed = %v", got)
-	}
-}
-
-func TestSequentialDisabledByDefault(t *testing.T) {
-	d := MustNew(PaperParams())
-	d.RecordReadPage(5, 8192)
-	d.RecordReadPage(6, 8192)
-	if got := d.Stats().Elapsed; got != 2*PaperParams().BlockTime(8192) {
-		t.Fatalf("default model charged sequential discount: %v", got)
-	}
-}
-
-func TestSequentialBlockTime(t *testing.T) {
-	p := PaperParams()
-	p.TrackToTrackSeek = 2 * time.Millisecond
-	if p.SequentialBlockTime(8192) >= p.BlockTime(8192) {
-		t.Fatal("sequential access not cheaper than random")
 	}
 }

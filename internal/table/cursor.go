@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"errors"
 	"sort"
 
 	"repro/internal/blockstore"
@@ -86,10 +87,10 @@ type GroupResult struct {
 // hi. Groups are returned in ascending group-value order.
 func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
 	if groupAttr < 0 || groupAttr >= t.schema.NumAttrs() {
-		return nil, QueryStats{}, errInto("group attribute out of range")
+		return nil, QueryStats{}, errors.New("table: group attribute out of range")
 	}
 	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
-		return nil, QueryStats{}, errInto("aggregate attribute out of range")
+		return nil, QueryStats{}, errors.New("table: aggregate attribute out of range")
 	}
 	t.mu.RLock()
 	r, err := t.planRange(filterAttr, lo, hi)

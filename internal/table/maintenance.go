@@ -2,7 +2,6 @@ package table
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/relation"
 )
@@ -91,47 +90,6 @@ func (t *Table) insertBatchApply(ctx context.Context, batch []relation.Tuple, ap
 	return nil
 }
 
-// BulkLoadStreamContext loads the table from a pull source of phi-ordered
-// tuples (ok=false when dry) without materializing the relation: the
-// streaming counterpart of BulkLoadContext, intended for external-sorted
-// inputs larger than memory (package extsort produces a compatible
-// stream). next runs under the table's exclusive lock and must not call
-// back into the table. Cancellation is observed between block encodes,
-// before the next pull from the source. On error the table is left
-// partially loaded and must be discarded.
-func (t *Table) BulkLoadStreamContext(ctx context.Context, next func() (relation.Tuple, bool, error)) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.size != 0 || t.store.NumBlocks() != 0 {
-		return errInto("bulk load into non-empty table")
-	}
-	sp := t.opts.Obs.StartOp("bulkload_stream")
-	defer sp.End()
-	count := 0
-	counted := func() (relation.Tuple, bool, error) {
-		tu, ok, err := next()
-		if !ok || err != nil {
-			return tu, ok, err
-		}
-		if verr := t.schema.ValidateTuple(tu); verr != nil {
-			return nil, false, verr
-		}
-		count++
-		t.histAdd(tu)
-		return tu, true, nil
-	}
-	refs, err := t.store.BulkLoadStreamContext(ctx, counted)
-	if err != nil {
-		return err
-	}
-	if err := t.indexBlocks(ctx); err != nil {
-		return err
-	}
-	sp.Detailf("%d tuples, %d blocks", count, len(refs))
-	t.size = count
-	return t.walCheckpoint()
-}
-
 // walCheckpoint folds the current state into a durable catalog when a WAL
 // is attached. Bulk operations (bulk load, compact) are not logged — their
 // payload is the whole relation — so they reach durability by
@@ -142,10 +100,6 @@ func (t *Table) walCheckpoint() error {
 	}
 	return t.checkpoint()
 }
-
-// errInto builds a table-scoped error; a tiny helper keeping the streaming
-// path's error vocabulary aligned with BulkLoad's.
-func errInto(msg string) error { return fmt.Errorf("table: %s", msg) }
 
 // DeleteWhereContext removes every tuple matching the conjunction and
 // returns how many were removed. It collects the matches and deletes them

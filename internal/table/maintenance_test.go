@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/extsort"
 	"repro/internal/relation"
 )
 
@@ -243,114 +242,6 @@ func TestCompactPersistentTable(t *testing.T) {
 		t.Fatalf("Len after compact+reopen = %d, want %d", got.Len(), wantLen)
 	}
 	if err := got.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
-	s := testSchema(t)
-	tuples := randomTuples(t, 2500, 85)
-	sorted := make([]relation.Tuple, len(tuples))
-	for i, tu := range tuples {
-		sorted[i] = tu.Clone()
-	}
-	s.SortTuples(sorted)
-
-	plain := newTable(t, core.CodecAVQ, []int{1})
-	if err := plain.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	streamed := newTable(t, core.CodecAVQ, []int{1})
-	i := 0
-	if err := streamed.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
-		if i >= len(sorted) {
-			return nil, false, nil
-		}
-		tu := sorted[i]
-		i++
-		return tu, true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Len() != plain.Len() {
-		t.Fatalf("streamed %d tuples, plain %d", streamed.Len(), plain.Len())
-	}
-	if streamed.NumBlocks() != plain.NumBlocks() {
-		t.Fatalf("streamed %d blocks, plain %d (packing must agree)",
-			streamed.NumBlocks(), plain.NumBlocks())
-	}
-	if err := streamed.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	var a, b []relation.Tuple
-	plain.ScanContext(context.Background(), func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
-	streamed.ScanContext(context.Background(), func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
-	for i := range a {
-		if s.Compare(a[i], b[i]) != 0 {
-			t.Fatalf("tuple %d differs", i)
-		}
-	}
-}
-
-func TestBulkLoadStreamRejectsUnsorted(t *testing.T) {
-	tb := newTable(t, core.CodecAVQ, nil)
-	seq := []relation.Tuple{{5, 0, 0, 0, 0}, {1, 0, 0, 0, 0}}
-	i := 0
-	err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
-		if i >= len(seq) {
-			return nil, false, nil
-		}
-		tu := seq[i]
-		i++
-		return tu, true, nil
-	})
-	if err == nil {
-		t.Fatal("unsorted stream accepted")
-	}
-}
-
-func TestBulkLoadStreamFromExternalSort(t *testing.T) {
-	s := testSchema(t)
-	sorter, err := extsort.New(s, t.TempDir(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := randomTuples(t, 3000, 86)
-	for _, tu := range tuples {
-		if err := sorter.Add(tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Bridge the sorter's push iterator to the table's pull stream through
-	// a channel-free adapter: collect is avoided by running Iterate in a
-	// goroutine feeding a channel.
-	type item struct{ tu relation.Tuple }
-	ch := make(chan item, 64)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- sorter.Iterate(func(tu relation.Tuple) bool {
-			ch <- item{tu.Clone()}
-			return true
-		})
-		close(ch)
-	}()
-	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
-		it, ok := <-ch
-		if !ok {
-			return nil, false, nil
-		}
-		return it.tu, true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 3000 {
-		t.Fatalf("Len = %d", tb.Len())
-	}
-	if err := tb.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

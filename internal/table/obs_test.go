@@ -130,39 +130,6 @@ func TestScanContextCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestBulkLoadStreamContextCancel cancels a streaming load mid-flight and
-// checks the partial load holds no pins and the committed prefix is sound.
-func TestBulkLoadStreamContextCancel(t *testing.T) {
-	tb := newTable(t, core.CodecAVQ, nil)
-	src := randomTuples(t, 5000, 44)
-	testSchema(t).SortTuples(src)
-	ctx, cancel := context.WithCancel(context.Background())
-	i := 0
-	err := tb.BulkLoadStreamContext(ctx, func() (relation.Tuple, bool, error) {
-		if i == 1000 {
-			cancel()
-		}
-		if i >= len(src) {
-			return nil, false, nil
-		}
-		tu := src[i]
-		i++
-		return tu, true, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("stream load error = %v, want context.Canceled", err)
-	}
-	if i >= len(src) {
-		t.Fatal("source fully drained despite cancellation")
-	}
-	if got := tb.pool.PinnedFrames(); got != 0 {
-		t.Fatalf("%d frames still pinned after cancelled stream load", got)
-	}
-	if err := tb.store.Check(); err != nil {
-		t.Fatalf("store check after cancelled stream load: %v", err)
-	}
-}
-
 // TestCursorContextCancel checks an iterator surfaces cancellation at the
 // next block boundary and leaves no pinned frames once released.
 func TestCursorContextCancel(t *testing.T) {

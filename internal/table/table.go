@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/simdisk"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -68,7 +67,7 @@ type Options struct {
 	Durability Durability
 	// FS overrides the filesystem backing persistent tables and their
 	// WAL; nil means the real filesystem. Crash tests inject
-	// simdisk.NewFaultFS() to kill the I/O model at every syscall.
+	// an in-memory FaultFS to kill the I/O model at every syscall.
 	FS storage.FS
 	// WALSegmentSize overrides the log's segment rotation threshold in
 	// bytes (wal.DefaultSegmentSize when zero).
@@ -133,13 +132,12 @@ type bucket struct {
 type Table struct {
 	// mu guards the indexes, histograms, size, catalog state, closed, and
 	// every change of the store's layout. schema, opts and the substrate
-	// pointers are immutable after construction; pool, store counters and
-	// disk synchronise themselves.
+	// pointers are immutable after construction; the pool and store
+	// counters synchronise themselves.
 	mu sync.RWMutex
 
 	schema    *relation.Schema
 	opts      Options
-	disk      *simdisk.Disk
 	pager     storage.Pager
 	pool      *buffer.Pool
 	store     *blockstore.Store
@@ -222,11 +220,7 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		}
 		pager = mp
 	}
-	disk, err := simdisk.New(simdisk.PaperParams())
-	if err != nil {
-		return nil, err
-	}
-	pool, err := buffer.New(pager, disk, opts.PoolFrames)
+	pool, err := buffer.New(pager, opts.Obs, opts.PoolFrames)
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +229,11 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		return nil, err
 	}
 	store.SetObs(opts.Obs)
-	pool.SetObs(opts.Obs)
 	// Only the secondary indexes read the tuples a mutation hands back.
 	store.SetRunTuples(len(opts.SecondaryAttrs) > 0)
 	t := &Table{
 		schema:    schema,
 		opts:      opts,
-		disk:      disk,
 		pager:     pager,
 		pool:      pool,
 		store:     store,
@@ -309,9 +301,6 @@ func (t *Table) PhiBounds() (lo, hi uint64, ok bool) {
 	defer t.mu.RUnlock()
 	return t.store.FenceBounds()
 }
-
-// Disk returns the simulated disk, for experiment accounting.
-func (t *Table) Disk() *simdisk.Disk { return t.disk }
 
 // DropCache empties the buffer pool so the next query runs cold, as the
 // paper's I/O model assumes.

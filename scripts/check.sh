@@ -5,7 +5,7 @@
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
-# page-read (viewStream) and no-per-field-window guards,
+# page-read (viewStream), no-per-field-window and no-simulated-disk guards,
 # the full test suite, the bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
@@ -78,6 +78,10 @@ if awk '/^func \(s \*Store\) viewStream\(/,/^}/ { next } /pool\.Get\(/ { print F
 # attributes. Keep a per-field loop from growing back inside it.
 window=$(awk '/^func \(r \*diffReader\) window\(/,/^}/' internal/core/diff.go)
 if [ -z "$window" ] || echo "$window" | grep -nE 'AttrAtByte\(|AttrOffset\(|AttrWidths\(' || [ "$(echo "$window" | grep -cE '^[[:space:]]*for[[:space:]{]')" -ne 1 ]; then echo "diffReader.window loops over attributes (or is gone); parse the frame through the schema's TailPlan, and leave other frames to long" >&2; exit 1; fi
+# The pool's counters are the disk model: a miss is one block read, a
+# write-back one block write, and simdisk's parameters price them only in
+# the experiments. Keep a simulated disk off the read and write path.
+if grep -ln '"repro/internal/simdisk"' internal/buffer/*.go internal/table/*.go | grep -v '_test\.go$'; then echo "internal/buffer or internal/table imports internal/simdisk; count blocks with Pool.Stats and price them in the experiments" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
@@ -103,7 +107,7 @@ go test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count
 
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/buffer ./internal/table ./internal/simdisk \
-    ./internal/relation ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
+    ./internal/relation ./internal/blockstore ./internal/exec ./internal/obs \
     ./internal/core ./internal/analysis ./internal/wal \
     ./internal/backend ./internal/shard ./internal/server
 
