@@ -322,8 +322,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 	})
 }
 
-// BenchmarkJoins measures the two join algorithms over compressed
-// relations.
+// BenchmarkJoins measures the merge join over compressed relations.
 func BenchmarkJoins(b *testing.B) {
 	schema, left, err := gen.Spec38Byte(8000, false, 9).Build()
 	if err != nil {
@@ -348,14 +347,6 @@ func BenchmarkJoins(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := table.MergeJoinContext(context.Background(), lt, rt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := table.HashJoinContext(context.Background(), lt, rt, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Analytics: the query-processing surface beyond single-attribute ranges —
-// conjunctive selections with a histogram-driven planner, EXPLAIN,
-// streaming aggregates, bulk maintenance (batch insert, predicate delete,
-// compaction) — all running over AVQ-compressed blocks.
+// conjunctive selections driven by the access path naming the fewest
+// blocks, EXPLAIN, streaming aggregates, bulk maintenance (batch insert,
+// predicate delete, compaction) — all running over AVQ-compressed blocks.
 package main
 
 import (
@@ -17,8 +17,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	// A sales-fact relation. Attribute value distributions are deliberately
-	// skewed so the histogram planner has something to learn.
+	// A sales-fact relation. Only 64 of the 1024 product codes are live.
 	schema := relation.MustSchema(
 		relation.Domain{Name: "region", Size: 16},
 		relation.Domain{Name: "product", Size: 1024},
@@ -47,8 +46,9 @@ func main() {
 	}
 	fmt.Printf("loaded %d rows into %d AVQ blocks\n\n", tbl.Len(), tbl.NumBlocks())
 
-	// EXPLAIN a conjunction: the histogram knows products cluster in
-	// [0,64), so a seemingly wide product predicate is actually selective.
+	// EXPLAIN a conjunction: the planner counts the blocks each indexed
+	// conjunct's index names, drives through the product index, which
+	// names fewer blocks than the channel index, and prints the plan it runs.
 	preds := []table.Predicate{
 		{Attr: 1, Lo: 0, Hi: 9},     // 10 of the 64 live product codes
 		{Attr: 2, Lo: 3, Hi: 5},     // 3 of 8 channels

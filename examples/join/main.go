@@ -1,7 +1,7 @@
 // Join: equi-joins executed directly over AVQ-compressed relations. Blocks
-// decode independently (Section 3.3), so a hash join streams the probe side
-// one decompressed block at a time, and a merge join on the clustering
-// attribute makes one ordered pass over each compressed relation.
+// decode independently (Section 3.3), so a merge join on the clustering
+// attribute makes one ordered pass over each compressed relation, one
+// decompressed block at a time.
 package main
 
 import (
@@ -68,14 +68,6 @@ func main() {
 	}
 	fmt.Printf("merge join on region: %d result rows, %d+%d blocks read (one pass each)\n",
 		len(rows), stats.LeftBlocks, stats.RightBlocks)
-
-	// Hash join on an arbitrary attribute pair.
-	rows, stats, err = table.HashJoinContext(ctx, ot, wt, 1, 1) // product = warehouse? contrived but exercises the path
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("hash join product=warehouse: %d result rows, build side %d blocks, probe side %d blocks\n",
-		len(rows), stats.RightBlocks, stats.LeftBlocks)
 
 	// The join result of compressed tables equals the uncompressed join.
 	otRaw := func() *table.Table {

@@ -29,6 +29,11 @@ type Pred struct {
 	Lo, Hi uint64
 }
 
+// String renders the predicate in the paper's sigma notation.
+func (p Pred) String() string {
+	return fmt.Sprintf("%d<=A%d<=%d", p.Lo, p.Attr+1, p.Hi)
+}
+
 // matches reports whether tu satisfies the predicate.
 func (p Pred) matches(tu relation.Tuple) bool {
 	return tu[p.Attr] >= p.Lo && tu[p.Attr] <= p.Hi

@@ -20,8 +20,6 @@ type CPUSweepConfig struct {
 	Speedups []float64
 	// IndexBlockFraction as in Fig59Config.
 	IndexBlockFraction float64
-	// Disk is the I/O cost model.
-	Disk simdisk.Params
 	// PageSize is the block size.
 	PageSize int
 }
@@ -32,9 +30,6 @@ func (c *CPUSweepConfig) fillDefaults() {
 	}
 	if c.IndexBlockFraction == 0 {
 		c.IndexBlockFraction = 0.05
-	}
-	if c.Disk == (simdisk.Params{}) {
-		c.Disk = simdisk.PaperParams()
 	}
 	if c.PageSize == 0 {
 		c.PageSize = storage.DefaultPageSize
@@ -73,7 +68,7 @@ func RunCPUSweep(ctx context.Context, cfg CPUSweepConfig) (*CPUSweepResult, erro
 		return nil, err
 	}
 	hp := PaperMachines()[0]
-	t1 := cfg.Disk.BlockTime(cfg.PageSize)
+	t1 := simdisk.PaperParams().BlockTime(cfg.PageSize)
 	iUnc := time.Duration(cfg.IndexBlockFraction * float64(fig58.RawBlocks) * float64(t1))
 	iAVQ := time.Duration(cfg.IndexBlockFraction * float64(fig58.AVQBlocks) * float64(t1))
 	res := &CPUSweepResult{}

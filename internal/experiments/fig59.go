@@ -20,8 +20,6 @@ type Fig59Config struct {
 	// blocks amount to this fraction of data blocks (Section 5.3.1:
 	// "Assuming the number of secondary index blocks to be 5%").
 	IndexBlockFraction float64
-	// Disk is the I/O cost model; default PaperParams.
-	Disk simdisk.Params
 	// PageSize is the block size; default 8192.
 	PageSize int
 }
@@ -29,9 +27,6 @@ type Fig59Config struct {
 func (c *Fig59Config) fillDefaults() {
 	if c.IndexBlockFraction == 0 {
 		c.IndexBlockFraction = 0.05
-	}
-	if c.Disk == (simdisk.Params{}) {
-		c.Disk = simdisk.PaperParams()
 	}
 	if c.PageSize == 0 {
 		c.PageSize = storage.DefaultPageSize
@@ -90,7 +85,7 @@ func RunFig59(ctx context.Context, cfg Fig59Config) (*Fig59Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t1 := cfg.Disk.BlockTime(cfg.PageSize)
+	t1 := simdisk.PaperParams().BlockTime(cfg.PageSize)
 	res := &Fig59Result{
 		Timing:   timing,
 		Fig58:    fig58,

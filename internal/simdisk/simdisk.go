@@ -10,10 +10,7 @@
 // the buffer pool's misses, and BlockTime turns it into simulated time.
 package simdisk
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Params describes the disk cost model.
 type Params struct {
@@ -40,17 +37,6 @@ func PaperParams() Params {
 		TransferBitsPerSec: 24e6,
 		Controller:         2 * time.Millisecond,
 	}
-}
-
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.TransferBitsPerSec <= 0 {
-		return fmt.Errorf("simdisk: transfer rate %.2f must be positive", p.TransferBitsPerSec)
-	}
-	if p.Seek < 0 || p.Rotation < 0 || p.Controller < 0 {
-		return fmt.Errorf("simdisk: negative latency component")
-	}
-	return nil
 }
 
 // BlockTime returns the modeled time to read or write one block of the

@@ -31,18 +31,3 @@ func TestBlockTimeScalesWithSize(t *testing.T) {
 		t.Fatalf("delta = %v, want %v", got, wantDelta)
 	}
 }
-
-func TestValidate(t *testing.T) {
-	if err := PaperParams().Validate(); err != nil {
-		t.Fatalf("paper parameters rejected: %v", err)
-	}
-	bad := Params{TransferBitsPerSec: 0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero transfer rate accepted")
-	}
-	bad = PaperParams()
-	bad.Seek = -time.Millisecond
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative seek accepted")
-	}
-}

@@ -271,48 +271,6 @@ func TestMergeJoinEmittedRowsSafeToRetain(t *testing.T) {
 	}
 }
 
-// TestHashJoinEachStreamsAndStops covers the streaming hash join: same
-// rows as the materializing form, and emit=false stops the probe pass.
-func TestHashJoinEachStreamsAndStops(t *testing.T) {
-	ctx := context.Background()
-	left := randomTuples(t, 700, 17)
-	right := randomTuples(t, 300, 19)
-	lt, _ := newBatchPair(t, core.CodecAVQ, left)
-	rt, _ := newBatchPair(t, core.CodecAVQ, right)
-	want, wst, err := HashJoinContext(ctx, lt, rt, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []JoinRow
-	gst, err := HashJoinEachContext(ctx, lt, rt, 1, 1, func(r JoinRow) bool {
-		got = append(got, r)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Matches != wst.Matches || len(got) != len(want) {
-		t.Fatalf("streamed %d rows (%d matches), materialized %d (%d)",
-			len(got), gst.Matches, len(want), wst.Matches)
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-	stopped := 0
-	sst, err := HashJoinEachContext(ctx, lt, rt, 1, 1, func(JoinRow) bool {
-		stopped++
-		return stopped < 5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stopped != 5 || sst.Matches != 5 {
-		t.Fatalf("early stop: emitted %d, Matches %d", stopped, sst.Matches)
-	}
-}
-
 // TestSyncBatchRouting checks the lock-then-plan shells route flat schemas
 // to the batch kernels: results identical to the tuple path, batch counters
 // live.

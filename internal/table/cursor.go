@@ -92,9 +92,7 @@ func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint6
 	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
 		return nil, QueryStats{}, errors.New("table: aggregate attribute out of range")
 	}
-	t.mu.RLock()
-	r, err := t.planRange(filterAttr, lo, hi)
-	t.mu.RUnlock()
+	r, err := t.readPlan([]Predicate{{Attr: filterAttr, Lo: lo, Hi: hi}})
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -102,7 +100,7 @@ func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint6
 	// Group buckets copy the key and aggregate values out of each tuple, so
 	// the executor may recycle one arena across blocks.
 	r.plan.Transient = true
-	if r.batch && !r.empty {
+	if r.batch {
 		return groupByBatchCtx(ctx, r, t.schema, groupAttr, aggAttr)
 	}
 	return groupByRunCtx(ctx, r, t.schema, groupAttr, aggAttr)

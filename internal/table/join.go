@@ -2,7 +2,6 @@ package table
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/exec"
 	"repro/internal/ordinal"
@@ -28,91 +27,6 @@ type JoinStats struct {
 	// sides. Zero on the tuple-at-a-time path.
 	BatchBlocks int
 	SlabRows    int
-}
-
-// HashJoinContext computes the equi-join left ⋈_{A_lattr = A_rattr} right
-// with a classic in-memory hash join: the smaller relation is built into a
-// hash table on its join attribute, the larger is streamed block by block
-// through the executor. Because AVQ blocks decode independently, the
-// probe side never needs more than one decoded block in memory — the
-// locality property Section 3.3 is designed for. Both passes observe
-// cancellation at block boundaries. It materializes the whole result;
-// large joins should stream through HashJoinEachContext.
-//
-// Joins pin each side's snapshot in turn and run lock-free on both, so
-// left and right may be the same table and writers proceed beside them.
-func HashJoinContext(ctx context.Context, left, right *Table, lattr, rattr int) ([]JoinRow, JoinStats, error) {
-	var out []JoinRow
-	stats, err := HashJoinEachContext(ctx, left, right, lattr, rattr, func(row JoinRow) bool {
-		out = append(out, row)
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
-}
-
-// HashJoinEachContext is the streaming form of HashJoinContext: join rows
-// reach emit one at a time (in probe-side φ order) and nothing but the
-// build side's hash table is held in memory, so the join runs in
-// O(smaller side) space regardless of result size. Emitted tuples are
-// safe to retain. emit returning false stops the join early; Matches
-// counts the rows emitted up to the stop.
-func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr int, emit func(JoinRow) bool) (JoinStats, error) {
-	if lattr < 0 || lattr >= left.schema.NumAttrs() {
-		return JoinStats{}, fmt.Errorf("table: join attribute %d out of range for left", lattr)
-	}
-	if rattr < 0 || rattr >= right.schema.NumAttrs() {
-		return JoinStats{}, fmt.Errorf("table: join attribute %d out of range for right", rattr)
-	}
-	sp := left.opts.Obs.StartOp("hash_join")
-	defer sp.End()
-	var stats JoinStats
-	// Build on the smaller side.
-	buildLeft := left.Len() <= right.Len()
-	build, probe := left, right
-	battr, pattr := lattr, rattr
-	if !buildLeft {
-		build, probe = right, left
-		battr, pattr = rattr, lattr
-	}
-	ht := make(map[uint64][]relation.Tuple)
-	buildSnap := build.snapshot()
-	buildStats, err := exec.RunContext(ctx, buildSnap, exec.Plan{}, func(tu relation.Tuple) bool {
-		ht[tu[battr]] = append(ht[tu[battr]], tu)
-		return true
-	})
-	buildSnap.Release()
-	if err != nil {
-		return stats, err
-	}
-	probeSnap := probe.snapshot()
-	probeStats, err := exec.RunContext(ctx, probeSnap, exec.Plan{}, func(tu relation.Tuple) bool {
-		for _, match := range ht[tu[pattr]] {
-			var row JoinRow
-			if buildLeft {
-				row = JoinRow{Left: match, Right: tu}
-			} else {
-				row = JoinRow{Left: tu, Right: match}
-			}
-			stats.Matches++
-			if !emit(row) {
-				return false
-			}
-		}
-		return true
-	})
-	probeSnap.Release()
-	if err != nil {
-		return stats, err
-	}
-	if buildLeft {
-		stats.LeftBlocks, stats.RightBlocks = buildStats.BlocksRead, probeStats.BlocksRead
-	} else {
-		stats.LeftBlocks, stats.RightBlocks = probeStats.BlocksRead, buildStats.BlocksRead
-	}
-	return stats, nil
 }
 
 // MergeJoinContext computes the equi-join on both relations' clustering

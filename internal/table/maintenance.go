@@ -78,9 +78,6 @@ func (t *Table) insertBatchApply(ctx context.Context, batch []relation.Tuple, ap
 			return err
 		}
 		t.applyMutation(res)
-		for _, tu := range batch[:n] {
-			t.histAdd(tu)
-		}
 		t.size += n
 		if applied != nil {
 			*applied += n
@@ -168,7 +165,10 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	defer sp.End()
 	before = t.store.NumBlocks()
 	var all []relation.Tuple
-	scan := t.planScan()
+	scan, err := t.planSelect(nil)
+	if err != nil {
+		return before, before, err
+	}
 	scan.op = "scan"
 	if _, err := scan.runCtx(ctx, func(tu relation.Tuple) bool {
 		all = append(all, tu.Clone())
@@ -183,7 +183,6 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	for attr := range t.secondary {
 		t.secondary[attr] = newSecIndex(t.opts)
 	}
-	t.hist = newHistograms(t.schema)
 	t.size = 0
 
 	// Reload tightly packed, deaf to cancellation: the old layout is
@@ -194,9 +193,6 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	}
 	if err := t.indexBlocks(ctx); err != nil {
 		return before, before, err
-	}
-	for _, tu := range all {
-		t.histAdd(tu)
 	}
 	t.size = len(all)
 	return before, t.store.NumBlocks(), t.walCheckpoint()

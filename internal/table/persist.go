@@ -363,10 +363,10 @@ func (t *Table) Close() error {
 
 // Open loads a persistent table created by Create with a path. The
 // schema, codec, block layout, and secondary-index configuration come from
-// the newest valid catalog; options supply runtime knobs (pool size, disk
-// model, observability). One decode pass over the data blocks restores
-// the store's fences (the primary index) and rebuilds the secondary
-// indexes and histograms.
+// the newest valid catalog; options supply runtime knobs (pool size,
+// observability). One decode pass over the data blocks restores the
+// store's fences (the primary index), rebuilds the secondary indexes and
+// counts the tuples.
 func Open(path string, options ...Option) (*Table, error) {
 	if path == "" {
 		return nil, errors.New("table: Open needs a path")
@@ -497,14 +497,11 @@ func Open(path string, options ...Option) (*Table, error) {
 	t.catalogChains = chains
 	t.generation = best.generation
 	// One decode pass: the store captures each block's φ-fence and hands
-	// the tuples on for the secondary indexes and histograms.
+	// the tuples on for the secondary indexes and the count.
 	count := 0
 	//avqlint:ignore ctxflow opening is uninterruptible setup
 	if err := t.store.Restore(context.Background(), best.blocks, func(id storage.PageID, ts []relation.Tuple) {
 		t.registerTuples(id, ts)
-		for _, tu := range ts {
-			t.histAdd(tu)
-		}
 		count += len(ts)
 	}); err != nil {
 		return nil, errors.Join(err, t.Close())

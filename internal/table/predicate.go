@@ -4,136 +4,200 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
+	"repro/internal/blockstore"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/relation"
 )
 
-// Predicate is one conjunct of a selection: lo <= A_attr <= hi.
-type Predicate struct {
-	Attr   int
-	Lo, Hi uint64
-}
+// Predicate is one conjunct of a selection: lo <= A_attr <= hi. It is the
+// executor's predicate, so the planner clamps conjuncts into a plan as
+// they are.
+type Predicate = exec.Pred
 
-// String renders the predicate in the paper's sigma notation.
-func (p Predicate) String() string {
-	return fmt.Sprintf("%d<=A%d<=%d", p.Lo, p.Attr+1, p.Hi)
-}
-
-// matches reports whether tu satisfies the predicate.
-func (p Predicate) matches(tu relation.Tuple) bool {
-	return tu[p.Attr] >= p.Lo && tu[p.Attr] <= p.Hi
-}
-
-// selectivity estimates the fraction of a uniform domain the predicate
-// admits; the planner drives the conjunction through the most selective
-// indexed predicate.
-func (p Predicate) selectivity(s *relation.Schema) float64 {
-	size := s.Domain(p.Attr).Size
-	if size == 0 {
-		return 1
-	}
-	hi := p.Hi
-	if hi >= size {
-		hi = size - 1
-	}
-	if p.Lo > hi {
-		return 0
-	}
-	return float64(hi-p.Lo+1) / float64(size)
-}
-
-// SelectContext executes a conjunction of range predicates. The most
-// selective predicate with an access path (the clustering attribute or a
-// secondary index) drives block retrieval; the whole conjunction is pushed
-// into the executor, which filters while it streams. With no usable
-// predicate the table is scanned. Cancellation is observed at block
-// boundaries, before the next decode.
+// SelectContext executes a conjunction of range predicates. The access
+// path naming the fewest blocks drives retrieval (see planSelect); the
+// whole conjunction is pushed into the executor, which filters while it
+// streams. With no usable predicate the table is scanned. Cancellation is
+// observed at block boundaries, before the next decode.
 func (t *Table) SelectContext(ctx context.Context, preds []Predicate) ([]relation.Tuple, QueryStats, error) {
-	t.mu.RLock()
-	r, err := t.planSelect(preds)
-	t.mu.RUnlock()
+	r, err := t.readPlan(preds)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	return r.collect(ctx)
 }
 
-// planSelect plans a conjunctive selection: the most selective predicate
-// with an access path chooses the strategy (and, for a secondary index,
-// the candidate blocks); every conjunct goes into the executor plan, so a
-// predicate on the clustering attribute prunes blocks by φ-fence even
-// when a secondary predicate drives. The caller holds mu.
+// readPlan plans a read pass under the shared lock (see planSelect).
+func (t *Table) readPlan(preds []Predicate) (queryRun, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.planSelect(preds)
+}
+
+// planSelect is the table's one planner: a conjunctive selection, a
+// single range (a one-element conjunction) and a scan (an empty one) all
+// plan here. It validates the conjuncts and clamps them into the executor
+// plan, pins a snapshot, and lets pickDriver choose the access path; every
+// conjunct stays in the plan, so a predicate on the clustering attribute
+// prunes blocks by φ-fence even when a secondary index drives. A
+// conjunction with any conjunct that admits no value (lo > hi, or lo past
+// the domain) is empty, reads no block and keeps the zero Strategy. The
+// caller holds mu.
 func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
+	r := queryRun{op: "select", reg: t.opts.Obs, batch: t.batchable(), driver: -1}
 	if len(preds) == 0 {
-		return t.planScan(), nil
+		r.stats.Strategy = StrategyFullScan
+		r.snap = t.store.Snapshot()
+		return r, nil
 	}
-	for _, p := range preds {
+	r.plan.Preds = slices.Clone(preds)
+	empty := t.size == 0
+	for i := range r.plan.Preds {
+		p := &r.plan.Preds[i]
 		if p.Attr < 0 || p.Attr >= t.schema.NumAttrs() {
 			return queryRun{}, fmt.Errorf("table: attribute %d out of range", p.Attr)
 		}
+		size := t.schema.Domain(p.Attr).Size
+		empty = empty || p.Lo > p.Hi || p.Lo >= size
+		p.Hi = min(p.Hi, size-1)
 	}
-	driver := preds[t.pickDriver(preds)]
-	if driver.Lo > driver.Hi || driver.Lo >= t.schema.Domain(driver.Attr).Size || t.size == 0 {
+	if empty {
 		return queryRun{empty: true}, nil
 	}
-	if driver.Hi >= t.schema.Domain(driver.Attr).Size {
-		driver.Hi = t.schema.Domain(driver.Attr).Size - 1
-	}
-	r := queryRun{op: "select", reg: t.opts.Obs}
-	for _, p := range preds {
-		hi := p.Hi
-		if hi >= t.schema.Domain(p.Attr).Size {
-			hi = t.schema.Domain(p.Attr).Size - 1
-		}
-		r.plan.Preds = append(r.plan.Preds, exec.Pred{Attr: p.Attr, Lo: p.Lo, Hi: hi})
-	}
-	switch {
-	case driver.Attr == 0:
-		r.stats.Strategy = StrategyClustered
-	default:
-		r.stats.Strategy = StrategyFullScan
-		if idx, ok := t.secondary[driver.Attr]; ok {
-			r.stats.Strategy = StrategySecondary
-			r.plan.Candidates = t.candidateBlocks(idx, driver.Attr, driver.Lo, driver.Hi)
-		}
-	}
 	r.snap = t.store.Snapshot()
+	t.pickDriver(&r)
 	return r, nil
 }
 
-// pickDriver chooses the predicate to drive retrieval: the most selective
-// one that has an access path, else the most selective overall.
-// Selectivity comes from the per-attribute histograms when the table holds
-// data, falling back to the uniform-domain estimate otherwise.
-func (t *Table) pickDriver(preds []Predicate) int {
-	sel := func(p Predicate) float64 {
-		if t.size > 0 {
-			return t.hist[p.Attr].estimate(p.Lo, p.Hi)
-		}
-		return p.selectivity(t.schema)
-	}
-	best := -1
-	bestSel := math.Inf(1)
+// pickDriver chooses the conjunct that drives r's pass and sets the
+// strategy. The access paths are the first conjunct on attribute 0 (the
+// executor's clustering bound), whose blocks are its fence range on r's
+// snapshot, and each conjunct on another indexed attribute, whose blocks
+// are its candidate set; the driver is the one naming the fewest blocks,
+// the paper's N (Section 5.3.3) counted rather than estimated. Ties go to
+// attribute 0, then to conjunct order, and blocks are counted only when
+// two or more conjuncts have an access path. The winning candidate set
+// becomes the plan's, so no second index scan runs. With no access path
+// the pass is a full scan.
+func (t *Table) pickDriver(r *queryRun) {
+	preds := r.plan.Preds
+	best, bestN := attr0(preds), -1 // bestN < 0: not counted
 	for i, p := range preds {
-		_, indexed := t.secondary[p.Attr]
-		if p.Attr != 0 && !indexed {
+		if p.Attr == 0 {
 			continue
 		}
-		if s := sel(p); s < bestSel {
-			best, bestSel = i, s
+		idx := t.secondary[p.Attr]
+		if idx == nil {
+			continue
+		}
+		if best >= 0 && bestN < 0 {
+			start, end := fenceRange(r.snap, preds[best])
+			bestN = end - start
+		}
+		cand := t.candidateBlocks(idx, p.Attr, p.Lo, p.Hi)
+		if best < 0 || len(cand) < bestN {
+			best, bestN, r.plan.Candidates = i, len(cand), cand
 		}
 	}
-	if best >= 0 {
-		return best
+	r.driver = best
+	switch {
+	case best < 0:
+		r.stats.Strategy = StrategyFullScan
+	case preds[best].Attr == 0:
+		r.stats.Strategy = StrategyClustered
+	default:
+		r.stats.Strategy = StrategySecondary
+	}
+}
+
+// attr0 returns the position of the first conjunct on attribute 0, the one
+// the executor bounds the pass by, or -1.
+func attr0(preds []Predicate) int {
+	return slices.IndexFunc(preds, func(p Predicate) bool { return p.Attr == 0 })
+}
+
+// fenceRange returns the positions [start, end) of the blocks a pass
+// bounded by p, a clamped conjunct on attribute 0, reads: from the first
+// block whose fence reaches p.Lo to the last that starts at or below p.Hi,
+// found on the snapshot's fence array without reading a page.
+func fenceRange(sn *blockstore.Snapshot, p Predicate) (start, end int) {
+	start, end = sn.SeekAttr0(p.Lo), sn.SeekAttr0(p.Hi+1)
+	if end < sn.NumBlocks() && sn.Fence(end).First[0] <= p.Hi {
+		end++
+	}
+	return start, end
+}
+
+// blocks counts the blocks r's pass reads, N: its candidates (every block
+// when it has none) inside the clustering conjunct's fence range.
+func (r queryRun) blocks() int {
+	if r.empty {
+		return 0
+	}
+	start, end := 0, r.snap.NumBlocks()
+	if a := attr0(r.plan.Preds); a >= 0 {
+		start, end = fenceRange(r.snap, r.plan.Preds[a])
+	}
+	if r.plan.Candidates == nil {
+		return end - start
+	}
+	n := 0
+	for i := start; i < end; i++ {
+		if _, ok := r.plan.Candidates[r.snap.Block(i)]; ok {
+			n++
+		}
+	}
+	return n
+}
+
+// Explain plans the conjunction as SelectContext does and describes that
+// plan without executing it: the driving conjunct, the residual filter,
+// the strategy, and N, the blocks the pass would read, of the table's M.
+func (t *Table) Explain(preds []Predicate) (string, error) {
+	t.mu.RLock()
+	r, err := t.planSelect(preds)
+	total := t.store.NumBlocks()
+	t.mu.RUnlock()
+	if err != nil {
+		return "", err
+	}
+	if r.snap != nil {
+		defer r.snap.Release()
+	}
+	var b strings.Builder
+	b.WriteString("select:")
+	if len(preds) == 0 {
+		b.WriteString(" every row")
 	}
 	for i, p := range preds {
-		if s := sel(p); s < bestSel {
-			best, bestSel = i, s
+		if i > 0 {
+			b.WriteString(" AND")
+		}
+		fmt.Fprintf(&b, " %s", p)
+	}
+	b.WriteString("\n")
+	switch {
+	case r.empty:
+		b.WriteString("empty: no row qualifies\n")
+	case r.driver >= 0:
+		fmt.Fprintf(&b, "driver: %s\n", r.plan.Preds[r.driver])
+	}
+	sep := "residual filter:"
+	for i, q := range r.plan.Preds {
+		if i != r.driver {
+			fmt.Fprintf(&b, "%s %s", sep, q)
+			sep = ""
 		}
 	}
-	return best
+	if sep == "" {
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "%s path: blocks %d of %d\n", r.stats.Strategy, r.blocks(), total)
+	return b.String(), nil
 }
 
 // Project returns the chosen attributes of each row, in row order. It is a
@@ -184,9 +248,7 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 	if aggAttr < 0 || aggAttr >= t.schema.NumAttrs() {
 		return AggregateResult{}, QueryStats{}, fmt.Errorf("table: aggregate attribute %d out of range", aggAttr)
 	}
-	t.mu.RLock()
-	r, err := t.planRange(attr, lo, hi)
-	t.mu.RUnlock()
+	r, err := t.readPlan([]Predicate{{Attr: attr, Lo: lo, Hi: hi}})
 	if err != nil {
 		return AggregateResult{}, QueryStats{}, err
 	}
@@ -194,7 +256,7 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 	// The aggregate fold reads attribute values and retains nothing, so the
 	// executor may recycle one arena across blocks.
 	r.plan.Transient = true
-	if r.batch && !r.empty {
+	if r.batch {
 		return aggregateBatchCtx(ctx, r, t.schema, aggAttr)
 	}
 	return aggregateRunCtx(ctx, r, aggAttr)

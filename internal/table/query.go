@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/btree"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -74,6 +75,9 @@ type queryRun struct {
 	// plan time when the schema is flat and the table has not opted out.
 	// Only operators whose kernels consume raw ordinals honour it.
 	batch bool
+	// driver is the position in plan.Preds of the conjunct that chose the
+	// access path, -1 when none did (a full scan).
+	driver int
 
 	// op names the span recorded around the pass ("" records none); reg is
 	// the table's registry, captured at plan time so runCtx needs no table.
@@ -147,9 +151,7 @@ func foldExecStats(st QueryStats, es exec.Stats) QueryStats {
 // A_attr <= hi}(R) (Section 5.3) and returns the matching tuples in phi
 // order together with access statistics.
 func (t *Table) SelectRangeContext(ctx context.Context, attr int, lo, hi uint64) ([]relation.Tuple, QueryStats, error) {
-	t.mu.RLock()
-	r, err := t.planRange(attr, lo, hi)
-	t.mu.RUnlock()
+	r, err := t.readPlan([]Predicate{{Attr: attr, Lo: lo, Hi: hi}})
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -163,53 +165,11 @@ func (t *Table) SelectRangeContext(ctx context.Context, attr int, lo, hi uint64)
 // cancellation observed at block boundaries. The scatter-gather executor
 // feeds per-shard merge channels through it.
 func (t *Table) SelectRangeFuncContext(ctx context.Context, attr int, lo, hi uint64, emit func(relation.Tuple) bool) (QueryStats, error) {
-	t.mu.RLock()
-	r, err := t.planRange(attr, lo, hi)
-	t.mu.RUnlock()
+	r, err := t.readPlan([]Predicate{{Attr: attr, Lo: lo, Hi: hi}})
 	if err != nil {
 		return QueryStats{}, err
 	}
 	return r.runCtx(ctx, emit)
-}
-
-// planRange validates the predicate and picks the access path, as a real
-// system would: predicates on the clustering prefix (attribute 0) bound a
-// contiguous block range through the φ-fences; other attributes use their
-// secondary index when one exists; otherwise the table is scanned.
-func (t *Table) planRange(attr int, lo, hi uint64) (queryRun, error) {
-	if attr < 0 || attr >= t.schema.NumAttrs() {
-		return queryRun{}, fmt.Errorf("table: attribute %d out of range", attr)
-	}
-	if lo > hi || lo >= t.schema.Domain(attr).Size || t.size == 0 {
-		return queryRun{empty: true}, nil
-	}
-	if hi >= t.schema.Domain(attr).Size {
-		hi = t.schema.Domain(attr).Size - 1
-	}
-	r := queryRun{plan: exec.Plan{Preds: []exec.Pred{{Attr: attr, Lo: lo, Hi: hi}}}, op: "select", reg: t.opts.Obs, batch: t.batchable()}
-	switch {
-	case attr == 0:
-		r.stats.Strategy = StrategyClustered
-	default:
-		r.stats.Strategy = StrategyFullScan
-		if idx, ok := t.secondary[attr]; ok {
-			r.stats.Strategy = StrategySecondary
-			r.plan.Candidates = t.candidateBlocks(idx, attr, lo, hi)
-		}
-	}
-	r.snap = t.store.Snapshot()
-	return r, nil
-}
-
-// planScan plans an unconditional pass over every block. The caller holds
-// mu.
-func (t *Table) planScan() queryRun {
-	return queryRun{
-		stats: QueryStats{Strategy: StrategyFullScan},
-		snap:  t.store.Snapshot(),
-		reg:   t.opts.Obs,
-		batch: t.batchable(),
-	}
 }
 
 // batchable reports whether aggregate reads may use the columnar batch
@@ -249,13 +209,11 @@ func (t *Table) SelectPointContext(ctx context.Context, attr int, v uint64) ([]r
 // CountRangeContext returns only the number of qualifying tuples, with the
 // same access path and cost as SelectRangeContext but no materialization.
 func (t *Table) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) (int, QueryStats, error) {
-	t.mu.RLock()
-	r, err := t.planRange(attr, lo, hi)
-	t.mu.RUnlock()
+	r, err := t.readPlan([]Predicate{{Attr: attr, Lo: lo, Hi: hi}})
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
-	if r.batch && !r.empty {
+	if r.batch {
 		// The batch pass counts qualifying ordinals as it compacts each
 		// slab, so its kernel has nothing left to do.
 		stats, err := r.runBatchCtx(ctx, func([]uint64) bool { return true })
@@ -288,4 +246,55 @@ func (t *Table) BlocksForValue(attr int, v uint64) []storage.PageID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// HistogramContext computes an exact equi-width value histogram of one
+// attribute by streaming the table through the executor. It returns one
+// count per bucket; the last bucket absorbs the domain remainder when the
+// domain does not divide evenly.
+func (t *Table) HistogramContext(ctx context.Context, attr, buckets int) ([]int, QueryStats, error) {
+	if attr < 0 || attr >= t.schema.NumAttrs() {
+		return nil, QueryStats{}, fmt.Errorf("table: attribute %d out of range", attr)
+	}
+	if buckets <= 0 {
+		return nil, QueryStats{}, fmt.Errorf("table: histogram needs a positive bucket count")
+	}
+	domain := t.schema.Domain(attr).Size
+	if uint64(buckets) > domain {
+		buckets = int(domain)
+	}
+	width := (domain + uint64(buckets) - 1) / uint64(buckets)
+	counts := make([]int, buckets)
+	r, err := t.readPlan(nil)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	r.op = "histogram"
+	if r.batch {
+		// Bucket straight off the φ digits.
+		w, _ := t.schema.FlatWeights()
+		dig := core.NewDigitExtractor(w[attr], domain)
+		stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
+			for _, phi := range phis {
+				b := int(dig.Digit(phi) / width)
+				if b >= buckets {
+					b = buckets - 1
+				}
+				counts[b]++
+			}
+			return true
+		})
+		return counts, stats, err
+	}
+	// Bucketing reads one attribute per tuple and retains nothing.
+	r.plan.Transient = true
+	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
+		b := int(tu[attr] / width)
+		if b >= buckets {
+			b = buckets - 1
+		}
+		counts[b]++
+		return true
+	})
+	return counts, stats, err
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func TestSelectConjunction(t *testing.T) {
 	for _, tu := range tuples {
 		ok := true
 		for _, p := range preds {
-			if !p.matches(tu) {
+			if tu[p.Attr] < p.Lo || tu[p.Attr] > p.Hi {
 				ok = false
 				break
 			}
@@ -50,8 +51,8 @@ func TestSelectConjunction(t *testing.T) {
 	if stats.Matches != len(want) {
 		t.Fatalf("stats.Matches = %d, want %d", stats.Matches, len(want))
 	}
-	// The driver must be the most selective indexed predicate: attr 4 with
-	// span 601/4096 beats attr 1 with span 8/16; attr 2 is unindexed.
+	// No conjunct is on attribute 0 and attr 2 is unindexed, so one of the
+	// secondary indexes drives.
 	if stats.Strategy != StrategySecondary {
 		t.Fatalf("driver strategy = %v", stats.Strategy)
 	}
@@ -189,40 +190,6 @@ func referenceJoin(l, r []relation.Tuple, lattr, rattr int) int {
 	return count
 }
 
-func TestHashJoin(t *testing.T) {
-	s := testSchema(t)
-	lt := randomTuples(t, 600, 30)
-	rt := randomTuples(t, 300, 31)
-	left := newTable(t, core.CodecAVQ, nil)
-	right := newTable(t, core.CodecRaw, nil) // mixed codecs join fine
-	if err := left.BulkLoadContext(context.Background(), lt); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.BulkLoadContext(context.Background(), rt); err != nil {
-		t.Fatal(err)
-	}
-	rows, stats, err := HashJoinContext(context.Background(), left, right, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceJoin(lt, rt, 1, 1)
-	if len(rows) != want || stats.Matches != want {
-		t.Fatalf("HashJoin = %d rows (stats %d), want %d", len(rows), stats.Matches, want)
-	}
-	for _, jr := range rows {
-		if jr.Left[1] != jr.Right[1] {
-			t.Fatalf("join row violates predicate: %v vs %v", jr.Left, jr.Right)
-		}
-	}
-	if stats.LeftBlocks != left.NumBlocks() || stats.RightBlocks != right.NumBlocks() {
-		t.Fatalf("join stats = %+v, blocks %d/%d", stats, left.NumBlocks(), right.NumBlocks())
-	}
-	if _, _, err := HashJoinContext(context.Background(), left, right, 99, 1); err == nil {
-		t.Fatal("bad join attribute accepted")
-	}
-	_ = s
-}
-
 func TestMergeJoin(t *testing.T) {
 	lt := randomTuples(t, 500, 32)
 	rt := randomTuples(t, 400, 33)
@@ -269,12 +236,25 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, _, err := HashJoinContext(context.Background(), left, right, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The oracle: build a hash table on the left side's join key, probe it
+	// with the right side's rows, and count each matching pair.
+	build := map[uint64][]relation.Tuple{}
+	for _, tu := range lt {
+		build[tu[0]] = append(build[tu[0]], tu)
 	}
-	if len(mj) != len(hj) {
-		t.Fatalf("merge join %d rows, hash join %d", len(mj), len(hj))
+	want := map[string]int{}
+	for _, r := range rt {
+		for _, l := range build[r[0]] {
+			want[fmt.Sprint(l, r)]++
+		}
+	}
+	for _, jr := range mj {
+		want[fmt.Sprint(jr.Left, jr.Right)]--
+	}
+	for pair, n := range want {
+		if n != 0 {
+			t.Fatalf("pair %s: hash join count minus merge join count = %d", pair, n)
+		}
 	}
 }
 
@@ -284,11 +264,7 @@ func TestJoinEmptySides(t *testing.T) {
 	if err := right.BulkLoadContext(context.Background(), randomTuples(t, 50, 36)); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := HashJoinContext(context.Background(), left, right, 0, 0)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("join with empty left = %d rows, %v", len(rows), err)
-	}
-	rows, _, err = MergeJoinContext(context.Background(), left, right)
+	rows, _, err := MergeJoinContext(context.Background(), left, right)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("merge join with empty left = %d rows, %v", len(rows), err)
 	}

@@ -113,8 +113,8 @@ type bucket struct {
 // use under one locking rule:
 //
 //   - Readers hold mu shared only while they plan — validate the predicate,
-//     consult the histograms and secondary indexes, pin a blockstore
-//     snapshot — and then execute lock-free against that snapshot. A long
+//     pin a blockstore snapshot, count the blocks each access path names —
+//     and then execute lock-free against that snapshot. A long
 //     scan streams its pre-mutation view while writers re-code blocks beside
 //     it: the paper's localized access (Sections 3.4, 4.2) made concurrent.
 //   - Mutators hold mu exclusively while they log and apply, and wait for
@@ -130,7 +130,7 @@ type bucket struct {
 // call back into the table; bulk-load sources run under the lock and may
 // not.
 type Table struct {
-	// mu guards the indexes, histograms, size, catalog state, closed, and
+	// mu guards the indexes, size, catalog state, closed, and
 	// every change of the store's layout. schema, opts and the substrate
 	// pointers are immutable after construction; the pool and store
 	// counters synchronise themselves.
@@ -142,7 +142,6 @@ type Table struct {
 	pool      *buffer.Pool
 	store     *blockstore.Store
 	secondary map[int]*btree.Tree[*bucket]
-	hist      []*histogram
 	size      int
 
 	// Persistence state (zero for in-memory tables).
@@ -238,7 +237,6 @@ func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
 		pool:      pool,
 		store:     store,
 		secondary: make(map[int]*btree.Tree[*bucket], len(opts.SecondaryAttrs)),
-		hist:      newHistograms(schema),
 	}
 	for _, a := range opts.SecondaryAttrs {
 		t.secondary[a] = newSecIndex(opts)
@@ -362,8 +360,7 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	defer sp.End()
 	sp.Detailf("%d tuples", len(tuples))
 	endStage := sp.Stage("sort")
-	hist, err := t.validateLoad(tuples)
-	if err != nil {
+	if err := t.validateLoad(tuples); err != nil {
 		return err
 	}
 	sorted := slices.Clone(tuples)
@@ -378,9 +375,6 @@ func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) er
 	endStage = sp.Stage("index")
 	if err := t.indexBlocks(ctx); err != nil {
 		return err
-	}
-	for i, h := range hist {
-		t.hist[i].merge(h)
 	}
 	endStage()
 	t.size = len(sorted)
@@ -410,40 +404,28 @@ func loadWorkers(n int) int {
 	return min(runtime.GOMAXPROCS(0), max(1, n/minLoadChunk))
 }
 
-// validateLoad is BulkLoadContext's prologue. Each worker takes a
-// contiguous range of the input, in input order: it validates the range's
-// tuples and counts them in a private set of histograms. It returns the
-// summed histograms, which the caller merges into the table's once the
-// load has succeeded. On bad input it returns the lowest-index invalid
-// tuple's error, the one a front-to-back pass would hit first. Nothing is
-// copied here; copySorted copies once the tuples are in φ order.
-func (t *Table) validateLoad(tuples []relation.Tuple) ([]*histogram, error) {
+// validateLoad is BulkLoadContext's prologue. Each worker validates a
+// contiguous range of the input, in input order. On bad input it returns
+// the lowest-index invalid tuple's error, the one a front-to-back pass
+// would hit first. Nothing is copied here; copySorted copies once the
+// tuples are in φ order.
+func (t *Table) validateLoad(tuples []relation.Tuple) error {
 	workers := loadWorkers(len(tuples))
-	hists := make([][]*histogram, workers)
 	errs := make([]error, workers) // each worker's first error; ranges ascend with w
 	loadChunks(workers, len(tuples), func(w, lo, hi int) {
-		hists[w] = newHistograms(t.schema)
 		for i := lo; i < hi; i++ {
 			if err := t.schema.ValidateTuple(tuples[i]); err != nil {
 				errs[w] = fmt.Errorf("table: tuple %d: %w", i, err)
 				return
 			}
-			for a, h := range hists[w] {
-				h.add(tuples[i][a])
-			}
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	for _, h := range hists[1:] {
-		for i, hg := range h {
-			hists[0][i].merge(hg)
-		}
-	}
-	return hists[0], nil
+	return nil
 }
 
 // copySorted copies the φ-sorted tuples into one slab in φ order and
@@ -557,7 +539,6 @@ func (t *Table) insertApply(tu relation.Tuple) error {
 		return err
 	}
 	t.applyMutation(res)
-	t.histAdd(tu)
 	t.size++
 	return nil
 }
@@ -609,7 +590,6 @@ func (t *Table) deleteApply(ctx context.Context, tu relation.Tuple) (bool, error
 		return false, err
 	}
 	t.applyMutation(res)
-	t.histRemove(tu)
 	t.size--
 	return true, nil
 }
@@ -667,11 +647,12 @@ func (t *Table) Contains(tu relation.Tuple) (bool, error) {
 // returning false stops the scan. Cancellation is observed at block
 // boundaries, before the next block is decoded.
 func (t *Table) ScanContext(ctx context.Context, fn func(relation.Tuple) bool) error {
-	t.mu.RLock()
-	r := t.planScan()
-	t.mu.RUnlock()
+	r, err := t.readPlan(nil)
+	if err != nil {
+		return err
+	}
 	r.op = "scan"
-	_, err := r.runCtx(ctx, fn)
+	_, err = r.runCtx(ctx, fn)
 	return err
 }
 
@@ -720,11 +701,6 @@ func (t *Table) CheckInvariants() error {
 	}
 	if count != t.size {
 		return fmt.Errorf("table: %d tuples stored, size says %d", count, t.size)
-	}
-	for i, h := range t.hist {
-		if h.total != t.size {
-			return fmt.Errorf("table: histogram %d tracks %d rows for %d tuples", i, h.total, t.size)
-		}
 	}
 	for attr, idx := range t.secondary {
 		gotEntries := 0

@@ -5,7 +5,8 @@
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
-# page-read (viewStream), no-per-field-window and no-simulated-disk guards,
+# page-read (viewStream), no-per-field-window, no-simulated-disk and one-
+# planner guards,
 # the full test suite, the bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
@@ -82,6 +83,11 @@ if [ -z "$window" ] || echo "$window" | grep -nE 'AttrAtByte\(|AttrOffset\(|Attr
 # write-back one block write, and simdisk's parameters price them only in
 # the experiments. Keep a simulated disk off the read and write path.
 if grep -ln '"repro/internal/simdisk"' internal/buffer/*.go internal/table/*.go | grep -v '_test\.go$'; then echo "internal/buffer or internal/table imports internal/simdisk; count blocks with Pool.Stats and price them in the experiments" >&2; exit 1; fi
+# One planner: every read plans through Table.planSelect, choosing its
+# driver on exact fence and index block counts. Keep a second plan
+# function, and the per-attribute histograms a planner once estimated
+# from, from growing back in internal/table.
+if [ "$(cat $(ls internal/table/*.go | grep -v '_test\.go$') | grep -cE '^func \(t \*Table\) plan')" -gt 1 ] || grep -nwE 'type[[:space:]]+histogram' $(ls internal/table/*.go | grep -v '_test\.go$'); then echo "second planner or histogram type in internal/table; plan every read through planSelect on counted blocks" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
