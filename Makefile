@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint build fmt loc bench-obs bench-decode bench-wal bench-join benchgate crash
+.PHONY: check test race lint build fmt loc microbench crash
 
 check:
 	sh scripts/check.sh
@@ -25,20 +25,12 @@ race:
 crash:
 	$(GO) test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count=1 -v
 
-bench-decode:
-	$(GO) run ./cmd/avqbench -exp decode
-
-benchgate:
-	sh scripts/benchgate.sh
-
-bench-obs:
-	$(GO) run ./cmd/avqbench -exp obs
-
-bench-wal:
-	$(GO) run ./cmd/avqbench -exp wal
-
-bench-join:
-	$(GO) run ./cmd/avqbench -exp join
+# The per-layer benchmarks beside the code they measure: decode kernels
+# per codec against a memmove roofline, the batch and tuple read paths
+# (merge join, group-by), the observability layer's cost, and WAL group
+# commit against one writer's per-commit fsync.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/core ./internal/table ./internal/wal
 
 lint:
 	$(GO) vet ./...

@@ -321,34 +321,3 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkJoins measures the merge join over compressed relations.
-func BenchmarkJoins(b *testing.B) {
-	schema, left, err := gen.Spec38Byte(8000, false, 9).Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, right, err := gen.Spec38Byte(2000, false, 10).Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mk := func(rows []relation.Tuple) *table.Table {
-		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tb.BulkLoadContext(context.Background(), rows); err != nil {
-			b.Fatal(err)
-		}
-		return tb
-	}
-	lt, rt := mk(left), mk(right)
-	b.Run("merge-clustered", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := table.MergeJoinContext(context.Background(), lt, rt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

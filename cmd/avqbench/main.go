@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	avqbench -exp fig5.7|fig5.8|fig5.9|timing|ablation|all [flags]
+//	avqbench -exp fig5.7|fig5.8|fig5.9|timing|ablation|blocksize|cpusweep|updates|all [flags]
 //
 // Flags scale the workloads; defaults reproduce the paper's published
 // relation characteristics (10^5 tuples for timing, ~189 uncoded blocks
@@ -11,40 +11,36 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
 
 	"repro/internal/experiments"
-	"repro/internal/storage"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, obs, decode, join, wal, or all")
+		exp      = flag.String("exp", "all", "experiment: fig5.7, fig5.8, fig5.9, timing, ablation, blocksize, cpusweep, updates, or all")
 		tuples   = flag.Int("tuples", 0, "override relation size (0 = per-experiment default)")
 		reps     = flag.Int("reps", 0, "timing repetitions (0 = paper's 100)")
 		pageSize = flag.Int("pagesize", 0, "block size in bytes (0 = paper's 8192)")
 		seed     = flag.Int64("seed", 1995, "generator seed")
-		parallel = flag.Int("parallel", 0, "wal experiment writer count (0 = 16)")
 	)
 	flag.Parse()
 	// Ctrl-C cancels the running experiment at the next block boundary;
 	// every experiment threads this ctx down to the executor.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *exp, *tuples, *reps, *pageSize, *seed, *parallel); err != nil {
+	if err := run(ctx, *exp, *tuples, *reps, *pageSize, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "avqbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64, parallel int) error {
+func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64) error {
 	out := os.Stdout
 	sep := func() { fmt.Fprintln(out, "\n================================================================") }
 	runOne := func(name string) error {
@@ -109,50 +105,6 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 				return err
 			}
 			return r.WriteText(out)
-		case "obs":
-			r, err := experiments.RunObs(ctx, experiments.ObsConfig{
-				Tuples: tuples, PageSize: pageSize, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_obs.json", r)
-		case "decode":
-			r, err := experiments.RunDecode(ctx, experiments.DecodeConfig{
-				Tuples: tuples, PageSize: pageSize, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_decode.json", r)
-		case "join":
-			r, err := experiments.RunJoin(ctx, experiments.JoinConfig{
-				Tuples: tuples, PageSize: pageSize, Rounds: reps, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_join.json", r)
-		case "wal":
-			r, err := experiments.RunWAL(ctx, experiments.WALConfig{
-				Tuples: tuples, PageSize: pageSize, Writers: parallel, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			if err := r.WriteText(out); err != nil {
-				return err
-			}
-			return writeBenchJSON("BENCH_wal.json", r)
 		case "cpusweep":
 			r, err := experiments.RunCPUSweep(ctx, experiments.CPUSweepConfig{
 				Fig58:    experiments.Fig58Config{Tuples: tuples, Seed: seed},
@@ -169,7 +121,7 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 	if exp != "all" {
 		return runOne(exp)
 	}
-	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "obs", "decode", "join", "wal"} {
+	for i, name := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates"} {
 		if i > 0 {
 			sep()
 		}
@@ -178,17 +130,4 @@ func run(ctx context.Context, exp string, tuples, reps, pageSize int, seed int64
 		}
 	}
 	return nil
-}
-
-// writeBenchJSON records an experiment result as a JSON file in the
-// working directory (BENCH_obs.json, BENCH_wal.json, ...) for CI
-// trend tracking and the scripts/benchgate.sh gates. The write goes
-// through the storage layer's temp+rename path so an interrupted bench
-// run can never leave a torn baseline in the tree.
-func writeBenchJSON(name string, r interface{ WriteJSON(w io.Writer) error }) error {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return storage.WriteFileAtomic(storage.OSFS{}, name, buf.Bytes())
 }

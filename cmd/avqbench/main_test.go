@@ -2,32 +2,27 @@ package main
 
 import (
 	"context"
-	"os"
 	"testing"
 )
 
 // TestAllExperimentsSmallScale drives every experiment at reduced scale;
 // the experiment correctness itself is covered in internal/experiments.
-// The obs experiment writes BENCH_obs.json, so the test runs in a scratch
-// directory.
 func TestAllExperimentsSmallScale(t *testing.T) {
-	t.Chdir(t.TempDir())
-	for _, exp := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "obs"} {
-		if err := run(context.Background(), exp, 2000, 1, 0, 7, 2); err != nil {
+	for _, exp := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates"} {
+		if err := run(context.Background(), exp, 2000, 1, 0, 7); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 	}
-	if _, err := os.Stat("BENCH_obs.json"); err != nil {
-		t.Fatalf("obs experiment did not write BENCH_obs.json: %v", err)
-	}
 }
 
+// TestUnknownExperiment: a name outside the list fails, and so do the
+// retired per-layer experiments, which are go test benchmarks beside the
+// code they measure.
 func TestUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), "nope", 100, 1, 0, 7, 0); err != nil {
-		if err.Error() != `unknown experiment "nope"` {
-			t.Fatalf("unexpected error: %v", err)
+	for _, exp := range []string{"nope", "obs", "decode", "join", "wal"} {
+		err := run(context.Background(), exp, 100, 1, 0, 7)
+		if err == nil || err.Error() != `unknown experiment "`+exp+`"` {
+			t.Fatalf("-exp %s: err = %v, want unknown experiment", exp, err)
 		}
-	} else {
-		t.Fatal("unknown experiment succeeded")
 	}
 }

@@ -304,18 +304,14 @@ func TestOutOfRadixDigitNamed(t *testing.T) {
 	}
 }
 
-// decodeBenchShape is one relation of BenchmarkDecodeBlockPhis, cut into
-// coded blocks.
+// decodeBenchShape is one sorted relation of BenchmarkDecodeBlockPhis.
 type decodeBenchShape struct {
 	name   string
 	s      *relation.Schema
-	blocks [][]byte
-	tuples int
+	tuples []relation.Tuple
 }
 
-// decodeBenchShapes are BenchmarkDecodeBlockPhis's relations, each cut into
-// 8 KiB pages' worth of AVQ blocks (Pack at a page's stream capacity, the
-// page less its 4-byte length prefix) the way a bulk load cuts them:
+// decodeBenchShapes are BenchmarkDecodeBlockPhis's relations:
 //
 //   - flat8 and wide38: the end-to-end ledger's relations at its 1M-tuple
 //     density (gen.BenchShapeSpec), 50k tuples each;
@@ -324,24 +320,9 @@ type decodeBenchShape struct {
 func decodeBenchShapes(b *testing.B) []decodeBenchShape {
 	b.Helper()
 	var shapes []decodeBenchShape
-	add := func(name string, s *relation.Schema, tuples []relation.Tuple) {
-		runs, _, err := Pack(CodecAVQ, s, tuples, 8192-4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sh := decodeBenchShape{name: name, s: s, tuples: len(tuples)}
-		for _, run := range runs {
-			enc, err := EncodeBlock(CodecAVQ, s, run, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh.blocks = append(sh.blocks, enc)
-		}
-		shapes = append(shapes, sh)
-	}
 	for _, name := range []string{"flat8", "wide38"} {
 		s, tuples := ledgerRelation(b, name, 50_000)
-		add(name, s, tuples)
+		shapes = append(shapes, decodeBenchShape{name, s, tuples})
 	}
 	sizes := make([]uint64, 31)
 	for i := range sizes {
@@ -352,37 +333,116 @@ func decodeBenchShapes(b *testing.B) []decodeBenchShape {
 		b.Fatal(err)
 	}
 	s.SortTuples(tuples)
-	add("wide31", s, tuples)
-	return shapes
+	return append(shapes, decodeBenchShape{"wide31", s, tuples})
+}
+
+// pageBlocks cuts sorted tuples into 8 KiB pages' worth of c-coded blocks
+// (Pack at a page's stream capacity, the page less its 4-byte length
+// prefix) the way a bulk load cuts them, and returns them with their
+// total coded bytes.
+func pageBlocks(tb testing.TB, c Codec, s *relation.Schema, tuples []relation.Tuple) (blocks [][]byte, bytes int) {
+	tb.Helper()
+	runs, _, err := Pack(c, s, tuples, 8192-4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, run := range runs {
+		enc, err := EncodeBlock(c, s, run, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blocks = append(blocks, enc)
+		bytes += len(enc)
+	}
+	return blocks, bytes
+}
+
+// decodeBlocks decodes every block the way the table's reads do: the φ
+// slab (DecodeBlockPhis) on a flat schema, tuples (DecodeBlockArena) on a
+// split one, whose space exceeds 64 bits.
+func decodeBlocks(s *relation.Schema, blocks [][]byte, a *Arena) error {
+	_, flat := s.FlatSpace()
+	for _, blk := range blocks {
+		a.Reset()
+		var err error
+		if flat {
+			_, err = DecodeBlockPhis(s, blk, a)
+		} else {
+			_, err = DecodeBlockArena(s, blk, a)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BenchmarkDecodeBlockPhis times whole-relation passes of the block decode
-// over decodeBenchShapes' blocks and reports ns/tuple: the φ slab
-// (DecodeBlockPhis) on a flat schema, the tuple decode (DecodeBlockArena)
-// on wide38, whose space exceeds 64 bits. Both parse every difference
-// through diffReader.split.
+// (decodeBlocks) over decodeBenchShapes' page-sized blocks, per codec, and
+// reports ns/tuple and coded MB/s. Each shape's memmove sub-benchmark
+// copies its AVQ blocks' coded bytes once per op: the roofline a
+// byte-oriented decode cannot beat.
 func BenchmarkDecodeBlockPhis(b *testing.B) {
 	for _, sh := range decodeBenchShapes(b) {
 		b.Run(sh.name, func(b *testing.B) {
-			_, flat := sh.s.FlatSpace()
+			for _, c := range Codecs() {
+				blocks, bytes := pageBlocks(b, c, sh.s, sh.tuples)
+				b.Run(c.String(), func(b *testing.B) {
+					a := NewArena()
+					b.SetBytes(int64(bytes))
+					b.ReportAllocs()
+					for range b.N {
+						if err := decodeBlocks(sh.s, blocks, a); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sh.tuples)), "ns/tuple")
+				})
+			}
+			_, bytes := pageBlocks(b, CodecAVQ, sh.s, sh.tuples)
+			b.Run("memmove", func(b *testing.B) {
+				src, dst := make([]byte, bytes), make([]byte, bytes)
+				b.SetBytes(int64(bytes))
+				for range b.N {
+					copy(dst, src)
+				}
+			})
+		})
+	}
+}
+
+// TestPageBlockDecodesAllocateNothing: a steady-state decode of
+// page-sized blocks of the ledger's relations, for every codec, allocates
+// nothing, on the shape the table's reads take (decodeBlocks) and, on the
+// flat relation, as tuples too.
+func TestPageBlockDecodesAllocateNothing(t *testing.T) {
+	for _, name := range []string{"flat8", "wide38"} {
+		s, tuples := ledgerRelation(t, name, 20_000)
+		_, flat := s.FlatSpace()
+		for _, c := range Codecs() {
+			blocks, _ := pageBlocks(t, c, s, tuples)
 			a := NewArena()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				for _, blk := range sh.blocks {
-					a.Reset()
-					var err error
-					if flat {
-						_, err = DecodeBlockPhis(sh.s, blk, a)
-					} else {
-						_, err = DecodeBlockArena(sh.s, blk, a)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+			decode := func(shape string, f func() error) {
+				if err := f(); err != nil { // warm the arena
+					t.Fatal(err)
+				}
+				var err error
+				if n := testing.AllocsPerRun(3, func() { err = f() }); err != nil || n != 0 {
+					t.Errorf("%s/%v: %s decode of %d blocks allocates %.1f objects per pass (err %v), want 0", name, c, shape, len(blocks), n, err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.tuples), "ns/tuple")
-		})
+			decode("read-path", func() error { return decodeBlocks(s, blocks, a) })
+			if flat {
+				decode("tuple", func() error {
+					for _, blk := range blocks {
+						a.Reset()
+						if _, err := DecodeBlockArena(s, blk, a); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+		}
 	}
 }

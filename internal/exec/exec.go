@@ -96,7 +96,8 @@ type Stats struct {
 }
 
 // boundOf splits the plan's conjunction into the clustering bound (the
-// first predicate on attribute 0, if any) and the rest. Only attribute 0
+// first predicate on attribute 0, if any; the table's planner intersects
+// them into one) and the rest. Only attribute 0
 // is monotone in clustered order, so only it can prune blocks by fence.
 func boundOf(preds []Pred) (bound *Pred, rest []Pred) {
 	for i := range preds {

@@ -1,7 +1,7 @@
 // Differential oracle for the cross-shard merge join: a 4-shard
 // database pair joined through chained per-shard batch streams must
 // produce byte-identical rows, in the same global φ order, as the
-// single-table tuple-path merge join over the same data.
+// single-table merge join over the same data.
 package shard_test
 
 import (
@@ -16,8 +16,8 @@ import (
 	"repro/internal/table"
 )
 
-// newJoinPair loads tuples into a 4-shard memory DB and a single
-// tuple-path oracle table of the same schema.
+// newJoinPair loads tuples into a 4-shard memory DB and a single default
+// oracle table of the same schema.
 func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table) {
 	t.Helper()
 	ctx := context.Background()
@@ -33,8 +33,7 @@ func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table
 	if err := db.BulkLoad(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := table.Create(oracleSchema(),
-		table.WithPageSize(512), table.WithBatch(false))
+	oracle, err := table.Create(oracleSchema(), table.WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}

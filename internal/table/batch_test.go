@@ -14,21 +14,21 @@ import (
 )
 
 // newBatchPair loads the same tuples into two tables of the given codec
-// (every codec runs both paths, which must agree byte for byte):
-// one on the default (batch) path and one opted out via WithBatch(false)
-// — the tuple-path differential oracle.
+// (every codec runs both paths, which must agree byte for byte): one on
+// the flat schema's batch path and one on the tuple path (tuplePath) —
+// the differential oracle.
 func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batch, oracle *Table) {
 	t.Helper()
 	s := testSchema(t)
-	mk := func(opts ...Option) *Table {
-		all := append([]Option{WithCodec(codec), WithPageSize(512)}, opts...)
-		tb := createTable(t, s, all...)
+	mk := func(tuplePath bool) *Table {
+		tb := createTable(t, s, WithCodec(codec), WithPageSize(512))
+		tb.tuplePath = tuplePath
 		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
 		return tb
 	}
-	return mk(), mk(WithBatch(false))
+	return mk(false), mk(true)
 }
 
 // TestBatchAggregatesMatchTuplePath pins every batch aggregate kernel —

@@ -60,7 +60,8 @@ func TestHistogramSkewed(t *testing.T) {
 		tuples[i] = relation.Tuple{uint64(rng.Intn(8)), uint64(rng.Intn(100))}
 	}
 	for _, batch := range []bool{true, false} {
-		tb := createTable(t, s, WithPageSize(512), WithBatch(batch))
+		tb := createTable(t, s, WithPageSize(512))
+		tb.tuplePath = !batch
 		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}

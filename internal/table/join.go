@@ -50,12 +50,11 @@ func MergeJoinContext(ctx context.Context, left, right *Table) ([]JoinRow, JoinS
 
 // MergeJoinEachContext is the streaming form of MergeJoinContext: join
 // rows reach emit one key group at a time and only the current groups are
-// held in memory. When both schemas are flat (and neither table opted out
-// via DisableBatch) the join runs in φ-space: each side streams
-// per-block ordinal slabs, keys are compared as raw φ/w0 digits, the
-// lagging side skips ahead over fence-pruned blocks, and tuples are
-// materialized (φ⁻¹) only for rows that actually join. Emitted tuples are
-// safe to retain. emit returning false stops the join early.
+// held in memory. When both schemas are flat the join runs in φ-space:
+// each side streams per-block ordinal slabs, keys are compared as raw
+// φ/w0 digits, the lagging side skips ahead over fence-pruned blocks, and
+// tuples are materialized (φ⁻¹) only for rows that actually join. Emitted
+// tuples are safe to retain. emit returning false stops the join early.
 func MergeJoinEachContext(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
 	sp := left.opts.Obs.StartOp("merge_join")
 	defer sp.End()

@@ -34,13 +34,6 @@ func resolveOptions(opts []Option) Options {
 // e.g. the page size — before constructing per-shard backends.
 func Resolve(opts []Option) Options { return resolveOptions(opts) }
 
-// WithBatch enables (true, the default on flat schemas) or disables
-// (false) the columnar batch execution path for aggregate reads and merge
-// joins. Non-flat schemas ignore it: they have no φ-slab representation.
-func WithBatch(on bool) Option {
-	return optionFunc(func(o *Options) { o.DisableBatch = !on })
-}
-
 // WithCodec selects the block representation (default core.CodecAVQ).
 func WithCodec(c core.Codec) Option {
 	return optionFunc(func(o *Options) { o.Codec = c })
@@ -100,10 +93,4 @@ func WithVFS(fs storage.FS) Option {
 // WithWALSegmentSize overrides the WAL segment rotation threshold in bytes.
 func WithWALSegmentSize(n int64) Option {
 	return optionFunc(func(o *Options) { o.WALSegmentSize = n })
-}
-
-// WithWALSyncEveryAppend forces one fsync per logged record instead of
-// group commit — the naive durability baseline benchmarks compare against.
-func WithWALSyncEveryAppend(on bool) Option {
-	return optionFunc(func(o *Options) { o.WALSyncEveryAppend = on })
 }

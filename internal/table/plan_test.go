@@ -219,3 +219,63 @@ func TestEmptyConjunctReadsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestConjunctOrderReadsSameBlocks: conjuncts on one attribute intersect
+// into one range before the planner picks a driver, so every order of a
+// conjunction reads the blocks its intersection names and returns the
+// oracle's rows, and an empty intersection reads nothing.
+func TestConjunctOrderReadsSameBlocks(t *testing.T) {
+	tb := newTable(t, core.CodecAVQ, []int{4})
+	tuples := randomTuples(t, 3000, 70)
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		preds  []Predicate
+		merged []Predicate // the intersection as one conjunct per attribute
+	}{
+		{[]Predicate{{Attr: 0, Lo: 0, Hi: 7}, {Attr: 0, Lo: 2, Hi: 2}}, []Predicate{{Attr: 0, Lo: 2, Hi: 2}}},
+		{[]Predicate{{Attr: 0, Lo: 1, Hi: 5}, {Attr: 0, Lo: 3, Hi: 9}, {Attr: 2, Lo: 0, Hi: 30}},
+			[]Predicate{{Attr: 0, Lo: 3, Hi: 5}, {Attr: 2, Lo: 0, Hi: 30}}},
+		{[]Predicate{{Attr: 4, Lo: 0, Hi: 4095}, {Attr: 4, Lo: 700, Hi: 720}}, []Predicate{{Attr: 4, Lo: 700, Hi: 720}}},
+		{[]Predicate{{Attr: 0, Lo: 0, Hi: 2}, {Attr: 0, Lo: 5, Hi: 7}}, nil},
+	} {
+		want := selectOracle(tb.Schema(), tuples, c.preds)
+		wantBlocks := 0
+		if c.merged != nil {
+			_, st, err := tb.SelectContext(ctx, c.merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBlocks = st.BlocksRead
+		}
+		for _, ps := range permutations(c.preds) {
+			rows, st, err := tb.SelectContext(ctx, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.BlocksRead != wantBlocks || !equalRows(rows, want) {
+				t.Errorf("%v: %d rows from %d blocks; want %d rows from %d blocks", ps, len(rows), st.BlocksRead, len(want), wantBlocks)
+			}
+			if _, n := explainBlocks(t, tb, ps); n != wantBlocks {
+				t.Errorf("%v: Explain counts %d blocks, want %d", ps, n, wantBlocks)
+			}
+		}
+	}
+}
+
+// permutations returns every ordering of preds.
+func permutations(preds []Predicate) [][]Predicate {
+	if len(preds) <= 1 {
+		return [][]Predicate{slices.Clone(preds)}
+	}
+	var out [][]Predicate
+	for i := range preds {
+		rest := slices.Delete(slices.Clone(preds), i, i+1)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]Predicate{preds[i]}, p...))
+		}
+	}
+	return out
+}

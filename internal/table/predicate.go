@@ -40,13 +40,15 @@ func (t *Table) readPlan(preds []Predicate) (queryRun, error) {
 
 // planSelect is the table's one planner: a conjunctive selection, a
 // single range (a one-element conjunction) and a scan (an empty one) all
-// plan here. It validates the conjuncts and clamps them into the executor
-// plan, pins a snapshot, and lets pickDriver choose the access path; every
-// conjunct stays in the plan, so a predicate on the clustering attribute
-// prunes blocks by φ-fence even when a secondary index drives. A
-// conjunction with any conjunct that admits no value (lo > hi, or lo past
-// the domain) is empty, reads no block and keeps the zero Strategy. The
-// caller holds mu.
+// plan here. It validates the conjuncts, clamps them to their domains and
+// intersects those on one attribute into one range, so the plan holds one
+// conjunct per attribute whatever the order they came in; it then pins a
+// snapshot and lets pickDriver choose the access path. Every conjunct
+// stays in the plan, so a predicate on the clustering attribute prunes
+// blocks by φ-fence even when a secondary index drives. A conjunction
+// with any range that admits no value (lo > hi, lo past the domain, or
+// disjoint ranges on one attribute) is empty, reads no block and keeps
+// the zero Strategy. The caller holds mu.
 func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 	r := queryRun{op: "select", reg: t.opts.Obs, batch: t.batchable(), driver: -1}
 	if len(preds) == 0 {
@@ -54,18 +56,20 @@ func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 		r.snap = t.store.Snapshot()
 		return r, nil
 	}
-	r.plan.Preds = slices.Clone(preds)
-	empty := t.size == 0
-	for i := range r.plan.Preds {
-		p := &r.plan.Preds[i]
+	for _, p := range preds {
 		if p.Attr < 0 || p.Attr >= t.schema.NumAttrs() {
 			return queryRun{}, fmt.Errorf("table: attribute %d out of range", p.Attr)
 		}
-		size := t.schema.Domain(p.Attr).Size
-		empty = empty || p.Lo > p.Hi || p.Lo >= size
-		p.Hi = min(p.Hi, size-1)
+		p.Hi = min(p.Hi, t.schema.Domain(p.Attr).Size-1)
+		i := slices.IndexFunc(r.plan.Preds, func(q Predicate) bool { return q.Attr == p.Attr })
+		if i < 0 {
+			r.plan.Preds = append(r.plan.Preds, p)
+			continue
+		}
+		q := &r.plan.Preds[i]
+		q.Lo, q.Hi = max(q.Lo, p.Lo), min(q.Hi, p.Hi)
 	}
-	if empty {
+	if t.size == 0 || slices.ContainsFunc(r.plan.Preds, func(p Predicate) bool { return p.Lo > p.Hi }) {
 		return queryRun{empty: true}, nil
 	}
 	r.snap = t.store.Snapshot()
@@ -74,7 +78,7 @@ func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 }
 
 // pickDriver chooses the conjunct that drives r's pass and sets the
-// strategy. The access paths are the first conjunct on attribute 0 (the
+// strategy. The access paths are the conjunct on attribute 0 (the
 // executor's clustering bound), whose blocks are its fence range on r's
 // snapshot, and each conjunct on another indexed attribute, whose blocks
 // are its candidate set; the driver is the one naming the fewest blocks,
@@ -114,8 +118,8 @@ func (t *Table) pickDriver(r *queryRun) {
 	}
 }
 
-// attr0 returns the position of the first conjunct on attribute 0, the one
-// the executor bounds the pass by, or -1.
+// attr0 returns the position of the conjunct on attribute 0, the one the
+// executor bounds the pass by, or -1.
 func attr0(preds []Predicate) int {
 	return slices.IndexFunc(preds, func(p Predicate) bool { return p.Attr == 0 })
 }

@@ -172,15 +172,11 @@ func (t *Table) SelectRangeFuncContext(ctx context.Context, attr int, lo, hi uin
 	return r.runCtx(ctx, emit)
 }
 
-// batchable reports whether aggregate reads may use the columnar batch
-// path: the schema must be flat (φ fits a uint64) and the table must not
-// have opted out via DisableBatch.
+// batchable reports whether aggregate reads use the columnar batch path:
+// they do when the schema is flat (φ fits a uint64).
 func (t *Table) batchable() bool {
-	if t.opts.DisableBatch {
-		return false
-	}
 	_, ok := t.schema.FlatSpace()
-	return ok
+	return ok && !t.tuplePath
 }
 
 // candidateBlocks collects the distinct data blocks a secondary index maps

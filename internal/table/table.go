@@ -72,16 +72,6 @@ type Options struct {
 	// WALSegmentSize overrides the log's segment rotation threshold in
 	// bytes (wal.DefaultSegmentSize when zero).
 	WALSegmentSize int64
-	// WALSyncEveryAppend forces one fsync per logged record instead of
-	// group commit — the naive baseline the wal benchmark measures
-	// against. Leave false outside benchmarks.
-	WALSyncEveryAppend bool
-	// DisableBatch keeps aggregate reads (CountRange, AggregateRange,
-	// GroupBy, Histogram, merge joins) on the tuple-at-a-time path even
-	// when the schema is flat. The batch (columnar φ-slab) path is the
-	// default on flat schemas; differential tests and benchmarks set this
-	// to pit the two paths against each other.
-	DisableBatch bool
 }
 
 // AllAttrs returns 0..n-1, for indexing every attribute of a schema.
@@ -151,6 +141,11 @@ type Table struct {
 
 	// wal is the write-ahead log (nil for checkpoint-durability tables).
 	wal *wal.Log
+
+	// tuplePath runs a flat schema's reads tuple by tuple, as a non-flat
+	// schema's run. Only this package's tests set it, before the table is
+	// shared: the tuple path is their oracle for the batch kernels.
+	tuplePath bool
 }
 
 // Create builds an empty table for the schema, configured by functional

@@ -45,11 +45,10 @@ func walPath(path string) string { return path + ".wal" }
 // walOptions assembles the log configuration from the table options.
 func (t *Table) walOptions() wal.Options {
 	return wal.Options{
-		FS:              t.opts.FS,
-		Dir:             walPath(t.opts.Path),
-		SegmentSize:     t.opts.WALSegmentSize,
-		SyncEveryAppend: t.opts.WALSyncEveryAppend,
-		Obs:             t.opts.Obs,
+		FS:          t.opts.FS,
+		Dir:         walPath(t.opts.Path),
+		SegmentSize: t.opts.WALSegmentSize,
+		Obs:         t.opts.Obs,
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
@@ -56,6 +58,54 @@ func TestWALReopenAfterKillReplaysAcknowledged(t *testing.T) {
 	}
 	if err := re.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after replay: %v", err)
+	}
+}
+
+// TestWALWritersShareFsyncs: concurrent inserts on a WAL table commit
+// after releasing the table's lock, so writers that arrive while a
+// commit's fsync is in the kernel share the next one: 8 writers issue
+// fewer fsyncs than inserts, and every acknowledged insert survives a
+// kill.
+func TestWALWritersShareFsyncs(t *testing.T) {
+	fs := simdisk.NewFaultFS()
+	fs.SyncDelay = time.Millisecond
+	tbl := createTable(t, testSchema(t), walTestOpts(fs)...)
+	ctx := context.Background()
+	const writers = 8
+	tuples := randomTuples(t, 200, 44)
+	fs.Syncs = 0 // ignore the create's syncs
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(tuples); i += writers {
+				if err := tbl.InsertContext(ctx, tuples[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if fs.Syncs >= int64(len(tuples)) {
+		t.Fatalf("%d inserts from %d writers issued %d fsyncs; group commit shares them", len(tuples), writers, fs.Syncs)
+	}
+	fs.Recover(nil)
+
+	re := openTable(t, "db.avq", walTestOpts(fs)...)
+	defer re.Close()
+	got, _, err := re.SelectContext(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := selectOracle(re.Schema(), tuples, nil); !equalRows(got, want) {
+		t.Fatalf("recovered %d rows, want the %d acknowledged inserts", len(got), len(want))
 	}
 }
 

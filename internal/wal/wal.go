@@ -85,10 +85,6 @@ type Options struct {
 	// SegmentSize is the rotation threshold in bytes (DefaultSegmentSize
 	// when zero).
 	SegmentSize int64
-	// SyncEveryAppend makes Append fsync inline before returning and
-	// Commit a no-op — the naive per-write-fsync discipline, kept as the
-	// baseline the group-commit benchmark is measured against.
-	SyncEveryAppend bool
 	// Obs receives wal.* instruments; nil disables.
 	Obs *obs.Registry
 }
@@ -113,7 +109,6 @@ type Log struct {
 	fs      storage.FS
 	dir     string
 	segSize int64
-	syncAll bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -139,7 +134,6 @@ func newLog(o Options) *Log {
 		fs:      o.FS,
 		dir:     o.Dir,
 		segSize: o.SegmentSize,
-		syncAll: o.SyncEveryAppend,
 
 		appends:   o.Obs.Counter("wal.appends"),
 		fsyncs:    o.Obs.Counter("wal.fsyncs"),
@@ -238,8 +232,7 @@ func (l *Log) openSegment(baseGen uint64, seq uint32) error {
 }
 
 // Append buffers one record and returns its LSN. The record is NOT
-// durable until Commit(lsn) (or a later commit) returns; in
-// SyncEveryAppend mode it is durable on return.
+// durable until Commit(lsn) (or a later commit) returns.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordLen {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), MaxRecordLen)
@@ -281,16 +274,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.appended++
 	l.appends.Inc()
 	l.bytes.Add(int64(len(frame)))
-	if l.syncAll {
-		if err := l.f.Sync(); err != nil {
-			l.sticky = fmt.Errorf("wal: sync: %w", err)
-			l.cond.Broadcast()
-			return 0, l.sticky
-		}
-		l.fsyncs.Inc()
-		l.groupSize.ObserveValue(int64(l.appended - l.durable))
-		l.durable = l.appended
-	}
 	return l.appended, nil
 }
 
@@ -370,9 +353,6 @@ func (l *Log) AppendCommit(payload []byte) (uint64, error) {
 	lsn, err := l.Append(payload)
 	if err != nil {
 		return 0, err
-	}
-	if l.syncAll {
-		return lsn, nil
 	}
 	return lsn, l.Commit(lsn)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,28 +296,6 @@ func TestDamagedFinalHeaderRecreated(t *testing.T) {
 	}
 }
 
-func TestSyncEveryAppendIsDurableImmediately(t *testing.T) {
-	fs := simdisk.NewFaultFS()
-	l, err := Create(Options{FS: fs, Dir: testDir, SyncEveryAppend: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("naive-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Durable() != 5 {
-		t.Fatalf("durable = %d, want 5 without any Commit", l.Durable())
-	}
-	// Kill without Close: every append must survive.
-	fs.Recover(nil)
-	_, records, err := Open(Options{FS: fs, Dir: testDir}, 1)
-	if err != nil || len(records) != 5 {
-		t.Fatalf("recovered %d records, err %v", len(records), err)
-	}
-}
-
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	fs := simdisk.NewFaultFS()
 	fs.SyncDelay = 500 * time.Microsecond
@@ -419,5 +398,50 @@ func TestInspectMissingDirIsEmpty(t *testing.T) {
 	}
 	if len(infos) != 0 {
 		t.Fatalf("got %d segments from a missing dir", len(infos))
+	}
+}
+
+// BenchmarkGroupCommit times durable appends (AppendCommit) from 1 and 8
+// concurrent writers over a filesystem whose fsync takes 2 ms, and
+// reports fsyncs/op. One writer is the per-write-fsync baseline: every
+// commit pays its own fsync. With more, commits that arrive while a
+// leader is in the kernel share the next one.
+func BenchmarkGroupCommit(b *testing.B) {
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			fs := simdisk.NewFaultFS()
+			fs.SyncDelay = 2 * time.Millisecond
+			l, err := Create(Options{FS: fs, Dir: testDir}, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fs.Syncs = 0 // ignore setup syncs
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			b.ResetTimer()
+			for range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := l.AppendCommit([]byte("group-commit-record")); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			close(errs)
+			for err := range errs {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(fs.Syncs)/float64(b.N), "fsyncs/op")
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -5,9 +5,10 @@
 # suite (internal/analysis; any finding fails, there is no baseline) plus
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
-# page-read (viewStream), no-per-field-window, no-simulated-disk and one-
-# planner guards,
-# the full test suite, the bench module's vet and tests (every ledger
+# page-read (viewStream), no-per-field-window, no-simulated-disk, one-
+# planner and one-benchmark-system guards,
+# the full test suite, one iteration of every per-layer benchmark, the
+# bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
 # decoder against its reference, of the block edit against a re-encode
 # and of the server's wire (request decode, response encoding against
@@ -89,8 +90,16 @@ if grep -ln '"repro/internal/simdisk"' internal/buffer/*.go internal/table/*.go 
 # from, from growing back in internal/table.
 if [ "$(cat $(ls internal/table/*.go | grep -v '_test\.go$') | grep -cE '^func \(t \*Table\) plan')" -gt 1 ] || grep -nwE 'type[[:space:]]+histogram' $(ls internal/table/*.go | grep -v '_test\.go$'); then echo "second planner or histogram type in internal/table; plan every read through planSelect on counted blocks" >&2; exit 1; fi
 
+# One benchmark system: the bench/ ledger end to end, go test benchmarks
+# per layer. Keep the retired benchmark-only table and log knobs, the
+# BENCH_*.json baselines and their sed gate from growing back.
+if grep -rnE 'WithBatch|DisableBatch|SyncEveryAppend|BENCH_[A-Za-z0-9_*]*\.json|benchgate' cmd internal scripts Makefile | grep -v '^scripts/check.sh:'; then echo "benchmark-only knob or BENCH_*.json gate found; measure with a go test benchmark beside the code, or the bench/ ledger" >&2; exit 1; fi
+
 echo "== go test"
 go test ./...
+
+echo "== per-layer benchmarks, one iteration each (make microbench runs them timed)"
+go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/table ./internal/wal
 
 echo "== bench module (go vet + go test: every workload timed and traced at 20k tuples)"
 # bench/ is a nested module that ./... does not reach. Its TestEveryWorkload
