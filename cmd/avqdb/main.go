@@ -449,10 +449,12 @@ func joinCmd(ctx context.Context, a args) error {
 	if rows > a.limit {
 		fmt.Printf("... and %d more\n", rows-a.limit)
 	}
+	both := st.Left
+	both.Add(st.Right)
 	fmt.Printf("%d join rows; left %d blocks read, right %d blocks read, %d pruned by fence",
-		st.Matches, st.LeftBlocks, st.RightBlocks, st.BlocksPruned)
-	if st.BatchBlocks > 0 {
-		fmt.Printf("; batch: %d slabs, %d rows", st.BatchBlocks, st.SlabRows)
+		st.Matches, st.Left.BlocksRead, st.Right.BlocksRead, both.BlocksPruned)
+	if both.BatchBlocks > 0 {
+		fmt.Printf("; batch: %d slabs, %d rows", both.BatchBlocks, both.SlabRows)
 	}
 	fmt.Println()
 	return nil

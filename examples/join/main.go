@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("merge join on region: %d result rows, %d+%d blocks read (one pass each)\n",
-		len(rows), stats.LeftBlocks, stats.RightBlocks)
+		len(rows), stats.Left.BlocksRead, stats.Right.BlocksRead)
 
 	// The join result of compressed tables equals the uncompressed join.
 	otRaw := func() *table.Table {

@@ -29,8 +29,8 @@ func naiveHome(sn *Snapshot, t relation.Tuple) int {
 	return at
 }
 
-// naiveSeek is the linear reference for SeekTuple: the first block whose
-// Last is >= t.
+// naiveSeek is the linear reference for the manifest's seek: the first
+// block whose Last is >= t.
 func naiveSeek(sn *Snapshot, t relation.Tuple) int {
 	for i := 0; i < sn.NumBlocks(); i++ {
 		if sn.Schema().Compare(sn.Fence(i).Last, t) >= 0 {
@@ -103,8 +103,8 @@ func testStoreModel(t *testing.T, codec core.Codec, wide bool) {
 		if want := naiveHome(sn, tu); home != want {
 			t.Fatalf("step %d: Home(%v) = %d, linear reference %d", step, tu, home, want)
 		}
-		if got, want := sn.SeekTuple(tu), naiveSeek(sn, tu); got != want {
-			t.Fatalf("step %d: SeekTuple(%v) = %d, linear reference %d", step, tu, got, want)
+		if got, want := sn.m.seek(sn.Schema(), tu), naiveSeek(sn, tu); got != want {
+			t.Fatalf("step %d: seek(%v) = %d, linear reference %d", step, tu, got, want)
 		}
 		return home
 	}

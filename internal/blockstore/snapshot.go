@@ -246,19 +246,15 @@ func (sn *Snapshot) Block(i int) storage.PageID { return sn.m.block(i) }
 // Fence returns the i-th block's φ-fence.
 func (sn *Snapshot) Fence(i int) Fence { return sn.m.fence(i) }
 
-// SeekTuple returns the position of the first block whose Last tuple is
-// >= t in φ order — where the first tuple >= t lives — or NumBlocks()
-// when every tuple precedes t. No page is read.
-func (sn *Snapshot) SeekTuple(t relation.Tuple) int { return sn.m.seek(sn.s.schema, t) }
-
-// SeekAttr0 is SeekTuple for a bound on the clustering attribute alone:
-// the first block whose Last has attribute 0 >= lo.
+// SeekAttr0 returns the position of the first block whose Last has
+// attribute 0 >= lo — where the first tuple with A_0 >= lo lives — or
+// NumBlocks() when every tuple precedes it. No page is read.
 func (sn *Snapshot) SeekAttr0(lo uint64) int {
 	return sn.m.search(func(f Fence) bool { return f.Last[0] < lo })
 }
 
-// SeekPhi is SeekTuple in ordinal space, for flat schemas: the first block
-// whose Last has φ >= phi.
+// SeekPhi is SeekAttr0 in ordinal space, for flat schemas: the first
+// block whose Last has φ >= phi.
 func (sn *Snapshot) SeekPhi(phi uint64) int {
 	return sn.m.search(func(f Fence) bool { return ordinal.PhiU64(sn.s.schema, f.Last) < phi })
 }

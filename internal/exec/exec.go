@@ -1,6 +1,6 @@
 // Package exec is the streaming executor: the single read path behind
 // every table-level query (scans, range and point selections, aggregates,
-// group-by, cursors, and joins). It walks a blockstore snapshot in
+// group-by, and joins). It walks a blockstore snapshot in
 // clustered order, prunes blocks whose φ-fence cannot intersect the
 // predicate, and partially decodes blocks that only straddle the range
 // boundary — the paper's localized-access claim (Sections 3.4 and 5)
@@ -61,8 +61,43 @@ type Plan struct {
 	Transient bool
 }
 
-// Stats reports what a pass cost.
+// Strategy names the access path the planner chose for a read.
+type Strategy uint8
+
+const (
+	// StrategyClustered scans the contiguous run of blocks whose φ-fences
+	// intersect the predicate range: the plan for predicates on the
+	// clustering prefix attribute.
+	StrategyClustered Strategy = iota
+	// StrategySecondary collects candidate blocks from a secondary index's
+	// buckets, enumerating the key range on the B+ tree, and reads each
+	// once (Figure 4.5).
+	StrategySecondary
+	// StrategyFullScan reads every block.
+	StrategyFullScan
+)
+
+// String returns the strategy's name.
+func (s Strategy) String() string {
+	switch s {
+	case StrategyClustered:
+		return "clustered"
+	case StrategySecondary:
+		return "secondary"
+	case StrategyFullScan:
+		return "full-scan"
+	default:
+		return fmt.Sprintf("Strategy(%d)", uint8(s))
+	}
+}
+
+// Stats reports what a read cost: one pass, an iterator's lifetime, or
+// the sum of several (Add). It is the only per-read cost type; the table,
+// shard and join layers report it as is.
 type Stats struct {
+	// Strategy is the access path the planner chose; the executor leaves
+	// it zero and the table's planner sets it.
+	Strategy Strategy
 	// BlocksTotal is the number of blocks in the snapshot.
 	BlocksTotal int
 	// BlocksPruned counts candidate blocks skipped on their φ-fence alone,
@@ -93,6 +128,23 @@ type Stats struct {
 	// before predicate compaction.
 	BatchBlocks int
 	SlabRows    int
+}
+
+// Add sums o's counts into s, so several passes (a sharded read's
+// shards, a join's blocks on one side) report as one. Strategy is a
+// label, not a count: s keeps its own.
+func (s *Stats) Add(o Stats) {
+	s.BlocksTotal += o.BlocksTotal
+	s.BlocksPruned += o.BlocksPruned
+	s.BlocksRead += o.BlocksRead
+	s.PartialDecodes += o.PartialDecodes
+	s.FullDecodes += o.FullDecodes
+	s.Matches += o.Matches
+	s.ArenaReuses += o.ArenaReuses
+	s.SlabBytes += o.SlabBytes
+	s.FlatPathHits += o.FlatPathHits
+	s.BatchBlocks += o.BatchBlocks
+	s.SlabRows += o.SlabRows
 }
 
 // boundOf splits the plan's conjunction into the clustering bound (the

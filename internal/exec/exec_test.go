@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/blockstore"
@@ -42,7 +43,7 @@ func newStoreFor(t testing.TB, schema *relation.Schema, codec core.Codec, pageSi
 
 // poolStore is blockstore.New for a test: it fails t on error and, once
 // the test is over, fails it again if the pool still holds a pinned frame
-// or the store a live snapshot — every pass, iterator and cursor must give
+// or the store a live snapshot — every pass and iterator must give
 // back what it took, on its error and cancellation paths too.
 func poolStore(t testing.TB, schema *relation.Schema, codec core.Codec, pool *buffer.Pool) *blockstore.Store {
 	t.Helper()
@@ -302,10 +303,9 @@ func TestRunEarlyStop(t *testing.T) {
 	}
 }
 
-// TestIteratorSeekAndNext: the iterator must stream every tuple in φ
-// order and Seek must land on the first tuple >= target, finding the
-// block by fence binary search without reading the skipped prefix.
-func TestIteratorSeekAndNext(t *testing.T) {
+// TestIteratorNext: the iterator must stream every tuple in φ order and
+// read each block once.
+func TestIteratorNext(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 25)
 	for _, codec := range core.Codecs() {
@@ -330,34 +330,10 @@ func TestIteratorSeekAndNext(t *testing.T) {
 				t.Fatalf("%v: tuple %d = %v, want %v", codec, i, tu, tuples[i])
 			}
 		}
-		// Seek to a mid-table target.
-		target := tuples[len(tuples)*3/4]
-		before := it.Stats.BlocksRead
-		if err := it.Seek(target); err != nil {
-			t.Fatal(err)
+		if it.Stats.BlocksRead != sn.NumBlocks() {
+			t.Fatalf("%v: iterator read %d of %d blocks", codec, it.Stats.BlocksRead, sn.NumBlocks())
 		}
-		visited := it.Stats.BlocksRead - before
-		if visited != 1 {
-			t.Fatalf("%v: seek visited %d blocks, want 1", codec, visited)
-		}
-		tu, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("%v: seek/next: ok=%v err=%v", codec, ok, err)
-		}
-		if s.Compare(tu, target) < 0 {
-			t.Fatalf("%v: seek landed below target", codec)
-		}
-		// Seek beyond everything.
-		top := relation.Tuple{7, 15, 63, 4095}
-		if s.Compare(tuples[len(tuples)-1], top) < 0 {
-			if err := it.Seek(top); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := it.Next(); ok {
-				t.Fatalf("%v: seek past the end still yields tuples", codec)
-			}
-		}
-		sn.Release()
+		it.Release()
 	}
 }
 
@@ -391,5 +367,39 @@ func TestRunSeesSnapshot(t *testing.T) {
 	gotLive, _ := collect(t, live, Plan{})
 	if len(gotLive) != len(tuples)+1 {
 		t.Fatalf("live pass saw %d tuples, want %d", len(gotLive), len(tuples)+1)
+	}
+}
+
+// TestStatsAddSumsEveryField: Add must sum every count Stats carries, so
+// a field added later cannot be dropped by a multi-pass sum; Strategy is
+// the only non-count field, and the receiver keeps its own.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var s, o Stats
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Type().Field(i)
+		switch {
+		case f.Name == "Strategy":
+			sv.Field(i).Set(reflect.ValueOf(StrategySecondary))
+			ov.Field(i).Set(reflect.ValueOf(StrategyFullScan))
+		case f.Type.Kind() == reflect.Int:
+			sv.Field(i).SetInt(int64(100 * (i + 1)))
+			ov.Field(i).SetInt(int64(i + 1))
+		default:
+			t.Fatalf("Stats.%s is a %v: Add sums ints only; say how it combines", f.Name, f.Type)
+		}
+	}
+	s.Add(o)
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Type().Field(i)
+		if f.Name == "Strategy" {
+			if s.Strategy != StrategySecondary {
+				t.Errorf("Add changed the receiver's Strategy to %v", s.Strategy)
+			}
+			continue
+		}
+		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", f.Name, got, want)
+		}
 	}
 }

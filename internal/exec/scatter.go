@@ -50,8 +50,8 @@ func (o ScatterOptions) readAhead() int {
 }
 
 // ScatterStats reports shard-level pruning and fan-out for one pass.
-// Block- and tuple-level stats stay with each shard's own QueryStats;
-// the caller folds them as it sees fit.
+// Block- and tuple-level stats stay with each shard's own Stats; the
+// caller sums them with Stats.Add.
 type ScatterStats struct {
 	ShardsTotal   int
 	ShardsScanned int

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -39,7 +40,7 @@ type Fig58Row struct {
 	RawN     int // blocks accessed, uncoded
 	AVQN     int // blocks accessed, AVQ
 	Matches  int
-	Strategy table.Strategy
+	Strategy exec.Strategy
 }
 
 // Fig58Result is the regenerated Figure 5.8.

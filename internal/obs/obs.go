@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,11 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
+	// ops maps an op name to its "op.<name>" histogram, resolved once
+	// per name: spans read it without a lock, and a new name copies the
+	// map under mu.
+	ops atomic.Pointer[map[string]*Histogram]
+
 	slow          *SlowLog
 	slowThreshold atomic.Int64 // nanoseconds
 	sampleEvery   atomic.Int64
@@ -169,6 +175,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 		h = newHistogram()
 		r.hists[name] = h
 	}
+	return h
+}
+
+// opHistogram returns op's "op.<op>" histogram: a lock-free map read
+// once the name has been seen, a copy of the map on its first use.
+func (r *Registry) opHistogram(op string) *Histogram {
+	if m := r.ops.Load(); m != nil {
+		if h, ok := (*m)[op]; ok {
+			return h
+		}
+	}
+	h := r.Histogram("op." + op)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := map[string]*Histogram{}
+	if old := r.ops.Load(); old != nil {
+		next = maps.Clone(*old)
+	}
+	next[op] = h
+	r.ops.Store(&next)
 	return h
 }
 

@@ -134,6 +134,27 @@ func TestSpanBelowThresholdSkipsSlowLog(t *testing.T) {
 	}
 }
 
+// TestSpanResolvesHistogramOnce: a registry-attached StartOp / End pair
+// allocates the *Span and nothing else; the op's histogram is resolved
+// once, not rebuilt from "op."+name on every End.
+func TestSpanResolvesHistogramOnce(t *testing.T) {
+	r := NewRegistry()
+	r.SetSlowOpThreshold(time.Hour)
+	// A name built at run time, as a caller's would be, so no constant
+	// folding hides a per-call concatenation.
+	name := strings.Repeat("x", 3)
+	r.StartOp(name).End() // first use creates the histogram
+	allocs := testing.AllocsPerRun(100, func() {
+		r.StartOp(name).End()
+	})
+	if allocs > 1 {
+		t.Fatalf("StartOp/End allocates %.0f times, want at most 1 (the span)", allocs)
+	}
+	if n := r.Histogram("op." + name).Count(); n != 102 {
+		t.Fatalf("op histogram count = %d, want 102", n)
+	}
+}
+
 func TestSpanSampling(t *testing.T) {
 	r := NewRegistry()
 	r.SetSampleEvery(4)
@@ -232,6 +253,7 @@ func TestSlowLogConcurrentWriters(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	r.SetSlowOpThreshold(1)
+	ops := []string{"op0", "op1", "op2", "op3"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -241,7 +263,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(time.Duration(i) * time.Microsecond)
-				sp := r.StartOp("op")
+				// Several names, each first seen by racing goroutines.
+				sp := r.StartOp(ops[i%len(ops)])
 				sp.End()
 			}
 		}()
@@ -256,6 +279,11 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("c").Value(); got != 1600 {
 		t.Fatalf("counter = %d, want 1600", got)
+	}
+	for _, op := range ops {
+		if got := r.Histogram("op." + op).Count(); got != 400 {
+			t.Fatalf("op.%s histogram = %d, want 400", op, got)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 type Span struct {
 	reg     *Registry
 	op      string
+	hist    *Histogram // the "op.<name>" histogram, resolved at StartOp
 	start   time.Time
 	sampled bool
 	stages  []StageTiming
@@ -30,7 +31,7 @@ func (r *Registry) StartOp(op string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{reg: r, op: op, start: time.Now()}
+	sp := &Span{reg: r, op: op, hist: r.opHistogram(op), start: time.Now()}
 	if every := r.sampleEvery.Load(); every > 0 {
 		sp.sampled = r.opSeq.Add(1)%every == 0
 	}
@@ -76,7 +77,7 @@ func (sp *Span) End() {
 		return
 	}
 	d := time.Since(sp.start)
-	sp.reg.Histogram("op." + sp.op).Observe(d)
+	sp.hist.Observe(d)
 	thr := sp.reg.slowThreshold.Load()
 	if thr > 0 && int64(d) >= thr {
 		sp.reg.Counter("obs.slowops").Inc()

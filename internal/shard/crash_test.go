@@ -55,12 +55,12 @@ func shardCrashOps() []shardCrashOp {
 		ops = append(ops, shardCrashOp{name, run, apply})
 	}
 	ins := func(tu relation.Tuple) {
-		add("insert", func(db *shard.DB) error { return db.Insert(ctx, tu) },
+		add("insert", func(db *shard.DB) error { return db.InsertContext(ctx, tu) },
 			func(st map[skey]int) { st[sKey(tu)]++ })
 	}
 	del := func(tu relation.Tuple) {
 		add("delete", func(db *shard.DB) error {
-			_, err := db.Delete(ctx, tu)
+			_, err := db.DeleteContext(ctx, tu)
 			return err
 		}, func(st map[skey]int) {
 			k := sKey(tu)
@@ -78,7 +78,7 @@ func shardCrashOps() []shardCrashOp {
 	for i := 0; i < 60; i++ {
 		seed = append(seed, randTuple(rng))
 	}
-	add("seed-batch", func(db *shard.DB) error { return db.InsertBatch(ctx, seed) },
+	add("seed-batch", func(db *shard.DB) error { return db.InsertBatchContext(ctx, seed) },
 		func(st map[skey]int) {
 			for _, tu := range seed {
 				st[sKey(tu)]++
@@ -157,7 +157,7 @@ func verifyShardCrashState(t *testing.T, kind backend.Kind, fs *simdisk.FaultFS,
 		t.Fatalf("%s: Check after recovery: %v", tag, err)
 	}
 	got := map[skey]int{}
-	if err := db.Scan(context.Background(), func(tu relation.Tuple) bool {
+	if err := db.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		got[sKey(tu)]++
 		return true
 	}); err != nil {
@@ -423,7 +423,7 @@ func verifyBulkLoadCrash(fs *simdisk.FaultFS, tuples []relation.Tuple, created b
 		return fmt.Sprintf("Check: %v", err)
 	}
 	got := map[skey]int{}
-	if err := db.Scan(context.Background(), func(tu relation.Tuple) bool {
+	if err := db.ScanContext(context.Background(), func(tu relation.Tuple) bool {
 		got[sKey(tu)]++
 		return true
 	}); err != nil {

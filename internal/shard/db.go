@@ -291,6 +291,25 @@ func (db *DB) NumBlocks() int {
 	return n
 }
 
+// PinnedFrames sums the pinned buffer-pool frames across the shards; the
+// server's graceful-drain path asserts this reaches zero after shutdown.
+func (db *DB) PinnedFrames() int {
+	n := 0
+	for _, sh := range db.shards {
+		n += sh.PinnedFrames()
+	}
+	return n
+}
+
+// LiveSnapshots sums the held manifest snapshots across the shards.
+func (db *DB) LiveSnapshots() int {
+	n := 0
+	for _, sh := range db.shards {
+		n += sh.LiveSnapshots()
+	}
+	return n
+}
+
 // route returns the shard owning tu, validating just enough to index
 // attribute 0 (the shard table re-validates fully).
 func (db *DB) route(tu relation.Tuple) (int, error) {
@@ -303,8 +322,8 @@ func (db *DB) route(tu relation.Tuple) (int, error) {
 	return db.cat.Route(tu[0]), nil
 }
 
-// Insert routes tu to its shard.
-func (db *DB) Insert(ctx context.Context, tu relation.Tuple) error {
+// InsertContext routes tu to its shard.
+func (db *DB) InsertContext(ctx context.Context, tu relation.Tuple) error {
 	i, err := db.route(tu)
 	if err != nil {
 		return err
@@ -312,9 +331,9 @@ func (db *DB) Insert(ctx context.Context, tu relation.Tuple) error {
 	return db.shards[i].InsertContext(ctx, tu)
 }
 
-// InsertBatch partitions tuples by shard and inserts each partition as
-// one batch (one WAL group commit per touched shard).
-func (db *DB) InsertBatch(ctx context.Context, tuples []relation.Tuple) error {
+// InsertBatchContext partitions tuples by shard and inserts each
+// partition as one batch (one WAL group commit per touched shard).
+func (db *DB) InsertBatchContext(ctx context.Context, tuples []relation.Tuple) error {
 	parts, err := db.partition(tuples)
 	if err != nil {
 		return err
@@ -330,8 +349,8 @@ func (db *DB) InsertBatch(ctx context.Context, tuples []relation.Tuple) error {
 	return nil
 }
 
-// Delete routes tu to its shard.
-func (db *DB) Delete(ctx context.Context, tu relation.Tuple) (bool, error) {
+// DeleteContext routes tu to its shard.
+func (db *DB) DeleteContext(ctx context.Context, tu relation.Tuple) (bool, error) {
 	i, err := db.route(tu)
 	if err != nil {
 		return false, err

@@ -65,7 +65,7 @@ func compareAll(t *testing.T, tag string, db *shard.DB, oracle *table.Table) {
 	}
 	for _, r := range ranges {
 		attr, lo, hi := int(r[0]), r[1], r[2]
-		got, _, err := db.SelectRange(ctx, attr, lo, hi)
+		got, _, err := db.SelectRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatalf("%s: sharded SelectRange(%d,%d,%d): %v", tag, attr, lo, hi, err)
 		}
@@ -82,7 +82,7 @@ func compareAll(t *testing.T, tag string, db *shard.DB, oracle *table.Table) {
 			}
 		}
 
-		n, _, err := db.CountRange(ctx, attr, lo, hi)
+		n, _, err := db.CountRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatalf("%s: sharded CountRange: %v", tag, err)
 		}
@@ -90,7 +90,7 @@ func compareAll(t *testing.T, tag string, db *shard.DB, oracle *table.Table) {
 			t.Fatalf("%s: CountRange(%d,%d,%d) = %d, want %d", tag, attr, lo, hi, n, len(want))
 		}
 
-		agg, _, err := db.AggregateRange(ctx, attr, lo, hi, 3)
+		agg, _, err := db.AggregateRangeContext(ctx, attr, lo, hi, 3)
 		if err != nil {
 			t.Fatalf("%s: sharded AggregateRange: %v", tag, err)
 		}
@@ -102,7 +102,7 @@ func compareAll(t *testing.T, tag string, db *shard.DB, oracle *table.Table) {
 			t.Fatalf("%s: AggregateRange(%d,%d,%d) %+v vs %+v", tag, attr, lo, hi, agg, wantAgg)
 		}
 
-		groups, _, err := db.GroupBy(ctx, attr, lo, hi, 1, 2)
+		groups, _, err := db.GroupByContext(ctx, attr, lo, hi, 1, 2)
 		if err != nil {
 			t.Fatalf("%s: sharded GroupBy: %v", tag, err)
 		}
@@ -117,7 +117,7 @@ func compareAll(t *testing.T, tag string, db *shard.DB, oracle *table.Table) {
 
 	// Full scans stream identical sequences.
 	var scanned []relation.Tuple
-	if err := db.Scan(ctx, func(tu relation.Tuple) bool {
+	if err := db.ScanContext(ctx, func(tu relation.Tuple) bool {
 		scanned = append(scanned, tu)
 		return true
 	}); err != nil {
@@ -188,19 +188,19 @@ func TestDifferentialOracle(t *testing.T) {
 				extra = append(extra, randTuple(rng))
 			}
 			apply("insert-batch",
-				func() error { return db.InsertBatch(ctx, extra) },
+				func() error { return db.InsertBatchContext(ctx, extra) },
 				func() error { return oracle.InsertBatchContext(ctx, extra) })
 			for i := 0; i < 50; i++ {
 				tu := randTuple(rng)
 				apply("insert",
-					func() error { return db.Insert(ctx, tu) },
+					func() error { return db.InsertContext(ctx, tu) },
 					func() error { return oracle.InsertContext(ctx, tu) })
 			}
 			for i := 0; i < 200; i++ {
 				victim := seed[rng.Intn(len(seed))]
 				var da, db2 bool
 				apply("delete",
-					func() (err error) { da, err = db.Delete(ctx, victim); return },
+					func() (err error) { da, err = db.DeleteContext(ctx, victim); return },
 					func() (err error) { db2, err = oracle.DeleteContext(ctx, victim); return })
 				if da != db2 {
 					t.Fatalf("delete found-ness diverged: %v vs %v", da, db2)
@@ -212,7 +212,7 @@ func TestDifferentialOracle(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tu := randTuple(rng)
 				apply("post-ckpt insert",
-					func() error { return db.Insert(ctx, tu) },
+					func() error { return db.InsertContext(ctx, tu) },
 					func() error { return oracle.InsertContext(ctx, tu) })
 			}
 			compareAll(t, kind.String()+"/mutated", db, oracle)
@@ -252,9 +252,28 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 }
 
+// scatterCounts reads the registry's scatter counters: queries, shards
+// scanned, shards pruned.
+func scatterCounts(reg *obs.Registry) [3]int64 {
+	return [3]int64{
+		reg.Counter("shard.queries").Value(),
+		reg.Counter("shard.shards_scanned").Value(),
+		reg.Counter("shard.shards_pruned").Value(),
+	}
+}
+
+// scatterDelta is the scatter counters' change across fn.
+func scatterDelta(reg *obs.Registry, fn func()) [3]int64 {
+	before := scatterCounts(reg)
+	fn()
+	after := scatterCounts(reg)
+	return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+}
+
 func TestShardPruning(t *testing.T) {
 	ctx := context.Background()
-	db, err := shard.Create(oracleSchema(), shard.Config{Shards: 8, Options: shardOpts()})
+	reg := obs.NewRegistry()
+	db, err := shard.Create(oracleSchema(), shard.Config{Shards: 8, Options: shardOpts(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,15 +288,16 @@ func TestShardPruning(t *testing.T) {
 	}
 
 	// One shard's worth of range: 7 of 8 shards must prune whole.
-	_, st, err := db.SelectRange(ctx, 0, 0, 7)
+	var st table.QueryStats
+	d := scatterDelta(reg, func() { _, st, err = db.SelectRangeContext(ctx, 0, 0, 7) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scatter.ShardsPruned != 7 || st.Scatter.ShardsScanned != 1 {
-		t.Fatalf("scatter stats = %+v", st.Scatter)
+	if d != [3]int64{1, 1, 7} {
+		t.Fatalf("scatter counters moved by %v (queries, scanned, pruned), want [1 1 7]", d)
 	}
-	if st.Scatter.BlocksPruned == 0 {
-		t.Fatal("whole-shard pruning credited no blocks")
+	if own := db.Shard(0).NumBlocks(); st.BlocksPruned < db.NumBlocks()-own {
+		t.Fatalf("whole-shard pruning credited %d blocks, the 7 pruned shards hold %d", st.BlocksPruned, db.NumBlocks()-own)
 	}
 	// Catalog pruning subsumes fence pruning: the same range on the same
 	// rows in one shard prunes no larger a share of its blocks.
@@ -289,7 +309,7 @@ func TestShardPruning(t *testing.T) {
 	if err := single.BulkLoad(ctx, seed); err != nil {
 		t.Fatal(err)
 	}
-	_, fst, err := single.SelectRange(ctx, 0, 0, 7)
+	_, fst, err := single.SelectRangeContext(ctx, 0, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,18 +320,30 @@ func TestShardPruning(t *testing.T) {
 	}
 
 	// A predicate on a non-clustering attribute cannot prune shards.
-	_, st, err = db.SelectRange(ctx, 1, 0, 3)
+	d = scatterDelta(reg, func() { _, _, err = db.SelectRangeContext(ctx, 1, 0, 3) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scatter.ShardsPruned != 0 || st.Scatter.ShardsScanned != 8 {
-		t.Fatalf("non-clustered scatter stats = %+v", st.Scatter)
+	if d != [3]int64{1, 8, 0} {
+		t.Fatalf("non-clustered scatter counters moved by %v, want [1 8 0]", d)
 	}
 }
 
-// TestShardStatsFoldBatchCounts pins the scatter fold: a sharded aggregate
-// on a flat schema runs the batch path in every live shard, and the folded
-// stats must carry the slabs those shards decoded.
+// reader is the read surface a shard.DB shares with its shard tables.
+type reader interface {
+	SelectRangeContext(ctx context.Context, attr int, lo, hi uint64) ([]relation.Tuple, table.QueryStats, error)
+	CountRangeContext(ctx context.Context, attr int, lo, hi uint64) (int, table.QueryStats, error)
+	AggregateRangeContext(ctx context.Context, attr int, lo, hi uint64, aggAttr int) (table.AggregateResult, table.QueryStats, error)
+	GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]table.GroupResult, table.QueryStats, error)
+}
+
+// TestShardStatsFoldBatchCounts pins the scatter fold: every sharded
+// read reports the sum, by Stats.Add, of what its live shards' tables
+// report for the same predicate, field by field — the batch slabs a flat
+// schema's shards decode included — plus the blocks of catalog-pruned
+// shards in BlocksTotal and BlocksPruned, under the first live shard's
+// strategy. ArenaReuses and SlabBytes are left out: they measure the
+// pooled arenas a pass happened to draw, not the blocks it read.
 func TestShardStatsFoldBatchCounts(t *testing.T) {
 	ctx := context.Background()
 	db, err := shard.Create(oracleSchema(), shard.Config{Shards: 4, Options: shardOpts()})
@@ -319,7 +351,7 @@ func TestShardStatsFoldBatchCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewSource(13))
 	seed := make([]relation.Tuple, 4000)
 	for i := range seed {
 		seed[i] = randTuple(rng)
@@ -327,28 +359,75 @@ func TestShardStatsFoldBatchCounts(t *testing.T) {
 	if err := db.BulkLoad(ctx, seed); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := db.AggregateRange(ctx, 0, 0, 63, 3)
-	if err != nil {
-		t.Fatal(err)
+	reads := []struct {
+		name string
+		run  func(e reader, attr int, lo, hi uint64) (table.QueryStats, error)
+	}{
+		{"select", func(e reader, attr int, lo, hi uint64) (table.QueryStats, error) {
+			_, st, err := e.SelectRangeContext(ctx, attr, lo, hi)
+			return st, err
+		}},
+		{"count", func(e reader, attr int, lo, hi uint64) (table.QueryStats, error) {
+			_, st, err := e.CountRangeContext(ctx, attr, lo, hi)
+			return st, err
+		}},
+		{"aggregate", func(e reader, attr int, lo, hi uint64) (table.QueryStats, error) {
+			_, st, err := e.AggregateRangeContext(ctx, attr, lo, hi, 3)
+			return st, err
+		}},
+		{"groupby", func(e reader, attr int, lo, hi uint64) (table.QueryStats, error) {
+			_, st, err := e.GroupByContext(ctx, attr, lo, hi, 1, 2)
+			return st, err
+		}},
 	}
-	wantBlocks, wantRows := 0, 0
-	for i := 0; i < db.NumShards(); i++ {
-		_, qs, err := db.Shard(i).AggregateRangeContext(ctx, 0, 0, 63, 3)
-		if err != nil {
-			t.Fatal(err)
+	ranges := [][3]uint64{ // attr, lo, hi
+		{0, 0, 63}, {0, 10, 20}, {0, 16, 16}, {1, 3, 9}, {3, 1000, 1100},
+	}
+	cat := db.Catalog()
+	var all table.QueryStats
+	for _, rd := range reads {
+		for _, r := range ranges {
+			attr, lo, hi := int(r[0]), r[1], r[2]
+			got, err := rd.run(db, attr, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want table.QueryStats
+			live := 0
+			for i := 0; i < db.NumShards(); i++ {
+				if sLo, sHi := cat.RangeOf(i); attr == 0 && (sHi < lo || sLo > hi) {
+					want.BlocksTotal += db.Shard(i).NumBlocks()
+					want.BlocksPruned += db.Shard(i).NumBlocks()
+					continue
+				}
+				st, err := rd.run(db.Shard(i), attr, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live == 0 {
+					want.Strategy = st.Strategy
+				}
+				live++
+				want.Add(st)
+			}
+			all.Add(want)
+			got.ArenaReuses, got.SlabBytes = 0, 0
+			want.ArenaReuses, want.SlabBytes = 0, 0
+			if got != want {
+				t.Errorf("%s(%d,%d,%d): sharded %+v, %d live shards sum to %+v", rd.name, attr, lo, hi, got, live, want)
+			}
 		}
-		wantBlocks += qs.BatchBlocks
-		wantRows += qs.SlabRows
 	}
-	if st.BatchBlocks == 0 || st.BatchBlocks != wantBlocks || st.SlabRows != wantRows {
-		t.Fatalf("folded batch stats = %d blocks / %d rows, shards sum to %d / %d",
-			st.BatchBlocks, st.SlabRows, wantBlocks, wantRows)
+	// The counts the shard layer once dropped must have been exercised.
+	if all.FullDecodes == 0 || all.FlatPathHits == 0 || all.PartialDecodes == 0 || all.BatchBlocks == 0 {
+		t.Fatalf("the reads left a count unexercised: %+v", all)
 	}
 }
 
 func TestSingleShardDegenerate(t *testing.T) {
 	ctx := context.Background()
-	db, err := shard.Create(oracleSchema(), shard.Config{Options: shardOpts()})
+	reg := obs.NewRegistry()
+	db, err := shard.Create(oracleSchema(), shard.Config{Options: shardOpts(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +435,16 @@ func TestSingleShardDegenerate(t *testing.T) {
 	if db.NumShards() != 1 {
 		t.Fatalf("default shard count = %d", db.NumShards())
 	}
-	if err := db.Insert(ctx, relation.Tuple{1, 2, 3, 4}); err != nil {
+	if err := db.InsertContext(ctx, relation.Tuple{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	rows, st, err := db.SelectRange(ctx, 0, 0, 63)
+	var rows []relation.Tuple
+	d := scatterDelta(reg, func() { rows, _, err = db.SelectRangeContext(ctx, 0, 0, 63) })
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows = %v, %v", rows, err)
 	}
-	if st.Scatter.ShardsScanned != 1 || st.Scatter.ShardsPruned != 0 {
-		t.Fatalf("stats = %+v", st.Scatter)
+	if d != [3]int64{1, 1, 0} {
+		t.Fatalf("scatter counters moved by %v, want [1 1 0]", d)
 	}
 	if err := db.Check(); err != nil {
 		t.Fatal(err)
@@ -378,10 +458,10 @@ func TestRouteRejectsOutOfDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Insert(ctx, relation.Tuple{64, 0, 0, 0}); err == nil {
+	if err := db.InsertContext(ctx, relation.Tuple{64, 0, 0, 0}); err == nil {
 		t.Fatal("out-of-domain attribute 0 accepted")
 	}
-	if err := db.Insert(ctx, relation.Tuple{}); err == nil {
+	if err := db.InsertContext(ctx, relation.Tuple{}); err == nil {
 		t.Fatal("empty tuple accepted")
 	}
 }

@@ -31,19 +31,12 @@ func (db *DB) MergeJoinEach(ctx context.Context, other *DB, emit func(table.Join
 		return stats, err
 	}
 	defer releaseAll(rits)
-	matches, err := table.JoinPhiStreams(chain(lits), chain(rits), db.schema, other.schema, emit)
-	stats.Matches = matches
+	stats.Matches, err = table.JoinPhiStreams(chain(lits), chain(rits), db.schema, other.schema, emit)
 	for _, it := range lits {
-		stats.LeftBlocks += it.Stats.BlocksRead
-		stats.BlocksPruned += it.Stats.BlocksPruned
-		stats.BatchBlocks += it.Stats.BatchBlocks
-		stats.SlabRows += it.Stats.SlabRows
+		stats.Left.Add(it.Stats)
 	}
 	for _, it := range rits {
-		stats.RightBlocks += it.Stats.BlocksRead
-		stats.BlocksPruned += it.Stats.BlocksPruned
-		stats.BatchBlocks += it.Stats.BatchBlocks
-		stats.SlabRows += it.Stats.SlabRows
+		stats.Right.Add(it.Stats)
 	}
 	return stats, err
 }

@@ -100,10 +100,10 @@ func TestShardMergeJoinMatchesSingleTable(t *testing.T) {
 				i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
 		}
 	}
-	if gst.BatchBlocks == 0 {
+	if gst.Left.BatchBlocks == 0 || gst.Right.BatchBlocks == 0 {
 		t.Fatal("sharded join did not take the columnar path")
 	}
-	if gst.BlocksPruned == 0 {
+	if gst.Left.BlocksPruned+gst.Right.BlocksPruned == 0 {
 		t.Fatal("sparse-key join pruned no blocks")
 	}
 	for i := 0; i < ldb.NumShards(); i++ {

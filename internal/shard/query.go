@@ -9,15 +9,6 @@ import (
 	"repro/internal/table"
 )
 
-// Stats reports one sharded query: the summed per-shard table stats plus
-// the shard-level scatter accounting. Blocks inside catalog-pruned
-// shards are folded into BlocksPruned, so the fence-pruning invariants
-// (pruned + read = candidates) keep holding at the DB level.
-type Stats struct {
-	table.QueryStats
-	Scatter exec.ScatterStats
-}
-
 // scatterOpts is the DB-wide fan-out tuning; zero values mean
 // GOMAXPROCS workers with a 2-chunk read-ahead per shard.
 var scatterOpts = exec.ScatterOptions{}
@@ -39,7 +30,7 @@ func (db *DB) bounds(attr int, lo, hi uint64) (uint64, uint64) {
 
 // scans builds the per-shard ShardScan list for a range predicate, each
 // Run streaming through the shard's own planner (fence pruning, partial
-// decodes, secondary indexes) and depositing its QueryStats in stats[i].
+// decodes, secondary indexes) and depositing its stats in stats[i].
 func (db *DB) scans(attr int, lo, hi uint64, stats []table.QueryStats) []exec.ShardScan {
 	out := make([]exec.ShardScan, len(db.shards))
 	for i := range db.shards {
@@ -59,53 +50,54 @@ func (db *DB) scans(attr int, lo, hi uint64, stats []table.QueryStats) []exec.Sh
 	return out
 }
 
-// fold sums the per-shard stats under the scatter result. The strategy
-// reported is the first scanned shard's (shards plan the same predicate
-// the same way, modulo secondary-index candidate availability).
-func fold(per []table.QueryStats, sc exec.ScatterStats, live []int) Stats {
-	var st Stats
-	st.Scatter = sc
-	st.BlocksPruned = sc.BlocksPruned
+// fold sums the per-shard stats of one pass with Stats.Add. The blocks
+// inside catalog-pruned shards count in BlocksTotal and BlocksPruned, so
+// the fence-pruning invariant (pruned + read = candidates) keeps holding
+// at the DB level. The strategy reported is the first live shard's
+// (shards plan the same predicate the same way, modulo secondary-index
+// candidate availability).
+func fold(per []table.QueryStats, sc exec.ScatterStats, live []int) table.QueryStats {
+	st := table.QueryStats{BlocksTotal: sc.BlocksPruned, BlocksPruned: sc.BlocksPruned}
 	if len(live) > 0 {
 		st.Strategy = per[live[0]].Strategy
 	}
 	for _, qs := range per {
-		st.BlocksRead += qs.BlocksRead
-		st.BlocksPruned += qs.BlocksPruned
-		st.PartialDecodes += qs.PartialDecodes
-		st.Matches += qs.Matches
-		st.BatchBlocks += qs.BatchBlocks
-		st.SlabRows += qs.SlabRows
+		st.Add(qs)
 	}
 	return st
 }
 
-// count bumps the query counters for one scatter pass.
+// count bumps the query counters for one scatter pass: the only record
+// of its shard-level fan-out and pruning.
 func (db *DB) count(sc exec.ScatterStats) {
 	db.queries.Inc()
 	db.scanned.Add(int64(sc.ShardsScanned))
 	db.pruned.Add(int64(sc.ShardsPruned))
 }
 
-// SelectRange runs sigma_{lo<=A_attr<=hi}(R) across the shards: whole
-// shards prune on the catalog, the rest scatter on the worker pool, and
-// the ordered merge returns rows in global φ order — byte-identical to
-// the single-table result.
-func (db *DB) SelectRange(ctx context.Context, attr int, lo, hi uint64) ([]relation.Tuple, Stats, error) {
-	per := make([]table.QueryStats, len(db.shards))
-	pLo, pHi := db.bounds(attr, lo, hi)
-	live, _ := db.liveFor(pLo, pHi)
+// SelectRangeContext runs sigma_{lo<=A_attr<=hi}(R) across the shards:
+// whole shards prune on the catalog, the rest scatter on the worker pool,
+// and the ordered merge returns rows in global φ order — byte-identical
+// to the single-table result.
+func (db *DB) SelectRangeContext(ctx context.Context, attr int, lo, hi uint64) ([]relation.Tuple, table.QueryStats, error) {
 	var out []relation.Tuple
-	sc, err := exec.Scatter(ctx, db.scans(attr, lo, hi, per), pLo, pHi, scatterOpts, func(tu relation.Tuple) bool {
+	st, err := db.selectRange(ctx, attr, lo, hi, func(tu relation.Tuple) bool {
 		out = append(out, tu)
 		return true
 	})
-	db.count(sc)
-	return out, fold(per, sc, live), err
+	return out, st, err
 }
 
-// SelectRangeFunc streams the merged rows to fn in global φ order.
-func (db *DB) SelectRangeFunc(ctx context.Context, attr int, lo, hi uint64, fn func(relation.Tuple) bool) (Stats, error) {
+// ScanContext streams every tuple in global φ order until fn returns
+// false.
+func (db *DB) ScanContext(ctx context.Context, fn func(relation.Tuple) bool) error {
+	_, err := db.selectRange(ctx, 0, 0, db.cat.Domain-1, fn)
+	return err
+}
+
+// selectRange streams the merged rows of sigma_{lo<=A_attr<=hi}(R) to fn
+// in global φ order.
+func (db *DB) selectRange(ctx context.Context, attr int, lo, hi uint64, fn func(relation.Tuple) bool) (table.QueryStats, error) {
 	per := make([]table.QueryStats, len(db.shards))
 	pLo, pHi := db.bounds(attr, lo, hi)
 	live, _ := db.liveFor(pLo, pHi)
@@ -114,16 +106,10 @@ func (db *DB) SelectRangeFunc(ctx context.Context, attr int, lo, hi uint64, fn f
 	return fold(per, sc, live), err
 }
 
-// Scan streams every tuple in global φ order.
-func (db *DB) Scan(ctx context.Context, fn func(relation.Tuple) bool) error {
-	_, err := db.SelectRangeFunc(ctx, 0, 0, db.cat.Domain-1, fn)
-	return err
-}
-
-// CountRange counts matches. Counting is commutative, so live shards
-// count concurrently on their 0-alloc transient paths and the totals
-// just add — no streaming merge.
-func (db *DB) CountRange(ctx context.Context, attr int, lo, hi uint64) (int, Stats, error) {
+// CountRangeContext counts matches. Counting is commutative, so live
+// shards count concurrently on their 0-alloc transient paths and the
+// totals just add — no streaming merge.
+func (db *DB) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) (int, table.QueryStats, error) {
 	per := make([]table.QueryStats, len(db.shards))
 	live, sc := db.liveFor(db.bounds(attr, lo, hi))
 	err := scatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
@@ -137,8 +123,8 @@ func (db *DB) CountRange(ctx context.Context, attr int, lo, hi uint64) (int, Sta
 	return st.Matches, st, err
 }
 
-// AggregateRange folds COUNT/SUM/MIN/MAX across the live shards.
-func (db *DB) AggregateRange(ctx context.Context, attr int, lo, hi uint64, aggAttr int) (table.AggregateResult, Stats, error) {
+// AggregateRangeContext folds COUNT/SUM/MIN/MAX across the live shards.
+func (db *DB) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint64, aggAttr int) (table.AggregateResult, table.QueryStats, error) {
 	per := make([]table.QueryStats, len(db.shards))
 	parts := make([]table.AggregateResult, len(db.shards))
 	live, sc := db.liveFor(db.bounds(attr, lo, hi))
@@ -156,9 +142,9 @@ func (db *DB) AggregateRange(ctx context.Context, attr int, lo, hi uint64, aggAt
 	return mergeAggregates(parts), st, nil
 }
 
-// GroupBy computes per-group aggregates across the live shards and
-// re-merges the group tables (group values are shard-independent).
-func (db *DB) GroupBy(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]table.GroupResult, Stats, error) {
+// GroupByContext computes per-group aggregates across the live shards
+// and re-merges the group tables (group values are shard-independent).
+func (db *DB) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]table.GroupResult, table.QueryStats, error) {
 	per := make([]table.QueryStats, len(db.shards))
 	parts := make([][]table.GroupResult, len(db.shards))
 	live, sc := db.liveFor(db.bounds(filterAttr, lo, hi))

@@ -205,10 +205,10 @@ func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gst.BatchBlocks == 0 {
+			if gst.Left.BatchBlocks == 0 || gst.Right.BatchBlocks == 0 {
 				t.Fatal("batch join did not take the columnar path")
 			}
-			if wst.BatchBlocks != 0 {
+			if wst.Left.BatchBlocks != 0 || wst.Right.BatchBlocks != 0 {
 				t.Fatal("oracle join took the columnar path")
 			}
 			if gst.Matches != wst.Matches || len(got) != len(want) {
@@ -222,6 +222,30 @@ func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMergeJoinTuplesCancelKeepsStats cancels a tuple-path merge join
+// after its first row: the join stops at the next block boundary with
+// context.Canceled and still reports the blocks each side read.
+func TestMergeJoinTuplesCancelKeepsStats(t *testing.T) {
+	tuples := randomTuples(t, 3000, 17)
+	_, left := newBatchPair(t, core.CodecAVQ, tuples)
+	_, right := newBatchPair(t, core.CodecAVQ, tuples)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := MergeJoinEachContext(ctx, left, right, func(JoinRow) bool {
+		cancel()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled join: err = %v, want context.Canceled", err)
+	}
+	if st.Left.BlocksRead == 0 || st.Right.BlocksRead == 0 {
+		t.Fatalf("cancelled join lost its block counts: left %d, right %d", st.Left.BlocksRead, st.Right.BlocksRead)
+	}
+	if st.Left.BlocksRead >= left.NumBlocks() {
+		t.Fatalf("cancelled join read all %d left blocks", st.Left.BlocksRead)
 	}
 }
 

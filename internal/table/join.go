@@ -14,19 +14,12 @@ type JoinRow struct {
 	Right relation.Tuple
 }
 
-// JoinStats reports the cost of a join: blocks read on each side.
+// JoinStats reports the cost of a join: each side's executor Stats (its
+// blocks read, pruned by fence-level seeks, and decoded as batch slabs)
+// and the join rows emitted.
 type JoinStats struct {
-	LeftBlocks  int
-	RightBlocks int
+	Left, Right exec.Stats
 	Matches     int
-	// BlocksPruned counts blocks skipped unread on both sides by
-	// fence-level seeks (the batch merge join's sparse-key skipping).
-	BlocksPruned int
-	// BatchBlocks and SlabRows account the columnar path: blocks decoded
-	// as φ-ordinal slabs and the rows they carried, summed over both
-	// sides. Zero on the tuple-at-a-time path.
-	BatchBlocks int
-	SlabRows    int
 }
 
 // MergeJoinContext computes the equi-join on both relations' clustering
@@ -64,6 +57,16 @@ func MergeJoinEachContext(ctx context.Context, left, right *Table, emit func(Joi
 	return mergeJoinTuples(ctx, left, right, emit)
 }
 
+// BatchIterator returns a columnar pull iterator over the table: a
+// φ-ordered stream of per-block ordinal slabs reading a pinned snapshot
+// (see exec.BatchIterator for slab lifetime and seek semantics). It fails
+// with exec.ErrNotFlat on a non-flat schema. The caller must Release it.
+// The shard layer chains per-shard streams through it for cross-shard
+// merge joins.
+func (t *Table) BatchIterator(ctx context.Context) (*exec.BatchIterator, error) {
+	return exec.NewBatchIterator(ctx, t.snapshot())
+}
+
 // mergeJoinBatch is the φ-space merge join between two tables.
 func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
 	var stats JoinStats
@@ -77,12 +80,8 @@ func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) 
 		return stats, err
 	}
 	defer ri.Release()
-	matches, err := JoinPhiStreams(li, ri, left.schema, right.schema, emit)
-	stats.Matches = matches
-	stats.LeftBlocks, stats.RightBlocks = li.Stats.BlocksRead, ri.Stats.BlocksRead
-	stats.BlocksPruned = li.Stats.BlocksPruned + ri.Stats.BlocksPruned
-	stats.BatchBlocks = li.Stats.BatchBlocks + ri.Stats.BatchBlocks
-	stats.SlabRows = li.Stats.SlabRows + ri.Stats.SlabRows
+	stats.Matches, err = JoinPhiStreams(li, ri, left.schema, right.schema, emit)
+	stats.Left, stats.Right = li.Stats, ri.Stats
 	return stats, err
 }
 
@@ -142,13 +141,14 @@ func materializeGroup(s *relation.Schema, phis []uint64, dst []relation.Tuple) (
 
 // mergeJoinTuples is the tuple-at-a-time merge join — the differential
 // oracle the batch path is pinned against, and the fallback for non-flat
-// schemas.
-func mergeJoinTuples(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
-	var stats JoinStats
+// schemas. Each side's Stats are reported on every return, an error's
+// included.
+func mergeJoinTuples(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (stats JoinStats, err error) {
 	lc := newClusterCursor(ctx, left)
 	defer lc.close()
 	rc := newClusterCursor(ctx, right)
 	defer rc.close()
+	defer func() { stats.Left, stats.Right = lc.it.Stats, rc.it.Stats }()
 	lg, err := lc.nextGroup()
 	if err != nil {
 		return stats, err
@@ -157,7 +157,6 @@ func mergeJoinTuples(ctx context.Context, left, right *Table, emit func(JoinRow)
 	if err != nil {
 		return stats, err
 	}
-loop:
 	for lg != nil && rg != nil {
 		switch {
 		case lg.key < rg.key:
@@ -173,7 +172,7 @@ loop:
 				for _, r := range rg.rows {
 					stats.Matches++
 					if !emit(JoinRow{Left: l, Right: r}) {
-						break loop
+						return stats, nil
 					}
 				}
 			}
@@ -185,7 +184,6 @@ loop:
 			}
 		}
 	}
-	stats.LeftBlocks, stats.RightBlocks = lc.it.Stats.BlocksRead, rc.it.Stats.BlocksRead
 	return stats, nil
 }
 

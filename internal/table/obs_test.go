@@ -130,42 +130,6 @@ func TestScanContextCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCursorContextCancel checks an iterator surfaces cancellation at the
-// next block boundary and leaves no pinned frames once released.
-func TestCursorContextCancel(t *testing.T) {
-	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 5000, 45)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cur := tb.NewCursorContext(ctx)
-	if _, ok, err := cur.Next(); err != nil || !ok {
-		t.Fatalf("first Next: ok=%v err=%v", ok, err)
-	}
-	cancel()
-	sawErr := false
-	for n := 0; n < tb.Len(); n++ {
-		_, ok, err := cur.Next()
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cursor error = %v, want context.Canceled", err)
-			}
-			sawErr = true
-			break
-		}
-		if !ok {
-			break
-		}
-	}
-	if !sawErr {
-		t.Fatal("cursor drained the table despite cancellation")
-	}
-	cur.Close()
-	if got := tb.pool.PinnedFrames(); got != 0 {
-		t.Fatalf("%d frames still pinned after cancelled cursor", got)
-	}
-}
-
 // TestInsertDomainRangeSentinel checks schema violations surface the
 // relation.ErrDomainRange sentinel through the table layer.
 func TestInsertDomainRangeSentinel(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -60,7 +61,7 @@ func TestPersistentCreateLoadReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Strategy != StrategySecondary {
+	if stats.Strategy != exec.StrategySecondary {
 		t.Fatalf("reopened strategy = %v", stats.Strategy)
 	}
 	want := 0
@@ -288,7 +289,7 @@ func TestPersistentHashIndexRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Strategy != StrategySecondary || len(rows) == 0 {
+	if stats.Strategy != exec.StrategySecondary || len(rows) == 0 {
 		t.Fatalf("secondary index not restored: %v, %d rows", stats.Strategy, len(rows))
 	}
 	if err := got.Check(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/relation"
 )
 
@@ -98,16 +99,16 @@ func TestExplainMatchesExecution(t *testing.T) {
 		for _, c := range []struct {
 			name  string
 			preds []Predicate
-			want  Strategy
+			want  exec.Strategy
 		}{
-			{"clustered", []Predicate{{Attr: 0, Lo: 2, Hi: 3}}, StrategyClustered},
-			{"secondary", []Predicate{{Attr: 4, Lo: 700, Hi: 720}}, StrategySecondary},
-			{"secondary+attr0", []Predicate{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 4, Lo: 700, Hi: 720}}, StrategySecondary},
-			{"attr0+secondary", []Predicate{{Attr: 1, Lo: 0, Hi: 15}, {Attr: 0, Lo: 5, Hi: 5}, {Attr: 2, Lo: 3, Hi: 40}}, StrategyClustered},
-			{"full-scan", []Predicate{{Attr: 2, Lo: 10, Hi: 12}, {Attr: 3, Lo: 0, Hi: 30}}, StrategyFullScan},
-			{"scan", nil, StrategyFullScan},
-			{"empty-conjunct", []Predicate{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 2, Lo: 9, Hi: 3}}, StrategyClustered},
-			{"empty-beyond-domain", []Predicate{{Attr: 4, Lo: 700, Hi: 720}, {Attr: 3, Lo: 64, Hi: 99}}, StrategyClustered},
+			{"clustered", []Predicate{{Attr: 0, Lo: 2, Hi: 3}}, exec.StrategyClustered},
+			{"secondary", []Predicate{{Attr: 4, Lo: 700, Hi: 720}}, exec.StrategySecondary},
+			{"secondary+attr0", []Predicate{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 4, Lo: 700, Hi: 720}}, exec.StrategySecondary},
+			{"attr0+secondary", []Predicate{{Attr: 1, Lo: 0, Hi: 15}, {Attr: 0, Lo: 5, Hi: 5}, {Attr: 2, Lo: 3, Hi: 40}}, exec.StrategyClustered},
+			{"full-scan", []Predicate{{Attr: 2, Lo: 10, Hi: 12}, {Attr: 3, Lo: 0, Hi: 30}}, exec.StrategyFullScan},
+			{"scan", nil, exec.StrategyFullScan},
+			{"empty-conjunct", []Predicate{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 2, Lo: 9, Hi: 3}}, exec.StrategyClustered},
+			{"empty-beyond-domain", []Predicate{{Attr: 4, Lo: 700, Hi: 720}, {Attr: 3, Lo: 64, Hi: 99}}, exec.StrategyClustered},
 		} {
 			strategy, blocks := explainBlocks(t, tb, c.preds)
 			rows, stats, err := tb.SelectContext(context.Background(), c.preds)
@@ -178,7 +179,7 @@ func TestPlannerDrivesFewestBlocks(t *testing.T) {
 		}
 		// wide's rows all have a <= 12, inside clus's fence range, so the
 		// pass reads exactly wide's candidates.
-		if st.Strategy != StrategySecondary || st.BlocksRead != nw {
+		if st.Strategy != exec.StrategySecondary || st.BlocksRead != nw {
 			t.Fatalf("order %v: %v path read %d blocks; driving by b reads %d", order, st.Strategy, st.BlocksRead, nw)
 		}
 		out, err := tb.Explain(ps)
@@ -191,7 +192,7 @@ func TestPlannerDrivesFewestBlocks(t *testing.T) {
 	}
 	// A tie goes to attribute 0: both predicates name every block.
 	all := []Predicate{{Attr: 1, Lo: 0, Hi: 999}, {Attr: 0, Lo: 0, Hi: 63}}
-	if _, st, err := tb.SelectContext(ctx, all); err != nil || st.Strategy != StrategyClustered {
+	if _, st, err := tb.SelectContext(ctx, all); err != nil || st.Strategy != exec.StrategyClustered {
 		t.Fatalf("tie: %v path, err %v; want clustered", st.Strategy, err)
 	}
 }

@@ -52,7 +52,7 @@ func (t *Table) readPlan(preds []Predicate) (queryRun, error) {
 func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
 	r := queryRun{op: "select", reg: t.opts.Obs, batch: t.batchable(), driver: -1}
 	if len(preds) == 0 {
-		r.stats.Strategy = StrategyFullScan
+		r.strategy = exec.StrategyFullScan
 		r.snap = t.store.Snapshot()
 		return r, nil
 	}
@@ -110,11 +110,11 @@ func (t *Table) pickDriver(r *queryRun) {
 	r.driver = best
 	switch {
 	case best < 0:
-		r.stats.Strategy = StrategyFullScan
+		r.strategy = exec.StrategyFullScan
 	case preds[best].Attr == 0:
-		r.stats.Strategy = StrategyClustered
+		r.strategy = exec.StrategyClustered
 	default:
-		r.stats.Strategy = StrategySecondary
+		r.strategy = exec.StrategySecondary
 	}
 }
 
@@ -200,7 +200,7 @@ func (t *Table) Explain(preds []Predicate) (string, error) {
 	if sep == "" {
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "%s path: blocks %d of %d\n", r.stats.Strategy, r.blocks(), total)
+	fmt.Fprintf(&b, "%s path: blocks %d of %d\n", r.strategy, r.blocks(), total)
 	return b.String(), nil
 }
 

@@ -14,63 +14,19 @@ import (
 	"repro/internal/storage"
 )
 
-// Strategy names the access path a query used.
-type Strategy uint8
-
-const (
-	// StrategyClustered scans the contiguous run of blocks whose φ-fences
-	// intersect the predicate range: the plan for predicates on the
-	// clustering prefix attribute.
-	StrategyClustered Strategy = iota
-	// StrategySecondary collects candidate blocks from a secondary index's
-	// buckets, enumerating the key range on the B+ tree, and reads each
-	// once (Figure 4.5).
-	StrategySecondary
-	// StrategyFullScan reads every block.
-	StrategyFullScan
-)
-
-// String returns the strategy's name.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyClustered:
-		return "clustered"
-	case StrategySecondary:
-		return "secondary"
-	case StrategyFullScan:
-		return "full-scan"
-	default:
-		return fmt.Sprintf("Strategy(%d)", uint8(s))
-	}
-}
-
-// QueryStats reports what a selection cost. BlocksRead is the paper's N
-// (Section 5.3.3): the number of data blocks brought into memory and
-// decoded. BlocksPruned counts blocks the executor skipped on their
-// φ-fence alone, and PartialDecodes counts boundary blocks where only the
-// qualifying span was decoded.
-type QueryStats struct {
-	Strategy       Strategy
-	BlocksRead     int
-	BlocksPruned   int
-	PartialDecodes int
-	Matches        int
-	// BatchBlocks counts blocks the columnar batch path decoded as whole
-	// φ-ordinal slabs (zero on the tuple-at-a-time path); SlabRows is the
-	// total rows those slabs carried before predicate compaction.
-	BatchBlocks int
-	SlabRows    int
-}
+// QueryStats reports what a read cost: the executor's Stats, with the
+// planner's Strategy. BlocksRead is the paper's N (Section 5.3.3).
+type QueryStats = exec.Stats
 
 // queryRun is a planned read pass. Planning — predicate validation,
 // access-path choice, index consultation — happens against the live table
 // under its shared lock; runCtx executes against the pinned snapshot and
 // needs no lock, so readers stream while writers mutate.
 type queryRun struct {
-	stats QueryStats
-	plan  exec.Plan
-	snap  *blockstore.Snapshot
-	empty bool
+	strategy exec.Strategy
+	plan     exec.Plan
+	snap     *blockstore.Snapshot
+	empty    bool
 	// batch routes the pass through the columnar φ-slab executor; set at
 	// plan time when the schema is flat and the table has not opted out.
 	// Only operators whose kernels consume raw ordinals honour it.
@@ -86,12 +42,12 @@ type queryRun struct {
 }
 
 // runCtx executes the planned pass through the executor, releases the
-// snapshot, and folds the executor's accounting into QueryStats. The
-// executor observes cancellation at block boundaries, before the next
+// snapshot, and reports the executor's Stats under the planned strategy.
+// The executor observes cancellation at block boundaries, before the next
 // decode.
 func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (QueryStats, error) {
 	if r.empty {
-		return r.stats, nil
+		return QueryStats{}, nil
 	}
 	var sp *obs.Span
 	if r.op != "" {
@@ -99,10 +55,20 @@ func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (Q
 		defer sp.End()
 	}
 	defer r.snap.Release()
-	es, err := exec.RunContext(ctx, r.snap, r.plan, emit)
-	st := foldExecStats(r.stats, es)
+	st, err := exec.RunContext(ctx, r.snap, r.plan, emit)
+	st.Strategy = r.strategy
 	sp.Detailf("%s: %d blocks read, %d pruned, %d matches", st.Strategy, st.BlocksRead, st.BlocksPruned, st.Matches)
 	return st, err
+}
+
+// snapshot pins the current block layout under the shared lock, so the
+// view never falls between a writer's publications (Compact tears the
+// layout down before it reloads). It takes and releases mu itself: joins
+// pin each side in turn, and a self-join never holds two read locks.
+func (t *Table) snapshot() *blockstore.Snapshot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.Snapshot()
 }
 
 // collect runs the planned pass and materializes its matches.
@@ -121,7 +87,7 @@ func (r queryRun) collect(ctx context.Context) ([]relation.Tuple, QueryStats, er
 // r.batch.
 func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bool) (QueryStats, error) {
 	if r.empty {
-		return r.stats, nil
+		return QueryStats{}, nil
 	}
 	var sp *obs.Span
 	if r.op != "" {
@@ -129,22 +95,11 @@ func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bo
 		defer sp.End()
 	}
 	defer r.snap.Release()
-	es, err := exec.RunBatch(ctx, r.snap, r.plan, kernel)
-	st := foldExecStats(r.stats, es)
+	st, err := exec.RunBatch(ctx, r.snap, r.plan, kernel)
+	st.Strategy = r.strategy
 	sp.Detailf("%s (batch): %d slabs, %d rows, %d pruned, %d matches",
 		st.Strategy, st.BatchBlocks, st.SlabRows, st.BlocksPruned, st.Matches)
 	return st, err
-}
-
-// foldExecStats copies the executor's accounting into QueryStats.
-func foldExecStats(st QueryStats, es exec.Stats) QueryStats {
-	st.BlocksRead = es.BlocksRead
-	st.BlocksPruned = es.BlocksPruned
-	st.PartialDecodes = es.PartialDecodes
-	st.Matches = es.Matches
-	st.BatchBlocks = es.BatchBlocks
-	st.SlabRows = es.SlabRows
-	return st
 }
 
 // SelectRangeContext executes the paper's evaluation query sigma_{lo <=

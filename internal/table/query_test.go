@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/relation"
 )
 
@@ -53,7 +54,7 @@ func TestSelectConjunction(t *testing.T) {
 	}
 	// No conjunct is on attribute 0 and attr 2 is unindexed, so one of the
 	// secondary indexes drives.
-	if stats.Strategy != StrategySecondary {
+	if stats.Strategy != exec.StrategySecondary {
 		t.Fatalf("driver strategy = %v", stats.Strategy)
 	}
 }
@@ -215,9 +216,9 @@ func TestMergeJoin(t *testing.T) {
 		}
 	}
 	// One pass over each side.
-	if stats.LeftBlocks != left.NumBlocks() || stats.RightBlocks != right.NumBlocks() {
+	if stats.Left.BlocksRead != left.NumBlocks() || stats.Right.BlocksRead != right.NumBlocks() {
 		t.Fatalf("merge join read %d/%d blocks, want %d/%d",
-			stats.LeftBlocks, stats.RightBlocks, left.NumBlocks(), right.NumBlocks())
+			stats.Left.BlocksRead, stats.Right.BlocksRead, left.NumBlocks(), right.NumBlocks())
 	}
 }
 
@@ -267,5 +268,59 @@ func TestJoinEmptySides(t *testing.T) {
 	rows, _, err := MergeJoinContext(context.Background(), left, right)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("merge join with empty left = %d rows, %v", len(rows), err)
+	}
+}
+
+func TestGroupBy(t *testing.T) {
+	tb := newTable(t, core.CodecAVQ, nil)
+	tuples := randomTuples(t, 2000, 95)
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	groups, _, err := tb.GroupByContext(context.Background(), 0, 0, 7, 1, 2) // group by job over all depts
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reference aggregation.
+	type agg struct {
+		count       int
+		sum, mn, mx uint64
+	}
+	ref := map[uint64]*agg{}
+	for _, tu := range tuples {
+		a := ref[tu[1]]
+		if a == nil {
+			a = &agg{mn: ^uint64(0)}
+			ref[tu[1]] = a
+		}
+		a.count++
+		a.sum += tu[2]
+		if tu[2] < a.mn {
+			a.mn = tu[2]
+		}
+		if tu[2] > a.mx {
+			a.mx = tu[2]
+		}
+	}
+	if len(groups) != len(ref) {
+		t.Fatalf("%d groups, want %d", len(groups), len(ref))
+	}
+	var prev uint64
+	for i, g := range groups {
+		if i > 0 && g.Value <= prev {
+			t.Fatal("groups not in ascending value order")
+		}
+		prev = g.Value
+		want := ref[g.Value]
+		if want == nil || g.Agg.Count != want.count || g.Agg.Sum != want.sum ||
+			g.Agg.Min != want.mn || g.Agg.Max != want.mx {
+			t.Fatalf("group %d mismatch: %+v vs %+v", g.Value, g.Agg, want)
+		}
+	}
+	if _, _, err := tb.GroupByContext(context.Background(), 0, 0, 7, 99, 2); err == nil {
+		t.Fatal("bad group attribute accepted")
+	}
+	if _, _, err := tb.GroupByContext(context.Background(), 0, 0, 7, 1, 99); err == nil {
+		t.Fatal("bad aggregate attribute accepted")
 	}
 }

@@ -345,26 +345,6 @@ func TestTableConcurrentOracle(t *testing.T) {
 			}
 			return ""
 		},
-		func(rng *rand.Rand) string { // cursor
-			lo := uint64(rng.Intn(8))
-			cur := tb.NewCursorContext(ctx)
-			defer cur.Close()
-			if err := cur.Seek(relation.Tuple{lo, 0, 0, 0, 0}); err != nil {
-				return err.Error()
-			}
-			var rows []relation.Tuple
-			for {
-				tu, ok, err := cur.Next()
-				if err != nil {
-					return err.Error()
-				}
-				if !ok {
-					break
-				}
-				rows = append(rows, tu)
-			}
-			return checkView(s, base, rows, lo, 7, maxExtra)
-		},
 		func(rng *rand.Rand) string { // batch iterator
 			it, err := tb.BatchIterator(ctx)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/relation"
 )
 
@@ -57,7 +58,7 @@ func openTable(t testing.TB, path string, opts ...Option) *Table {
 }
 
 // checkLeaks fails t, once the test is over, if tb's pool still holds a
-// pinned frame or its store a live snapshot: every query, cursor and
+// pinned frame or its store a live snapshot: every query, iterator and
 // mutation must give back what it took, on its error and cancellation
 // paths too. A table the test closed has no frames left to count, so
 // only its snapshots are checked.
@@ -337,14 +338,14 @@ func TestSelectRangeAllStrategies(t *testing.T) {
 	cases := []struct {
 		attr     int
 		lo, hi   uint64
-		strategy Strategy
+		strategy exec.Strategy
 	}{
-		{0, 2, 5, StrategyClustered},
-		{0, 0, 0, StrategyClustered},
-		{1, 4, 10, StrategySecondary},
-		{2, 0, 63, StrategySecondary},
-		{3, 62, 63, StrategySecondary},
-		{4, 1000, 2000, StrategyFullScan},
+		{0, 2, 5, exec.StrategyClustered},
+		{0, 0, 0, exec.StrategyClustered},
+		{1, 4, 10, exec.StrategySecondary},
+		{2, 0, 63, exec.StrategySecondary},
+		{3, 62, 63, exec.StrategySecondary},
+		{4, 1000, 2000, exec.StrategyFullScan},
 	}
 	for _, c := range cases {
 		got, stats, err := tb.SelectRangeContext(context.Background(), c.attr, c.lo, c.hi)
@@ -604,12 +605,12 @@ func TestStoreStatsAndIndexCounts(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if StrategyClustered.String() != "clustered" ||
-		StrategySecondary.String() != "secondary" ||
-		StrategyFullScan.String() != "full-scan" {
+	if exec.StrategyClustered.String() != "clustered" ||
+		exec.StrategySecondary.String() != "secondary" ||
+		exec.StrategyFullScan.String() != "full-scan" {
 		t.Fatal("unexpected strategy names")
 	}
-	if Strategy(9).String() == "" {
+	if exec.Strategy(9).String() == "" {
 		t.Fatal("unknown strategy should render")
 	}
 }

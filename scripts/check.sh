@@ -6,7 +6,8 @@
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
 # page-read (viewStream), no-per-field-window, no-simulated-disk, one-
-# planner and one-benchmark-system guards,
+# planner, one-benchmark-system, one-stats-type and one-shard-method-set
+# guards,
 # the full test suite, one iteration of every per-layer benchmark, the
 # bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
@@ -48,7 +49,7 @@ if [ -e scripts/avqlint-baseline.json ] || grep -rnE 'avqlint-baseline\.json|lin
 # Every entry point has one ctx-first name; keep Deprecated twins from growing back.
 if grep -rn 'Deprecated:' --include='*.go' cmd internal examples | grep -v '^internal/analysis/'; then echo "Deprecated: wrapper found; give the entry point one ctx-first name" >&2; exit 1; fi
 # The manifest's fence array has one binary search, in internal/blockstore
-# (Snapshot.SeekTuple / SeekAttr0 / SeekPhi / Home); keep private bisects
+# (Snapshot.SeekAttr0 / SeekPhi / Home, Store.Contains); keep private bisects
 # over Fence( from growing back in its callers.
 if grep -A8 'lo, hi :=' internal/table/*.go internal/exec/*.go | grep 'Fence('; then echo "hand-rolled bisect over block fences; call the blockstore.Snapshot search" >&2; exit 1; fi
 # The buffer pool's coded pages are the only block cache; keep a second,
@@ -94,6 +95,16 @@ if [ "$(cat $(ls internal/table/*.go | grep -v '_test\.go$') | grep -cE '^func \
 # per layer. Keep the retired benchmark-only table and log knobs, the
 # BENCH_*.json baselines and their sed gate from growing back.
 if grep -rnE 'WithBatch|DisableBatch|SyncEveryAppend|BENCH_[A-Za-z0-9_*]*\.json|benchgate' cmd internal scripts Makefile | grep -v '^scripts/check.sh:'; then echo "benchmark-only knob or BENCH_*.json gate found; measure with a go test benchmark beside the code, or the bench/ ledger" >&2; exit 1; fi
+
+# One stats type: every read reports exec.Stats (table.QueryStats is an
+# alias of it; a join reports one per side), and server.StatsJSON is its
+# wire form. Keep a second per-read cost struct, with its hand-written
+# fold, from growing back anywhere else.
+if grep -rnE '^[[:space:]]+([A-Za-z_]+,[[:space:]]*)*BlocksRead([[:space:]]*,[[:space:]]*[A-Za-z_]+)*[[:space:]]+int([[:space:]]|$)' --include='*.go' cmd internal examples | grep -v '_test\.go:' | grep -vE '^(internal/exec/|internal/server/request\.go:)'; then echo "second per-read stats struct found; report exec.Stats (table.QueryStats) and sum passes with Stats.Add" >&2; exit 1; fi
+# shard.DB has one method set, the ctx-first Context names table.Table
+# and server.Engine share; keep the second set, which existed only to
+# return a shard-specific stats type, from growing back.
+if grep -nE '^func \(db \*DB\) (SelectRange|SelectRangeFunc|CountRange|AggregateRange|GroupBy|Scan|Insert|InsertBatch|Delete|BulkLoadContext)\(' internal/shard/*.go; then echo "second shard.DB method set found; give each operation its one Context name" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
