@@ -365,8 +365,8 @@ func query(ctx context.Context, a args) error {
 
 // pathLine renders a query's access-path counters: the blocks read (the
 // paper's N), the blocks the φ-fences pruned, and how many reads decoded
-// only a span of the block. Queries that ran on the columnar batch
-// executor also report the slabs and the rows they held.
+// only a span of the block. Folds that read whole φ slabs (a flat
+// schema) also report the slabs and the rows they held.
 func pathLine(st *server.StatsJSON, total int) string {
 	line := fmt.Sprintf("%s path: %d of %d blocks read, %d pruned by fence, %d partial decodes",
 		st.Strategy, st.BlocksRead, total, st.BlocksPruned, st.PartialDecodes)
@@ -420,7 +420,7 @@ func groupBy(ctx context.Context, a args) error {
 // joinCmd merge-joins the -db table with the -with table on both
 // clustering attributes, printing a row count and the join's access-path
 // accounting: per-side I/O, fence-level pruning from the sparse-key
-// seeks, and the columnar slab counters.
+// seeks, and the whole-φ-slab counters.
 func joinCmd(ctx context.Context, a args) error {
 	if a.with == "" {
 		return fmt.Errorf("join needs -with")

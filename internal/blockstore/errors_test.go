@@ -36,7 +36,7 @@ func TestErrCorruptBlock(t *testing.T) {
 			_, _, errs["Delete"] = s.Delete(homed)
 			sn := s.Snapshot()
 			_, errs["ReadBlockArena"] = sn.ReadBlockArena(at, core.NewArena())
-			_, errs["ReadPhis"] = sn.ReadPhis(at, core.NewArena())
+			_, errs["ReadSlab"] = readPhis(sn, at, core.NewArena())
 			sn.Release()
 			return errs
 		}
@@ -108,7 +108,7 @@ func pageReads(t *testing.T, s *Store, at int) map[string]error {
 		{"ReadStreamInto", snap(func(sn *Snapshot) error { _, err := sn.ReadStreamInto(at, nil); return err })},
 		{"ViewStream", snap(func(sn *Snapshot) error { return sn.ViewStream(at, func([]byte) error { return nil }) })},
 		{"ReadBlockArena", snap(func(sn *Snapshot) error { _, err := sn.ReadBlockArena(at, core.NewArena()); return err })},
-		{"ReadPhis", snap(func(sn *Snapshot) error { _, err := sn.ReadPhis(at, core.NewArena()); return err })},
+		{"ReadSlab", snap(func(sn *Snapshot) error { _, err := readPhis(sn, at, core.NewArena()); return err })},
 		{"Check", s.Check},
 		{"CheckInvariants", s.CheckInvariants},
 		{"ComputeStats", func() error { _, err := s.ComputeStats(); return err }},

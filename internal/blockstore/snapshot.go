@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/ordinal"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -253,12 +252,6 @@ func (sn *Snapshot) SeekAttr0(lo uint64) int {
 	return sn.m.search(func(f Fence) bool { return f.Last[0] < lo })
 }
 
-// SeekPhi is SeekAttr0 in ordinal space, for flat schemas: the first
-// block whose Last has φ >= phi.
-func (sn *Snapshot) SeekPhi(phi uint64) int {
-	return sn.m.search(func(f Fence) bool { return ordinal.PhiU64(sn.s.schema, f.Last) < phi })
-}
-
 // Home returns the position of the block an insert of t would land in:
 // the last block whose First is <= t, block 0 when t precedes everything,
 // -1 when the snapshot has no blocks.
@@ -299,22 +292,26 @@ func (sn *Snapshot) ViewStream(i int, fn func(stream []byte) error) error {
 	return sn.s.viewStream(sn.m.block(i), fn)
 }
 
-// ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
-// from the caller's arena — the batch executor's block read. It walks the
-// coded stream with core.DecodeBlockPhis inside ViewStream, copying
-// nothing.
-func (sn *Snapshot) ReadPhis(i int, a *core.Arena) (phis []uint64, err error) {
+// ReadSlab decodes the i-th block into a core.Slab carved from the
+// caller's arena — its φ slab on a flat schema, its tuples otherwise
+// (core.DecodeBlockSlab) — straight off the coded stream in the pinned
+// frame (ViewStream), copying nothing. It is the executor's whole-block
+// read.
+func (sn *Snapshot) ReadSlab(i int, a *core.Arena) (slab core.Slab, err error) {
 	err = sn.ViewStream(i, func(stream []byte) error {
+		t0 := sn.s.decodeStart()
 		var err error
-		if phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a); err != nil {
+		slab, err = core.DecodeBlockSlab(sn.s.schema, stream, a)
+		sn.s.decodeDone(t0)
+		if err != nil {
 			return fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, sn.m.block(i), err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return core.Slab{}, err
 	}
-	return phis, nil
+	return slab, nil
 }
 
 // ReadStream copies the i-th block's coded stream off its page, for

@@ -150,7 +150,7 @@ func TestStreamCopiesSurviveFrameReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phis, err := sn.ReadPhis(0, core.NewArena())
+	phis, err := readPhis(sn, 0, core.NewArena())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 		if streams[i], err = sn.ReadStreamInto(i, nil); err != nil {
 			t.Fatal(err)
 		}
-		if wantPhis[i], err = sn.ReadPhis(i, core.NewArena()); err != nil {
+		if wantPhis[i], err = readPhis(sn, i, core.NewArena()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 					for k := range n {
 						i := (k*(g+1) + round) % n
 						a.Reset()
-						phis, err := sn.ReadPhis(i, a)
+						phis, err := readPhis(sn, i, a)
 						if err != nil {
 							return err
 						}
@@ -264,4 +264,10 @@ func TestConcurrentReadsShareFrames(t *testing.T) {
 	if got := pool.Stats().Misses - misses; got < int64(n) {
 		t.Fatalf("only %d misses over %d blocks; the pool did not cycle", got, n)
 	}
+}
+
+// readPhis is Snapshot.ReadSlab on a flat schema: the block's φ slab.
+func readPhis(sn *Snapshot, i int, a *core.Arena) ([]uint64, error) {
+	slab, err := sn.ReadSlab(i, a)
+	return slab.Phis, err
 }

@@ -29,103 +29,6 @@ import (
 // EncodeBlock of the edited run at O(edits) coding work plus one copy of
 // the stream.
 
-// Slab is a decoded block in the form a block edit reads it: its φ
-// sequence on a flat schema (DecodeBlockPhis), its tuples otherwise
-// (DecodeBlockArena). Exactly one field is set for a non-empty block.
-type Slab struct {
-	Phis   []uint64
-	Tuples []relation.Tuple
-}
-
-// DecodeBlockSlab decodes a block into a Slab carved from a (a fresh arena
-// when a is nil): the φ slab on a flat schema, tuples otherwise. Either
-// shape makes every check a full decode makes.
-func DecodeBlockSlab(s *relation.Schema, buf []byte, a *Arena) (Slab, error) {
-	if _, ok := s.FlatSpace(); ok {
-		phis, err := DecodeBlockPhis(s, buf, a)
-		return Slab{Phis: phis}, err
-	}
-	tuples, err := DecodeBlockArena(s, buf, a)
-	return Slab{Tuples: tuples}, err
-}
-
-// Len returns the number of tuples in the slab.
-func (sl Slab) Len() int { return len(sl.Phis) + len(sl.Tuples) }
-
-// Search returns the number of entries <= t: the position an insert of t
-// takes, after every stored duplicate of it.
-func (sl Slab) Search(s *relation.Schema, t relation.Tuple) int {
-	if sl.Tuples == nil {
-		phi := ordinal.PhiU64(s, t)
-		return sort.Search(len(sl.Phis), func(i int) bool { return sl.Phis[i] > phi })
-	}
-	return sort.Search(len(sl.Tuples), func(i int) bool { return s.Compare(sl.Tuples[i], t) > 0 })
-}
-
-// Find returns the position of t's first occurrence, or -1 when the slab
-// does not hold it. A t outside the schema's space is never found: its φ
-// could alias a stored tuple's.
-func (sl Slab) Find(s *relation.Schema, t relation.Tuple) int {
-	if s.ValidateTuple(t) != nil {
-		return -1
-	}
-	if sl.Tuples == nil {
-		phi := ordinal.PhiU64(s, t)
-		i := sort.Search(len(sl.Phis), func(i int) bool { return sl.Phis[i] >= phi })
-		if i < len(sl.Phis) && sl.Phis[i] == phi {
-			return i
-		}
-		return -1
-	}
-	i := sort.Search(len(sl.Tuples), func(i int) bool { return s.Compare(sl.Tuples[i], t) >= 0 })
-	if i < len(sl.Tuples) && s.Compare(sl.Tuples[i], t) == 0 {
-		return i
-	}
-	return -1
-}
-
-// At returns entry i as a tuple the caller owns.
-func (sl Slab) At(s *relation.Schema, i int) relation.Tuple {
-	if sl.Tuples != nil {
-		return sl.Tuples[i].Clone()
-	}
-	t := make(relation.Tuple, s.NumAttrs())
-	phiDigits(s, t, sl.Phis[i])
-	return t
-}
-
-// Materialize returns the slab's tuples: its own on a tuple slab, φ⁻¹ of
-// every entry carved from a on a φ slab. A block edit never needs them; a
-// split and a per-tuple index do.
-func (sl Slab) Materialize(s *relation.Schema, a *Arena) []relation.Tuple {
-	if sl.Tuples != nil || len(sl.Phis) == 0 {
-		return sl.Tuples
-	}
-	out := a.Tuples(len(sl.Phis), s.NumAttrs())
-	for i, phi := range sl.Phis {
-		phiDigits(s, out[i], phi)
-	}
-	return out
-}
-
-// tuple returns entry i: the slab's own tuple, or its φ's digits written
-// into dst.
-func (sl Slab) tuple(s *relation.Schema, i int, dst relation.Tuple) relation.Tuple {
-	if sl.Tuples != nil {
-		return sl.Tuples[i]
-	}
-	phiDigits(s, dst, sl.Phis[i])
-	return dst
-}
-
-// phiDigits writes the digits of a flat ordinal below ||R|| into dst.
-func phiDigits(s *relation.Schema, dst relation.Tuple, phi uint64) {
-	rad := s.Radices()
-	for i := len(rad) - 1; i >= 0; i-- {
-		dst[i], phi = phi%rad[i], phi/rad[i]
-	}
-}
-
 // Edit is one block edit. A non-empty Insert is a φ-sorted run of tuples of
 // the schema, each placed after the last entry <= it so duplicates stay
 // adjacent; an empty one deletes the entry at position Delete.

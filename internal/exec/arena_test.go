@@ -8,10 +8,14 @@ import (
 	"repro/internal/relation"
 )
 
-// TestTransientMatchesNonTransient is the arena-policy differential: a
-// Transient pass (pooled arena, Reset per block) must stream exactly the
-// same tuple values as the default pass, for every codec and plan shape.
+// TestTransientMatchesNonTransient is the slab-lifetime differential: a
+// kernel folding values out of RunBatch's transient slabs (one pooled
+// arena, Reset per block) must see exactly the values of the tuples the
+// select adapter emits for the caller to retain, for every codec and plan
+// shape.
 func TestTransientMatchesNonTransient(t *testing.T) {
+	s := testSchema(t)
+	dig := core.NewDigits(s)
 	tuples := randomTuples(t, 1200, 33)
 	plans := []Plan{
 		{},
@@ -21,6 +25,13 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 		{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 3, Lo: 100, Hi: 3000}}},
 		{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}, NoPartial: true},
 	}
+	hash := func(tu relation.Tuple) uint64 {
+		var sum uint64
+		for _, v := range tu {
+			sum = sum*31 + v
+		}
+		return sum
+	}
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
@@ -29,47 +40,36 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 			}
 			sn := store.Snapshot()
 			defer sn.Release()
+			tu := make(relation.Tuple, s.NumAttrs())
 			for pi, plan := range plans {
 				want, wantStats := collect(t, sn, plan)
-				tp := plan
-				tp.Transient = true
-				// Fold values instead of retaining tuples: the transient
-				// contract.
 				var gotSums []uint64
-				st, err := RunContext(context.Background(), sn, tp, func(tu relation.Tuple) bool {
-					var sum uint64
-					for _, v := range tu {
-						sum = sum*31 + v
+				st, err := RunBatch(context.Background(), sn, plan, func(sl core.Slab) bool {
+					for _, phi := range sl.Phis {
+						dig.Tuple(tu, phi)
+						gotSums = append(gotSums, hash(tu))
 					}
-					gotSums = append(gotSums, sum)
 					return true
 				})
 				if err != nil {
-					t.Fatalf("plan %d: transient run: %v", pi, err)
+					t.Fatalf("plan %d: slab pass: %v", pi, err)
 				}
-				if len(gotSums) != len(want) {
-					t.Fatalf("plan %d: transient emitted %d tuples, want %d", pi, len(gotSums), len(want))
+				if len(gotSums) != len(want) || st.Matches != wantStats.Matches {
+					t.Fatalf("plan %d: slab pass folded %d rows (Matches %d), select %d (Matches %d)", pi, len(gotSums), st.Matches, len(want), wantStats.Matches)
 				}
 				for i, tu := range want {
-					var sum uint64
-					for _, v := range tu {
-						sum = sum*31 + v
+					if gotSums[i] != hash(tu) {
+						t.Fatalf("plan %d: row %d differs between the slab pass and the select", pi, i)
 					}
-					if gotSums[i] != sum {
-						t.Fatalf("plan %d: tuple %d differs under transient pass", pi, i)
-					}
-				}
-				if st.Matches != wantStats.Matches {
-					t.Fatalf("plan %d: transient Matches = %d, want %d", pi, st.Matches, wantStats.Matches)
 				}
 			}
 		})
 	}
 }
 
-// TestTransientStats checks the new accounting: a multi-block transient
-// pass reuses its pooled arena, and a straddling clustered bound on a
-// flat schema takes the flat-ordinal span path.
+// TestTransientStats checks the pass accounting: a multi-block pass
+// reuses its pooled arena, and a straddling clustered bound on a flat
+// schema takes the flat-ordinal span path.
 func TestTransientStats(t *testing.T) {
 	tuples := randomTuples(t, 1500, 34)
 	store := newStore(t, core.CodecAVQ, 512)
@@ -79,7 +79,7 @@ func TestTransientStats(t *testing.T) {
 	sn := store.Snapshot()
 	defer sn.Release()
 
-	st, err := RunContext(context.Background(), sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
+	st, err := RunContext(context.Background(), sn, Plan{}, func(relation.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +110,10 @@ func TestTransientStats(t *testing.T) {
 		t.Log("no straddling blocks in this layout; flat path not exercised")
 	}
 
-	// A bounded batch pass whose range ends mid-store returns from inside
-	// the block loop; its pooled arena must be accounted on that path too.
-	st, err = RunBatch(context.Background(), sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func([]uint64) bool { return true })
+	// A bounded slab pass whose range ends mid-store stops before the end
+	// of the block list; its pooled arena must be accounted on that path
+	// too.
+	st, err = RunBatch(context.Background(), sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(core.Slab) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,32 +122,6 @@ func TestTransientStats(t *testing.T) {
 	}
 	if st.SlabBytes == 0 {
 		t.Error("SlabBytes = 0 after a bounded batch pass")
-	}
-}
-
-// TestTransientPassAllocs bounds the per-pass allocation count of a
-// transient pass: independent of block count, since every block reuses
-// the pooled arena and the stream buffer.
-func TestTransientPassAllocs(t *testing.T) {
-	tuples := randomTuples(t, 3000, 35)
-	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	sn := store.Snapshot()
-	defer sn.Release()
-	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}, Transient: true}
-	run := func() {
-		if _, err := RunContext(context.Background(), sn, plan, func(relation.Tuple) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm the arena pool and size its slabs
-	allocs := testing.AllocsPerRun(50, run)
-	// The pass allocates O(1) bookkeeping (pass struct, bound split,
-	// stream buffer on first use) but nothing per block or per tuple.
-	if allocs > 16 {
-		t.Errorf("transient pass allocates %.1f objects/op over %d blocks; want O(1)", allocs, sn.NumBlocks())
 	}
 }
 

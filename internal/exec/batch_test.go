@@ -2,9 +2,9 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"testing"
 
+	"repro/internal/blockstore"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/ordinal"
@@ -12,9 +12,8 @@ import (
 	"repro/internal/storage"
 )
 
-// phisOf computes the φ sequence of the tuple path's output, checking
-// each ordinal against the big.Int reference along the way — the batch
-// path's differential oracle.
+// phisOf computes the φ sequence of tuples, checking each ordinal against
+// the big.Int reference along the way.
 func phisOf(t *testing.T, s *relation.Schema, tuples []relation.Tuple) []uint64 {
 	t.Helper()
 	out := make([]uint64, len(tuples))
@@ -27,12 +26,49 @@ func phisOf(t *testing.T, s *relation.Schema, tuples []relation.Tuple) []uint64 
 	return out
 }
 
-// TestRunBatchMatchesRun pins the batch pass to the tuple path on every
-// codec and plan shape: same snapshot, same plan, the concatenated slabs
-// must be exactly the φ sequence of the tuples Run emits.
+// slabRows returns a slab's rows as owned tuples of schema s.
+func slabRows(s *relation.Schema, sl core.Slab) []relation.Tuple {
+	return sl.AppendRows(nil, core.NewDigits(s), 0, sl.Len())
+}
+
+// modelSelect is the in-test model of a pass: every block decoded in full
+// (Snapshot.ReadBlock), filtered on every conjunct in plain Go.
+func modelSelect(t *testing.T, sn *blockstore.Snapshot, preds []Pred) []relation.Tuple {
+	t.Helper()
+	var out []relation.Tuple
+	for i := 0; i < sn.NumBlocks(); i++ {
+		tuples, err := sn.ReadBlock(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, naiveSelect(tuples, preds)...)
+	}
+	return out
+}
+
+// splitSchema is testSchema plus one attribute wide enough that the space
+// exceeds 64 bits, and splitRows the same rows with that attribute held
+// constant: the same relation on the split read path.
+func splitSchema(t testing.TB) *relation.Schema {
+	t.Helper()
+	return relation.MustSchema(append(testSchema(t).Domains(), relation.Domain{Name: "wide", Size: 1 << 62})...)
+}
+
+func splitRows(tuples []relation.Tuple) []relation.Tuple {
+	out := make([]relation.Tuple, len(tuples))
+	for i, tu := range tuples {
+		out[i] = append(tu.Clone(), 1<<61)
+	}
+	return out
+}
+
+// TestRunBatchMatchesRun pins the slab pass and the select adapter to the
+// in-test model on every codec and plan shape, over the flat schema (φ
+// slabs) and the split one (tuple slabs): the concatenated slabs of
+// RunBatch and the tuples of RunContext must both be exactly the model's
+// rows, in order.
 func TestRunBatchMatchesRun(t *testing.T) {
-	s := testSchema(t)
-	tuples := randomTuples(t, 1500, 21)
+	flatRows := randomTuples(t, 1500, 21)
 	plans := []Plan{
 		{},
 		{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}},
@@ -45,48 +81,51 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
-				t.Fatal(err)
-			}
-			sn := store.Snapshot()
-			defer sn.Release()
-			for pi, plan := range plans {
-				ref, _ := collect(t, sn, plan)
-				want := phisOf(t, s, ref)
-				var got []uint64
-				st, err := RunBatch(context.Background(), sn, plan, func(phis []uint64) bool {
-					got = append(got, phis...)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("plan %d: %v", pi, err)
+			for _, shape := range []struct {
+				s    *relation.Schema
+				rows []relation.Tuple
+			}{{testSchema(t), flatRows}, {splitSchema(t), splitRows(flatRows)}} {
+				s := shape.s
+				_, flat := s.FlatSpace()
+				store := newStoreFor(t, s, codec, 512)
+				if _, err := store.BulkLoadContext(context.Background(), shape.rows); err != nil {
+					t.Fatal(err)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("plan %d: batch returned %d rows, tuple path %d", pi, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("plan %d: φ[%d] = %d, want %d", pi, i, got[i], want[i])
+				sn := store.Snapshot()
+				for pi, plan := range plans {
+					want := modelSelect(t, sn, plan.Preds)
+					var got []relation.Tuple
+					st, err := RunBatch(context.Background(), sn, plan, func(sl core.Slab) bool {
+						if (sl.Phis != nil) != flat {
+							t.Fatalf("flat=%v: slab of the wrong kind", flat)
+						}
+						got = append(got, slabRows(s, sl)...)
+						return true
+					})
+					if err != nil {
+						t.Fatalf("flat=%v plan %d: %v", flat, pi, err)
+					}
+					if !sameRows(s, got, want) || st.Matches != len(want) {
+						t.Fatalf("flat=%v plan %d: RunBatch returned %d rows (Matches %d), model %d (or they differ)", flat, pi, len(got), st.Matches, len(want))
+					}
+					if flat && len(want) > 0 && (st.BatchBlocks != st.BlocksRead || st.PartialDecodes != 0) {
+						t.Errorf("plan %d: a flat fold read %d blocks, %d as whole slabs, %d partially; want every block whole", pi, st.BlocksRead, st.BatchBlocks, st.PartialDecodes)
+					}
+					if !flat && st.BatchBlocks != 0 {
+						t.Errorf("plan %d: a split fold counted %d batch slabs", pi, st.BatchBlocks)
+					}
+					if sel, _ := collect(t, sn, plan); !sameRows(s, sel, want) {
+						t.Fatalf("flat=%v plan %d: RunContext returned %d rows, model %d (or they differ)", flat, pi, len(sel), len(want))
 					}
 				}
-				if st.Matches != len(want) {
-					t.Errorf("plan %d: Matches = %d, want %d", pi, st.Matches, len(want))
-				}
-				if len(want) > 0 && st.BatchBlocks == 0 {
-					t.Errorf("plan %d: BatchBlocks = 0 on a matching pass", pi)
-				}
-				if st.SlabRows < len(want) {
-					t.Errorf("plan %d: SlabRows = %d < %d matches", pi, st.SlabRows, len(want))
-				}
+				sn.Release()
 			}
 		})
 	}
 }
 
-// TestRunBatchPrunesAndStops: fences must prune non-intersecting blocks
-// exactly as the tuple path does, and a false-returning kernel must stop
-// the pass after one slab.
+// TestRunBatchPrunesAndStops: fences must prune non-intersecting blocks,
+// and a false-returning kernel must stop the pass after one slab.
 func TestRunBatchPrunesAndStops(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 3000, 7)); err != nil {
@@ -96,7 +135,7 @@ func TestRunBatchPrunesAndStops(t *testing.T) {
 	defer sn.Release()
 
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}}
-	st, err := RunBatch(context.Background(), sn, plan, func([]uint64) bool { return true })
+	st, err := RunBatch(context.Background(), sn, plan, func(core.Slab) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +146,7 @@ func TestRunBatchPrunesAndStops(t *testing.T) {
 		t.Errorf("pruned %d + visited %d != total %d", st.BlocksPruned, st.BatchBlocks, st.BlocksTotal)
 	}
 
-	st, err = RunBatch(context.Background(), sn, Plan{}, func([]uint64) bool { return false })
+	st, err = RunBatch(context.Background(), sn, Plan{}, func(core.Slab) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +155,8 @@ func TestRunBatchPrunesAndStops(t *testing.T) {
 	}
 }
 
-// TestRunBatchNonFlat: a schema space beyond 64 bits must be refused with
-// ErrNotFlat so callers fall back to the tuple path.
+// TestRunBatchNonFlat: on a schema whose space exceeds 64 bits the slab
+// pass hands its kernel tuple slabs, holding the model's rows.
 func TestRunBatchNonFlat(t *testing.T) {
 	wide := relation.MustSchema(
 		relation.Domain{Name: "a", Size: 1 << 40},
@@ -132,67 +171,75 @@ func TestRunBatchNonFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := poolStore(t, wide, core.CodecAVQ, pool)
-	if _, err := store.BulkLoadContext(context.Background(), []relation.Tuple{{1, 2}, {3, 4}}); err != nil {
+	rows := []relation.Tuple{{1, 2}, {3, 4}}
+	if _, err := store.BulkLoadContext(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
-	if _, err := RunBatch(context.Background(), sn, Plan{}, func([]uint64) bool { return true }); !errors.Is(err, ErrNotFlat) {
-		t.Errorf("RunBatch on non-flat schema: err = %v, want ErrNotFlat", err)
+	var got []relation.Tuple
+	if _, err := RunBatch(context.Background(), sn, Plan{}, func(sl core.Slab) bool {
+		if sl.Phis != nil {
+			t.Fatal("φ slab on a split schema")
+		}
+		got = append(got, slabRows(wide, sl)...)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewBatchIterator(context.Background(), store.Snapshot()); !errors.Is(err, ErrNotFlat) {
-		t.Errorf("NewBatchIterator on non-flat schema: err = %v, want ErrNotFlat", err)
+	if !sameRows(wide, got, rows) {
+		t.Errorf("RunBatch on a split schema returned %v, want %v", got, rows)
 	}
 }
 
-// drainPhis collects every remaining ordinal from a PhiStream.
-func drainPhis(t *testing.T, ps PhiStream) []uint64 {
+// drain collects every remaining row of a Stream as tuples of schema s.
+func drain(t *testing.T, s *relation.Schema, st Stream) []relation.Tuple {
 	t.Helper()
-	var out []uint64
+	var out []relation.Tuple
 	for {
-		phis, err := ps.NextPhis()
+		sl, err := st.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if phis == nil {
+		if sl.Len() == 0 {
 			return out
 		}
-		out = append(out, phis...)
+		out = append(out, slabRows(s, sl)...)
 	}
 }
 
 // TestBatchIteratorMatchesIterator: the slab stream's concatenation must
-// be the tuple iterator's φ sequence, for every codec.
+// be every row of the model, in order, for every codec, on the flat and
+// the split schema.
 func TestBatchIteratorMatchesIterator(t *testing.T) {
-	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 77)
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
-				t.Fatal(err)
-			}
-			want := phisOf(t, s, tuples)
-			it, err := NewBatchIterator(context.Background(), store.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer it.Release()
-			got := drainPhis(t, it)
-			if len(got) != len(want) {
-				t.Fatalf("stream returned %d ordinals, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("φ[%d] = %d, want %d", i, got[i], want[i])
+			for _, s := range []*relation.Schema{testSchema(t), splitSchema(t)} {
+				rows := tuples
+				if _, flat := s.FlatSpace(); !flat {
+					rows = splitRows(tuples)
 				}
+				store := newStoreFor(t, s, codec, 512)
+				if _, err := store.BulkLoadContext(context.Background(), rows); err != nil {
+					t.Fatal(err)
+				}
+				it := NewBatchIterator(context.Background(), store.Snapshot())
+				got := drain(t, s, it)
+				if !sameRows(s, got, rows) {
+					t.Fatalf("%v: stream returned %d rows, want %d (or they differ)", s, len(got), len(rows))
+				}
+				if it.Stats.BlocksRead != it.Stats.BlocksTotal {
+					t.Fatalf("%v: stream read %d of %d blocks", s, it.Stats.BlocksRead, it.Stats.BlocksTotal)
+				}
+				it.Release()
 			}
 		})
 	}
 }
 
-// TestBatchIteratorSeekPhi: after SeekPhi(target) the stream must still
-// deliver every ordinal >= target (the first slab may carry a smaller
+// TestBatchIteratorSeekPhi: after Seek(k) the stream must still deliver
+// every row with attribute 0 >= k (the first slab may carry a smaller
 // prefix — consumers clip in-slab), and fence-known seeks must prune.
 func TestBatchIteratorSeekPhi(t *testing.T) {
 	s := testSchema(t)
@@ -201,55 +248,22 @@ func TestBatchIteratorSeekPhi(t *testing.T) {
 	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	all := phisOf(t, s, tuples)
-	for _, at := range []int{0, 1, len(all) / 3, len(all) / 2, len(all) - 1} {
-		target := all[at]
-		it, err := NewBatchIterator(context.Background(), store.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := it.SeekPhi(target); err != nil {
-			t.Fatal(err)
-		}
-		got := drainPhis(t, it)
-		var tail []uint64
-		for _, phi := range got {
-			if phi >= target {
-				tail = append(tail, phi)
+	for k := uint64(0); k <= 8; k++ {
+		it := NewBatchIterator(context.Background(), store.Snapshot())
+		it.Seek(k)
+		var tail []relation.Tuple
+		for _, tu := range drain(t, s, it) {
+			if tu[0] >= k {
+				tail = append(tail, tu)
 			}
 		}
-		// all is sorted; the expected tail starts at the first φ == target
-		// (at itself may not be the first occurrence of a duplicate).
-		first := 0
-		for first < len(all) && all[first] < target {
-			first++
+		if want := naiveSelect(tuples, []Pred{{Attr: 0, Lo: k, Hi: 7}}); !sameRows(s, tail, want) {
+			t.Fatalf("seek %d: %d rows with attribute 0 >= key, want %d", k, len(tail), len(want))
 		}
-		wantTail := all[first:]
-		if len(tail) != len(wantTail) {
-			t.Fatalf("seek %d: %d ordinals >= target, want %d", target, len(tail), len(wantTail))
-		}
-		for i := range tail {
-			if tail[i] != wantTail[i] {
-				t.Fatalf("seek %d: φ[%d] = %d, want %d", target, i, tail[i], wantTail[i])
-			}
-		}
-		if at > len(all)/3 && it.Stats.BlocksPruned == 0 {
-			t.Errorf("seek to position %d pruned no blocks", at)
+		if k >= 3 && it.Stats.BlocksPruned == 0 {
+			t.Errorf("seek to key %d pruned no blocks", k)
 		}
 		it.Release()
-	}
-
-	// Seeking past the end terminates the stream.
-	it, err := NewBatchIterator(context.Background(), store.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Release()
-	if err := it.SeekPhi(all[len(all)-1] + 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := drainPhis(t, it); len(got) != 0 {
-		t.Errorf("seek past end returned %d ordinals", len(got))
 	}
 }
 
@@ -274,43 +288,21 @@ func TestChainPhiStreams(t *testing.T) {
 	if _, err := storeB.BulkLoadContext(context.Background(), high); err != nil {
 		t.Fatal(err)
 	}
-	itA, err := NewBatchIterator(context.Background(), storeA.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	itA := NewBatchIterator(context.Background(), storeA.Snapshot())
 	defer itA.Release()
-	itB, err := NewBatchIterator(context.Background(), storeB.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	itB := NewBatchIterator(context.Background(), storeB.Snapshot())
 	defer itB.Release()
 
-	chain := ChainPhiStreams(itA, itB)
-	w, _ := s.FlatWeights()
-	target := 5 * w[0] // inside the second store's range
-	if err := chain.SeekPhi(target); err != nil {
-		t.Fatal(err)
-	}
-	got := drainPhis(t, chain)
-	var want []uint64
-	for _, phi := range phisOf(t, s, tuples) {
-		if phi >= target {
-			want = append(want, phi)
+	chain := ChainStreams(itA, itB)
+	chain.Seek(5) // inside the second store's range
+	var kept []relation.Tuple
+	for _, tu := range drain(t, s, chain) {
+		if tu[0] >= 5 {
+			kept = append(kept, tu)
 		}
 	}
-	var kept []uint64
-	for _, phi := range got {
-		if phi >= target {
-			kept = append(kept, phi)
-		}
-	}
-	if len(kept) != len(want) {
-		t.Fatalf("chained seek kept %d ordinals, want %d", len(kept), len(want))
-	}
-	for i := range kept {
-		if kept[i] != want[i] {
-			t.Fatalf("φ[%d] = %d, want %d", i, kept[i], want[i])
-		}
+	if want := naiveSelect(tuples, []Pred{{Attr: 0, Lo: 5, Hi: 7}}); !sameRows(s, kept, want) {
+		t.Fatalf("chained seek kept %d rows, want %d (or they differ)", len(kept), len(want))
 	}
 	// The high-water seek must have pruned within the second shard too.
 	if itB.Stats.BlocksPruned == 0 {
@@ -318,75 +310,61 @@ func TestChainPhiStreams(t *testing.T) {
 	}
 }
 
-// TestMergeJoinPhis pins the φ-space merge join to a nested-loop
-// reference on the attribute-0 key, for every codec pair combination of
-// interest (same codec both sides is representative; the streams are
-// codec-blind once decoded).
+// TestMergeJoinPhis pins the merge join to a nested-loop model on the
+// attribute-0 key, for every codec, on flat stores (φ slabs), split stores
+// (tuple slabs) and one of each.
 func TestMergeJoinPhis(t *testing.T) {
-	s := testSchema(t)
 	left := randomTuples(t, 900, 31)
 	right := randomTuples(t, 700, 32)
-	// Reference: pairs per key.
 	wantPairs := map[uint64]int{}
-	leftPer, rightPer := map[uint64]int{}, map[uint64]int{}
-	for _, tu := range left {
-		leftPer[tu[0]]++
-	}
-	for _, tu := range right {
-		rightPer[tu[0]]++
-	}
-	for k, nl := range leftPer {
-		if nr := rightPer[k]; nr > 0 {
-			wantPairs[k] = nl * nr
+	for _, l := range left {
+		for _, r := range right {
+			if l[0] == r[0] {
+				wantPairs[l[0]]++
+			}
 		}
 	}
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			ls, rs := newStore(t, codec, 512), newStore(t, codec, 512)
-			if _, err := ls.BulkLoadContext(context.Background(), left); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rs.BulkLoadContext(context.Background(), right); err != nil {
-				t.Fatal(err)
-			}
-			li, err := NewBatchIterator(context.Background(), ls.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer li.Release()
-			ri, err := NewBatchIterator(context.Background(), rs.Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ri.Release()
-			w, _ := s.FlatWeights()
-			gotPairs := map[uint64]int{}
-			err = MergeJoinPhis(li, ri, w[0], w[0], func(key uint64, lg, rg []uint64) bool {
-				for _, phi := range lg {
-					if phi/w[0] != key {
-						t.Fatalf("left group for key %d holds φ %d (key %d)", key, phi, phi/w[0])
+			for _, split := range [][2]bool{{false, false}, {true, true}, {false, true}} {
+				open := func(rows []relation.Tuple, split bool) (*BatchIterator, *relation.Schema) {
+					s := testSchema(t)
+					if split {
+						s, rows = splitSchema(t), splitRows(rows)
 					}
-				}
-				for _, phi := range rg {
-					if phi/w[0] != key {
-						t.Fatalf("right group for key %d holds φ %d (key %d)", key, phi, phi/w[0])
+					store := newStoreFor(t, s, codec, 512)
+					if _, err := store.BulkLoadContext(context.Background(), rows); err != nil {
+						t.Fatal(err)
 					}
+					return NewBatchIterator(context.Background(), store.Snapshot()), s
 				}
-				if _, dup := gotPairs[key]; dup {
-					t.Fatalf("key %d emitted twice", key)
+				li, ls := open(left, split[0])
+				ri, rs := open(right, split[1])
+				gotPairs := map[uint64]int{}
+				err := MergeJoin(li, ri, ls, rs, func(key uint64, lg, rg []relation.Tuple) bool {
+					for _, tu := range append(append([]relation.Tuple(nil), lg...), rg...) {
+						if tu[0] != key {
+							t.Fatalf("group for key %d holds %v", key, tu)
+						}
+					}
+					if _, dup := gotPairs[key]; dup {
+						t.Fatalf("key %d emitted twice", key)
+					}
+					gotPairs[key] = len(lg) * len(rg)
+					return true
+				})
+				li.Release()
+				ri.Release()
+				if err != nil {
+					t.Fatal(err)
 				}
-				gotPairs[key] = len(lg) * len(rg)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotPairs) != len(wantPairs) {
-				t.Fatalf("join emitted %d keys, want %d", len(gotPairs), len(wantPairs))
-			}
-			for k, n := range wantPairs {
-				if gotPairs[k] != n {
-					t.Errorf("key %d: %d pairs, want %d", k, gotPairs[k], n)
+				if len(gotPairs) != len(wantPairs) {
+					t.Fatalf("split %v: join emitted %d keys, want %d", split, len(gotPairs), len(wantPairs))
+				}
+				for k, n := range wantPairs {
+					if gotPairs[k] != n {
+						t.Errorf("split %v: key %d: %d pairs, want %d", split, k, gotPairs[k], n)
+					}
 				}
 			}
 		})
@@ -397,25 +375,18 @@ func TestMergeJoinPhis(t *testing.T) {
 // false-returning emit stops after one group.
 func TestMergeJoinPhisEdgeCases(t *testing.T) {
 	s := testSchema(t)
-	w, _ := s.FlatWeights()
 	full := newStore(t, core.CodecAVQ, 512)
 	if _, err := full.BulkLoadContext(context.Background(), randomTuples(t, 500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	empty := newStore(t, core.CodecAVQ, 512)
 
-	fi, err := NewBatchIterator(context.Background(), full.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fi := NewBatchIterator(context.Background(), full.Snapshot())
 	defer fi.Release()
-	ei, err := NewBatchIterator(context.Background(), empty.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ei := NewBatchIterator(context.Background(), empty.Snapshot())
 	defer ei.Release()
 	calls := 0
-	if err := MergeJoinPhis(fi, ei, w[0], w[0], func(uint64, []uint64, []uint64) bool {
+	if err := MergeJoin(fi, ei, s, s, func(uint64, []relation.Tuple, []relation.Tuple) bool {
 		calls++
 		return true
 	}); err != nil {
@@ -425,18 +396,12 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 		t.Errorf("join against empty stream emitted %d groups", calls)
 	}
 
-	ai, err := NewBatchIterator(context.Background(), full.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ai := NewBatchIterator(context.Background(), full.Snapshot())
 	defer ai.Release()
-	bi, err := NewBatchIterator(context.Background(), full.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bi := NewBatchIterator(context.Background(), full.Snapshot())
 	defer bi.Release()
 	calls = 0
-	if err := MergeJoinPhis(ai, bi, w[0], w[0], func(uint64, []uint64, []uint64) bool {
+	if err := MergeJoin(ai, bi, s, s, func(uint64, []relation.Tuple, []relation.Tuple) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -447,52 +412,45 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBatchIteratorZeroAllocSteadyState holds the batch read to the same
-// guarantee as the decode kernels: with the pooled arena sized, NextPhis
-// copies each coded page into the reused stream buffer and decodes it
-// with zero heap allocations per block.
+// TestBatchIteratorZeroAllocSteadyState holds the slab read to the same
+// guarantee as the decode kernels: with the pooled arena sized, Next
+// decodes each block off its pinned page with zero heap allocations.
 func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 6000, 91)); err != nil {
 		t.Fatal(err)
 	}
-	// Size the pooled arena with one full batch drain.
-	warm, err := NewBatchIterator(context.Background(), store.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainPhis(t, warm)
+	// Size the pooled arena with one full drain.
+	warm := NewBatchIterator(context.Background(), store.Snapshot())
+	drain(t, store.Schema(), warm)
 	warm.Release()
 
-	it, err := NewBatchIterator(context.Background(), store.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := NewBatchIterator(context.Background(), store.Snapshot())
 	defer it.Release()
 	blocks := it.Stats.BlocksTotal
 	const runs = 20
 	if blocks < runs+3 {
 		t.Fatalf("layout has only %d blocks; need > %d for a steady-state window", blocks, runs+3)
 	}
-	if _, err := it.NextPhis(); err != nil { // first fill outside the window
+	if _, err := it.Next(); err != nil { // first fill outside the window
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
-		phis, err := it.NextPhis()
+		sl, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if phis == nil {
+		if sl.Len() == 0 {
 			t.Fatal("stream ended inside the measurement window")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("NextPhis allocates %.1f objects/block steady-state, want 0", allocs)
+		t.Errorf("Next allocates %.1f objects/block steady-state, want 0", allocs)
 	}
 }
 
-// TestRunBatchAllocsBounded mirrors TestTransientPassAllocs for the batch
-// pass: O(1) bookkeeping per pass, nothing per block or per row.
+// TestRunBatchAllocsBounded: a slab pass allocates O(1) bookkeeping per
+// pass, nothing per block or per row.
 func TestRunBatchAllocsBounded(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	if _, err := store.BulkLoadContext(context.Background(), randomTuples(t, 3000, 35)); err != nil {
@@ -501,7 +459,7 @@ func TestRunBatchAllocsBounded(t *testing.T) {
 	sn := store.Snapshot()
 	defer sn.Release()
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}}
-	kernel := func([]uint64) bool { return true }
+	kernel := func(core.Slab) bool { return true }
 	run := func() {
 		if _, err := RunBatch(context.Background(), sn, plan, kernel); err != nil {
 			t.Fatal(err)

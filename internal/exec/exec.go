@@ -53,12 +53,6 @@ type Plan struct {
 	// differential tests use it to pit the two decode paths against each
 	// other.
 	NoPartial bool
-	// Transient declares that emit never retains a tuple (or sub-slice of
-	// one) past the call: the executor then decodes every block into one
-	// pooled arena that is Reset between blocks, making the steady-state
-	// pass allocation-free. Aggregation-style passes (count, sum, group
-	// keys copied out) set it; materializing selections must not.
-	Transient bool
 }
 
 // Strategy names the access path the planner chose for a read.
@@ -112,20 +106,18 @@ type Stats struct {
 	FullDecodes    int
 	// Matches counts tuples passed to emit.
 	Matches int
-	// ArenaReuses counts blocks decoded into an arena whose slab capacity
-	// was carried over from an earlier block (Transient passes only).
+	// ArenaReuses counts blocks decoded into the pass's pooled arena with
+	// slab capacity carried over from an earlier block.
 	ArenaReuses int
-	// SlabBytes is the arena slab capacity backing the pass: the pooled
-	// arena's final footprint for Transient passes, the sum of per-block
-	// arena footprints otherwise — on the flat partial path, the pooled
-	// scratch arena plus the slab of retained rows.
+	// SlabBytes is the slab capacity of the pooled arena backing the pass
+	// at its end.
 	SlabBytes int
 	// FlatPathHits counts straddling blocks whose span was located by the
 	// flat-ordinal (single-uint64 φ) walk instead of chain-probe search.
 	FlatPathHits int
-	// BatchBlocks counts blocks the columnar batch path decoded as whole
-	// φ-ordinal slabs; SlabRows is the total rows those slabs carried
-	// before predicate compaction.
+	// BatchBlocks counts blocks a fold (RunBatch, BatchIterator) read as
+	// whole φ slabs, straddling ones included; SlabRows is the total rows
+	// those slabs carried before clipping and filtering.
 	BatchBlocks int
 	SlabRows    int
 }
@@ -163,15 +155,32 @@ func boundOf(preds []Pred) (bound *Pred, rest []Pred) {
 }
 
 // RunContext streams the snapshot's tuples matching the plan to emit, in
-// φ order. emit returning false stops the pass early. Cancellation is
-// checked at every block boundary — before the next decode — so an aborted
-// pass returns promptly with no frames pinned. The returned Stats are
-// valid on error too, reflecting the work done up to it. On return (any path) the pass's Stats are folded
-// into the snapshot's ExecMetrics when the store carries a registry.
+// φ order: the select adapter over the one block loop (BatchIterator). A
+// straddling block is decoded only over its attribute-0 span, and each
+// slab's rows become tuples emit may retain — a φ slab's by the schema's
+// Digits. emit returning false stops the pass early; Matches counts the
+// tuples emit saw. Cancellation is checked at every block boundary, before
+// the next decode, so an aborted pass returns promptly with no frames
+// pinned. The returned Stats are valid on error too, reflecting the work
+// done up to it, and are folded into the snapshot's ExecMetrics when the
+// store carries a registry.
 func RunContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
-	st, err := runContext(ctx, sn, plan, emit)
-	foldStats(sn, st)
-	return st, err
+	it := newBatchIterator(ctx, sn, plan, true)
+	emitted := 0
+	var rows []relation.Tuple
+	err := it.each(func(sl core.Slab) bool {
+		rows = sl.AppendRows(rows[:0], it.digits, 0, sl.Len())
+		for _, tu := range rows {
+			emitted++
+			if !emit(tu) {
+				return false
+			}
+		}
+		return true
+	})
+	it.Stats.Matches = emitted
+	it.close()
+	return it.Stats, err
 }
 
 // foldStats adds a pass's counters into the store's pre-resolved exec
@@ -198,111 +207,6 @@ func foldStats(sn *blockstore.Snapshot, st Stats) {
 	}
 }
 
-// pass carries one streaming pass's per-block scratch: the stats being
-// accumulated, the pooled arena for Transient plans, and what the partial
-// path reuses across the blocks it reads.
-type pass struct {
-	sn     *blockstore.Snapshot
-	st     Stats
-	pooled *core.Arena // non-nil iff the plan is Transient
-	// digits extracts each attribute from a flat ordinal; the flat partial
-	// path builds them on first use.
-	digits []core.DigitExtractor
-}
-
-// arena returns the arena the next block decodes into: the pooled one,
-// Reset (its slab capacity surviving), for Transient plans; a fresh arena
-// otherwise, since the caller may retain the emitted tuples indefinitely.
-func (p *pass) arena() *core.Arena {
-	if p.pooled != nil {
-		if p.pooled.SlabBytes() > 0 {
-			p.st.ArenaReuses++
-		}
-		p.pooled.Reset()
-		return p.pooled
-	}
-	return core.NewArena()
-}
-
-func runContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
-	p := &pass{sn: sn, st: Stats{BlocksTotal: sn.NumBlocks()}}
-	if plan.Transient {
-		p.pooled = core.GetArena()
-		defer core.PutArena(p.pooled)
-	}
-	err := p.run(ctx, plan, emit)
-	if p.pooled != nil {
-		p.st.SlabBytes += p.pooled.SlabBytes()
-	}
-	return p.st, err
-}
-
-func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) bool) error {
-	sn, st := p.sn, &p.st
-	bound, rest := boundOf(plan.Preds)
-	// Packed blocks keep to the full-decode path: a bit-level skip still
-	// reads every stepped-over difference's count field, so a span decode
-	// saves them little.
-	partialOK := !plan.NoPartial && sn.Codec() != core.CodecPacked
-	n := sn.NumBlocks()
-	start := seekBound(sn, plan.Candidates, bound, st)
-	for i := start; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if plan.Candidates != nil {
-			if _, ok := plan.Candidates[sn.Block(i)]; !ok {
-				continue
-			}
-		}
-		f := sn.Fence(i)
-		// Blocks are clustered and non-overlapping: once a block starts
-		// beyond the range, every later block does too.
-		if bound != nil && f.First[0] > bound.Hi {
-			st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
-			return nil
-		}
-		straddle := bound != nil && (f.First[0] < bound.Lo || f.Last[0] > bound.Hi)
-		var stop bool
-		var err error
-		switch {
-		case straddle && partialOK:
-			stop, err = p.runPartial(i, f.Restarts, *bound, rest, emit)
-		case straddle:
-			stop, err = p.runFull(i, plan.Preds, emit)
-		default:
-			// The fence lies inside the bound (or there is none): every
-			// row satisfies it, so only the residual conjuncts filter.
-			stop, err = p.runFull(i, rest, emit)
-		}
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-		if bound != nil && f.Last[0] > bound.Hi {
-			// The range ends inside this block; the remainder is prunable.
-			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
-			return nil
-		}
-	}
-	return nil
-}
-
-// seekBound returns the block a pass starts at: the first whose fence can
-// reach the clustering bound (block 0 without one), found on the
-// snapshot's fence array. The candidates it skips are pruned on their
-// fence alone and counted as such.
-func seekBound(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, bound *Pred, st *Stats) int {
-	if bound == nil {
-		return 0
-	}
-	start := sn.SeekAttr0(bound.Lo)
-	st.BlocksPruned += countCandidates(sn, cand, 0, start)
-	return start
-}
-
 // countCandidates counts candidate blocks in positions [from, n): the
 // blocks a fence seek or break skips without visiting.
 func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, from, n int) int {
@@ -318,173 +222,14 @@ func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, 
 	return c
 }
 
-// runPartial decodes only the qualifying span of a straddling block, its
-// walk starting at the block's restart directory dir: the last restart
-// before the span, not the anchor. On a flat schema one ordinal-space walk
-// (core.PhiSpanSlab) both locates the span and yields its φ values: the
-// bound is evaluated before any tuple is materialized, residual conjuncts
-// are digit tests on the ordinals, and only the rows that pass become
-// tuples, by digit extraction. Otherwise core.DecodeAttr0SpanArena walks
-// the restarts bracketing the bound in tuple space and clips the run.
-// Either way tuples in the span satisfy the bound by construction and only
-// the residual conjuncts filter.
-func (p *pass) runPartial(i int, dir *core.Restarts, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	st, s := &p.st, p.sn.Schema()
-	if w, ok := s.FlatWeights(); ok {
-		return p.runFlatSpan(i, dir, w, bound, rest, emit)
-	}
-	a := p.arena()
-	if p.pooled == nil {
-		// Every exit accounts the block's arena, an empty span included.
-		defer func() { st.SlabBytes += a.SlabBytes() }()
-	}
-	var span []relation.Tuple
-	err = p.viewSpan(i, func(stream []byte) (err error) {
-		span, err = core.DecodeAttr0SpanArena(s, stream, bound.Lo, bound.Hi, dir, a)
-		return err
-	})
-	if err != nil {
-		return false, err
-	}
-	return p.emitAll(span, rest, emit), nil
-}
-
-// viewSpan runs a span decode of block i on the coded stream in its pinned
-// frame (Snapshot.ViewStream) and reports the decode's failure as the
-// block's corruption, as a full decode reports its own. decode must leave
-// nothing aliasing the stream; the rows are filtered and emitted only
-// after the view returns, so caller code never runs with the page pinned.
-func (p *pass) viewSpan(i int, decode func(stream []byte) error) error {
-	return p.sn.ViewStream(i, func(stream []byte) error {
-		p.st.BlocksRead++
-		p.st.PartialDecodes++
-		if err := decode(stream); err != nil {
-			return fmt.Errorf("%w: page %d: %w", blockstore.ErrCorruptBlock, p.sn.Block(i), err)
-		}
-		return nil
-	})
-}
-
-// runFlatSpan is runPartial on a flat schema. The walk's φ scratch comes
-// from a pooled arena (the pass's own on a Transient plan). The rows a
-// Transient plan emits are carved from that arena too; any other plan's
-// rows may be retained by the caller, so they go into one exact-size slab
-// of their own.
-func (p *pass) runFlatSpan(i int, dir *core.Restarts, w []uint64, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	st, s := &p.st, p.sn.Schema()
-	var a *core.Arena
-	var rows []relation.Tuple
-	if p.pooled != nil {
-		a = p.arena()
-	} else {
-		a = core.GetArena()
-		defer core.PutArena(a)
-		// Every exit accounts the scratch and the retained slab, an empty
-		// span included.
-		defer func() { st.SlabBytes += a.SlabBytes() + slabBytes(rows) }()
-	}
-	// The clustering bound [lo, hi] on attribute 0 is exactly the φ
-	// interval [lo*w0, hi*w0 + (w0-1)]: every tuple with A_0 in range lands
-	// there regardless of its remaining digits. Clamp hi to the domain
-	// first so the products stay inside the (64-bit) space.
-	hi := min(bound.Hi, s.Domain(0).Size-1)
-	var phis []uint64
-	err = p.viewSpan(i, func(stream []byte) (err error) {
-		phis, err = core.PhiSpanSlab(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), dir, a)
-		return err
-	})
-	if err != nil {
-		return false, err
-	}
-	st.FlatPathHits++
-	if p.digits == nil {
-		p.digits = digitsOf(s, w)
-	}
-	dig := p.digits
-	keep := phis[:0]
-	for _, phi := range phis {
-		if matchesPhi(rest, dig, phi) {
-			keep = append(keep, phi)
-		}
-	}
-	n := len(dig)
-	if p.pooled != nil {
-		rows = a.Tuples(len(keep), n)
-	} else {
-		vals := make([]uint64, len(keep)*n)
-		rows = make([]relation.Tuple, len(keep))
-		for j := range rows {
-			rows[j] = vals[j*n : (j+1)*n : (j+1)*n]
-		}
-	}
-	for j, phi := range keep {
-		tu := rows[j]
-		for g := range tu {
-			tu[g] = dig[g].Digit(phi)
-		}
-	}
-	return p.emitAll(rows, nil, emit), nil
-}
-
-// digitsOf builds one extractor per attribute of a flat schema with
-// weights w, strength-reduced once per pass.
-func digitsOf(s *relation.Schema, w []uint64) []core.DigitExtractor {
-	dig := make([]core.DigitExtractor, len(w))
-	for g := range dig {
-		dig[g] = core.NewDigitExtractor(w[g], s.Domain(g).Size)
-	}
-	return dig
-}
-
-// matchesPhi is matchesAll on a flat ordinal.
-func matchesPhi(preds []Pred, dig []core.DigitExtractor, phi uint64) bool {
+// matchesPhi reports whether a flat ordinal satisfies every conjunct.
+func matchesPhi(preds []Pred, dig core.Digits, phi uint64) bool {
 	for _, p := range preds {
 		if v := dig[p.Attr].Digit(phi); v < p.Lo || v > p.Hi {
 			return false
 		}
 	}
 	return true
-}
-
-// slabBytes is the footprint of rows carved from one exact-size slab: its
-// digits plus one slice header per row.
-func slabBytes(rows []relation.Tuple) int {
-	const hdrSize = 24 // slice header: pointer + len + cap
-	if len(rows) == 0 {
-		return 0
-	}
-	return len(rows) * (len(rows[0])*8 + hdrSize)
-}
-
-// emitAll passes the tuples satisfying preds to emit, counting matches; it
-// reports whether emit stopped the pass.
-func (p *pass) emitAll(tuples []relation.Tuple, preds []Pred, emit func(relation.Tuple) bool) (stop bool) {
-	for _, tu := range tuples {
-		if !matchesAll(preds, tu) {
-			continue
-		}
-		p.st.Matches++
-		if !emit(tu) {
-			return true
-		}
-	}
-	return false
-}
-
-// runFull decodes the whole block and filters every conjunct.
-func (p *pass) runFull(i int, preds []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	sn, st := p.sn, &p.st
-	a := p.arena()
-	tuples, err := sn.ReadBlockArena(i, a)
-	if err != nil {
-		return false, err
-	}
-	st.BlocksRead++
-	st.FullDecodes++
-	if p.pooled == nil {
-		st.SlabBytes += a.SlabBytes()
-	}
-	return p.emitAll(tuples, preds, emit), nil
 }
 
 // matchesAll reports whether tu satisfies every conjunct.

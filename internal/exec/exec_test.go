@@ -303,8 +303,8 @@ func TestRunEarlyStop(t *testing.T) {
 	}
 }
 
-// TestIteratorNext: the iterator must stream every tuple in φ order and
-// read each block once.
+// TestIteratorNext: the pull iterator must stream every row in φ order
+// and read each block once, on every codec.
 func TestIteratorNext(t *testing.T) {
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 25)
@@ -313,25 +313,12 @@ func TestIteratorNext(t *testing.T) {
 		if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
-		sn := store.Snapshot()
-		it := NewIteratorContext(context.Background(), sn)
-		for i := 0; ; i++ {
-			tu, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				if i != len(tuples) {
-					t.Fatalf("%v: iterator ended after %d of %d", codec, i, len(tuples))
-				}
-				break
-			}
-			if s.Compare(tu, tuples[i]) != 0 {
-				t.Fatalf("%v: tuple %d = %v, want %v", codec, i, tu, tuples[i])
-			}
+		it := NewBatchIterator(context.Background(), store.Snapshot())
+		if got := drain(t, s, it); !sameRows(s, got, tuples) {
+			t.Fatalf("%v: iterator returned %d of %d rows (or they differ)", codec, len(got), len(tuples))
 		}
-		if it.Stats.BlocksRead != sn.NumBlocks() {
-			t.Fatalf("%v: iterator read %d of %d blocks", codec, it.Stats.BlocksRead, sn.NumBlocks())
+		if it.Stats.BlocksRead != store.NumBlocks() {
+			t.Fatalf("%v: iterator read %d of %d blocks", codec, it.Stats.BlocksRead, store.NumBlocks())
 		}
 		it.Release()
 	}

@@ -26,28 +26,9 @@ type ShardScan struct {
 	Run    func(ctx context.Context, emit func(relation.Tuple) bool) error
 }
 
-// ScatterOptions tunes the scatter-gather executor.
-type ScatterOptions struct {
-	// Workers caps concurrently scanning shards; <= 0 means GOMAXPROCS.
-	Workers int
-	// ReadAhead is the number of tuple chunks each shard may buffer ahead
-	// of the merge; <= 0 means 2.
-	ReadAhead int
-}
-
-func (o ScatterOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o ScatterOptions) readAhead() int {
-	if o.ReadAhead > 0 {
-		return o.ReadAhead
-	}
-	return 2
-}
+// scatterReadAhead is the number of tuple chunks each shard may buffer
+// ahead of the merge.
+const scatterReadAhead = 2
 
 // ScatterStats reports shard-level pruning and fan-out for one pass.
 // Block- and tuple-level stats stay with each shard's own Stats; the
@@ -72,8 +53,14 @@ type ScatterStats struct {
 //
 // emit runs on the calling goroutine only. emit returning false cancels
 // the remaining shards and returns nil. The first real (non-cancel)
-// shard error, in shard order, wins.
-func Scatter(ctx context.Context, shards []ShardScan, lo, hi uint64, opts ScatterOptions, emit func(relation.Tuple) bool) (ScatterStats, error) {
+// shard error, in shard order, wins. At most GOMAXPROCS shards scan at
+// once.
+func Scatter(ctx context.Context, shards []ShardScan, lo, hi uint64, emit func(relation.Tuple) bool) (ScatterStats, error) {
+	return scatter(ctx, shards, lo, hi, runtime.GOMAXPROCS(0), emit)
+}
+
+// scatter is Scatter with at most workers shards scanning at once.
+func scatter(ctx context.Context, shards []ShardScan, lo, hi uint64, workers int, emit func(relation.Tuple) bool) (ScatterStats, error) {
 	st := ScatterStats{ShardsTotal: len(shards)}
 	live := make([]ShardScan, 0, len(shards))
 	for _, s := range shards {
@@ -98,10 +85,10 @@ func Scatter(ctx context.Context, shards []ShardScan, lo, hi uint64, opts Scatte
 	defer cancel()
 	chans := make([]chan []relation.Tuple, len(live))
 	errs := make([]error, len(live))
-	sem := make(chan struct{}, opts.workers())
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range live {
-		chans[i] = make(chan []relation.Tuple, opts.readAhead())
+		chans[i] = make(chan []relation.Tuple, scatterReadAhead)
 		wg.Add(1)
 		go func(i int, s ShardScan) {
 			defer wg.Done()
@@ -202,15 +189,22 @@ func Scatter(ctx context.Context, shards []ShardScan, lo, hi uint64, opts Scatte
 // of them. Use it when the per-shard results fold order-independently
 // (counts, aggregates, group tables) so no streaming merge is needed.
 // The first error cancels the remaining shards; the first real
-// (non-cancel) error in shard order is returned.
-func ScatterCollect(ctx context.Context, n int, opts ScatterOptions, fn func(ctx context.Context, i int) error) error {
+// (non-cancel) error in shard order is returned. At most GOMAXPROCS
+// shards run at once.
+func ScatterCollect(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return scatterCollect(ctx, n, runtime.GOMAXPROCS(0), fn)
+}
+
+// scatterCollect is ScatterCollect with at most workers shards running
+// at once.
+func scatterCollect(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
-	sem := make(chan struct{}, opts.workers())
+	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

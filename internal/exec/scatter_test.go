@@ -43,8 +43,8 @@ func TestScatterOrderedMerge(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			shards, all := scatterFixture(5, 700)
 			var got []relation.Tuple
-			st, err := Scatter(context.Background(), shards, 0, ^uint64(0),
-				ScatterOptions{Workers: workers}, func(tu relation.Tuple) bool {
+			st, err := scatter(context.Background(), shards, 0, ^uint64(0),
+				workers, func(tu relation.Tuple) bool {
 					got = append(got, tu)
 					return true
 				})
@@ -70,7 +70,7 @@ func TestScatterPrunesDisjointShards(t *testing.T) {
 	shards, _ := scatterFixture(4, 100)
 	var got []relation.Tuple
 	// [150, 249] overlaps shards 1 and 2 only.
-	st, err := Scatter(context.Background(), shards, 150, 249, ScatterOptions{}, func(tu relation.Tuple) bool {
+	st, err := Scatter(context.Background(), shards, 150, 249, func(tu relation.Tuple) bool {
 		got = append(got, tu)
 		return true
 	})
@@ -90,7 +90,7 @@ func TestScatterPrunesDisjointShards(t *testing.T) {
 	}
 
 	// Fully disjoint bound: nothing runs.
-	st, err = Scatter(context.Background(), shards, 1000, 2000, ScatterOptions{}, func(relation.Tuple) bool {
+	st, err = Scatter(context.Background(), shards, 1000, 2000, func(relation.Tuple) bool {
 		t.Fatal("emit on fully pruned pass")
 		return false
 	})
@@ -108,7 +108,7 @@ func TestScatterSingleLiveShardInline(t *testing.T) {
 		fakeShard(10, 19, 1, []relation.Tuple{{10, 0}}),
 	}
 	var seen []relation.Tuple
-	st, err := Scatter(context.Background(), shards, 0, 9, ScatterOptions{}, func(tu relation.Tuple) bool {
+	st, err := Scatter(context.Background(), shards, 0, 9, func(tu relation.Tuple) bool {
 		seen = append(seen, tu)
 		return true
 	})
@@ -123,7 +123,7 @@ func TestScatterSingleLiveShardInline(t *testing.T) {
 func TestScatterEarlyStop(t *testing.T) {
 	shards, _ := scatterFixture(6, 500)
 	var got int
-	st, err := Scatter(context.Background(), shards, 0, ^uint64(0), ScatterOptions{}, func(relation.Tuple) bool {
+	st, err := Scatter(context.Background(), shards, 0, ^uint64(0), func(relation.Tuple) bool {
 		got++
 		return got < 10
 	})
@@ -142,7 +142,7 @@ func TestScatterErrorPropagation(t *testing.T) {
 	shards[2].Run = func(ctx context.Context, emit func(relation.Tuple) bool) error {
 		return boom
 	}
-	_, err := Scatter(context.Background(), shards, 0, ^uint64(0), ScatterOptions{}, func(relation.Tuple) bool { return true })
+	_, err := Scatter(context.Background(), shards, 0, ^uint64(0), func(relation.Tuple) bool { return true })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want shard error", err)
 	}
@@ -152,7 +152,7 @@ func TestScatterContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	shards, _ := scatterFixture(3, 100)
 	n := 0
-	_, err := Scatter(ctx, shards, 0, ^uint64(0), ScatterOptions{}, func(relation.Tuple) bool {
+	_, err := Scatter(ctx, shards, 0, ^uint64(0), func(relation.Tuple) bool {
 		n++
 		if n == 5 {
 			cancel()
@@ -166,7 +166,7 @@ func TestScatterContextCancel(t *testing.T) {
 
 func TestScatterCollect(t *testing.T) {
 	counts := make([]int, 20)
-	err := ScatterCollect(context.Background(), 20, ScatterOptions{Workers: 4}, func(ctx context.Context, i int) error {
+	err := scatterCollect(context.Background(), 20, 4, func(ctx context.Context, i int) error {
 		counts[i] = i * i
 		return nil
 	})
@@ -181,7 +181,7 @@ func TestScatterCollect(t *testing.T) {
 
 	// With every task scheduled at once, the error must cancel the rest.
 	boom := errors.New("bad shard")
-	err = ScatterCollect(context.Background(), 8, ScatterOptions{Workers: 8}, func(ctx context.Context, i int) error {
+	err = scatterCollect(context.Background(), 8, 8, func(ctx context.Context, i int) error {
 		if i == 3 {
 			return boom
 		}

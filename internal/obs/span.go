@@ -72,7 +72,12 @@ func (sp *Span) Detailf(format string, args ...any) {
 // End closes the span: the duration is recorded into the op histogram,
 // and the op is appended to the slow-op log if it met the threshold.
 // Safe to call on a nil span; must not be called twice.
-func (sp *Span) End() {
+func (sp *Span) End() { sp.EndWith(nil) }
+
+// EndWith is End whose slow-op annotation, when detail is non-nil, is
+// detail's result instead of Detailf's. detail runs only when the op
+// lands in the slow-op log, so a fast op formats nothing.
+func (sp *Span) EndWith(detail func() string) {
 	if sp == nil {
 		return
 	}
@@ -81,6 +86,9 @@ func (sp *Span) End() {
 	thr := sp.reg.slowThreshold.Load()
 	if thr > 0 && int64(d) >= thr {
 		sp.reg.Counter("obs.slowops").Inc()
+		if detail != nil {
+			sp.detail = detail()
+		}
 		sp.reg.slow.Add(SlowOp{
 			Op:     sp.op,
 			Start:  sp.start,

@@ -175,7 +175,8 @@ type StatsJSON struct {
 	BlocksPruned   int    `json:"blocks_pruned"`
 	PartialDecodes int    `json:"partial_decodes"`
 	Matches        int    `json:"matches"`
-	// Columnar batch accounting; zero (and omitted) on the tuple path.
+	// Whole-φ-slab accounting of a fold on a flat schema; zero (and
+	// omitted) otherwise.
 	BatchBlocks int `json:"batch_blocks,omitempty"`
 	SlabRows    int `json:"slab_rows,omitempty"`
 }

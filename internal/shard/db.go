@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/backend"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -387,7 +388,7 @@ func (db *DB) BulkLoad(ctx context.Context, tuples []relation.Tuple) error {
 	if err != nil {
 		return err
 	}
-	return scatterCollect(ctx, len(db.shards), func(ctx context.Context, i int) error {
+	return exec.ScatterCollect(ctx, len(db.shards), func(ctx context.Context, i int) error {
 		if len(parts[i]) == 0 {
 			return nil
 		}

@@ -17,11 +17,15 @@ import (
 )
 
 // newJoinPair loads tuples into a 4-shard memory DB and a single default
-// oracle table of the same schema.
-func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table) {
+// oracle table of the same schema, oracleSchema unless one is given.
+func newJoinPair(t *testing.T, tuples []relation.Tuple, schema ...*relation.Schema) (*shard.DB, *table.Table) {
 	t.Helper()
 	ctx := context.Background()
-	db, err := shard.Create(oracleSchema(), shard.Config{
+	s := oracleSchema()
+	if len(schema) > 0 {
+		s = schema[0]
+	}
+	db, err := shard.Create(s, shard.Config{
 		Kind:    backend.KindMemory,
 		Shards:  4,
 		Options: shardOpts(),
@@ -33,7 +37,7 @@ func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table
 	if err := db.BulkLoad(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := table.Create(oracleSchema(), table.WithPageSize(512))
+	oracle, err := table.Create(s, table.WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +67,9 @@ func checkLeaks(t *testing.T, e interface {
 	})
 }
 
+// TestShardMergeJoinMatchesSingleTable joins through chained per-shard
+// slab streams on the flat oracle schema (φ slabs) and on a split one —
+// the same rows plus one wide constant attribute (tuple slabs).
 func TestShardMergeJoinMatchesSingleTable(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(91))
@@ -78,43 +85,58 @@ func TestShardMergeJoinMatchesSingleTable(t *testing.T) {
 		tu[0] &^= 7
 		right[i] = tu
 	}
+	split := relation.MustSchema(append(oracleSchema().Domains(), relation.Domain{Name: "wide", Size: 1 << 62})...)
+	widen := func(rows []relation.Tuple) []relation.Tuple {
+		out := make([]relation.Tuple, len(rows))
+		for i, tu := range rows {
+			out[i] = append(tu.Clone(), 1<<61)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name        string
+		s           *relation.Schema
+		left, right []relation.Tuple
+	}{{"flat", oracleSchema(), left, right}, {"split", split, widen(left), widen(right)}} {
+		t.Run(c.name, func(t *testing.T) {
+			ldb, lt := newJoinPair(t, c.left, c.s)
+			rdb, rt := newJoinPair(t, c.right, c.s)
 
-	ldb, lt := newJoinPair(t, left)
-	rdb, rt := newJoinPair(t, right)
-
-	got, gst, err := ldb.MergeJoin(ctx, rdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wst, err := table.MergeJoinContext(ctx, lt, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Matches != wst.Matches || len(got) != len(want) {
-		t.Fatalf("matches: sharded %d (%d rows), oracle %d (%d rows)",
-			gst.Matches, len(got), wst.Matches, len(want))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("row %d: sharded %v⋈%v, oracle %v⋈%v",
-				i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
-		}
-	}
-	if gst.Left.BatchBlocks == 0 || gst.Right.BatchBlocks == 0 {
-		t.Fatal("sharded join did not take the columnar path")
-	}
-	if gst.Left.BlocksPruned+gst.Right.BlocksPruned == 0 {
-		t.Fatal("sparse-key join pruned no blocks")
-	}
-	for i := 0; i < ldb.NumShards(); i++ {
-		if n := ldb.Shard(i).LiveSnapshots(); n != 0 {
-			t.Fatalf("left shard %d leaks %d snapshots", i, n)
-		}
-	}
-	for i := 0; i < rdb.NumShards(); i++ {
-		if n := rdb.Shard(i).LiveSnapshots(); n != 0 {
-			t.Fatalf("right shard %d leaks %d snapshots", i, n)
-		}
+			got, gst, err := ldb.MergeJoin(ctx, rdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wst, err := table.MergeJoinContext(ctx, lt, rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gst.Matches != wst.Matches || len(got) != len(want) {
+				t.Fatalf("matches: sharded %d (%d rows), oracle %d (%d rows)",
+					gst.Matches, len(got), wst.Matches, len(want))
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("row %d: sharded %v⋈%v, oracle %v⋈%v",
+						i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
+				}
+			}
+			if _, flat := c.s.FlatSpace(); flat && (gst.Left.BatchBlocks == 0 || gst.Right.BatchBlocks == 0) {
+				t.Fatal("sharded join did not read whole φ slabs")
+			}
+			if gst.Left.BlocksPruned+gst.Right.BlocksPruned == 0 {
+				t.Fatal("sparse-key join pruned no blocks")
+			}
+			for i := 0; i < ldb.NumShards(); i++ {
+				if n := ldb.Shard(i).LiveSnapshots(); n != 0 {
+					t.Fatalf("left shard %d leaks %d snapshots", i, n)
+				}
+			}
+			for i := 0; i < rdb.NumShards(); i++ {
+				if n := rdb.Shard(i).LiveSnapshots(); n != 0 {
+					t.Fatalf("right shard %d leaks %d snapshots", i, n)
+				}
+			}
+		})
 	}
 }
 

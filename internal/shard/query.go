@@ -9,15 +9,6 @@ import (
 	"repro/internal/table"
 )
 
-// scatterOpts is the DB-wide fan-out tuning; zero values mean
-// GOMAXPROCS workers with a 2-chunk read-ahead per shard.
-var scatterOpts = exec.ScatterOptions{}
-
-// scatterCollect runs fn per shard on the bounded pool.
-func scatterCollect(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return exec.ScatterCollect(ctx, n, scatterOpts, fn)
-}
-
 // bounds maps a range predicate to the attribute-0 span it implies for
 // catalog pruning: predicates on any other attribute cannot prune shards
 // and span the whole domain.
@@ -101,7 +92,7 @@ func (db *DB) selectRange(ctx context.Context, attr int, lo, hi uint64, fn func(
 	per := make([]table.QueryStats, len(db.shards))
 	pLo, pHi := db.bounds(attr, lo, hi)
 	live, _ := db.liveFor(pLo, pHi)
-	sc, err := exec.Scatter(ctx, db.scans(attr, lo, hi, per), pLo, pHi, scatterOpts, fn)
+	sc, err := exec.Scatter(ctx, db.scans(attr, lo, hi, per), pLo, pHi, fn)
 	db.count(sc)
 	return fold(per, sc, live), err
 }
@@ -112,7 +103,7 @@ func (db *DB) selectRange(ctx context.Context, attr int, lo, hi uint64, fn func(
 func (db *DB) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) (int, table.QueryStats, error) {
 	per := make([]table.QueryStats, len(db.shards))
 	live, sc := db.liveFor(db.bounds(attr, lo, hi))
-	err := scatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
+	err := exec.ScatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
 		i := live[j]
 		_, st, err := db.shards[i].CountRangeContext(ctx, attr, lo, hi)
 		per[i] = st
@@ -128,7 +119,7 @@ func (db *DB) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint64
 	per := make([]table.QueryStats, len(db.shards))
 	parts := make([]table.AggregateResult, len(db.shards))
 	live, sc := db.liveFor(db.bounds(attr, lo, hi))
-	err := scatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
+	err := exec.ScatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
 		i := live[j]
 		res, st, err := db.shards[i].AggregateRangeContext(ctx, attr, lo, hi, aggAttr)
 		parts[i], per[i] = res, st
@@ -148,7 +139,7 @@ func (db *DB) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64,
 	per := make([]table.QueryStats, len(db.shards))
 	parts := make([][]table.GroupResult, len(db.shards))
 	live, sc := db.liveFor(db.bounds(filterAttr, lo, hi))
-	err := scatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
+	err := exec.ScatterCollect(ctx, len(live), func(ctx context.Context, j int) error {
 		i := live[j]
 		res, st, err := db.shards[i].GroupByContext(ctx, filterAttr, lo, hi, groupAttr, aggAttr)
 		parts[i], per[i] = res, st

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -13,35 +14,90 @@ import (
 	"repro/internal/relation"
 )
 
-// newBatchPair loads the same tuples into two tables of the given codec
-// (every codec runs both paths, which must agree byte for byte): one on
-// the flat schema's batch path and one on the tuple path (tuplePath) —
-// the differential oracle.
-func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batch, oracle *Table) {
+// splitSchema is testSchema plus one constant attribute wide enough that
+// the space exceeds 64 bits: the same relation on the split read path.
+func splitSchema(t testing.TB) *relation.Schema {
 	t.Helper()
-	s := testSchema(t)
-	mk := func(tuplePath bool) *Table {
+	return relation.MustSchema(append(testSchema(t).Domains(), relation.Domain{Name: "wide", Size: 1 << 62})...)
+}
+
+// newBatchPair loads the same rows into two tables of the given codec:
+// one over testSchema, whose reads take φ slabs, and one over splitSchema
+// — the rows plus the wide constant attribute — whose reads take tuple
+// slabs. Every read on attributes 0-4 must answer the same on both.
+func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (flat, split *Table) {
+	t.Helper()
+	mk := func(s *relation.Schema, rows []relation.Tuple) *Table {
 		tb := createTable(t, s, WithCodec(codec), WithPageSize(512))
-		tb.tuplePath = tuplePath
-		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), rows); err != nil {
 			t.Fatal(err)
 		}
 		return tb
 	}
-	return mk(false), mk(true)
+	wide := make([]relation.Tuple, len(tuples))
+	for i, tu := range tuples {
+		wide[i] = append(tu.Clone(), 1<<61)
+	}
+	return mk(testSchema(t), tuples), mk(splitSchema(t), wide)
 }
 
-// TestBatchAggregatesMatchTuplePath pins every batch aggregate kernel —
-// count, aggregate, group-by (clustered and unclustered keys), histogram
-// — to the tuple path, per codec, and cross-checks one aggregate against
-// a big.Int φ-digit reference so both paths are anchored to the paper's
-// arithmetic, not just to each other.
+// modelRows is the in-test model's read: the rows, in φ order, with
+// lo <= A_attr <= hi.
+func modelRows(tuples []relation.Tuple, attr int, lo, hi uint64) []relation.Tuple {
+	var out []relation.Tuple
+	for _, tu := range tuples {
+		if tu[attr] >= lo && tu[attr] <= hi {
+			out = append(out, tu)
+		}
+	}
+	return out
+}
+
+// modelAggregate folds attribute agg of rows in plain Go.
+func modelAggregate(rows []relation.Tuple, agg int) AggregateResult {
+	res := newAggregate()
+	for _, tu := range rows {
+		res.add(tu[agg])
+	}
+	if res.Count == 0 {
+		res.Min = 0
+	}
+	return res
+}
+
+// modelGroupBy groups rows by attribute group and aggregates agg.
+func modelGroupBy(rows []relation.Tuple, group, agg int) []GroupResult {
+	byKey := map[uint64]AggregateResult{}
+	for _, tu := range rows {
+		a, ok := byKey[tu[group]]
+		if !ok {
+			a = newAggregate()
+		}
+		a.add(tu[agg])
+		byKey[tu[group]] = a
+	}
+	var out []GroupResult
+	for k, a := range byKey {
+		out = append(out, GroupResult{Value: k, Agg: a})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	return out
+}
+
+// TestBatchAggregatesMatchTuplePath pins every fold kernel — count,
+// aggregate, group-by (clustered and unclustered keys), histogram — to
+// the in-test model, per codec, on the flat table (φ slabs) and the split
+// one (tuple slabs), and cross-checks one aggregate against a big.Int
+// φ-digit reference so the kernels are anchored to the paper's
+// arithmetic.
 func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 2000, 42)
+	s := testSchema(t)
+	s.SortTuples(tuples)
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			batch, oracle := newBatchPair(t, codec, tuples)
+			flat, split := newBatchPair(t, codec, tuples)
 			ranges := []struct {
 				attr   int
 				lo, hi uint64
@@ -52,65 +108,46 @@ func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 				{1, 4, 11}, // residual attribute
 				{4, 100, 3000},
 			}
-			for _, rg := range ranges {
-				bn, bst, err := batch.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				on, _, err := oracle.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bn != on {
-					t.Fatalf("CountRange(%v): batch %d, tuple %d", rg, bn, on)
-				}
-				if bst.BatchBlocks == 0 && bn > 0 {
-					t.Fatalf("CountRange(%v): batch path did not run (BatchBlocks=0)", rg)
-				}
-				for agg := 0; agg < 5; agg++ {
-					br, _, err := batch.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
+			for _, tb := range []*Table{flat, split} {
+				for _, rg := range ranges {
+					rows := modelRows(tuples, rg.attr, rg.lo, rg.hi)
+					n, st, err := tb.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
 					if err != nil {
 						t.Fatal(err)
 					}
-					or, _, err := oracle.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
-					if err != nil {
-						t.Fatal(err)
+					if n != len(rows) {
+						t.Fatalf("%v CountRange(%v): %d, model %d", tb.Schema(), rg, n, len(rows))
 					}
-					if br != or {
-						t.Fatalf("AggregateRange(%v, agg=%d): batch %+v, tuple %+v", rg, agg, br, or)
+					if tb == flat && n > 0 && st.BatchBlocks == 0 {
+						t.Fatalf("CountRange(%v): the flat fold read no whole φ slab", rg)
+					}
+					if tb == split && st.BatchBlocks != 0 {
+						t.Fatalf("CountRange(%v): the split fold counted %d φ slabs", rg, st.BatchBlocks)
+					}
+					for agg := 0; agg < 5; agg++ {
+						got, _, err := tb.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := modelAggregate(rows, agg); got != want {
+							t.Fatalf("%v AggregateRange(%v, agg=%d): %+v, model %+v", tb.Schema(), rg, agg, got, want)
+						}
+					}
+					for _, ga := range []int{0, 1, 2} {
+						got, _, err := tb.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := modelGroupBy(rows, ga, 3); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%v GroupBy(%v, group=%d): %+v, model %+v", tb.Schema(), rg, ga, got, want)
+						}
 					}
 				}
-				for _, ga := range []int{0, 1, 2} {
-					bg, _, err := batch.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					og, _, err := oracle.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(bg, og) {
-						t.Fatalf("GroupBy(%v, group=%d): batch %+v, tuple %+v", rg, ga, bg, og)
-					}
-				}
-			}
-			for attr := 0; attr < 5; attr++ {
-				bh, _, err := batch.HistogramContext(ctx, attr, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oh, _, err := oracle.HistogramContext(ctx, attr, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(bh, oh) {
-					t.Fatalf("Histogram(attr=%d): batch %v, tuple %v", attr, bh, oh)
-				}
+				checkHistogram(t, tb, tuples, 8)
 			}
 
 			// Anchor: SUM over attribute 2 for 2<=A1<=5 recomputed through
 			// arbitrary-precision φ digits straight off the loaded tuples.
-			s := batch.Schema()
 			want := big.NewInt(0)
 			wantCount := 0
 			for _, tu := range tuples {
@@ -126,12 +163,12 @@ func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 				want.Add(want, digit)
 				wantCount++
 			}
-			got, _, err := batch.AggregateRangeContext(ctx, 0, 2, 5, 2)
+			got, _, err := flat.AggregateRangeContext(ctx, 0, 2, 5, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Sum != want.Uint64() || got.Count != wantCount {
-				t.Fatalf("big.Int anchor: batch Sum=%d Count=%d, reference Sum=%s Count=%d",
+				t.Fatalf("big.Int anchor: Sum=%d Count=%d, reference Sum=%s Count=%d",
 					got.Sum, got.Count, want, wantCount)
 			}
 		})
@@ -179,55 +216,73 @@ func TestAggregateCancelledMidBatch(t *testing.T) {
 	}
 }
 
-// TestMergeJoinBatchMatchesTuples pins the φ-space merge join to the
-// tuple-at-a-time merge join, per codec: identical rows in identical
-// order, identical match counts, and the batch run must actually take
-// the columnar path and prune on sparse keys.
+// TestMergeJoinBatchMatchesTuples pins the merge join to a nested-loop
+// model, per codec, on flat tables (φ slabs), split tables (tuple slabs)
+// and one of each: identical rows on attributes 0-4 in identical order,
+// identical match counts, and the flat join must read whole φ slabs and
+// prune on sparse keys.
 func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 	ctx := context.Background()
+	s := testSchema(t)
 	left := randomTuples(t, 1500, 7)
 	// Sparse right side: only every 4th dept key exists, so the left run
-	// has long stretches the batch join should seek over.
+	// has long stretches the join should seek over.
 	right := make([]relation.Tuple, 0, 400)
 	for _, tu := range randomTuples(t, 400, 8) {
 		tu[0] &^= 3
 		right = append(right, tu)
 	}
+	s.SortTuples(left)
+	s.SortTuples(right)
+	var want []JoinRow
+	for i := 0; i < len(left); {
+		j := i
+		for j < len(left) && left[j][0] == left[i][0] {
+			j++
+		}
+		for _, l := range left[i:j] {
+			for _, r := range right {
+				if r[0] == l[0] {
+					want = append(want, JoinRow{Left: l, Right: r})
+				}
+			}
+		}
+		i = j
+	}
 	for _, codec := range core.Codecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			lb, lo := newBatchPair(t, codec, left)
-			rb, ro := newBatchPair(t, codec, right)
-			got, gst, err := MergeJoinContext(ctx, lb, rb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wst, err := MergeJoinContext(ctx, lo, ro)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gst.Left.BatchBlocks == 0 || gst.Right.BatchBlocks == 0 {
-				t.Fatal("batch join did not take the columnar path")
-			}
-			if wst.Left.BatchBlocks != 0 || wst.Right.BatchBlocks != 0 {
-				t.Fatal("oracle join took the columnar path")
-			}
-			if gst.Matches != wst.Matches || len(got) != len(want) {
-				t.Fatalf("matches: batch %d (%d rows), tuple %d (%d rows)",
-					gst.Matches, len(got), wst.Matches, len(want))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("row %d: batch %v⋈%v, tuple %v⋈%v",
-						i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
+			lf, ls := newBatchPair(t, codec, left)
+			rf, rs := newBatchPair(t, codec, right)
+			for _, pair := range [][2]*Table{{lf, rf}, {ls, rs}, {lf, rs}} {
+				got, st, err := MergeJoinContext(ctx, pair[0], pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Matches != len(want) || len(got) != len(want) {
+					t.Fatalf("%v ⋈ %v: %d matches (%d rows), model %d", pair[0].Schema(), pair[1].Schema(), st.Matches, len(got), len(want))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Left[:5], want[i].Left) || !reflect.DeepEqual(got[i].Right[:5], want[i].Right) {
+						t.Fatalf("row %d: %v⋈%v, model %v⋈%v", i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
+					}
+				}
+				if pair[0] == lf && pair[1] == rf {
+					if st.Left.BatchBlocks == 0 || st.Right.BatchBlocks == 0 {
+						t.Fatal("the flat join read no whole φ slab")
+					}
+					if st.Left.BlocksPruned == 0 {
+						t.Fatal("the sparse-key join pruned no block")
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestMergeJoinTuplesCancelKeepsStats cancels a tuple-path merge join
-// after its first row: the join stops at the next block boundary with
-// context.Canceled and still reports the blocks each side read.
+// TestMergeJoinTuplesCancelKeepsStats cancels a merge join of split
+// tables (tuple slabs) after its first row: the join stops at the next
+// block boundary with context.Canceled and still reports the blocks each
+// side read.
 func TestMergeJoinTuplesCancelKeepsStats(t *testing.T) {
 	tuples := randomTuples(t, 3000, 17)
 	_, left := newBatchPair(t, core.CodecAVQ, tuples)
@@ -295,37 +350,37 @@ func TestMergeJoinEmittedRowsSafeToRetain(t *testing.T) {
 	}
 }
 
-// TestSyncBatchRouting checks the lock-then-plan shells route flat schemas
-// to the batch kernels: results identical to the tuple path, batch counters
-// live.
+// TestSyncBatchRouting checks the lock-then-plan shells route a flat
+// table's folds to whole φ slabs and a split table's to tuple slabs, with
+// the same answers.
 func TestSyncBatchRouting(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 1200, 23)
-	batch, oracle := newBatchPair(t, core.CodecAVQ, tuples)
-	n, st, err := batch.CountRangeContext(ctx, 0, 1, 6)
+	flat, split := newBatchPair(t, core.CodecAVQ, tuples)
+	n, st, err := flat.CountRangeContext(ctx, 0, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, _, err := oracle.CountRangeContext(ctx, 0, 1, 6)
+	sn, sst, err := split.CountRangeContext(ctx, 0, 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != on {
-		t.Fatalf("batch count %d, tuple %d", n, on)
+	if n != sn || n != len(modelRows(tuples, 0, 1, 6)) {
+		t.Fatalf("count: flat %d, split %d, model %d", n, sn, len(modelRows(tuples, 0, 1, 6)))
 	}
-	if st.BatchBlocks == 0 {
-		t.Fatal("count did not take the batch path")
+	if st.BatchBlocks == 0 || sst.BatchBlocks != 0 {
+		t.Fatalf("count read %d whole φ slabs on the flat table, %d on the split one", st.BatchBlocks, sst.BatchBlocks)
 	}
-	bg, _, err := batch.GroupByContext(ctx, 0, 0, 7, 0, 4)
+	fg, _, err := flat.GroupByContext(ctx, 0, 0, 7, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	og, _, err := oracle.GroupByContext(ctx, 0, 0, 7, 0, 4)
+	sg, _, err := split.GroupByContext(ctx, 0, 0, 7, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bg, og) {
-		t.Fatalf("batch GroupBy %+v, tuple %+v", bg, og)
+	if !reflect.DeepEqual(fg, sg) {
+		t.Fatalf("GroupBy: flat %+v, split %+v", fg, sg)
 	}
 }
 

@@ -48,32 +48,41 @@ func joinBenchRows() (left, right []relation.Tuple) {
 }
 
 // joinBenchTable loads rows into a 1 KiB-page table (small blocks keep
-// each block's key span narrow, which fence skipping needs), on the batch
-// path or the tuple path.
-func joinBenchTable(b *testing.B, rows []relation.Tuple, tuplePath bool, opts ...Option) *Table {
+// each block's key span narrow, which fence skipping needs), over the
+// flat schema or, split, the same rows over the schema plus one wide
+// constant attribute, whose reads take tuple slabs.
+func joinBenchTable(b *testing.B, rows []relation.Tuple, split bool, opts ...Option) *Table {
 	b.Helper()
-	tb := createTable(b, joinBenchSchema(), append([]Option{WithPageSize(1024)}, opts...)...)
-	tb.tuplePath = tuplePath
+	s := joinBenchSchema()
+	if split {
+		s = relation.MustSchema(append(s.Domains(), relation.Domain{Name: "wide", Size: 1 << 62})...)
+		wide := make([]relation.Tuple, len(rows))
+		for i, tu := range rows {
+			wide[i] = append(tu.Clone(), 1<<61)
+		}
+		rows = wide
+	}
+	tb := createTable(b, s, append([]Option{WithPageSize(1024)}, opts...)...)
 	if err := tb.BulkLoadContext(context.Background(), rows); err != nil {
 		b.Fatal(err)
 	}
 	return tb
 }
 
-// readPaths names the two read paths a flat schema can take.
+// readPaths names the two slab kinds a read can take: φ slabs on the flat
+// schema, tuple slabs on the split one.
 var readPaths = []struct {
-	name      string
-	tuplePath bool
-}{{"batch", false}, {"tuples", true}}
+	name  string
+	split bool
+}{{"flat", false}, {"split", true}}
 
-// BenchmarkMergeJoin joins the sparse-key workload on the φ-space batch
-// path (slabs, fence skipping, φ⁻¹ only for matches) and on the tuple
-// path.
+// BenchmarkMergeJoin joins the sparse-key workload over φ slabs and over
+// tuple slabs (fence skipping either way, tuples only for matches).
 func BenchmarkMergeJoin(b *testing.B) {
 	left, right := joinBenchRows()
 	ctx := context.Background()
 	for _, p := range readPaths {
-		lt, rt := joinBenchTable(b, left, p.tuplePath), joinBenchTable(b, right, p.tuplePath)
+		lt, rt := joinBenchTable(b, left, p.split), joinBenchTable(b, right, p.split)
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
@@ -86,17 +95,16 @@ func BenchmarkMergeJoin(b *testing.B) {
 }
 
 // BenchmarkGroupBy groups the workload's left side by its clustering
-// attribute on the batch path (contiguous key runs on raw ordinals) and
-// on the tuple path (a hash map). Each table's pool holds every page (a
-// 1 KiB page holds more than 16 rows) and is warmed by one scan, so the
-// read paths are compared from memory.
+// attribute (contiguous key runs) over φ slabs and over tuple slabs. Each
+// table's pool holds every page (a 1 KiB page holds more than 16 rows) and
+// is warmed by one scan, so the slab kinds are compared from memory.
 func BenchmarkGroupBy(b *testing.B) {
 	left, _ := joinBenchRows()
 	ctx := context.Background()
 	dom := joinBenchSchema().Domain(0).Size
 	frames := len(left) / 16
 	for _, p := range readPaths {
-		tb := joinBenchTable(b, left, p.tuplePath, WithPoolFrames(frames))
+		tb := joinBenchTable(b, left, p.split, WithPoolFrames(frames))
 		if tb.NumBlocks() >= frames {
 			b.Fatalf("%d blocks do not fit a %d-frame pool", tb.NumBlocks(), frames)
 		}

@@ -31,53 +31,18 @@ func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint6
 		return nil, QueryStats{}, err
 	}
 	r.op = "groupby"
-	// Group buckets copy the key and aggregate values out of each tuple, so
-	// the executor may recycle one arena across blocks.
-	r.plan.Transient = true
-	if r.batch {
-		return groupByBatchCtx(ctx, r, t.schema, groupAttr, aggAttr)
-	}
-	return groupByRunCtx(ctx, r, t.schema, groupAttr, aggAttr)
-}
-
-// groupByBatchCtx is GroupBy on raw ordinals: both the group key and the
-// aggregated value come out of each φ through a DigitExtractor, never
-// full φ⁻¹. Grouping on the clustering prefix (groupAttr 0) exploits φ
-// order — keys arrive as contiguous nondecreasing runs, so the result list
-// is appended directly with no per-row key and no final sort. Other group
-// attributes fold into a groupFold exactly like the tuple path.
-func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	w, _ := s.FlatWeights()
-	agg := core.NewDigitExtractor(w[aggAttr], s.Domain(aggAttr).Size)
+	s := t.schema
+	agg := attrDigit(s, aggAttr)
 	if groupAttr == 0 {
-		w0 := w[0]
-		var out []GroupResult
-		stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-			// The slab is nondecreasing, so rows arrive in contiguous key
-			// runs: one divide finds each run's key, and a φ-threshold
-			// compare walks the run — no per-row key extraction.
-			for i := 0; i < len(phis); {
-				k := phis[i] / w0 // attribute 0 needs no mod: φ/w0 < u0
-				limit := (k + 1) * w0
-				if len(out) == 0 || out[len(out)-1].Value != k {
-					out = append(out, GroupResult{Value: k, Agg: newAggregate()})
-				}
-				g := &out[len(out)-1].Agg
-				for ; i < len(phis) && phis[i] < limit; i++ {
-					g.add(agg.Digit(phis[i]))
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		return out, stats, nil
+		return groupByAttr0(ctx, r, s, agg, aggAttr)
 	}
-	grp := core.NewDigitExtractor(w[groupAttr], s.Domain(groupAttr).Size)
+	grp := attrDigit(s, groupAttr)
 	g := newGroupFold(s.Domain(groupAttr).Size)
-	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-		for _, phi := range phis {
+	stats, err := r.fold(ctx, func(sl core.Slab) bool {
+		for _, tu := range sl.Tuples {
+			g.add(tu[groupAttr], tu[aggAttr])
+		}
+		for _, phi := range sl.Phis {
 			g.add(grp.Digit(phi), agg.Digit(phi))
 		}
 		return true
@@ -88,18 +53,42 @@ func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupA
 	return g.results(), stats, nil
 }
 
-// groupByRunCtx executes a planned GroupBy pass tuple by tuple into the
-// same groupFold.
-func groupByRunCtx(ctx context.Context, r queryRun, s *relation.Schema, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	g := newGroupFold(s.Domain(groupAttr).Size)
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		g.add(tu[groupAttr], tu[aggAttr])
+// groupByAttr0 is GroupBy on the clustering prefix, which exploits φ
+// order: keys arrive as contiguous nondecreasing runs, so the result list
+// is appended directly with no per-row lookup and no final sort. On a φ
+// slab one divide finds each run's key and a φ-threshold compare walks
+// the run, with no per-row key extraction.
+func groupByAttr0(ctx context.Context, r queryRun, s *relation.Schema, agg core.DigitExtractor, aggAttr int) ([]GroupResult, QueryStats, error) {
+	var w0 uint64
+	if w, ok := s.FlatWeights(); ok {
+		w0 = w[0]
+	}
+	var out []GroupResult
+	group := func(k uint64) *AggregateResult {
+		if len(out) == 0 || out[len(out)-1].Value != k {
+			out = append(out, GroupResult{Value: k, Agg: newAggregate()})
+		}
+		return &out[len(out)-1].Agg
+	}
+	stats, err := r.fold(ctx, func(sl core.Slab) bool {
+		for _, tu := range sl.Tuples {
+			group(tu[0]).add(tu[aggAttr])
+		}
+		phis := sl.Phis
+		for i := 0; i < len(phis); {
+			k := phis[i] / w0 // attribute 0 needs no mod: φ/w0 < u0
+			limit := (k + 1) * w0
+			g := group(k)
+			for ; i < len(phis) && phis[i] < limit; i++ {
+				g.add(agg.Digit(phis[i]))
+			}
+		}
 		return true
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	return g.results(), stats, nil
+	return out, stats, nil
 }
 
 // denseGroups is the largest group-attribute radix GroupBy folds into a

@@ -10,14 +10,19 @@ import (
 	"repro/internal/relation"
 )
 
-// checkHistogram compares HistogramContext of every attribute of tb, at
-// the given bucket count, with the counts of tuples: equi-width buckets,
-// no more of them than the domain has values, the last one absorbing the
-// remainder. The pass reads every block.
+// checkHistogram compares HistogramContext of every attribute tuples
+// carry (every attribute of tb when there are none), at the given bucket
+// count, with the counts of tuples: equi-width buckets, no more of them
+// than the domain has values, the last one absorbing the remainder. The
+// pass reads every block.
 func checkHistogram(t *testing.T, tb *Table, tuples []relation.Tuple, buckets int) {
 	t.Helper()
 	s := tb.Schema()
-	for attr := range s.NumAttrs() {
+	attrs := s.NumAttrs()
+	if len(tuples) > 0 {
+		attrs = len(tuples[0])
+	}
+	for attr := range attrs {
 		domain := s.Domain(attr).Size
 		n := min(uint64(buckets), domain)
 		width := (domain + n - 1) / n
@@ -40,10 +45,10 @@ func checkHistogram(t *testing.T, tb *Table, tuples []relation.Tuple, buckets in
 
 func TestHistogramUniform(t *testing.T) {
 	tuples := randomTuples(t, 3000, 61)
-	batch, oracle := newBatchPair(t, core.CodecAVQ, tuples)
+	flat, split := newBatchPair(t, core.CodecAVQ, tuples)
 	for _, buckets := range []int{1, 10, 64} {
-		checkHistogram(t, batch, tuples, buckets)
-		checkHistogram(t, oracle, tuples, buckets)
+		checkHistogram(t, flat, tuples, buckets)
+		checkHistogram(t, split, tuples, buckets)
 	}
 }
 
@@ -59,10 +64,19 @@ func TestHistogramSkewed(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = relation.Tuple{uint64(rng.Intn(8)), uint64(rng.Intn(100))}
 	}
-	for _, batch := range []bool{true, false} {
-		tb := createTable(t, s, WithPageSize(512))
-		tb.tuplePath = !batch
-		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+	// The same rows over a split schema: one more, constant attribute wide
+	// enough that the space exceeds 64 bits.
+	split := relation.MustSchema(append(s.Domains(), relation.Domain{Name: "wide", Size: 1 << 62})...)
+	for _, sch := range []*relation.Schema{s, split} {
+		rows := tuples
+		if sch == split {
+			rows = make([]relation.Tuple, len(tuples))
+			for i, tu := range tuples {
+				rows[i] = append(tu.Clone(), 1<<61)
+			}
+		}
+		tb := createTable(t, sch, WithPageSize(512))
+		if err := tb.BulkLoadContext(context.Background(), rows); err != nil {
 			t.Fatal(err)
 		}
 		checkHistogram(t, tb, tuples, 10)
@@ -71,7 +85,7 @@ func TestHistogramSkewed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[0] != len(tuples) {
-			t.Fatalf("batch %v: hot decile holds %d of %d rows", batch, got[0], len(tuples))
+			t.Fatalf("%v: hot decile holds %d of %d rows", sch, got[0], len(tuples))
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	}
 	scan.op = "scan"
 	if _, err := scan.runCtx(ctx, func(tu relation.Tuple) bool {
-		all = append(all, tu.Clone())
+		all = append(all, tu)
 		return true
 	}); err != nil {
 		return before, before, err

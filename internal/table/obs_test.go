@@ -168,3 +168,28 @@ func TestSyncContextVariants(t *testing.T) {
 		t.Fatalf("insert error = %v, want context.Canceled", err)
 	}
 }
+
+// TestReadSpanAllocs: a read on a table with a registry allocates no more
+// than the same read without one plus its span. The span's slow-op detail
+// is formatted only for an op slow enough to be logged, so a fast read
+// pays for no string and no boxed counts.
+func TestReadSpanAllocs(t *testing.T) {
+	tuples := randomTuples(t, 2000, 44)
+	allocs := func(reg *obs.Registry) float64 {
+		tb := createTable(t, testSchema(t), WithPageSize(512), WithObs(reg))
+		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+			t.Fatal(err)
+		}
+		count := func() {
+			if _, _, err := tb.CountRangeContext(context.Background(), 0, 2, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		count() // warm the pool and the arena
+		return testing.AllocsPerRun(50, count)
+	}
+	off, on := allocs(nil), allocs(obs.NewRegistry())
+	if on > off+1 {
+		t.Errorf("CountRange allocates %.0f objects with a registry, %.0f without; want at most one more (the span)", on, off)
+	}
+}

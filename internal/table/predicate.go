@@ -50,7 +50,7 @@ func (t *Table) readPlan(preds []Predicate) (queryRun, error) {
 // disjoint ranges on one attribute) is empty, reads no block and keeps
 // the zero Strategy. The caller holds mu.
 func (t *Table) planSelect(preds []Predicate) (queryRun, error) {
-	r := queryRun{op: "select", reg: t.opts.Obs, batch: t.batchable(), driver: -1}
+	r := queryRun{op: "select", reg: t.opts.Obs, driver: -1}
 	if len(preds) == 0 {
 		r.strategy = exec.StrategyFullScan
 		r.snap = t.store.Snapshot()
@@ -257,40 +257,15 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 		return AggregateResult{}, QueryStats{}, err
 	}
 	r.op = "aggregate"
-	// The aggregate fold reads attribute values and retains nothing, so the
-	// executor may recycle one arena across blocks.
-	r.plan.Transient = true
-	if r.batch {
-		return aggregateBatchCtx(ctx, r, t.schema, aggAttr)
-	}
-	return aggregateRunCtx(ctx, r, aggAttr)
-}
-
-// aggregateBatchCtx is the aggregate fold on raw ordinals: the aggregated
-// attribute is extracted from each φ by a DigitExtractor over the cached
-// FlatWeights — no tuple is ever materialized.
-func aggregateBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, aggAttr int) (AggregateResult, QueryStats, error) {
-	w, _ := s.FlatWeights()
-	agg := core.NewDigitExtractor(w[aggAttr], s.Domain(aggAttr).Size)
+	dig := attrDigit(t.schema, aggAttr)
 	res := newAggregate()
-	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-		for _, phi := range phis {
-			res.add(agg.Digit(phi))
+	stats, err := r.fold(ctx, func(sl core.Slab) bool {
+		for _, tu := range sl.Tuples {
+			res.add(tu[aggAttr])
 		}
-		return true
-	})
-	if res.Count == 0 {
-		res.Min = 0
-	}
-	return res, stats, err
-}
-
-// aggregateRunCtx executes a planned aggregate pass tuple by tuple without
-// materializing rows.
-func aggregateRunCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	res := newAggregate()
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		res.add(tu[aggAttr])
+		for _, phi := range sl.Phis {
+			res.add(dig.Digit(phi))
+		}
 		return true
 	})
 	if res.Count == 0 {

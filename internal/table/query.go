@@ -27,10 +27,6 @@ type queryRun struct {
 	plan     exec.Plan
 	snap     *blockstore.Snapshot
 	empty    bool
-	// batch routes the pass through the columnar φ-slab executor; set at
-	// plan time when the schema is flat and the table has not opted out.
-	// Only operators whose kernels consume raw ordinals honour it.
-	batch bool
 	// driver is the position in plan.Preds of the conjunct that chose the
 	// access path, -1 when none did (a full scan).
 	driver int
@@ -41,24 +37,34 @@ type queryRun struct {
 	reg *obs.Registry
 }
 
-// runCtx executes the planned pass through the executor, releases the
+// run executes the planned pass through the executor, releases the
 // snapshot, and reports the executor's Stats under the planned strategy.
 // The executor observes cancellation at block boundaries, before the next
-// decode.
-func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (QueryStats, error) {
+// decode. The span's slow-op detail is formatted only for a slow op.
+func (r queryRun) run(ctx context.Context, pass func(context.Context, *blockstore.Snapshot, exec.Plan) (exec.Stats, error)) (QueryStats, error) {
 	if r.empty {
 		return QueryStats{}, nil
 	}
 	var sp *obs.Span
 	if r.op != "" {
 		sp = r.reg.StartOp(r.op)
-		defer sp.End()
 	}
 	defer r.snap.Release()
-	st, err := exec.RunContext(ctx, r.snap, r.plan, emit)
+	st, err := pass(ctx, r.snap, r.plan)
 	st.Strategy = r.strategy
-	sp.Detailf("%s: %d blocks read, %d pruned, %d matches", st.Strategy, st.BlocksRead, st.BlocksPruned, st.Matches)
+	sp.EndWith(func() string {
+		return fmt.Sprintf("%s: %d blocks read (%d as batch slabs), %d pruned, %d matches",
+			st.Strategy, st.BlocksRead, st.BatchBlocks, st.BlocksPruned, st.Matches)
+	})
 	return st, err
+}
+
+// runCtx runs the planned pass as a select, streaming matches to emit as
+// tuples it may retain.
+func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (QueryStats, error) {
+	return r.run(ctx, func(ctx context.Context, sn *blockstore.Snapshot, plan exec.Plan) (exec.Stats, error) {
+		return exec.RunContext(ctx, sn, plan, emit)
+	})
 }
 
 // snapshot pins the current block layout under the shared lock, so the
@@ -81,25 +87,14 @@ func (r queryRun) collect(ctx context.Context) ([]relation.Tuple, QueryStats, er
 	return out, stats, err
 }
 
-// runBatchCtx executes the planned pass through the columnar batch
-// executor: kernel receives each block's already-filtered φ-ordinal slab
-// (valid only for the duration of the call). The caller must have checked
-// r.batch.
-func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bool) (QueryStats, error) {
-	if r.empty {
-		return QueryStats{}, nil
-	}
-	var sp *obs.Span
-	if r.op != "" {
-		sp = r.reg.StartOp(r.op)
-		defer sp.End()
-	}
-	defer r.snap.Release()
-	st, err := exec.RunBatch(ctx, r.snap, r.plan, kernel)
-	st.Strategy = r.strategy
-	sp.Detailf("%s (batch): %d slabs, %d rows, %d pruned, %d matches",
-		st.Strategy, st.BatchBlocks, st.SlabRows, st.BlocksPruned, st.Matches)
-	return st, err
+// fold runs the planned pass through the slab executor: kernel receives
+// each block's already-filtered slab, valid only for the duration of the
+// call. Every read operator that does not return tuples is one kernel
+// here, for flat and split schemas alike.
+func (r queryRun) fold(ctx context.Context, kernel func(core.Slab) bool) (QueryStats, error) {
+	return r.run(ctx, func(ctx context.Context, sn *blockstore.Snapshot, plan exec.Plan) (exec.Stats, error) {
+		return exec.RunBatch(ctx, sn, plan, kernel)
+	})
 }
 
 // SelectRangeContext executes the paper's evaluation query sigma_{lo <=
@@ -125,13 +120,6 @@ func (t *Table) SelectRangeFuncContext(ctx context.Context, attr int, lo, hi uin
 		return QueryStats{}, err
 	}
 	return r.runCtx(ctx, emit)
-}
-
-// batchable reports whether aggregate reads use the columnar batch path:
-// they do when the schema is flat (φ fits a uint64).
-func (t *Table) batchable() bool {
-	_, ok := t.schema.FlatSpace()
-	return ok && !t.tuplePath
 }
 
 // candidateBlocks collects the distinct data blocks a secondary index maps
@@ -164,16 +152,9 @@ func (t *Table) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) 
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
-	if r.batch {
-		// The batch pass counts qualifying ordinals as it compacts each
-		// slab, so its kernel has nothing left to do.
-		stats, err := r.runBatchCtx(ctx, func([]uint64) bool { return true })
-		return stats.Matches, stats, err
-	}
-	// Counting never touches the tuples, so the executor may recycle one
-	// arena across blocks.
-	r.plan.Transient = true
-	stats, err := r.runCtx(ctx, func(relation.Tuple) bool { return true })
+	// The pass counts qualifying rows as it filters each slab, so the
+	// kernel has nothing left to do.
+	stats, err := r.fold(ctx, func(core.Slab) bool { return true })
 	return stats.Matches, stats, err
 }
 
@@ -221,31 +202,27 @@ func (t *Table) HistogramContext(ctx context.Context, attr, buckets int) ([]int,
 		return nil, QueryStats{}, err
 	}
 	r.op = "histogram"
-	if r.batch {
-		// Bucket straight off the φ digits.
-		w, _ := t.schema.FlatWeights()
-		dig := core.NewDigitExtractor(w[attr], domain)
-		stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-			for _, phi := range phis {
-				b := int(dig.Digit(phi) / width)
-				if b >= buckets {
-					b = buckets - 1
-				}
-				counts[b]++
-			}
-			return true
-		})
-		return counts, stats, err
-	}
-	// Bucketing reads one attribute per tuple and retains nothing.
-	r.plan.Transient = true
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		b := int(tu[attr] / width)
-		if b >= buckets {
-			b = buckets - 1
+	dig := attrDigit(t.schema, attr)
+	bucket := func(v uint64) int { return int(min(v/width, uint64(buckets-1))) }
+	stats, err := r.fold(ctx, func(sl core.Slab) bool {
+		for _, tu := range sl.Tuples {
+			counts[bucket(tu[attr])]++
 		}
-		counts[b]++
+		for _, phi := range sl.Phis {
+			counts[bucket(dig.Digit(phi))]++
+		}
 		return true
 	})
 	return counts, stats, err
+}
+
+// attrDigit returns the extractor of attribute attr's digit from a flat
+// schema's ordinals, the zero extractor on a split schema (whose slabs
+// hold tuples, never ordinals).
+func attrDigit(s *relation.Schema, attr int) core.DigitExtractor {
+	w, ok := s.FlatWeights()
+	if !ok {
+		return core.DigitExtractor{}
+	}
+	return core.NewDigitExtractor(w[attr], s.Domain(attr).Size)
 }

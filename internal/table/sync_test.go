@@ -346,27 +346,24 @@ func TestTableConcurrentOracle(t *testing.T) {
 			return ""
 		},
 		func(rng *rand.Rand) string { // batch iterator
-			it, err := tb.BatchIterator(ctx)
-			if err != nil {
-				return err.Error()
-			}
+			it := tb.BatchIterator(ctx)
 			defer it.Release()
 			n, last := 0, uint64(0)
 			for {
-				phis, err := it.NextPhis()
+				sl, err := it.Next()
 				if err != nil {
 					return err.Error()
 				}
-				if phis == nil {
+				if sl.Len() == 0 {
 					break
 				}
-				for _, phi := range phis {
+				for _, phi := range sl.Phis {
 					if phi < last {
 						return "slab stream out of phi order"
 					}
 					last = phi
 				}
-				n += len(phis)
+				n += sl.Len()
 			}
 			if !inBounds(n, len(base)) {
 				return "slab stream row count outside the oracle's bounds"

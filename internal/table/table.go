@@ -141,11 +141,6 @@ type Table struct {
 
 	// wal is the write-ahead log (nil for checkpoint-durability tables).
 	wal *wal.Log
-
-	// tuplePath runs a flat schema's reads tuple by tuple, as a non-flat
-	// schema's run. Only this package's tests set it, before the table is
-	// shared: the tuple path is their oracle for the batch kernels.
-	tuplePath bool
 }
 
 // Create builds an empty table for the schema, configured by functional

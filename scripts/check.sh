@@ -6,8 +6,8 @@
 # the no-lint-baseline, no-Deprecated-wrappers, one-fence-search, one-
 # block-cache, one-codec-set, one-chain-walk, no-zeroed-object, one-
 # page-read (viewStream), no-per-field-window, no-simulated-disk, one-
-# planner, one-benchmark-system, one-stats-type and one-shard-method-set
-# guards,
+# planner, one-benchmark-system, one-stats-type, one-shard-method-set
+# and one-read-pass guards,
 # the full test suite, one iteration of every per-layer benchmark, the
 # bench module's vet and tests (every ledger
 # workload timed and traced at 20k tuples), 10 s fuzz smokes of the block
@@ -105,6 +105,14 @@ if grep -rnE '^[[:space:]]+([A-Za-z_]+,[[:space:]]*)*BlocksRead([[:space:]]*,[[:
 # and server.Engine share; keep the second set, which existed only to
 # return a shard-specific stats type, from growing back.
 if grep -nE '^func \(db \*DB\) (SelectRange|SelectRangeFunc|CountRange|AggregateRange|GroupBy|Scan|Insert|InsertBatch|Delete|BulkLoadContext)\(' internal/shard/*.go; then echo "second shard.DB method set found; give each operation its one Context name" >&2; exit 1; fi
+
+# One read pass: exec has one block loop (BatchIterator.Next, whose Seek
+# is its one fence seek) and one pull iterator, and every read operator is
+# one kernel over core.Slab, flat and split schemas alike. Keep the tuple
+# executor, its not-flat error, the table's tuple-path switch and a second
+# fence-seeking loop in exec from growing back.
+execsrc=$(ls internal/exec/*.go | grep -v '_test\.go$')
+if grep -rnwE 'tuplePath|ErrNotFlat' --include='*.go' cmd internal | grep -v '_test\.go:' || grep -n 'type Iterator struct' $execsrc || [ "$(awk '/^func /{f=FILENAME ": " $0} /SeekAttr0\(/{print f}' $execsrc | sort -u | wc -l)" -gt 1 ]; then echo "second read path found: tuplePath, ErrNotFlat, exec.Iterator or a second SeekAttr0 caller in internal/exec; read through exec.BatchIterator's slabs" >&2; exit 1; fi
 
 echo "== go test"
 go test ./...
